@@ -32,16 +32,13 @@
 #                      golden, require the resubmission to be a cache
 #                      hit, and require SIGTERM to drain cleanly
 #   make race          race-detector pass over every package
-#   make bench         full benchmark suite (regenerates the paper's numbers)
+#   make bench         every root benchmark: sweep fan-out, observability
+#                      overhead gates, serve DES and cluster-access kernels
+#                      (the paper's numbers are pinned by the goldens;
+#                      end-to-end performance is `bash cmd/ntcbench/run.sh`)
 #   make bench-sweep   parallel-vs-serial sweep engine benchmarks only
 #   make bench-obs     observability overhead benchmarks (metrics
 #                      disabled-path + telemetry sampler), both gated <2%
-#   make bench-json    run the hot-path benchmarks (serve DES steady state
-#                      + cluster access kernel) and write the machine-
-#                      readable perf point to $(BENCH_JSON) (BENCH_9.json)
-#                      via cmd/benchjson. Set BENCH_BASELINE to a prior
-#                      BENCH_*.json to embed it and compute speedups;
-#                      set BENCHTIME=1x for the CI smoke run.
 #   make golden-update regenerate cmd/ntcsim golden files after an
 #                      intentional model change (review the diff!).
 #                      Lint never rewrites sources, so golden outputs
@@ -49,13 +46,7 @@
 
 GO ?= go
 
-# bench-json knobs: where the perf point lands, how long each benchmark
-# runs (1x in CI smoke mode), and an optional prior point to diff against.
-BENCH_JSON ?= BENCH_9.json
-BENCHTIME ?= 1s
-BENCH_BASELINE ?=
-
-.PHONY: all build vet lint lint-sarif test cover fault serve-smoke serve-cover report-smoke daemon-smoke race bench bench-sweep bench-obs bench-json golden-update
+.PHONY: all build vet lint lint-sarif test cover fault serve-smoke serve-cover report-smoke daemon-smoke race bench bench-sweep bench-obs golden-update
 
 all: build
 
@@ -118,13 +109,6 @@ bench-sweep:
 
 bench-obs:
 	$(GO) test -run xxx -bench BenchmarkObsOverhead .
-
-bench-json:
-	$(GO) test -run xxx -bench 'BenchmarkServeSteadyState|BenchmarkClusterAccess' \
-		-benchmem -benchtime $(BENCHTIME) . > bench.out
-	$(GO) run ./cmd/benchjson -out $(BENCH_JSON) \
-		$(if $(BENCH_BASELINE),-baseline $(BENCH_BASELINE)) bench.out
-	@rm -f bench.out
 
 golden-update:
 	$(GO) test ./cmd/ntcsim -run TestGolden -update

@@ -30,6 +30,7 @@ import (
 	"syscall"
 	"time"
 
+	"ntcsim/internal/core"
 	"ntcsim/internal/experiments"
 	"ntcsim/internal/obs"
 	"ntcsim/internal/obs/timeseries"
@@ -121,8 +122,7 @@ func run(args []string) error {
 		WarmInstr:    *warm,
 		SettleCycles: *settle,
 	}
-	env := experiments.Env{
-		Out:           out,
+	env := experiments.Env{Out: out, Seams: core.Seams{
 		Jobs:          *jobs,
 		CheckpointDir: *ckptDir,
 		Obs:           registry,
@@ -134,7 +134,7 @@ func run(args []string) error {
 		Warnf: func(format string, a ...any) {
 			fmt.Fprintf(os.Stderr, "ntcsim: "+format+"\n", a...)
 		},
-	}
+	}}
 
 	cmd := fs.Arg(0)
 	var cmdFn func(ctx context.Context) error

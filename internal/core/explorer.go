@@ -1,8 +1,7 @@
 // Package core is the near-threshold server design-space explorer — the
 // paper's primary contribution (Sec. V). It drives the full-system cluster
-// simulator across the core DVFS range, resolves each frequency to an
-// FD-SOI operating point (optionally with per-point optimal forward body
-// bias), attaches the platform power models at the paper's three scopes
+// simulator across the core DVFS range, resolves each frequency to a
+// zero-bias FD-SOI operating point, attaches the platform power models at the paper's three scopes
 // (cores / SoC / server), evaluates QoS feasibility, and locates the
 // optimal-efficiency operating points:
 //
@@ -38,25 +37,22 @@ import (
 	"ntcsim/internal/workload"
 )
 
-// Explorer runs design-space sweeps on one platform.
-type Explorer struct {
-	Platform *platform.Spec
-	Sim      sim.Config
-	// SamplingFor returns the SMARTS configuration per workload.
-	SamplingFor func(p *workload.Profile) sampling.Config
-	// WarmInstr is the per-core functional warmup before the first sample
-	// (cache/predictor state; the paper launches from warmed checkpoints).
-	WarmInstr uint64
-	// SettleCycles are run after each DVFS transition before sampling.
-	SettleCycles int64
-	// Vbb is the active body bias when UseOptimalBias is false.
-	Vbb float64
-	// UseOptimalBias selects the power-minimizing forward body bias per
-	// operating point (paper Sec. II-A item 1).
-	UseOptimalBias bool
-	// Activity is the core activity factor during load (the paper
-	// evaluates worst-case, fully loaded servers).
-	Activity float64
+// LoadActivity is the core activity factor during load: the paper
+// evaluates worst-case, fully loaded servers.
+const LoadActivity = 1.0
+
+// Seams are the Explorer's result-neutral inputs: execution budget,
+// checkpoint persistence, fault notices and observability hooks. None of
+// them changes a sweep's numbers (results are bit-identical for every
+// Jobs, with or without a checkpoint cache, with or without hooks), which
+// is why experiments.Key excludes exactly this struct. Every field is
+// optional and nil-gated.
+type Seams struct {
+	// Jobs bounds how many sweep points (and, in SweepMany, workloads)
+	// evaluate concurrently; <= 0 means GOMAXPROCS. Every point runs from
+	// the same warmed checkpoint under its own RNG substream split by point
+	// index, so results are bit-identical for every Jobs setting.
+	Jobs int
 	// CheckpointDir, when set, caches warmed-cluster checkpoints per
 	// workload (the SMARTS warmed-checkpoint methodology): the first sweep
 	// of a workload pays the warmup and saves
@@ -79,29 +75,6 @@ type Explorer struct {
 	// These faults change performance, never results, so they are
 	// warnings rather than errors; nil discards them.
 	Warnf func(format string, args ...any)
-	// Retries is the per-point retry budget for transient failures. Each
-	// attempt restores the point's cluster fresh from the in-memory
-	// checkpoint and reseeds the identical RNG substream, so a retried
-	// point is bit-identical to a first-try success. Context cancellation
-	// is never retried. 0 means fail fast.
-	Retries int
-	// WarmLockPoll and WarmLockAttempts bound the single-flight warmup
-	// wait: a sweep that finds another process warming the same
-	// checkpoint polls every WarmLockPoll up to WarmLockAttempts times,
-	// then warms anyway (a stale lock must not hang a campaign). Zero
-	// values select the defaults (100ms, 600 polls).
-	WarmLockPoll     time.Duration
-	WarmLockAttempts int
-	// Thermal, when set, couples core leakage to the junction temperature
-	// via the electro-thermal fixed point instead of the technology's
-	// calibration temperature. Near threshold the correction is tiny; at
-	// the top of the DVFS range it raises core power by several percent.
-	Thermal *thermal.Model
-	// Jobs bounds how many sweep points (and, in SweepMany, workloads)
-	// evaluate concurrently; <= 0 means GOMAXPROCS. Every point runs from
-	// the same warmed checkpoint under its own RNG substream split by point
-	// index, so results are bit-identical for every Jobs setting.
-	Jobs int
 
 	// Obs, when set, enables the observability layer: per-layer counters
 	// are harvested into the registry at each point's completion, and the
@@ -122,6 +95,40 @@ type Explorer struct {
 	// order after the parallel fan-out, keeping output byte-identical for
 	// every Jobs setting.
 	Telemetry *timeseries.Sampler
+}
+
+// Explorer runs design-space sweeps on one platform. Construct it with
+// NewExplorer and configure it by assigning fields.
+type Explorer struct {
+	Seams
+
+	Platform *platform.Spec
+	Sim      sim.Config
+	// SamplingFor returns the SMARTS configuration per workload.
+	SamplingFor func(p *workload.Profile) sampling.Config
+	// WarmInstr is the per-core functional warmup before the first sample
+	// (cache/predictor state; the paper launches from warmed checkpoints).
+	WarmInstr uint64
+	// SettleCycles are run after each DVFS transition before sampling.
+	SettleCycles int64
+	// Retries is the per-point retry budget for transient failures. Each
+	// attempt restores the point's cluster fresh from the in-memory
+	// checkpoint and reseeds the identical RNG substream, so a retried
+	// point is bit-identical to a first-try success. Context cancellation
+	// is never retried. 0 means fail fast.
+	Retries int
+	// WarmLockPoll and WarmLockAttempts bound the single-flight warmup
+	// wait: a sweep that finds another process warming the same
+	// checkpoint polls every WarmLockPoll up to WarmLockAttempts times,
+	// then warms anyway (a stale lock must not hang a campaign). Zero
+	// values select the defaults (100ms, 600 polls).
+	WarmLockPoll     time.Duration
+	WarmLockAttempts int
+	// Thermal, when set, couples core leakage to the junction temperature
+	// via the electro-thermal fixed point instead of the technology's
+	// calibration temperature. Near threshold the correction is tiny; at
+	// the top of the DVFS range it raises core power by several percent.
+	Thermal *thermal.Model
 	// TelemetryPrefix disambiguates series when several explorers sweep
 	// the same workload names in one run (e.g. the ablation's LPDDR4 and
 	// 8-core variants).
@@ -134,27 +141,20 @@ type Explorer struct {
 }
 
 // NewExplorer returns an explorer for the paper's default platform with
-// the reduced-cost sampling configuration (use WithFidelity("paper") or
-// PaperFidelity for the full SMARTS windows), then applies the options in
-// order. With no options the explorer is the historical default, so
-// existing zero-argument callers are unchanged.
-func NewExplorer(opts ...Option) (*Explorer, error) {
+// the reduced-cost sampling configuration (PaperFidelity switches to the
+// full SMARTS windows) and every seam unset.
+func NewExplorer() (*Explorer, error) {
 	spec, err := platform.Default()
 	if err != nil {
 		return nil, err
 	}
-	e := &Explorer{
+	return &Explorer{
 		Platform:     spec,
 		Sim:          sim.DefaultConfig(),
 		SamplingFor:  func(*workload.Profile) sampling.Config { return sampling.QuickConfig() },
 		WarmInstr:    2_000_000,
 		SettleCycles: 20_000,
-		Activity:     1.0,
-	}
-	if err := e.apply(opts); err != nil {
-		return nil, err
-	}
-	return e, nil
+	}, nil
 }
 
 // PaperFidelity switches the explorer to the paper's full sampling windows
@@ -410,13 +410,7 @@ func (e *Explorer) SweepMany(ctx context.Context, profiles []*workload.Profile, 
 // evaluate attaches operating point, power and QoS to one sampled result.
 func (e *Explorer) evaluate(p *workload.Profile, sw *Sweep, f float64, res sampling.Result) (Point, error) {
 	spec := e.Platform
-	var op tech.OperatingPoint
-	var err error
-	if e.UseOptimalBias {
-		op, _, err = spec.Core.OptimalBias(f, e.Activity)
-	} else {
-		op, err = spec.Tech.OperatingPointFor(f, e.Vbb)
-	}
+	op, err := spec.Tech.OperatingPointFor(f, 0)
 	if err != nil {
 		return Point{}, fmt.Errorf("core: %.0f MHz: %w", f/1e6, err)
 	}
@@ -427,12 +421,12 @@ func (e *Explorer) evaluate(p *workload.Profile, sw *Sweep, f float64, res sampl
 	// Per-cluster uncore activity rates come straight from the simulation;
 	// memory bandwidth is aggregated across clusters.
 	pw := platform.ServerPower{
-		CoresW:  spec.CorePowerW(op, e.Activity),
+		CoresW:  spec.CorePowerW(op, LoadActivity),
 		UncoreW: spec.UncorePowerW(res.LLCReadRate(), res.LLCWriteRate(), res.LLCAccessRate()),
 		MemoryW: spec.MemoryPowerW(res.ReadBandwidth()*clusters, res.WriteBandwidth()*clusters),
 	}
 	if e.Thermal != nil {
-		eq := thermal.SolveEquilibrium(*e.Thermal, spec.Core, op, e.Activity,
+		eq := thermal.SolveEquilibrium(*e.Thermal, spec.Core, op, LoadActivity,
 			spec.TotalCores(), pw.UncoreW)
 		if !eq.Runaway {
 			pw.CoresW = eq.ChipPowerW - pw.UncoreW
@@ -471,7 +465,7 @@ func (e *Explorer) evaluate(p *workload.Profile, sw *Sweep, f float64, res sampl
 // Power.TotalW() by construction.
 func (e *Explorer) telemetrySample(pt Point, res sampling.Result, i int) timeseries.Sample {
 	spec := e.Platform
-	dynOne, _ := spec.Core.PowerParts(pt.Op, e.Activity)
+	dynOne, _ := spec.Core.PowerParts(pt.Op, LoadActivity)
 	coreDynW := float64(spec.TotalCores()) * dynOne
 	coreLeakW := pt.Power.CoresW - coreDynW
 	llcW, xbarW, ioW := spec.UncorePowerParts(
@@ -491,7 +485,7 @@ func (e *Explorer) telemetrySample(pt Point, res sampling.Result, i int) timeser
 		},
 		FreqHz:   pt.FreqHz,
 		VoltageV: pt.Op.Vdd,
-		Util:     e.Activity,
+		Util:     LoadActivity,
 	}
 }
 

@@ -74,8 +74,8 @@ func (e *Explorer) BoostAnalysis(vdd float64) (BoostReport, error) {
 		return BoostReport{}, fmt.Errorf("core: non-functional at %.2fV without bias", vdd)
 	}
 	n := float64(spec.TotalCores())
-	basePw := n * spec.Core.Power(tech.OperatingPoint{Vdd: vdd, FreqHz: base}, e.Activity)
-	boostPw := n * spec.Core.Power(tech.OperatingPoint{Vdd: vdd, Vbb: bias, FreqHz: boost}, e.Activity)
+	basePw := n * spec.Core.Power(tech.OperatingPoint{Vdd: vdd, FreqHz: base}, LoadActivity)
+	boostPw := n * spec.Core.Power(tech.OperatingPoint{Vdd: vdd, Vbb: bias, FreqHz: boost}, LoadActivity)
 	return BoostReport{
 		Vdd:            vdd,
 		BaseFreqHz:     base,

@@ -538,7 +538,7 @@ func TestCancellationIsNeverRetried(t *testing.T) {
 	}
 }
 
-func TestSweepContextStopsBetweenPoints(t *testing.T) {
+func TestSweepStopsBetweenPoints(t *testing.T) {
 	ctx, cancel := context.WithCancelCause(context.Background())
 	cause := errors.New("SIGINT")
 	completed := 0

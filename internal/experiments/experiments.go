@@ -7,8 +7,9 @@
 //
 // Params is a validated, JSON-round-trippable parameter struct — the CLI
 // fills it from flags, the ntcsimd daemon decodes it strictly from request
-// bodies — and Env carries the seams (output writer, worker budget,
-// checkpoint cache, observability hooks, filesystem) so the same driver
+// bodies — and Env carries the output writer plus the result-neutral
+// explorer seams (core.Seams: worker budget, checkpoint cache, filesystem,
+// fault notices, observability hooks) so the same driver
 // runs identically as a one-shot command or as an asynchronous job. The
 // report text an experiment writes to Env.Out is a pure function of
 // (name, Params): the golden files pin it, and the daemon's result cache
@@ -26,9 +27,6 @@ import (
 	"text/tabwriter"
 
 	"ntcsim/internal/core"
-	"ntcsim/internal/faultfs"
-	"ntcsim/internal/obs"
-	"ntcsim/internal/obs/timeseries"
 )
 
 // DefaultSeed is the simulation seed used when Params.Seed is zero — the
@@ -40,30 +38,17 @@ const DefaultSeed uint64 = 0x5eed
 // one. Bump it when a change makes previously cached report bytes wrong.
 const Version = "ntcsim-experiments/v1"
 
-// Env carries the execution seams an experiment runs against. Every field
-// is optional: a zero Env runs the experiment silently (output discarded)
-// on default knobs, which is what the validation tests use.
+// Env is what an experiment runs against besides its Params: the report
+// writer and the explorer seams (core.Seams), which every explorer the
+// experiment constructs receives whole. Every field is optional: a zero
+// Env runs the experiment silently (output discarded) on default knobs,
+// which is what the validation tests use.
 type Env struct {
 	// Out receives the experiment's report text; nil discards it. Callers
 	// that fan drivers across goroutines should pass an ordered writer
 	// (obs.NewSyncWriter) exactly as cmd/ntcsim does.
 	Out io.Writer
-	// Jobs bounds each sweep's concurrent point evaluations; <= 0 means
-	// GOMAXPROCS. Results are bit-identical for every setting, so Jobs is
-	// deliberately NOT part of Params or the cache key.
-	Jobs int
-	// CheckpointDir enables the warmed-cluster checkpoint cache.
-	CheckpointDir string
-	// FS overrides checkpoint persistence (fault-injection seam).
-	FS faultfs.FS
-	// Obs, Tracer, Progress and Telemetry are the nil-gated observability
-	// hooks, threaded to every explorer the experiment constructs.
-	Obs       *obs.Registry
-	Tracer    *obs.Tracer
-	Progress  *obs.Progress
-	Telemetry *timeseries.Sampler
-	// Warnf receives recovered-fault notices; nil discards them.
-	Warnf func(format string, args ...any)
+	core.Seams
 }
 
 // out returns the report writer, never nil.
@@ -172,21 +157,26 @@ func UnmarshalParams(data []byte) (Params, error) {
 // NewExplorer constructs the explorer an experiment sweeps with: Params
 // supplies the simulation inputs, Env the seams. It is the single
 // construction path shared by every registered driver, so the CLI and the
-// daemon cannot drift apart.
+// daemon cannot drift apart. p must already be validated (Run does so).
+// Zero WarmInstr/SettleCycles keep the fidelity's defaults; non-zero ones
+// override them.
 func (p Params) NewExplorer(env Env) (*core.Explorer, error) {
-	return core.NewExplorer(
-		core.WithSeed(p.Normalized().Seed),
-		core.WithJobs(env.Jobs),
-		core.WithCheckpointDir(env.CheckpointDir),
-		core.WithFS(env.FS),
-		core.WithObs(env.Obs),
-		core.WithTracer(env.Tracer),
-		core.WithProgress(env.Progress),
-		core.WithTelemetry(env.Telemetry, ""),
-		core.WithWarnf(env.Warnf),
-		core.WithFidelity(p.Fidelity),
-		core.WithWarmup(p.WarmInstr, p.SettleCycles),
-	)
+	e, err := core.NewExplorer()
+	if err != nil {
+		return nil, err
+	}
+	e.Seams = env.Seams
+	e.Sim.Seed = p.Normalized().Seed
+	if p.Fidelity == "paper" {
+		e.PaperFidelity()
+	}
+	if p.WarmInstr > 0 {
+		e.WarmInstr = p.WarmInstr
+	}
+	if p.SettleCycles > 0 {
+		e.SettleCycles = p.SettleCycles
+	}
+	return e, nil
 }
 
 // RunFunc is the uniform driver signature. The passed Params are already
@@ -271,8 +261,8 @@ func Run(ctx context.Context, name string, p Params, env Env) (Result, error) {
 // experiment name and the canonical JSON of the normalized parameters
 // (which folds in the seed). Two submissions with the same key are the
 // same computation, so a daemon may serve the cached bytes of one for the
-// other; Jobs and the observability seams are deliberately excluded
-// because they never change the report bytes.
+// other; Env (the output writer and core.Seams) is deliberately excluded
+// because it never changes the report bytes.
 func Key(name string, p Params) string {
 	blob, err := json.Marshal(p.Normalized())
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"ntcsim/internal/core"
 	"ntcsim/internal/cpu"
 	"ntcsim/internal/sim"
 	"ntcsim/internal/workload"
@@ -204,7 +205,7 @@ func runHetero(ctx context.Context, p Params, env Env) error {
 			if err != nil {
 				return err
 			}
-			coresW := float64(e.Sim.CoresPerCluster) * e.Platform.Core.Power(op, e.Activity)
+			coresW := float64(e.Sim.CoresPerCluster) * e.Platform.Core.Power(op, core.LoadActivity)
 			totalUIPS += m.UIPS()
 			totalCoresW += coresW
 			fmt.Fprintf(w, "%s\t%d\t%s\t%.0f\t%.2f\t%.2f\n",

@@ -3,12 +3,9 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 	"time"
 
 	"ntcsim/internal/governor"
-	"ntcsim/internal/obs"
-	"ntcsim/internal/obs/timeseries"
 	"ntcsim/internal/parallel"
 	"ntcsim/internal/rng"
 	"ntcsim/internal/serve"
@@ -33,11 +30,11 @@ func runServe(ctx context.Context, p Params, env Env) error {
 	// compressed to one-second epochs so the DES serves it request by
 	// request in reasonable time; rates and epoch count are untouched.
 	trace := governor.DiurnalTrace(96, peak, 0.15, 0.04, 1.3, rng.New(p.Seed)).WithStep(time.Second)
-	return ServeReport(ctx, env.Jobs, ServeShape{
+	return ServeReport(ctx, env, ServeShape{
 		Clusters:        e.Platform.Clusters,
 		CoresPerCluster: e.Platform.CoresPerCl,
 		Warmup:          5 * time.Second,
-	}, cfg, trace, p.Seed, env.Obs, env.Tracer, env.Telemetry, env.Out)
+	}, cfg, trace, p.Seed)
 }
 
 // ServeShape is the fleet geometry a serve scenario runs on.
@@ -72,18 +69,17 @@ func serveScenarios(cfg *governor.Config) []serveScenario {
 }
 
 // ServeReport runs every scenario over the trace and prints the measured
-// comparison table to out. Scenarios are independent simulations, so they
-// fan out under the jobs budget; each derives its randomness from its
+// comparison table to env.Out, recording into env's Obs, Tracer and
+// Telemetry hooks. Scenarios are independent simulations, so they fan out
+// under the env.Jobs budget; each derives its randomness from its
 // index, keeping the output byte-identical for any worker count (see
 // TestServeReportAcrossJobs). Exported because the serve determinism and
 // telemetry gates drive it directly with synthetic configurations.
-func ServeReport(ctx context.Context, jobs int, shape ServeShape, cfg *governor.Config,
-	trace governor.LoadTrace, seed uint64, reg *obs.Registry, tracer *obs.Tracer,
-	sampler *timeseries.Sampler, out io.Writer) error {
-	env := Env{Out: out}
+func ServeReport(ctx context.Context, env Env, shape ServeShape, cfg *governor.Config,
+	trace governor.LoadTrace, seed uint64) error {
 	scenarios := serveScenarios(cfg)
 	root := rng.New(seed).Derive("serve-cmd")
-	results, err := parallel.Map(ctx, len(scenarios), jobs,
+	results, err := parallel.Map(ctx, len(scenarios), env.Jobs,
 		func(ctx context.Context, i int) (serve.Result, error) {
 			sc := scenarios[i]
 			bal := sc.balancer()
@@ -95,12 +91,12 @@ func ServeReport(ctx context.Context, jobs int, shape ServeShape, cfg *governor.
 				CoresPerCluster: shape.CoresPerCluster,
 				Trace:           trace,
 				Warmup:          shape.Warmup,
-				Metrics:         reg,
-				Tracer:          tracer,
+				Metrics:         env.Obs,
+				Tracer:          env.Tracer,
 				// Each scenario records into its own series; the sampler
 				// sorts by name on export, so concurrent scenario order
 				// never reaches the output.
-				Telemetry: sampler.Series("serve/" + sc.policy.Name() + "/" + bal.Name()),
+				Telemetry: env.Telemetry.Series("serve/" + sc.policy.Name() + "/" + bal.Name()),
 			}, root.Split(uint64(i)))
 			if err != nil {
 				return serve.Result{}, err

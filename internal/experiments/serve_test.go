@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"ntcsim/internal/core"
 	"ntcsim/internal/governor"
 	"ntcsim/internal/obs"
 	"ntcsim/internal/obs/timeseries"
@@ -74,7 +75,7 @@ func TestServeReportAcrossJobs(t *testing.T) {
 	shape, cfg, trace := serveTestSetup(t)
 	run := func(jobs int) string {
 		var buf bytes.Buffer
-		if err := ServeReport(context.Background(), jobs, shape, cfg, trace, 0x5eed, nil, nil, nil, obs.NewSyncWriter(&buf)); err != nil {
+		if err := ServeReport(context.Background(), Env{Out: obs.NewSyncWriter(&buf), Seams: core.Seams{Jobs: jobs}}, shape, cfg, trace, 0x5eed); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
@@ -93,7 +94,7 @@ func TestServeReportAcrossJobs(t *testing.T) {
 func TestServeReportShape(t *testing.T) {
 	shape, cfg, trace := serveTestSetup(t)
 	var buf bytes.Buffer
-	if err := ServeReport(context.Background(), 0, shape, cfg, trace, 1, nil, nil, nil, obs.NewSyncWriter(&buf)); err != nil {
+	if err := ServeReport(context.Background(), Env{Out: obs.NewSyncWriter(&buf)}, shape, cfg, trace, 1); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -118,7 +119,8 @@ func TestTelemetryDeterministicAcrossJobs(t *testing.T) {
 		var traceBuf bytes.Buffer
 		tracer := obs.NewTracer(&traceBuf)
 		var buf bytes.Buffer
-		if err := ServeReport(context.Background(), jobs, shape, cfg, trace, 0x5eed, nil, tracer, sampler, obs.NewSyncWriter(&buf)); err != nil {
+		env := Env{Out: obs.NewSyncWriter(&buf), Seams: core.Seams{Jobs: jobs, Tracer: tracer, Telemetry: sampler}}
+		if err := ServeReport(context.Background(), env, shape, cfg, trace, 0x5eed); err != nil {
 			t.Fatal(err)
 		}
 		if err := sampler.Audit(0); err != nil {

@@ -18,6 +18,7 @@ import (
 	"sync"
 	"time"
 
+	"ntcsim/internal/core"
 	"ntcsim/internal/experiments"
 	"ntcsim/internal/obs"
 	"ntcsim/internal/obs/timeseries"
@@ -257,12 +258,14 @@ func (s *Server) run(j *job) {
 	_, err := experiments.Run(jctx, j.experiment, j.params, experiments.Env{
 		// Drivers that fan out across goroutines require an ordered
 		// writer, exactly as in cmd/ntcsim.
-		Out:           obs.NewSyncWriter(&buf),
-		Jobs:          s.cfg.Jobs,
-		CheckpointDir: s.cfg.CheckpointDir,
-		Obs:           reg,
-		Telemetry:     sampler,
-		Progress:      obs.NewProgressFunc(j.progress),
+		Out: obs.NewSyncWriter(&buf),
+		Seams: core.Seams{
+			Jobs:          s.cfg.Jobs,
+			CheckpointDir: s.cfg.CheckpointDir,
+			Obs:           reg,
+			Telemetry:     sampler,
+			Progress:      obs.NewProgressFunc(j.progress),
+		},
 	})
 	if err != nil {
 		if jctx.Err() != nil {
