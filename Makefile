@@ -32,6 +32,9 @@
 #                      golden, require the resubmission to be a cache
 #                      hit, and require SIGTERM to drain cleanly
 #   make race          race-detector pass over every package
+#   make fuzz-rng      run each internal/rng sampler-equivalence fuzz
+#                      target (geometric guide vs inverse CDF, Zipf guide
+#                      vs whole-table binary search) for 10 s
 #   make bench         every root benchmark: sweep fan-out, observability
 #                      overhead gates, serve DES and cluster-access kernels
 #                      (the paper's numbers are pinned by the goldens;
@@ -46,7 +49,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-sarif test cover fault serve-smoke serve-cover report-smoke daemon-smoke race bench bench-sweep bench-obs golden-update
+.PHONY: all build vet lint lint-sarif test cover fault serve-smoke serve-cover report-smoke daemon-smoke race fuzz-rng bench bench-sweep bench-obs golden-update
 
 all: build
 
@@ -100,6 +103,10 @@ daemon-smoke:
 
 race:
 	$(GO) test -race ./...
+
+fuzz-rng:
+	$(GO) test -run xxx -fuzz '^FuzzGeometricMatchesInverseCDF$$' -fuzztime 10s ./internal/rng
+	$(GO) test -run xxx -fuzz '^FuzzZipfMatchesBinarySearch$$' -fuzztime 10s ./internal/rng
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem .

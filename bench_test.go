@@ -1,12 +1,13 @@
 // Root benchmarks: the sweep engine's worker fan-out, the observability
-// overhead gates and the two hot-path kernels.
+// overhead gates and the hot-path kernels.
 //
 //	make bench-sweep   BenchmarkSweepParallel, BenchmarkSweepManyParallel
 //	make bench-obs     BenchmarkObsOverhead, BenchmarkObsOverheadSampler
 //	                   (both fail above the 2% overhead budget)
 //
-// BenchmarkServeSteadyState and BenchmarkClusterAccess time the serve DES
-// event loop and the cluster memory-access kernel in isolation. The paper's
+// BenchmarkServeSteadyState, BenchmarkClusterAccess and
+// BenchmarkGeneratorNext time the serve DES event loop, the cluster
+// memory-access kernel and the synthetic instruction stream in isolation. The paper's
 // numbers are pinned by the cmd/ntcsim goldens, and end-to-end performance
 // is measured by cmd/ntcbench.
 package ntcsim_test
@@ -291,4 +292,21 @@ func BenchmarkClusterAccess(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "accesses/s")
+}
+
+// BenchmarkGeneratorNext measures the workload generator's per-instruction
+// cost (mix, dependency, branch, address and PC draws) for each scale-out
+// profile, the instruction stream every simulated core consumes. One op is
+// one instruction, so ns/op is ns per instruction.
+func BenchmarkGeneratorNext(b *testing.B) {
+	for _, p := range workload.ScaleOutProfiles() {
+		b.Run(p.Name, func(b *testing.B) {
+			g := workload.NewGenerator(p, 0, rng.New(1))
+			var in workload.Instr
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g.Next(&in)
+			}
+		})
+	}
 }

@@ -10,6 +10,14 @@
 // Each simulated component (core trace, branch outcomes, memory addresses,
 // VM statistics, ...) derives its own independent stream with Derive, so
 // adding draws to one component never perturbs another.
+//
+// The two samplers on the workload generator's per-instruction path,
+// Geometric and Zipf, draw through precomputed guide tables that return
+// exactly what their reference inverse-CDF formulas return, consuming the
+// same single Uint64 per draw. The tables depend only on the sampler's
+// parameters, so they are built lazily on first use, cached for the life
+// of the process and shared read-only by every sampler with the same
+// parameters (see tables.go).
 package rng
 
 import "math"
@@ -122,25 +130,6 @@ func (s *Stream) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*s.NormFloat64())
 }
 
-// Geometric returns a geometric deviate in {1, 2, ...} with success
-// probability p in (0, 1]: the number of trials up to and including the
-// first success. Used for register dependency distances.
-func (s *Stream) Geometric(p float64) int {
-	if p >= 1 {
-		return 1
-	}
-	if p <= 0 {
-		panic("rng: Geometric with p <= 0")
-	}
-	u := s.Float64()
-	// Inverse CDF; u in [0,1) keeps the argument to Log positive.
-	k := int(math.Floor(math.Log(1-u)/math.Log(1-p))) + 1
-	if k < 1 {
-		k = 1
-	}
-	return k
-}
-
 // Exponential returns an exponential deviate with the given mean.
 func (s *Stream) Exponential(mean float64) float64 {
 	for {
@@ -192,58 +181,8 @@ func (s *Stream) gamma(shape float64) float64 {
 	}
 }
 
-// Zipf draws ranks in [0, n) with probability proportional to
-// 1/(rank+1)^theta, via inverse-CDF over a precomputed table.
-type Zipf struct {
-	cdf []float64
-	s   *Stream
-}
-
-// NewZipf builds a Zipf sampler over n ranks with exponent theta >= 0
-// drawing from stream s. theta == 0 degenerates to uniform.
-func NewZipf(s *Stream, n int, theta float64) *Zipf {
-	if n <= 0 {
-		panic("rng: NewZipf with n <= 0")
-	}
-	cdf := make([]float64, n)
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += 1 / math.Pow(float64(i+1), theta)
-		cdf[i] = sum
-	}
-	for i := range cdf {
-		cdf[i] /= sum
-	}
-	return &Zipf{cdf: cdf, s: s}
-}
-
-// Next returns the next rank in [0, n).
-func (z *Zipf) Next() int {
-	u := z.s.Float64()
-	// Binary search for the first cdf entry >= u.
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cdf) }
-
 // State returns the stream's internal state for checkpointing.
 func (s *Stream) State() uint64 { return s.state }
 
 // SetState restores a state captured with State.
 func (s *Stream) SetState(v uint64) { s.state = v }
-
-// StreamState returns the sampler's stream state for checkpointing.
-func (z *Zipf) StreamState() uint64 { return z.s.state }
-
-// SetStreamState restores a state captured with StreamState.
-func (z *Zipf) SetStreamState(v uint64) { z.s.state = v }

@@ -157,9 +157,10 @@ func TestGeometricMean(t *testing.T) {
 	s := New(23)
 	const p = 0.25
 	const n = 100000
+	g := NewGeometric(p)
 	sum := 0
 	for i := 0; i < n; i++ {
-		k := s.Geometric(p)
+		k := s.Geometric(g)
 		if k < 1 {
 			t.Fatalf("Geometric returned %d < 1", k)
 		}
@@ -173,10 +174,14 @@ func TestGeometricMean(t *testing.T) {
 
 func TestGeometricPOne(t *testing.T) {
 	s := New(29)
+	g := NewGeometric(1)
 	for i := 0; i < 100; i++ {
-		if k := s.Geometric(1); k != 1 {
+		if k := s.Geometric(g); k != 1 {
 			t.Fatalf("Geometric(1) = %d, want 1", k)
 		}
+	}
+	if s.State() != 29 {
+		t.Fatal("Geometric(1) consumed the stream")
 	}
 }
 
@@ -306,9 +311,10 @@ func TestQuickFloat64AlwaysInRange(t *testing.T) {
 func TestQuickGeometricAtLeastOne(t *testing.T) {
 	err := quick.Check(func(seed uint64, pRaw uint8) bool {
 		p := (float64(pRaw%99) + 1) / 100 // p in [0.01, 0.99]
+		g := NewGeometric(p)
 		s := New(seed)
 		for i := 0; i < 50; i++ {
-			if s.Geometric(p) < 1 {
+			if s.Geometric(g) < 1 {
 				return false
 			}
 		}

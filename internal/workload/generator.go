@@ -92,6 +92,10 @@ type Generator struct {
 	branchPick *rng.Zipf
 	biases     []float64
 
+	depGeom *rng.Geometric // dependency distance, p = DepGeomP
+	osGeom  *rng.Geometric // OS burst length, p = 1/OSBurst; nil when OSFrac <= 0
+	enterP  float64        // per-instruction OS entry probability
+
 	coldZipf   *rng.Zipf
 	hotZipf    *rng.Zipf
 	coldLines  uint64
@@ -100,6 +104,12 @@ type Generator struct {
 	streamPos  uint64
 	codeTarget *rng.Zipf
 	codeLines  uint64
+
+	// Lines (bytes for code) per Zipf rank, derived from the footprints.
+	coldChunkLines uint64
+	hotChunkLines  uint64
+	codeChunkBytes uint64
+	osChunkBytes   uint64
 
 	pc       uint64
 	inOS     bool
@@ -126,6 +136,12 @@ func NewGenerator(p *Profile, coreID int, seed *rng.Stream) *Generator {
 		os:   root.Derive("os"),
 	}
 	g.branchPick = rng.NewZipf(root.Derive("branch-pick"), p.StaticBranches, p.BranchZipf)
+	g.depGeom = rng.NewGeometric(p.DepGeomP)
+	if p.OSFrac > 0 {
+		g.osGeom = rng.NewGeometric(1 / p.OSBurst)
+		// Enter probability chosen so mean user-run length yields OSFrac.
+		g.enterP = p.OSFrac / ((1 - p.OSFrac) * p.OSBurst)
+	}
 	g.biases = make([]float64, p.StaticBranches)
 	bs := root.Derive("biases")
 	for i := range g.biases {
@@ -158,6 +174,7 @@ func NewGenerator(p *Profile, coreID int, seed *rng.Stream) *Generator {
 		chunks = 1 << 16
 	}
 	g.coldZipf = rng.NewZipf(root.Derive("cold"), chunks, p.ColdZipf)
+	g.coldChunkLines = max(g.coldLines/uint64(chunks), 1)
 	// The hot region is itself skewed (stack frames, hot metadata), giving
 	// the L1-level locality real applications exhibit. Ranks index 4-line
 	// chunks.
@@ -169,6 +186,7 @@ func NewGenerator(p *Profile, coreID int, seed *rng.Stream) *Generator {
 		hotChunks = 1 << 15
 	}
 	g.hotZipf = rng.NewZipf(root.Derive("hot"), hotChunks, p.HotZipf)
+	g.hotChunkLines = max(g.hotLines/uint64(hotChunks), 1)
 	g.codeLines = p.CodeBytes / line
 	codeChunks := int(g.codeLines)
 	if codeChunks > 1<<14 {
@@ -178,6 +196,8 @@ func NewGenerator(p *Profile, coreID int, seed *rng.Stream) *Generator {
 		codeChunks = 1
 	}
 	g.codeTarget = rng.NewZipf(root.Derive("code-target"), codeChunks, p.CodeZipfTheta)
+	g.codeChunkBytes = max(p.CodeBytes/uint64(codeChunks), 64)
+	g.osChunkBytes = max(osCodeBytes/uint64(codeChunks), 64)
 	g.pc = g.base + codeBase
 	g.osPC = g.base + osCodeBase
 	return g
@@ -217,7 +237,7 @@ func (g *Generator) Next(in *Instr) {
 
 	// Register dependency distance: geometric with the profile's ILP
 	// parameter, capped so it stays inside any realistic window.
-	d := g.dep.Geometric(p.DepGeomP)
+	d := g.dep.Geometric(g.depGeom)
 	if d > 64 {
 		d = 0 // effectively independent
 	}
@@ -239,11 +259,9 @@ func (g *Generator) maybeToggleOS() {
 		}
 		return
 	}
-	// Enter probability chosen so mean user-run length yields OSFrac.
-	enterP := g.p.OSFrac / ((1 - g.p.OSFrac) * g.p.OSBurst)
-	if g.os.Bool(enterP) {
+	if g.os.Bool(g.enterP) {
 		g.inOS = true
-		g.osLeft = g.os.Geometric(1 / g.p.OSBurst)
+		g.osLeft = g.os.Geometric(g.osGeom)
 	}
 }
 
@@ -277,11 +295,7 @@ func (g *Generator) dataAddr() uint64 {
 	case r < p.StackFrac+p.HotFrac:
 		// Hot region: Zipf over chunks, uniform within a chunk.
 		chunk := uint64(g.hotZipf.Next())
-		chunkLines := g.hotLines / uint64(g.hotZipf.N())
-		if chunkLines == 0 {
-			chunkLines = 1
-		}
-		ln := chunk*chunkLines + g.mem.Uint64n(chunkLines)
+		ln := chunk*g.hotChunkLines + g.mem.Uint64n(g.hotChunkLines)
 		if ln >= g.hotLines {
 			ln = g.hotLines - 1
 		}
@@ -297,11 +311,7 @@ func (g *Generator) dataAddr() uint64 {
 	default:
 		// Cold region: Zipf over coarse chunks, uniform within a chunk.
 		chunk := uint64(g.coldZipf.Next())
-		chunkLines := g.coldLines / uint64(g.coldZipf.N())
-		if chunkLines == 0 {
-			chunkLines = 1
-		}
-		ln := chunk*chunkLines + g.mem.Uint64n(chunkLines)
+		ln := chunk*g.coldChunkLines + g.mem.Uint64n(g.coldChunkLines)
 		if ln >= g.coldLines {
 			ln = g.coldLines - 1
 		}
@@ -316,20 +326,18 @@ func (g *Generator) nextPC(in *Instr) uint64 {
 	pcp := &g.pc
 	base := g.base + codeBase
 	limit := g.p.CodeBytes
+	chunkBytes := g.codeChunkBytes
 	if g.inOS {
 		pcp = &g.osPC
 		base = g.base + osCodeBase
 		limit = osCodeBytes
+		chunkBytes = g.osChunkBytes
 	}
 	pc := *pcp
 	if in.Kind == Branch && in.Taken {
 		if g.code.Bool(g.p.CodeJumpP) {
 			// Far jump: Zipf-selected 64B chunk of the footprint.
 			chunk := uint64(g.codeTarget.Next())
-			chunkBytes := limit / uint64(g.codeTarget.N())
-			if chunkBytes < 64 {
-				chunkBytes = 64
-			}
 			off := chunk * chunkBytes
 			*pcp = base + off%limit
 		} else {
@@ -355,7 +363,8 @@ func (g *Generator) nextPC(in *Instr) uint64 {
 // GeneratorState is the dynamic state of a Generator, sufficient to resume
 // an identical trace when paired with the original (profile, coreID, seed)
 // construction parameters. Lookup tables (Zipf CDFs, branch biases) are
-// rebuilt deterministically at construction and are not stored.
+// rebuilt deterministically at construction (the Zipf and geometric tables
+// are shared per process) and are not stored.
 type GeneratorState struct {
 	Mix, Dep, Brs, Mem, Code, OS              uint64
 	BranchPick, ColdZipf, HotZipf, CodeTarget uint64
