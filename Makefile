@@ -30,7 +30,9 @@
 #                      golden fig2 job over HTTP with SSE progress,
 #                      require the report byte-identical to the CLI
 #                      golden, require the resubmission to be a cache
-#                      hit, and require SIGTERM to drain cleanly
+#                      hit, require fig3 byte-identical to its golden
+#                      with 4 sweep-memo hits on /metrics, and require
+#                      SIGTERM to drain cleanly
 #   make race          race-detector pass over every package
 #   make fuzz-rng      run each internal/rng sampler-equivalence fuzz
 #                      target (geometric guide vs inverse CDF, Zipf guide

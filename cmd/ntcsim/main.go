@@ -129,6 +129,9 @@ func run(args []string) error {
 		Tracer:        tracer,
 		Progress:      prog,
 		Telemetry:     sampler,
+		// One memo per process: experiments that sweep the same inputs
+		// (fig2, fig3 and opt; serve and governor) compute them once.
+		Memo: core.NewSweepMemo(),
 		// Recovered checkpoint faults (quarantined corruption, failed
 		// saves) are surfaced on stderr; they affect speed, not results.
 		Warnf: func(format string, a ...any) {

@@ -60,17 +60,25 @@ func (s Stats) MPKIFor(instructions uint64) float64 {
 	return float64(s.Misses) / float64(instructions) * 1000
 }
 
-type way struct {
-	tag   uint64
-	valid bool
-	dirty bool
-}
+// A way is one packed uint64: the line address (the tag) shifted left by
+// tagShift, with the dirty and valid flags in the low bits. An invalid
+// way is always 0, so a 16-way set is 128 contiguous bytes and a lookup
+// is one masked compare per way.
+const (
+	validBit = 1 << 0
+	dirtyBit = 1 << 1
+	tagShift = 2
+)
 
 // Cache is a set-associative, write-back, write-allocate, true-LRU,
 // tag-only cache. It is not safe for concurrent use.
 type Cache struct {
-	cfg      Config
-	sets     [][]way // sets[i] ordered most- to least-recently used
+	cfg Config
+	// ways holds every set's packed ways in one set-major slice: set s
+	// occupies ways[s*assoc : (s+1)*assoc], ordered most- to
+	// least-recently used.
+	ways     []uint64
+	assoc    int
 	setMask  uint64
 	lineBits uint
 	stats    Stats
@@ -99,19 +107,18 @@ func New(cfg Config) (*Cache, error) {
 			cfg.Name, cfg.SizeBytes, cfg.Assoc*cfg.LineBytes)
 	case cfg.LineBytes&(cfg.LineBytes-1) != 0:
 		return nil, fmt.Errorf("cache %q: line size %d must be a power of two", cfg.Name, cfg.LineBytes)
+	case cfg.LineBytes < 1<<tagShift:
+		// The packed way keeps the line address above tagShift flag bits,
+		// which loses no address bit only for lines of at least 4 bytes.
+		return nil, fmt.Errorf("cache %q: line size %d is below the %d-byte minimum", cfg.Name, cfg.LineBytes, 1<<tagShift)
 	}
 	nsets := cfg.SizeBytes / (cfg.Assoc * cfg.LineBytes)
 	if nsets&(nsets-1) != 0 {
 		return nil, fmt.Errorf("cache %q: set count %d must be a power of two", cfg.Name, nsets)
 	}
-	c := &Cache{cfg: cfg, setMask: uint64(nsets - 1)}
+	c := &Cache{cfg: cfg, ways: make([]uint64, nsets*cfg.Assoc), assoc: cfg.Assoc, setMask: uint64(nsets - 1)}
 	for l := cfg.LineBytes; l > 1; l >>= 1 {
 		c.lineBits++
-	}
-	c.sets = make([][]way, nsets)
-	backing := make([]way, nsets*cfg.Assoc)
-	for i := range c.sets {
-		c.sets[i] = backing[i*cfg.Assoc : (i+1)*cfg.Assoc : (i+1)*cfg.Assoc]
 	}
 	return c, nil
 }
@@ -137,17 +144,24 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // Reset invalidates all lines and clears statistics.
 func (c *Cache) Reset() {
-	for i := range c.sets {
-		for j := range c.sets[i] {
-			c.sets[i][j] = way{}
-		}
-	}
+	clear(c.ways)
 	c.stats = Stats{}
 }
 
-func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
-	line := addr >> c.lineBits
-	return line & c.setMask, line // full line address as tag (simple, unambiguous)
+// lookup returns the set holding addr and the packed valid, clean way
+// its line would occupy; a way w holds the line iff w&^dirtyBit == key.
+func (c *Cache) lookup(addr uint64) (ways []uint64, key uint64) {
+	line := addr >> c.lineBits // full line address as tag (simple, unambiguous)
+	s := int(line&c.setMask) * c.assoc
+	return c.ways[s : s+c.assoc : s+c.assoc], line<<tagShift | validBit
+}
+
+// victim decodes an evicted packed way.
+func (c *Cache) victim(w uint64) Victim {
+	if w&validBit == 0 {
+		return Victim{}
+	}
+	return Victim{Valid: true, Dirty: w&dirtyBit != 0, Addr: w >> tagShift << c.lineBits}
 }
 
 // Access performs a read (write=false) or write (write=true) of the line
@@ -156,30 +170,27 @@ func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
 // writeback traffic.
 func (c *Cache) Access(addr uint64, write bool) Result {
 	c.stats.Accesses++
-	set, tag := c.index(addr)
-	ways := c.sets[set]
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
+	ways, key := c.lookup(addr)
+	for i, w := range ways {
+		if w&^dirtyBit == key {
 			c.stats.Hits++
 			if write {
-				ways[i].dirty = true
+				w |= dirtyBit
 			}
-			c.touch(ways, i)
+			touch(ways, i, w)
 			return Result{Hit: true}
 		}
 	}
 	c.stats.Misses++
 	// Fill: evict the LRU way (last slot), insert as MRU.
-	vict := ways[len(ways)-1]
-	res := Result{}
-	if vict.valid {
-		res.Victim = Victim{Valid: true, Dirty: vict.dirty, Addr: vict.tag << c.lineBits}
-		if vict.dirty {
-			c.stats.Writebacks++
-		}
+	res := Result{Victim: c.victim(ways[len(ways)-1])}
+	if res.Victim.Dirty {
+		c.stats.Writebacks++
 	}
-	copy(ways[1:], ways[:len(ways)-1])
-	ways[0] = way{tag: tag, valid: true, dirty: write}
+	if write {
+		key |= dirtyBit
+	}
+	touch(ways, len(ways)-1, key)
 	return res
 }
 
@@ -187,30 +198,24 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 // returning the victim if one was evicted. Used for prefetch fills, whose
 // hits/misses must not pollute demand-access statistics.
 func (c *Cache) Fill(addr uint64) Victim {
-	set, tag := c.index(addr)
-	ways := c.sets[set]
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			c.touch(ways, i)
+	ways, key := c.lookup(addr)
+	for i, w := range ways {
+		if w&^dirtyBit == key {
+			touch(ways, i, w)
 			return Victim{}
 		}
 	}
-	vict := ways[len(ways)-1]
-	res := Victim{}
-	if vict.valid {
-		res = Victim{Valid: true, Dirty: vict.dirty, Addr: vict.tag << c.lineBits}
-	}
-	copy(ways[1:], ways[:len(ways)-1])
-	ways[0] = way{tag: tag, valid: true}
-	return res
+	v := c.victim(ways[len(ways)-1])
+	touch(ways, len(ways)-1, key)
+	return v
 }
 
 // Probe reports whether the line containing addr is present, without
 // changing any state.
 func (c *Cache) Probe(addr uint64) bool {
-	set, tag := c.index(addr)
-	for _, w := range c.sets[set] {
-		if w.valid && w.tag == tag {
+	ways, key := c.lookup(addr)
+	for _, w := range ways {
+		if w&^dirtyBit == key {
 			return true
 		}
 	}
@@ -220,25 +225,20 @@ func (c *Cache) Probe(addr uint64) bool {
 // Invalidate drops the line containing addr if present, returning whether
 // it was dirty (the caller owns the writeback).
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	set, tag := c.index(addr)
-	ways := c.sets[set]
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			d := ways[i].dirty
+	ways, key := c.lookup(addr)
+	for i, w := range ways {
+		if w&^dirtyBit == key {
 			copy(ways[i:], ways[i+1:])
-			ways[len(ways)-1] = way{}
-			return true, d
+			ways[len(ways)-1] = 0
+			return true, w&dirtyBit != 0
 		}
 	}
 	return false, false
 }
 
-// touch moves ways[i] to the MRU position.
-func (c *Cache) touch(ways []way, i int) {
-	if i == 0 {
-		return
-	}
-	w := ways[i]
+// touch shifts ways[0:i] down one slot and stores w as the MRU way; with
+// i = len(ways)-1 that evicts the LRU way.
+func touch(ways []uint64, i int, w uint64) {
 	copy(ways[1:i+1], ways[:i])
 	ways[0] = w
 }
@@ -298,11 +298,13 @@ type LineState struct {
 
 // Snapshot captures the full tag-array state (sets in MRU-to-LRU order).
 func (c *Cache) Snapshot() [][]LineState {
-	out := make([][]LineState, len(c.sets))
-	for i, ways := range c.sets {
-		row := make([]LineState, len(ways))
-		for j, w := range ways {
-			row[j] = LineState{Tag: w.tag, Valid: w.valid, Dirty: w.dirty}
+	out := make([][]LineState, len(c.ways)/c.assoc)
+	for i := range out {
+		row := make([]LineState, c.assoc)
+		for j, w := range c.ways[i*c.assoc : (i+1)*c.assoc] {
+			if w&validBit != 0 {
+				row[j] = LineState{Tag: w >> tagShift, Valid: true, Dirty: w&dirtyBit != 0}
+			}
 		}
 		out[i] = row
 	}
@@ -310,17 +312,32 @@ func (c *Cache) Snapshot() [][]LineState {
 }
 
 // RestoreSnapshot loads a snapshot captured from an identically configured
-// cache. Statistics are left untouched.
+// cache. Statistics are left untouched. An invalid way restores empty
+// whatever its other fields say (the cache never produces another kind).
 func (c *Cache) RestoreSnapshot(snap [][]LineState) error {
-	if len(snap) != len(c.sets) {
-		return fmt.Errorf("cache %q: snapshot has %d sets, want %d", c.cfg.Name, len(snap), len(c.sets))
+	if len(snap)*c.assoc != len(c.ways) {
+		return fmt.Errorf("cache %q: snapshot has %d sets, want %d", c.cfg.Name, len(snap), len(c.ways)/c.assoc)
 	}
 	for i, row := range snap {
-		if len(row) != len(c.sets[i]) {
-			return fmt.Errorf("cache %q: set %d has %d ways, want %d", c.cfg.Name, i, len(row), len(c.sets[i]))
+		if len(row) != c.assoc {
+			return fmt.Errorf("cache %q: set %d has %d ways, want %d", c.cfg.Name, i, len(row), c.assoc)
 		}
+		for _, ls := range row {
+			if ls.Valid && ls.Tag>>(64-tagShift) != 0 {
+				return fmt.Errorf("cache %q: set %d holds tag %#x wider than %d bits", c.cfg.Name, i, ls.Tag, 64-tagShift)
+			}
+		}
+	}
+	for i, row := range snap {
 		for j, ls := range row {
-			c.sets[i][j] = way{tag: ls.Tag, valid: ls.Valid, dirty: ls.Dirty}
+			var w uint64
+			if ls.Valid {
+				w = ls.Tag<<tagShift | validBit
+				if ls.Dirty {
+					w |= dirtyBit
+				}
+			}
+			c.ways[i*c.assoc+j] = w
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -190,6 +191,7 @@ func TestConfigValidation(t *testing.T) {
 		{SizeBytes: 500, Assoc: 2, LineBytes: 64}, // not divisible
 		{SizeBytes: 512, Assoc: 2, LineBytes: 96}, // non-power-of-two line
 		{SizeBytes: 384, Assoc: 2, LineBytes: 64}, // 3 sets
+		{SizeBytes: 512, Assoc: 2, LineBytes: 2},  // line below the packed-tag minimum
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
@@ -215,12 +217,18 @@ func TestPaperConfigs(t *testing.T) {
 	}
 }
 
-// refModel is an obviously-correct LRU cache for cross-checking.
+// refModel is an obviously-correct write-back LRU cache for
+// cross-checking: per set, a slice of lines ordered MRU first.
 type refModel struct {
 	assoc int
-	sets  map[uint64][]uint64 // set -> line addrs, MRU first
-	mask  uint64
+	nsets uint64
+	sets  map[uint64][]refLine
 	shift uint
+}
+
+type refLine struct {
+	line  uint64
+	dirty bool
 }
 
 func newRef(cfg Config) *refModel {
@@ -229,40 +237,90 @@ func newRef(cfg Config) *refModel {
 	for l := cfg.LineBytes; l > 1; l >>= 1 {
 		shift++
 	}
-	return &refModel{assoc: cfg.Assoc, sets: map[uint64][]uint64{}, mask: uint64(nsets - 1), shift: shift}
+	return &refModel{assoc: cfg.Assoc, nsets: uint64(nsets), sets: map[uint64][]refLine{}, shift: shift}
 }
 
-func (r *refModel) access(addr uint64) bool {
+// access reads or writes addr: a hit moves the line to MRU (dirtying it
+// on a write), a miss inserts it as MRU and evicts the LRU line of a
+// full set.
+func (r *refModel) access(addr uint64, write bool) (hit bool, victim Victim) {
 	line := addr >> r.shift
-	set := line & r.mask
+	set := line % r.nsets
 	s := r.sets[set]
 	for i, l := range s {
-		if l == line {
+		if l.line == line {
+			l.dirty = l.dirty || write
 			copy(s[1:i+1], s[:i])
-			s[0] = line
-			return true
+			s[0] = l
+			return true, Victim{}
 		}
 	}
-	s = append([]uint64{line}, s...)
+	s = append([]refLine{{line, write}}, s...)
 	if len(s) > r.assoc {
+		v := s[r.assoc]
+		victim = Victim{Valid: true, Dirty: v.dirty, Addr: v.line << r.shift}
 		s = s[:r.assoc]
 	}
 	r.sets[set] = s
-	return false
+	return false, victim
 }
 
+// fill installs addr clean as MRU, or just touches it when present.
+func (r *refModel) fill(addr uint64) Victim {
+	line := addr >> r.shift
+	for _, l := range r.sets[line%r.nsets] {
+		if l.line == line {
+			r.access(addr, false)
+			return Victim{}
+		}
+	}
+	_, v := r.access(addr, false)
+	return v
+}
+
+// invalidate drops addr's line, reporting whether it was present and dirty.
+func (r *refModel) invalidate(addr uint64) (present, dirty bool) {
+	line := addr >> r.shift
+	set := line % r.nsets
+	s := r.sets[set]
+	for i, l := range s {
+		if l.line == line {
+			r.sets[set] = append(s[:i:i], s[i+1:]...)
+			return true, l.dirty
+		}
+	}
+	return false, false
+}
+
+// snapshot renders the model in Cache.Snapshot's format.
+func (r *refModel) snapshot() [][]LineState {
+	out := make([][]LineState, r.nsets)
+	for set := range out {
+		out[set] = make([]LineState, r.assoc)
+		for j, l := range r.sets[uint64(set)] {
+			out[set][j] = LineState{Tag: l.line, Valid: true, Dirty: l.dirty}
+		}
+	}
+	return out
+}
+
+// TestQuickMatchesReferenceLRU: hits, victims and dirty bits of random
+// read/write strings match the reference model, and so does the final
+// snapshot.
 func TestQuickMatchesReferenceLRU(t *testing.T) {
 	cfg := tiny()
 	c := MustNew(cfg)
 	ref := newRef(cfg)
-	err := quick.Check(func(addrs []uint16) bool {
-		for _, a := range addrs {
+	err := quick.Check(func(addrs []uint16, writes []bool) bool {
+		for i, a := range addrs {
 			addr := uint64(a)
-			if c.Access(addr, false).Hit != ref.access(addr) {
+			w := i < len(writes) && writes[i]
+			got := c.Access(addr, w)
+			if hit, victim := ref.access(addr, w); got.Hit != hit || got.Victim != victim {
 				return false
 			}
 		}
-		return true
+		return reflect.DeepEqual(c.Snapshot(), ref.snapshot())
 	}, &quick.Config{MaxCount: 200})
 	if err != nil {
 		t.Fatal(err)

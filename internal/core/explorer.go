@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -87,6 +88,13 @@ type Seams struct {
 	Tracer *obs.Tracer
 	// Progress, when set, reports one line per completed sweep point.
 	Progress *obs.Progress
+	// Memo, when set, answers a sweep whose inputs match an earlier one
+	// from that sweep's stored result instead of recomputing it (see
+	// SweepMemo). A hit replays everything a recomputation would produce
+	// for the other seams: the counter-class metrics into Obs, the
+	// telemetry samples, the progress lines. Frontends share one memo
+	// per process; nil computes every sweep.
+	Memo *SweepMemo
 	// Telemetry, when set, records one chip-scope energy-ledger sample per
 	// sweep point under the series "<TelemetryPrefix>sweep/<workload>"
 	// (1-second pseudo-horizon per point: a sweep has no time axis, so
@@ -225,7 +233,110 @@ func (e *Explorer) Sweep(ctx context.Context, p *workload.Profile, freqsHz []flo
 			return nil, fmt.Errorf("core: non-positive frequency %v", f)
 		}
 	}
+	cfg := e.SamplingFor(p)
+	var (
+		hash      uint64
+		key       []byte
+		cacheable bool
+	)
+	if e.Memo != nil {
+		// A hit must fail on a cancelled ctx exactly as a computation does.
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		keyCfg := cfg
+		keyCfg.Phase = nil // observational only
+		if hash, key, cacheable = e.sweepKey(p, keyCfg, freqs); cacheable {
+			if en := e.Memo.lookup(hash, key, e.Obs != nil); en != nil {
+				return e.replay(p, freqs, en)
+			}
+		}
+	}
+	// The sweep harvests into a private registry so that a memo entry can
+	// store exactly this sweep's counter-class metrics. They reach Obs
+	// through the same Merge a hit uses, also when the sweep fails
+	// part-way (the completed points' counters are valid data).
+	var (
+		reg     *obs.Registry
+		metrics *obs.Snapshot
+	)
+	if e.Obs != nil {
+		reg = obs.NewRegistry()
+	}
+	sw, samples, err := e.sweep(ctx, p, freqs, cfg, reg)
+	if reg != nil {
+		snap := reg.Snapshot().Deterministic()
+		metrics = &snap
+		if merr := e.Obs.Merge(snap); merr != nil && err == nil {
+			err = merr
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	if cacheable {
+		e.Memo.store(&memoEntry{hash: hash, key: key, baselineUIPS: sw.BaselineUIPS,
+			points: slices.Clone(sw.Points), metrics: metrics, samples: samples})
+	}
+	e.recordTelemetry(p, sw.Points, samples)
+	return sw, nil
+}
 
+// replay answers a sweep from a memo entry exactly as a recomputation
+// would look to the caller: fresh points, the stored counter-class
+// metrics merged into Obs, the stored telemetry under the caller's
+// series name, and the progress lines. Pool timings and per-point trace
+// spans have no stored counterpart; one "memo hit" span stands in.
+func (e *Explorer) replay(p *workload.Profile, freqs []float64, en *memoEntry) (*Sweep, error) {
+	start := time.Now() //ntclint:allow wallclock trace/progress timestamps only; never reaches results
+	lane := e.Tracer.AcquireLane()
+	defer e.Tracer.ReleaseLane(lane)
+	sw := &Sweep{
+		Workload:     p,
+		Requirement:  qos.NewRequirement(p),
+		BaselineUIPS: en.baselineUIPS,
+		Points:       slices.Clone(en.points),
+	}
+	if en.metrics != nil {
+		if err := e.Obs.Merge(*en.metrics); err != nil {
+			return nil, err
+		}
+	}
+	e.recordTelemetry(p, sw.Points, en.samples)
+	e.Progress.Add(len(freqs))
+	for _, f := range freqs {
+		e.Progress.Done(pointLabel(p, f), time.Since(start)) //ntclint:allow wallclock progress duration only; never reaches results
+	}
+	//ntclint:allow wallclock trace span duration only; never reaches results
+	e.Tracer.Complete("sweep", "memo hit "+p.Name, lane, start, time.Since(start), nil)
+	return sw, nil
+}
+
+// recordTelemetry records a sweep's per-point samples under its series
+// and reports the sweep's total for the conservation audit. It runs
+// after the fan-out barrier, in point order, so output is byte-identical
+// for every Jobs setting.
+func (e *Explorer) recordTelemetry(p *workload.Profile, points []Point, samples []timeseries.Sample) {
+	if e.Telemetry == nil {
+		return
+	}
+	tel := e.Telemetry.Series(e.TelemetryPrefix + "sweep/" + p.Name)
+	var totalJ float64
+	for i := range samples {
+		tel.Record(samples[i])
+		// Sequential by construction: this loop runs after the fan-out
+		// barrier, in fixed point order, so the sum is order-stable.
+		//ntclint:allow floatorder post-barrier sequential loop in fixed index order
+		totalJ += points[i].Power.TotalW() // × 1s pseudo-horizon
+	}
+	tel.ReportTotal(totalJ)
+}
+
+// sweep computes a sweep (the execution model is described on Sweep),
+// harvesting per-point metrics into reg when it is non-nil, and returns
+// it with its per-point telemetry samples.
+func (e *Explorer) sweep(ctx context.Context, p *workload.Profile, freqs []float64, cfg sampling.Config,
+	reg *obs.Registry) (*Sweep, []timeseries.Sample, error) {
 	// The sweep's own trace lane carries the serial prelude (warmup,
 	// baseline); each point acquires a lane of its own below.
 	swLane := e.Tracer.AcquireLane()
@@ -234,16 +345,15 @@ func (e *Explorer) Sweep(ctx context.Context, p *workload.Profile, freqsHz []flo
 	warmStart := time.Now() //ntclint:allow wallclock trace span timestamps only; never reaches results
 	cl, err := e.warmedCluster(ctx, p)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	//ntclint:allow wallclock trace span duration only; never reaches results
 	e.Tracer.Complete("sweep", "warm "+p.Name, swLane, warmStart, time.Since(warmStart), nil)
 
-	cfg := e.SamplingFor(p)
 	baseStart := time.Now() //ntclint:allow wallclock trace span timestamps only; never reaches results
 	baseRes, err := sampling.Run(cl, cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	//ntclint:allow wallclock trace span duration only; never reaches results
 	e.Tracer.Complete("sweep", "baseline "+p.Name, swLane, baseStart, time.Since(baseStart), nil)
@@ -265,10 +375,7 @@ func (e *Explorer) Sweep(ctx context.Context, p *workload.Profile, freqsHz []flo
 		ctx = parallel.WithObserver(ctx, obs.PoolObserver(e.Obs, "sweep"))
 	}
 	points := make([]Point, len(freqs))
-	var samples []timeseries.Sample // per-point telemetry, buffered for ordered recording
-	if e.Telemetry != nil {
-		samples = make([]timeseries.Sample, len(freqs))
-	}
+	samples := make([]timeseries.Sample, len(freqs)) // per-point telemetry, buffered for ordered recording
 	err = parallel.ForEach(ctx, len(freqs), e.Jobs, func(_ context.Context, i int) error {
 		// Retry-with-reseed-identical: every attempt restores a fresh
 		// cluster from the shared checkpoint and reseeds the SAME
@@ -281,7 +388,7 @@ func (e *Explorer) Sweep(ctx context.Context, p *workload.Profile, freqsHz []flo
 		// both return immediately below), so ctx is observed indirectly.
 		//ntclint:allow ctxloop bounded by e.Retries; runPoint returns ctx errors which exit immediately
 		for attempt := 0; ; attempt++ {
-			err := e.runPoint(p, sw, cfg, ck, root, freqs, points, samples, i, attempt)
+			err := e.runPoint(p, sw, cfg, ck, root, freqs, points, samples, reg, i, attempt)
 			if err == nil {
 				return nil
 			}
@@ -292,24 +399,15 @@ func (e *Explorer) Sweep(ctx context.Context, p *workload.Profile, freqsHz []flo
 		}
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	sw.Points = points
-	if e.Telemetry != nil {
-		// Record sequentially in point order — the workers only filled the
-		// buffer — and report the sweep's total for the conservation audit.
-		tel := e.Telemetry.Series(e.TelemetryPrefix + "sweep/" + p.Name)
-		var totalJ float64
-		for i := range samples {
-			tel.Record(samples[i])
-			// Sequential by construction: this loop runs after the fan-out
-			// barrier, in fixed point order, so the sum is order-stable.
-			//ntclint:allow floatorder post-barrier sequential loop in fixed index order
-			totalJ += points[i].Power.TotalW() // × 1s pseudo-horizon
-		}
-		tel.ReportTotal(totalJ)
-	}
-	return sw, nil
+	return sw, samples, nil
+}
+
+// pointLabel names one sweep point in trace spans and progress lines.
+func pointLabel(p *workload.Profile, freqHz float64) string {
+	return fmt.Sprintf("%s @ %.0fMHz", p.Name, freqHz/1e6)
 }
 
 // runPoint evaluates one sweep point (one attempt). Writes are confined
@@ -317,13 +415,13 @@ func (e *Explorer) Sweep(ctx context.Context, p *workload.Profile, freqsHz []flo
 // happen only after the point has fully succeeded.
 func (e *Explorer) runPoint(p *workload.Profile, sw *Sweep, cfg sampling.Config,
 	ck *sim.Checkpoint, root *rng.Stream, freqs []float64, points []Point,
-	samples []timeseries.Sample, i, attempt int) error {
+	samples []timeseries.Sample, reg *obs.Registry, i, attempt int) error {
 	if e.pointFault != nil {
 		if err := e.pointFault(i, attempt); err != nil {
 			return err
 		}
 	}
-	label := fmt.Sprintf("%s @ %.0fMHz", p.Name, freqs[i]/1e6)
+	label := pointLabel(p, freqs[i])
 	lane := e.Tracer.AcquireLane()
 	defer e.Tracer.ReleaseLane(lane)
 	ptStart := time.Now() //ntclint:allow wallclock trace/progress timestamps only; never reaches results
@@ -333,7 +431,7 @@ func (e *Explorer) runPoint(p *workload.Profile, sw *Sweep, cfg sampling.Config,
 		return err
 	}
 	pcl.Reseed(root.Split(uint64(i)))
-	if e.Obs != nil {
+	if reg != nil {
 		pcl.EnableObs()
 	}
 	pcl.SetFrequency(freqs[i])
@@ -354,14 +452,12 @@ func (e *Explorer) runPoint(p *workload.Profile, sw *Sweep, cfg sampling.Config,
 		return err
 	}
 	points[i] = pt
-	if samples != nil {
-		samples[i] = e.telemetrySample(pt, res, i)
-	}
-	if e.Obs != nil {
+	samples[i] = e.telemetrySample(pt, res, i)
+	if reg != nil {
 		// Harvest exactly once per point cluster: the layer counters
 		// are cumulative since EnableObs.
-		pcl.HarvestObs(e.Obs)
-		harvestResult(e.Obs, p, freqs[i], res, pt)
+		pcl.HarvestObs(reg)
+		harvestResult(reg, p, freqs[i], res, pt)
 	}
 	d := time.Since(ptStart) //ntclint:allow wallclock trace/progress duration only; never reaches results
 	e.Tracer.Complete("point", label, lane, ptStart, d,

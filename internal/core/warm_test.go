@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"ntcsim/internal/cpu"
 	"ntcsim/internal/faultfs"
 	"ntcsim/internal/workload"
 )
@@ -116,6 +117,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 		{"warmup length", func(e *Explorer) { e.WarmInstr++ }},
 		{"settle cycles", func(e *Explorer) { e.SettleCycles++ }},
 		{"cores per cluster", func(e *Explorer) { e.Sim.CoresPerCluster *= 2 }},
+		{"core ports (pointer)", func(e *Explorer) { e.Sim.Core.Ports = cpu.A57Ports() }},
 	}
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {

@@ -80,6 +80,7 @@ func TestParamsNewExplorer(t *testing.T) {
 			Tracer:        obs.NewTracer(io.Discard),
 			Progress:      obs.NewProgress(nil),
 			Telemetry:     timeseries.NewSampler(),
+			Memo:          core.NewSweepMemo(),
 		}}
 		// A seam added to core.Seams must be added to this fixture too.
 		sv := reflect.ValueOf(env.Seams)
@@ -94,7 +95,7 @@ func TestParamsNewExplorer(t *testing.T) {
 		}
 		if e.Jobs != env.Jobs || e.CheckpointDir != env.CheckpointDir || e.FS != env.FS ||
 			e.Obs != env.Obs || e.Tracer != env.Tracer || e.Progress != env.Progress ||
-			e.Telemetry != env.Telemetry {
+			e.Telemetry != env.Telemetry || e.Memo != env.Memo {
 			t.Fatalf("seams not carried by identity: got %+v, want %+v", e.Seams, env.Seams)
 		}
 		e.Warnf("probe")

@@ -233,7 +233,9 @@ func runWarm(ctx context.Context, p Params, env Env) error {
 		if err != nil {
 			return err
 		}
-		// A one-point sweep triggers warmup + checkpoint save.
+		// A one-point sweep triggers warmup + checkpoint save; a memo hit
+		// would skip both.
+		e.Memo = nil
 		if _, err := e.Sweep(ctx, prof, []float64{2e9}); err != nil {
 			return err
 		}

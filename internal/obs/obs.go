@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -295,6 +296,48 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Timings[name] = TimingSnapshot{Count: t.count.Load(), TotalNs: t.ns.Load()}
 	}
 	return s
+}
+
+// Merge folds a snapshot into the registry as if the work that produced
+// it had been recorded here directly: counters, histogram buckets and
+// timings add, gauges are set. Every metric in s is created even when
+// its value is zero, so the merged key set matches a direct recording. A
+// histogram whose bucket layout differs from the registry's existing one
+// is an error, and the registry is left unchanged. Merge on a nil
+// registry is a no-op.
+func (r *Registry) Merge(s Snapshot) error {
+	if r == nil {
+		return nil
+	}
+	for name, hs := range s.Histograms { //ntclint:allow maprange validation only; the first mismatch aborts before any write
+		if len(hs.Counts) != len(hs.Bounds)+1 {
+			return fmt.Errorf("obs: merging histogram %q: %d counts for %d bounds", name, len(hs.Counts), len(hs.Bounds))
+		}
+		r.mu.Lock()
+		h, ok := r.hists[name]
+		r.mu.Unlock()
+		if ok && !slices.Equal(h.bounds, hs.Bounds) {
+			return fmt.Errorf("obs: merging histogram %q: bucket layout %v differs from %v", name, hs.Bounds, h.bounds)
+		}
+	}
+	for name, v := range s.Counters { //ntclint:allow maprange commutative atomic adds; order cannot matter
+		r.Counter(name).Add(v)
+	}
+	for name, v := range s.Gauges { //ntclint:allow maprange one write per distinct key
+		r.Gauge(name).Set(v)
+	}
+	for name, hs := range s.Histograms { //ntclint:allow maprange commutative atomic adds; order cannot matter
+		h := r.Histogram(name, hs.Bounds)
+		for i, n := range hs.Counts {
+			h.counts[i].Add(n)
+		}
+	}
+	for name, ts := range s.Timings { //ntclint:allow maprange commutative atomic adds; order cannot matter
+		t := r.Timing(name)
+		t.count.Add(ts.Count)
+		t.ns.Add(ts.TotalNs)
+	}
+	return nil
 }
 
 // Deterministic returns a copy of the snapshot with the timing-class

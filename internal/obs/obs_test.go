@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -149,6 +151,49 @@ func TestSnapshotDeterministicStripsTimings(t *testing.T) {
 	}
 	if d.Counters["keep"] != 7 {
 		t.Fatal("Deterministic() must keep counter-class sections")
+	}
+}
+
+// TestMergeMatchesDirectRecording: recording into one registry and
+// merging its snapshot into another that already holds data gives the
+// snapshot of recording everything into one registry directly, zero
+// metrics included; a histogram with another bucket layout is refused
+// without touching the registry.
+func TestMergeMatchesDirectRecording(t *testing.T) {
+	record := func(r *Registry, scale uint64) {
+		r.Counter("c").Add(3 * scale)
+		r.Counter("zero")
+		r.Gauge(fmt.Sprintf("g%d", scale)).Set(float64(scale) / 4)
+		r.Histogram("h", []float64{1, 10}).ObserveN(float64(scale), scale)
+		r.Timing("t").Observe(time.Duration(scale))
+	}
+	direct := NewRegistry()
+	record(direct, 1)
+	record(direct, 20)
+
+	merged, part := NewRegistry(), NewRegistry()
+	record(merged, 1)
+	record(part, 20)
+	if err := merged.Merge(part.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := merged.Snapshot(), direct.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("merged snapshot %+v, direct %+v", got, want)
+	}
+
+	before := merged.Snapshot()
+	bad := NewRegistry()
+	bad.Counter("c").Add(1)
+	bad.Histogram("h", []float64{2, 10}).Observe(1)
+	if err := merged.Merge(bad.Snapshot()); err == nil {
+		t.Fatal("merging a histogram with another bucket layout must fail")
+	}
+	if !reflect.DeepEqual(merged.Snapshot(), before) {
+		t.Fatal("a refused merge changed the registry")
+	}
+	var nilReg *Registry
+	if err := nilReg.Merge(direct.Snapshot()); err != nil {
+		t.Fatalf("Merge on a nil registry: %v", err)
 	}
 }
 

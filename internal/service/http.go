@@ -211,7 +211,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	s.reg.WriteJSON(w) //nolint:errcheck // headers are out; nothing left to do
+	s.metrics().WriteJSON(w) //nolint:errcheck // headers are out; nothing left to do
 }
 
 // experimentInfo is one row of GET /v1/experiments.

@@ -61,6 +61,11 @@ type Config struct {
 type Server struct {
 	cfg Config
 	reg *obs.Registry
+	// memo shares finished sweeps across jobs (core.SweepMemo). Its
+	// hit/miss/entry counts reach only the service's own metrics, never
+	// a job's registry, so each job's artifacts stay a pure function of
+	// (experiment, params).
+	memo *core.SweepMemo
 
 	// ctx is the root every job context derives from. It is detached
 	// from any request or signal context on purpose: SIGTERM must start
@@ -99,6 +104,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:    cfg,
 		reg:    cfg.Obs,
+		memo:   core.NewSweepMemo(),
 		ctx:    ctx,
 		cancel: cancel,
 		queue:  make(chan *job, cfg.QueueDepth),
@@ -265,6 +271,7 @@ func (s *Server) run(j *job) {
 			Obs:           reg,
 			Telemetry:     sampler,
 			Progress:      obs.NewProgressFunc(j.progress),
+			Memo:          s.memo,
 		},
 	})
 	if err != nil {
@@ -294,6 +301,17 @@ func (s *Server) run(j *job) {
 	s.mu.Unlock()
 	j.finish(StateDone, "", arts)
 	s.reg.Counter("service/jobs_done").Add(1)
+}
+
+// metrics returns the service's own metrics registry with the sweep
+// memo's current hit, miss and entry counts published as the
+// service/sweep_memo_* gauges.
+func (s *Server) metrics() *obs.Registry {
+	hits, misses, entries := s.memo.Stats()
+	s.reg.Gauge("service/sweep_memo_hits").Set(float64(hits))
+	s.reg.Gauge("service/sweep_memo_misses").Set(float64(misses))
+	s.reg.Gauge("service/sweep_memo_entries").Set(float64(entries))
+	return s.reg
 }
 
 // Drain shuts the engine down gracefully: stop accepting submissions,

@@ -313,7 +313,10 @@ func (cl *Cluster) FastForward(nPerCore uint64) {
 
 // Run advances every core by the given number of core cycles, interleaving
 // instruction-by-instruction so shared-resource contention is honored: the
-// core with the smallest local clock always steps next.
+// core with the smallest (local clock, index) always steps next. Stepping
+// a core moves only its own clock, so once the next core is chosen it
+// stays the choice until it reaches its target or passes the runner-up;
+// it steps in one batch up to that point, without rescanning the others.
 func (cl *Cluster) Run(cycles int64) {
 	if cl.runTargets == nil {
 		cl.runTargets = make([]int64, len(cl.cores))
@@ -323,17 +326,38 @@ func (cl *Cluster) Run(cycles int64) {
 		targets[i] = c.Cycle() + cycles
 	}
 	for {
-		best := -1
-		var bestCycle int64 = math.MaxInt64
+		best, next := -1, -1
+		var bestCycle, nextCycle int64 = math.MaxInt64, math.MaxInt64
 		for i, c := range cl.cores {
-			if cy := c.Cycle(); cy < targets[i] && cy < bestCycle {
+			cy := c.Cycle()
+			switch {
+			case cy >= targets[i]:
+			case cy < bestCycle:
+				next, nextCycle = best, bestCycle
 				best, bestCycle = i, cy
+			case cy < nextCycle:
+				next, nextCycle = i, cy
 			}
 		}
 		if best < 0 {
 			return
 		}
-		cl.cores[best].Step()
+		// best keeps the smallest (cycle, index) while its clock stays
+		// below the runner-up's, or equal to it when best has the lower
+		// index.
+		stop := targets[best]
+		if next >= 0 {
+			limit := nextCycle
+			if best < next {
+				limit++
+			}
+			stop = min(stop, limit)
+		}
+		c := cl.cores[best]
+		c.Step()
+		for c.Cycle() < stop {
+			c.Step()
+		}
 	}
 }
 
@@ -416,6 +440,12 @@ func (m Measurement) LLCAccessRate() float64 {
 func (cl *Cluster) Measure(cycles int64) Measurement {
 	cl.ResetStats()
 	cl.Run(cycles)
+	return cl.measurement(cycles)
+}
+
+// measurement collects the counters of a window of the given length that
+// has just run.
+func (cl *Cluster) measurement(cycles int64) Measurement {
 	m := Measurement{
 		Cycles:     cycles,
 		FreqHz:     cl.freqHz,

@@ -6,14 +6,20 @@
 # watches its progress over SSE, and requires the downloaded report to be
 # byte-identical to cmd/ntcsim/testdata/golden/fig2.golden. A second
 # submission of the same configuration must be answered from the result
-# cache. Finally SIGTERM must drain the daemon to a clean exit.
+# cache. fig3 at the same knobs sweeps the same four scale-out workloads,
+# so its job must be answered from the daemon's sweep memo (4 hits on
+# /metrics) and still match fig3.golden byte for byte. Finally SIGTERM
+# must drain the daemon to a clean exit.
 #
 # Run via `make daemon-smoke`. Needs only curl + a POSIX shell.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 GOLDEN=cmd/ntcsim/testdata/golden/fig2.golden
-[ -f "$GOLDEN" ] || { echo "daemon-smoke: missing $GOLDEN" >&2; exit 1; }
+GOLDEN3=cmd/ntcsim/testdata/golden/fig3.golden
+for g in "$GOLDEN" "$GOLDEN3"; do
+    [ -f "$g" ] || { echo "daemon-smoke: missing $g" >&2; exit 1; }
+done
 
 work=$(mktemp -d)
 daemon_pid=""
@@ -49,7 +55,8 @@ field() { # field <name> <file>
     sed -n 's/.*"'"$1"'": *"\([^"]*\)".*/\1/p' "$2" | head -n1
 }
 
-body='{"experiment": "fig2", "params": {"seed": 24301, "warm_instr": 200000, "settle_cycles": 10000}}'
+params='"params": {"seed": 24301, "warm_instr": 200000, "settle_cycles": 10000}'
+body='{"experiment": "fig2", '"$params"'}'
 
 curl -fsS -X POST "$base/v1/jobs" -H 'Content-Type: application/json' \
     -d "$body" >"$work/submit1.json"
@@ -90,6 +97,29 @@ cmp -s "$work/report1.txt" "$work/report2.txt" || {
     echo "daemon-smoke: cached report bytes differ" >&2; exit 1
 }
 echo "daemon-smoke: resubmission served from cache ($job2)"
+
+# fig3 reuses fig2's four scale-out sweeps from the daemon's sweep memo.
+curl -fsS -X POST "$base/v1/jobs" -H 'Content-Type: application/json' \
+    -d '{"experiment": "fig3", '"$params"'}' >"$work/submit3.json"
+job3=$(field id "$work/submit3.json")
+[ -n "$job3" ] || { echo "daemon-smoke: no fig3 job id:" >&2; cat "$work/submit3.json" >&2; exit 1; }
+curl -fsSN --max-time 600 "$base/v1/jobs/$job3/events" >"$work/events3.sse"
+curl -fsS "$base/v1/jobs/$job3" >"$work/status3.json"
+state=$(field state "$work/status3.json")
+[ "$state" = done ] || { echo "daemon-smoke: fig3 job settled as $state" >&2; cat "$work/status3.json" >&2; exit 1; }
+curl -fsS "$base/v1/jobs/$job3/result" >"$work/report3.txt"
+cmp -s "$GOLDEN3" "$work/report3.txt" || {
+    echo "daemon-smoke: HTTP fig3 report differs from $GOLDEN3" >&2
+    diff "$GOLDEN3" "$work/report3.txt" | head -n 10 >&2 || true
+    exit 1
+}
+curl -fsS "$base/metrics" >"$work/metrics.json"
+hits=$(sed -n 's/.*"service\/sweep_memo_hits": *\([0-9.e+]*\).*/\1/p' "$work/metrics.json" | head -n1)
+[ "$hits" = 4 ] || {
+    echo "daemon-smoke: /metrics shows ${hits:-no} sweep memo hits, want 4" >&2
+    cat "$work/metrics.json" >&2; exit 1
+}
+echo "daemon-smoke: fig3 is byte-identical to its golden, served by 4 sweep memo hits"
 
 # Graceful shutdown: SIGTERM must drain and exit 0.
 kill -TERM "$daemon_pid"
