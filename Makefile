@@ -17,7 +17,7 @@
 #   make fault         fault-injection + robustness suite only (short
 #                      mode): sealed-checkpoint integrity, quarantine,
 #                      torn-write/ENOSPC recovery, single-flight warmup,
-#                      retry and cancellation semantics
+#                      cancellation semantics
 #   make serve-smoke   request-serving DES suite in short mode: event
 #                      loop, balancers, sketch, snapshot/resume, the
 #                      cmd-level across-jobs determinism gate
@@ -80,7 +80,7 @@ cover:
 fault:
 	$(GO) test -short ./internal/faultfs
 	$(GO) test -short -run 'Sealed' ./internal/sim
-	$(GO) test -short -run 'Fingerprint|CacheKeyed|CorruptCheckpoint|StaleFingerprint|SaveFailure|SilentWrite|Quarantine|SingleFlight|StaleWarmupLock|CheckpointDir|Duplicate|Retry|Cancellation|StopsBetweenPoints|WarmupHonors' ./internal/core
+	$(GO) test -short -run 'Fingerprint|CacheKeyed|CorruptCheckpoint|StaleFingerprint|SaveFailure|SilentWrite|Quarantine|SingleFlight|StaleWarmupLock|CheckpointDir|Duplicate|Cancellation|StopsBetweenPoints|WarmupHonors' ./internal/core
 
 serve-smoke:
 	$(GO) test -short ./internal/serve ./internal/qos

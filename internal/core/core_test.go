@@ -7,8 +7,6 @@ import (
 	"testing"
 
 	"ntcsim/internal/qos"
-	"ntcsim/internal/rng"
-	"ntcsim/internal/thermal"
 	"ntcsim/internal/workload"
 )
 
@@ -327,46 +325,6 @@ func TestLPDDR4Explorer(t *testing.T) {
 	}
 }
 
-func TestConsolidation(t *testing.T) {
-	s := sweep(t, workload.VMHighMem())
-	pts := Consolidation(s, qos.DegradationRelaxed)
-	if len(pts) != len(s.Points) {
-		t.Fatal("one consolidation point per sweep point")
-	}
-	// Headroom grows with frequency (less DVFS degradation to spend).
-	if pts[0].Headroom >= pts[len(pts)-1].Headroom {
-		t.Fatal("headroom should grow with frequency")
-	}
-	best, ok := BestConsolidation(pts)
-	if !ok {
-		t.Fatal("some point should offer >= 1x headroom")
-	}
-	if best.Headroom < 1 {
-		t.Fatal("best consolidation point must be feasible")
-	}
-}
-
-func TestPackVMs(t *testing.T) {
-	e := testExplorer(t)
-	vms := workload.DefaultBitbrains().Sample(5000, rng.New(99))
-	cp := ConsolidationPoint{FreqHz: 1e9, Degradation: 1.5}
-	fleet := e.PackVMs(vms, cp, qos.DegradationRelaxed)
-	if fleet.VMs == 0 {
-		t.Fatal("server should host some VMs")
-	}
-	if fleet.TotalMemBytes > e.Platform.Memory.TotalBytes() {
-		t.Fatal("memory capacity exceeded")
-	}
-	if fleet.DegradationEach > qos.DegradationRelaxed*1.0001 {
-		t.Fatalf("per-VM degradation %.2f exceeds the limit", fleet.DegradationEach)
-	}
-	// With thousands of candidate VMs, something must be the binding
-	// constraint: either memory or the degradation budget.
-	if !fleet.MemoryLimited && fleet.DegradationEach < qos.DegradationRelaxed*0.5 {
-		t.Fatalf("packing stopped early: %+v", fleet)
-	}
-}
-
 func TestDefaultFrequenciesCoverPaperRange(t *testing.T) {
 	fs := DefaultFrequencies()
 	if fs[0] != 0.1e9 || fs[len(fs)-1] != 2.0e9 {
@@ -414,36 +372,5 @@ func TestCheckpointDirAcceleratesSweeps(t *testing.T) {
 		if first.Points[i].UIPSChip != second.Points[i].UIPSChip {
 			t.Fatalf("point %d differs across checkpoint restore", i)
 		}
-	}
-}
-
-func TestThermalCouplingRaisesHighFrequencyPower(t *testing.T) {
-	// The electro-thermal fixed point should barely touch the NT point and
-	// visibly raise core power at the top of the range.
-	base := sweep(t, workload.WebSearch())
-	e := testExplorer(t)
-	m := thermal.Default()
-	e.Thermal = &m
-	coupled, err := e.Sweep(context.Background(), workload.WebSearch(), []float64{0.3e9, 2.0e9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	findPower := func(s *Sweep, f float64) float64 {
-		for _, p := range s.Points {
-			if p.FreqHz == f {
-				return p.Power.CoresW
-			}
-		}
-		t.Fatalf("missing %v", f)
-		return 0
-	}
-	ntDelta := findPower(coupled, 0.3e9)/findPower(base, 0.3e9) - 1
-	hiDelta := findPower(coupled, 2.0e9)/findPower(base, 2.0e9) - 1
-	if hiDelta <= 0 {
-		t.Fatalf("thermal coupling should raise 2GHz core power, delta %.3f", hiDelta)
-	}
-	if hiDelta <= ntDelta {
-		t.Fatalf("heating must matter more at 2GHz (%+.3f) than at 300MHz (%+.3f)",
-			hiDelta, ntDelta)
 	}
 }

@@ -18,7 +18,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -34,7 +33,6 @@ import (
 	"ntcsim/internal/sampling"
 	"ntcsim/internal/sim"
 	"ntcsim/internal/tech"
-	"ntcsim/internal/thermal"
 	"ntcsim/internal/workload"
 )
 
@@ -119,33 +117,19 @@ type Explorer struct {
 	WarmInstr uint64
 	// SettleCycles are run after each DVFS transition before sampling.
 	SettleCycles int64
-	// Retries is the per-point retry budget for transient failures. Each
-	// attempt restores the point's cluster fresh from the in-memory
-	// checkpoint and reseeds the identical RNG substream, so a retried
-	// point is bit-identical to a first-try success. Context cancellation
-	// is never retried. 0 means fail fast.
-	Retries int
-	// WarmLockPoll and WarmLockAttempts bound the single-flight warmup
-	// wait: a sweep that finds another process warming the same
-	// checkpoint polls every WarmLockPoll up to WarmLockAttempts times,
-	// then warms anyway (a stale lock must not hang a campaign). Zero
-	// values select the defaults (100ms, 600 polls).
-	WarmLockPoll     time.Duration
-	WarmLockAttempts int
-	// Thermal, when set, couples core leakage to the junction temperature
-	// via the electro-thermal fixed point instead of the technology's
-	// calibration temperature. Near threshold the correction is tiny; at
-	// the top of the DVFS range it raises core power by several percent.
-	Thermal *thermal.Model
 	// TelemetryPrefix disambiguates series when several explorers sweep
 	// the same workload names in one run (e.g. the ablation's LPDDR4 and
 	// 8-core variants).
 	TelemetryPrefix string
 
-	// pointFault is a test seam: when non-nil it runs at the start of
-	// every point attempt and its error is injected as that attempt's
-	// failure (see the retry tests in warm_test.go).
-	pointFault func(point, attempt int) error
+	// warmLockPoll and warmLockAttempts bound the single-flight warmup
+	// wait: a sweep that finds another process warming the same
+	// checkpoint polls every warmLockPoll up to warmLockAttempts times,
+	// then warms anyway (a stale lock must not hang a campaign). Zero
+	// values select the defaults (100ms, 600 polls); only tests shorten
+	// them.
+	warmLockPoll     time.Duration
+	warmLockAttempts int
 }
 
 // NewExplorer returns an explorer for the paper's default platform with
@@ -377,26 +361,7 @@ func (e *Explorer) sweep(ctx context.Context, p *workload.Profile, freqs []float
 	points := make([]Point, len(freqs))
 	samples := make([]timeseries.Sample, len(freqs)) // per-point telemetry, buffered for ordered recording
 	err = parallel.ForEach(ctx, len(freqs), e.Jobs, func(_ context.Context, i int) error {
-		// Retry-with-reseed-identical: every attempt restores a fresh
-		// cluster from the shared checkpoint and reseeds the SAME
-		// substream (root.Split(i)), so a point that succeeds on attempt
-		// k is bit-identical to one that succeeds on attempt 0. Obs
-		// harvest, trace completion and progress fire only on the
-		// successful attempt, so metrics stay counter-class exact.
-		// The loop is bounded by e.Retries, and cancellation surfaces
-		// through runPoint's error (context.Canceled/DeadlineExceeded
-		// both return immediately below), so ctx is observed indirectly.
-		//ntclint:allow ctxloop bounded by e.Retries; runPoint returns ctx errors which exit immediately
-		for attempt := 0; ; attempt++ {
-			err := e.runPoint(p, sw, cfg, ck, root, freqs, points, samples, reg, i, attempt)
-			if err == nil {
-				return nil
-			}
-			if attempt >= e.Retries ||
-				errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				return err
-			}
-		}
+		return e.runPoint(p, sw, cfg, ck, root, freqs, points, samples, reg, i)
 	})
 	if err != nil {
 		return nil, nil, err
@@ -410,17 +375,12 @@ func pointLabel(p *workload.Profile, freqHz float64) string {
 	return fmt.Sprintf("%s @ %.0fMHz", p.Name, freqHz/1e6)
 }
 
-// runPoint evaluates one sweep point (one attempt). Writes are confined
-// to points[i]; side effects (obs harvest, trace span, progress line)
-// happen only after the point has fully succeeded.
+// runPoint evaluates one sweep point. Writes are confined to points[i];
+// side effects (obs harvest, trace span, progress line) happen only after
+// the point has fully succeeded.
 func (e *Explorer) runPoint(p *workload.Profile, sw *Sweep, cfg sampling.Config,
 	ck *sim.Checkpoint, root *rng.Stream, freqs []float64, points []Point,
-	samples []timeseries.Sample, reg *obs.Registry, i, attempt int) error {
-	if e.pointFault != nil {
-		if err := e.pointFault(i, attempt); err != nil {
-			return err
-		}
-	}
+	samples []timeseries.Sample, reg *obs.Registry, i int) error {
 	label := pointLabel(p, freqs[i])
 	lane := e.Tracer.AcquireLane()
 	defer e.Tracer.ReleaseLane(lane)
@@ -521,13 +481,6 @@ func (e *Explorer) evaluate(p *workload.Profile, sw *Sweep, f float64, res sampl
 		UncoreW: spec.UncorePowerW(res.LLCReadRate(), res.LLCWriteRate(), res.LLCAccessRate()),
 		MemoryW: spec.MemoryPowerW(res.ReadBandwidth()*clusters, res.WriteBandwidth()*clusters),
 	}
-	if e.Thermal != nil {
-		eq := thermal.SolveEquilibrium(*e.Thermal, spec.Core, op, LoadActivity,
-			spec.TotalCores(), pw.UncoreW)
-		if !eq.Runaway {
-			pw.CoresW = eq.ChipPowerW - pw.UncoreW
-		}
-	}
 
 	pt := Point{
 		FreqHz:    f,
@@ -555,10 +508,7 @@ func (e *Explorer) evaluate(p *workload.Profile, sw *Sweep, f float64, res sampl
 // telemetrySample books one sweep point's steady-state watts as an energy
 // ledger over a 1-second pseudo-horizon (a sweep has no time axis). Core
 // dynamic power comes from the model; core leakage is the RESIDUAL
-// CoresW − dynamic, so the thermal correction (which evaluate applies to
-// CoresW as a whole) lands in the leakage scope — physically right, since
-// the electro-thermal feedback amplifies leakage — and the ledger sums to
-// Power.TotalW() by construction.
+// CoresW − dynamic, so the ledger sums to Power.TotalW() by construction.
 func (e *Explorer) telemetrySample(pt Point, res sampling.Result, i int) timeseries.Sample {
 	spec := e.Platform
 	dynOne, _ := spec.Core.PowerParts(pt.Op, LoadActivity)

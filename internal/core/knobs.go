@@ -5,9 +5,7 @@ import (
 	"time"
 
 	"ntcsim/internal/dram"
-	"ntcsim/internal/qos"
 	"ntcsim/internal/tech"
-	"ntcsim/internal/workload"
 )
 
 // SleepReport quantifies the FD-SOI reverse-body-bias sleep mode (paper
@@ -103,98 +101,4 @@ func (e *Explorer) LPDDR4Explorer() *Explorer {
 	simCfg.DRAM.Power = dram.LPDDR4Power()
 	c.Sim = simCfg
 	return &c
-}
-
-// ConsolidationPoint reports the oversubscription headroom at one
-// operating point of a virtualized sweep (paper Sec. V-C: under relaxed
-// public-cloud constraints "the optimal energy efficiency point could be
-// adjusted to accommodate more workloads on the same server").
-type ConsolidationPoint struct {
-	FreqHz float64
-	// Degradation already incurred by frequency scaling.
-	Degradation float64
-	// Headroom is the additional oversubscription factor available before
-	// the degradation limit is reached (1.0 = no headroom).
-	Headroom float64
-	// EffServer is the server efficiency at this point.
-	EffServer float64
-}
-
-// Consolidation evaluates oversubscription headroom across a sweep under
-// the given degradation limit. Time-sharing a core by a factor k
-// multiplies every VM's execution time by k, so the residual headroom at
-// frequency f is limit / degradation(f).
-func Consolidation(sw *Sweep, degradationLimit float64) []ConsolidationPoint {
-	pts := make([]ConsolidationPoint, 0, len(sw.Points))
-	for _, p := range sw.Points {
-		deg := qos.Degradation(sw.BaselineUIPS, p.UIPSChip)
-		head := degradationLimit / deg
-		if head < 0 {
-			head = 0
-		}
-		pts = append(pts, ConsolidationPoint{
-			FreqHz:      p.FreqHz,
-			Degradation: deg,
-			Headroom:    head,
-			EffServer:   p.EffServer,
-		})
-	}
-	return pts
-}
-
-// BestConsolidation picks the point maximizing throughput-weighted server
-// efficiency among points with at least 1x headroom.
-func BestConsolidation(pts []ConsolidationPoint) (ConsolidationPoint, bool) {
-	var best ConsolidationPoint
-	found := false
-	for _, p := range pts {
-		if p.Headroom >= 1 && (!found || p.EffServer*p.Headroom > best.EffServer*best.Headroom) {
-			best = p
-			found = true
-		}
-	}
-	return best, found
-}
-
-// VMFleet sizes a consolidated deployment from a Bitbrains-style VM
-// population: how many of the sampled VMs fit on one server's memory and
-// cores at the chosen operating point.
-type VMFleet struct {
-	VMs             int
-	TotalMemBytes   uint64
-	MemoryLimited   bool
-	VMsPerCore      float64
-	DegradationEach float64
-}
-
-// PackVMs packs VMs (in order) onto one server at the consolidation point,
-// stopping at the memory capacity or the degradation limit.
-func (e *Explorer) PackVMs(vms []workload.VMSpec, cp ConsolidationPoint, degradationLimit float64) VMFleet {
-	capBytes := e.Platform.Memory.TotalBytes()
-	cores := e.Platform.TotalCores()
-	var fleet VMFleet
-	for _, vm := range vms {
-		if fleet.TotalMemBytes+vm.ProvisionedBytes > capBytes {
-			fleet.MemoryLimited = true
-			break
-		}
-		perCore := float64(fleet.VMs+1) / float64(cores)
-		// Time-sharing multiplies the DVFS degradation.
-		share := perCore
-		if share < 1 {
-			share = 1
-		}
-		if cp.Degradation*share > degradationLimit {
-			break
-		}
-		fleet.TotalMemBytes += vm.ProvisionedBytes
-		fleet.VMs++
-	}
-	fleet.VMsPerCore = float64(fleet.VMs) / float64(cores)
-	share := fleet.VMsPerCore
-	if share < 1 {
-		share = 1
-	}
-	fleet.DegradationEach = cp.Degradation * share
-	return fleet
 }

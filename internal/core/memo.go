@@ -101,14 +101,13 @@ func (m *SweepMemo) store(en *memoEntry) {
 
 // sweepKey encodes every input a sweep's result depends on: the profile
 // value, the simulation config (seed included), the whole platform, the
-// sampling configuration, the warmup and settle lengths, the thermal
-// model and the sorted frequency list. The encoding is canonical and
-// follows pointers and unexported fields, so it is itself the entry's
-// private deep copy of those inputs: equal bytes mean equal inputs, and
-// a later in-place edit of a caller's model cannot reach it. ok is false
-// when an input holds something the encoder does not compare by value
-// (a non-nil func, a map, an interface, a channel); such sweeps bypass
-// the memo.
+// sampling configuration, the warmup and settle lengths and the sorted
+// frequency list. The encoding is canonical and follows pointers and
+// unexported fields, so it is itself the entry's private deep copy of
+// those inputs: equal bytes mean equal inputs, and a later in-place edit
+// of a caller's model cannot reach it. ok is false when an input holds
+// something the encoder does not compare by value (a non-nil func, a
+// map, an interface, a channel); such sweeps bypass the memo.
 func (e *Explorer) sweepKey(p *workload.Profile, cfg sampling.Config, freqs []float64) (hash uint64, key []byte, ok bool) {
-	return encodeKey(p, e.Sim, e.Platform, cfg, e.WarmInstr, e.SettleCycles, e.Thermal, freqs)
+	return encodeKey(p, e.Sim, e.Platform, cfg, e.WarmInstr, e.SettleCycles, freqs)
 }

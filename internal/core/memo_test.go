@@ -18,7 +18,6 @@ import (
 	"ntcsim/internal/obs/timeseries"
 	"ntcsim/internal/sampling"
 	"ntcsim/internal/sram"
-	"ntcsim/internal/thermal"
 	"ntcsim/internal/workload"
 )
 
@@ -134,10 +133,6 @@ func TestMemoKeyCoversEveryInput(t *testing.T) {
 		{"sampling window", func(_ *Explorer, _ *workload.Profile, cfg *sampling.Config, _ *[]float64) { cfg.MeasureCycles++ }},
 		{"warmup length", func(e *Explorer, _ *workload.Profile, _ *sampling.Config, _ *[]float64) { e.WarmInstr++ }},
 		{"settle cycles", func(e *Explorer, _ *workload.Profile, _ *sampling.Config, _ *[]float64) { e.SettleCycles++ }},
-		{"thermal model", func(e *Explorer, _ *workload.Profile, _ *sampling.Config, _ *[]float64) {
-			m := thermal.Default()
-			e.Thermal = &m
-		}},
 		{"frequency value", func(_ *Explorer, _ *workload.Profile, _ *sampling.Config, f *[]float64) {
 			*f = []float64{0.3e9, 1.0e9, 2.1e9}
 		}},

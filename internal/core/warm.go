@@ -128,11 +128,11 @@ func (e *Explorer) loadOrQuarantine(fsys faultfs.FS, path string, fp uint64) (*s
 // returns a nil unlock.
 func (e *Explorer) lockWarm(ctx context.Context, fsys faultfs.FS, path string) (func(), error) {
 	lockPath := path + ".lock"
-	poll := e.WarmLockPoll
+	poll := e.warmLockPoll
 	if poll <= 0 {
 		poll = 100 * time.Millisecond
 	}
-	attempts := e.WarmLockAttempts
+	attempts := e.warmLockAttempts
 	if attempts <= 0 {
 		attempts = 600 // ~1 minute at the default poll interval
 	}

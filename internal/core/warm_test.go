@@ -13,6 +13,7 @@ import (
 
 	"ntcsim/internal/cpu"
 	"ntcsim/internal/faultfs"
+	"ntcsim/internal/obs"
 	"ntcsim/internal/workload"
 )
 
@@ -382,7 +383,7 @@ func TestConcurrentSweepsSingleFlightWarmup(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		e, _ := warmExplorer(t, dir)
-		e.WarmLockPoll = time.Millisecond
+		e.warmLockPoll = time.Millisecond
 		wg.Add(1)
 		go func(i int, e *Explorer) {
 			defer wg.Done()
@@ -407,8 +408,8 @@ func TestConcurrentSweepsSingleFlightWarmup(t *testing.T) {
 func TestStaleWarmupLockFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	e, warns := warmExplorer(t, dir)
-	e.WarmLockPoll = time.Millisecond
-	e.WarmLockAttempts = 3
+	e.warmLockPoll = time.Millisecond
+	e.warmLockAttempts = 3
 	fp, err := e.checkpointFingerprint(workload.WebSearch())
 	if err != nil {
 		t.Fatal(err)
@@ -445,7 +446,7 @@ func TestSweepManyWithCheckpointDirBitIdentical(t *testing.T) {
 	dir := t.TempDir()
 	cold, _ := warmExplorer(t, dir)
 	cold.Jobs = 4
-	cold.WarmLockPoll = time.Millisecond
+	cold.warmLockPoll = time.Millisecond
 	coldRes, err := cold.SweepMany(context.Background(), profiles, warmFreqs)
 	if err != nil {
 		t.Fatal(err)
@@ -473,86 +474,16 @@ func TestSweepManyDuplicateProfilesRejected(t *testing.T) {
 	}
 }
 
-func TestPointRetryIsBitIdentical(t *testing.T) {
-	e0, _ := warmExplorer(t, "")
-	clean, err := e0.Sweep(context.Background(), workload.WebSearch(), warmFreqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	transient := errors.New("transient I/O glitch")
-	attempts := map[int]int{}
-	e, _ := warmExplorer(t, "")
-	e.Jobs = 1 // serial: the attempts map needs no locking
-	e.Retries = 2
-	e.pointFault = func(point, attempt int) error {
-		attempts[point]++
-		if point == 1 && attempt < 2 {
-			return transient
-		}
-		return nil
-	}
-	got, err := e.Sweep(context.Background(), workload.WebSearch(), warmFreqs)
-	if err != nil {
-		t.Fatalf("retries should absorb the transient failure: %v", err)
-	}
-	if attempts[1] != 3 {
-		t.Fatalf("point 1 attempts = %d, want 3 (two failures + success)", attempts[1])
-	}
-	requireIdentical(t, clean, got)
-}
-
-func TestPointRetryBudgetExhausted(t *testing.T) {
-	persistent := errors.New("persistent failure")
-	e, _ := warmExplorer(t, "")
-	e.Jobs = 1
-	e.Retries = 2
-	e.pointFault = func(point, attempt int) error {
-		if point == 0 {
-			return persistent
-		}
-		return nil
-	}
-	_, err := e.Sweep(context.Background(), workload.WebSearch(), warmFreqs)
-	if !errors.Is(err, persistent) {
-		t.Fatalf("exhausted retries must surface the failure, got %v", err)
-	}
-}
-
-func TestCancellationIsNeverRetried(t *testing.T) {
-	attempts := 0
-	e, _ := warmExplorer(t, "")
-	e.Jobs = 1
-	e.Retries = 5
-	e.pointFault = func(point, attempt int) error {
-		if point == 0 {
-			attempts++
-			return context.Canceled
-		}
-		return nil
-	}
-	_, err := e.Sweep(context.Background(), workload.WebSearch(), warmFreqs)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v", err)
-	}
-	if attempts != 1 {
-		t.Fatalf("cancellation was retried %d times; the retry budget must not apply", attempts)
-	}
-}
-
 func TestSweepStopsBetweenPoints(t *testing.T) {
 	ctx, cancel := context.WithCancelCause(context.Background())
 	cause := errors.New("SIGINT")
 	completed := 0
 	e, _ := warmExplorer(t, "")
 	e.Jobs = 1
-	e.pointFault = func(point, attempt int) error {
+	e.Progress = obs.NewProgressFunc(func(int, int, string, time.Duration) {
 		completed++
-		if point == 0 {
-			cancel(cause) // arrives while point 0 runs; takes effect at the boundary
-		}
-		return nil
-	}
+		cancel(cause) // arrives after point 0; takes effect at the boundary
+	})
 	_, err := e.Sweep(ctx, workload.WebSearch(), warmFreqs)
 	if !errors.Is(err, cause) {
 		t.Fatalf("cancellation cause must propagate out of the sweep, got %v", err)
@@ -565,7 +496,7 @@ func TestSweepStopsBetweenPoints(t *testing.T) {
 func TestWarmupHonorsCancellation(t *testing.T) {
 	dir := t.TempDir()
 	e, _ := warmExplorer(t, dir)
-	e.WarmLockPoll = 10 * time.Millisecond
+	e.warmLockPoll = 10 * time.Millisecond
 	fp, err := e.checkpointFingerprint(workload.WebSearch())
 	if err != nil {
 		t.Fatal(err)

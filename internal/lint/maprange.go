@@ -11,7 +11,7 @@ import (
 // output feeds simulation results, golden files, or the counter-class
 // metrics sections. internal/obs and internal/parallel are deliberately
 // absent — obs snapshots sort on marshal and the pool is timing-class
-// by charter — as are cmd/ and examples/ front-ends.
+// by charter — as are the cmd/ front-ends.
 const maprangeDetDefault = "ntcsim/internal/sim," +
 	"ntcsim/internal/cpu," +
 	"ntcsim/internal/dram," +

@@ -9,16 +9,15 @@ import (
 
 // wallclockAllowDefault lists the packages whose job IS wall-clock
 // measurement: the observability layer, the sampling phase-timing hook,
-// the CLI front-ends, the HTTP job service (whose drain grace window is
-// real time by definition), and the runnable examples. Everywhere else
+// the CLI front-ends and the HTTP job service (whose drain grace window is
+// real time by definition). Everywhere else
 // a clock read couples simulation output to the host and must either
 // move behind an observer or carry an //ntclint:allow wallclock
 // annotation explaining why it cannot influence results.
 const wallclockAllowDefault = "ntcsim/internal/obs," +
 	"ntcsim/internal/sampling," +
 	"ntcsim/internal/service," +
-	"ntcsim/cmd," +
-	"ntcsim/examples"
+	"ntcsim/cmd"
 
 // wallclockFuncs are the time package's clock accessors. Types like
 // time.Time and time.Duration remain free to use anywhere — only

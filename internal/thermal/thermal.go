@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"ntcsim/internal/power"
-	"ntcsim/internal/tech"
 )
 
 // Model is a lumped junction-to-ambient thermal model.
@@ -85,56 +84,6 @@ func (m Model) TimeToLimit(p0, p1 float64) (time.Duration, bool) {
 	// Solve TjMax = t1 + (t0-t1)*exp(-t/tau).
 	frac := (m.TjMaxC - t1) / (t0 - t1)
 	return time.Duration(-math.Log(frac) * float64(m.TimeConstant)), true
-}
-
-// Equilibrium is the converged electro-thermal operating state of the chip
-// under the leakage-temperature feedback loop: hotter silicon leaks more,
-// which heats it further. Near threshold the loop is benign (tiny leakage,
-// low power); at high voltage it can run away — one more face of the
-// paper's observation that the NT server is energy-bound rather than
-// power/thermal bound.
-type Equilibrium struct {
-	JunctionC  float64
-	ChipPowerW float64
-	LeakageW   float64
-	Runaway    bool // no stable point below TjMax
-	Iterations int
-}
-
-// SolveEquilibrium iterates the leakage(T) <-> T(P) fixed point for n cores
-// at operating point op with the given activity, plus a fixed otherW
-// (uncore etc.) that does not vary with temperature.
-func SolveEquilibrium(m Model, cm *power.CoreModel, op tech.OperatingPoint, activity float64, n int, otherW float64) Equilibrium {
-	dyn := float64(n)*cm.DynamicPower(op.Vdd, op.FreqHz, activity) + otherW
-	leakRef := float64(n) * cm.LeakRefW
-	tj := m.AmbientC
-	var eq Equilibrium
-	for i := 0; i < 200; i++ {
-		eq.Iterations = i + 1
-		leak := leakRef * cm.Tech.LeakageFactorAt(op.Vdd, op.Vbb, tj+273.15)
-		p := dyn + leak
-		next := m.JunctionTemp(p)
-		if next > m.TjMaxC+40 {
-			// Far past the limit and still climbing: declare runaway.
-			eq.Runaway = true
-			eq.JunctionC = next
-			eq.ChipPowerW = p
-			eq.LeakageW = leak
-			return eq
-		}
-		if math.Abs(next-tj) < 0.01 {
-			eq.JunctionC = next
-			eq.ChipPowerW = p
-			eq.LeakageW = leak
-			eq.Runaway = next > m.TjMaxC
-			return eq
-		}
-		// Damped update for stability.
-		tj = tj + 0.7*(next-tj)
-	}
-	eq.Runaway = true
-	eq.JunctionC = tj
-	return eq
 }
 
 // DarkSiliconPoint reports core-activation limits at one operating point.

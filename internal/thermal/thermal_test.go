@@ -161,56 +161,3 @@ func TestLeakageGrowsWithTemperature(t *testing.T) {
 		t.Fatalf("60K of heating should raise leakage substantially, got %.2fx", hot/cold)
 	}
 }
-
-func TestEquilibriumBenignAtNearThreshold(t *testing.T) {
-	m := Default()
-	cm := power.NewA57(tech.FDSOI28())
-	op, err := cm.Tech.OperatingPointFor(0.3e9, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eq := SolveEquilibrium(m, cm, op, 1.0, 36, 23)
-	if eq.Runaway {
-		t.Fatal("the NT point must be thermally stable")
-	}
-	if eq.JunctionC > 50 {
-		t.Fatalf("NT junction = %.1fC, expected cool", eq.JunctionC)
-	}
-	if eq.LeakageW <= 0 || eq.ChipPowerW <= eq.LeakageW {
-		t.Fatalf("power breakdown inconsistent: %+v", eq)
-	}
-}
-
-func TestEquilibriumRunawayWithWeakCooling(t *testing.T) {
-	// A weak heatsink at full speed: the leakage-temperature loop diverges.
-	m := Default()
-	m.RthJAC = 3.0 // 3 C/W: hopeless for a 100W-class chip
-	cm := power.NewA57(tech.FDSOI28())
-	op, err := cm.Tech.OperatingPointFor(3.0e9, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eq := SolveEquilibrium(m, cm, op, 1.0, 36, 23)
-	if !eq.Runaway {
-		t.Fatalf("expected thermal runaway, got stable %.1fC", eq.JunctionC)
-	}
-}
-
-func TestEquilibriumHotterAtHigherFrequency(t *testing.T) {
-	m := Default()
-	cm := power.NewA57(tech.FDSOI28())
-	tempAt := func(ghz float64) float64 {
-		op, err := cm.Tech.OperatingPointFor(ghz*1e9, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eq := SolveEquilibrium(m, cm, op, 1.0, 36, 23)
-		if eq.Runaway {
-			t.Fatalf("%.1fGHz should be stable with the default heatsink", ghz)
-		}
-		return eq.JunctionC
-	}
-	if tempAt(2.0) <= tempAt(0.5) {
-		t.Fatal("higher frequency must run hotter")
-	}
-}

@@ -4,9 +4,8 @@ package workload
 // (which the paper draws its scale-out applications from) also ships batch
 // analytics workloads; these profiles model their first-order behavior so
 // downstream studies can explore the near-threshold trade-offs of
-// throughput-oriented (non-latency-critical) scale-out computation, the
-// natural companions to the consolidation analysis. They are not part of
-// All() and do not appear in the paper's figures.
+// throughput-oriented (non-latency-critical) scale-out computation. They
+// are not part of All() and do not appear in the paper's figures.
 
 // DataAnalytics returns a CloudSuite Data Analytics clone (MapReduce-style
 // machine learning over a large corpus): batch work with no tail-latency

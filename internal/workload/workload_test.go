@@ -288,59 +288,6 @@ func TestQuickGeneratorRobust(t *testing.T) {
 	}
 }
 
-func TestBitbrainsSample(t *testing.T) {
-	m := DefaultBitbrains()
-	vms := m.Sample(1750, rng.New(42))
-	if len(vms) != 1750 {
-		t.Fatalf("sample size = %d", len(vms))
-	}
-	ps := Summarize(vms)
-	highFrac := float64(ps.HighMemCount) / float64(ps.Count)
-	if math.Abs(highFrac-m.HighMemFrac) > 0.05 {
-		t.Fatalf("high-mem fraction = %v, want ~%v", highFrac, m.HighMemFrac)
-	}
-	for _, v := range vms {
-		if v.UsedBytes > v.ProvisionedBytes {
-			t.Fatal("VM uses more than provisioned")
-		}
-		if v.CPUUtil < 0 || v.CPUUtil > 1 {
-			t.Fatalf("CPU util %v out of range", v.CPUUtil)
-		}
-		if v.ProvisionedBytes != 100<<20 && v.ProvisionedBytes != 700<<20 {
-			t.Fatalf("unexpected provisioning class %d", v.ProvisionedBytes)
-		}
-	}
-	if ps.MeanCPUUtil <= 0 || ps.P95CPUUtil < ps.MeanCPUUtil {
-		t.Fatalf("stats: %+v", ps)
-	}
-}
-
-func TestBitbrainsDeterminism(t *testing.T) {
-	m := DefaultBitbrains()
-	a := m.Sample(100, rng.New(5))
-	b := m.Sample(100, rng.New(5))
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("Bitbrains sampling not deterministic")
-		}
-	}
-}
-
-func TestVMSpecProfile(t *testing.T) {
-	if got := (VMSpec{HighMem: true}).Profile().Name; got != "vm-high-mem" {
-		t.Fatal(got)
-	}
-	if got := (VMSpec{}).Profile().Name; got != "vm-low-mem" {
-		t.Fatal(got)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	if got := Summarize(nil); got.Count != 0 {
-		t.Fatalf("%+v", got)
-	}
-}
-
 func BenchmarkGeneratorNext(b *testing.B) {
 	g := NewGenerator(DataServing(), 0, rng.New(1))
 	var in Instr
