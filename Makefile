@@ -19,8 +19,8 @@
 #                      torn-write/ENOSPC recovery, single-flight warmup,
 #                      cancellation semantics
 #   make serve-smoke   request-serving DES suite in short mode: event
-#                      loop, balancers, sketch, snapshot/resume, the
-#                      cmd-level across-jobs determinism gate
+#                      loop, balancers, sketch, the cmd-level
+#                      across-jobs determinism gate
 #   make serve-cover   coverage floor gate (>= 80%) for internal/serve,
 #                      internal/qos and internal/obs/timeseries
 #   make report-smoke  telemetry pipeline in short mode: conservation

@@ -52,14 +52,6 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Accesses)
 }
 
-// MPKIFor returns misses per kilo-instruction given an instruction count.
-func (s Stats) MPKIFor(instructions uint64) float64 {
-	if instructions == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(instructions) * 1000
-}
-
 // A way is one packed uint64: the line address (the tag) shifted left by
 // tagShift, with the dirty and valid flags in the low bits. An invalid
 // way is always 0, so a 16-way set is 128 contiguous bytes and a lookup
@@ -242,51 +234,6 @@ func touch(ways []uint64, i int, w uint64) {
 	copy(ways[1:i+1], ways[:i])
 	ways[0] = w
 }
-
-// MSHR models a file of miss-status holding registers: it bounds the
-// number of distinct outstanding miss lines and merges secondary misses.
-type MSHR struct {
-	capacity int
-	pending  map[uint64]int // line address -> merged request count
-}
-
-// NewMSHR returns an MSHR file with the given number of entries.
-func NewMSHR(entries int) *MSHR {
-	return &MSHR{capacity: entries, pending: make(map[uint64]int, entries)}
-}
-
-// Allocate registers a miss on lineAddr. It returns (isPrimary, ok):
-// ok=false means the file is full and the miss must stall; isPrimary=true
-// means this is the first miss to the line and a request must be issued
-// downstream (secondary misses merge onto the primary).
-func (m *MSHR) Allocate(lineAddr uint64) (isPrimary, ok bool) {
-	if n, exists := m.pending[lineAddr]; exists {
-		m.pending[lineAddr] = n + 1
-		return false, true
-	}
-	if len(m.pending) >= m.capacity {
-		return false, false
-	}
-	m.pending[lineAddr] = 1
-	return true, true
-}
-
-// Complete releases all requests merged on lineAddr and returns how many
-// there were (0 if the line was not pending).
-func (m *MSHR) Complete(lineAddr uint64) int {
-	n := m.pending[lineAddr]
-	delete(m.pending, lineAddr)
-	return n
-}
-
-// InFlight returns the number of distinct outstanding lines.
-func (m *MSHR) InFlight() int { return len(m.pending) }
-
-// Full reports whether a new primary miss would stall.
-func (m *MSHR) Full() bool { return len(m.pending) >= m.capacity }
-
-// Reset clears all entries.
-func (m *MSHR) Reset() { clear(m.pending) }
 
 // LineState is the externally visible state of one cache way, used by
 // checkpointing.

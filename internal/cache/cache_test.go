@@ -342,43 +342,6 @@ func TestQuickStatsInvariant(t *testing.T) {
 	}
 }
 
-func TestMSHRMergeAndLimit(t *testing.T) {
-	m := NewMSHR(2)
-	p, ok := m.Allocate(0x100)
-	if !p || !ok {
-		t.Fatal("first miss should be primary")
-	}
-	p, ok = m.Allocate(0x100)
-	if p || !ok {
-		t.Fatal("secondary miss should merge, not issue")
-	}
-	if _, ok = m.Allocate(0x200); !ok {
-		t.Fatal("second entry should fit")
-	}
-	if _, ok = m.Allocate(0x300); ok {
-		t.Fatal("file is full, third line should stall")
-	}
-	if !m.Full() {
-		t.Fatal("Full should report true")
-	}
-	if n := m.Complete(0x100); n != 2 {
-		t.Fatalf("merged count = %d, want 2", n)
-	}
-	if m.InFlight() != 1 {
-		t.Fatalf("in flight = %d", m.InFlight())
-	}
-	if _, ok = m.Allocate(0x300); !ok {
-		t.Fatal("space freed, allocation should succeed")
-	}
-	if n := m.Complete(0x999); n != 0 {
-		t.Fatalf("completing absent line = %d, want 0", n)
-	}
-	m.Reset()
-	if m.InFlight() != 0 {
-		t.Fatal("Reset should clear entries")
-	}
-}
-
 func BenchmarkAccessHit(b *testing.B) {
 	c := MustNew(L1Config("l1d"))
 	c.Access(0x1000, false)

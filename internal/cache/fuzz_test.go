@@ -72,38 +72,3 @@ func FuzzAccessMatchesReference(f *testing.F) {
 		}
 	})
 }
-
-// FuzzMSHRInvariants checks the miss-file bookkeeping under arbitrary
-// allocate/complete interleavings.
-func FuzzMSHRInvariants(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 1, 2}, []byte{0, 1})
-	f.Fuzz(func(t *testing.T, allocs []byte, completes []byte) {
-		m := NewMSHR(4)
-		live := map[uint64]int{}
-		for _, a := range allocs {
-			line := uint64(a % 16)
-			primary, ok := m.Allocate(line)
-			if !ok {
-				if len(live) < 4 {
-					t.Fatalf("refused allocation with %d/4 entries", len(live))
-				}
-				continue
-			}
-			if primary != (live[line] == 0) {
-				t.Fatalf("primary flag wrong for line %d", line)
-			}
-			live[line]++
-		}
-		for _, cByte := range completes {
-			line := uint64(cByte % 16)
-			n := m.Complete(line)
-			if n != live[line] {
-				t.Fatalf("completed %d merged requests, tracked %d", n, live[line])
-			}
-			delete(live, line)
-		}
-		if m.InFlight() != len(live) {
-			t.Fatalf("in flight %d, tracked %d", m.InFlight(), len(live))
-		}
-	})
-}

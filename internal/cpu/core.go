@@ -23,13 +23,6 @@ import (
 	"ntcsim/internal/workload"
 )
 
-// InstrSource supplies the dynamic instruction stream a core executes.
-// workload.Generator is the synthetic implementation; workload.Replayer
-// feeds recorded traces.
-type InstrSource interface {
-	Next(*workload.Instr)
-}
-
 // MemSystem is the shared memory hierarchy below the L1s (LLC + crossbar +
 // DRAM, owned by the cluster simulator). Access issues a line-granularity
 // request at absolute time nowNs and returns its completion time in ns.
@@ -163,7 +156,7 @@ const issueRingSize = 1 << 13
 type Core struct {
 	cfg    Config
 	id     int
-	gen    InstrSource
+	gen    *workload.Generator
 	mem    MemSystem
 	l1i    *cache.Cache
 	l1d    *cache.Cache
@@ -200,16 +193,14 @@ type Core struct {
 	cycleAtReset int64 // commit cycle at the last ResetStats
 	stats        Stats
 	instr        workload.Instr
-	// ffInstr is FastForward's decode scratch. It must be a field, not a
-	// local: the instruction source is an interface, so a local's address
-	// escaping through Next would heap-allocate once per warming window.
-	// Kept separate from instr so functional warming never clobbers the
-	// detailed pipeline's in-flight instruction.
+	// ffInstr is FastForward's decode scratch, kept separate from instr
+	// so functional warming never clobbers the detailed pipeline's
+	// in-flight instruction.
 	ffInstr workload.Instr
 }
 
 // New builds a core with its private L1s.
-func New(cfg Config, id int, gen InstrSource, mem MemSystem, freqHz float64) (*Core, error) {
+func New(cfg Config, id int, gen *workload.Generator, mem MemSystem, freqHz float64) (*Core, error) {
 	if cfg.Width <= 0 || cfg.WindowSize <= 0 {
 		return nil, fmt.Errorf("cpu: width and window must be positive")
 	}

@@ -1,7 +1,6 @@
 package cpu
 
 import (
-	"bytes"
 	"testing"
 
 	"ntcsim/internal/rng"
@@ -375,30 +374,6 @@ func TestStridePrefetcherCountsTraffic(t *testing.T) {
 func TestPrefetcherOffByDefault(t *testing.T) {
 	if DefaultConfig().StridePrefetch {
 		t.Fatal("the paper-calibrated configuration has no prefetcher")
-	}
-}
-
-func TestCoreRunsOnRecordedTrace(t *testing.T) {
-	// A core driven by a trace replayer must behave identically to one
-	// driven by the generator the trace was recorded from.
-	p := workload.WebSearch()
-	var buf bytes.Buffer
-	rec := workload.NewGenerator(p, 0, rng.New(55))
-	if err := workload.Record(rec, 200000, &buf); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := workload.NewReplayer(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	live, _ := New(DefaultConfig(), 0, workload.NewGenerator(p, 0, rng.New(55)), &fixedMem{latNs: 60}, 1e9)
-	replay, _ := New(DefaultConfig(), 0, rep, &fixedMem{latNs: 60}, 1e9)
-	live.Run(40000)
-	replay.Run(40000)
-	a, b := live.Stats(), replay.Stats()
-	if a != b {
-		t.Fatalf("trace-driven core diverged:\nlive   %+v\nreplay %+v", a, b)
 	}
 }
 

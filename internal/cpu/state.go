@@ -73,7 +73,7 @@ func (c *Core) State() CoreState {
 		L1IStats:      c.l1i.Stats(),
 		L1DStats:      c.l1d.Stats(),
 		Predictor:     append([]uint8(nil), c.bpred.counters...),
-		Gen:           genState(c.gen),
+		Gen:           c.gen.State(),
 	}
 	for _, m := range c.misses {
 		st.Misses = append(st.Misses, MissState{Line: m.line, Complete: m.complete})
@@ -126,9 +126,7 @@ func (c *Core) Restore(st CoreState) error {
 	c.cycleAtReset = st.CycleAtReset
 	c.stats = st.Stats
 	copy(c.bpred.counters, st.Predictor)
-	if g, ok := c.gen.(*workload.Generator); ok {
-		g.Restore(st.Gen)
-	}
+	c.gen.Restore(st.Gen)
 	return nil
 }
 
@@ -149,19 +147,7 @@ func unflattenSlots(flat []uint8, slots *[issueRingSize][4]uint8) {
 }
 
 // ReseedWorkload re-derives the workload generator's random streams from
-// seed for this core's global ID (see workload.Generator.Reseed). It is a
-// no-op for non-generator instruction sources such as trace playback.
+// seed for this core's global ID (see workload.Generator.Reseed).
 func (c *Core) ReseedWorkload(seed *rng.Stream) {
-	if g, ok := c.gen.(*workload.Generator); ok {
-		g.Reseed(c.id, seed)
-	}
-}
-
-// genState captures the generator state when the instruction source is a
-// synthetic generator; other sources (trace replayers) carry no RNG state.
-func genState(src InstrSource) workload.GeneratorState {
-	if g, ok := src.(*workload.Generator); ok {
-		return g.State()
-	}
-	return workload.GeneratorState{}
+	c.gen.Reseed(c.id, seed)
 }

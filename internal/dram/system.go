@@ -64,14 +64,6 @@ type Stats struct {
 	RefreshStallsNs         float64
 }
 
-// AvgReadLatencyNs returns the mean read latency.
-func (s Stats) AvgReadLatencyNs() float64 {
-	if s.Reads == 0 {
-		return 0
-	}
-	return s.TotalReadLatencyNs / float64(s.Reads)
-}
-
 // RowHitRate returns the fraction of accesses that hit an open row.
 func (s Stats) RowHitRate() float64 {
 	total := s.RowHits + s.RowConflicts + s.RowClosed

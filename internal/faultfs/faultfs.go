@@ -132,13 +132,6 @@ func NewInjector(base FS, rules ...*Rule) *Injector {
 	return &Injector{base: base, rules: rules, calls: map[Op]int{}}
 }
 
-// AddRule appends a rule at runtime.
-func (in *Injector) AddRule(r *Rule) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.rules = append(in.rules, r)
-}
-
 // Calls returns how many operations of class op were issued (whether or
 // not a fault fired).
 func (in *Injector) Calls(op Op) int {

@@ -9,9 +9,9 @@ import (
 )
 
 // snapshotPkgDefault lists the packages whose Snapshot/Restore pairs are
-// audited: the cluster simulator's checkpoints, the serving DES's
-// pause/resume snapshots (including the balancer state hook), and the
-// telemetry layer's exports.
+// audited: the cluster simulator's checkpoints, the telemetry layer's
+// exports, and the serving DES, which has no pair today but is audited
+// so that any pair added there is checked from its first commit.
 const snapshotPkgDefault = "ntcsim/internal/sim," +
 	"ntcsim/internal/serve," +
 	"ntcsim/internal/obs/timeseries"
@@ -37,9 +37,9 @@ const snapshotPairsDefault = "Snapshot:Restore," +
 // Fields that are configuration or derived (rebuilt by the constructor,
 // never mutated mid-run) carry //ntclint:allow snapshotcheck <reason> on
 // their declaration; sync primitives and blank fields are skipped
-// automatically. The point is forward protection: a field added to Sim
-// or Cluster in a future PR fails the lint gate until it is either
-// mirrored into the snapshot or explicitly declared stateless.
+// automatically. The point is forward protection: a field later added to
+// sim.Cluster fails the lint gate until it is either mirrored into the
+// snapshot or explicitly declared stateless.
 var SnapshotcheckAnalyzer = &analysis.Analyzer{
 	Name: "snapshotcheck",
 	Doc: "verify Snapshot/Restore pairs mirror every stateful field both ways\n\n" +

@@ -37,7 +37,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	var tr *Tracer
 	tr.Complete("c", "n", tr.AcquireLane(), time.Now(), time.Millisecond, nil)
-	tr.Instant("c", "n", 0, nil)
 	tr.ReleaseLane(1)
 	if err := tr.Close(); err != nil {
 		t.Fatalf("nil tracer Close: %v", err)

@@ -156,24 +156,6 @@ func (t *Tracer) CounterAt(cat, name string, at time.Duration, values map[string
 	})
 }
 
-// Instant records a zero-duration marker event on the given lane.
-func (t *Tracer) Instant(cat, name string, lane int, args map[string]any) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.event(traceEvent{
-		Name: name,
-		Cat:  cat,
-		Ph:   "i",
-		Ts:   float64(time.Since(t.start)) / 1e3,
-		Pid:  1,
-		Tid:  lane,
-		Args: args,
-	})
-}
-
 // AcquireLane reserves the smallest free lane number for a unit of
 // concurrent work (one sweep point, one workload fan-out). Using lanes
 // instead of goroutine/worker ids keeps nested worker pools from

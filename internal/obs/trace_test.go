@@ -34,7 +34,6 @@ func TestTracerEmitsValidChromeTrace(t *testing.T) {
 	tr.Complete("sweep", "point websearch @500MHz", lane, start, 42*time.Millisecond,
 		map[string]any{"freq_hz": 5e8})
 	tr.ReleaseLane(lane)
-	tr.Instant("sweep", "marker", 0, nil)
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -42,9 +41,9 @@ func TestTracerEmitsValidChromeTrace(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("trace is not valid JSON: %v\n%s", err, buf.String())
 	}
-	// metadata + complete + instant
-	if len(doc.TraceEvents) != 3 {
-		t.Fatalf("got %d events, want 3", len(doc.TraceEvents))
+	// metadata + complete
+	if len(doc.TraceEvents) != 2 {
+		t.Fatalf("got %d events, want 2", len(doc.TraceEvents))
 	}
 	ev := doc.TraceEvents[1]
 	if ev.Ph != "X" || ev.Name != "point websearch @500MHz" || ev.Cat != "sweep" {

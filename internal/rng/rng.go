@@ -124,12 +124,6 @@ func (s *Stream) NormFloat64() float64 {
 	}
 }
 
-// LogNormal returns a lognormal deviate with the given parameters of the
-// underlying normal (mu, sigma).
-func (s *Stream) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*s.NormFloat64())
-}
-
 // Exponential returns an exponential deviate with the given mean.
 func (s *Stream) Exponential(mean float64) float64 {
 	for {

@@ -203,27 +203,6 @@ func TestExponentialMean(t *testing.T) {
 	}
 }
 
-func TestLogNormalMedian(t *testing.T) {
-	s := New(37)
-	const n = 100001
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = s.LogNormal(2, 0.5)
-	}
-	// Median of lognormal(mu, sigma) is e^mu.
-	// Count how many fall below e^2.
-	below := 0
-	for _, x := range xs {
-		if x < math.Exp(2) {
-			below++
-		}
-	}
-	frac := float64(below) / n
-	if math.Abs(frac-0.5) > 0.01 {
-		t.Fatalf("lognormal median fraction = %v, want ~0.5", frac)
-	}
-}
-
 func TestBetaRangeAndMean(t *testing.T) {
 	s := New(41)
 	const a, b = 2.0, 5.0

@@ -27,13 +27,10 @@ const maxArrivalRate = 1e6
 // negative rates serve as zero, infinities are capped — so arbitrary
 // fuzzed traces can never yield a panic, a NaN, or a non-increasing time.
 type ArrivalGen struct {
-	// The trace geometry and sanitized rates are configuration: New
-	// rebuilds them from the same LoadTrace, so state() captures only
-	// the clock, the exhaustion flag, and the rng position.
-	step    time.Duration //ntclint:allow snapshotcheck config: trace step, rebuilt by NewArrivalGen
-	lambda  []float64     //ntclint:allow snapshotcheck config: sanitized trace rates, rebuilt by NewArrivalGen
-	horizon time.Duration //ntclint:allow snapshotcheck config: trace end, rebuilt by NewArrivalGen
-	lamMax  float64       //ntclint:allow snapshotcheck config: thinning bound, rebuilt by NewArrivalGen
+	step    time.Duration
+	lambda  []float64 // sanitized trace rates
+	horizon time.Duration
+	lamMax  float64 // thinning bound
 	r       *rng.Stream
 	t       time.Duration
 	done    bool

@@ -24,13 +24,6 @@ type Balancer interface {
 	Pick(loads []ClusterLoad, r *rng.Stream) int
 }
 
-// statefulBalancer is implemented by balancers with private state that a
-// checkpoint must capture.
-type statefulBalancer interface {
-	balancerState() uint64
-	setBalancerState(uint64)
-}
-
 // LoadOblivious is the optional capability of a Balancer whose Pick never
 // reads the contents of the loads slice — only its length. The Sim probes
 // it once at construction: for an oblivious balancer (random,
@@ -83,9 +76,6 @@ func (b *roundRobinLB) Pick(loads []ClusterLoad, r *rng.Stream) int {
 	b.next = i + 1
 	return i
 }
-
-func (b *roundRobinLB) balancerState() uint64     { return uint64(b.next) }
-func (b *roundRobinLB) setBalancerState(v uint64) { b.next = int(v) }
 
 // NeedsLoads implements LoadOblivious: the cursor only wraps on the
 // slice length, elements are never read.

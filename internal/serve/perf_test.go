@@ -119,65 +119,6 @@ func TestNeedsLoadsProbe(t *testing.T) {
 	}
 }
 
-// TestSnapshotResumeMidEpoch cuts the run in the middle of an epoch —
-// between two events, not at an epoch boundary — so the lazily settled
-// busy-time integral is captured with a partial epoch outstanding. The
-// resumed run must match the uninterrupted one exactly.
-func TestSnapshotResumeMidEpoch(t *testing.T) {
-	ctx := context.Background()
-	full := func() Result {
-		sim, err := New(testConfig(t), rng.New(777))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sim.Run(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	want := full()
-
-	for _, events := range []int{1, 137, 2049} {
-		sim, err := New(testConfig(t), rng.New(777))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < events; i++ {
-			ok, err := sim.advance()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				t.Fatalf("simulation ended before %d events", events)
-			}
-		}
-		snap := sim.Snapshot()
-		resumed, err := New(testConfig(t), rng.New(777))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resumed.Restore(snap)
-		got, err := resumed.Run(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("mid-epoch resume after %d events diverged:\nwant %+v\ngot  %+v", events, want, got)
-		}
-		// The original, un-restored Sim must also finish identically:
-		// taking a snapshot (which settles the busy integral) must not
-		// perturb the donor run.
-		donor, err := sim.Run(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(donor, want) {
-			t.Fatalf("donor run perturbed by mid-epoch snapshot after %d events:\nwant %+v\ngot  %+v", events, want, donor)
-		}
-	}
-}
-
 // warmSteadyState builds a Sim on a long flat trace and drives it deep
 // into the first epoch so every growable structure (departure heap, FIFO
 // rings, sketch buckets, queue capacity) has reached its steady-state

@@ -21,7 +21,6 @@
 // function of (Config, seed) — never of wall time or worker count. The
 // simulation clock is integer nanoseconds (time.Duration); simultaneous
 // events order departure < epoch < arrival, then by issue sequence.
-// Mid-run state can be captured and restored exactly (see Snapshot).
 //
 // The energy figure covers the trace horizon only: requests still in
 // flight when the trace ends are drained (their latencies and violations
@@ -73,7 +72,6 @@ type Config struct {
 	// (cluster, epoch): the epoch's joules attributed to core dynamic,
 	// core leakage, LLC, crossbar, IO and DRAM, plus the operating point
 	// and measured load state. Counter-class and nil-gated like Metrics.
-	// Like Metrics, samples already recorded are NOT rewound by Restore.
 	Telemetry *timeseries.Series
 }
 
@@ -90,11 +88,11 @@ type request struct {
 //
 // The busy-time integral is accumulated lazily: busyAcc is only current
 // up to upTo, and settle folds in the busy*elapsed product when the busy
-// count is about to change (or when an epoch closes / a snapshot is
-// taken). Between changes the integrand is constant, and the fold is
-// integer nanosecond arithmetic, so the settled value is bit-identical
-// to eager per-event accumulation — without the O(clusters) walk the
-// event loop used to pay on every clock advance.
+// count is about to change or when an epoch closes. Between changes the
+// integrand is constant, and the fold is integer nanosecond arithmetic,
+// so the settled value is bit-identical to eager per-event accumulation
+// — without the O(clusters) walk the event loop used to pay on every
+// clock advance.
 type cluster struct {
 	busy    int
 	queue   []request
@@ -214,16 +212,15 @@ type Result struct {
 }
 
 // Sim is one deterministic serving simulation. Construct with New, drive
-// with Run (or RunUntil + Result), checkpoint with Snapshot/Restore.
+// with Run.
 type Sim struct {
-	// Configuration: fixed at New and never mutated mid-run, so
-	// Snapshot/Restore (which requires "the same Config") skips it.
-	cfg     Config           //ntclint:allow snapshotcheck config: fixed at New
-	gcfg    *governor.Config //ntclint:allow snapshotcheck config: fixed at New
-	pol     Policy           //ntclint:allow snapshotcheck config: stateless policy chosen at New
-	bal     Balancer         //ntclint:allow snapshotcheck config: balancer identity is config; its state rides in balState
-	lambda  []float64        //ntclint:allow snapshotcheck config: sanitized trace rates, rebuilt by New
-	stepDur time.Duration    //ntclint:allow snapshotcheck config: epoch length from the trace
+	// Configuration: fixed at New and never mutated mid-run.
+	cfg     Config
+	gcfg    *governor.Config
+	pol     Policy
+	bal     Balancer
+	lambda  []float64
+	stepDur time.Duration
 
 	clusters []*cluster
 	deps     depHeap
@@ -236,7 +233,6 @@ type Sim struct {
 	haveArr  bool
 	epoch    int // index of the epoch in progress; len(lambda) once done
 	decision governor.Decision
-	//ntclint:allow snapshotcheck derived: Restore recomputes it from the snapshotted decision
 	meanSvc  float64 // seconds of service per unit of work at the current frequency
 	lastRate float64 // served throughput of the previous epoch, req/s
 	seq      uint64
@@ -249,25 +245,17 @@ type Sim struct {
 	energyJ                                       float64
 	maxQueue                                      int
 
-	// Telemetry sinks are append-only observers: Snapshot's contract
-	// explicitly does not rewind emitted samples or metrics, and the
-	// memo cache only ever re-derives the same coefficients.
-	tel    *timeseries.Series //ntclint:allow snapshotcheck observer: emitted samples are not rewound by contract
-	attrib bool               //ntclint:allow snapshotcheck config: derived from tel/metrics presence at New
-	ledger timeseries.Ledger  // run-total energy attribution
-	//ntclint:allow snapshotcheck cache: memoized pure function of decision, safe to carry across Restore
+	tel       *timeseries.Series
+	attrib    bool              // derived from tel/metrics presence at New
+	ledger    timeseries.Ledger // run-total energy attribution
 	partsMemo map[governor.Decision]partsCoeffs
 
-	loads     []ClusterLoad //ntclint:allow snapshotcheck scratch: overwritten before every balancer call
-	needLoads bool          //ntclint:allow snapshotcheck config: balancer capability probed at New
-	lanes     []int         //ntclint:allow snapshotcheck config: tracer lane ids assigned at New
+	loads     []ClusterLoad // scratch: overwritten before every balancer call
+	needLoads bool          // balancer capability probed at New
+	lanes     []int         // tracer lane ids assigned at New
 
-	// Metrics are monotone counters shared with the registry; Restore
-	// documents that they are not rewound.
-	//ntclint:allow snapshotcheck observer: monotone registry counters, not rewound by contract
 	mArr, mServed, mDropped, mViol, mBoost *obs.Counter
-	//ntclint:allow snapshotcheck observer: registry histogram, not rewound by contract
-	hLat *obs.Histogram
+	hLat                                   *obs.Histogram
 }
 
 // latencyBucketsMs is the serve.latency_ms histogram layout.
@@ -595,9 +583,9 @@ func (s *Sim) advance() (bool, error) {
 	return true, nil
 }
 
-// RunUntil processes events until the simulation enters the given epoch
-// (s.Epoch() >= epoch) or completes, checking ctx periodically.
-func (s *Sim) RunUntil(ctx context.Context, epoch int) error {
+// runUntil processes events until the simulation enters the given epoch
+// or completes, checking ctx periodically.
+func (s *Sim) runUntil(ctx context.Context, epoch int) error {
 	for i := 0; s.epoch < epoch; i++ {
 		if i&8191 == 0 && ctx != nil {
 			if err := ctx.Err(); err != nil {
@@ -615,18 +603,11 @@ func (s *Sim) RunUntil(ctx context.Context, epoch int) error {
 	return nil
 }
 
-// Epoch returns the index of the epoch in progress (len(trace) once the
-// whole trace has been served).
-func (s *Sim) Epoch() int { return s.epoch }
-
 // Run drives the simulation to completion and returns its result.
 func (s *Sim) Run(ctx context.Context) (Result, error) {
-	if err := s.RunUntil(ctx, len(s.lambda)+1); err != nil {
+	if err := s.runUntil(ctx, len(s.lambda)+1); err != nil {
 		return Result{}, err
 	}
-	// Report the conserved total: everything energyJ accumulated. On a
-	// restored Sim this includes pre-snapshot epochs, mirroring how the
-	// restored ledger carries them (see Snapshot).
 	s.tel.ReportTotal(s.energyJ)
 	s.publishEnergyGauges()
 	return s.Result(), nil
@@ -666,8 +647,7 @@ type partsCoeffs struct {
 // Policies revisit a handful of operating points over a trace, so the
 // memo bounds the attribution cost to one operating-point solve pair per
 // distinct decision — the telemetry-on hot path stays inside the <2%
-// overhead budget (BenchmarkObsOverheadSampler). The cache is derived
-// state, deterministically recomputable, so snapshots skip it.
+// overhead budget (BenchmarkObsOverheadSampler).
 func (s *Sim) partsFor(d governor.Decision, kc int) (partsCoeffs, error) {
 	if co, ok := s.partsMemo[d]; ok {
 		return co, nil

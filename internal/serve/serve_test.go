@@ -140,75 +140,6 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-// TestSnapshotResume is the checkpoint-determinism test: a run that is
-// snapshotted mid-flight and resumed in a FRESH Sim must finish with a
-// result identical to the uninterrupted run — at an epoch boundary and at
-// an arbitrary mid-epoch point.
-func TestSnapshotResume(t *testing.T) {
-	ctx := context.Background()
-	full := func() Result {
-		sim, err := New(testConfig(t), rng.New(1234))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sim.Run(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	want := full()
-
-	for _, cut := range []int{3, 7} {
-		sim, err := New(testConfig(t), rng.New(1234))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sim.RunUntil(ctx, cut); err != nil {
-			t.Fatal(err)
-		}
-		snap := sim.Snapshot()
-
-		resumed, err := New(testConfig(t), rng.New(1234))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resumed.Restore(snap)
-		got, err := resumed.Run(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("resume from epoch %d diverged:\nwant %+v\ngot  %+v", cut, want, got)
-		}
-	}
-}
-
-// TestSnapshotIsolation: progress after Snapshot must not mutate the
-// captured image.
-func TestSnapshotIsolation(t *testing.T) {
-	ctx := context.Background()
-	sim, err := New(testConfig(t), rng.New(55))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.RunUntil(ctx, 4); err != nil {
-		t.Fatal(err)
-	}
-	snap := sim.Snapshot()
-	before := *snap
-	beforeDeps := append([]departure(nil), snap.deps...)
-	if _, err := sim.Run(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if snap.now != before.now || snap.arrivals != before.arrivals || snap.seq != before.seq {
-		t.Fatal("snapshot scalars mutated by later simulation")
-	}
-	if !reflect.DeepEqual(snap.deps, beforeDeps) {
-		t.Fatal("snapshot heap mutated by later simulation")
-	}
-}
-
 func TestQueueCapDrops(t *testing.T) {
 	cfg := testConfig(t)
 	// Saturate: offered load well beyond fleet capacity with a tiny queue.
@@ -245,11 +176,11 @@ func TestGovernorReactsToLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if err := sim.RunUntil(ctx, 5); err != nil {
+	if err := sim.runUntil(ctx, 5); err != nil {
 		t.Fatal(err)
 	}
 	quiet := sim.decision.FreqHz
-	if err := sim.RunUntil(ctx, 6); err != nil {
+	if err := sim.runUntil(ctx, 6); err != nil {
 		t.Fatal(err)
 	}
 	spike := sim.decision.FreqHz
@@ -296,7 +227,7 @@ func TestCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := sim.RunUntil(ctx, 1000); err == nil {
+	if err := sim.runUntil(ctx, 1000); err == nil {
 		t.Fatal("cancelled run returned nil error")
 	}
 }

@@ -28,7 +28,7 @@ func TestSketchRelativeError(t *testing.T) {
 	vals := make([]time.Duration, 0, 20000)
 	for i := 0; i < 20000; i++ {
 		// Lognormal latencies spanning ~100us..~1s.
-		d := time.Duration(r.LogNormal(math.Log(5e6), 1.2))
+		d := time.Duration(math.Exp(math.Log(5e6) + 1.2*r.NormFloat64()))
 		s.Observe(d)
 		vals = append(vals, d)
 	}

@@ -86,65 +86,6 @@ func TestTelemetryDoesNotPerturbRun(t *testing.T) {
 	}
 }
 
-// TestTelemetrySnapshotResume checks the documented snapshot semantics:
-// the ledger accumulator rewinds with Restore (so the resumed Result's
-// attribution equals the uninterrupted run's), while the resumed series
-// records exactly the post-snapshot epochs.
-func TestTelemetrySnapshotResume(t *testing.T) {
-	ctx := context.Background()
-	const cut = 4
-
-	fullSampler := timeseries.NewSampler()
-	fullCfg := testConfig(t)
-	fullCfg.Telemetry = fullSampler.Series("full")
-	sim, err := New(fullCfg, rng.New(777))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := sim.Run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullSamples := fullSampler.Series("full").Samples()
-
-	// Run to the cut, snapshot, resume in a fresh sim with a fresh series.
-	cutCfg := testConfig(t)
-	cutCfg.Telemetry = timeseries.NewSampler().Series("head")
-	head, err := New(cutCfg, rng.New(777))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := head.RunUntil(ctx, cut); err != nil {
-		t.Fatal(err)
-	}
-	snap := head.Snapshot()
-
-	tailSampler := timeseries.NewSampler()
-	tailCfg := testConfig(t)
-	tailCfg.Telemetry = tailSampler.Series("tail")
-	resumed, err := New(tailCfg, rng.New(777))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed.Restore(snap)
-	got, err := resumed.Run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("resume diverged:\nwant %+v\ngot  %+v", want, got)
-	}
-	// The resumed series holds only the tail; it must equal the full
-	// run's samples from the cut on (energy-wise identical epochs).
-	tail := tailSampler.Series("tail").Samples()
-	clusters := tailCfg.Clusters
-	wantTail := fullSamples[cut*clusters:]
-	if !reflect.DeepEqual(tail, wantTail) {
-		t.Fatalf("resumed samples differ from the full run's tail:\nwant %+v\ngot  %+v",
-			wantTail, tail)
-	}
-}
-
 // TestEnergyGauges checks the satellite: with a metrics registry attached
 // the run publishes the six-component ledger as gauges under the
 // scenario-scoped prefix, summing to EnergyJ.

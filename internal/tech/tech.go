@@ -33,11 +33,6 @@ import (
 // exceeds what the technology can deliver at its maximum voltage.
 var ErrUnreachable = errors.New("tech: frequency unreachable at VddMax")
 
-// ErrNonFunctional is returned when an operating point violates a
-// functional limit (e.g. the 0.5V SRAM minimum voltage of the L1 caches,
-// paper Sec. V-B1).
-var ErrNonFunctional = errors.New("tech: operating point below functional voltage limit")
-
 // Technology describes one process flavor (bulk or FD-SOI) with its fitted
 // alpha-power frequency law and leakage parameters.
 type Technology struct {

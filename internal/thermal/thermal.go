@@ -5,15 +5,14 @@
 // dark-silicon effects", and Sec. V-C: at near-threshold operation "the
 // server is still energy-bound instead of power/thermal bound").
 //
-// The model is a steady-state junction-to-ambient thermal resistance with
-// an exponential transient, plus a dark-silicon calculator: at a given
-// operating point, how many of the chip's cores can be simultaneously
-// active without exceeding the thermal or power budget.
+// The model is a steady-state junction-to-ambient thermal resistance,
+// plus a dark-silicon calculator: at a given operating point, how many of
+// the chip's cores can be simultaneously active without exceeding the
+// thermal or power budget.
 package thermal
 
 import (
 	"math"
-	"time"
 
 	"ntcsim/internal/power"
 )
@@ -24,19 +23,16 @@ type Model struct {
 	RthJAC   float64 // junction-to-ambient resistance, degC per W
 	TjMaxC   float64 // junction temperature limit
 	TDPW     float64 // electrical design power budget
-	// TimeConstant of the package+heatsink thermal mass.
-	TimeConstant time.Duration
 }
 
 // Default returns a server-class air-cooled model: 30C inlet, 0.45 C/W
 // heatsink, 90C junction limit, and the paper's 100W chip budget.
 func Default() Model {
 	return Model{
-		AmbientC:     30,
-		RthJAC:       0.45,
-		TjMaxC:       90,
-		TDPW:         100,
-		TimeConstant: 8 * time.Second,
+		AmbientC: 30,
+		RthJAC:   0.45,
+		TjMaxC:   90,
+		TDPW:     100,
 	}
 }
 
@@ -55,35 +51,6 @@ func (m Model) ThermalLimitW() float64 {
 // electrical TDP and the thermal limit.
 func (m Model) BudgetW() float64 {
 	return math.Min(m.TDPW, m.ThermalLimitW())
-}
-
-// Transient returns the junction temperature at time t after a step from
-// power p0 to power p1 (first-order exponential).
-func (m Model) Transient(p0, p1 float64, t time.Duration) float64 {
-	t0 := m.JunctionTemp(p0)
-	t1 := m.JunctionTemp(p1)
-	if m.TimeConstant <= 0 {
-		return t1
-	}
-	alpha := math.Exp(-float64(t) / float64(m.TimeConstant))
-	return t1 + (t0-t1)*alpha
-}
-
-// TimeToLimit returns how long a power step from p0 to p1 can be sustained
-// before the junction reaches TjMax, and whether the limit is ever reached
-// (false means p1 is sustainable indefinitely).
-func (m Model) TimeToLimit(p0, p1 float64) (time.Duration, bool) {
-	if m.JunctionTemp(p1) <= m.TjMaxC {
-		return 0, false
-	}
-	t0 := m.JunctionTemp(p0)
-	t1 := m.JunctionTemp(p1)
-	if t0 >= m.TjMaxC {
-		return 0, true
-	}
-	// Solve TjMax = t1 + (t0-t1)*exp(-t/tau).
-	frac := (m.TjMaxC - t1) / (t0 - t1)
-	return time.Duration(-math.Log(frac) * float64(m.TimeConstant)), true
 }
 
 // DarkSiliconPoint reports core-activation limits at one operating point.

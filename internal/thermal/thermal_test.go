@@ -3,8 +3,6 @@ package thermal
 import (
 	"math"
 	"testing"
-	"testing/quick"
-	"time"
 
 	"ntcsim/internal/power"
 	"ntcsim/internal/tech"
@@ -29,44 +27,6 @@ func TestBudgetIsMinOfTDPAndThermal(t *testing.T) {
 	m.RthJAC = 1.0 // weak heatsink: thermal limit 60W < TDP
 	if m.BudgetW() != m.ThermalLimitW() {
 		t.Fatal("budget should become thermal-bound")
-	}
-}
-
-func TestTransientApproachesSteadyState(t *testing.T) {
-	m := Default()
-	start := m.Transient(20, 80, 0)
-	if math.Abs(start-m.JunctionTemp(20)) > 1e-9 {
-		t.Fatalf("t=0 should be the initial temperature, got %v", start)
-	}
-	late := m.Transient(20, 80, 10*m.TimeConstant)
-	if math.Abs(late-m.JunctionTemp(80)) > 0.01 {
-		t.Fatalf("t>>tau should reach steady state, got %v", late)
-	}
-	mid := m.Transient(20, 80, m.TimeConstant)
-	if mid <= start || mid >= late {
-		t.Fatalf("transient not monotone: %v %v %v", start, mid, late)
-	}
-}
-
-func TestTimeToLimit(t *testing.T) {
-	m := Default()
-	// Sustainable step: never hits the limit.
-	if _, hits := m.TimeToLimit(10, 50); hits {
-		t.Fatal("50W is sustainable (52.5C)")
-	}
-	// Unsustainable step from cool state: finite positive time.
-	d, hits := m.TimeToLimit(10, 200)
-	if !hits || d <= 0 {
-		t.Fatalf("200W must overheat eventually: %v %v", d, hits)
-	}
-	// Already at the limit.
-	if d, hits := m.TimeToLimit(300, 400); !hits || d != 0 {
-		t.Fatalf("starting hot should hit immediately: %v %v", d, hits)
-	}
-	// A bigger overshoot hits the limit sooner.
-	d2, _ := m.TimeToLimit(10, 400)
-	if d2 >= d {
-		t.Fatalf("400W (%v) should overheat faster than 200W (%v)", d2, d)
 	}
 }
 
@@ -131,22 +91,6 @@ func TestDarkSiliconUnreachableFrequency(t *testing.T) {
 	cm := power.NewA57(tech.FDSOI28())
 	if _, err := DarkSilicon(m, cm, 23, 36, []float64{50e9}); err == nil {
 		t.Fatal("unreachable frequency should error")
-	}
-}
-
-func TestQuickTransientBounded(t *testing.T) {
-	m := Default()
-	err := quick.Check(func(p0x, p1x uint8, tx uint16) bool {
-		p0 := float64(p0x) // 0..255 W
-		p1 := float64(p1x)
-		d := time.Duration(tx) * time.Millisecond * 100
-		tj := m.Transient(p0, p1, d)
-		lo := math.Min(m.JunctionTemp(p0), m.JunctionTemp(p1))
-		hi := math.Max(m.JunctionTemp(p0), m.JunctionTemp(p1))
-		return tj >= lo-1e-9 && tj <= hi+1e-9
-	}, &quick.Config{MaxCount: 300})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
