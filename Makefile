@@ -1,6 +1,8 @@
 # ntcsim build/test entry points.
 #
-#   make test          vet + lint + full test suite (tier-1 gate)
+#   make test          fmt-check + vet + lint + full test suite (tier-1 gate)
+#   make fmt-check     fail if gofmt -l lists any .go file outside vendor/
+#                      (and the hidden build directories)
 #   make vet           standard go vet only
 #   make lint          ntclint determinism/instrumentation analyzers
 #                      (wallclock, globalrand, maprange, panicmsg,
@@ -36,7 +38,8 @@
 #   make race          race-detector pass over every package
 #   make fuzz-rng      run each internal/rng sampler-equivalence fuzz
 #                      target (geometric guide vs inverse CDF, Zipf guide
-#                      vs whole-table binary search) for 10 s
+#                      vs whole-table binary search, integer threshold vs
+#                      Bool, precomputed uniform vs Uint64n) for 10 s
 #   make bench         every root benchmark: sweep fan-out, observability
 #                      overhead gates, serve DES and cluster-access kernels
 #                      (the paper's numbers are pinned by the goldens;
@@ -51,12 +54,16 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-sarif test cover fault serve-smoke serve-cover report-smoke daemon-smoke race fuzz-rng bench bench-sweep bench-obs golden-update
+.PHONY: all build fmt-check vet lint lint-sarif test cover fault serve-smoke serve-cover report-smoke daemon-smoke race fuzz-rng bench bench-sweep bench-obs golden-update
 
 all: build
 
 build:
 	$(GO) build ./...
+
+fmt-check:
+	@out=$$(find . -path ./vendor -prune -o -path './.*' -prune -o -name '*.go' -print | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -70,7 +77,7 @@ lint-sarif:
 	$(GO) build -o bin/ntclint ./cmd/ntclint
 	bin/ntclint -format sarif . > ntclint.sarif || (cat ntclint.sarif; exit 1)
 
-test: vet lint
+test: fmt-check vet lint
 	$(GO) test ./...
 
 cover:
@@ -109,6 +116,8 @@ race:
 fuzz-rng:
 	$(GO) test -run xxx -fuzz '^FuzzGeometricMatchesInverseCDF$$' -fuzztime 10s ./internal/rng
 	$(GO) test -run xxx -fuzz '^FuzzZipfMatchesBinarySearch$$' -fuzztime 10s ./internal/rng
+	$(GO) test -run xxx -fuzz '^FuzzThresholdMatchesBool$$' -fuzztime 10s ./internal/rng
+	$(GO) test -run xxx -fuzz '^FuzzUniformMatchesUint64n$$' -fuzztime 10s ./internal/rng
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem .

@@ -296,8 +296,10 @@ func BenchmarkClusterAccess(b *testing.B) {
 
 // BenchmarkGeneratorNext measures the workload generator's per-instruction
 // cost (mix, dependency, branch, address and PC draws) for each scale-out
-// profile, the instruction stream every simulated core consumes. One op is
-// one instruction, so ns/op is ns per instruction.
+// profile, the instruction stream every simulated core consumes: detailed
+// simulation's Next, and under warm/ functional warming's NextWarm with
+// the dependency draws skipped in one SkipDeps. One op is one
+// instruction, so ns/op is ns per instruction.
 func BenchmarkGeneratorNext(b *testing.B) {
 	for _, p := range workload.ScaleOutProfiles() {
 		b.Run(p.Name, func(b *testing.B) {
@@ -307,6 +309,17 @@ func BenchmarkGeneratorNext(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				g.Next(&in)
 			}
+		})
+	}
+	for _, p := range workload.ScaleOutProfiles() {
+		b.Run("warm/"+p.Name, func(b *testing.B) {
+			g := workload.NewGenerator(p, 0, rng.New(1))
+			var in workload.Instr
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g.NextWarm(&in)
+			}
+			g.SkipDeps(uint64(b.N))
 		})
 	}
 }

@@ -5,9 +5,10 @@
 //
 // The caches are timing/occupancy models in the style of trace-driven
 // simulators: they store tags and dirty bits but no data. Caches are
-// write-back, write-allocate, with true LRU replacement. Miss-status
-// holding registers (MSHRs) are modeled separately so the core model can
-// bound its memory-level parallelism.
+// write-back, write-allocate, with true LRU replacement. This package has
+// no miss-status holding registers: the core model tracks its in-flight
+// L1D misses itself (cpu.Core's MSHR list, sized by Config.MSHREntries)
+// to bound its memory-level parallelism.
 package cache
 
 import "fmt"

@@ -234,6 +234,10 @@ func New(cfg Config, id int, gen *workload.Generator, mem MemSystem, freqHz floa
 // ID returns the core's global identifier.
 func (c *Core) ID() int { return c.id }
 
+// WorkloadTables returns the immutable tables of the core's workload
+// generator (see workload.NewGeneratorWith).
+func (c *Core) WorkloadTables() *workload.Tables { return c.gen.Tables() }
+
 // Frequency returns the core clock in Hz.
 func (c *Core) Frequency() float64 { return c.freqHz }
 
@@ -542,11 +546,13 @@ func (c *Core) Run(cycles int64) uint64 {
 // and branch predictor are warmed, no timing is modeled, and no requests
 // are sent below the L1s unless they miss (misses are filled instantly but
 // still traverse the shared hierarchy's tag state via warmAccess). This is
-// the SMARTS "functional warming" mode.
+// the SMARTS "functional warming" mode. No instruction's dependency
+// distance is read, so the generator skips drawing them (NextWarm) and
+// advances its dependency stream past all n at the end.
 func (c *Core) FastForward(n uint64, warm WarmMem) {
 	in := &c.ffInstr
 	for i := uint64(0); i < n; i++ {
-		c.gen.Next(in)
+		c.gen.NextWarm(in)
 		iline := in.PC >> c.lineBits
 		if iline != c.lastILine {
 			c.lastILine = iline
@@ -577,6 +583,7 @@ func (c *Core) FastForward(n uint64, warm WarmMem) {
 		}
 		c.seq++
 	}
+	c.gen.SkipDeps(n)
 }
 
 // WarmMem lets functional warming touch the shared hierarchy's tag state

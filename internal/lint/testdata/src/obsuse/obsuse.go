@@ -16,7 +16,7 @@ func methodsAreFine() uint64 {
 }
 
 func structuralAccess() uint64 {
-	lit := obspkg.Counter{} // want `composite literal of obs\.Counter outside internal/obs`
+	lit := obspkg.Counter{}  // want `composite literal of obs\.Counter outside internal/obs`
 	ptr := &obspkg.Counter{} // want `composite literal of obs\.Counter outside internal/obs`
 	lit.Add(1)
 	return ptr.N // want `direct field access on obs\.Counter outside internal/obs`

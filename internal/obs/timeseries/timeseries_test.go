@@ -35,7 +35,7 @@ func TestNJRounding(t *testing.T) {
 		{0, 0},
 		{1e-9, 1},
 		{1.4e-9, 1},
-		{1.5e-9, 2},  // round half away from zero
+		{1.5e-9, 2}, // round half away from zero
 		{-1.5e-9, -2},
 		{100, 100_000_000_000}, // 100 J — far from int64 overflow
 	}

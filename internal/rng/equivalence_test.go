@@ -193,6 +193,93 @@ func FuzzZipfMatchesBinarySearch(f *testing.F) {
 	})
 }
 
+// FuzzThresholdMatchesBool checks the integer probability test against
+// Bool for arbitrary p: at the fuzzed draw, at the draws one either side
+// of p's threshold, and for the floats one ulp either side of p.
+func FuzzThresholdMatchesBool(f *testing.F) {
+	f.Add(0.0, uint64(0))
+	f.Add(1.0, ^uint64(0))
+	f.Add(math.NaN(), uint64(99))
+	f.Add(math.SmallestNonzeroFloat64, uint64(0))
+	f.Add(0x1p-1060, uint64(1)<<11) // subnormal
+	f.Add(3*0x1p-53, uint64(3)<<11)
+	f.Add(math.Nextafter(3*0x1p-53, 0), uint64(2)<<11)
+	f.Add(1-0x1p-53, maxM<<11)
+	f.Add(math.Nextafter(1, 0), ^uint64(0))
+	f.Add(0.6, uint64(0x1234567890abcdef))
+	f.Add(0.88, uint64(0xfedcba0987654321))
+	f.Add(-0.5, uint64(7))
+	f.Add(math.Inf(1), uint64(8))
+	f.Fuzz(func(t *testing.T, p float64, v uint64) {
+		for _, q := range []float64{p, math.Nextafter(p, math.Inf(-1)), math.Nextafter(p, math.Inf(1))} {
+			thr := Threshold(q)
+			if thr > 1<<53 {
+				t.Fatalf("Threshold(%v) = %d above 2^53", q, thr)
+			}
+			ms := []uint64{v >> 11}
+			if thr > 0 {
+				ms = append(ms, thr-1)
+			}
+			if thr <= maxM {
+				ms = append(ms, thr, min(thr+1, maxM))
+			}
+			for _, m := range ms {
+				if got, want := m < thr, float64(m)/(1<<53) < q; got != want {
+					t.Fatalf("p=%v m=%d: threshold %d says %v, Float64() < p says %v", q, m, thr, got, want)
+				}
+			}
+			a, b := Stream{state: v}, Stream{state: v}
+			if got, want := b.Below(thr), a.Bool(q); got != want || a != b {
+				t.Fatalf("p=%v state=%d: Below %v, Bool %v (states %d, %d)", q, v, got, want, b.state, a.state)
+			}
+		}
+	})
+}
+
+// FuzzUniformMatchesUint64n checks that the precomputed sampler returns
+// what Uint64n returns and consumes the same draws, over several draws so
+// that rejection (likely for n just above 2^63) is exercised.
+func FuzzUniformMatchesUint64n(f *testing.F) {
+	for _, n := range []uint64{1, 2, 3, 12, 64, 128, 2047, 8 << 10, 1 << 63, 1<<63 + 1, 1<<63 + 12345, ^uint64(0)} {
+		f.Add(n, n*0x9e3779b97f4a7c15)
+	}
+	f.Fuzz(func(t *testing.T, n, seed uint64) {
+		if n == 0 {
+			t.Skip()
+		}
+		u := NewUniform(n)
+		if u.N() != n {
+			t.Fatalf("NewUniform(%d).N() = %d", n, u.N())
+		}
+		a, b := New(seed), New(seed)
+		for i := 0; i < 8; i++ {
+			want := a.Uint64n(n)
+			if got := b.Uniform(&u); got != want || *a != *b {
+				t.Fatalf("n=%d seed=%d draw %d: Uniform %d, Uint64n %d (states %d, %d)",
+					n, seed, i, got, want, b.state, a.state)
+			}
+		}
+	})
+}
+
+// TestSkipMatchesDraws checks that SkipGeometric leaves the stream where
+// the skipped draws would.
+func TestSkipMatchesDraws(t *testing.T) {
+	for _, p := range []float64{0.4, 0.05, 1} {
+		g := NewGeometric(p)
+		for _, n := range []uint64{0, 1, 7, 8192} {
+			a, b := New(uint64(n)+3), New(uint64(n)+3)
+			for i := uint64(0); i < n; i++ {
+				a.Geometric(g)
+			}
+			b.SkipGeometric(g, n)
+			if *a != *b {
+				t.Fatalf("p=%v n=%d: skipped state %d, drawn state %d", p, n, b.state, a.state)
+			}
+		}
+	}
+}
+
 func TestSamplersDoNotAllocate(t *testing.T) {
 	s := New(61)
 	g := NewGeometric(0.45)
@@ -203,6 +290,19 @@ func TestSamplersDoNotAllocate(t *testing.T) {
 	if a := testing.AllocsPerRun(1000, func() { z.Next() }); a != 0 {
 		t.Fatalf("Zipf.Next: %v allocs per draw, want 0", a)
 	}
+	thr := Threshold(0.3)
+	if a := testing.AllocsPerRun(1000, func() { s.Below(thr) }); a != 0 {
+		t.Fatalf("Stream.Below: %v allocs per draw, want 0", a)
+	}
+	for _, n := range []uint64{64, 2047, 1<<63 + 1} {
+		u := NewUniform(n)
+		if a := testing.AllocsPerRun(1000, func() { s.Uniform(&u) }); a != 0 {
+			t.Fatalf("Stream.Uniform(n=%d): %v allocs per draw, want 0", n, a)
+		}
+	}
+	if a := testing.AllocsPerRun(1000, func() { s.SkipGeometric(g, 8192) }); a != 0 {
+		t.Fatalf("Stream.SkipGeometric: %v allocs per call, want 0", a)
+	}
 }
 
 func TestSamplersShareTables(t *testing.T) {
@@ -211,7 +311,9 @@ func TestSamplersShareTables(t *testing.T) {
 	if a.t != b.t || &a.t.cdf[0] != &b.t.cdf[0] {
 		t.Fatal("two NewZipf calls with the same (n, theta) built separate tables")
 	}
-	if a.s == b.s {
+	bs := b.s
+	a.Next()
+	if b.s != bs {
 		t.Fatal("samplers must keep their own streams")
 	}
 	if c := NewZipf(New(1), 3000, 0.78); c.t == a.t {

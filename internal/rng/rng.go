@@ -18,6 +18,13 @@
 // parameters, so they are built lazily on first use, cached for the life
 // of the process and shared read-only by every sampler with the same
 // parameters (see tables.go).
+//
+// The same path tests probabilities and draws bounded integers through
+// precomputed forms that are exact equivalents of the reference calls
+// (see uniform.go): Threshold and Below compare a draw's 53 bits with an
+// integer where Bool converts to float, Uniform stores Uint64n's rejection
+// bound and masks for powers of two, and SkipGeometric advances a stream
+// past geometric draws without computing them.
 package rng
 
 import "math"

@@ -9,7 +9,7 @@ const zipfMaxGuideBits = 16
 // 1/(rank+1)^theta, via inverse-CDF over a precomputed table.
 type Zipf struct {
 	t *zipfTable
-	s *Stream
+	s Stream // held by value: one fewer pointer hop per draw
 }
 
 // zipfTable is the immutable, shared part of a Zipf sampler.
@@ -26,7 +26,8 @@ type zipfTable struct {
 }
 
 // NewZipf builds a Zipf sampler over n ranks with exponent theta >= 0
-// drawing from stream s. theta == 0 degenerates to uniform.
+// drawing from its own copy of stream s, so draws from either never
+// advance the other. theta == 0 degenerates to uniform.
 //
 // The CDF table and its guide depend only on (n, theta): the first call
 // for a pair builds them, later calls share them read-only, so the
@@ -39,7 +40,7 @@ func NewZipf(s *Stream, n int, theta float64) *Zipf {
 	}
 	key := zipfKey{n: n, theta: math.Float64bits(theta)}
 	t := shared(&tables.zipf, key, func() *zipfTable { return newZipfTable(n, theta) })
-	return &Zipf{t: t, s: s}
+	return &Zipf{t: t, s: *s}
 }
 
 // newZipfTable builds the table for n > 0 ranks without consulting the

@@ -41,6 +41,13 @@ type Checkpoint struct {
 	LLCWrites     uint64
 	DramReads     uint64
 	DramWrites    uint64
+
+	// tables holds each core's immutable workload-generator tables when
+	// the checkpoint was taken in this process, so RestoreCluster reuses
+	// them instead of drawing them again at every sweep point. gob skips
+	// unexported fields, so the sealed bytes do not change and a
+	// checkpoint from LoadSealed has none: RestoreCluster then draws them.
+	tables []*workload.Tables
 }
 
 // Checkpoint captures the cluster's full state.
@@ -62,6 +69,7 @@ func (cl *Cluster) Checkpoint() *Checkpoint {
 	}
 	for _, c := range cl.cores {
 		ck.Cores = append(ck.Cores, c.State())
+		ck.tables = append(ck.tables, c.WorkloadTables())
 	}
 	for _, b := range cl.banks {
 		ck.Banks = append(ck.Banks, b.Snapshot())
@@ -70,7 +78,10 @@ func (cl *Cluster) Checkpoint() *Checkpoint {
 	return ck
 }
 
-// RestoreCluster rebuilds a cluster from a checkpoint.
+// RestoreCluster rebuilds a cluster from a checkpoint. A checkpoint taken
+// in this process lends the restored generators its bias tables; they are
+// reused only where they were drawn for the same seed, workload, core and
+// branch parameters, so the restored cluster is the same either way.
 func RestoreCluster(ck *Checkpoint) (*Cluster, error) {
 	profiles := make([]*workload.Profile, len(ck.Profiles))
 	for i, name := range ck.Profiles {
@@ -80,7 +91,11 @@ func RestoreCluster(ck *Checkpoint) (*Cluster, error) {
 		}
 		profiles[i] = p
 	}
-	cl, err := NewMixedCluster(ck.Config, profiles, ck.FreqHz)
+	mem, err := NewSharedMemory(ck.Config.DRAM)
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
+	cl, err := newCluster(ck.Config, profiles, ck.FreqHz, mem, 0, ck.tables)
 	if err != nil {
 		return nil, err
 	}

@@ -260,3 +260,130 @@ func TestSealedStaleRequiresIntegrity(t *testing.T) {
 		t.Fatalf("corrupt+stale file must report corruption first, got %v", err)
 	}
 }
+
+// restorePair warms a cluster running p and restores it twice: from the
+// in-memory checkpoint, which lends its generator tables, and through
+// SaveSealed/LoadSealed, which draws them again.
+func restorePair(t *testing.T, p *workload.Profile) (src, shared, sealed *Cluster) {
+	t.Helper()
+	const fp = 0x7ab1e5
+	src, err := NewCluster(DefaultConfig(), p, 1.5e9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.FastForward(60000)
+	src.Run(5000)
+	ck := src.Checkpoint()
+	var buf bytes.Buffer
+	if err := ck.SaveSealed(&buf, fp); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadSealed(&buf, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.tables != nil {
+		t.Fatal("a sealed checkpoint must not carry generator tables")
+	}
+	if shared, err = RestoreCluster(ck); err != nil {
+		t.Fatal(err)
+	}
+	if sealed, err = RestoreCluster(loaded); err != nil {
+		t.Fatal(err)
+	}
+	return src, shared, sealed
+}
+
+// TestRestoreSharedTablesMatchesSealed checks that reusing the in-memory
+// checkpoint's generator tables restores the same cluster as drawing them
+// again after a sealed round trip: same measurement, same checkpoint
+// (tables compared by content), same sealed bytes.
+func TestRestoreSharedTablesMatchesSealed(t *testing.T) {
+	src, shared, sealed := restorePair(t, workload.WebServing())
+	for i := range src.cores {
+		if shared.cores[i].WorkloadTables() != src.cores[i].WorkloadTables() {
+			t.Fatalf("core %d: in-memory restore drew its tables again", i)
+		}
+		if sealed.cores[i].WorkloadTables() == src.cores[i].WorkloadTables() {
+			t.Fatalf("core %d: sealed restore shares the source's tables", i)
+		}
+	}
+	a, b := shared.Measure(20000), sealed.Measure(20000)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("measurements diverged:\n%+v\n%+v", a, b)
+	}
+	ca, cb := shared.Checkpoint(), sealed.Checkpoint()
+	if !reflect.DeepEqual(ca, cb) {
+		t.Fatal("checkpoints after the measurement diverged")
+	}
+	var ba, bb bytes.Buffer
+	if err := ca.SaveSealed(&ba, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := cb.SaveSealed(&bb, 1); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ba.Bytes(), bb.Bytes()) {
+		t.Fatal("sealed bytes diverged")
+	}
+}
+
+// TestSameNamedProfilesNeverShareTables warms a cluster on a profile that
+// shares web-search's name but not its branch-bias parameters. Restore
+// looks profiles up by name, so the restored cores run the registered
+// web-search and must draw their own tables, exactly as after a sealed
+// round trip.
+func TestSameNamedProfilesNeverShareTables(t *testing.T) {
+	p := workload.WebSearch()
+	p.BiasAlpha, p.BiasBeta = 50, 50
+	src, shared, sealed := restorePair(t, p)
+	reg, err := NewCluster(DefaultConfig(), workload.WebSearch(), 1.5e9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range src.cores {
+		if shared.cores[i].WorkloadTables() == src.cores[i].WorkloadTables() {
+			t.Fatalf("core %d: restore reused tables drawn for other bias parameters", i)
+		}
+		if src.cores[i].WorkloadTables() == reg.cores[i].WorkloadTables() {
+			t.Fatalf("core %d: two same-named profiles share tables", i)
+		}
+	}
+	if a, b := shared.Measure(20000), sealed.Measure(20000); !reflect.DeepEqual(a, b) {
+		t.Fatalf("measurements diverged:\n%+v\n%+v", a, b)
+	}
+}
+
+// BenchmarkRestoreCluster measures one sweep point's restore of a warmed
+// web-serving cluster (16,384 static branches per core): "shared" from
+// the in-memory checkpoint, which lends its bias tables, "drawn" from a
+// sealed round trip, which draws them again.
+func BenchmarkRestoreCluster(b *testing.B) {
+	src, err := NewCluster(DefaultConfig(), workload.WebServing(), 1.5e9)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src.FastForward(20000)
+	ck := src.Checkpoint()
+	var buf bytes.Buffer
+	if err := ck.SaveSealed(&buf, 1); err != nil {
+		b.Fatal(err)
+	}
+	loaded, err := LoadSealed(&buf, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		ck   *Checkpoint
+	}{{"shared", ck}, {"drawn", loaded}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := RestoreCluster(c.ck); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

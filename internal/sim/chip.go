@@ -95,7 +95,7 @@ func NewHeteroChip(cfg Config, clusters []ClusterSpec) (*Chip, error) {
 		for j := range profiles {
 			profiles[j] = spec.Profile
 		}
-		cl, err := newCluster(clusterCfg, profiles, spec.FreqHz, mem, i*cfg.CoresPerCluster)
+		cl, err := newCluster(clusterCfg, profiles, spec.FreqHz, mem, i*cfg.CoresPerCluster, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -109,12 +109,15 @@ func NewMixedCluster(cfg Config, profiles []*workload.Profile, freqHz float64) (
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	return newCluster(cfg, profiles, freqHz, mem, 0)
+	return newCluster(cfg, profiles, freqHz, mem, 0, nil)
 }
 
 // newCluster builds a cluster against an externally owned memory system,
 // with globally unique core IDs starting at coreIDBase (used by Chip).
-func newCluster(cfg Config, profiles []*workload.Profile, freqHz float64, mem *SharedMemory, coreIDBase int) (*Cluster, error) {
+// tables, when non-nil, offers core i's generator tables[i] to reuse
+// (workload.NewGeneratorWith).
+func newCluster(cfg Config, profiles []*workload.Profile, freqHz float64, mem *SharedMemory,
+	coreIDBase int, tables []*workload.Tables) (*Cluster, error) {
 	if cfg.CoresPerCluster <= 0 {
 		return nil, fmt.Errorf("sim: cores per cluster must be positive")
 	}
@@ -170,7 +173,11 @@ func newCluster(cfg Config, profiles []*workload.Profile, freqHz float64, mem *S
 	}
 	for i := 0; i < cfg.CoresPerCluster; i++ {
 		gid := coreIDBase + i
-		gen := workload.NewGenerator(profiles[i], gid, seed)
+		var t *workload.Tables
+		if i < len(tables) {
+			t = tables[i]
+		}
+		gen := workload.NewGeneratorWith(profiles[i], gid, seed, t)
 		core, err := cpu.New(cfg.Core, gid, gen, cl, freqHz)
 		if err != nil {
 			return nil, fmt.Errorf("sim: %w", err)

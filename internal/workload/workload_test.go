@@ -88,6 +88,73 @@ func TestGeneratorDeterminism(t *testing.T) {
 	}
 }
 
+// TestNextWarmMatchesNext checks the functional-warming path against Next
+// for every profile: n NextWarm calls plus SkipDeps(n) must leave the
+// generator in Next's state, with every field but DepDist equal on the way.
+func TestNextWarmMatchesNext(t *testing.T) {
+	serial := WebSearch()
+	serial.Name, serial.DepGeomP = "serial", 1 // dependency draws consume nothing
+	profiles := append(append(All(), Extended()...), Bubble(), serial)
+	for _, p := range profiles {
+		for _, n := range []int{1, 77, 8192, 50000} {
+			ref := NewGenerator(p, 1, rng.New(41))
+			warm := NewGenerator(p, 1, rng.New(41))
+			var a, b Instr
+			for i := 0; i < n; i++ {
+				ref.Next(&a)
+				warm.NextWarm(&b)
+				a.DepDist = 0
+				if a != b {
+					t.Fatalf("%s n=%d: instruction %d: Next %+v, NextWarm %+v", p.Name, n, i, a, b)
+				}
+			}
+			warm.SkipDeps(uint64(n))
+			if rs, ws := ref.State(), warm.State(); rs != ws {
+				t.Fatalf("%s n=%d: state after Next %+v, after NextWarm+SkipDeps %+v", p.Name, n, rs, ws)
+			}
+			ref.Next(&a)
+			warm.Next(&b)
+			if a != b {
+				t.Fatalf("%s n=%d: next instruction differs: %+v vs %+v", p.Name, n, a, b)
+			}
+		}
+	}
+}
+
+// TestTablesReusedOnlyWhenIdentical checks NewGeneratorWith: tables are
+// shared only with a generator they were drawn for, and a generator
+// offered foreign tables (same profile name, other bias parameters, or
+// another core or seed) is the one NewGenerator builds.
+func TestTablesReusedOnlyWhenIdentical(t *testing.T) {
+	p := WebServing()
+	src := NewGenerator(p, 2, rng.New(5))
+	if g := NewGeneratorWith(WebServing(), 2, rng.New(5), src.Tables()); g.Tables() != src.Tables() {
+		t.Fatal("identical parameters did not reuse the tables")
+	}
+	other := WebServing()
+	other.BiasAlpha, other.BiasBeta = 50, 50
+	for _, c := range []struct {
+		name string
+		p    *Profile
+		core int
+		seed uint64
+	}{{"bias", other, 2, 5}, {"core", p, 3, 5}, {"seed", p, 2, 6}} {
+		g := NewGeneratorWith(c.p, c.core, rng.New(c.seed), src.Tables())
+		if g.Tables() == src.Tables() {
+			t.Fatalf("%s: foreign tables were reused", c.name)
+		}
+		ref := NewGenerator(c.p, c.core, rng.New(c.seed))
+		var a, b Instr
+		for i := 0; i < 20000; i++ {
+			ref.Next(&a)
+			g.Next(&b)
+			if a != b {
+				t.Fatalf("%s: instruction %d: %+v vs %+v", c.name, i, a, b)
+			}
+		}
+	}
+}
+
 func TestGeneratorCoresDiffer(t *testing.T) {
 	p := WebSearch()
 	a := NewGenerator(p, 0, rng.New(7))
