@@ -21,7 +21,8 @@
 #                      torn-write/ENOSPC recovery, single-flight warmup,
 #                      cancellation semantics
 #   make serve-smoke   request-serving DES suite in short mode: event
-#                      loop, balancers, sketch, the cmd-level
+#                      loop, balancers, sketch, the diurnal-day policy
+#                      claims, the serve/governor report shape and
 #                      across-jobs determinism gate
 #   make serve-cover   coverage floor gate (>= 80%) for internal/serve,
 #                      internal/qos and internal/obs/timeseries
@@ -91,7 +92,7 @@ fault:
 
 serve-smoke:
 	$(GO) test -short ./internal/serve ./internal/qos
-	$(GO) test -short -run 'TestServeReport|TestGovernorReacts|TestRaceToIdle|TestViolationsMonotone' ./cmd/ntcsim ./internal/serve ./internal/governor
+	$(GO) test -short -run 'TestServeReport|TestDiurnalDayPolicyClaims|TestGovernorReacts|TestRaceToIdle' ./internal/experiments ./internal/serve
 
 # Coverage floor for the serving + telemetry path: the statement
 # coverage of internal/serve, internal/qos and internal/obs/timeseries
@@ -105,7 +106,7 @@ serve-cover:
 
 report-smoke:
 	$(GO) test -short ./internal/obs/timeseries
-	$(GO) test -short -run 'TestTelemetry|TestReportGolden|TestRunTelemetry|TestEnergyGauges|TestCorePowerParts|TestSharedPowerParts' ./cmd/ntcsim ./internal/serve ./internal/governor
+	$(GO) test -short -run 'TestTelemetry|TestReportGolden|TestEnergyGauges|TestCorePowerParts|TestSharedPowerParts' ./cmd/ntcsim ./internal/experiments ./internal/serve ./internal/governor
 
 daemon-smoke:
 	bash scripts/daemon_smoke.sh

@@ -61,7 +61,7 @@ func TestGolden(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("golden regeneration is minutes of simulation; skipped in -short and -race runs")
 	}
-	cases := []string{"fig1", "table1", "fig2", "fig3", "fig4", "opt", "serve"}
+	cases := []string{"fig1", "table1", "fig2", "fig3", "fig4", "opt", "governor", "serve", "memory"}
 	for _, name := range cases {
 		tc := name
 		t.Run(tc, func(t *testing.T) {

@@ -8,7 +8,9 @@
 //	ntcsim fig4     cores/SoC/server efficiency, virtualized apps (Fig. 4)
 //	ntcsim opt      QoS-feasible minimum frequencies and optimal points (Sec. V)
 //	ntcsim ablation FD-SOI knobs, LPDDR4 what-if, cluster-size check (Sec. V-C)
-//	ntcsim serve    closed-loop request-serving DES: balancers x governor policies
+//	ntcsim governor DVFS+FBB policies on the request-serving DES (Sec. V-C)
+//	ntcsim serve    load balancers on the request-serving DES
+//	ntcsim memory   DRAM traffic patterns, DDR4/LPDDR4, FCFS/FR-FCFS
 //	ntcsim all      everything above
 //
 // Every experiment is dispatched through the internal/experiments

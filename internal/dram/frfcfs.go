@@ -31,8 +31,8 @@ func (s *System) OpenRowHit(addr uint64) bool {
 // to the oldest request, with a bounded reordering window so no request
 // starves. The cluster simulator uses the simpler in-order arrival model
 // (its cores generate nearly in-order streams); this layer exists to
-// quantify what the reordering buys and to drive trace-replay studies
-// (cmd/memexplore).
+// quantify what the reordering buys on synthetic traffic (ntcsim
+// memory).
 type FRFCFS struct {
 	sys *System
 	// WindowNs bounds how far a younger row-hit may jump ahead of the

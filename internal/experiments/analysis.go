@@ -4,9 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"ntcsim/internal/core"
-	"ntcsim/internal/governor"
-	"ntcsim/internal/qos"
 	"ntcsim/internal/rng"
 	"ntcsim/internal/tech"
 	"ntcsim/internal/thermal"
@@ -56,74 +53,6 @@ func runDarkSilicon(ctx context.Context, p Params, env Env) error {
 		fmt.Fprintf(w, "%.0f\t%.3f\t%.2f\t%d/%d\t%.0f%%\t%.1fC\n",
 			pt.FreqHz/1e6, pt.Vdd, pt.PerCoreW, pt.ActiveCores, pt.TotalCores,
 			100*pt.DarkFraction, m.JunctionTemp(chipW))
-	}
-	return w.Flush()
-}
-
-// governorConfig builds the shared governor configuration from a swept
-// perf curve — the common prelude of the governor and serve experiments.
-// It also returns the explorer it swept with (the serve experiment reads
-// the fleet geometry off its platform) and the diurnal peak load.
-func governorConfig(ctx context.Context, p Params, env Env) (*governor.Config, *core.Explorer, float64, error) {
-	e, err := p.NewExplorer(env)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	app := workload.WebSearch()
-	sweep, err := e.Sweep(ctx, app, []float64{0.2e9, 0.3e9, 0.5e9, 0.7e9, 1.0e9, 1.5e9, 2.0e9})
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	var pts []governor.PerfPoint
-	for _, pt := range sweep.Points {
-		pts = append(pts, governor.PerfPoint{FreqHz: pt.FreqHz, UIPS: pt.UIPSChip})
-	}
-	curve, err := governor.NewPerfCurve(pts)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	maxUIPS := curve.UIPSAt(curve.MaxFreq())
-	cfg := &governor.Config{
-		Platform:       e.Platform,
-		Curve:          curve,
-		Tail:           qos.NewTailModel(e.Platform.TotalCores(), app.Baseline99p, maxUIPS),
-		QoSLimit:       app.QoSLimit,
-		UncoreW:        e.Platform.UncorePowerW(100e6, 40e6, 150e6),
-		MemBackgroundW: e.Platform.MemoryPowerW(0, 0),
-		MemDynPerReq:   2e-3,
-		Margin:         0.85,
-	}
-	// Attribute the scalar UncoreW across ledger scopes (same rates).
-	llcW, xbarW, ioW := e.Platform.UncorePowerParts(100e6, 40e6, 150e6)
-	cfg.Uncore = governor.UncoreBreakdown{LLCW: llcW, XbarW: xbarW, IOW: ioW}
-	peak := cfg.Tail.MaxLoad(cfg.QoSLimit, maxUIPS) * 0.7
-	return cfg, e, peak, nil
-}
-
-// runGovernor runs the energy-proportionality policy comparison over a
-// diurnal day of load (Sec. V-C's knobs, operationalized).
-func runGovernor(ctx context.Context, p Params, env Env) error {
-	out := env.out()
-	fmt.Fprintln(out, "== Sec. V-C: DVFS governor policies over a diurnal day (web-search) ==")
-	cfg, _, peak, err := governorConfig(ctx, p, env)
-	if err != nil {
-		return err
-	}
-	cfg.Telemetry = env.Telemetry
-	trace := governor.DiurnalTrace(96, peak, 0.15, 0.04, 1.3, rng.New(p.Seed))
-
-	results, err := governor.Compare(cfg, trace,
-		governor.NewMaxFrequency(), governor.NewRaceToIdle(),
-		governor.NewStaticNT(cfg, peak*1.3), governor.NewAdaptive())
-	if err != nil {
-		return err
-	}
-	w := env.tbl()
-	fmt.Fprintln(w, "policy\tenergy_kWh/day\tavg_W\tQoS_violations\tsaving_vs_max")
-	base := results[0].EnergyKWh
-	for _, r := range results {
-		fmt.Fprintf(w, "%s\t%.2f\t%.1f\t%d\t%.1f%%\n",
-			r.Policy, r.EnergyKWh, r.AvgPowerW, r.Violations, 100*(1-r.EnergyKWh/base))
 	}
 	return w.Flush()
 }

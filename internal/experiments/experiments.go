@@ -36,7 +36,7 @@ const DefaultSeed uint64 = 0x5eed
 // Version is the experiment-API generation, folded into every cache key so
 // results computed by an older incompatible API are never served for a new
 // one. Bump it when a change makes previously cached report bytes wrong.
-const Version = "ntcsim-experiments/v1"
+const Version = "ntcsim-experiments/v2"
 
 // Env is what an experiment runs against besides its Params: the report
 // writer and the explorer seams (core.Seams), which every explorer the
@@ -49,6 +49,11 @@ type Env struct {
 	// (obs.NewSyncWriter) exactly as cmd/ntcsim does.
 	Out io.Writer
 	core.Seams
+
+	// served, when non-nil, holds the serve-grid results already run under
+	// this Env (see serveReport). runAll sets it, so the scenario both
+	// diurnal-day views share runs, records and publishes once.
+	served serveRuns
 }
 
 // out returns the report writer, never nil.

@@ -123,7 +123,7 @@ func TestKey(t *testing.T) {
 func TestRegistry(t *testing.T) {
 	for _, name := range []string{"fig1", "table1", "fig2", "fig3", "fig4", "opt",
 		"ablation", "variation", "darksilicon", "governor", "serve", "interference",
-		"scaling", "workloads", "prefetch", "ports", "hetero", "warm", "all"} {
+		"scaling", "workloads", "prefetch", "ports", "hetero", "memory", "warm", "all"} {
 		if _, ok := Lookup(name); !ok {
 			t.Errorf("experiment %q not registered", name)
 		}

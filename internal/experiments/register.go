@@ -12,7 +12,7 @@ import (
 var allOrder = []string{
 	"fig1", "table1", "fig2", "fig3", "fig4", "opt", "ablation",
 	"variation", "darksilicon", "governor", "serve", "interference",
-	"scaling", "workloads", "prefetch", "ports", "hetero",
+	"scaling", "workloads", "prefetch", "ports", "hetero", "memory",
 }
 
 func init() {
@@ -32,14 +32,15 @@ func init() {
 		{Name: "ablation", Title: "Sec. V-C ablations: FD-SOI knobs, LPDDR4, cluster size", Run: runAblation},
 		{Name: "variation", Title: "Sec. II-A(4): NT variation and body-bias compensation", Run: runVariation},
 		{Name: "darksilicon", Title: "Sec. V-B1: TDP and dark silicon across the DVFS range", Run: runDarkSilicon},
-		{Name: "governor", Title: "Sec. V-C: DVFS governor policies over a diurnal day", Run: runGovernor},
-		{Name: "serve", Title: "Request serving: closed-loop DES over a diurnal day", Run: runServe},
+		{Name: "governor", Title: "Sec. V-C: DVFS governor policies on the serving DES over a diurnal day", Run: runGovernor},
+		{Name: "serve", Title: "Request serving: load balancers on the serving DES over a diurnal day", Run: runServe},
 		{Name: "interference", Title: "Sec. III-B1: co-scheduling interference", Run: runInterference},
 		{Name: "scaling", Title: "Methodology check: per-cluster UIPC vs active clusters", Run: runScaling},
 		{Name: "workloads", Title: "Workload characterization at 2GHz", Run: runWorkloads},
 		{Name: "prefetch", Title: "Extension ablation: L1D stream prefetcher on/off", Run: runPrefetch},
 		{Name: "ports", Title: "Extension ablation: unified issue vs A57-like ports", Run: runPorts},
 		{Name: "hetero", Title: "Sec. V-C: heterogeneous per-cluster operation", Run: runHetero},
+		{Name: "memory", Title: "Memory subsystem: traffic patterns, DDR4/LPDDR4, FCFS/FR-FCFS", Run: runMemory},
 		{Name: "warm", Title: "Pre-build warmed-cluster checkpoints", Run: runWarm},
 		{Name: "all", Title: "Every report experiment in the historical order", Run: runAll},
 	} {
@@ -50,7 +51,17 @@ func init() {
 // runAll runs every report-producing experiment in sequence on the same
 // Params and Env, matching the historical `ntcsim all` output.
 func runAll(ctx context.Context, p Params, env Env) error {
-	for _, name := range allOrder {
+	return runSeq(ctx, p, env, allOrder)
+}
+
+// runSeq runs the named experiments in order on the same Params and Env.
+// The diurnal-day views share one serve-grid memo (env.served), so the
+// max-frequency / join-shortest-queue scenario that both governor and
+// serve print runs once: its telemetry series, trace spans and energy
+// gauges each get one writer.
+func runSeq(ctx context.Context, p Params, env Env, names []string) error {
+	env.served = serveRuns{}
+	for _, name := range names {
 		if err := ctx.Err(); err != nil {
 			return context.Cause(ctx)
 		}

@@ -7,38 +7,14 @@ import (
 
 	"ntcsim/internal/governor"
 	"ntcsim/internal/parallel"
+	"ntcsim/internal/qos"
 	"ntcsim/internal/rng"
 	"ntcsim/internal/serve"
+	"ntcsim/internal/workload"
 )
 
-// runServe runs the discrete-event request-serving simulator over a
-// compressed diurnal day: Poisson arrivals hit the governed fleet through
-// a load balancer, and each policy row is the MEASURED outcome — served
-// requests, streamed tail quantiles, drops, energy — rather than the
-// analytic plan the governor experiment prints. The first four rows hold
-// the policy fixed at max-frequency to isolate the balancer; the last
-// three hold the balancer fixed at join-shortest-queue to isolate the
-// policy.
-func runServe(ctx context.Context, p Params, env Env) error {
-	out := env.out()
-	fmt.Fprintln(out, "== Request serving: closed-loop DES over a diurnal day (web-search) ==")
-	cfg, e, peak, err := governorConfig(ctx, p, env)
-	if err != nil {
-		return err
-	}
-	// The same diurnal day the governor experiment replays open-loop,
-	// compressed to one-second epochs so the DES serves it request by
-	// request in reasonable time; rates and epoch count are untouched.
-	trace := governor.DiurnalTrace(96, peak, 0.15, 0.04, 1.3, rng.New(p.Seed)).WithStep(time.Second)
-	return ServeReport(ctx, env, ServeShape{
-		Clusters:        e.Platform.Clusters,
-		CoresPerCluster: e.Platform.CoresPerCl,
-		Warmup:          5 * time.Second,
-	}, cfg, trace, p.Seed)
-}
-
-// ServeShape is the fleet geometry a serve scenario runs on.
-type ServeShape struct {
+// serveShape is the fleet geometry a serve scenario runs on.
+type serveShape struct {
 	Clusters        int
 	CoresPerCluster int
 	Warmup          time.Duration
@@ -51,9 +27,10 @@ type serveScenario struct {
 	balancer func() serve.Balancer
 }
 
-// serveScenarios is the comparison grid: a balancer shoot-out under the
-// max-frequency baseline, then the governor policies on the best
-// balancer.
+// serveScenarios is the one comparison grid both diurnal-day experiments
+// draw from: a balancer shoot-out under the max-frequency baseline, then
+// the governor policies on join-shortest-queue. Scenario i always runs on
+// stream Split(i), so a row's bytes do not depend on which view prints it.
 func serveScenarios(cfg *governor.Config) []serveScenario {
 	fmax := cfg.Curve.MaxFreq()
 	maxF := serve.Static{Label: "max-frequency", FreqHz: fmax}
@@ -68,20 +45,126 @@ func serveScenarios(cfg *governor.Config) []serveScenario {
 	}
 }
 
-// ServeReport runs every scenario over the trace and prints the measured
-// comparison table to env.Out, recording into env's Obs, Tracer and
-// Telemetry hooks. Scenarios are independent simulations, so they fan out
-// under the env.Jobs budget; each derives its randomness from its
-// index, keeping the output byte-identical for any worker count (see
-// TestServeReportAcrossJobs). Exported because the serve determinism and
-// telemetry gates drive it directly with synthetic configurations.
-func ServeReport(ctx context.Context, env Env, shape ServeShape, cfg *governor.Config,
+// serveView is one question asked of the scenario grid: the heading it
+// prints and the scenarios [from, to) it runs.
+type serveView struct {
+	title    string
+	from, to int
+}
+
+var (
+	// balancerView holds the policy at max-frequency to isolate the
+	// balancer (the serve experiment).
+	balancerView = serveView{"== Request serving: closed-loop DES over a diurnal day (web-search) ==", 0, 4}
+	// policyView holds the balancer at join-shortest-queue to isolate the
+	// policy (the governor experiment, paper Sec. V-C). Its first row,
+	// max-frequency, is the baseline both questions share.
+	policyView = serveView{"== Sec. V-C: DVFS governor policies over a diurnal day (web-search) ==", 3, 7}
+)
+
+// runServe compares load balancers on the closed-loop serving DES.
+func runServe(ctx context.Context, p Params, env Env) error {
+	return runDiurnalDay(ctx, p, env, balancerView)
+}
+
+// runGovernor compares DVFS+FBB operating-point policies on the
+// closed-loop serving DES: what each costs in energy and tail latency
+// over a diurnal day.
+func runGovernor(ctx context.Context, p Params, env Env) error {
+	return runDiurnalDay(ctx, p, env, policyView)
+}
+
+// runDiurnalDay serves a compressed diurnal day of web-search requests:
+// Poisson arrivals hit the governed fleet through a load balancer, and
+// each row of v is the MEASURED outcome — served requests, streamed tail
+// quantiles, drops, energy.
+func runDiurnalDay(ctx context.Context, p Params, env Env, v serveView) error {
+	fmt.Fprintln(env.out(), v.title)
+	shape, cfg, trace, err := diurnalDay(ctx, p, env)
+	if err != nil {
+		return err
+	}
+	return serveReport(ctx, env, v, shape, cfg, trace, p.Seed)
+}
+
+// diurnalDay builds the serving setup both views share from a swept
+// web-search performance curve: the governor configuration, the fleet
+// geometry of the explorer's platform, and the diurnal day — 96 epochs
+// whose peak is 70% of the QoS capacity at fmax, compressed to one-second
+// epochs so the DES serves it request by request in reasonable time
+// (rates and epoch count are untouched).
+func diurnalDay(ctx context.Context, p Params, env Env) (serveShape, *governor.Config, governor.LoadTrace, error) {
+	e, err := p.NewExplorer(env)
+	if err != nil {
+		return serveShape{}, nil, governor.LoadTrace{}, err
+	}
+	app := workload.WebSearch()
+	sweep, err := e.Sweep(ctx, app, []float64{0.2e9, 0.3e9, 0.5e9, 0.7e9, 1.0e9, 1.5e9, 2.0e9})
+	if err != nil {
+		return serveShape{}, nil, governor.LoadTrace{}, err
+	}
+	var pts []governor.PerfPoint
+	for _, pt := range sweep.Points {
+		pts = append(pts, governor.PerfPoint{FreqHz: pt.FreqHz, UIPS: pt.UIPSChip})
+	}
+	curve, err := governor.NewPerfCurve(pts)
+	if err != nil {
+		return serveShape{}, nil, governor.LoadTrace{}, err
+	}
+	maxUIPS := curve.UIPSAt(curve.MaxFreq())
+	cfg := &governor.Config{
+		Platform:       e.Platform,
+		Curve:          curve,
+		Tail:           qos.NewTailModel(e.Platform.TotalCores(), app.Baseline99p, maxUIPS),
+		QoSLimit:       app.QoSLimit,
+		UncoreW:        e.Platform.UncorePowerW(100e6, 40e6, 150e6),
+		MemBackgroundW: e.Platform.MemoryPowerW(0, 0),
+		MemDynPerReq:   2e-3,
+		Margin:         0.85,
+	}
+	// Attribute the scalar UncoreW across ledger scopes (same rates).
+	llcW, xbarW, ioW := e.Platform.UncorePowerParts(100e6, 40e6, 150e6)
+	cfg.Uncore = governor.UncoreBreakdown{LLCW: llcW, XbarW: xbarW, IOW: ioW}
+	peak := cfg.Tail.MaxLoad(cfg.QoSLimit, maxUIPS) * 0.7
+	trace := governor.DiurnalTrace(96, peak, 0.15, 0.04, 1.3, rng.New(p.Seed)).WithStep(time.Second)
+	shape := serveShape{
+		Clusters:        e.Platform.Clusters,
+		CoresPerCluster: e.Platform.CoresPerCl,
+		Warmup:          5 * time.Second,
+	}
+	return shape, cfg, trace, nil
+}
+
+// serveRuns memoizes serve-grid results by grid index across the views
+// one Env runs. Every view of one run builds the same configuration and
+// trace from the same Params, so an index names one simulation.
+type serveRuns map[int]serve.Result
+
+// serveReport runs the scenarios of view v over the trace and prints the
+// measured comparison table to env.Out, recording into env's Obs, Tracer
+// and Telemetry hooks. Scenarios are independent simulations, so they fan
+// out under the env.Jobs budget; each derives its randomness from its
+// grid index, keeping the output byte-identical for any worker count (see
+// TestServeReportAcrossJobs). A scenario already in env.served is printed
+// from there, not rerun, so each recording hook sees it once.
+func serveReport(ctx context.Context, env Env, v serveView, shape serveShape, cfg *governor.Config,
 	trace governor.LoadTrace, seed uint64) error {
-	scenarios := serveScenarios(cfg)
+	grid := serveScenarios(cfg)
+	done := env.served
+	if done == nil {
+		done = serveRuns{}
+	}
+	var todo []int // grid indices of v not yet run under env
+	for i := v.from; i < v.to; i++ {
+		if _, ok := done[i]; !ok {
+			todo = append(todo, i)
+		}
+	}
 	root := rng.New(seed).Derive("serve-cmd")
-	results, err := parallel.Map(ctx, len(scenarios), env.Jobs,
-		func(ctx context.Context, i int) (serve.Result, error) {
-			sc := scenarios[i]
+	fresh, err := parallel.Map(ctx, len(todo), env.Jobs,
+		func(ctx context.Context, k int) (serve.Result, error) {
+			i := todo[k]
+			sc := grid[i]
 			bal := sc.balancer()
 			sim, err := serve.New(serve.Config{
 				Gov:             cfg,
@@ -107,9 +190,13 @@ func ServeReport(ctx context.Context, env Env, shape ServeShape, cfg *governor.C
 	if err != nil {
 		return err
 	}
+	for k, i := range todo {
+		done[i] = fresh[k]
+	}
 	w := env.tbl()
 	fmt.Fprintln(w, "policy\tbalancer\tserved\tp50_ms\tp95_ms\tp99_ms\tp99.9_ms\tviolations\tdrops\tenergy_kJ\tavg_W")
-	for _, r := range results {
+	for i := v.from; i < v.to; i++ {
+		r := done[i]
 		fmt.Fprintf(w, "%s\t%s\t%d\t%.1f\t%.1f\t%.1f\t%.1f\t%d\t%d\t%.2f\t%.1f\n",
 			r.Policy, r.Balancer, r.Served,
 			ms(r.P50), ms(r.P95), ms(r.P99), ms(r.P999),

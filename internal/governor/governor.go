@@ -1,22 +1,22 @@
-// Package governor simulates operating-point management policies for a
-// near-threshold server under time-varying load — the research direction
-// the paper's discussion opens (Sec. V-C: FD-SOI "provides effective knobs
-// to improve energy proportionality using BB to reduce leakage, or
-// alternatively to provide local boost in a very fine-grained and reactive
-// fashion").
+// Package governor holds the shared models behind operating-point
+// management of a near-threshold server under time-varying load — the
+// research direction the paper's discussion opens (Sec. V-C: FD-SOI
+// "provides effective knobs to improve energy proportionality using BB to
+// reduce leakage, or alternatively to provide local boost in a very
+// fine-grained and reactive fashion").
 //
-// The governor works at the analytical layer: it consumes a performance
-// curve UIPS(f) measured by the full-system simulator (core.Sweep), the
-// platform power models, and the queueing tail-latency model, and replays
-// a request-rate trace (diurnal pattern with load spikes) under different
-// policies:
-//
-//   - MaxFrequency: conventional operation, always at 2GHz;
-//   - RaceToIdle: 2GHz while busy, RBB sleep when idle;
-//   - Static NT: the QoS-feasible server-efficiency optimum, fixed;
-//   - Adaptive: the lowest frequency whose QoS-constrained capacity covers
-//     the current load, with FBB boost absorbing spikes faster than a
-//     supply-rail DVFS transition could.
+// It works at the analytical layer: a performance curve UIPS(f) measured
+// by the full-system simulator (core.Sweep), the platform power models
+// and the queueing tail-latency model, wired together in a Config. The
+// Config answers the planning question (MinFeasibleFreq: the cheapest
+// QoS-feasible frequency for a load) and the accounting questions
+// (CorePower and SharedPower, and their ledger decompositions) for an
+// operating Decision: a frequency, RBB sleep of idle capacity, and an FBB
+// boost. The load shapes a policy is judged on — a diurnal day with
+// spikes, a single burst — are LoadTraces. The policies themselves, and
+// the evaluation of what they cost over a trace, live in the closed-loop
+// serving simulator (internal/serve), which serves each trace request by
+// request and measures energy and tail latency instead of predicting them.
 package governor
 
 import (
@@ -25,7 +25,6 @@ import (
 	"sort"
 	"time"
 
-	"ntcsim/internal/obs/timeseries"
 	"ntcsim/internal/platform"
 	"ntcsim/internal/qos"
 	"ntcsim/internal/rng"
@@ -230,10 +229,6 @@ type Config struct {
 	// telemetry. Power accounting always uses the scalar UncoreW; the
 	// breakdown only labels where those watts go in the energy ledger.
 	Uncore UncoreBreakdown
-	// Telemetry, when non-nil, makes Run record a per-epoch energy ledger
-	// under the series name "replay/<policy>". Nil-gated: leaving it nil
-	// keeps the replay loop byte-for-byte the untelemetered path.
-	Telemetry *timeseries.Sampler
 }
 
 // Decision is a policy's choice for one step.
@@ -243,84 +238,17 @@ type Decision struct {
 	Boost  bool // spike absorbed by FBB boost
 }
 
-// Policy maps the observed load to an operating decision.
-type Policy interface {
-	Name() string
-	Decide(cfg *Config, lambda float64) Decision
-}
-
-// NewMaxFrequency returns the conventional always-at-fmax policy.
-func NewMaxFrequency() Policy { return maxFreqPolicy{} }
-
-// NewRaceToIdle returns the fmax-plus-sleep policy.
-func NewRaceToIdle() Policy { return raceToIdlePolicy{} }
-
-// maxFreqPolicy runs flat out.
-type maxFreqPolicy struct{}
-
-func (maxFreqPolicy) Name() string { return "max-frequency" }
-func (maxFreqPolicy) Decide(cfg *Config, lambda float64) Decision {
-	return Decision{FreqHz: cfg.Curve.MaxFreq()}
-}
-
-// raceToIdlePolicy runs flat out but sleeps the idle fraction.
-type raceToIdlePolicy struct{}
-
-func (raceToIdlePolicy) Name() string { return "race-to-idle" }
-func (raceToIdlePolicy) Decide(cfg *Config, lambda float64) Decision {
-	return Decision{FreqHz: cfg.Curve.MaxFreq(), Sleep: true}
-}
-
-// staticNTPolicy pins the lowest frequency that covers the PEAK planning
-// load (no runtime adaptation).
-type staticNTPolicy struct{ planFreq float64 }
-
-// NewStaticNT plans for the given peak load.
-func NewStaticNT(cfg *Config, peakLambda float64) Policy {
-	return &staticNTPolicy{planFreq: minFreqFor(cfg, peakLambda)}
-}
-
-func (p *staticNTPolicy) Name() string { return "static-nt" }
-func (p *staticNTPolicy) Decide(cfg *Config, lambda float64) Decision {
-	return Decision{FreqHz: p.planFreq, Sleep: true}
-}
-
-// adaptivePolicy tracks the load every step and boosts on spikes.
-type adaptivePolicy struct{ prevFreq float64 }
-
-// NewAdaptive returns the load-tracking policy.
-func NewAdaptive() Policy { return &adaptivePolicy{} }
-
-func (p *adaptivePolicy) Name() string { return "adaptive-fbb" }
-func (p *adaptivePolicy) Decide(cfg *Config, lambda float64) Decision {
-	f := minFreqFor(cfg, lambda)
-	d := Decision{FreqHz: f, Sleep: true}
-	// A large upward frequency step is served by FBB boost while the
-	// supply rail catches up (sub-us vs the V-rail's slower ramp).
-	if p.prevFreq > 0 && f > p.prevFreq*1.5 {
-		d.Boost = true
-	}
-	p.prevFreq = f
-	return d
-}
-
-// minFreqFor returns the lowest curve frequency whose QoS-constrained
-// capacity (with margin) covers lambda; the maximum frequency if none does.
-func minFreqFor(cfg *Config, lambda float64) float64 {
+// MinFeasibleFreq returns the lowest curve frequency whose QoS-constrained
+// capacity (derated by Margin) covers arrival rate lambda, or the maximum
+// frequency when none does — the planning primitive of the load-tracking
+// serving policies in internal/serve.
+func (cfg *Config) MinFeasibleFreq(lambda float64) float64 {
 	for _, pt := range cfg.Curve.Points {
 		if cfg.Tail.MaxLoad(cfg.QoSLimit, pt.UIPS)*cfg.Margin >= lambda {
 			return pt.FreqHz
 		}
 	}
 	return cfg.Curve.MaxFreq()
-}
-
-// MinFeasibleFreq returns the lowest curve frequency whose QoS-constrained
-// capacity (derated by Margin) covers arrival rate lambda, or the maximum
-// frequency when none does — the planning primitive shared by the adaptive
-// policies here and the closed-loop serving policies in internal/serve.
-func (cfg *Config) MinFeasibleFreq(lambda float64) float64 {
-	return minFreqFor(cfg, lambda)
 }
 
 // Body-bias boost accounting constants (paper Sec. II-A item 1: FBB gives
@@ -336,9 +264,8 @@ const (
 // with the given busy fraction in [0, 1]: busy cores run at the operating
 // point's active power, idle capacity either leaks or RBB-sleeps, and a
 // boosted step additionally charges the FBB leakage premium for boostDuty
-// of the interval. This is the shared accounting between the analytic
-// trace replay (Run) and the discrete-event serving simulator, which calls
-// it per cluster with a measured busy fraction.
+// of the interval. The discrete-event serving simulator calls it per
+// cluster with a measured busy fraction.
 func (cfg *Config) CorePower(d Decision, n int, busy float64) (float64, error) {
 	op, err := cfg.Platform.Tech.OperatingPointFor(d.FreqHz, 0)
 	if err != nil {
@@ -421,119 +348,4 @@ func (cfg *Config) SharedPowerParts(lambda float64) SharedParts {
 		IOW:   u.IOW,
 		DRAMW: cfg.MemBackgroundW + lambda*cfg.MemDynPerReq,
 	}
-}
-
-// StepResult records one simulated interval.
-type StepResult struct {
-	Lambda      float64
-	Decision    Decision
-	Utilization float64
-	PowerW      float64
-	Tail99      time.Duration
-	Violated    bool
-}
-
-// Result summarizes a policy run.
-type Result struct {
-	Policy     string
-	EnergyKWh  float64
-	AvgPowerW  float64
-	Violations int
-	Steps      []StepResult
-}
-
-// Run replays the trace under the policy.
-func Run(cfg *Config, pol Policy, trace LoadTrace) (Result, error) {
-	if cfg.Margin <= 0 || cfg.Margin > 1 {
-		return Result{}, fmt.Errorf("governor: margin must be in (0,1]")
-	}
-	res := Result{Policy: pol.Name()}
-	var energyJ float64
-	// Telemetry is nil-gated: with no sampler configured tel is nil and
-	// the loop below runs the untelemetered path unchanged.
-	tel := cfg.Telemetry.Series("replay/" + pol.Name())
-	clusters := cfg.Platform.Clusters
-	if clusters <= 0 {
-		clusters = 1
-	}
-	for i, lambda := range trace.Lambda {
-		d := pol.Decide(cfg, lambda)
-		uips := cfg.Curve.UIPSAt(d.FreqHz)
-
-		// Utilization and QoS at the chosen point.
-		rho := cfg.Tail.Utilization(lambda, uips)
-		step := StepResult{Lambda: lambda, Decision: d, Utilization: math.Min(rho, 1)}
-		t99, err := cfg.Tail.Tail99(lambda, uips)
-		if err != nil || t99 > cfg.QoSLimit {
-			step.Violated = true
-			res.Violations++
-			step.Tail99 = cfg.QoSLimit * 10 // saturated: latency unbounded
-		} else {
-			step.Tail99 = t99
-		}
-
-		// Power: busy cores at the operating point, idle capacity either
-		// leaking (no sleep) or under RBB, plus the standing shared terms.
-		coreW, err := cfg.CorePower(d, cfg.Platform.TotalCores(), math.Min(rho, 1))
-		if err != nil {
-			return Result{}, err
-		}
-		step.PowerW = coreW + cfg.SharedPower(lambda)
-
-		energyJ += step.PowerW * trace.Step.Seconds()
-		res.Steps = append(res.Steps, step)
-
-		if tel != nil {
-			// Attribute this step's joules. Parts re-derive the same watts
-			// CorePower/SharedPower charged (within ulps), split by scope and
-			// spread evenly across clusters — the replay is chip-level, so
-			// the per-cluster rows are the chip ledger divided by Clusters.
-			parts, err := cfg.CorePowerParts(d, cfg.Platform.TotalCores(), math.Min(rho, 1))
-			if err != nil {
-				return Result{}, err
-			}
-			shared := cfg.SharedPowerParts(lambda)
-			cf := trace.Step.Seconds() / float64(clusters)
-			led := timeseries.Ledger{
-				CoreDynNJ:  timeseries.NJ(parts.DynW * cf),
-				CoreLeakNJ: timeseries.NJ(parts.LeakW * cf),
-				LLCNJ:      timeseries.NJ(shared.LLCW * cf),
-				XbarNJ:     timeseries.NJ(shared.XbarW * cf),
-				IONJ:       timeseries.NJ(shared.IOW * cf),
-				DRAMNJ:     timeseries.NJ(shared.DRAMW * cf),
-			}
-			for c := 0; c < clusters; c++ {
-				tel.Record(timeseries.Sample{
-					Epoch:    i,
-					Cluster:  c,
-					Start:    trace.Step * time.Duration(i),
-					Dur:      trace.Step,
-					Energy:   led,
-					FreqHz:   d.FreqHz,
-					VoltageV: parts.Vdd,
-					Util:     step.Utilization,
-					P99:      step.Tail99,
-				})
-			}
-		}
-	}
-	tel.ReportTotal(energyJ)
-	res.EnergyKWh = energyJ / 3.6e6
-	if len(trace.Lambda) > 0 {
-		res.AvgPowerW = energyJ / (trace.Step.Seconds() * float64(len(trace.Lambda)))
-	}
-	return res, nil
-}
-
-// Compare runs several policies on the same trace.
-func Compare(cfg *Config, trace LoadTrace, policies ...Policy) ([]Result, error) {
-	out := make([]Result, 0, len(policies))
-	for _, p := range policies {
-		r, err := Run(cfg, p, trace)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }

@@ -3,8 +3,6 @@ package governor
 import (
 	"math"
 	"testing"
-
-	"ntcsim/internal/obs/timeseries"
 )
 
 // TestCorePowerPartsMatchesCorePower pins the decomposition contract:
@@ -64,64 +62,5 @@ func TestSharedPowerPartsMatchesSharedPower(t *testing.T) {
 	}
 	if got, want := p.LLCW+p.XbarW+p.IOW+p.DRAMW, cfg.SharedPower(1000); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("breakdown: parts sum %g, SharedPower %g", got, want)
-	}
-}
-
-// TestRunTelemetryConservation replays every policy with the sampler
-// attached and audits: the per-cluster ledger must integrate back to the
-// replay's own energy total within the default epsilon.
-func TestRunTelemetryConservation(t *testing.T) {
-	cfg := testConfig(t)
-	cfg.Telemetry = timeseries.NewSampler()
-	trace := testTrace()
-	policies := []Policy{
-		NewMaxFrequency(), NewRaceToIdle(), NewStaticNT(cfg, 2500), NewAdaptive(),
-	}
-	results := make(map[string]Result)
-	for _, pol := range policies {
-		res, err := Run(cfg, pol, trace)
-		if err != nil {
-			t.Fatalf("%s: %v", pol.Name(), err)
-		}
-		results[pol.Name()] = res
-	}
-	if err := cfg.Telemetry.Audit(0); err != nil {
-		t.Fatalf("replay telemetry failed conservation: %v", err)
-	}
-	for _, pol := range policies {
-		ser := cfg.Telemetry.Series("replay/" + pol.Name())
-		wantSamples := len(trace.Lambda) * cfg.Platform.Clusters
-		if ser.Len() != wantSamples {
-			t.Fatalf("%s: %d samples, want %d (epochs × clusters)",
-				pol.Name(), ser.Len(), wantSamples)
-		}
-		// Cross-check against the result's kWh figure too.
-		repJ, ok := ser.Reported()
-		if !ok {
-			t.Fatalf("%s: no reported total", pol.Name())
-		}
-		wantJ := results[pol.Name()].EnergyKWh * 3.6e6
-		if math.Abs(repJ-wantJ) > 1e-6*wantJ {
-			t.Fatalf("%s: reported %g J, result says %g J", pol.Name(), repJ, wantJ)
-		}
-	}
-}
-
-// TestRunTelemetryOffIsFree pins the nil gate: with no sampler configured
-// the replay result is identical (the telemetry block never runs).
-func TestRunTelemetryOffIsFree(t *testing.T) {
-	cfg := testConfig(t)
-	trace := testTrace()
-	off, err := Run(cfg, NewAdaptive(), trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Telemetry = timeseries.NewSampler()
-	on, err := Run(cfg, NewAdaptive(), trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off.EnergyKWh != on.EnergyKWh || off.Violations != on.Violations {
-		t.Fatalf("telemetry changed the replay: off=%+v on=%+v", off, on)
 	}
 }

@@ -102,45 +102,3 @@ func TestDiurnalTraceSanitization(t *testing.T) {
 		}
 	}
 }
-
-// TestRaceToIdleBeatsMaxFrequencyOnSpikes: sleeping the idle capacity
-// must never cost energy, spike or not.
-func TestRaceToIdleBeatsMaxFrequencyOnSpikes(t *testing.T) {
-	cfg := testConfig(t)
-	trace := SpikeTrace(24, 15*time.Minute, 600, 4, 10, 4)
-	results, err := Compare(cfg, trace, NewMaxFrequency(), NewRaceToIdle())
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxF, race := results[0], results[1]
-	if race.EnergyKWh >= maxF.EnergyKWh {
-		t.Fatalf("race-to-idle %.3f kWh >= max-frequency %.3f kWh", race.EnergyKWh, maxF.EnergyKWh)
-	}
-	// Both run at fmax, so the served QoS picture is identical.
-	if race.Violations != maxF.Violations {
-		t.Fatalf("same frequency, different violations: %d vs %d", race.Violations, maxF.Violations)
-	}
-}
-
-// TestViolationsMonotoneInSpikeMagnitude: a static plan sized for the
-// base load must violate QoS on a non-decreasing number of steps as the
-// spike grows.
-func TestViolationsMonotoneInSpikeMagnitude(t *testing.T) {
-	cfg := testConfig(t)
-	prev := -1
-	for _, mag := range []float64{1, 2, 4, 8, 16} {
-		trace := SpikeTrace(24, 15*time.Minute, 600, mag, 10, 5)
-		res, err := Run(cfg, NewStaticNT(cfg, 650), trace)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Violations < prev {
-			t.Fatalf("violations dropped from %d to %d when spike grew to %.0fx",
-				prev, res.Violations, mag)
-		}
-		prev = res.Violations
-	}
-	if prev == 0 {
-		t.Fatal("even a 16x spike never violated: test exercises nothing")
-	}
-}

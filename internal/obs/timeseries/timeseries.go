@@ -5,8 +5,8 @@
 // operating point (frequency, voltage), utilization, queue depth and the
 // streaming p99 estimate. It is the time-resolved counterpart of the
 // paper's component power breakdowns (Fig. 1, Figs. 5/6): instead of
-// end-of-run scalar totals, every producer (governor replay, serving
-// DES, design-space sweeps) reports where the joules went over time.
+// end-of-run scalar totals, every producer (serving DES, design-space
+// sweeps) reports where the joules went over time.
 //
 // # Determinism contract
 //

@@ -62,15 +62,6 @@ func (m TailModel) Capacity(uips float64) float64 {
 	return float64(m.Cores) / s
 }
 
-// Utilization returns rho for arrival rate lambda (requests/s).
-func (m TailModel) Utilization(lambda, uips float64) float64 {
-	c := m.Capacity(uips)
-	if c <= 0 {
-		return math.Inf(1)
-	}
-	return lambda / c
-}
-
 // erlangC returns the probability an arrival must queue in an M/M/k system
 // with offered load a = lambda/mu and k servers (computed with the stable
 // iterative form).

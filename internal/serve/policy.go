@@ -9,8 +9,8 @@ import (
 
 // Observation is what a serving policy sees at an epoch boundary: the
 // offered load for the upcoming epoch (what a datacenter load predictor
-// would supply) plus the fleet's MEASURED state — the feedback path the
-// analytic governor.Run replay lacks. Cross-epoch policy memory rides in
+// would supply) plus the fleet's MEASURED state — the feedback path an
+// open-loop plan lacks. Cross-epoch policy memory rides in
 // the observation (PrevFreqHz) instead of policy fields, which keeps
 // policies stateless and a mid-run checkpoint trivially complete.
 type Observation struct {
@@ -63,8 +63,9 @@ func (p Static) Decide(cfg *governor.Config, o Observation) governor.Decision {
 }
 
 // Tracking plans the cheapest QoS-feasible frequency for the offered load
-// each epoch and absorbs large upward steps with an FBB boost — the
-// governor's adaptive policy transplanted into the closed loop.
+// each epoch (governor.Config.MinFeasibleFreq) and absorbs large upward
+// steps with an FBB boost, which reacts faster than a supply-rail DVFS
+// transition.
 type Tracking struct{}
 
 // Name implements Policy.
@@ -81,28 +82,23 @@ func (Tracking) Decide(cfg *governor.Config, o Observation) governor.Decision {
 }
 
 // QueueAware starts from the tracking plan and escalates one frequency
-// notch, under boost, when the measured backlog exceeds a per-core
-// threshold — the feedback term that catches what the offered-load plan
-// misses (service-time mismatch, balancer skew, a spike the predictor
-// underestimated).
-type QueueAware struct {
-	// QueuePerCore is the backlog-per-core threshold that triggers the
-	// escalation; 0 selects the default of 1.
-	QueuePerCore float64
-}
+// notch, under boost, when the measured backlog exceeds queuePerCore
+// waiting requests per core — the feedback term that catches what the
+// offered-load plan misses (service-time mismatch, balancer skew, a spike
+// the predictor underestimated).
+type QueueAware struct{}
+
+// queuePerCore is QueueAware's backlog-per-core escalation threshold.
+const queuePerCore = 1
 
 // Name implements Policy.
 func (QueueAware) Name() string { return "queue-aware" }
 
 // Decide implements Policy.
-func (p QueueAware) Decide(cfg *governor.Config, o Observation) governor.Decision {
-	thr := p.QueuePerCore
-	if thr <= 0 {
-		thr = 1
-	}
+func (QueueAware) Decide(cfg *governor.Config, o Observation) governor.Decision {
 	f := cfg.MinFeasibleFreq(o.Offered)
 	d := governor.Decision{FreqHz: f, Sleep: true}
-	if float64(o.Queued) > thr*float64(cfg.Tail.Cores) {
+	if o.Queued > queuePerCore*cfg.Tail.Cores {
 		d.FreqHz = cfg.Curve.StepUp(f)
 		d.Boost = true
 	}

@@ -1,7 +1,8 @@
 // Package serve is the discrete-event request-serving simulator: the
 // layer that turns the repo's analytic QoS story (qos.TailModel's M/M/k
-// approximation, governor.Run's open-loop trace replay) into an actual
-// request stream hitting an actual governed fleet.
+// approximation, governor.Config's capacity planning) into an actual
+// request stream hitting an actual governed fleet. It is the one
+// evaluator of what a DVFS+FBB policy costs over a load trace.
 //
 // A Sim owns a multi-cluster fleet. Poisson/diurnal arrivals are drawn
 // from a governor.LoadTrace (nonhomogeneous thinning, see ArrivalGen),
@@ -615,7 +616,7 @@ func (s *Sim) Run(ctx context.Context) (Result, error) {
 
 // publishEnergyGauges exposes the run's energy attribution as
 // per-component gauges (serve.energy.<policy>.<balancer>.<component>_j),
-// so the DES reports the same ledger schema as the replay telemetry.
+// so the DES reports the same ledger schema as its per-epoch telemetry.
 // Keys embed the scenario, keeping every writer unique (the gauge
 // determinism rule).
 func (s *Sim) publishEnergyGauges() {

@@ -179,7 +179,7 @@ func TestGovernorReactsToLoad(t *testing.T) {
 	if err := sim.runUntil(ctx, 5); err != nil {
 		t.Fatal(err)
 	}
-	quiet := sim.decision.FreqHz
+	quiet, quietBoost := sim.decision.FreqHz, sim.decision.Boost
 	if err := sim.runUntil(ctx, 6); err != nil {
 		t.Fatal(err)
 	}
@@ -187,6 +187,12 @@ func TestGovernorReactsToLoad(t *testing.T) {
 	if spike <= quiet {
 		t.Fatalf("tracking policy did not escalate on spike: quiet %.1f GHz, spike %.1f GHz",
 			quiet/1e9, spike/1e9)
+	}
+	// The 8x spike steps the plan up by more than 1.5x, which tracking
+	// absorbs with an FBB boost; the quiet epoch before it needs none.
+	if quietBoost || spike <= 1.5*quiet || !sim.decision.Boost {
+		t.Fatalf("quiet %.2f GHz (boost %v), spike %.2f GHz (boost %v): want a >1.5x step under boost",
+			quiet/1e9, quietBoost, spike/1e9, sim.decision.Boost)
 	}
 }
 
@@ -229,5 +235,44 @@ func TestCancellation(t *testing.T) {
 	cancel()
 	if err := sim.runUntil(ctx, 1000); err == nil {
 		t.Fatal("cancelled run returned nil error")
+	}
+}
+
+// TestDiurnalDayPolicyClaims carries the Sec. V-C claims over a compressed
+// diurnal day whose peak is 70% of the QoS capacity at fmax: tracking the
+// load saves energy against racing to idle, which saves energy against
+// always-on max frequency; nobody drops a request; and max frequency
+// keeps its p99 within the QoS limit.
+func TestDiurnalDayPolicyClaims(t *testing.T) {
+	gov := testGov(t, 8)
+	fmax := gov.Curve.MaxFreq()
+	peak := 0.7 * gov.Tail.MaxLoad(gov.QoSLimit, gov.Curve.UIPSAt(fmax))
+	trace := governor.DiurnalTrace(24, peak, 0.15, 0.04, 1.3, rng.New(11)).WithStep(time.Second)
+	run := func(pol Policy) Result {
+		cfg := testConfig(t)
+		cfg.Gov, cfg.Policy, cfg.Trace = gov, pol, trace
+		sim, err := New(cfg, rng.New(13))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sim.Close()
+		res, err := sim.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Dropped != 0 {
+			t.Fatalf("%s dropped %d requests", pol.Name(), res.Dropped)
+		}
+		return res
+	}
+	maxF := run(Static{Label: "max-frequency", FreqHz: fmax})
+	race := run(Static{Label: "race-to-idle", FreqHz: fmax, Sleep: true})
+	track := run(Tracking{})
+	if !(track.EnergyJ < race.EnergyJ && race.EnergyJ < maxF.EnergyJ) {
+		t.Fatalf("energy order broken: tracking %.1f J, race-to-idle %.1f J, max-frequency %.1f J",
+			track.EnergyJ, race.EnergyJ, maxF.EnergyJ)
+	}
+	if maxF.P99 > gov.QoSLimit {
+		t.Fatalf("max-frequency p99 %v over the %v QoS limit", maxF.P99, gov.QoSLimit)
 	}
 }
