@@ -48,8 +48,9 @@
 #   make bench-sweep   parallel-vs-serial sweep engine benchmarks only
 #   make bench-obs     observability overhead benchmarks (metrics
 #                      disabled-path + telemetry sampler), both gated <2%
-#   make golden-update regenerate cmd/ntcsim golden files after an
-#                      intentional model change (review the diff!).
+#   make golden-update regenerate cmd/ntcsim golden files and the
+#                      sealed-checkpoint hash after an intentional model
+#                      or format change (review the diff!).
 #                      Lint never rewrites sources, so golden outputs
 #                      are unaffected by it.
 
@@ -133,4 +134,5 @@ golden-update:
 	$(GO) test ./cmd/ntcsim -run TestGolden -update
 	$(GO) test ./cmd/ntcsim -run TestMetricsGolden -update
 	$(GO) test ./cmd/ntcsim -run TestReportGolden -update
-	@git --no-pager diff --stat cmd/ntcsim/testdata/golden || true
+	$(GO) test ./internal/sim -run TestSealedBytesGolden -update
+	@git --no-pager diff --stat cmd/ntcsim/testdata/golden internal/sim/testdata || true

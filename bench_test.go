@@ -303,7 +303,7 @@ func BenchmarkClusterAccess(b *testing.B) {
 func BenchmarkGeneratorNext(b *testing.B) {
 	for _, p := range workload.ScaleOutProfiles() {
 		b.Run(p.Name, func(b *testing.B) {
-			g := workload.NewGenerator(p, 0, rng.New(1))
+			g := workload.NewGenerator(workload.NewPlan(p, 0, rng.New(1)))
 			var in workload.Instr
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -313,7 +313,7 @@ func BenchmarkGeneratorNext(b *testing.B) {
 	}
 	for _, p := range workload.ScaleOutProfiles() {
 		b.Run("warm/"+p.Name, func(b *testing.B) {
-			g := workload.NewGenerator(p, 0, rng.New(1))
+			g := workload.NewGenerator(workload.NewPlan(p, 0, rng.New(1)))
 			var in workload.Instr
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

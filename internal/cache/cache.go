@@ -66,15 +66,15 @@ const (
 // Cache is a set-associative, write-back, write-allocate, true-LRU,
 // tag-only cache. It is not safe for concurrent use.
 type Cache struct {
-	cfg Config
+	cfg Config //ntclint:allow snapshotcheck config: fixed by New
 	// ways holds every set's packed ways in one set-major slice: set s
 	// occupies ways[s*assoc : (s+1)*assoc], ordered most- to
 	// least-recently used.
 	ways     []uint64
 	assoc    int
-	setMask  uint64
-	lineBits uint
-	stats    Stats
+	setMask  uint64 //ntclint:allow snapshotcheck derived: set count from cfg, recomputed by New
+	lineBits uint   //ntclint:allow snapshotcheck derived: line size from cfg, recomputed by New
+	stats    Stats  //ntclint:allow snapshotcheck captured by the Stats:SetStats pair beside Snapshot
 }
 
 // Victim describes a line evicted by a fill.

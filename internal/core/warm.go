@@ -39,7 +39,7 @@ func (e *Explorer) warmedCluster(ctx context.Context, p *workload.Profile) (*sim
 	}
 	path := filepath.Join(e.CheckpointDir, fmt.Sprintf("%s-%016x.ckpt", p.Name, fp))
 
-	if cl, err := e.loadOrQuarantine(fsys, path, fp); err != nil || cl != nil {
+	if cl, err := e.loadOrQuarantine(fsys, path, fp, p); err != nil || cl != nil {
 		return cl, err
 	}
 
@@ -56,7 +56,7 @@ func (e *Explorer) warmedCluster(ctx context.Context, p *workload.Profile) (*sim
 
 	// Re-check after acquiring (or giving up on) the lock: the previous
 	// holder may have completed the warmup while we waited.
-	if cl, err := e.loadOrQuarantine(fsys, path, fp); err != nil || cl != nil {
+	if cl, err := e.loadOrQuarantine(fsys, path, fp, p); err != nil || cl != nil {
 		return cl, err
 	}
 
@@ -84,7 +84,8 @@ func (e *Explorer) warmFresh(p *workload.Profile) (*sim.Cluster, error) {
 	return cl, nil
 }
 
-// loadOrQuarantine attempts to restore the checkpoint at path. Outcomes:
+// loadOrQuarantine attempts to restore the checkpoint at path onto p.
+// Outcomes:
 //
 //   - (cl, nil): verified hit.
 //   - (nil, nil): cache miss — the file does not exist, is stale (written
@@ -95,8 +96,8 @@ func (e *Explorer) warmFresh(p *workload.Profile) (*sim.Cluster, error) {
 //   - (nil, err): the quarantine bookkeeping itself failed — the corrupt
 //     file could not be moved aside, so silently re-warming would rewrite
 //     over evidence and retry the same failure forever.
-func (e *Explorer) loadOrQuarantine(fsys faultfs.FS, path string, fp uint64) (*sim.Cluster, error) {
-	cl, err := loadClusterCheckpoint(fsys, path, fp)
+func (e *Explorer) loadOrQuarantine(fsys faultfs.FS, path string, fp uint64, p *workload.Profile) (*sim.Cluster, error) {
+	cl, err := loadClusterCheckpoint(fsys, path, fp, p)
 	switch {
 	case err == nil:
 		return cl, nil
@@ -159,12 +160,15 @@ func (e *Explorer) lockWarm(ctx context.Context, fsys faultfs.FS, path string) (
 	}
 }
 
-// loadClusterCheckpoint restores a sealed checkpoint, verifying integrity
-// and the config fingerprint. A CRC-valid file that nevertheless fails to
-// restore (shape mismatch, unknown workload) is reported as corrupt: the
-// fingerprint covers every input that shapes the cluster, so a verified
-// file can only fail restore if its contents lie.
-func loadClusterCheckpoint(fsys faultfs.FS, path string, fp uint64) (*sim.Cluster, error) {
+// loadClusterCheckpoint restores a sealed checkpoint onto p, verifying
+// integrity and the config fingerprint. The fingerprint covers every
+// parameter of p, so a verified file was taken with p even when p is
+// renamed or edited, and Bind restores onto p itself rather than onto the
+// registered profile of its name. A CRC-valid file that nevertheless
+// fails to restore (shape mismatch, other workload) is reported as
+// corrupt: the fingerprint covers every input that shapes the cluster, so
+// a verified file can only fail restore if its contents lie.
+func loadClusterCheckpoint(fsys faultfs.FS, path string, fp uint64, p *workload.Profile) (*sim.Cluster, error) {
 	f, err := fsys.Open(path)
 	if err != nil {
 		return nil, err
@@ -173,6 +177,9 @@ func loadClusterCheckpoint(fsys faultfs.FS, path string, fp uint64) (*sim.Cluste
 	ck, err := sim.LoadSealed(f, fp)
 	if err != nil {
 		return nil, err
+	}
+	if err := ck.Bind(p); err != nil {
+		return nil, fmt.Errorf("%w: restoring: %v", sim.ErrCheckpointCorrupt, err)
 	}
 	cl, err := sim.RestoreCluster(ck)
 	if err != nil {

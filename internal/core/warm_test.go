@@ -512,3 +512,33 @@ func TestWarmupHonorsCancellation(t *testing.T) {
 		t.Fatalf("a sweep waiting on the warmup lock must honor cancellation, got %v", err)
 	}
 }
+
+// TestRenamedProfileSweeps sweeps a renamed and an edited copy of
+// web-search, neither of which the registry holds under its name. The
+// in-memory checkpoint carries each profile itself and a sealed one is
+// bound to it, so every sweep runs without a warning, and one that
+// restores from the checkpoint directory matches an uncached one exactly.
+func TestRenamedProfileSweeps(t *testing.T) {
+	renamed, edited := workload.WebSearch(), workload.WebSearch()
+	renamed.Name, edited.LoadFrac = "my-search", 0.10
+	for _, p := range []*workload.Profile{renamed, edited} {
+		dir := t.TempDir()
+		var sweeps []*Sweep
+		for _, d := range []string{"", dir, dir} { // uncached, warm and save, restore
+			e, w := warmExplorer(t, d)
+			s, err := e.Sweep(context.Background(), p, warmFreqs)
+			if err != nil {
+				t.Fatalf("%s: %v", p.Name, err)
+			}
+			if len(w.lines) != 0 {
+				t.Fatalf("%s: warnings %q", p.Name, w.lines)
+			}
+			sweeps = append(sweeps, s)
+		}
+		if n := len(ckptFiles(t, dir)); n != 1 {
+			t.Fatalf("%s: %d checkpoint files, want 1", p.Name, n)
+		}
+		requireIdentical(t, sweeps[0], sweeps[1])
+		requireIdentical(t, sweeps[0], sweeps[2])
+	}
+}

@@ -154,16 +154,19 @@ const issueRingSize = 1 << 13
 
 // Core is one simulated core. Not safe for concurrent use.
 type Core struct {
-	cfg    Config
-	id     int
-	gen    *workload.Generator
+	//ntclint:allow snapshotcheck config: fixed by New
+	cfg Config
+	//ntclint:allow snapshotcheck config: fixed by New
+	id  int
+	gen *workload.Generator
+	//ntclint:allow snapshotcheck config: the owning cluster, wired in by New
 	mem    MemSystem
 	l1i    *cache.Cache
 	l1d    *cache.Cache
 	bpred  *bimodal
 	freqHz float64
 
-	cycleNs float64
+	cycleNs float64 //ntclint:allow snapshotcheck derived: Restore recomputes it from FreqHz
 
 	// Pipeline state.
 	seq           uint64 // dynamic instruction index
@@ -186,17 +189,18 @@ type Core struct {
 
 	// Observability (see observe.go): nil/zero until EnableObs, cumulative
 	// afterwards, never checkpointed or reset with Stats.
-	mshrOcc  []uint64
-	mshrFull uint64
+	mshrOcc  []uint64 //ntclint:allow snapshotcheck obs-only: cumulative since EnableObs
+	mshrFull uint64   //ntclint:allow snapshotcheck obs-only: cumulative since EnableObs
 
+	//ntclint:allow snapshotcheck derived: line size from cfg, recomputed by New
 	lineBits     uint
 	cycleAtReset int64 // commit cycle at the last ResetStats
 	stats        Stats
-	instr        workload.Instr
+	instr        workload.Instr //ntclint:allow snapshotcheck scratch: overwritten at the start of every Step
 	// ffInstr is FastForward's decode scratch, kept separate from instr
 	// so functional warming never clobbers the detailed pipeline's
 	// in-flight instruction.
-	ffInstr workload.Instr
+	ffInstr workload.Instr //ntclint:allow snapshotcheck scratch: overwritten by every FastForward decode
 }
 
 // New builds a core with its private L1s.
@@ -233,10 +237,6 @@ func New(cfg Config, id int, gen *workload.Generator, mem MemSystem, freqHz floa
 
 // ID returns the core's global identifier.
 func (c *Core) ID() int { return c.id }
-
-// WorkloadTables returns the immutable tables of the core's workload
-// generator (see workload.NewGeneratorWith).
-func (c *Core) WorkloadTables() *workload.Tables { return c.gen.Tables() }
 
 // Frequency returns the core clock in Hz.
 func (c *Core) Frequency() float64 { return c.freqHz }

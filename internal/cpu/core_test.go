@@ -37,7 +37,7 @@ func aluProfile() *workload.Profile {
 
 func newCore(t *testing.T, p *workload.Profile, mem MemSystem, freqHz float64, seed uint64) *Core {
 	t.Helper()
-	g := workload.NewGenerator(p, 0, rng.New(seed))
+	g := workload.NewGenerator(workload.NewPlan(p, 0, rng.New(seed)))
 	c, err := New(DefaultConfig(), 0, g, mem, freqHz)
 	if err != nil {
 		t.Fatal(err)
@@ -145,9 +145,9 @@ func TestMLPThroughMSHRs(t *testing.T) {
 	cfgWide := DefaultConfig()
 	cfgWide.MSHREntries = 16
 
-	gn := workload.NewGenerator(p, 0, rng.New(7))
+	gn := workload.NewGenerator(workload.NewPlan(p, 0, rng.New(7)))
 	narrow, _ := New(cfgNarrow, 0, gn, &fixedMem{latNs: 150}, 2e9)
-	gw := workload.NewGenerator(p, 0, rng.New(7))
+	gw := workload.NewGenerator(workload.NewPlan(p, 0, rng.New(7)))
 	wide, _ := New(cfgWide, 0, gw, &fixedMem{latNs: 150}, 2e9)
 	narrow.Run(30000)
 	wide.Run(30000)
@@ -162,7 +162,7 @@ func TestUIPCRisesAsFrequencyDrops(t *testing.T) {
 	// so cycles-per-miss shrink at low frequency and UIPC rises.
 	p := workload.DataServing()
 	uipcAt := func(hz float64) float64 {
-		g := workload.NewGenerator(p, 0, rng.New(8))
+		g := workload.NewGenerator(workload.NewPlan(p, 0, rng.New(8)))
 		c, _ := New(DefaultConfig(), 0, g, &fixedMem{latNs: 120}, hz)
 		c.Run(20000)
 		c.ResetStats()
@@ -184,7 +184,7 @@ func TestThroughputStillRisesWithFrequency(t *testing.T) {
 	// which is realistic for that setup but not what this test probes.
 	p := workload.WebSearch()
 	uipsAt := func(hz float64) float64 {
-		g := workload.NewGenerator(p, 0, rng.New(9))
+		g := workload.NewGenerator(workload.NewPlan(p, 0, rng.New(9)))
 		c, _ := New(DefaultConfig(), 0, g, &fixedMem{latNs: 25}, hz)
 		c.Run(20000)
 		c.ResetStats()
@@ -198,7 +198,7 @@ func TestThroughputStillRisesWithFrequency(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() Stats {
-		g := workload.NewGenerator(workload.WebServing(), 0, rng.New(10))
+		g := workload.NewGenerator(workload.NewPlan(workload.WebServing(), 0, rng.New(10)))
 		c, _ := New(DefaultConfig(), 0, g, &fixedMem{latNs: 90}, 1e9)
 		c.Run(30000)
 		return c.Stats()
@@ -212,13 +212,13 @@ func TestDeterminism(t *testing.T) {
 func TestFastForwardWarmsCaches(t *testing.T) {
 	p := workload.WebSearch()
 	cold := func() float64 {
-		g := workload.NewGenerator(p, 0, rng.New(11))
+		g := workload.NewGenerator(workload.NewPlan(p, 0, rng.New(11)))
 		c, _ := New(DefaultConfig(), 0, g, &fixedMem{latNs: 90}, 1e9)
 		c.Run(30000)
 		return c.Stats().L1D.HitRate()
 	}()
 	warmed := func() float64 {
-		g := workload.NewGenerator(p, 0, rng.New(11))
+		g := workload.NewGenerator(workload.NewPlan(p, 0, rng.New(11)))
 		c, _ := New(DefaultConfig(), 0, g, &fixedMem{latNs: 90}, 1e9)
 		c.FastForward(200000, nil)
 		c.ResetStats()
@@ -231,7 +231,7 @@ func TestFastForwardWarmsCaches(t *testing.T) {
 }
 
 func TestFastForwardAdvancesTraceNotTime(t *testing.T) {
-	g := workload.NewGenerator(workload.WebSearch(), 0, rng.New(12))
+	g := workload.NewGenerator(workload.NewPlan(workload.WebSearch(), 0, rng.New(12)))
 	c, _ := New(DefaultConfig(), 0, g, &fixedMem{latNs: 90}, 1e9)
 	c.FastForward(1000, nil)
 	if c.Cycle() != 0 {
@@ -243,7 +243,7 @@ func TestFastForwardAdvancesTraceNotTime(t *testing.T) {
 }
 
 func TestResetStatsKeepsPipelineState(t *testing.T) {
-	g := workload.NewGenerator(workload.WebSearch(), 0, rng.New(13))
+	g := workload.NewGenerator(workload.NewPlan(workload.WebSearch(), 0, rng.New(13)))
 	c, _ := New(DefaultConfig(), 0, g, &fixedMem{latNs: 90}, 1e9)
 	c.Run(10000)
 	cyc := c.Cycle()
@@ -272,7 +272,7 @@ func TestWritebackTrafficGenerated(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	g := workload.NewGenerator(aluProfile(), 0, rng.New(1))
+	g := workload.NewGenerator(workload.NewPlan(aluProfile(), 0, rng.New(1)))
 	if _, err := New(Config{Width: 0, WindowSize: 128}, 0, g, &fixedMem{}, 1e9); err == nil {
 		t.Fatal("zero width should be rejected")
 	}
@@ -298,9 +298,9 @@ func TestWindowLimitsMLP(t *testing.T) {
 	large := DefaultConfig()
 	large.WindowSize = 256
 
-	gs := workload.NewGenerator(p, 0, rng.New(15))
+	gs := workload.NewGenerator(workload.NewPlan(p, 0, rng.New(15)))
 	cs, _ := New(small, 0, gs, &fixedMem{latNs: 200}, 2e9)
-	gl := workload.NewGenerator(p, 0, rng.New(15))
+	gl := workload.NewGenerator(workload.NewPlan(p, 0, rng.New(15)))
 	cl, _ := New(large, 0, gl, &fixedMem{latNs: 200}, 2e9)
 	cs.Run(30000)
 	cl.Run(30000)
@@ -311,7 +311,7 @@ func TestWindowLimitsMLP(t *testing.T) {
 }
 
 func BenchmarkCoreStep(b *testing.B) {
-	g := workload.NewGenerator(workload.DataServing(), 0, rng.New(1))
+	g := workload.NewGenerator(workload.NewPlan(workload.DataServing(), 0, rng.New(1)))
 	c, _ := New(DefaultConfig(), 0, g, &fixedMem{latNs: 90}, 1e9)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -320,7 +320,7 @@ func BenchmarkCoreStep(b *testing.B) {
 }
 
 func BenchmarkCoreFastForward(b *testing.B) {
-	g := workload.NewGenerator(workload.DataServing(), 0, rng.New(1))
+	g := workload.NewGenerator(workload.NewPlan(workload.DataServing(), 0, rng.New(1)))
 	c, _ := New(DefaultConfig(), 0, g, &fixedMem{latNs: 90}, 1e9)
 	b.ResetTimer()
 	c.FastForward(uint64(b.N), nil)
@@ -337,7 +337,7 @@ func TestStridePrefetcherHelpsStreaming(t *testing.T) {
 	run := func(pf bool) float64 {
 		cfg := DefaultConfig()
 		cfg.StridePrefetch = pf
-		g := workload.NewGenerator(p, 0, rng.New(77))
+		g := workload.NewGenerator(workload.NewPlan(p, 0, rng.New(77)))
 		c, _ := New(cfg, 0, g, &fixedMem{latNs: 100}, 2e9)
 		c.Run(20000)
 		c.ResetStats()
@@ -360,7 +360,7 @@ func TestStridePrefetcherCountsTraffic(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.StridePrefetch = true
 	mem := &fixedMem{latNs: 100}
-	g := workload.NewGenerator(p, 0, rng.New(78))
+	g := workload.NewGenerator(workload.NewPlan(p, 0, rng.New(78)))
 	c, _ := New(cfg, 0, g, mem, 2e9)
 	c.Run(30000)
 	if c.Stats().Prefetches == 0 {
@@ -386,9 +386,9 @@ func TestPortLimitsConstrainIssue(t *testing.T) {
 	cfgPorts := DefaultConfig()
 	cfgPorts.Ports = A57Ports() // Mem: 1
 
-	gu := workload.NewGenerator(p, 0, rng.New(91))
+	gu := workload.NewGenerator(workload.NewPlan(p, 0, rng.New(91)))
 	unified, _ := New(cfgUnified, 0, gu, &fixedMem{latNs: 30}, 1e9)
-	gp := workload.NewGenerator(p, 0, rng.New(91))
+	gp := workload.NewGenerator(workload.NewPlan(p, 0, rng.New(91)))
 	ported, _ := New(cfgPorts, 0, gp, &fixedMem{latNs: 30}, 1e9)
 
 	unified.Run(10000)
@@ -432,7 +432,7 @@ func TestStallAttributionShapes(t *testing.T) {
 	serial.DepGeomP = 0.9999
 
 	run := func(p *workload.Profile) Stats {
-		g := workload.NewGenerator(p, 0, rng.New(71))
+		g := workload.NewGenerator(workload.NewPlan(p, 0, rng.New(71)))
 		c, _ := New(DefaultConfig(), 0, g, &fixedMem{latNs: 150}, 2e9)
 		c.Run(10000)
 		c.ResetStats()
@@ -451,7 +451,7 @@ func TestStallAttributionShapes(t *testing.T) {
 }
 
 func TestStallCountersResetWithStats(t *testing.T) {
-	g := workload.NewGenerator(workload.DataServing(), 0, rng.New(72))
+	g := workload.NewGenerator(workload.NewPlan(workload.DataServing(), 0, rng.New(72)))
 	c, _ := New(DefaultConfig(), 0, g, &fixedMem{latNs: 90}, 1e9)
 	c.Run(20000)
 	if s := c.Stats(); s.FrontendStall == 0 && s.MemStall == 0 {

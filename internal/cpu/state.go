@@ -147,7 +147,7 @@ func unflattenSlots(flat []uint8, slots *[issueRingSize][4]uint8) {
 }
 
 // ReseedWorkload re-derives the workload generator's random streams from
-// seed for this core's global ID (see workload.Generator.Reseed).
+// seed (see workload.Generator.Reseed).
 func (c *Core) ReseedWorkload(seed *rng.Stream) {
-	c.gen.Reseed(c.id, seed)
+	c.gen.Reseed(seed)
 }

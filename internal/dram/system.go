@@ -103,16 +103,18 @@ type channel struct {
 // concurrent use; the cluster simulator drives it from a single goroutine
 // with non-decreasing timestamps.
 type System struct {
+	//ntclint:allow snapshotcheck config: fixed by New
 	cfg   Config
 	chans []*channel
 	stats Stats
 
+	//ntclint:allow snapshotcheck derived: row geometry from cfg, recomputed by New
 	colsPerRow uint64
 	lastNowNs  float64
 
 	// Observability (see observe.go): nil until EnableObs, cumulative
 	// afterwards, never checkpointed or reset with Stats.
-	bankObs [][]BankCommandCounts
+	bankObs [][]BankCommandCounts //ntclint:allow snapshotcheck obs-only: cumulative since EnableObs
 }
 
 // New validates cfg and builds the system.

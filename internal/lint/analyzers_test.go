@@ -63,6 +63,16 @@ func TestSnapshotcheck(t *testing.T) {
 	linttest.Run(t, "testdata", lint.SnapshotcheckAnalyzer, "snapbad", "snapok", "snapallowed")
 }
 
+// TestSnapshotcheckDefaults runs the analyzer with its production flags
+// over fixtures at the import paths of the cluster checkpoint and each
+// component it captures, so dropping one of them from the default package
+// list, or a pair name they use from the default pairs, fails here.
+func TestSnapshotcheckDefaults(t *testing.T) {
+	linttest.Run(t, "testdata", lint.SnapshotcheckAnalyzer, "ntcsim/internal/sim",
+		"ntcsim/internal/cpu", "ntcsim/internal/cache", "ntcsim/internal/dram",
+		"ntcsim/internal/uncore", "ntcsim/internal/workload")
+}
+
 func TestCtxloop(t *testing.T) {
 	setFlag(t, lint.CtxloopAnalyzer, "packages", "ctxbad,ctxok,ctxallowed")
 	linttest.Run(t, "testdata", lint.CtxloopAnalyzer, "ctxbad", "ctxok", "ctxallowed")

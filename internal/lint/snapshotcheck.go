@@ -9,10 +9,17 @@ import (
 )
 
 // snapshotPkgDefault lists the packages whose Snapshot/Restore pairs are
-// audited: the cluster simulator's checkpoints, the telemetry layer's
-// exports, and the serving DES, which has no pair today but is audited
-// so that any pair added there is checked from its first commit.
+// audited: the cluster simulator's checkpoint and every component it
+// captures (cores, caches, DRAM, crossbar, workload generators), the
+// telemetry layer's exports, and the serving DES, which has no pair today
+// but is audited so that any pair added there is checked from its first
+// commit.
 const snapshotPkgDefault = "ntcsim/internal/sim," +
+	"ntcsim/internal/cpu," +
+	"ntcsim/internal/cache," +
+	"ntcsim/internal/dram," +
+	"ntcsim/internal/uncore," +
+	"ntcsim/internal/workload," +
 	"ntcsim/internal/serve," +
 	"ntcsim/internal/obs/timeseries"
 
@@ -21,9 +28,8 @@ const snapshotPkgDefault = "ntcsim/internal/sim," +
 // anywhere in its package (e.g. a read-only expvar export) is not a
 // checkpoint and is skipped.
 const snapshotPairsDefault = "Snapshot:Restore," +
+	"Snapshot:RestoreSnapshot," +
 	"State:Restore," +
-	"state:setState," +
-	"balancerState:setBalancerState," +
 	"Checkpoint:RestoreCluster"
 
 // SnapshotcheckAnalyzer verifies that every Snapshot/Restore-style pair
@@ -278,8 +284,8 @@ func runSnapshotcheck(pass *analysis.Pass) (interface{}, error) {
 			if rt != nil {
 				cp.imageNamed, cp.imageStruct = namedStruct(rt)
 			}
-			// A plain (non-struct) single-value image — e.g. the
-			// balancer's uint64 — still gets live-coverage checking.
+			// A plain (non-struct) image — e.g. the cache's
+			// [][]LineState — still gets live-coverage checking.
 			for _, cand := range funcs {
 				if cand.Name.Name != pn.setter || cand == fd {
 					continue

@@ -31,16 +31,30 @@ func (e *Engine) Restore(im *Image) {
 	e.queue = append(e.queue[:0], im.Queue...)
 }
 
-// Gen pairs the unexported state:setState convention; its rate field is
-// config that SHOULD be annotated but is not.
+// Gen pairs the State:Restore convention; its rate field is config that
+// SHOULD be annotated but is not.
 type Gen struct {
-	rate float64 // want `field Gen.rate is not captured by state`
+	rate float64 // want `field Gen.rate is not captured by State`
 	pos  int
 }
 
-type genState struct {
-	pos int
+type GenState struct {
+	Pos int
 }
 
-func (g *Gen) state() genState     { return genState{pos: g.pos} }
-func (g *Gen) setState(s genState) { g.pos = s.pos }
+func (g *Gen) State() GenState    { return GenState{Pos: g.pos} }
+func (g *Gen) Restore(s GenState) { g.pos = s.Pos }
+
+// Table pairs Snapshot:RestoreSnapshot with a plain slice image, the
+// cache.Cache shape; its hits counter escapes the snapshot.
+type Table struct {
+	lines []uint64
+	hits  uint64 // want `field Table.hits is not captured by Snapshot`
+}
+
+func (t *Table) Snapshot() []uint64 { return append([]uint64(nil), t.lines...) }
+
+func (t *Table) RestoreSnapshot(lines []uint64) error {
+	copy(t.lines, lines)
+	return nil
+}

@@ -66,15 +66,15 @@ type Counter struct {
 	next int
 }
 
-func (c *Counter) balancerState() uint64     { return uint64(c.next) }
-func (c *Counter) setBalancerState(v uint64) { c.next = int(v) }
+func (c *Counter) State() uint64    { return uint64(c.next) }
+func (c *Counter) Restore(v uint64) { c.next = int(v) }
 
 // Wholesale copies and struct conversions cover every field at once.
 type Blob struct {
 	a, b int
 }
 
-func (bl *Blob) state() blobState     { return blobState(*bl) }
-func (bl *Blob) setState(s blobState) { *bl = Blob(s) }
+func (bl *Blob) State() blobState    { return blobState(*bl) }
+func (bl *Blob) Restore(s blobState) { *bl = Blob(s) }
 
 type blobState Blob

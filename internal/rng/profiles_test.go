@@ -36,7 +36,7 @@ func TestProfileZipfMatchesBinarySearch(t *testing.T) {
 	profiles := append(workload.All(), workload.Extended()...)
 	profiles = append(profiles, workload.Bubble())
 	for _, p := range profiles {
-		workload.NewGenerator(p, 0, rng.New(1))
+		workload.NewGenerator(workload.NewPlan(p, 0, rng.New(1)))
 	}
 	params := rng.CachedZipfParams()
 	if len(params) < 4 {

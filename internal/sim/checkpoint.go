@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc64"
 	"io"
+	"slices"
 
 	"ntcsim/internal/cache"
 	"ntcsim/internal/cpu"
@@ -42,12 +43,13 @@ type Checkpoint struct {
 	DramReads     uint64
 	DramWrites    uint64
 
-	// tables holds each core's immutable workload-generator tables when
-	// the checkpoint was taken in this process, so RestoreCluster reuses
-	// them instead of drawing them again at every sweep point. gob skips
-	// unexported fields, so the sealed bytes do not change and a
-	// checkpoint from LoadSealed has none: RestoreCluster then draws them.
-	tables []*workload.Tables
+	// plans holds each core's workload-generator plan when the checkpoint
+	// was taken in this process, so RestoreCluster runs the very profiles
+	// it was taken with and reuses their bias tables instead of drawing
+	// them again at every sweep point. gob skips unexported fields, so a
+	// checkpoint from LoadSealed has none: RestoreCluster then looks the
+	// profiles up by name and builds the plans afresh.
+	plans []workload.Plan
 }
 
 // Checkpoint captures the cluster's full state.
@@ -64,12 +66,12 @@ func (cl *Cluster) Checkpoint() *Checkpoint {
 		DramReads:     cl.dramReads,
 		DramWrites:    cl.dramWrites,
 	}
-	for _, p := range cl.profiles {
-		ck.Profiles = append(ck.Profiles, p.Name)
+	for i := range cl.plans {
+		ck.Profiles = append(ck.Profiles, cl.plans[i].Profile().Name)
 	}
+	ck.plans = cl.plans
 	for _, c := range cl.cores {
 		ck.Cores = append(ck.Cores, c.State())
-		ck.tables = append(ck.tables, c.WorkloadTables())
 	}
 	for _, b := range cl.banks {
 		ck.Banks = append(ck.Banks, b.Snapshot())
@@ -78,24 +80,45 @@ func (cl *Cluster) Checkpoint() *Checkpoint {
 	return ck
 }
 
-// RestoreCluster rebuilds a cluster from a checkpoint. A checkpoint taken
-// in this process lends the restored generators its bias tables; they are
-// reused only where they were drawn for the same seed, workload, core and
-// branch parameters, so the restored cluster is the same either way.
-func RestoreCluster(ck *Checkpoint) (*Cluster, error) {
+// Bind makes ck restore onto p on every core instead of onto the
+// registered profile of its workload name: for a checkpoint from
+// LoadSealed that the caller knows was taken with p, renamed or edited.
+func (ck *Checkpoint) Bind(p *workload.Profile) (err error) {
 	profiles := make([]*workload.Profile, len(ck.Profiles))
-	for i, name := range ck.Profiles {
-		p := workload.ByName(name)
-		if p == nil {
-			return nil, fmt.Errorf("sim: checkpoint references unknown workload %q", name)
-		}
+	for i := range profiles {
 		profiles[i] = p
+	}
+	ck.plans, err = newPlans(ck.Config, profiles, 0)
+	return err
+}
+
+// RestoreCluster rebuilds a cluster from a checkpoint. A checkpoint taken
+// in this process, or bound with Bind, restores onto the plans it carries;
+// one from LoadSealed otherwise restores onto the registered profiles of
+// its workload names.
+func RestoreCluster(ck *Checkpoint) (*Cluster, error) {
+	plans := ck.plans
+	sameName := func(pl workload.Plan, name string) bool { return pl.Profile().Name == name }
+	if plans != nil && !slices.EqualFunc(plans, ck.Profiles, sameName) {
+		return nil, fmt.Errorf("sim: checkpoint workload names do not match its plans")
+	}
+	if plans == nil {
+		profiles := make([]*workload.Profile, len(ck.Profiles))
+		for i, name := range ck.Profiles {
+			if profiles[i] = workload.ByName(name); profiles[i] == nil {
+				return nil, fmt.Errorf("sim: checkpoint references unknown workload %q", name)
+			}
+		}
+		var err error
+		if plans, err = newPlans(ck.Config, profiles, 0); err != nil {
+			return nil, err
+		}
 	}
 	mem, err := NewSharedMemory(ck.Config.DRAM)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	cl, err := newCluster(ck.Config, profiles, ck.FreqHz, mem, 0, ck.tables)
+	cl, err := newCluster(ck.Config, plans, ck.FreqHz, mem)
 	if err != nil {
 		return nil, err
 	}

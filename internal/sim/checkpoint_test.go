@@ -2,8 +2,13 @@ package sim
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"flag"
+	"fmt"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ntcsim/internal/workload"
@@ -262,8 +267,8 @@ func TestSealedStaleRequiresIntegrity(t *testing.T) {
 }
 
 // restorePair warms a cluster running p and restores it twice: from the
-// in-memory checkpoint, which lends its generator tables, and through
-// SaveSealed/LoadSealed, which draws them again.
+// in-memory checkpoint, which carries its generator plans, and through
+// SaveSealed/LoadSealed, which builds them again.
 func restorePair(t *testing.T, p *workload.Profile) (src, shared, sealed *Cluster) {
 	t.Helper()
 	const fp = 0x7ab1e5
@@ -282,8 +287,8 @@ func restorePair(t *testing.T, p *workload.Profile) (src, shared, sealed *Cluste
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.tables != nil {
-		t.Fatal("a sealed checkpoint must not carry generator tables")
+	if loaded.plans != nil {
+		t.Fatal("a sealed checkpoint must not carry generator plans")
 	}
 	if shared, err = RestoreCluster(ck); err != nil {
 		t.Fatal(err)
@@ -295,18 +300,17 @@ func restorePair(t *testing.T, p *workload.Profile) (src, shared, sealed *Cluste
 }
 
 // TestRestoreSharedTablesMatchesSealed checks that reusing the in-memory
-// checkpoint's generator tables restores the same cluster as drawing them
-// again after a sealed round trip: same measurement, same checkpoint
-// (tables compared by content), same sealed bytes.
+// checkpoint's generator plans, bias tables included, restores the same
+// cluster as building them again after a sealed round trip: same
+// measurement, same checkpoint (plans compared by content), same sealed
+// bytes.
 func TestRestoreSharedTablesMatchesSealed(t *testing.T) {
 	src, shared, sealed := restorePair(t, workload.WebServing())
-	for i := range src.cores {
-		if shared.cores[i].WorkloadTables() != src.cores[i].WorkloadTables() {
-			t.Fatalf("core %d: in-memory restore drew its tables again", i)
-		}
-		if sealed.cores[i].WorkloadTables() == src.cores[i].WorkloadTables() {
-			t.Fatalf("core %d: sealed restore shares the source's tables", i)
-		}
+	if &shared.plans[0] != &src.plans[0] {
+		t.Fatal("in-memory restore built its plans again")
+	}
+	if &sealed.plans[0] == &src.plans[0] {
+		t.Fatal("sealed restore shares the source's plans")
 	}
 	a, b := shared.Measure(20000), sealed.Measure(20000)
 	if !reflect.DeepEqual(a, b) {
@@ -328,36 +332,23 @@ func TestRestoreSharedTablesMatchesSealed(t *testing.T) {
 	}
 }
 
-// TestSameNamedProfilesNeverShareTables warms a cluster on a profile that
-// shares web-search's name but not its branch-bias parameters. Restore
-// looks profiles up by name, so the restored cores run the registered
-// web-search and must draw their own tables, exactly as after a sealed
-// round trip.
-func TestSameNamedProfilesNeverShareTables(t *testing.T) {
+// TestRestoreKeepsEditedProfile warms a cluster on an edited profile that
+// keeps web-search's name. The in-memory checkpoint carries its plans, so
+// the restored cluster runs the edited profile and continues exactly as
+// the source does, not as the registered web-search would.
+func TestRestoreKeepsEditedProfile(t *testing.T) {
 	p := workload.WebSearch()
-	p.BiasAlpha, p.BiasBeta = 50, 50
-	src, shared, sealed := restorePair(t, p)
-	reg, err := NewCluster(DefaultConfig(), workload.WebSearch(), 1.5e9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range src.cores {
-		if shared.cores[i].WorkloadTables() == src.cores[i].WorkloadTables() {
-			t.Fatalf("core %d: restore reused tables drawn for other bias parameters", i)
-		}
-		if src.cores[i].WorkloadTables() == reg.cores[i].WorkloadTables() {
-			t.Fatalf("core %d: two same-named profiles share tables", i)
-		}
-	}
-	if a, b := shared.Measure(20000), sealed.Measure(20000); !reflect.DeepEqual(a, b) {
-		t.Fatalf("measurements diverged:\n%+v\n%+v", a, b)
+	p.LoadFrac = 0.10
+	src, shared, _ := restorePair(t, p)
+	if a, b := shared.Measure(20000), src.Measure(20000); !reflect.DeepEqual(a, b) {
+		t.Fatalf("restored cluster diverged from its source:\n%+v\n%+v", a, b)
 	}
 }
 
 // BenchmarkRestoreCluster measures one sweep point's restore of a warmed
 // web-serving cluster (16,384 static branches per core): "shared" from
-// the in-memory checkpoint, which lends its bias tables, "drawn" from a
-// sealed round trip, which draws them again.
+// the in-memory checkpoint, which carries its plans' bias tables, "drawn"
+// from a sealed round trip, which draws them again.
 func BenchmarkRestoreCluster(b *testing.B) {
 	src, err := NewCluster(DefaultConfig(), workload.WebServing(), 1.5e9)
 	if err != nil {
@@ -385,5 +376,45 @@ func BenchmarkRestoreCluster(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/sealed.golden")
+
+// TestSealedBytesGolden pins the sealed checkpoint format byte for byte:
+// the SHA-256 of SaveSealed for a fixed warmed cluster of one scale-out
+// and one VM profile must match testdata/sealed.golden, so checkpoint
+// files an earlier build wrote to -ckptdir still load. Regenerate with
+// -update only for an intentional format change.
+func TestSealedBytesGolden(t *testing.T) {
+	var got strings.Builder
+	for _, p := range []*workload.Profile{workload.WebSearch(), workload.VMHighMem()} {
+		cl, err := NewCluster(DefaultConfig(), p, 1.5e9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl.FastForward(40000)
+		cl.Run(5000)
+		var buf bytes.Buffer
+		if err := cl.Checkpoint().SaveSealed(&buf, 0x5ea1ed); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&got, "%s %x\n", p.Name, sha256.Sum256(buf.Bytes()))
+	}
+	const path = "testdata/sealed.golden"
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("sealed checkpoint bytes changed:\ngot\n%swant\n%s", got.String(), want)
 	}
 }

@@ -95,7 +95,11 @@ func NewHeteroChip(cfg Config, clusters []ClusterSpec) (*Chip, error) {
 		for j := range profiles {
 			profiles[j] = spec.Profile
 		}
-		cl, err := newCluster(clusterCfg, profiles, spec.FreqHz, mem, i*cfg.CoresPerCluster, nil)
+		plans, err := newPlans(clusterCfg, profiles, i*cfg.CoresPerCluster)
+		if err != nil {
+			return nil, err
+		}
+		cl, err := newCluster(clusterCfg, plans, spec.FreqHz, mem)
 		if err != nil {
 			return nil, err
 		}

@@ -54,11 +54,11 @@ func DefaultConfig() Config {
 // Cluster is one simulated cluster plus the memory system. Not safe for
 // concurrent use.
 type Cluster struct {
-	cfg      Config
-	profiles []*workload.Profile // per core
-	freqHz   float64
-	cores    []*cpu.Core
-	banks    []*cache.Cache
+	cfg    Config
+	plans  []workload.Plan // per core, shared read-only with checkpoints
+	freqHz float64
+	cores  []*cpu.Core
+	banks  []*cache.Cache
 	//ntclint:allow snapshotcheck derived: rebuilt by NewMixedCluster from cfg
 	llcModel *sram.Model
 	xbar     *uncore.Crossbar
@@ -105,29 +105,39 @@ func NewCluster(cfg Config, profile *workload.Profile, freqHz float64) (*Cluster
 // out because of interference (Sec. III-B1); the interference analysis in
 // internal/core quantifies exactly that effect.
 func NewMixedCluster(cfg Config, profiles []*workload.Profile, freqHz float64) (*Cluster, error) {
+	plans, err := newPlans(cfg, profiles, 0)
+	if err != nil {
+		return nil, err
+	}
 	mem, err := NewSharedMemory(cfg.DRAM)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	return newCluster(cfg, profiles, freqHz, mem, 0, nil)
+	return newCluster(cfg, plans, freqHz, mem)
 }
 
-// newCluster builds a cluster against an externally owned memory system,
-// with globally unique core IDs starting at coreIDBase (used by Chip).
-// tables, when non-nil, offers core i's generator tables[i] to reuse
-// (workload.NewGeneratorWith).
-func newCluster(cfg Config, profiles []*workload.Profile, freqHz float64, mem *SharedMemory,
-	coreIDBase int, tables []*workload.Tables) (*Cluster, error) {
-	if cfg.CoresPerCluster <= 0 {
-		return nil, fmt.Errorf("sim: cores per cluster must be positive")
-	}
-	if len(profiles) != cfg.CoresPerCluster {
-		return nil, fmt.Errorf("sim: %d profiles for %d cores", len(profiles), cfg.CoresPerCluster)
-	}
+// newPlans builds the generator plan of each core running profiles, with
+// globally unique core IDs starting at coreIDBase (used by Chip).
+func newPlans(cfg Config, profiles []*workload.Profile, coreIDBase int) ([]workload.Plan, error) {
+	seed := rng.New(cfg.Seed)
+	plans := make([]workload.Plan, len(profiles))
 	for i, p := range profiles {
 		if p == nil {
 			return nil, fmt.Errorf("sim: nil profile for core %d", i)
 		}
+		plans[i] = workload.NewPlan(p, coreIDBase+i, seed)
+	}
+	return plans, nil
+}
+
+// newCluster builds a cluster whose core i runs plans[i] against an
+// externally owned memory system.
+func newCluster(cfg Config, plans []workload.Plan, freqHz float64, mem *SharedMemory) (*Cluster, error) {
+	if cfg.CoresPerCluster <= 0 {
+		return nil, fmt.Errorf("sim: cores per cluster must be positive")
+	}
+	if len(plans) != cfg.CoresPerCluster {
+		return nil, fmt.Errorf("sim: %d profiles for %d cores", len(plans), cfg.CoresPerCluster)
 	}
 	if cfg.LLCBanks <= 0 || cfg.LLCBanks&(cfg.LLCBanks-1) != 0 {
 		return nil, fmt.Errorf("sim: LLC banks must be a positive power of two, got %d", cfg.LLCBanks)
@@ -142,7 +152,7 @@ func newCluster(cfg Config, profiles []*workload.Profile, freqHz float64, mem *S
 	}
 	cl := &Cluster{
 		cfg:      cfg,
-		profiles: profiles,
+		plans:    plans,
 		freqHz:   freqHz,
 		llcModel: llcModel,
 		xbar:     xbar,
@@ -162,7 +172,6 @@ func newCluster(cfg Config, profiles []*workload.Profile, freqHz float64, mem *S
 		Assoc:     cfg.LLC.Associativity,
 		LineBytes: cfg.LLC.LineBytes,
 	}
-	seed := rng.New(cfg.Seed)
 	for i := 0; i < cfg.LLCBanks; i++ {
 		bankCfg.Name = fmt.Sprintf("llc-bank%d", i)
 		b, err := cache.New(bankCfg)
@@ -171,14 +180,8 @@ func newCluster(cfg Config, profiles []*workload.Profile, freqHz float64, mem *S
 		}
 		cl.banks = append(cl.banks, b)
 	}
-	for i := 0; i < cfg.CoresPerCluster; i++ {
-		gid := coreIDBase + i
-		var t *workload.Tables
-		if i < len(tables) {
-			t = tables[i]
-		}
-		gen := workload.NewGeneratorWith(profiles[i], gid, seed, t)
-		core, err := cpu.New(cfg.Core, gid, gen, cl, freqHz)
+	for i := range plans {
+		core, err := cpu.New(cfg.Core, plans[i].Core(), workload.NewGenerator(plans[i]), cl, freqHz)
 		if err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
 		}
@@ -188,10 +191,16 @@ func newCluster(cfg Config, profiles []*workload.Profile, freqHz float64, mem *S
 }
 
 // Profile returns the workload the cluster runs.
-func (cl *Cluster) Profile() *workload.Profile { return cl.profiles[0] }
+func (cl *Cluster) Profile() *workload.Profile { return cl.plans[0].Profile() }
 
 // Profiles returns the per-core workload assignment.
-func (cl *Cluster) Profiles() []*workload.Profile { return cl.profiles }
+func (cl *Cluster) Profiles() []*workload.Profile {
+	ps := make([]*workload.Profile, len(cl.plans))
+	for i := range cl.plans {
+		ps[i] = cl.plans[i].Profile()
+	}
+	return ps
+}
 
 // Frequency returns the core clock in Hz.
 func (cl *Cluster) Frequency() float64 { return cl.freqHz }

@@ -20,17 +20,17 @@ import (
 // uncore clock domain.
 type Crossbar struct {
 	// Ports is the number of output ports (LLC banks).
-	Ports int
+	Ports int //ntclint:allow snapshotcheck config: fixed by NewCrossbar
 	// TraversalNs is the unloaded one-way traversal latency.
-	TraversalNs float64
+	TraversalNs float64 //ntclint:allow snapshotcheck config: fixed by NewCrossbar
 	// OccupancyNs is the time one transfer occupies an output port (the
 	// serialization latency of a 64B line over the port width).
-	OccupancyNs float64
+	OccupancyNs float64 //ntclint:allow snapshotcheck config: fixed by NewCrossbar
 	// StaticW is the standing power of the switch fabric and links (the
 	// paper cites 25mW per cluster crossbar).
-	StaticW float64
+	StaticW float64 //ntclint:allow snapshotcheck config: fixed by NewCrossbar
 	// FlitEnergyJ is the dynamic energy per transferred line.
-	FlitEnergyJ float64
+	FlitEnergyJ float64 //ntclint:allow snapshotcheck config: fixed by NewCrossbar
 
 	nextFree  []float64
 	transfers uint64

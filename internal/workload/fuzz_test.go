@@ -15,7 +15,7 @@ func FuzzGeneratorInvariants(f *testing.F) {
 		profiles := All()
 		p := profiles[int(profIdx)%len(profiles)]
 		core := int(coreID % 8)
-		g := NewGenerator(p, core, rng.New(seed))
+		g := NewGenerator(NewPlan(p, core, rng.New(seed)))
 		lo := uint64(core) << 34
 		hi := uint64(core+1) << 34
 		var in Instr

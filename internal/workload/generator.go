@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
 
 	"ntcsim/internal/rng"
 )
@@ -76,28 +75,17 @@ const (
 	instrBytes     = 4
 )
 
-// Generator produces the deterministic instruction stream of one core
-// running one workload. Two generators with the same (profile, coreID,
-// seed stream) produce identical traces.
-//
-// Every probability test compares the 53 bits a Float64 draw would use
-// with a precomputed rng.Threshold instead of converting to float, and
-// every bounded draw goes through an rng.Uniform with its rejection bound
-// precomputed (a mask for powers of two). Both consume and return exactly
-// what Float64/Bool and Uint64n do.
-type Generator struct {
+// Plan is the immutable part of a generator, everything NewPlan derives
+// from (profile, core, seed). Its branch biases cost up to StaticBranches
+// Beta deviates, so generators restored from one in-memory checkpoint
+// share one plan, copied by value around the same bias table.
+type Plan struct {
 	p    *Profile
-	base uint64 // core window base address
+	core int
+	seed rng.Stream // the stream NewGenerator starts the cursor from
+	base uint64     // core window base address
 
-	mix  rng.Stream
-	dep  rng.Stream
-	brs  rng.Stream
-	mem  rng.Stream
-	code rng.Stream
-	os   rng.Stream
-
-	branchPick rng.Zipf
-	tables     *Tables // branch-bias thresholds, shared read-only
+	biases []uint64 // rng.Threshold of each branch site's taken probability
 
 	depGeom *rng.Geometric // dependency distance, p = DepGeomP
 	osGeom  *rng.Geometric // OS burst length, p = 1/OSBurst; nil when OSFrac <= 0
@@ -110,28 +98,35 @@ type Generator struct {
 	enterT                      uint64 // per-instruction OS entry, 0 when OSFrac <= 0
 	farT                        uint64 // far jump on a taken branch, CodeJumpP
 
-	coldZipf   rng.Zipf
-	hotZipf    rng.Zipf
-	coldLines  uint64
-	hotLines   uint64
-	streamPos  uint64
-	codeTarget rng.Zipf
-	codeLines  uint64
+	coldLines, hotLines               uint64
+	coldChunks, hotChunks, codeChunks int // Zipf ranks of the three regions
 
 	// Uniform draws over the stack lines and the lines of one hot or cold
 	// Zipf chunk (bounds derived from the footprints).
-	stackLine rng.Uniform
-	hotChunk  rng.Uniform
-	coldChunk rng.Uniform
-	// Bytes of code per far-jump Zipf rank.
-	codeChunkBytes uint64
-	osChunkBytes   uint64
+	stackLine, hotChunk, coldChunk rng.Uniform
+	codeChunkBytes, osChunkBytes   uint64 // bytes of code per far-jump Zipf rank
+}
 
-	pc       uint64
-	inOS     bool
-	osLeft   int
-	osPC     uint64
-	produced uint64
+// Generator produces the deterministic instruction stream of one core
+// running one workload: a cursor over a Plan, which GeneratorState
+// captures. Generators built from equal plans produce identical traces.
+//
+// Every probability test compares the 53 bits a Float64 draw would use
+// with a precomputed rng.Threshold instead of converting to float, and
+// every bounded draw goes through an rng.Uniform with its rejection bound
+// precomputed (a mask for powers of two). Both consume and return exactly
+// what Float64/Bool and Uint64n do.
+type Generator struct {
+	//ntclint:allow snapshotcheck config: immutable, rebuilt from (profile, core, seed) by NewPlan
+	plan Plan // by value: the per-instruction path reads it without a pointer hop
+
+	mix, dep, brs, mem, code, os              rng.Stream
+	branchPick, coldZipf, hotZipf, codeTarget rng.Zipf
+
+	pc, osPC            uint64
+	inOS                bool
+	osLeft              int
+	streamPos, produced uint64
 }
 
 // Fixed per-instruction tests and draws, shared by every generator.
@@ -146,146 +141,90 @@ var (
 	nearJump  = rng.NewUniform(512)
 )
 
-// Tables is the part of a generator NewGenerator draws rather than looks
-// up: one taken-bias threshold per static branch site, drawn from
-// Beta(BiasAlpha, BiasBeta). Drawing it costs up to StaticBranches Beta
-// deviates, so clusters restored from one in-memory checkpoint share it
-// (NewGeneratorWith). It is immutable once built.
-type Tables struct {
-	key    tablesKey
-	biases []uint64 // rng.Threshold of each site's taken probability
-}
-
-// tablesKey is everything a Tables' contents depend on. The bias stream's
-// starting state hashes the seed, the profile name and the core ID.
-type tablesKey struct {
-	stream      uint64
-	sites       int
-	alpha, beta uint64 // math.Float64bits
-}
-
-// newTables draws the bias table for key from the stream at key.stream.
-func newTables(key tablesKey) *Tables {
-	t := &Tables{key: key, biases: make([]uint64, key.sites)}
-	bs := rng.New(key.stream)
-	a, b := math.Float64frombits(key.alpha), math.Float64frombits(key.beta)
-	for i := range t.biases {
-		t.biases[i] = rng.Threshold(bs.Beta(a, b))
-	}
-	return t
-}
-
-// NewGenerator builds the generator for profile p on global core coreID,
-// deriving all internal streams from seed.
-func NewGenerator(p *Profile, coreID int, seed *rng.Stream) *Generator {
-	return NewGeneratorWith(p, coreID, seed, nil)
-}
-
-// NewGeneratorWith is NewGenerator, reusing t (from Generator.Tables)
-// instead of drawing the tables again when t was drawn for the same seed,
-// profile name, core and branch parameters. Otherwise, and when t is nil,
-// it draws them afresh, so the generator is always the one NewGenerator
-// builds.
-func NewGeneratorWith(p *Profile, coreID int, seed *rng.Stream, t *Tables) *Generator {
+// NewPlan builds the plan for profile p on global core coreID, drawing
+// the branch biases from seed.
+func NewPlan(p *Profile, coreID int, seed *rng.Stream) Plan {
 	if p.DataBytes == 0 || p.CodeBytes == 0 {
 		panic(fmt.Sprintf("workload %q: zero footprint", p.Name))
 	}
-	root := seed.Derive(fmt.Sprintf("%s/core%d", p.Name, coreID))
-	g := &Generator{
-		p:    p,
-		base: uint64(coreID) << coreWindowBits,
-		mix:  *root.Derive("mix"),
-		dep:  *root.Derive("dep"),
-		brs:  *root.Derive("branch"),
-		mem:  *root.Derive("mem"),
-		code: *root.Derive("code"),
-		os:   *root.Derive("os"),
+	pl := Plan{
+		p:       p,
+		core:    coreID,
+		seed:    *seed,
+		base:    uint64(coreID) << coreWindowBits,
+		biases:  make([]uint64, p.StaticBranches),
+		depGeom: rng.NewGeometric(p.DepGeomP),
 	}
-	g.branchPick = *rng.NewZipf(root.Derive("branch-pick"), p.StaticBranches, p.BranchZipf)
-	g.depGeom = rng.NewGeometric(p.DepGeomP)
+	bs := pl.root(seed).Derive("biases")
+	for i := range pl.biases {
+		pl.biases[i] = rng.Threshold(bs.Beta(p.BiasAlpha, p.BiasBeta))
+	}
 	if p.OSFrac > 0 {
-		g.osGeom = rng.NewGeometric(1 / p.OSBurst)
+		pl.osGeom = rng.NewGeometric(1 / p.OSBurst)
 		// Enter probability chosen so mean user-run length yields OSFrac.
-		g.enterT = rng.Threshold(p.OSFrac / ((1 - p.OSFrac) * p.OSBurst))
+		pl.enterT = rng.Threshold(p.OSFrac / ((1 - p.OSFrac) * p.OSBurst))
 	}
-	key := tablesKey{
-		stream: root.Derive("biases").State(),
-		sites:  p.StaticBranches,
-		alpha:  math.Float64bits(p.BiasAlpha),
-		beta:   math.Float64bits(p.BiasBeta),
-	}
-	if t == nil || t.key != key {
-		t = newTables(key)
-	}
-	g.tables = t
 	// The sums are formed in the order the reference cascade
 	// (r < LoadFrac, r < LoadFrac+StoreFrac, ...) forms them.
-	g.loadT = rng.Threshold(p.LoadFrac)
-	g.storeT = rng.Threshold(p.LoadFrac + p.StoreFrac)
-	g.branchT = rng.Threshold(p.LoadFrac + p.StoreFrac + p.BranchFrac)
-	g.fpT = rng.Threshold(p.LoadFrac + p.StoreFrac + p.BranchFrac + p.FPFrac)
-	g.stackT = rng.Threshold(p.StackFrac)
-	g.hotT = rng.Threshold(p.StackFrac + p.HotFrac)
-	g.streamT = rng.Threshold(p.StackFrac + p.HotFrac + p.StreamFrac)
-	g.farT = rng.Threshold(p.CodeJumpP)
+	pl.loadT = rng.Threshold(p.LoadFrac)
+	pl.storeT = rng.Threshold(p.LoadFrac + p.StoreFrac)
+	pl.branchT = rng.Threshold(p.LoadFrac + p.StoreFrac + p.BranchFrac)
+	pl.fpT = rng.Threshold(p.LoadFrac + p.StoreFrac + p.BranchFrac + p.FPFrac)
+	pl.stackT = rng.Threshold(p.StackFrac)
+	pl.hotT = rng.Threshold(p.StackFrac + p.HotFrac)
+	pl.streamT = rng.Threshold(p.StackFrac + p.HotFrac + p.StreamFrac)
+	pl.farT = rng.Threshold(p.CodeJumpP)
 	const line = 64
-	g.stackLine = rng.NewUniform(max(p.StackBytes/line, 1))
-	g.hotLines = p.HotBytes / line
-	if g.hotLines == 0 {
-		g.hotLines = 1
-	}
+	pl.stackLine = rng.NewUniform(max(p.StackBytes/line, 1))
+	pl.hotLines = max(p.HotBytes/line, 1)
 	cold := p.DataBytes - p.HotBytes - p.StackBytes
 	if p.DataBytes < p.HotBytes+p.StackBytes {
 		cold = line
 	}
-	g.coldLines = cold / line
-	if g.coldLines == 0 {
-		g.coldLines = 1
-	}
+	pl.coldLines = max(cold/line, 1)
 	// The cold Zipf table is capped; ranks index coarse 256-line chunks so
 	// multi-GB footprints stay tractable while preserving skew.
-	chunks := int(g.coldLines / 256)
-	if chunks < 1 {
-		chunks = 1
-	}
-	if chunks > 1<<16 {
-		chunks = 1 << 16
-	}
-	g.coldZipf = *rng.NewZipf(root.Derive("cold"), chunks, p.ColdZipf)
-	g.coldChunk = rng.NewUniform(max(g.coldLines/uint64(chunks), 1))
+	pl.coldChunks = min(max(int(pl.coldLines/256), 1), 1<<16)
+	pl.coldChunk = rng.NewUniform(max(pl.coldLines/uint64(pl.coldChunks), 1))
 	// The hot region is itself skewed (stack frames, hot metadata), giving
 	// the L1-level locality real applications exhibit. Ranks index 4-line
 	// chunks.
-	hotChunks := int(g.hotLines / 4)
-	if hotChunks < 1 {
-		hotChunks = 1
-	}
-	if hotChunks > 1<<15 {
-		hotChunks = 1 << 15
-	}
-	g.hotZipf = *rng.NewZipf(root.Derive("hot"), hotChunks, p.HotZipf)
-	g.hotChunk = rng.NewUniform(max(g.hotLines/uint64(hotChunks), 1))
-	g.codeLines = p.CodeBytes / line
-	codeChunks := int(g.codeLines)
-	if codeChunks > 1<<14 {
-		codeChunks = 1 << 14
-	}
-	if codeChunks < 1 {
-		codeChunks = 1
-	}
-	g.codeTarget = *rng.NewZipf(root.Derive("code-target"), codeChunks, p.CodeZipfTheta)
-	g.codeChunkBytes = max(p.CodeBytes/uint64(codeChunks), 64)
-	g.osChunkBytes = max(osCodeBytes/uint64(codeChunks), 64)
-	g.pc = g.base + codeBase
-	g.osPC = g.base + osCodeBase
-	return g
+	pl.hotChunks = min(max(int(pl.hotLines/4), 1), 1<<15)
+	pl.hotChunk = rng.NewUniform(max(pl.hotLines/uint64(pl.hotChunks), 1))
+	pl.codeChunks = max(min(int(p.CodeBytes/line), 1<<14), 1)
+	pl.codeChunkBytes = max(p.CodeBytes/uint64(pl.codeChunks), 64)
+	pl.osChunkBytes = max(osCodeBytes/uint64(pl.codeChunks), 64)
+	return pl
 }
 
-// Profile returns the generator's workload profile.
-func (g *Generator) Profile() *Profile { return g.p }
+// root derives the stream every draw of the plan's (profile, core)
+// descends from.
+func (pl *Plan) root(seed *rng.Stream) *rng.Stream {
+	return seed.Derive(fmt.Sprintf("%s/core%d", pl.p.Name, pl.core))
+}
 
-// Tables returns the generator's immutable tables, for NewGeneratorWith.
-func (g *Generator) Tables() *Tables { return g.tables }
+// Profile returns the plan's workload profile.
+func (pl *Plan) Profile() *Profile { return pl.p }
+
+// Core returns the global core ID the plan was built for.
+func (pl *Plan) Core() int { return pl.core }
+
+// NewGenerator starts a generator at the beginning of pl's trace.
+func NewGenerator(pl Plan) *Generator {
+	p := pl.p
+	var s rng.Stream // placeholder: Reseed sets every stream below
+	g := &Generator{
+		plan:       pl,
+		branchPick: *rng.NewZipf(&s, p.StaticBranches, p.BranchZipf),
+		coldZipf:   *rng.NewZipf(&s, pl.coldChunks, p.ColdZipf),
+		hotZipf:    *rng.NewZipf(&s, pl.hotChunks, p.HotZipf),
+		codeTarget: *rng.NewZipf(&s, pl.codeChunks, p.CodeZipfTheta),
+		pc:         pl.base + codeBase,
+		osPC:       pl.base + osCodeBase,
+	}
+	g.Reseed(&pl.seed)
+	return g
+}
 
 // Produced returns how many instructions have been generated.
 func (g *Generator) Produced() uint64 { return g.produced }
@@ -295,7 +234,7 @@ func (g *Generator) Next(in *Instr) {
 	g.NextWarm(in)
 	// Register dependency distance: geometric with the profile's ILP
 	// parameter, capped so it stays inside any realistic window.
-	d := g.dep.Geometric(g.depGeom)
+	d := g.dep.Geometric(g.plan.depGeom)
 	if d > 64 {
 		d = 0 // effectively independent
 	}
@@ -316,18 +255,18 @@ func (g *Generator) NextWarm(in *Instr) {
 	// m < threshold is the reference r < fraction test.
 	m := g.mix.Uint64() >> 11
 	switch {
-	case m < g.loadT:
+	case m < g.plan.loadT:
 		in.Kind = Load
 		in.Addr = g.dataAddr()
-	case m < g.storeT:
+	case m < g.plan.storeT:
 		in.Kind = Store
 		in.Addr = g.dataAddr()
-	case m < g.branchT:
+	case m < g.plan.branchT:
 		in.Kind = Branch
 		id := g.branchPick.Next()
 		in.BranchID = int32(id)
-		in.Taken = g.brs.Below(g.tables.biases[id])
-	case m < g.fpT:
+		in.Taken = g.brs.Below(g.plan.biases[id])
+	case m < g.plan.fpT:
 		in.Kind = FP
 	default:
 		in.Kind = ALU
@@ -339,13 +278,13 @@ func (g *Generator) NextWarm(in *Instr) {
 // SkipDeps advances the dependency stream past the n draws that n Next
 // calls would have made, in O(1). It completes n NextWarm calls.
 func (g *Generator) SkipDeps(n uint64) {
-	g.dep.SkipGeometric(g.depGeom, n)
+	g.dep.SkipGeometric(g.plan.depGeom, n)
 }
 
 // maybeToggleOS switches between user and OS execution in bursts sized so
 // the long-run OS fraction matches the profile.
 func (g *Generator) maybeToggleOS() {
-	if g.osGeom == nil { // OSFrac <= 0
+	if g.plan.osGeom == nil { // OSFrac <= 0
 		return
 	}
 	if g.inOS {
@@ -355,9 +294,9 @@ func (g *Generator) maybeToggleOS() {
 		}
 		return
 	}
-	if g.os.Below(g.enterT) {
+	if g.os.Below(g.plan.enterT) {
 		g.inOS = true
-		g.osLeft = g.os.Geometric(g.osGeom)
+		g.osLeft = g.os.Geometric(g.plan.osGeom)
 	}
 }
 
@@ -366,6 +305,7 @@ func (g *Generator) maybeToggleOS() {
 // then the cold region.
 func (g *Generator) dataAddr() uint64 {
 	const line = 64
+	pl := &g.plan
 	if g.inOS {
 		// OS accesses in three tiers: per-CPU kernel stack (L1-resident),
 		// hot kernel structures (runqueues, socket buffers), and the long
@@ -373,45 +313,45 @@ func (g *Generator) dataAddr() uint64 {
 		m := g.mem.Uint64() >> 11
 		switch {
 		case m < osStackT:
-			return g.base + osDataBase + g.mem.Uniform(&osStack)
+			return pl.base + osDataBase + g.mem.Uniform(&osStack)
 		case m < osHotT:
-			return g.base + osDataBase + g.mem.Uniform(&osHotLine)*line
+			return pl.base + osDataBase + g.mem.Uniform(&osHotLine)*line
 		default:
-			return g.base + osDataBase + g.mem.Uniform(&osLine)*line
+			return pl.base + osDataBase + g.mem.Uniform(&osLine)*line
 		}
 	}
 	m := g.mem.Uint64() >> 11
-	p := g.p
+	p := pl.p
 	hotBase := p.StackBytes
 	coldBase := p.StackBytes + p.HotBytes
 	switch {
-	case m < g.stackT:
+	case m < pl.stackT:
 		// Primary working set: uniform within an L1-sized region.
-		return g.base + g.mem.Uniform(&g.stackLine)*line + g.mem.Uniform(&lineByte)
-	case m < g.hotT:
+		return pl.base + g.mem.Uniform(&pl.stackLine)*line + g.mem.Uniform(&lineByte)
+	case m < pl.hotT:
 		// Hot region: Zipf over chunks, uniform within a chunk.
 		chunk := uint64(g.hotZipf.Next())
-		ln := chunk*g.hotChunk.N() + g.mem.Uniform(&g.hotChunk)
-		if ln >= g.hotLines {
-			ln = g.hotLines - 1
+		ln := chunk*pl.hotChunk.N() + g.mem.Uniform(&pl.hotChunk)
+		if ln >= pl.hotLines {
+			ln = pl.hotLines - 1
 		}
-		return g.base + hotBase + ln*line + g.mem.Uniform(&lineByte)
-	case m < g.streamT:
+		return pl.base + hotBase + ln*line + g.mem.Uniform(&lineByte)
+	case m < pl.streamT:
 		// Streaming cursor through the cold region, advancing at word
 		// granularity (a scan touches every word of a line before moving
 		// on, so only one access per line misses).
 		g.streamPos++
 		wordsPerLine := uint64(line / 8)
-		ln := (g.streamPos / wordsPerLine) % g.coldLines
-		return g.base + coldBase + ln*line + (g.streamPos%wordsPerLine)*8
+		ln := (g.streamPos / wordsPerLine) % pl.coldLines
+		return pl.base + coldBase + ln*line + (g.streamPos%wordsPerLine)*8
 	default:
 		// Cold region: Zipf over coarse chunks, uniform within a chunk.
 		chunk := uint64(g.coldZipf.Next())
-		ln := chunk*g.coldChunk.N() + g.mem.Uniform(&g.coldChunk)
-		if ln >= g.coldLines {
-			ln = g.coldLines - 1
+		ln := chunk*pl.coldChunk.N() + g.mem.Uniform(&pl.coldChunk)
+		if ln >= pl.coldLines {
+			ln = pl.coldLines - 1
 		}
-		return g.base + coldBase + ln*line
+		return pl.base + coldBase + ln*line
 	}
 }
 
@@ -419,19 +359,20 @@ func (g *Generator) dataAddr() uint64 {
 // taken branches (near jump or far jump per the profile), wrapping inside
 // the code footprint.
 func (g *Generator) nextPC(in *Instr) uint64 {
+	pl := &g.plan
 	pcp := &g.pc
-	base := g.base + codeBase
-	limit := g.p.CodeBytes
-	chunkBytes := g.codeChunkBytes
+	base := pl.base + codeBase
+	limit := pl.p.CodeBytes
+	chunkBytes := pl.codeChunkBytes
 	if g.inOS {
 		pcp = &g.osPC
-		base = g.base + osCodeBase
+		base = pl.base + osCodeBase
 		limit = osCodeBytes
-		chunkBytes = g.osChunkBytes
+		chunkBytes = pl.osChunkBytes
 	}
 	pc := *pcp
 	if in.Kind == Branch && in.Taken {
-		if g.code.Below(g.farT) {
+		if g.code.Below(pl.farT) {
 			// Far jump: Zipf-selected 64B chunk of the footprint.
 			chunk := uint64(g.codeTarget.Next())
 			off := chunk * chunkBytes
@@ -463,12 +404,10 @@ func (g *Generator) nextPC(in *Instr) uint64 {
 	return pc
 }
 
-// GeneratorState is the dynamic state of a Generator, sufficient to resume
-// an identical trace when paired with the original (profile, coreID, seed)
-// construction parameters. Lookup tables (Zipf CDFs, branch biases) are
-// rebuilt deterministically at construction (the Zipf and geometric tables
-// are shared per process, the bias table through NewGeneratorWith) and are
-// not stored.
+// GeneratorState is the cursor of a Generator: everything that changes as
+// it draws, sufficient to resume an identical trace on a generator built
+// from the same Plan. The plan itself (branch biases, thresholds, shared
+// Zipf and geometric tables) is not stored.
 type GeneratorState struct {
 	Mix, Dep, Brs, Mem, Code, OS              uint64
 	BranchPick, ColdZipf, HotZipf, CodeTarget uint64
@@ -494,15 +433,15 @@ func (g *Generator) State() GeneratorState {
 	}
 }
 
-// Reseed re-derives every internal random stream from seed with the same
-// labeling scheme NewGenerator uses for (profile, coreID), while preserving
-// all positional state (PC, stream cursor, OS mode, produced count) and the
-// structural tables (Zipf CDFs, per-branch biases). A sweep engine hands
-// each operating point its own substream (rng.Stream.Split by point index)
-// so the points draw decorrelated randomness yet remain bit-reproducible
-// regardless of evaluation order or worker count.
-func (g *Generator) Reseed(coreID int, seed *rng.Stream) {
-	root := seed.Derive(fmt.Sprintf("%s/core%d", g.p.Name, coreID))
+// Reseed re-derives every random stream of the cursor from seed with the
+// labeling scheme NewGenerator uses for the plan's (profile, core), while
+// preserving all positional state (PC, stream cursor, OS mode, produced
+// count) and the plan. A sweep engine hands each operating point its own
+// substream (rng.Stream.Split by point index) so the points draw
+// decorrelated randomness yet remain bit-reproducible regardless of
+// evaluation order or worker count.
+func (g *Generator) Reseed(seed *rng.Stream) {
+	root := g.plan.root(seed)
 	g.mix.SetState(root.Derive("mix").State())
 	g.dep.SetState(root.Derive("dep").State())
 	g.brs.SetState(root.Derive("branch").State())
@@ -516,7 +455,7 @@ func (g *Generator) Reseed(coreID int, seed *rng.Stream) {
 }
 
 // Restore resumes from a state captured with State on a generator built
-// with the same construction parameters.
+// from the same plan.
 func (g *Generator) Restore(st GeneratorState) {
 	g.mix.SetState(st.Mix)
 	g.dep.SetState(st.Dep)

@@ -76,8 +76,8 @@ func TestByName(t *testing.T) {
 
 func TestGeneratorDeterminism(t *testing.T) {
 	p := WebSearch()
-	a := NewGenerator(p, 0, rng.New(7))
-	b := NewGenerator(p, 0, rng.New(7))
+	a := NewGenerator(NewPlan(p, 0, rng.New(7)))
+	b := NewGenerator(NewPlan(p, 0, rng.New(7)))
 	var ia, ib Instr
 	for i := 0; i < 5000; i++ {
 		a.Next(&ia)
@@ -97,8 +97,8 @@ func TestNextWarmMatchesNext(t *testing.T) {
 	profiles := append(append(All(), Extended()...), Bubble(), serial)
 	for _, p := range profiles {
 		for _, n := range []int{1, 77, 8192, 50000} {
-			ref := NewGenerator(p, 1, rng.New(41))
-			warm := NewGenerator(p, 1, rng.New(41))
+			ref := NewGenerator(NewPlan(p, 1, rng.New(41)))
+			warm := NewGenerator(NewPlan(p, 1, rng.New(41)))
 			var a, b Instr
 			for i := 0; i < n; i++ {
 				ref.Next(&a)
@@ -121,44 +121,38 @@ func TestNextWarmMatchesNext(t *testing.T) {
 	}
 }
 
-// TestTablesReusedOnlyWhenIdentical checks NewGeneratorWith: tables are
-// shared only with a generator they were drawn for, and a generator
-// offered foreign tables (same profile name, other bias parameters, or
-// another core or seed) is the one NewGenerator builds.
-func TestTablesReusedOnlyWhenIdentical(t *testing.T) {
+// TestPlanSharedByGenerators checks that a Plan is immutable: a
+// generator built from a plan another generator has advanced and reseeded
+// produces the trace of one built from a fresh plan. It also checks that
+// Reseed derives the streams NewGenerator starts from.
+func TestPlanSharedByGenerators(t *testing.T) {
 	p := WebServing()
-	src := NewGenerator(p, 2, rng.New(5))
-	if g := NewGeneratorWith(WebServing(), 2, rng.New(5), src.Tables()); g.Tables() != src.Tables() {
-		t.Fatal("identical parameters did not reuse the tables")
+	pl := NewPlan(p, 2, rng.New(5))
+	used := NewGenerator(pl)
+	var a, b Instr
+	for i := 0; i < 10000; i++ {
+		used.Next(&a)
 	}
-	other := WebServing()
-	other.BiasAlpha, other.BiasBeta = 50, 50
-	for _, c := range []struct {
-		name string
-		p    *Profile
-		core int
-		seed uint64
-	}{{"bias", other, 2, 5}, {"core", p, 3, 5}, {"seed", p, 2, 6}} {
-		g := NewGeneratorWith(c.p, c.core, rng.New(c.seed), src.Tables())
-		if g.Tables() == src.Tables() {
-			t.Fatalf("%s: foreign tables were reused", c.name)
+	used.Reseed(rng.New(6))
+	g, ref := NewGenerator(pl), NewGenerator(NewPlan(p, 2, rng.New(5)))
+	for i := 0; i < 20000; i++ {
+		g.Next(&a)
+		ref.Next(&b)
+		if a != b {
+			t.Fatalf("instruction %d: %+v vs %+v", i, a, b)
 		}
-		ref := NewGenerator(c.p, c.core, rng.New(c.seed))
-		var a, b Instr
-		for i := 0; i < 20000; i++ {
-			ref.Next(&a)
-			g.Next(&b)
-			if a != b {
-				t.Fatalf("%s: instruction %d: %+v vs %+v", c.name, i, a, b)
-			}
-		}
+	}
+	reseeded := NewGenerator(pl)
+	reseeded.Reseed(rng.New(6))
+	if got, want := reseeded.State(), NewGenerator(NewPlan(p, 2, rng.New(6))).State(); got != want {
+		t.Fatalf("Reseed state %+v, NewGenerator state %+v", got, want)
 	}
 }
 
 func TestGeneratorCoresDiffer(t *testing.T) {
 	p := WebSearch()
-	a := NewGenerator(p, 0, rng.New(7))
-	b := NewGenerator(p, 1, rng.New(7))
+	a := NewGenerator(NewPlan(p, 0, rng.New(7)))
+	b := NewGenerator(NewPlan(p, 1, rng.New(7)))
 	var ia, ib Instr
 	same := 0
 	for i := 0; i < 1000; i++ {
@@ -175,7 +169,7 @@ func TestGeneratorCoresDiffer(t *testing.T) {
 
 func TestMixFractionsRealized(t *testing.T) {
 	for _, p := range All() {
-		g := NewGenerator(p, 0, rng.New(11))
+		g := NewGenerator(NewPlan(p, 0, rng.New(11)))
 		var in Instr
 		counts := map[Kind]int{}
 		const n = 200000
@@ -198,7 +192,7 @@ func TestMixFractionsRealized(t *testing.T) {
 
 func TestOSFractionRealized(t *testing.T) {
 	for _, p := range []*Profile{DataServing(), WebServing(), VMHighMem()} {
-		g := NewGenerator(p, 0, rng.New(13))
+		g := NewGenerator(NewPlan(p, 0, rng.New(13)))
 		var in Instr
 		osCount := 0
 		const n = 2000000
@@ -217,7 +211,7 @@ func TestOSFractionRealized(t *testing.T) {
 
 func TestAddressesStayInCoreWindow(t *testing.T) {
 	for coreID := 0; coreID < 4; coreID++ {
-		g := NewGenerator(DataServing(), coreID, rng.New(17))
+		g := NewGenerator(NewPlan(DataServing(), coreID, rng.New(17)))
 		lo := uint64(coreID) << coreWindowBits
 		hi := uint64(coreID+1) << coreWindowBits
 		var in Instr
@@ -237,7 +231,7 @@ func TestAddressesStayInCoreWindow(t *testing.T) {
 
 func TestDataAddressesWithinFootprint(t *testing.T) {
 	p := VMLowMem()
-	g := NewGenerator(p, 0, rng.New(19))
+	g := NewGenerator(NewPlan(p, 0, rng.New(19)))
 	var in Instr
 	for i := 0; i < 100000; i++ {
 		g.Next(&in)
@@ -254,7 +248,7 @@ func TestBranchOutcomesMostlyPredictable(t *testing.T) {
 	// biased branches: a per-site majority predictor should be right most
 	// of the time (scale-out apps see ~5-10% mispredicts, not 50%).
 	p := WebSearch()
-	g := NewGenerator(p, 0, rng.New(23))
+	g := NewGenerator(NewPlan(p, 0, rng.New(23)))
 	var in Instr
 	taken := map[int32][2]int{}
 	var instrs []Instr
@@ -288,7 +282,7 @@ func TestBranchOutcomesMostlyPredictable(t *testing.T) {
 
 func TestDepDistDistribution(t *testing.T) {
 	p := MediaStreaming() // lowest DepGeomP => longest distances
-	g := NewGenerator(p, 0, rng.New(29))
+	g := NewGenerator(NewPlan(p, 0, rng.New(29)))
 	var in Instr
 	sum, n := 0, 0
 	for i := 0; i < 100000; i++ {
@@ -310,7 +304,7 @@ func TestDepDistDistribution(t *testing.T) {
 func TestTierFractionsRealized(t *testing.T) {
 	// The stack/hot tier fractions must be realized in the address stream.
 	p := WebSearch()
-	g := NewGenerator(p, 0, rng.New(31))
+	g := NewGenerator(NewPlan(p, 0, rng.New(31)))
 	var in Instr
 	stack, hot, total := 0, 0, 0
 	for i := 0; i < 300000; i++ {
@@ -337,7 +331,7 @@ func TestQuickGeneratorRobust(t *testing.T) {
 	// Any seed: the generator produces valid instructions.
 	p := MediaStreaming()
 	err := quick.Check(func(seed uint64) bool {
-		g := NewGenerator(p, 0, rng.New(seed))
+		g := NewGenerator(NewPlan(p, 0, rng.New(seed)))
 		var in Instr
 		for i := 0; i < 200; i++ {
 			g.Next(&in)
@@ -356,7 +350,7 @@ func TestQuickGeneratorRobust(t *testing.T) {
 }
 
 func BenchmarkGeneratorNext(b *testing.B) {
-	g := NewGenerator(DataServing(), 0, rng.New(1))
+	g := NewGenerator(NewPlan(DataServing(), 0, rng.New(1)))
 	var in Instr
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -380,7 +374,7 @@ func TestExtendedProfilesWellFormed(t *testing.T) {
 			}
 		}
 		// Generators must work.
-		g := NewGenerator(p, 0, rng.New(3))
+		g := NewGenerator(NewPlan(p, 0, rng.New(3)))
 		var in Instr
 		for i := 0; i < 10000; i++ {
 			g.Next(&in)
