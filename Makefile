@@ -8,13 +8,11 @@
 #                      (wallclock, globalrand, maprange, panicmsg,
 #                      obsgate, units, floatorder, snapshotcheck,
 #                      ctxloop) via go vet -vettool, plus a standalone
-#                      json-mode smoke check; see internal/lint.
+#                      whole-module run; see internal/lint.
 #                      There is no lint-fix: violations are fixed by
 #                      moving the code behind the obs layer or — when
 #                      the invariant provably holds — annotating the
 #                      line with //ntclint:allow <analyzer> <reason>.
-#   make lint-sarif    write the full-module findings to ntclint.sarif
-#                      (SARIF 2.1.0) for CI artifact upload
 #   make cover         test with coverage profile + per-function summary
 #   make fault         fault-injection + robustness suite only (short
 #                      mode): sealed-checkpoint integrity, quarantine,
@@ -56,7 +54,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet lint lint-sarif test cover fault serve-smoke serve-cover report-smoke daemon-smoke race fuzz-rng bench bench-sweep bench-obs golden-update
+.PHONY: all build fmt-check vet lint test cover fault serve-smoke serve-cover report-smoke daemon-smoke race fuzz-rng bench bench-sweep bench-obs golden-update
 
 all: build
 
@@ -73,11 +71,7 @@ vet:
 lint:
 	$(GO) build -o bin/ntclint ./cmd/ntclint
 	$(GO) vet -vettool=$(CURDIR)/bin/ntclint ./...
-	bin/ntclint -format json . > /dev/null
-
-lint-sarif:
-	$(GO) build -o bin/ntclint ./cmd/ntclint
-	bin/ntclint -format sarif . > ntclint.sarif || (cat ntclint.sarif; exit 1)
+	bin/ntclint .
 
 test: fmt-check vet lint
 	$(GO) test ./...

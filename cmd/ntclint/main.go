@@ -7,21 +7,18 @@
 //
 // Two modes share one binary:
 //
-//	ntclint [-format text|json|sarif] [dir]
-//	                          standalone: lint every package of the
+//	ntclint [dir]             standalone: lint every package of the
 //	                          enclosing module (default: the module
 //	                          containing the working directory)
 //	go vet -vettool=ntclint   as a vet tool: the go command drives the
 //	                          suite per compilation unit, including
 //	                          cached incremental re-runs
 //
-// -format selects the standalone report: "text" (default) prints one
-// line per finding, "json" a flat array of findings, and "sarif" a
-// SARIF 2.1.0 log for CI annotation uploads. All three are produced
-// from the same deduplicated findings, so they always agree.
+// The standalone mode prints one line per finding, deduplicated across
+// a package's test variants and sorted by position.
 //
-// The Makefile's `make lint` target (a dependency of `make test`) uses
-// the vettool form. Exit status is non-zero when any violation is
+// The Makefile's `make lint` target (a dependency of `make test`) runs
+// both forms. Exit status is non-zero when any violation is
 // found.
 package main
 
@@ -41,10 +38,8 @@ func main() {
 		unitchecker.Main(lint.Analyzers()...) // does not return
 	}
 	fs := flag.NewFlagSet("ntclint", flag.ExitOnError)
-	format := fs.String("format", "text", "report format: text, json, or sarif")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: ntclint [-format text|json|sarif] [module-dir]  (or: go vet -vettool=$(command -v ntclint) ./...)")
-		fs.PrintDefaults()
+		fmt.Fprintln(os.Stderr, "usage: ntclint [module-dir]  (or: go vet -vettool=$(command -v ntclint) ./...)")
 	}
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		os.Exit(2)
@@ -68,24 +63,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ntclint:", err)
 		os.Exit(1)
 	}
-	switch *format {
-	case "text":
-		for _, d := range diags {
-			fmt.Println(d)
-		}
-	case "json":
-		if err := lint.WriteJSON(os.Stdout, root, diags); err != nil {
-			fmt.Fprintln(os.Stderr, "ntclint:", err)
-			os.Exit(1)
-		}
-	case "sarif":
-		if err := lint.WriteSARIF(os.Stdout, root, lint.Analyzers(), diags); err != nil {
-			fmt.Fprintln(os.Stderr, "ntclint:", err)
-			os.Exit(1)
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "ntclint: unknown format %q (want text, json, or sarif)\n", *format)
-		os.Exit(2)
+	for _, d := range diags {
+		fmt.Println(d)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "ntclint: %d violation(s)\n", len(diags))

@@ -45,6 +45,14 @@ type Stats struct {
 	Writebacks uint64 // dirty evictions
 }
 
+// Add sums o into s, field by field.
+func (s *Stats) Add(o Stats) {
+	s.Accesses += o.Accesses
+	s.Hits += o.Hits
+	s.Misses += o.Misses
+	s.Writebacks += o.Writebacks
+}
+
 // HitRate returns hits/accesses (0 when empty).
 func (s Stats) HitRate() float64 {
 	if s.Accesses == 0 {

@@ -478,8 +478,8 @@ func (e *Explorer) evaluate(p *workload.Profile, sw *Sweep, f float64, res sampl
 	// memory bandwidth is aggregated across clusters.
 	pw := platform.ServerPower{
 		CoresW:  spec.CorePowerW(op, LoadActivity),
-		UncoreW: spec.UncorePowerW(res.LLCReadRate(), res.LLCWriteRate(), res.LLCAccessRate()),
-		MemoryW: spec.MemoryPowerW(res.ReadBandwidth()*clusters, res.WriteBandwidth()*clusters),
+		UncoreW: spec.UncorePowerW(res.Total.LLCReadRate(), res.Total.LLCWriteRate(), res.Total.LLCAccessRate()),
+		MemoryW: spec.MemoryPowerW(res.Total.ReadBandwidth()*clusters, res.Total.WriteBandwidth()*clusters),
 	}
 
 	pt := Point{
@@ -515,7 +515,7 @@ func (e *Explorer) telemetrySample(pt Point, res sampling.Result, i int) timeser
 	coreDynW := float64(spec.TotalCores()) * dynOne
 	coreLeakW := pt.Power.CoresW - coreDynW
 	llcW, xbarW, ioW := spec.UncorePowerParts(
-		res.LLCReadRate(), res.LLCWriteRate(), res.LLCAccessRate())
+		res.Total.LLCReadRate(), res.Total.LLCWriteRate(), res.Total.LLCAccessRate())
 	return timeseries.Sample{
 		Epoch:   i,
 		Cluster: -1, // chip scope: sweeps have no per-cluster view

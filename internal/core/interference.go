@@ -58,7 +58,7 @@ func (e *Explorer) Interference(victim, aggressor *workload.Profile, freqHz floa
 	if err != nil {
 		return InterferenceReport{}, err
 	}
-	baseUIPC := victimUIPC(baseRes, len(solo.Profiles()), victim, solo.Profiles())
+	baseUIPC := victimUIPC(baseRes, victim, solo.Profiles())
 
 	solo.SetFrequency(freqHz)
 	solo.Run(e.SettleCycles)
@@ -66,7 +66,7 @@ func (e *Explorer) Interference(victim, aggressor *workload.Profile, freqHz floa
 	if err != nil {
 		return InterferenceReport{}, err
 	}
-	soloUIPC := victimUIPC(soloRes, len(solo.Profiles()), victim, solo.Profiles())
+	soloUIPC := victimUIPC(soloRes, victim, solo.Profiles())
 
 	// Mixed run: cores 0-1 victim, cores 2-3 aggressor.
 	n := e.Sim.CoresPerCluster
@@ -88,7 +88,7 @@ func (e *Explorer) Interference(victim, aggressor *workload.Profile, freqHz floa
 	if err != nil {
 		return InterferenceReport{}, err
 	}
-	mixedUIPC := victimUIPC(mixedRes, n, victim, profiles)
+	mixedUIPC := victimUIPC(mixedRes, victim, profiles)
 
 	rep := InterferenceReport{
 		Victim:    victim.Name,
@@ -109,16 +109,14 @@ func (e *Explorer) Interference(victim, aggressor *workload.Profile, freqHz floa
 }
 
 // victimUIPC averages per-core UIPC over the cores running the victim.
-func victimUIPC(res sampling.Result, cores int, victim *workload.Profile, assignment []*workload.Profile) float64 {
+func victimUIPC(res sampling.Result, victim *workload.Profile, assignment []*workload.Profile) float64 {
 	var sum float64
 	var n int
 	for _, m := range res.Samples {
 		for i, cs := range m.PerCore {
-			if i < len(assignment) && assignment[i] == victim {
-				if cs.Cycles > 0 {
-					sum += float64(cs.UserInstructions) / float64(cs.Cycles)
-					n++
-				}
+			if i < len(assignment) && assignment[i] == victim && cs.Cycles > 0 {
+				sum += cs.UIPC()
+				n++
 			}
 		}
 	}

@@ -119,6 +119,24 @@ type Stats struct {
 	LLCRequests   uint64 // demand requests sent below the L1s (incl. I-side)
 }
 
+// Add sums o into s, field by field.
+func (s *Stats) Add(o Stats) {
+	s.Cycles += o.Cycles
+	s.Instructions += o.Instructions
+	s.UserInstructions += o.UserInstructions
+	s.Branches += o.Branches
+	s.Mispredicts += o.Mispredicts
+	s.Prefetches += o.Prefetches
+	s.FrontendStall += o.FrontendStall
+	s.ROBStall += o.ROBStall
+	s.DepStall += o.DepStall
+	s.IssueStall += o.IssueStall
+	s.MemStall += o.MemStall
+	s.L1I.Add(o.L1I)
+	s.L1D.Add(o.L1D)
+	s.LLCRequests += o.LLCRequests
+}
+
 // IPC returns committed instructions (user + OS) per cycle.
 func (s Stats) IPC() float64 {
 	if s.Cycles == 0 {

@@ -64,6 +64,21 @@ type Stats struct {
 	RefreshStallsNs         float64
 }
 
+// Add sums o into s, field by field.
+func (s *Stats) Add(o Stats) {
+	s.Reads += o.Reads
+	s.Writes += o.Writes
+	s.RowHits += o.RowHits
+	s.RowConflicts += o.RowConflicts
+	s.RowClosed += o.RowClosed
+	s.BytesRead += o.BytesRead
+	s.BytesWritten += o.BytesWritten
+	s.TotalReadLatencyNs += o.TotalReadLatencyNs
+	s.TotalWriteLatencyNs += o.TotalWriteLatencyNs
+	s.Activations += o.Activations
+	s.RefreshStallsNs += o.RefreshStallsNs
+}
+
 // RowHitRate returns the fraction of accesses that hit an open row.
 func (s Stats) RowHitRate() float64 {
 	total := s.RowHits + s.RowConflicts + s.RowClosed

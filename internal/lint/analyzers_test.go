@@ -1,6 +1,7 @@
 package lint_test
 
 import (
+	"go/token"
 	"testing"
 
 	"golang.org/x/tools/go/analysis"
@@ -96,5 +97,34 @@ func TestRepoIsClean(t *testing.T) {
 	}
 	for _, d := range diags {
 		t.Errorf("%s", d)
+	}
+}
+
+// TestDedupe checks the standalone driver's cross-variant dedup: the
+// same (position, analyzer, message) triple survives once, and the
+// result is globally position-sorted.
+func TestDedupe(t *testing.T) {
+	d1 := lint.Diagnostic{
+		Pos:      token.Position{Filename: "b.go", Line: 10, Column: 3},
+		Analyzer: "units",
+		Message:  "mismatch",
+	}
+	d2 := lint.Diagnostic{
+		Pos:      token.Position{Filename: "a.go", Line: 2, Column: 1},
+		Analyzer: "ctxloop",
+		Message:  "unbounded",
+	}
+	// Same position as d1 but a different analyzer: NOT a duplicate.
+	d3 := lint.Diagnostic{
+		Pos:      token.Position{Filename: "b.go", Line: 10, Column: 3},
+		Analyzer: "wallclock",
+		Message:  "clock read",
+	}
+	got := lint.Dedupe([]lint.Diagnostic{d1, d2, d1, d3, d2})
+	if len(got) != 3 {
+		t.Fatalf("got %d diagnostics, want 3: %v", len(got), got)
+	}
+	if got[0] != d2 || got[1] != d1 || got[2] != d3 {
+		t.Fatalf("wrong order/content after dedupe: %v", got)
 	}
 }

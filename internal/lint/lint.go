@@ -40,12 +40,12 @@
 //   - ctxloop: unbounded loops in context-accepting functions under the
 //     sweep/worker packages must observe ctx.Done()/ctx.Err().
 //
-// Every analyzer shares one escape hatch: a line (or the line above)
-// carrying
+// Every analyzer shares one escape hatch:
 //
 //	//ntclint:allow <analyzer> <reason>
 //
-// suppresses that analyzer's diagnostics there. The reason is
+// suppresses that analyzer's diagnostics on the line it trails, or, on a
+// line by itself, on the line below. The reason is
 // mandatory — an annotation without one is itself reported — so every
 // exemption documents why the invariant holds anyway.
 //
@@ -131,8 +131,8 @@ const allowDirective = "ntclint:allow"
 
 // allowIndex records, per analyzer, the lines on which diagnostics are
 // suppressed by //ntclint:allow comments. A comment on line L covers
-// diagnostics on L (inline annotation) and L+1 (annotation above the
-// statement).
+// diagnostics on L; one alone on its line (an annotation above the
+// statement) also covers L+1, while one trailing code covers L only.
 type allowIndex struct {
 	fset  *token.FileSet
 	lines map[string]map[int]bool // filename -> line -> allowed
@@ -172,11 +172,25 @@ func newAllowIndex(pass *analysis.Pass, name string) *allowIndex {
 					ai.lines[pos.Filename] = m
 				}
 				m[pos.Line] = true
-				m[pos.Line+1] = true
+				if ownLine(pass, c) {
+					m[pos.Line+1] = true
+				}
 			}
 		}
 	}
 	return ai
+}
+
+// ownLine reports whether only whitespace precedes comment c on its line.
+// An unreadable source counts as code before it, the narrower exemption.
+func ownLine(pass *analysis.Pass, c *ast.Comment) bool {
+	tf := pass.Fset.File(c.Pos())
+	src, err := pass.ReadFile(tf.Name())
+	if err != nil {
+		return false
+	}
+	start, end := tf.Offset(tf.LineStart(tf.Line(c.Pos()))), tf.Offset(c.Pos())
+	return end <= len(src) && strings.TrimSpace(string(src[start:end])) == ""
 }
 
 // allowed reports whether a diagnostic at pos is suppressed.

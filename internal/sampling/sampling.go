@@ -114,17 +114,9 @@ type Result struct {
 	UIPC      stats.Accumulator
 	Converged bool // reached TargetRelErr before MaxSamples
 
-	// Aggregates over all measurement windows.
-	TotalCycles     int64
-	TotalDurationNs float64
-	TotalUserInstr  uint64
-	TotalInstr      uint64
-	ReadBytes       uint64
-	WriteBytes      uint64
-	LLCAccesses     uint64
-	LLCMisses       uint64
-	LLCReads        uint64
-	LLCWrites       uint64
+	// Total sums every measurement window; its rate methods give the
+	// aggregate DRAM bandwidth and LLC activity over all windows.
+	Total sim.Measurement
 }
 
 // MeanUIPC returns the sampled mean cluster UIPC.
@@ -135,53 +127,7 @@ func (r Result) RelErr(confidence float64) float64 { return r.UIPC.RelativeError
 
 // MeanUIPS returns the mean user instructions per second, using the
 // frequency of the sampled windows.
-func (r Result) MeanUIPS() float64 {
-	if len(r.Samples) == 0 {
-		return 0
-	}
-	return r.UIPC.Mean() * r.Samples[0].FreqHz
-}
-
-// ReadBandwidth returns the aggregate DRAM read bandwidth over all
-// measurement windows, bytes/s.
-func (r Result) ReadBandwidth() float64 {
-	if r.TotalDurationNs <= 0 {
-		return 0
-	}
-	return float64(r.ReadBytes) / (r.TotalDurationNs * 1e-9)
-}
-
-// WriteBandwidth returns the aggregate DRAM write bandwidth, bytes/s.
-func (r Result) WriteBandwidth() float64 {
-	if r.TotalDurationNs <= 0 {
-		return 0
-	}
-	return float64(r.WriteBytes) / (r.TotalDurationNs * 1e-9)
-}
-
-// LLCAccessRate returns LLC accesses per second over the windows.
-func (r Result) LLCAccessRate() float64 {
-	if r.TotalDurationNs <= 0 {
-		return 0
-	}
-	return float64(r.LLCAccesses) / (r.TotalDurationNs * 1e-9)
-}
-
-// LLCReadRate returns LLC demand reads per second over the windows.
-func (r Result) LLCReadRate() float64 {
-	if r.TotalDurationNs <= 0 {
-		return 0
-	}
-	return float64(r.LLCReads) / (r.TotalDurationNs * 1e-9)
-}
-
-// LLCWriteRate returns LLC writeback receipts per second over the windows.
-func (r Result) LLCWriteRate() float64 {
-	if r.TotalDurationNs <= 0 {
-		return 0
-	}
-	return float64(r.LLCWrites) / (r.TotalDurationNs * 1e-9)
-}
+func (r Result) MeanUIPS() float64 { return r.UIPC.Mean() * r.Total.FreqHz }
 
 // Run executes the sampled simulation on t.
 func Run(t Target, cfg Config) (Result, error) {
@@ -211,16 +157,7 @@ func Run(t Target, cfg Config) (Result, error) {
 		timed("measure", i, func() { m = t.Measure(cfg.MeasureCycles) })
 		res.Samples = append(res.Samples, m)
 		res.UIPC.Add(m.UIPC())
-		res.TotalCycles += m.Cycles
-		res.TotalDurationNs += m.DurationNs
-		res.TotalUserInstr += m.UserInstructions
-		res.TotalInstr += m.Instructions
-		res.ReadBytes += m.DRAM.BytesRead
-		res.WriteBytes += m.DRAM.BytesWritten
-		res.LLCAccesses += m.LLC.Accesses
-		res.LLCMisses += m.LLC.Misses
-		res.LLCReads += m.LLCReads
-		res.LLCWrites += m.LLCWrites
+		res.Total.Add(m)
 		if i+1 >= cfg.MinSamples && res.UIPC.RelativeError(cfg.Confidence) <= cfg.TargetRelErr {
 			res.Converged = true
 			break

@@ -1,8 +1,12 @@
 package sampling
 
 import (
+	"reflect"
 	"testing"
 
+	"ntcsim/internal/cache"
+	"ntcsim/internal/cpu"
+	"ntcsim/internal/dram"
 	"ntcsim/internal/rng"
 	"ntcsim/internal/sim"
 	"ntcsim/internal/workload"
@@ -32,6 +36,11 @@ func (f *fakeTarget) Measure(cycles int64) sim.Measurement {
 		DurationNs:       float64(cycles),
 		UserInstructions: user,
 		Instructions:     user + user/5,
+		PerCore:          []cpu.Stats{{Cycles: uint64(cycles), UserInstructions: user}},
+		LLC:              cache.Stats{Accesses: user / 50, Misses: user / 200},
+		DRAM:             dram.Stats{BytesRead: 64 * (user / 200), BytesWritten: 64 * (user / 800)},
+		LLCReads:         user / 60,
+		LLCWrites:        user / 300,
 	}
 }
 
@@ -140,14 +149,29 @@ func TestAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TotalCycles != int64(len(res.Samples))*cfg.MeasureCycles {
+	want := sim.Measurement{FreqHz: res.Samples[0].FreqHz, PerCore: make([]cpu.Stats, 1)}
+	for _, m := range res.Samples {
+		want.Cycles += m.Cycles
+		want.DurationNs += m.DurationNs
+		want.Instructions += m.Instructions
+		want.UserInstructions += m.UserInstructions
+		want.PerCore[0].Cycles += m.PerCore[0].Cycles
+		want.PerCore[0].UserInstructions += m.PerCore[0].UserInstructions
+		want.LLC.Accesses += m.LLC.Accesses
+		want.LLC.Misses += m.LLC.Misses
+		want.DRAM.BytesRead += m.DRAM.BytesRead
+		want.DRAM.BytesWritten += m.DRAM.BytesWritten
+		want.LLCReads += m.LLCReads
+		want.LLCWrites += m.LLCWrites
+	}
+	if !reflect.DeepEqual(res.Total, want) {
+		t.Fatalf("Total is not the sum of the windows:\n got %+v\nwant %+v", res.Total, want)
+	}
+	if want.Cycles != int64(len(res.Samples))*cfg.MeasureCycles {
 		t.Fatal("cycle aggregation wrong")
 	}
 	if res.MeanUIPS() <= 0 {
 		t.Fatal("UIPS should be positive")
-	}
-	if res.TotalUserInstr == 0 || res.TotalInstr <= res.TotalUserInstr {
-		t.Fatalf("instruction aggregation wrong: %d/%d", res.TotalUserInstr, res.TotalInstr)
 	}
 }
 
@@ -171,7 +195,7 @@ func TestEndToEndWithCluster(t *testing.T) {
 	if len(res.Samples) < 3 {
 		t.Fatalf("expected at least MinSamples samples, got %d", len(res.Samples))
 	}
-	if res.ReadBandwidth() <= 0 {
+	if res.Total.ReadBandwidth() <= 0 {
 		t.Fatal("sampled bandwidth should be positive")
 	}
 }

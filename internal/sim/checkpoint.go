@@ -37,11 +37,8 @@ type Checkpoint struct {
 	Memory  dram.SystemState
 	ClampNs float64
 
-	LLCWriteFills uint64
-	LLCReads      uint64
-	LLCWrites     uint64
-	DramReads     uint64
-	DramWrites    uint64
+	LLCReads  uint64
+	LLCWrites uint64
 
 	// plans holds each core's workload-generator plan when the checkpoint
 	// was taken in this process, so RestoreCluster runs the very profiles
@@ -55,16 +52,13 @@ type Checkpoint struct {
 // Checkpoint captures the cluster's full state.
 func (cl *Cluster) Checkpoint() *Checkpoint {
 	ck := &Checkpoint{
-		Config:        cl.cfg,
-		FreqHz:        cl.freqHz,
-		Xbar:          cl.xbar.State(),
-		Memory:        cl.mem.sys.State(),
-		ClampNs:       cl.mem.clampNs,
-		LLCWriteFills: cl.llcWriteFills,
-		LLCReads:      cl.llcReads,
-		LLCWrites:     cl.llcWrites,
-		DramReads:     cl.dramReads,
-		DramWrites:    cl.dramWrites,
+		Config:    cl.cfg,
+		FreqHz:    cl.freqHz,
+		Xbar:      cl.xbar.State(),
+		Memory:    cl.mem.sys.State(),
+		ClampNs:   cl.mem.clampNs,
+		LLCReads:  cl.llcReads,
+		LLCWrites: cl.llcWrites,
 	}
 	for i := range cl.plans {
 		ck.Profiles = append(ck.Profiles, cl.plans[i].Profile().Name)
@@ -143,11 +137,8 @@ func RestoreCluster(ck *Checkpoint) (*Cluster, error) {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 	cl.mem.clampNs = ck.ClampNs
-	cl.llcWriteFills = ck.LLCWriteFills
 	cl.llcReads = ck.LLCReads
 	cl.llcWrites = ck.LLCWrites
-	cl.dramReads = ck.DramReads
-	cl.dramWrites = ck.DramWrites
 	return cl, nil
 }
 

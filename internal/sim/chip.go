@@ -144,13 +144,7 @@ func (c *Chip) SetFrequency(hz float64) {
 // core with the smallest local time so shared-memory contention is honored
 // across clusters with different frequencies.
 func (c *Chip) Run(cycles int64) {
-	fastest := 0.0
-	for _, cl := range c.clusters {
-		if cl.freqHz > fastest {
-			fastest = cl.freqHz
-		}
-	}
-	durNs := float64(cycles) * 1e9 / fastest
+	durNs := c.windowNs(cycles)
 	type target struct {
 		cl      *Cluster
 		idx     int
@@ -178,6 +172,18 @@ func (c *Chip) Run(cycles int64) {
 	}
 }
 
+// windowNs returns the wall-clock length of a window of the given cycles
+// of the fastest cluster's clock (Run's contract).
+func (c *Chip) windowNs(cycles int64) float64 {
+	fastest := 0.0
+	for _, cl := range c.clusters {
+		if cl.freqHz > fastest {
+			fastest = cl.freqHz
+		}
+	}
+	return float64(cycles) * 1e9 / fastest
+}
+
 // Measure runs one detailed window and returns per-cluster measurements
 // plus the shared DRAM statistics for the window.
 func (c *Chip) Measure(cycles int64) ([]Measurement, dram.Stats) {
@@ -186,39 +192,10 @@ func (c *Chip) Measure(cycles int64) ([]Measurement, dram.Stats) {
 	}
 	c.mem.ResetStats()
 	c.Run(cycles)
-	// The window length in wall-clock terms (Run's contract: `cycles` of
-	// the fastest cluster's clock).
-	fastest := 0.0
-	for _, cl := range c.clusters {
-		if cl.freqHz > fastest {
-			fastest = cl.freqHz
-		}
-	}
-	durNs := float64(cycles) * 1e9 / fastest
+	durNs := c.windowNs(cycles)
 	out := make([]Measurement, 0, len(c.clusters))
 	for _, cl := range c.clusters {
-		m := Measurement{
-			Cycles:     int64(durNs * cl.freqHz / 1e9),
-			FreqHz:     cl.freqHz,
-			DurationNs: durNs,
-		}
-		for _, core := range cl.cores {
-			s := core.Stats()
-			m.PerCore = append(m.PerCore, s)
-			m.Instructions += s.Instructions
-			m.UserInstructions += s.UserInstructions
-		}
-		for _, b := range cl.banks {
-			s := b.Stats()
-			m.LLC.Accesses += s.Accesses
-			m.LLC.Hits += s.Hits
-			m.LLC.Misses += s.Misses
-			m.LLC.Writebacks += s.Writebacks
-		}
-		m.XbarTransfers = cl.xbar.Transfers()
-		m.LLCReads = cl.llcReads
-		m.LLCWrites = cl.llcWrites
-		out = append(out, m)
+		out = append(out, cl.collect(int64(durNs*cl.freqHz/1e9), durNs))
 	}
 	return out, c.mem.Stats()
 }

@@ -83,11 +83,8 @@ type Cluster struct {
 	//ntclint:allow snapshotcheck scratch: overwritten at the start of every FastForward
 	ffRemaining []uint64
 
-	llcWriteFills uint64 // LLC misses on L1 writebacks (allocated in place)
-	llcReads      uint64 // demand reads received by the LLC
-	llcWrites     uint64 // L1 writebacks received by the LLC
-	dramReads     uint64
-	dramWrites    uint64
+	llcReads  uint64 // demand reads received by the LLC
+	llcWrites uint64 // L1 writebacks received by the LLC
 }
 
 // NewCluster builds a cluster running profile on every core at the given
@@ -274,17 +271,14 @@ func (cl *Cluster) Access(coreID int, addr uint64, write bool, nowNs float64) fl
 	if res.Victim.Valid && res.Victim.Dirty {
 		// LLC dirty victim is written back to DRAM (posted).
 		cl.mem.Submit(cl.unbank(bank, res.Victim.Addr), true, ready)
-		cl.dramWrites++
 	}
 	if write {
 		// L1 writeback that missed the LLC: allocate the full line in
 		// place (the data comes from the core), no DRAM fetch needed.
-		cl.llcWriteFills++
 		return ready + cl.xbar.TraversalNs
 	}
 	// Demand fill from DRAM.
 	done := cl.mem.Submit(addr, false, ready)
-	cl.dramReads++
 	return done + cl.llcLatNs + cl.xbar.TraversalNs
 }
 
@@ -388,14 +382,12 @@ func (cl *Cluster) ResetStats() {
 	}
 	cl.xbar.ResetStats()
 	cl.mem.ResetStats()
-	cl.llcWriteFills = 0
 	cl.llcReads = 0
 	cl.llcWrites = 0
-	cl.dramReads = 0
-	cl.dramWrites = 0
 }
 
-// Measurement is the outcome of one detailed measurement window.
+// Measurement is the outcome of one detailed measurement window, or the
+// sum of several (see Add).
 type Measurement struct {
 	Cycles     int64   // core cycles in the window
 	FreqHz     float64 // core clock
@@ -413,6 +405,29 @@ type Measurement struct {
 	// reads vs L1 writebacks), for the uncore energy model.
 	LLCReads  uint64
 	LLCWrites uint64
+}
+
+// Add sums window o into m, core by core. m keeps the FreqHz of the
+// first window added: the windows of one sum share a core clock.
+func (m *Measurement) Add(o Measurement) {
+	if m.FreqHz == 0 {
+		m.FreqHz = o.FreqHz
+	}
+	m.Cycles += o.Cycles
+	m.DurationNs += o.DurationNs
+	m.Instructions += o.Instructions
+	m.UserInstructions += o.UserInstructions
+	for i, s := range o.PerCore {
+		if i == len(m.PerCore) {
+			m.PerCore = append(m.PerCore, cpu.Stats{})
+		}
+		m.PerCore[i].Add(s)
+	}
+	m.LLC.Add(o.LLC)
+	m.DRAM.Add(o.DRAM)
+	m.XbarTransfers += o.XbarTransfers
+	m.LLCReads += o.LLCReads
+	m.LLCWrites += o.LLCWrites
 }
 
 // UIPC returns the cluster's aggregate user instructions per core-cycle —
@@ -451,6 +466,22 @@ func (m Measurement) LLCAccessRate() float64 {
 	return float64(m.LLC.Accesses) / (m.DurationNs * 1e-9)
 }
 
+// LLCReadRate returns LLC demand reads per second over the window.
+func (m Measurement) LLCReadRate() float64 {
+	if m.DurationNs <= 0 {
+		return 0
+	}
+	return float64(m.LLCReads) / (m.DurationNs * 1e-9)
+}
+
+// LLCWriteRate returns LLC writeback receipts per second over the window.
+func (m Measurement) LLCWriteRate() float64 {
+	if m.DurationNs <= 0 {
+		return 0
+	}
+	return float64(m.LLCWrites) / (m.DurationNs * 1e-9)
+}
+
 // Measure runs one detailed window of the given length in core cycles and
 // returns its measurement (counters are reset at the start of the window).
 func (cl *Cluster) Measure(cycles int64) Measurement {
@@ -462,11 +493,22 @@ func (cl *Cluster) Measure(cycles int64) Measurement {
 // measurement collects the counters of a window of the given length that
 // has just run.
 func (cl *Cluster) measurement(cycles int64) Measurement {
+	m := cl.collect(cycles, float64(cycles)*1e9/cl.freqHz)
+	m.DRAM = cl.mem.Stats()
+	return m
+}
+
+// collect gathers the cluster's own counters for a window of cycles core
+// cycles lasting durNs that has just run. DRAM is left to the caller: a
+// chip's clusters share one memory system.
+func (cl *Cluster) collect(cycles int64, durNs float64) Measurement {
 	m := Measurement{
-		Cycles:     cycles,
-		FreqHz:     cl.freqHz,
-		DurationNs: float64(cycles) * 1e9 / cl.freqHz,
-		DRAM:       cl.mem.Stats(),
+		Cycles:        cycles,
+		FreqHz:        cl.freqHz,
+		DurationNs:    durNs,
+		XbarTransfers: cl.xbar.Transfers(),
+		LLCReads:      cl.llcReads,
+		LLCWrites:     cl.llcWrites,
 	}
 	for _, c := range cl.cores {
 		s := c.Stats()
@@ -475,14 +517,7 @@ func (cl *Cluster) measurement(cycles int64) Measurement {
 		m.UserInstructions += s.UserInstructions
 	}
 	for _, b := range cl.banks {
-		s := b.Stats()
-		m.LLC.Accesses += s.Accesses
-		m.LLC.Hits += s.Hits
-		m.LLC.Misses += s.Misses
-		m.LLC.Writebacks += s.Writebacks
+		m.LLC.Add(b.Stats())
 	}
-	m.XbarTransfers = cl.xbar.Transfers()
-	m.LLCReads = cl.llcReads
-	m.LLCWrites = cl.llcWrites
 	return m
 }
