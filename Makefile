@@ -7,8 +7,8 @@
 #   make lint          ntclint determinism/instrumentation analyzers
 #                      (wallclock, globalrand, maprange, panicmsg,
 #                      obsgate, units, floatorder, snapshotcheck,
-#                      ctxloop) via go vet -vettool, plus a standalone
-#                      whole-module run; see internal/lint.
+#                      ctxloop) in one whole-module run; see
+#                      internal/lint.
 #                      There is no lint-fix: violations are fixed by
 #                      moving the code behind the obs layer or — when
 #                      the invariant provably holds — annotating the
@@ -70,7 +70,6 @@ vet:
 
 lint:
 	$(GO) build -o bin/ntclint ./cmd/ntclint
-	$(GO) vet -vettool=$(CURDIR)/bin/ntclint ./...
 	bin/ntclint .
 
 test: fmt-check vet lint

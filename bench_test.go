@@ -33,10 +33,7 @@ import (
 // benchExplorer builds a reduced-cost explorer.
 func benchExplorer(b *testing.B) *core.Explorer {
 	b.Helper()
-	e, err := core.NewExplorer()
-	if err != nil {
-		b.Fatal(err)
-	}
+	e := core.NewExplorer()
 	e.WarmInstr = 800_000
 	e.SettleCycles = 10_000
 	return e
@@ -202,10 +199,7 @@ func BenchmarkObsOverheadSampler(b *testing.B) {
 // the given number of cores.
 func benchServeGov(b *testing.B, cores int) *governor.Config {
 	b.Helper()
-	spec, err := platform.Default()
-	if err != nil {
-		b.Fatal(err)
-	}
+	spec := platform.Default()
 	curve, err := governor.NewPerfCurve([]governor.PerfPoint{
 		{FreqHz: 0.2e9, UIPS: 4e9}, {FreqHz: 0.5e9, UIPS: 9e9},
 		{FreqHz: 1.0e9, UIPS: 16e9}, {FreqHz: 1.5e9, UIPS: 21e9},

@@ -5,41 +5,29 @@
 // internal/lint package documentation for what each rule encodes and
 // the //ntclint:allow escape hatch.
 //
-// Two modes share one binary:
+// Usage:
 //
-//	ntclint [dir]             standalone: lint every package of the
-//	                          enclosing module (default: the module
-//	                          containing the working directory)
-//	go vet -vettool=ntclint   as a vet tool: the go command drives the
-//	                          suite per compilation unit, including
-//	                          cached incremental re-runs
+//	ntclint [dir]   lint every package of the enclosing module (default:
+//	                the module containing the working directory)
 //
-// The standalone mode prints one line per finding, deduplicated across
-// a package's test variants and sorted by position.
-//
-// The Makefile's `make lint` target (a dependency of `make test`) runs
-// both forms. Exit status is non-zero when any violation is
-// found.
+// It prints one line per finding, deduplicated across a package's test
+// variants and sorted by position. The Makefile's `make lint` target (a
+// dependency of `make test`) runs it over the module. Exit status is
+// non-zero when any violation is found.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
-
-	"golang.org/x/tools/go/analysis/unitchecker"
 
 	"ntcsim/internal/lint"
 )
 
 func main() {
-	if vetInvocation(os.Args[1:]) {
-		unitchecker.Main(lint.Analyzers()...) // does not return
-	}
 	fs := flag.NewFlagSet("ntclint", flag.ExitOnError)
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: ntclint [module-dir]  (or: go vet -vettool=$(command -v ntclint) ./...)")
+		fmt.Fprintln(os.Stderr, "usage: ntclint [module-dir]")
 	}
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		os.Exit(2)
@@ -70,17 +58,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ntclint: %d violation(s)\n", len(diags))
 		os.Exit(1)
 	}
-}
-
-// vetInvocation reports whether the process was started by `go vet`,
-// which speaks the unitchecker protocol: a -V=full version handshake
-// and a -flags capability probe, then one run per compilation unit
-// with a single *.cfg argument.
-func vetInvocation(args []string) bool {
-	for _, a := range args {
-		if a == "-V=full" || a == "-V" || a == "-flags" || strings.HasSuffix(a, ".cfg") {
-			return true
-		}
-	}
-	return false
 }

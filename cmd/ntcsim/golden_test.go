@@ -24,15 +24,12 @@ var update = flag.Bool("update", false, "rewrite testdata/golden files")
 // the default (all CPUs) — the sweep engine guarantees output is
 // bit-identical for any worker count, so the goldens double as a
 // determinism check on whatever host runs the tests.
-func goldenExplorer() (*core.Explorer, error) {
-	e, err := core.NewExplorer()
-	if err != nil {
-		return nil, err
-	}
-	e.Sim.Seed = 0x5eed
+func goldenExplorer() *core.Explorer {
+	e := core.NewExplorer()
+	e.Platform.Cluster.Seed = 0x5eed
 	e.WarmInstr = 200_000
 	e.SettleCycles = 10_000
-	return e, nil
+	return e
 }
 
 // goldenParams is the experiments-API spelling of goldenExplorer: the

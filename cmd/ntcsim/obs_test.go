@@ -139,10 +139,7 @@ func TestPprofEndpointServes(t *testing.T) {
 // bytes, plus the full snapshot for structural checks.
 func obsSweepSnapshot(t *testing.T, jobs int) ([]byte, obs.Snapshot) {
 	t.Helper()
-	e, err := goldenExplorer()
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := goldenExplorer()
 	e.Jobs = jobs
 	e.Obs = obs.NewRegistry()
 	if _, err := e.Sweep(context.Background(), workload.WebSearch(), []float64{0.2e9, 0.5e9, 1.0e9, 2.0e9}); err != nil {
@@ -208,10 +205,7 @@ func TestSweepTraceValid(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("full instrumented sweep; skipped in -short and -race runs")
 	}
-	e, err := goldenExplorer()
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := goldenExplorer()
 	e.Jobs = 4
 	var buf bytes.Buffer
 	e.Tracer = obs.NewTracer(&buf)

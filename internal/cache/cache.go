@@ -26,18 +26,7 @@ func L1Config(name string) Config {
 	return Config{Name: name, SizeBytes: 32 << 10, Assoc: 2, LineBytes: 64}
 }
 
-// LLCBankConfig returns one bank of the paper's 4MB 16-way cluster LLC
-// (4 banks of 1MB each).
-func LLCBankConfig(bank int) Config {
-	return Config{
-		Name:      fmt.Sprintf("llc-bank%d", bank),
-		SizeBytes: 1 << 20,
-		Assoc:     16,
-		LineBytes: 64,
-	}
-}
-
-// Stats counts cache events since the last Reset.
+// Stats counts cache events since the last ResetStats.
 type Stats struct {
 	Accesses   uint64
 	Hits       uint64
@@ -143,12 +132,6 @@ func (c *Cache) Stats() Stats { return c.stats }
 // warmup and measurement phases of sampled simulation).
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
-// Reset invalidates all lines and clears statistics.
-func (c *Cache) Reset() {
-	clear(c.ways)
-	c.stats = Stats{}
-}
-
 // lookup returns the set holding addr and the packed valid, clean way
 // its line would occupy; a way w holds the line iff w&^dirtyBit == key.
 func (c *Cache) lookup(addr uint64) (ways []uint64, key uint64) {
@@ -221,20 +204,6 @@ func (c *Cache) Probe(addr uint64) bool {
 		}
 	}
 	return false
-}
-
-// Invalidate drops the line containing addr if present, returning whether
-// it was dirty (the caller owns the writeback).
-func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	ways, key := c.lookup(addr)
-	for i, w := range ways {
-		if w&^dirtyBit == key {
-			copy(ways[i:], ways[i+1:])
-			ways[len(ways)-1] = 0
-			return true, w&dirtyBit != 0
-		}
-	}
-	return false, false
 }
 
 // touch shifts ways[0:i] down one slot and stores w as the MRU way; with

@@ -102,22 +102,6 @@ func TestProbeDoesNotPerturbLRU(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := MustNew(tiny())
-	c.Access(0x000, true)
-	present, dirty := c.Invalidate(0x000)
-	if !present || !dirty {
-		t.Fatalf("invalidate = %v,%v, want true,true", present, dirty)
-	}
-	if c.Probe(0x000) {
-		t.Fatal("line should be gone")
-	}
-	present, _ = c.Invalidate(0x000)
-	if present {
-		t.Fatal("double invalidate should report absent")
-	}
-}
-
 func TestResetStatsKeepsContents(t *testing.T) {
 	c := MustNew(tiny())
 	c.Access(0x000, false)
@@ -127,15 +111,6 @@ func TestResetStatsKeepsContents(t *testing.T) {
 	}
 	if r := c.Access(0x000, false); !r.Hit {
 		t.Fatal("contents must survive ResetStats")
-	}
-}
-
-func TestResetClearsContents(t *testing.T) {
-	c := MustNew(tiny())
-	c.Access(0x000, false)
-	c.Reset()
-	if r := c.Access(0x000, false); r.Hit {
-		t.Fatal("Reset should invalidate lines")
 	}
 }
 
@@ -156,7 +131,7 @@ func TestCapacityWorkingSet(t *testing.T) {
 	if hr := c.Stats().HitRate(); hr != 1.0 {
 		t.Fatalf("fitting working set hit rate = %v, want 1.0", hr)
 	}
-	c.Reset()
+	c = MustNew(cfg)
 	for pass := 0; pass < 3; pass++ {
 		warm(2 * lines)
 	}
@@ -207,13 +182,6 @@ func TestPaperConfigs(t *testing.T) {
 	}
 	if got := l1.Config().Assoc; got != 2 {
 		t.Fatalf("L1 assoc = %d", got)
-	}
-	bank := MustNew(LLCBankConfig(0))
-	if got := bank.Config().SizeBytes * 4; got != 4<<20 {
-		t.Fatalf("4 banks = %d, want 4MB", got)
-	}
-	if got := bank.Config().Assoc; got != 16 {
-		t.Fatalf("LLC assoc = %d", got)
 	}
 }
 
@@ -278,20 +246,6 @@ func (r *refModel) fill(addr uint64) Victim {
 	return v
 }
 
-// invalidate drops addr's line, reporting whether it was present and dirty.
-func (r *refModel) invalidate(addr uint64) (present, dirty bool) {
-	line := addr >> r.shift
-	set := line % r.nsets
-	s := r.sets[set]
-	for i, l := range s {
-		if l.line == line {
-			r.sets[set] = append(s[:i:i], s[i+1:]...)
-			return true, l.dirty
-		}
-	}
-	return false, false
-}
-
 // snapshot renders the model in Cache.Snapshot's format.
 func (r *refModel) snapshot() [][]LineState {
 	out := make([][]LineState, r.nsets)
@@ -352,7 +306,7 @@ func BenchmarkAccessHit(b *testing.B) {
 }
 
 func BenchmarkAccessRandom(b *testing.B) {
-	c := MustNew(LLCBankConfig(0))
+	c := MustNew(Config{Name: "llc-bank", SizeBytes: 1 << 20, Assoc: 16, LineBytes: 64})
 	addr := uint64(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -13,10 +13,7 @@ import (
 // testExplorer returns a reduced-cost explorer for tests.
 func testExplorer(t *testing.T) *Explorer {
 	t.Helper()
-	e, err := NewExplorer()
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := NewExplorer()
 	e.WarmInstr = 1_000_000
 	e.SettleCycles = 10_000
 	return e
@@ -320,7 +317,7 @@ func TestLPDDR4Explorer(t *testing.T) {
 		t.Fatalf("LPDDR4 background %.3fW should be far below DDR4 %.3fW", lpbg, ddr4bg)
 	}
 	// The original explorer must be untouched.
-	if e.Platform.Memory.Power.Name == lp.Platform.Memory.Power.Name {
+	if e.Platform.Cluster.DRAM.Power.Name == lp.Platform.Cluster.DRAM.Power.Name {
 		t.Fatal("LPDDR4Explorer must not mutate the original")
 	}
 }

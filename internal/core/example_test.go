@@ -13,10 +13,7 @@ import (
 // three DVFS points and print throughput, power at the three scopes
 // (cores / SoC / server), the QoS metric and server efficiency.
 func ExampleExplorer_Sweep() {
-	explorer, err := core.NewExplorer()
-	if err != nil {
-		log.Fatal(err)
-	}
+	explorer := core.NewExplorer()
 	// A shorter warmup keeps the example fast; PaperFidelity selects the
 	// paper's settings.
 	explorer.WarmInstr = 1_000_000
@@ -60,10 +57,7 @@ func ExampleExplorer_Sweep() {
 // bias as a state-retentive sleep mode, and optimal bias per performance
 // target as an energy knob.
 func ExampleExplorer_BoostAnalysis() {
-	explorer, err := core.NewExplorer()
-	if err != nil {
-		log.Fatal(err)
-	}
+	explorer := core.NewExplorer()
 	t := explorer.Platform.Tech
 
 	fmt.Printf("technology: %s (FBB up to +%.0fV, Vth shift %.0f mV/V)\n\n",

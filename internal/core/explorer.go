@@ -109,7 +109,6 @@ type Explorer struct {
 	Seams
 
 	Platform *platform.Spec
-	Sim      sim.Config
 	// SamplingFor returns the SMARTS configuration per workload.
 	SamplingFor func(p *workload.Profile) sampling.Config
 	// WarmInstr is the per-core functional warmup before the first sample
@@ -135,18 +134,13 @@ type Explorer struct {
 // NewExplorer returns an explorer for the paper's default platform with
 // the reduced-cost sampling configuration (PaperFidelity switches to the
 // full SMARTS windows) and every seam unset.
-func NewExplorer() (*Explorer, error) {
-	spec, err := platform.Default()
-	if err != nil {
-		return nil, err
-	}
+func NewExplorer() *Explorer {
 	return &Explorer{
-		Platform:     spec,
-		Sim:          sim.DefaultConfig(),
+		Platform:     platform.Default(),
 		SamplingFor:  func(*workload.Profile) sampling.Config { return sampling.QuickConfig() },
 		WarmInstr:    2_000_000,
 		SettleCycles: 20_000,
-	}, nil
+	}
 }
 
 // PaperFidelity switches the explorer to the paper's full sampling windows
@@ -352,7 +346,7 @@ func (e *Explorer) sweep(ctx context.Context, p *workload.Profile, freqs []float
 	// measurement. Restores only read the checkpoint, so one copy serves
 	// all workers.
 	ck := cl.Checkpoint()
-	root := rng.New(e.Sim.Seed).Derive("sweep/" + p.Name)
+	root := rng.New(e.Platform.Cluster.Seed).Derive("sweep/" + p.Name)
 
 	e.Progress.Add(len(freqs))
 	if e.Obs != nil {

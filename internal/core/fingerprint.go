@@ -14,9 +14,9 @@ import (
 // checkpointFingerprint hashes everything a warmed checkpoint's contents
 // are a function of: the workload profile's full parameter set (not just
 // its name — two profiles sharing a Name, or an edited profile, must not
-// share cached state), the cluster configuration including the seed, the
-// platform's structural fields, the baseline frequency, and the warmup
-// and settle lengths. It is the hash of the same canonical encoding that
+// share cached state), the platform's cluster configuration including the
+// seed, its cluster count, the baseline frequency, and the warmup and
+// settle lengths. It is the hash of the same canonical encoding that
 // keys the sweep memo (see encodeKey).
 //
 // The fingerprint keys the checkpoint file name AND is sealed into the
@@ -25,10 +25,8 @@ import (
 func (e *Explorer) checkpointFingerprint(p *workload.Profile) (uint64, error) {
 	hash, _, ok := encodeKey(
 		p,
-		e.Sim,
+		e.Platform.Cluster,
 		e.Platform.Clusters,
-		e.Platform.CoresPerCl,
-		e.Platform.Memory,
 		float64(qos.BaselineFreqHz),
 		e.WarmInstr,
 		e.SettleCycles,

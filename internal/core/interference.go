@@ -48,7 +48,7 @@ func (e *Explorer) Interference(victim, aggressor *workload.Profile, freqHz floa
 
 	// Solo runs: measure the 2GHz baseline first, then retarget the same
 	// warmed cluster to the analysis frequency.
-	solo, err := sim.NewCluster(e.Sim, victim, qos.BaselineFreqHz)
+	solo, err := sim.NewCluster(e.Platform.Cluster, victim, qos.BaselineFreqHz)
 	if err != nil {
 		return InterferenceReport{}, err
 	}
@@ -69,7 +69,7 @@ func (e *Explorer) Interference(victim, aggressor *workload.Profile, freqHz floa
 	soloUIPC := victimUIPC(soloRes, victim, solo.Profiles())
 
 	// Mixed run: cores 0-1 victim, cores 2-3 aggressor.
-	n := e.Sim.CoresPerCluster
+	n := e.Platform.Cluster.CoresPerCluster
 	profiles := make([]*workload.Profile, n)
 	for i := range profiles {
 		if i < n/2 {
@@ -78,7 +78,7 @@ func (e *Explorer) Interference(victim, aggressor *workload.Profile, freqHz floa
 			profiles[i] = aggressor
 		}
 	}
-	mixed, err := sim.NewMixedCluster(e.Sim, profiles, freqHz)
+	mixed, err := sim.NewMixedCluster(e.Platform.Cluster, profiles, freqHz)
 	if err != nil {
 		return InterferenceReport{}, err
 	}

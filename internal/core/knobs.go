@@ -93,12 +93,8 @@ func (e *Explorer) BoostAnalysis(vdd float64) (BoostReport, error) {
 func (e *Explorer) LPDDR4Explorer() *Explorer {
 	c := *e
 	spec := *e.Platform
-	spec.Memory.Timing = dram.LPDDR4()
-	spec.Memory.Power = dram.LPDDR4Power()
+	spec.Cluster.DRAM.Timing = dram.LPDDR4()
+	spec.Cluster.DRAM.Power = dram.LPDDR4Power()
 	c.Platform = &spec
-	simCfg := e.Sim
-	simCfg.DRAM.Timing = dram.LPDDR4()
-	simCfg.DRAM.Power = dram.LPDDR4Power()
-	c.Sim = simCfg
 	return &c
 }

@@ -17,7 +17,6 @@ import (
 	"ntcsim/internal/obs"
 	"ntcsim/internal/obs/timeseries"
 	"ntcsim/internal/sampling"
-	"ntcsim/internal/sram"
 	"ntcsim/internal/workload"
 )
 
@@ -25,10 +24,7 @@ import (
 // small enough that a sweep takes milliseconds.
 func memoExplorer(t *testing.T, memo *SweepMemo) *Explorer {
 	t.Helper()
-	e, err := NewExplorer()
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := NewExplorer()
 	e.WarmInstr = 20_000
 	e.SettleCycles = 1_000
 	e.SamplingFor = func(*workload.Profile) sampling.Config {
@@ -102,11 +98,19 @@ func TestMemoKeyCoversEveryInput(t *testing.T) {
 	}{
 		{"profile parameter", func(_ *Explorer, p *workload.Profile, _ *sampling.Config, _ *[]float64) { p.HotFrac *= 1.01 }},
 		{"profile name", func(_ *Explorer, p *workload.Profile, _ *sampling.Config, _ *[]float64) { p.Name += "'" }},
-		{"seed", func(e *Explorer, _ *workload.Profile, _ *sampling.Config, _ *[]float64) { e.Sim.Seed++ }},
+		{"seed", func(e *Explorer, _ *workload.Profile, _ *sampling.Config, _ *[]float64) { e.Platform.Cluster.Seed++ }},
 		{"core ports (pointer)", func(e *Explorer, _ *workload.Profile, _ *sampling.Config, _ *[]float64) {
-			e.Sim.Core.Ports = cpu.A57Ports()
+			e.Platform.Cluster.Core.Ports = cpu.A57Ports()
 		}},
-		{"LLC banks", func(e *Explorer, _ *workload.Profile, _ *sampling.Config, _ *[]float64) { e.Sim.LLCBanks *= 2 }},
+		{"LLC banks", func(e *Explorer, _ *workload.Profile, _ *sampling.Config, _ *[]float64) {
+			e.Platform.Cluster.LLC.Banks *= 2
+		}},
+		{"cores per cluster", func(e *Explorer, _ *workload.Profile, _ *sampling.Config, _ *[]float64) {
+			e.Platform.Cluster.CoresPerCluster *= 2
+		}},
+		{"DRAM", func(e *Explorer, _ *workload.Profile, _ *sampling.Config, _ *[]float64) {
+			e.Platform.Cluster.DRAM.Timing.CL++
+		}},
 		{"technology (pointer)", func(e *Explorer, _ *workload.Profile, _ *sampling.Config, _ *[]float64) {
 			tech := *e.Platform.Tech
 			tech.Vth0 += 0.001
@@ -114,15 +118,9 @@ func TestMemoKeyCoversEveryInput(t *testing.T) {
 			spec.Tech = &tech
 			e.Platform = &spec
 		}},
-		{"LLC power model (unexported)", func(e *Explorer, _ *workload.Profile, _ *sampling.Config, _ *[]float64) {
-			cfg := sram.DefaultLLCConfig()
-			cfg.CellLeakW *= 2
-			llc, err := sram.New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+		{"LLC power model", func(e *Explorer, _ *workload.Profile, _ *sampling.Config, _ *[]float64) {
 			spec := *e.Platform
-			spec.LLC = llc
+			spec.Cluster.LLC.CellLeakW *= 2
 			e.Platform = &spec
 		}},
 		{"cluster count", func(e *Explorer, _ *workload.Profile, _ *sampling.Config, _ *[]float64) {
@@ -157,12 +155,12 @@ func TestMemoKeyCoversEveryInput(t *testing.T) {
 
 	// A pointer field nested in a config: changing the pointee is a miss.
 	withPorts := memoExplorer(t, memo)
-	withPorts.Sim.Core.Ports = cpu.A57Ports()
+	withPorts.Platform.Cluster.Core.Ports = cpu.A57Ports()
 	h1, k1, _ := withPorts.sweepKey(p, cfg, memoFreqs)
 	memo.store(&memoEntry{hash: h1, key: k1})
-	withPorts.Sim.Core.Ports.Int++
+	withPorts.Platform.Cluster.Core.Ports.Int++
 	if h, k, _ := withPorts.sweepKey(p, cfg, memoFreqs); memo.lookup(h, k, false) != nil {
-		t.Fatal("editing Sim.Core.Ports in place still hits the memo")
+		t.Fatal("editing Platform.Cluster.Core.Ports in place still hits the memo")
 	}
 
 	// An in-place edit of a model the entry was keyed on cannot reach the
@@ -278,11 +276,8 @@ func TestMemoHitReplaysMetricsGolden(t *testing.T) {
 		total        int
 	}
 	sweepOnce := func() run {
-		e, err := NewExplorer()
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.Sim.Seed = 0x5eed
+		e := NewExplorer()
+		e.Platform.Cluster.Seed = 0x5eed
 		e.WarmInstr = 200_000
 		e.SettleCycles = 10_000
 		e.Memo = memo

@@ -75,7 +75,7 @@ func (e *Explorer) warmedCluster(ctx context.Context, p *workload.Profile) (*sim
 
 // warmFresh builds and warms a cluster for p at the baseline frequency.
 func (e *Explorer) warmFresh(p *workload.Profile) (*sim.Cluster, error) {
-	cl, err := sim.NewCluster(e.Sim, p, qos.BaselineFreqHz)
+	cl, err := sim.NewCluster(e.Platform.Cluster, p, qos.BaselineFreqHz)
 	if err != nil {
 		return nil, err
 	}
@@ -163,23 +163,20 @@ func (e *Explorer) lockWarm(ctx context.Context, fsys faultfs.FS, path string) (
 // loadClusterCheckpoint restores a sealed checkpoint onto p, verifying
 // integrity and the config fingerprint. The fingerprint covers every
 // parameter of p, so a verified file was taken with p even when p is
-// renamed or edited, and Bind restores onto p itself rather than onto the
-// registered profile of its name. A CRC-valid file that nevertheless
-// fails to restore (shape mismatch, other workload) is reported as
-// corrupt: the fingerprint covers every input that shapes the cluster, so
-// a verified file can only fail restore if its contents lie.
+// renamed or edited, and LoadSealed binds the checkpoint to p itself. A
+// CRC-valid file that nevertheless fails to restore (shape mismatch,
+// other workload) is reported as corrupt: the fingerprint covers every
+// input that shapes the cluster, so a verified file can only fail restore
+// if its contents lie.
 func loadClusterCheckpoint(fsys faultfs.FS, path string, fp uint64, p *workload.Profile) (*sim.Cluster, error) {
 	f, err := fsys.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	ck, err := sim.LoadSealed(f, fp)
+	ck, err := sim.LoadSealed(f, fp, p)
 	if err != nil {
 		return nil, err
-	}
-	if err := ck.Bind(p); err != nil {
-		return nil, fmt.Errorf("%w: restoring: %v", sim.ErrCheckpointCorrupt, err)
 	}
 	cl, err := sim.RestoreCluster(ck)
 	if err != nil {

@@ -22,10 +22,7 @@ import (
 // captured for assertions.
 func warmExplorer(t *testing.T, dir string) (*Explorer, *warnLog) {
 	t.Helper()
-	e, err := NewExplorer()
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := NewExplorer()
 	e.WarmInstr = 200_000
 	e.SettleCycles = 5_000
 	e.CheckpointDir = dir
@@ -114,11 +111,13 @@ func TestFingerprintSensitivity(t *testing.T) {
 		name   string
 		mutate func(e *Explorer)
 	}{
-		{"seed", func(e *Explorer) { e.Sim.Seed++ }},
+		{"seed", func(e *Explorer) { e.Platform.Cluster.Seed++ }},
 		{"warmup length", func(e *Explorer) { e.WarmInstr++ }},
 		{"settle cycles", func(e *Explorer) { e.SettleCycles++ }},
-		{"cores per cluster", func(e *Explorer) { e.Sim.CoresPerCluster *= 2 }},
-		{"core ports (pointer)", func(e *Explorer) { e.Sim.Core.Ports = cpu.A57Ports() }},
+		{"cores per cluster", func(e *Explorer) { e.Platform.Cluster.CoresPerCluster *= 2 }},
+		{"core ports (pointer)", func(e *Explorer) { e.Platform.Cluster.Core.Ports = cpu.A57Ports() }},
+		{"LLC banks", func(e *Explorer) { e.Platform.Cluster.LLC.Banks *= 2 }},
+		{"DRAM", func(e *Explorer) { e.Platform.Cluster.DRAM.Timing.CL++ }},
 	}
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {

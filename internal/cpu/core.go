@@ -137,14 +137,6 @@ func (s *Stats) Add(o Stats) {
 	s.LLCRequests += o.LLCRequests
 }
 
-// IPC returns committed instructions (user + OS) per cycle.
-func (s Stats) IPC() float64 {
-	if s.Cycles == 0 {
-		return 0
-	}
-	return float64(s.Instructions) / float64(s.Cycles)
-}
-
 // UIPC returns user instructions per cycle — the paper's performance
 // metric (Sec. IV).
 func (s Stats) UIPC() float64 {
@@ -255,9 +247,6 @@ func New(cfg Config, id int, gen *workload.Generator, mem MemSystem, freqHz floa
 
 // ID returns the core's global identifier.
 func (c *Core) ID() int { return c.id }
-
-// Frequency returns the core clock in Hz.
-func (c *Core) Frequency() float64 { return c.freqHz }
 
 // SetFrequency retargets the core clock (DVFS). Microarchitectural state
 // is preserved; only the cycle-to-wall-clock mapping changes, exactly like

@@ -7,6 +7,14 @@ import (
 	"ntcsim/internal/workload"
 )
 
+// ipc returns committed instructions (user + OS) per cycle.
+func ipc(s Stats) float64 {
+	if s.Cycles == 0 {
+		return 0
+	}
+	return float64(s.Instructions) / float64(s.Cycles)
+}
+
 // fixedMem is a MemSystem with constant latency.
 type fixedMem struct {
 	latNs    float64
@@ -49,8 +57,8 @@ func TestIPCNeverExceedsWidth(t *testing.T) {
 	for _, p := range workload.All() {
 		c := newCore(t, p, &fixedMem{latNs: 80}, 2e9, 1)
 		c.Run(20000)
-		if ipc := c.Stats().IPC(); ipc > float64(c.cfg.Width) {
-			t.Errorf("%s: IPC %.3f exceeds width %d", p.Name, ipc, c.cfg.Width)
+		if got := ipc(c.Stats()); got > float64(c.cfg.Width) {
+			t.Errorf("%s: IPC %.3f exceeds width %d", p.Name, got, c.cfg.Width)
 		}
 	}
 }
@@ -60,8 +68,8 @@ func TestIndependentALUApproachesWidth(t *testing.T) {
 	c.Run(10000) // warm the I-cache (cold misses dominate short runs)
 	c.ResetStats()
 	c.Run(50000)
-	if ipc := c.Stats().IPC(); ipc < 2.8 {
-		t.Fatalf("independent ALU IPC = %.3f, want near width 3", ipc)
+	if got := ipc(c.Stats()); got < 2.8 {
+		t.Fatalf("independent ALU IPC = %.3f, want near width 3", got)
 	}
 }
 
@@ -70,8 +78,8 @@ func TestDependencyChainSerializes(t *testing.T) {
 	p.DepGeomP = 0.9999 // every instruction depends on its predecessor
 	c := newCore(t, p, &fixedMem{latNs: 80}, 2e9, 3)
 	c.Run(50000)
-	if ipc := c.Stats().IPC(); ipc > 1.1 {
-		t.Fatalf("serial chain IPC = %.3f, want ~1", ipc)
+	if got := ipc(c.Stats()); got > 1.1 {
+		t.Fatalf("serial chain IPC = %.3f, want ~1", got)
 	}
 }
 
@@ -93,8 +101,8 @@ func TestMispredictsReduceIPC(t *testing.T) {
 		t.Fatalf("mispredict rates: good %.4f bad %.4f — generator bias broken",
 			sg.MispredictRate(), sb.MispredictRate())
 	}
-	if sb.IPC() >= sg.IPC() {
-		t.Fatalf("unpredictable branches should hurt IPC: %.3f vs %.3f", sb.IPC(), sg.IPC())
+	if ipc(sb) >= ipc(sg) {
+		t.Fatalf("unpredictable branches should hurt IPC: %.3f vs %.3f", ipc(sb), ipc(sg))
 	}
 }
 
@@ -108,9 +116,9 @@ func TestMemoryLatencyHurtsIPC(t *testing.T) {
 	slow := newCore(t, p, &fixedMem{latNs: 200}, 2e9, 5)
 	fast.Run(30000)
 	slow.Run(30000)
-	if slow.Stats().IPC() >= fast.Stats().IPC() {
+	if ipc(slow.Stats()) >= ipc(fast.Stats()) {
 		t.Fatalf("10x memory latency should hurt IPC: %.3f vs %.3f",
-			slow.Stats().IPC(), fast.Stats().IPC())
+			ipc(slow.Stats()), ipc(fast.Stats()))
 	}
 }
 
@@ -128,7 +136,7 @@ func TestUIPCExcludesOSInstructions(t *testing.T) {
 	if frac < 0.2 || frac > 0.4 {
 		t.Fatalf("OS fraction realized = %.3f, want ~0.3", frac)
 	}
-	if s.UIPC() >= s.IPC() {
+	if s.UIPC() >= ipc(s) {
 		t.Fatal("UIPC must be below IPC for OS-heavy workloads")
 	}
 }
@@ -151,9 +159,9 @@ func TestMLPThroughMSHRs(t *testing.T) {
 	wide, _ := New(cfgWide, 0, gw, &fixedMem{latNs: 150}, 2e9)
 	narrow.Run(30000)
 	wide.Run(30000)
-	if wide.Stats().IPC() <= narrow.Stats().IPC()*1.2 {
+	if ipc(wide.Stats()) <= ipc(narrow.Stats())*1.2 {
 		t.Fatalf("16 MSHRs (%.3f IPC) should clearly beat 1 MSHR (%.3f IPC)",
-			wide.Stats().IPC(), narrow.Stats().IPC())
+			ipc(wide.Stats()), ipc(narrow.Stats()))
 	}
 }
 
@@ -304,9 +312,9 @@ func TestWindowLimitsMLP(t *testing.T) {
 	cl, _ := New(large, 0, gl, &fixedMem{latNs: 200}, 2e9)
 	cs.Run(30000)
 	cl.Run(30000)
-	if cl.Stats().IPC() <= cs.Stats().IPC() {
+	if ipc(cl.Stats()) <= ipc(cs.Stats()) {
 		t.Fatalf("256-entry window (%.3f) should beat 8-entry (%.3f)",
-			cl.Stats().IPC(), cs.Stats().IPC())
+			ipc(cl.Stats()), ipc(cs.Stats()))
 	}
 }
 
@@ -342,7 +350,7 @@ func TestStridePrefetcherHelpsStreaming(t *testing.T) {
 		c.Run(20000)
 		c.ResetStats()
 		c.Run(50000)
-		return c.Stats().IPC()
+		return ipc(c.Stats())
 	}
 	off := run(false)
 	on := run(true)
@@ -398,13 +406,13 @@ func TestPortLimitsConstrainIssue(t *testing.T) {
 	ported.ResetStats()
 	ported.Run(40000)
 
-	if ported.Stats().IPC() >= unified.Stats().IPC() {
+	if ipc(ported.Stats()) >= ipc(unified.Stats()) {
 		t.Fatalf("port limits should constrain a load-heavy stream: ported %.3f vs unified %.3f",
-			ported.Stats().IPC(), unified.Stats().IPC())
+			ipc(ported.Stats()), ipc(unified.Stats()))
 	}
 	// The memory port is the binding constraint: IPC <= Mem/loadFrac = 2.
-	if ipc := ported.Stats().IPC(); ipc > 2.01 {
-		t.Fatalf("single memory port caps IPC at 2 for 50%% loads, got %.3f", ipc)
+	if got := ipc(ported.Stats()); got > 2.01 {
+		t.Fatalf("single memory port caps IPC at 2 for 50%% loads, got %.3f", got)
 	}
 }
 

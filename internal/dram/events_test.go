@@ -24,7 +24,7 @@ func TestEventPowerMatchesScalingForStreaming(t *testing.T) {
 	// Streaming traffic (high row-hit) is the regime the Table I scaling
 	// rule represents: event accounting must agree within a few percent.
 	cfg := DefaultConfig()
-	s := MustNew(cfg)
+	s := mustNew(cfg)
 	var last float64
 	const n = 20000
 	for i := 0; i < n; i++ {
@@ -47,7 +47,7 @@ func TestEventPowerExceedsScalingForRandomTraffic(t *testing.T) {
 	// rule (calibrated for streaming) underestimates its energy — the
 	// cross-validation result the event model exists to expose.
 	cfg := DefaultConfig()
-	s := MustNew(cfg)
+	s := mustNew(cfg)
 	addr := uint64(12345)
 	now := 0.0
 	var last float64

@@ -152,7 +152,7 @@ func TestSummarizeEmpty(t *testing.T) {
 
 func TestOpenRowHit(t *testing.T) {
 	cfg := DefaultConfig()
-	s := MustNew(cfg)
+	s := mustNew(cfg)
 	if s.OpenRowHit(0) {
 		t.Fatal("cold bank has no open row")
 	}

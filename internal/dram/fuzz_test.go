@@ -12,7 +12,7 @@ func FuzzSubmit(f *testing.F) {
 	f.Add(uint64(1<<40), uint64(12345), uint64(1<<20), byte(3))
 	f.Fuzz(func(t *testing.T, a1, a2, a3 uint64, wmask byte) {
 		cfg := DefaultConfig()
-		s := MustNew(cfg)
+		s := mustNew(cfg)
 		now := 0.0
 		minRead := float64(cfg.Timing.CL)*cfg.Timing.TCKNs + cfg.Timing.BurstNs()
 		addrs := []uint64{a1, a2, a3, a1 ^ a2, a2 + a3, a3 * 7}
@@ -44,7 +44,7 @@ func FuzzDecodeRoundTrip(f *testing.F) {
 	f.Add(uint64(1<<33), uint64(1<<34))
 	f.Fuzz(func(t *testing.T, a, b uint64) {
 		cfg := DefaultConfig()
-		s := MustNew(cfg)
+		s := mustNew(cfg)
 		a %= 64 << 30
 		b %= 64 << 30
 		la, lb := a/64, b/64

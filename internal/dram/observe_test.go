@@ -37,8 +37,8 @@ func drive(s *System) []float64 {
 // TestPerBankObservationDoesNotPerturbTiming: enabling per-bank counting
 // must leave every completion time and the aggregate stats bit-identical.
 func TestPerBankObservationDoesNotPerturbTiming(t *testing.T) {
-	off := MustNew(obsTestConfig())
-	on := MustNew(obsTestConfig())
+	off := mustNew(obsTestConfig())
+	on := mustNew(obsTestConfig())
 	on.EnableObs()
 	dOff, dOn := drive(off), drive(on)
 	for i := range dOff {
@@ -57,7 +57,7 @@ func TestPerBankObservationDoesNotPerturbTiming(t *testing.T) {
 // TestPerBankCountsConsistent: summed per-bank RD/WR/ACT must equal the
 // aggregate statistics the simulator already reports.
 func TestPerBankCountsConsistent(t *testing.T) {
-	s := MustNew(obsTestConfig())
+	s := mustNew(obsTestConfig())
 	s.EnableObs()
 	drive(s)
 	var rd, wr, act uint64
@@ -90,7 +90,7 @@ func TestPerBankCountsConsistent(t *testing.T) {
 func TestClosedPageCountsAutoPrecharge(t *testing.T) {
 	cfg := obsTestConfig()
 	cfg.OpenPage = false
-	s := MustNew(cfg)
+	s := mustNew(cfg)
 	s.EnableObs()
 	drive(s)
 	var pre uint64

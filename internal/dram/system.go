@@ -46,20 +46,12 @@ func (c Config) TotalBytes() uint64 {
 	return uint64(c.Channels) * uint64(c.RanksPerChan) * uint64(c.ChipsPerRank) * bitsPerChip / 8
 }
 
-// PeakBandwidth returns the aggregate peak bandwidth in bytes/s.
-func (c Config) PeakBandwidth() float64 {
-	perChan := (1e9 / c.Timing.TCKNs) * 2 * 8
-	return perChan * float64(c.Channels)
-}
-
-// Stats aggregates access statistics since the last Reset.
+// Stats aggregates access statistics since the last ResetStats.
 type Stats struct {
 	Reads, Writes           uint64
 	RowHits, RowConflicts   uint64
 	RowClosed               uint64 // accesses finding the bank precharged
 	BytesRead, BytesWritten uint64
-	TotalReadLatencyNs      float64
-	TotalWriteLatencyNs     float64
 	Activations             uint64
 	RefreshStallsNs         float64
 }
@@ -73,8 +65,6 @@ func (s *Stats) Add(o Stats) {
 	s.RowClosed += o.RowClosed
 	s.BytesRead += o.BytesRead
 	s.BytesWritten += o.BytesWritten
-	s.TotalReadLatencyNs += o.TotalReadLatencyNs
-	s.TotalWriteLatencyNs += o.TotalWriteLatencyNs
 	s.Activations += o.Activations
 	s.RefreshStallsNs += o.RefreshStallsNs
 }
@@ -175,32 +165,15 @@ func New(cfg Config) (*System, error) {
 	return s, nil
 }
 
-// MustNew is New for known-good configurations.
-func MustNew(cfg Config) *System {
-	s, err := New(cfg)
-	if err != nil {
-		panic("dram: MustNew: " + err.Error())
-	}
-	return s
-}
-
 // Config returns the system configuration.
 func (s *System) Config() Config { return s.cfg }
 
-// Stats returns the statistics accumulated since the last Reset.
+// Stats returns the statistics accumulated since the last ResetStats.
 func (s *System) Stats() Stats { return s.stats }
 
 // ResetStats clears statistics while preserving bank/bus state — used at
 // the warmup/measurement boundary of sampled simulation.
 func (s *System) ResetStats() { s.stats = Stats{} }
-
-// Reset clears all bank state and statistics.
-func (s *System) Reset() {
-	fresh := MustNew(s.cfg)
-	s.chans = fresh.chans
-	s.stats = Stats{}
-	s.lastNowNs = 0
-}
 
 // location is a decoded physical address.
 type location struct {
@@ -386,15 +359,12 @@ func (s *System) Submit(addr uint64, write bool, nowNs float64) float64 {
 	}
 
 	// Statistics.
-	lat := dataEnd - nowNs
 	if write {
 		s.stats.Writes++
 		s.stats.BytesWritten += uint64(s.cfg.LineBytes)
-		s.stats.TotalWriteLatencyNs += lat
 	} else {
 		s.stats.Reads++
 		s.stats.BytesRead += uint64(s.cfg.LineBytes)
-		s.stats.TotalReadLatencyNs += lat
 	}
 	return dataEnd
 }

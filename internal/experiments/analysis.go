@@ -35,10 +35,7 @@ func runVariation(ctx context.Context, p Params, env Env) error {
 func runDarkSilicon(ctx context.Context, p Params, env Env) error {
 	out := env.out()
 	fmt.Fprintln(out, "== Sec. V-B1: TDP and dark silicon across the DVFS range ==")
-	e, err := p.NewExplorer(env)
-	if err != nil {
-		return err
-	}
+	e := p.NewExplorer(env)
 	m := thermal.Default()
 	uncoreW := e.Platform.UncorePowerW(100e6, 40e6, 150e6)
 	freqs := []float64{0.2e9, 0.5e9, 1.0e9, 1.5e9, 2.0e9, 2.5e9, 3.0e9, 3.2e9}
@@ -68,10 +65,7 @@ func runInterference(ctx context.Context, p Params, env Env) error {
 		if err := ctx.Err(); err != nil {
 			return context.Cause(ctx)
 		}
-		e, err := p.NewExplorer(env)
-		if err != nil {
-			return err
-		}
+		e := p.NewExplorer(env)
 		rep, err := e.Interference(workload.WebSearch(), workload.Bubble(), f)
 		if err != nil {
 			return err

@@ -36,7 +36,7 @@ const DefaultSeed uint64 = 0x5eed
 // Version is the experiment-API generation, folded into every cache key so
 // results computed by an older incompatible API are never served for a new
 // one. Bump it when a change makes previously cached report bytes wrong.
-const Version = "ntcsim-experiments/v2"
+const Version = "ntcsim-experiments/v3"
 
 // Env is what an experiment runs against besides its Params: the report
 // writer and the explorer seams (core.Seams), which every explorer the
@@ -165,13 +165,10 @@ func UnmarshalParams(data []byte) (Params, error) {
 // daemon cannot drift apart. p must already be validated (Run does so).
 // Zero WarmInstr/SettleCycles keep the fidelity's defaults; non-zero ones
 // override them.
-func (p Params) NewExplorer(env Env) (*core.Explorer, error) {
-	e, err := core.NewExplorer()
-	if err != nil {
-		return nil, err
-	}
+func (p Params) NewExplorer(env Env) *core.Explorer {
+	e := core.NewExplorer()
 	e.Seams = env.Seams
-	e.Sim.Seed = p.Normalized().Seed
+	e.Platform.Cluster.Seed = p.Normalized().Seed
 	if p.Fidelity == "paper" {
 		e.PaperFidelity()
 	}
@@ -181,7 +178,7 @@ func (p Params) NewExplorer(env Env) (*core.Explorer, error) {
 	if p.SettleCycles > 0 {
 		e.SettleCycles = p.SettleCycles
 	}
-	return e, nil
+	return e
 }
 
 // RunFunc is the uniform driver signature. The passed Params are already

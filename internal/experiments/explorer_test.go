@@ -2,13 +2,18 @@ package experiments
 
 import (
 	"io"
+	"math"
 	"reflect"
 	"testing"
+	"time"
 
 	"ntcsim/internal/core"
 	"ntcsim/internal/faultfs"
 	"ntcsim/internal/obs"
 	"ntcsim/internal/obs/timeseries"
+	"ntcsim/internal/sim"
+	"ntcsim/internal/sram"
+	"ntcsim/internal/uncore"
 	"ntcsim/internal/workload"
 )
 
@@ -17,14 +22,8 @@ import (
 // selected fidelity's defaults rather than under them, and every Env seam
 // arrives by identity.
 func TestParamsNewExplorer(t *testing.T) {
-	quick, err := core.NewExplorer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	paper, err := core.NewExplorer()
-	if err != nil {
-		t.Fatal(err)
-	}
+	quick := core.NewExplorer()
+	paper := core.NewExplorer()
 	paper.PaperFidelity()
 	if paper.WarmInstr == quick.WarmInstr || paper.SettleCycles == quick.SettleCycles {
 		t.Fatal("paper and quick fidelity share warmup defaults; the table below cannot tell them apart")
@@ -48,15 +47,12 @@ func TestParamsNewExplorer(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e, err := tc.p.NewExplorer(Env{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			e := tc.p.NewExplorer(Env{})
 			if e.WarmInstr != tc.warm || e.SettleCycles != tc.settle {
 				t.Errorf("warmup = (%d, %d), want (%d, %d)", e.WarmInstr, e.SettleCycles, tc.warm, tc.settle)
 			}
-			if e.Sim.Seed != tc.seed {
-				t.Errorf("Sim.Seed = %#x, want %#x", e.Sim.Seed, tc.seed)
+			if e.Platform.Cluster.Seed != tc.seed {
+				t.Errorf("Platform.Cluster.Seed = %#x, want %#x", e.Platform.Cluster.Seed, tc.seed)
 			}
 			// Paper fidelity differs per workload (data serving gets longer
 			// windows), so every profile is checked.
@@ -89,10 +85,7 @@ func TestParamsNewExplorer(t *testing.T) {
 				t.Fatalf("fixture leaves seam %s unset", sv.Type().Field(i).Name)
 			}
 		}
-		e, err := Params{}.NewExplorer(env)
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := Params{}.NewExplorer(env)
 		if e.Jobs != env.Jobs || e.CheckpointDir != env.CheckpointDir || e.FS != env.FS ||
 			e.Obs != env.Obs || e.Tracer != env.Tracer || e.Progress != env.Progress ||
 			e.Telemetry != env.Telemetry || e.Memo != env.Memo {
@@ -103,4 +96,29 @@ func TestParamsNewExplorer(t *testing.T) {
 			t.Fatal("Warnf seam not carried")
 		}
 	})
+}
+
+// TestEightCoreVariantPricesWhatItSimulates checks the cluster-size
+// ablation's 8-core variant: its eight 1MB LLC banks give the 4-core
+// cluster's LLC latency, and the uncore model prices the 8MB of LLC the
+// simulator runs per cluster.
+func TestEightCoreVariantPricesWhatItSimulates(t *testing.T) {
+	e4, e8 := Params{}.NewExplorer(Env{}), Params{}.eightCoreExplorer(Env{})
+	if got := e8.Platform.TotalCores(); got != 32 {
+		t.Fatalf("8-core variant has %d cores, want 4 clusters x 8", got)
+	}
+	lat4, lat8 := e4.Platform.Cluster.LLC.AccessLatency(), e8.Platform.Cluster.LLC.AccessLatency()
+	if lat4 != 4*time.Nanosecond || lat8 != lat4 {
+		t.Fatalf("LLC latency 4-core %v, 8-core %v; want 4ns for both", lat4, lat8)
+	}
+	llc := sram.DefaultLLCConfig()
+	llc.CapacityBytes = 8 << 20
+	spec := e8.Platform
+	want := 4*(llc.LeakagePower()+uncore.CrossbarPower(0)) + spec.Peripherals.Power()
+	if got := spec.UncorePowerW(0, 0, 0); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("idle uncore %.4fW, want %.4fW (8MB of LLC leakage per cluster)", got, want)
+	}
+	if _, err := sim.NewCluster(spec.Cluster, workload.WebSearch(), 1e9); err != nil {
+		t.Fatalf("simulating the variant: %v", err)
+	}
 }

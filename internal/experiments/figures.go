@@ -52,10 +52,7 @@ func runFig2(ctx context.Context, p Params, env Env) error {
 	out := env.out()
 	fmt.Fprintln(out, "== Figure 2: 99th-percentile latency normalized to QoS vs core frequency ==")
 	freqs := core.DefaultFrequencies()
-	e, err := p.NewExplorer(env)
-	if err != nil {
-		return err
-	}
+	e := p.NewExplorer(env)
 	sweeps, err := e.SweepMany(ctx, workload.ScaleOutProfiles(), freqs)
 	if err != nil {
 		return err
@@ -82,10 +79,7 @@ func runEfficiency(ctx context.Context, p Params, env Env, profiles []*workload.
 	out := env.out()
 	fmt.Fprintln(out, "==", title, "==")
 	freqs := core.DefaultFrequencies()
-	e, err := p.NewExplorer(env)
-	if err != nil {
-		return err
-	}
+	e := p.NewExplorer(env)
 	sweeps, err := e.SweepMany(ctx, profiles, freqs)
 	if err != nil {
 		return err
@@ -127,10 +121,7 @@ func runOpt(ctx context.Context, p Params, env Env) error {
 	out := env.out()
 	fmt.Fprintln(out, "== Sec. V: QoS-feasible minimum frequencies and optimal efficiency points ==")
 	freqs := core.DefaultFrequencies()
-	e, err := p.NewExplorer(env)
-	if err != nil {
-		return err
-	}
+	e := p.NewExplorer(env)
 	sweeps, err := e.SweepMany(ctx, workload.All(), freqs)
 	if err != nil {
 		return err
@@ -170,10 +161,7 @@ func runOpt(ctx context.Context, p Params, env Env) error {
 func runAblation(ctx context.Context, p Params, env Env) error {
 	out := env.out()
 	fmt.Fprintln(out, "== Sec. V-C ablations: FD-SOI knobs, LPDDR4, cluster size ==")
-	e, err := p.NewExplorer(env)
-	if err != nil {
-		return err
-	}
+	e := p.NewExplorer(env)
 
 	sleep, err := e.SleepAnalysis(0.5e9)
 	if err != nil {
@@ -226,20 +214,8 @@ func runAblation(ctx context.Context, p Params, env Env) error {
 
 	// Cluster-size sensitivity (paper Sec. II-B: trends are unaffected).
 	fmt.Fprintln(out, "-- cluster-size ablation: per-core UIPC trend, 4-core vs 8-core clusters --")
-	e4, err := p.NewExplorer(env)
-	if err != nil {
-		return err
-	}
-	e8, err := p.NewExplorer(env)
-	if err != nil {
-		return err
-	}
-	e8.Sim.CoresPerCluster = 8
-	e8.Sim.LLCBanks = 8
-	e8.Sim.LLC.CapacityBytes = 8 << 20 // keep the core:cache ratio
-	e8.Platform.Clusters = 4           // roughly iso-area
-	e8.Platform.CoresPerCl = 8
-	e8.TelemetryPrefix = "8c/"
+	e4 := p.NewExplorer(env)
+	e8 := p.eightCoreExplorer(env)
 	var s4, s8 *core.Sweep
 	err = parallel.Do(ctx, e.Jobs,
 		func(ctx context.Context) error {
@@ -263,4 +239,19 @@ func runAblation(ctx context.Context, p Params, env Env) error {
 		fmt.Fprintf(w, "%.0f\t%.3f\t%.3f\n", freqs[i]/1e6, u4, u8)
 	}
 	return w.Flush()
+}
+
+// eightCoreExplorer returns the cluster-size ablation's variant: clusters
+// of 8 cores with eight 1MB LLC banks, which keeps the 4-core cluster's
+// core:cache ratio and bank size, on 4 clusters for roughly the same die
+// area.
+func (p Params) eightCoreExplorer(env Env) *core.Explorer {
+	e := p.NewExplorer(env)
+	e.Platform.Clusters = 4
+	c := &e.Platform.Cluster
+	c.CoresPerCluster = 8
+	c.LLC.Banks = 8
+	c.LLC.CapacityBytes = 8 << 20
+	e.TelemetryPrefix = "8c/"
+	return e
 }

@@ -16,10 +16,7 @@ import (
 func runScaling(ctx context.Context, p Params, env Env) error {
 	out := env.out()
 	fmt.Fprintln(out, "== methodology check: per-cluster UIPC vs active clusters sharing DRAM ==")
-	e, err := p.NewExplorer(env)
-	if err != nil {
-		return err
-	}
+	e := p.NewExplorer(env)
 	w := env.tbl()
 	fmt.Fprintln(w, "clusters\tper-cluster_UIPC\tdrop_vs_1\tDRAM_read_GB/s")
 	var base float64
@@ -27,7 +24,7 @@ func runScaling(ctx context.Context, p Params, env Env) error {
 		if err := ctx.Err(); err != nil {
 			return context.Cause(ctx)
 		}
-		ch, err := sim.NewChip(e.Sim, workload.WebSearch(), n, 2e9)
+		ch, err := sim.NewChip(e.Platform.Cluster, workload.WebSearch(), n, 2e9)
 		if err != nil {
 			return err
 		}
@@ -59,17 +56,14 @@ func runScaling(ctx context.Context, p Params, env Env) error {
 func runWorkloads(ctx context.Context, p Params, env Env) error {
 	out := env.out()
 	fmt.Fprintln(out, "== workload characterization at 2GHz (synthetic clones) ==")
-	e, err := p.NewExplorer(env)
-	if err != nil {
-		return err
-	}
+	e := p.NewExplorer(env)
 	w := env.tbl()
 	fmt.Fprintln(w, "workload\tUIPC/core\tL1D_hit\tL1I_hit\tLLC_hit\tmispredict\tDRAM_MPKI\tread_GB/s\tOS_frac\tstall(FE/ROB/dep/mem)")
 	for _, prof := range append(workload.All(), workload.Extended()...) {
 		if err := ctx.Err(); err != nil {
 			return context.Cause(ctx)
 		}
-		cl, err := sim.NewCluster(e.Sim, prof, 2e9)
+		cl, err := sim.NewCluster(e.Platform.Cluster, prof, 2e9)
 		if err != nil {
 			return err
 		}
@@ -104,12 +98,9 @@ func runPrefetch(ctx context.Context, p Params, env Env) error {
 		var uipc [2]float64
 		var dram [2]uint64
 		for i, pf := range []bool{false, true} {
-			e, err := p.NewExplorer(env)
-			if err != nil {
-				return err
-			}
-			e.Sim.Core.StridePrefetch = pf
-			cl, err := sim.NewCluster(e.Sim, prof, 2e9)
+			e := p.NewExplorer(env)
+			e.Platform.Cluster.Core.StridePrefetch = pf
+			cl, err := sim.NewCluster(e.Platform.Cluster, prof, 2e9)
 			if err != nil {
 				return err
 			}
@@ -139,14 +130,11 @@ func runPorts(ctx context.Context, p Params, env Env) error {
 		}
 		var uipc [2]float64
 		for i, ports := range []bool{false, true} {
-			e, err := p.NewExplorer(env)
-			if err != nil {
-				return err
-			}
+			e := p.NewExplorer(env)
 			if ports {
-				e.Sim.Core.Ports = cpu.A57Ports()
+				e.Platform.Cluster.Core.Ports = cpu.A57Ports()
 			}
-			cl, err := sim.NewCluster(e.Sim, prof, 2e9)
+			cl, err := sim.NewCluster(e.Platform.Cluster, prof, 2e9)
 			if err != nil {
 				return err
 			}
@@ -166,10 +154,7 @@ func runPorts(ctx context.Context, p Params, env Env) error {
 func runHetero(ctx context.Context, p Params, env Env) error {
 	out := env.out()
 	fmt.Fprintln(out, "== Sec. V-C: heterogeneous per-cluster operation (3-cluster chip slice) ==")
-	e, err := p.NewExplorer(env)
-	if err != nil {
-		return err
-	}
+	e := p.NewExplorer(env)
 	scenarios := []struct {
 		name  string
 		specs []sim.ClusterSpec
@@ -191,7 +176,7 @@ func runHetero(ctx context.Context, p Params, env Env) error {
 		if err := ctx.Err(); err != nil {
 			return context.Cause(ctx)
 		}
-		ch, err := sim.NewHeteroChip(e.Sim, sc.specs)
+		ch, err := sim.NewHeteroChip(e.Platform.Cluster, sc.specs)
 		if err != nil {
 			return err
 		}
@@ -205,7 +190,7 @@ func runHetero(ctx context.Context, p Params, env Env) error {
 			if err != nil {
 				return err
 			}
-			coresW := float64(e.Sim.CoresPerCluster) * e.Platform.Core.Power(op, core.LoadActivity)
+			coresW := float64(e.Platform.Cluster.CoresPerCluster) * e.Platform.Core.Power(op, core.LoadActivity)
 			totalUIPS += m.UIPS()
 			totalCoresW += coresW
 			fmt.Fprintf(w, "%s\t%d\t%s\t%.0f\t%.2f\t%.2f\n",
@@ -229,10 +214,7 @@ func runWarm(ctx context.Context, p Params, env Env) error {
 		if err := ctx.Err(); err != nil {
 			return context.Cause(ctx)
 		}
-		e, err := p.NewExplorer(env)
-		if err != nil {
-			return err
-		}
+		e := p.NewExplorer(env)
 		// A one-point sweep triggers warmup + checkpoint save; a memo hit
 		// would skip both.
 		e.Memo = nil

@@ -94,10 +94,7 @@ func runDiurnalDay(ctx context.Context, p Params, env Env, v serveView) error {
 // epochs so the DES serves it request by request in reasonable time
 // (rates and epoch count are untouched).
 func diurnalDay(ctx context.Context, p Params, env Env) (serveShape, *governor.Config, governor.LoadTrace, error) {
-	e, err := p.NewExplorer(env)
-	if err != nil {
-		return serveShape{}, nil, governor.LoadTrace{}, err
-	}
+	e := p.NewExplorer(env)
 	app := workload.WebSearch()
 	sweep, err := e.Sweep(ctx, app, []float64{0.2e9, 0.3e9, 0.5e9, 0.7e9, 1.0e9, 1.5e9, 2.0e9})
 	if err != nil {
@@ -129,7 +126,7 @@ func diurnalDay(ctx context.Context, p Params, env Env) (serveShape, *governor.C
 	trace := governor.DiurnalTrace(96, peak, 0.15, 0.04, 1.3, rng.New(p.Seed)).WithStep(time.Second)
 	shape := serveShape{
 		Clusters:        e.Platform.Clusters,
-		CoresPerCluster: e.Platform.CoresPerCl,
+		CoresPerCluster: e.Platform.Cluster.CoresPerCluster,
 		Warmup:          5 * time.Second,
 	}
 	return shape, cfg, trace, nil

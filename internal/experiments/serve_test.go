@@ -23,10 +23,7 @@ import (
 // simulation warmup) so the report itself can be exercised quickly.
 func serveTestSetup(t *testing.T) (serveShape, *governor.Config, governor.LoadTrace) {
 	t.Helper()
-	spec, err := platform.Default()
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := platform.Default()
 	curve, err := governor.NewPerfCurve([]governor.PerfPoint{
 		{FreqHz: 0.2e9, UIPS: 4e9}, {FreqHz: 0.5e9, UIPS: 9e9}, {FreqHz: 1.0e9, UIPS: 16e9},
 		{FreqHz: 1.5e9, UIPS: 21e9}, {FreqHz: 2.0e9, UIPS: 25e9},
@@ -47,7 +44,7 @@ func serveTestSetup(t *testing.T) (serveShape, *governor.Config, governor.LoadTr
 	trace := governor.DiurnalTrace(24, 600, 0.2, 0.05, 1.4, rng.New(7)).WithStep(time.Second)
 	shape := serveShape{
 		Clusters:        spec.Clusters,
-		CoresPerCluster: spec.CoresPerCl,
+		CoresPerCluster: spec.Cluster.CoresPerCluster,
 		Warmup:          2 * time.Second,
 	}
 	return shape, cfg, trace
@@ -240,10 +237,7 @@ func TestSharedScenarioRecordedOnce(t *testing.T) {
 		t.Fatalf("runSeq output differs from the experiments run alone:\n%s", serveDiffHint(alone.String(), all.String()))
 	}
 
-	spec, err := platform.Default()
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := platform.Default()
 	const epochs = 96 // diurnalDay's trace length
 	var serveSeries int
 	for _, ser := range sampler.All() {

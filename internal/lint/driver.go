@@ -1,15 +1,13 @@
 package lint
 
-// The standalone driver: a self-contained package loader and analyzer
-// runner built on the standard library only. `go vet -vettool` is the
-// production path (the go command hands unitchecker fully resolved
-// compilation units), but it cannot serve two callers this package
-// needs: the linttest harness, which type-checks fixture trees under
-// testdata/src, and `ntclint` run as a bare binary in environments
-// without the build cache. The loader resolves module-local import
-// paths to directories, serves vendored third-party packages from
-// vendor/, and type-checks the standard library from GOROOT/src via
-// the compiler's "source" importer — no network, no go command.
+// The driver: a self-contained package loader and analyzer runner built
+// on the standard library only. It serves `ntclint`, which runs as a bare
+// binary even without the build cache, and the linttest harness, which
+// type-checks fixture trees under testdata/src. The loader resolves
+// module-local import paths to directories, serves vendored third-party
+// packages from vendor/, and type-checks the standard library from
+// GOROOT/src via the compiler's "source" importer — no network, no go
+// command.
 
 import (
 	"fmt"
@@ -34,7 +32,7 @@ type Package struct {
 	Info  *types.Info
 }
 
-// Loader parses and type-checks packages for the standalone driver.
+// Loader parses and type-checks packages for the driver.
 type Loader struct {
 	// Fset receives the positions of every parsed file.
 	Fset *token.FileSet
@@ -133,7 +131,7 @@ type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
-// Diagnostic is one finding of the standalone driver.
+// Diagnostic is one finding of the driver.
 type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string

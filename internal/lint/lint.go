@@ -49,9 +49,8 @@
 // mandatory — an annotation without one is itself reported — so every
 // exemption documents why the invariant holds anyway.
 //
-// The suite runs standalone via cmd/ntclint, or under the go toolchain
-// as `go vet -vettool=$(ntclint)`; `make lint` wires the latter into
-// the tier-1 gate.
+// The suite runs via cmd/ntclint; `make lint` wires it into the tier-1
+// gate.
 package lint
 
 import (
@@ -81,8 +80,7 @@ func Analyzers() []*analysis.Analyzer {
 // eachNonTestFile invokes fn for every non-test file of the pass. The
 // analyzers walk syntax directly (ast.Inspect) rather than through the
 // x/tools inspect pass so the suite has no inter-analyzer dependencies:
-// any driver — unitchecker under go vet, or the standalone loader in
-// driver.go — can run each analyzer in isolation.
+// the loader in driver.go runs each analyzer in isolation.
 func eachNonTestFile(pass *analysis.Pass, fn func(f *ast.File)) {
 	for _, f := range pass.Files {
 		if isTestFile(pass.Fset, f) {

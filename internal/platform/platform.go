@@ -14,9 +14,8 @@ package platform
 import (
 	"fmt"
 
-	"ntcsim/internal/dram"
 	"ntcsim/internal/power"
-	"ntcsim/internal/sram"
+	"ntcsim/internal/sim"
 	"ntcsim/internal/tech"
 	"ntcsim/internal/uncore"
 )
@@ -34,14 +33,14 @@ const (
 
 // Spec describes one server platform instance.
 type Spec struct {
-	Tech        *tech.Technology
-	Core        *power.CoreModel
-	Clusters    int
-	CoresPerCl  int
-	LLC         *sram.Model // per-cluster LLC
-	Xbar        *uncore.Crossbar
+	Tech     *tech.Technology
+	Core     *power.CoreModel
+	Clusters int
+	// Cluster is the one description of a cluster: the simulator runs it
+	// and the power and area models price it. Its DRAM is the whole
+	// chip's memory system.
+	Cluster     sim.Config
 	Peripherals *uncore.Peripherals
-	Memory      dram.Config
 
 	AreaBudgetMM2 float64
 	PowerBudgetW  float64
@@ -49,46 +48,26 @@ type Spec struct {
 
 // Default returns the paper's platform: 9 clusters x 4 A57 cores on 28nm
 // FD-SOI, 300mm^2 area budget, 100W power budget, 64GB DDR4.
-func Default() (*Spec, error) {
+func Default() *Spec {
 	t := tech.FDSOI28()
-	llc, err := sram.New(sram.DefaultLLCConfig())
-	if err != nil {
-		return nil, err
-	}
-	xbar, err := uncore.NewCrossbar(4)
-	if err != nil {
-		return nil, err
-	}
 	return &Spec{
 		Tech:          t,
 		Core:          power.NewA57(t),
 		Clusters:      9,
-		CoresPerCl:    4,
-		LLC:           llc,
-		Xbar:          xbar,
+		Cluster:       sim.DefaultConfig(),
 		Peripherals:   uncore.SunT2Peripherals(),
-		Memory:        dram.DefaultConfig(),
 		AreaBudgetMM2: 300,
 		PowerBudgetW:  100,
-	}, nil
-}
-
-// WithTechnology returns a copy of the spec implemented in a different
-// process (e.g. bulk for the Fig. 1 comparison).
-func (s *Spec) WithTechnology(t *tech.Technology) *Spec {
-	c := *s
-	c.Tech = t
-	c.Core = power.NewA57(t)
-	return &c
+	}
 }
 
 // TotalCores returns the chip's core count (36 for the default).
-func (s *Spec) TotalCores() int { return s.Clusters * s.CoresPerCl }
+func (s *Spec) TotalCores() int { return s.Clusters * s.Cluster.CoresPerCluster }
 
 // ClusterAreaMM2 returns the silicon area of one cluster.
 func (s *Spec) ClusterAreaMM2() float64 {
-	llcMB := float64(s.LLC.Config().CapacityBytes) / (1 << 20)
-	return float64(s.CoresPerCl)*CoreAreaMM2 + llcMB*LLCAreaPerMBMM2 + XbarAreaMM2
+	llcMB := float64(s.Cluster.LLC.CapacityBytes) / (1 << 20)
+	return float64(s.Cluster.CoresPerCluster)*CoreAreaMM2 + llcMB*LLCAreaPerMBMM2 + XbarAreaMM2
 }
 
 // ChipAreaMM2 returns the estimated die area, including integration
@@ -129,7 +108,7 @@ func (s *Spec) CorePowerW(op tech.OperatingPoint, activity float64) float64 {
 // chip-edge peripherals. The uncore is on its own voltage/frequency domain
 // and does not scale with the cores' DVFS point (paper Sec. II-C2).
 func (s *Spec) UncorePowerW(llcReadsPerSec, llcWritesPerSec, xbarPerSec float64) float64 {
-	perCluster := s.LLC.Power(llcReadsPerSec, llcWritesPerSec) + s.Xbar.Power(xbarPerSec)
+	perCluster := s.Cluster.LLC.Power(llcReadsPerSec, llcWritesPerSec) + uncore.CrossbarPower(xbarPerSec)
 	return float64(s.Clusters)*perCluster + s.Peripherals.Power()
 }
 
@@ -139,16 +118,17 @@ func (s *Spec) UncorePowerW(llcReadsPerSec, llcWritesPerSec, xbarPerSec float64)
 // stays within float ulps of it — inside any conservation epsilon.
 func (s *Spec) UncorePowerParts(llcReadsPerSec, llcWritesPerSec, xbarPerSec float64) (llcW, xbarW, ioW float64) {
 	cl := float64(s.Clusters)
-	return cl * s.LLC.Power(llcReadsPerSec, llcWritesPerSec),
-		cl * s.Xbar.Power(xbarPerSec),
+	return cl * s.Cluster.LLC.Power(llcReadsPerSec, llcWritesPerSec),
+		cl * uncore.CrossbarPower(xbarPerSec),
 		s.Peripherals.Power()
 }
 
 // MemoryPowerW returns the memory-subsystem power at the given aggregate
 // chip-level read/write bandwidth, using the paper's Table I scaling.
 func (s *Spec) MemoryPowerW(readBW, writeBW float64) float64 {
-	e := s.Memory.Power.Energies(s.Memory.Timing, s.Memory.ChipsPerRank)
-	ranks := s.Memory.Channels * s.Memory.RanksPerChan
+	m := s.Cluster.DRAM
+	e := m.Power.Energies(m.Timing, m.ChipsPerRank)
+	ranks := m.Channels * m.RanksPerChan
 	return e.Power(ranks, readBW, writeBW)
 }
 

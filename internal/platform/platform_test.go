@@ -3,27 +3,16 @@ package platform
 import (
 	"math"
 	"testing"
-
-	"ntcsim/internal/tech"
 )
 
-func mustDefault(t *testing.T) *Spec {
-	t.Helper()
-	s, err := Default()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
 func TestPaperOrganization(t *testing.T) {
-	s := mustDefault(t)
+	s := Default()
 	// "The chip features a total of 36 cores" — 9 clusters x 4 cores.
 	if s.TotalCores() != 36 {
 		t.Fatalf("cores = %d, want 36", s.TotalCores())
 	}
-	if s.Clusters != 9 || s.CoresPerCl != 4 {
-		t.Fatalf("organization %dx%d, want 9x4", s.Clusters, s.CoresPerCl)
+	if s.Clusters != 9 || s.Cluster.CoresPerCluster != 4 {
+		t.Fatalf("organization %dx%d, want 9x4", s.Clusters, s.Cluster.CoresPerCluster)
 	}
 	if s.AreaBudgetMM2 != 300 || s.PowerBudgetW != 100 {
 		t.Fatal("budgets must match the paper (300mm^2, 100W)")
@@ -33,7 +22,7 @@ func TestPaperOrganization(t *testing.T) {
 func TestNineClustersFitTenDoNot(t *testing.T) {
 	// "the server die can accommodate 9 clusters before hitting the area
 	// limit"
-	s := mustDefault(t)
+	s := Default()
 	if got := s.MaxClusters(); got != 9 {
 		t.Fatalf("MaxClusters = %d, want 9", got)
 	}
@@ -47,7 +36,7 @@ func TestNineClustersFitTenDoNot(t *testing.T) {
 }
 
 func TestUncorePowerComposition(t *testing.T) {
-	s := mustDefault(t)
+	s := Default()
 	idle := s.UncorePowerW(0, 0, 0)
 	// 9 x (4MB LLC ~2W + crossbar 25mW) + 5W peripherals ~ 23W.
 	if idle < 18 || idle > 30 {
@@ -65,7 +54,7 @@ func TestUncorePowerComposition(t *testing.T) {
 }
 
 func TestMemoryPowerBackgroundDominatedAtLowBW(t *testing.T) {
-	s := mustDefault(t)
+	s := Default()
 	bg := s.MemoryPowerW(0, 0)
 	if bg <= 0 {
 		t.Fatal("background memory power must be positive")
@@ -81,7 +70,7 @@ func TestMemoryPowerBackgroundDominatedAtLowBW(t *testing.T) {
 }
 
 func TestCorePowerScalesWithCount(t *testing.T) {
-	s := mustDefault(t)
+	s := Default()
 	op, err := s.Tech.OperatingPointFor(1e9, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +88,7 @@ func TestCorePowerScalesWithCount(t *testing.T) {
 func TestCoresFitPowerBudgetAtQoSFrequencies(t *testing.T) {
 	// At the QoS-feasible frequencies (<= 2GHz) the 36 cores plus uncore
 	// must fit the 100W chip budget.
-	s := mustDefault(t)
+	s := Default()
 	op, err := s.Tech.OperatingPointFor(2e9, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -107,24 +96,6 @@ func TestCoresFitPowerBudgetAtQoSFrequencies(t *testing.T) {
 	chip := s.CorePowerW(op, 1.0) + s.UncorePowerW(100e6, 40e6, 150e6)
 	if chip > s.PowerBudgetW {
 		t.Fatalf("chip power at 2GHz = %.1fW exceeds %v W budget", chip, s.PowerBudgetW)
-	}
-}
-
-func TestWithTechnology(t *testing.T) {
-	s := mustDefault(t)
-	b := s.WithTechnology(tech.Bulk28())
-	if b.Tech.Name == s.Tech.Name {
-		t.Fatal("technology should change")
-	}
-	if b.Core == s.Core {
-		t.Fatal("core model must be rebuilt for the new technology")
-	}
-	if b.Clusters != s.Clusters {
-		t.Fatal("organization should be preserved")
-	}
-	// Original untouched.
-	if s.Tech.Name != tech.FDSOI28().Name {
-		t.Fatal("WithTechnology must not mutate the receiver")
 	}
 }
 
@@ -139,8 +110,8 @@ func TestServerPowerScopes(t *testing.T) {
 }
 
 func TestMemoryCapacity64GB(t *testing.T) {
-	s := mustDefault(t)
-	if got := s.Memory.TotalBytes(); got != 64<<30 {
+	s := Default()
+	if got := s.Cluster.DRAM.TotalBytes(); got != 64<<30 {
 		t.Fatalf("memory = %d bytes, want 64GB", got)
 	}
 }

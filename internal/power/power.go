@@ -99,15 +99,6 @@ func (m *CoreModel) IdlePower(op tech.OperatingPoint, sleep bool) float64 {
 	return m.LeakagePower(op.Vdd, op.Vbb)
 }
 
-// EnergyPerCycle returns the total energy per clock cycle in joules at op,
-// the figure of merit used by near-threshold studies.
-func (m *CoreModel) EnergyPerCycle(op tech.OperatingPoint, activity float64) float64 {
-	if op.FreqHz <= 0 {
-		return math.Inf(1)
-	}
-	return m.Power(op, activity) / op.FreqHz
-}
-
 // PointAt resolves the minimum-voltage operating point for frequency hz at
 // body bias vbb and returns it with the total power at the given activity.
 func (m *CoreModel) PointAt(hz, vbb, activity float64) (tech.OperatingPoint, float64, error) {

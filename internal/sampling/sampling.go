@@ -119,9 +119,6 @@ type Result struct {
 	Total sim.Measurement
 }
 
-// MeanUIPC returns the sampled mean cluster UIPC.
-func (r Result) MeanUIPC() float64 { return r.UIPC.Mean() }
-
 // RelErr returns the relative CI half-width at the configured confidence.
 func (r Result) RelErr(confidence float64) float64 { return r.UIPC.RelativeError(confidence) }
 

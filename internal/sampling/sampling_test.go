@@ -55,8 +55,8 @@ func TestConvergesOnLowNoise(t *testing.T) {
 		t.Fatalf("low-noise target should converge, rel err %.4f after %d samples",
 			res.RelErr(cfg.Confidence), len(res.Samples))
 	}
-	if res.MeanUIPC() < 0.9 || res.MeanUIPC() > 1.1 {
-		t.Fatalf("mean UIPC = %v, want ~1.0", res.MeanUIPC())
+	if res.UIPC.Mean() < 0.9 || res.UIPC.Mean() > 1.1 {
+		t.Fatalf("mean UIPC = %v, want ~1.0", res.UIPC.Mean())
 	}
 }
 
@@ -189,7 +189,7 @@ func TestEndToEndWithCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.MeanUIPC() <= 0 {
+	if res.UIPC.Mean() <= 0 {
 		t.Fatal("sampled UIPC should be positive")
 	}
 	if len(res.Samples) < 3 {

@@ -17,10 +17,7 @@ import (
 // baseline (50ms p99 at 25 GUIPS), 200ms QoS limit.
 func testGov(t *testing.T, cores int) *governor.Config {
 	t.Helper()
-	spec, err := platform.Default()
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := platform.Default()
 	curve, err := governor.NewPerfCurve([]governor.PerfPoint{
 		{FreqHz: 0.2e9, UIPS: 4e9}, {FreqHz: 0.5e9, UIPS: 9e9}, {FreqHz: 1.0e9, UIPS: 16e9},
 		{FreqHz: 1.5e9, UIPS: 21e9}, {FreqHz: 2.0e9, UIPS: 25e9},

@@ -40,12 +40,11 @@ type Checkpoint struct {
 	LLCReads  uint64
 	LLCWrites uint64
 
-	// plans holds each core's workload-generator plan when the checkpoint
-	// was taken in this process, so RestoreCluster runs the very profiles
-	// it was taken with and reuses their bias tables instead of drawing
-	// them again at every sweep point. gob skips unexported fields, so a
-	// checkpoint from LoadSealed has none: RestoreCluster then looks the
-	// profiles up by name and builds the plans afresh.
+	// plans holds each core's workload-generator plan, so RestoreCluster
+	// runs the very profiles the checkpoint was taken with and reuses
+	// their bias tables instead of drawing them again at every sweep
+	// point. gob skips unexported fields: LoadSealed builds the plans
+	// afresh for the profile its caller names.
 	plans []workload.Plan
 }
 
@@ -74,45 +73,18 @@ func (cl *Cluster) Checkpoint() *Checkpoint {
 	return ck
 }
 
-// Bind makes ck restore onto p on every core instead of onto the
-// registered profile of its workload name: for a checkpoint from
-// LoadSealed that the caller knows was taken with p, renamed or edited.
-func (ck *Checkpoint) Bind(p *workload.Profile) (err error) {
-	profiles := make([]*workload.Profile, len(ck.Profiles))
-	for i := range profiles {
-		profiles[i] = p
-	}
-	ck.plans, err = newPlans(ck.Config, profiles, 0)
-	return err
-}
-
-// RestoreCluster rebuilds a cluster from a checkpoint. A checkpoint taken
-// in this process, or bound with Bind, restores onto the plans it carries;
-// one from LoadSealed otherwise restores onto the registered profiles of
-// its workload names.
+// RestoreCluster rebuilds a cluster from a checkpoint, onto the plans it
+// carries.
 func RestoreCluster(ck *Checkpoint) (*Cluster, error) {
-	plans := ck.plans
 	sameName := func(pl workload.Plan, name string) bool { return pl.Profile().Name == name }
-	if plans != nil && !slices.EqualFunc(plans, ck.Profiles, sameName) {
+	if !slices.EqualFunc(ck.plans, ck.Profiles, sameName) {
 		return nil, fmt.Errorf("sim: checkpoint workload names do not match its plans")
-	}
-	if plans == nil {
-		profiles := make([]*workload.Profile, len(ck.Profiles))
-		for i, name := range ck.Profiles {
-			if profiles[i] = workload.ByName(name); profiles[i] == nil {
-				return nil, fmt.Errorf("sim: checkpoint references unknown workload %q", name)
-			}
-		}
-		var err error
-		if plans, err = newPlans(ck.Config, profiles, 0); err != nil {
-			return nil, err
-		}
 	}
 	mem, err := NewSharedMemory(ck.Config.DRAM)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	cl, err := newCluster(ck.Config, plans, ck.FreqHz, mem)
+	cl, err := newCluster(ck.Config, ck.plans, ck.FreqHz, mem)
 	if err != nil {
 		return nil, err
 	}
@@ -206,8 +178,10 @@ func (ck *Checkpoint) SaveSealed(w io.Writer, fingerprint uint64) error {
 // integrity first (magic, version, length, CRC — failure wraps
 // ErrCheckpointCorrupt), then freshness (header fingerprint must equal
 // fingerprint — mismatch wraps ErrCheckpointStale, reported only for
-// files whose bytes are provably intact).
-func LoadSealed(r io.Reader, fingerprint uint64) (*Checkpoint, error) {
+// files whose bytes are provably intact). The checkpoint restores onto p
+// on every core: the caller's fingerprint vouches that it was taken with
+// p, even when p is renamed or edited.
+func LoadSealed(r io.Reader, fingerprint uint64, p *workload.Profile) (*Checkpoint, error) {
 	hdr := make([]byte, sealedHdrLen)
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, fmt.Errorf("%w: short header: %v", ErrCheckpointCorrupt, err)
@@ -239,6 +213,14 @@ func LoadSealed(r io.Reader, fingerprint uint64) (*Checkpoint, error) {
 	var ck Checkpoint
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&ck); err != nil {
 		return nil, fmt.Errorf("%w: decoding payload: %v", ErrCheckpointCorrupt, err)
+	}
+	profiles := make([]*workload.Profile, len(ck.Profiles))
+	for i := range profiles {
+		profiles[i] = p
+	}
+	var err error
+	if ck.plans, err = newPlans(ck.Config, profiles, 0); err != nil {
+		return nil, err
 	}
 	return &ck, nil
 }

@@ -103,7 +103,7 @@ func TestCheckpointSurvivesSerialization(t *testing.T) {
 	if err := ck.SaveSealed(&buf, fp); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadSealed(&buf, fp)
+	loaded, err := LoadSealed(&buf, fp, workload.MediaStreaming())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func sealedTestBytes(t *testing.T, fp uint64) []byte {
 func TestSealedRoundTrip(t *testing.T) {
 	const fp = 0xfeedbeefcafe
 	raw := sealedTestBytes(t, fp)
-	ck, err := LoadSealed(bytes.NewReader(raw), fp)
+	ck, err := LoadSealed(bytes.NewReader(raw), fp, workload.WebSearch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestSealedRoundTrip(t *testing.T) {
 
 func TestSealedStaleFingerprint(t *testing.T) {
 	raw := sealedTestBytes(t, 1)
-	_, err := LoadSealed(bytes.NewReader(raw), 2)
+	_, err := LoadSealed(bytes.NewReader(raw), 2, workload.WebSearch())
 	if !errors.Is(err, ErrCheckpointStale) {
 		t.Fatalf("fingerprint mismatch should be ErrCheckpointStale, got %v", err)
 	}
@@ -243,7 +243,7 @@ func TestSealedCorruption(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			mut := tc.mutate(append([]byte(nil), raw...))
-			_, err := LoadSealed(bytes.NewReader(mut), fp)
+			_, err := LoadSealed(bytes.NewReader(mut), fp, workload.WebSearch())
 			if !errors.Is(err, ErrCheckpointCorrupt) {
 				t.Fatalf("want ErrCheckpointCorrupt, got %v", err)
 			}
@@ -257,7 +257,7 @@ func TestSealedCorruption(t *testing.T) {
 func TestSealedStaleRequiresIntegrity(t *testing.T) {
 	raw := sealedTestBytes(t, 1)
 	raw[len(raw)-1] ^= 0xff
-	_, err := LoadSealed(bytes.NewReader(raw), 2)
+	_, err := LoadSealed(bytes.NewReader(raw), 2, workload.WebSearch())
 	if !errors.Is(err, ErrCheckpointCorrupt) {
 		t.Fatalf("corrupt+stale file must report corruption first, got %v", err)
 	}
@@ -265,7 +265,7 @@ func TestSealedStaleRequiresIntegrity(t *testing.T) {
 
 // restorePair warms a cluster running p and restores it twice: from the
 // in-memory checkpoint, which carries its generator plans, and through
-// SaveSealed/LoadSealed, which builds them again.
+// SaveSealed/LoadSealed, which builds them again for p.
 func restorePair(t *testing.T, p *workload.Profile) (src, shared, sealed *Cluster) {
 	t.Helper()
 	const fp = 0x7ab1e5
@@ -280,12 +280,9 @@ func restorePair(t *testing.T, p *workload.Profile) (src, shared, sealed *Cluste
 	if err := ck.SaveSealed(&buf, fp); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadSealed(&buf, fp)
+	loaded, err := LoadSealed(&buf, fp, p)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if loaded.plans != nil {
-		t.Fatal("a sealed checkpoint must not carry generator plans")
 	}
 	if shared, err = RestoreCluster(ck); err != nil {
 		t.Fatal(err)
@@ -343,9 +340,8 @@ func TestRestoreKeepsEditedProfile(t *testing.T) {
 }
 
 // BenchmarkRestoreCluster measures one sweep point's restore of a warmed
-// web-serving cluster (16,384 static branches per core): "shared" from
-// the in-memory checkpoint, which carries its plans' bias tables, "drawn"
-// from a sealed round trip, which draws them again.
+// web-serving cluster (16,384 static branches per core) from the
+// in-memory checkpoint, which carries its plans' bias tables.
 func BenchmarkRestoreCluster(b *testing.B) {
 	src, err := NewCluster(DefaultConfig(), workload.WebServing(), 1.5e9)
 	if err != nil {
@@ -353,26 +349,11 @@ func BenchmarkRestoreCluster(b *testing.B) {
 	}
 	src.FastForward(20000)
 	ck := src.Checkpoint()
-	var buf bytes.Buffer
-	if err := ck.SaveSealed(&buf, 1); err != nil {
-		b.Fatal(err)
-	}
-	loaded, err := LoadSealed(&buf, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, c := range []struct {
-		name string
-		ck   *Checkpoint
-	}{{"shared", ck}, {"drawn", loaded}} {
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := RestoreCluster(c.ck); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := RestoreCluster(ck); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

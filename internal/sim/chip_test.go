@@ -101,7 +101,7 @@ func TestChipSetFrequency(t *testing.T) {
 	}
 	ch.SetFrequency(0.5e9)
 	for _, cl := range ch.clusters {
-		if cl.Frequency() != 0.5e9 {
+		if cl.freqHz != 0.5e9 {
 			t.Fatal("frequency not applied to all clusters")
 		}
 	}
@@ -170,7 +170,7 @@ func TestHeteroChipPerClusterRetargeting(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch.Cluster(1).SetFrequency(0.5e9)
-	if ch.Cluster(0).Frequency() != 2e9 || ch.Cluster(1).Frequency() != 0.5e9 {
+	if ch.Cluster(0).freqHz != 2e9 || ch.Cluster(1).freqHz != 0.5e9 {
 		t.Fatal("per-cluster DVFS should not leak across clusters")
 	}
 }

@@ -33,8 +33,7 @@ import (
 type Config struct {
 	CoresPerCluster int
 	Core            cpu.Config
-	LLCBanks        int
-	LLC             sram.Config
+	LLC             sram.Config // LLC.Banks is also the crossbar's port count
 	DRAM            dram.Config
 	Seed            uint64
 }
@@ -44,7 +43,6 @@ func DefaultConfig() Config {
 	return Config{
 		CoresPerCluster: 4,
 		Core:            cpu.DefaultConfig(),
-		LLCBanks:        4,
 		LLC:             sram.DefaultLLCConfig(),
 		DRAM:            dram.DefaultConfig(),
 		Seed:            0x5eed,
@@ -59,17 +57,15 @@ type Cluster struct {
 	freqHz float64
 	cores  []*cpu.Core
 	banks  []*cache.Cache
-	//ntclint:allow snapshotcheck derived: rebuilt by NewMixedCluster from cfg
-	llcModel *sram.Model
-	xbar     *uncore.Crossbar
-	mem      *SharedMemory
+	xbar   *uncore.Crossbar
+	mem    *SharedMemory
 
 	// Derived access-path constants, recomputed by NewMixedCluster.
 	//ntclint:allow snapshotcheck derived: recomputed from cfg and freqHz
 	llcLatNs float64
 	//ntclint:allow snapshotcheck derived: recomputed from cfg line size
 	lineBits uint
-	// Bank selection as mask/shift (LLCBanks is a validated power of
+	// Bank selection as mask/shift (LLC.Banks is a validated power of
 	// two), so the per-access bankOf/unbank path has no integer divides.
 	//ntclint:allow snapshotcheck derived: recomputed from cfg bank count
 	bankMask uint64
@@ -136,14 +132,14 @@ func newCluster(cfg Config, plans []workload.Plan, freqHz float64, mem *SharedMe
 	if len(plans) != cfg.CoresPerCluster {
 		return nil, fmt.Errorf("sim: %d profiles for %d cores", len(plans), cfg.CoresPerCluster)
 	}
-	if cfg.LLCBanks <= 0 || cfg.LLCBanks&(cfg.LLCBanks-1) != 0 {
-		return nil, fmt.Errorf("sim: LLC banks must be a positive power of two, got %d", cfg.LLCBanks)
-	}
-	llcModel, err := sram.New(cfg.LLC)
-	if err != nil {
+	if err := cfg.LLC.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	xbar, err := uncore.NewCrossbar(cfg.LLCBanks)
+	banks := cfg.LLC.Banks
+	if banks&(banks-1) != 0 {
+		return nil, fmt.Errorf("sim: LLC banks must be a positive power of two, got %d", banks)
+	}
+	xbar, err := uncore.NewCrossbar(banks)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
@@ -151,25 +147,24 @@ func newCluster(cfg Config, plans []workload.Plan, freqHz float64, mem *SharedMe
 		cfg:      cfg,
 		plans:    plans,
 		freqHz:   freqHz,
-		llcModel: llcModel,
 		xbar:     xbar,
 		mem:      mem,
-		llcLatNs: float64(llcModel.AccessLatency()) / float64(time.Nanosecond),
+		llcLatNs: float64(cfg.LLC.AccessLatency()) / float64(time.Nanosecond),
 	}
 	for l := cfg.Core.LineBytes; l > 1; l >>= 1 {
 		cl.lineBits++
 	}
-	cl.bankMask = uint64(cfg.LLCBanks - 1)
-	for n := cfg.LLCBanks; n > 1; n >>= 1 {
+	cl.bankMask = uint64(banks - 1)
+	for n := banks; n > 1; n >>= 1 {
 		cl.bankShift++
 	}
 	// The cluster LLC is split into banks; each bank holds an equal share.
 	bankCfg := cache.Config{
-		SizeBytes: cfg.LLC.CapacityBytes / cfg.LLCBanks,
+		SizeBytes: cfg.LLC.CapacityBytes / banks,
 		Assoc:     cfg.LLC.Associativity,
 		LineBytes: cfg.LLC.LineBytes,
 	}
-	for i := 0; i < cfg.LLCBanks; i++ {
+	for i := 0; i < banks; i++ {
 		bankCfg.Name = fmt.Sprintf("llc-bank%d", i)
 		b, err := cache.New(bankCfg)
 		if err != nil {
@@ -198,9 +193,6 @@ func (cl *Cluster) Profiles() []*workload.Profile {
 	}
 	return ps
 }
-
-// Frequency returns the core clock in Hz.
-func (cl *Cluster) Frequency() float64 { return cl.freqHz }
 
 // SetFrequency applies a DVFS transition to all cores. Caches, predictors
 // and DRAM state survive, so one warmed cluster can be swept across the
@@ -266,7 +258,7 @@ func (cl *Cluster) Access(coreID int, addr uint64, write bool, nowNs float64) fl
 	res := cl.banks[bank].Access(bankAddr, write)
 	if res.Hit {
 		// Served by the LLC; one crossbar traversal back to the core.
-		return ready + cl.xbar.TraversalNs
+		return ready + uncore.CrossbarTraversalNs
 	}
 	if res.Victim.Valid && res.Victim.Dirty {
 		// LLC dirty victim is written back to DRAM (posted).
@@ -275,11 +267,11 @@ func (cl *Cluster) Access(coreID int, addr uint64, write bool, nowNs float64) fl
 	if write {
 		// L1 writeback that missed the LLC: allocate the full line in
 		// place (the data comes from the core), no DRAM fetch needed.
-		return ready + cl.xbar.TraversalNs
+		return ready + uncore.CrossbarTraversalNs
 	}
 	// Demand fill from DRAM.
 	done := cl.mem.Submit(addr, false, ready)
-	return done + cl.llcLatNs + cl.xbar.TraversalNs
+	return done + cl.llcLatNs + uncore.CrossbarTraversalNs
 }
 
 // Warm implements cpu.WarmMem: touch LLC tags (and nothing else) during

@@ -24,7 +24,7 @@ func TestClusterConstruction(t *testing.T) {
 	if cl.Profile().Name != "web-search" {
 		t.Fatal("profile mismatch")
 	}
-	if cl.Frequency() != 1e9 {
+	if cl.freqHz != 1e9 {
 		t.Fatal("frequency mismatch")
 	}
 }
@@ -32,8 +32,8 @@ func TestClusterConstruction(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	for i, mutate := range []func(*Config){
 		func(c *Config) { c.CoresPerCluster = 0 },
-		func(c *Config) { c.LLCBanks = 0 },
-		func(c *Config) { c.LLCBanks = 3 },
+		func(c *Config) { c.LLC.Banks = 0 },
+		func(c *Config) { c.LLC.Banks = 3 },
 		func(c *Config) { c.DRAM.Channels = 3 },
 		func(c *Config) { c.LLC.CapacityBytes = 0 },
 	} {
@@ -170,7 +170,8 @@ func TestBandwidthAccounting(t *testing.T) {
 	if m.ReadBandwidth() <= 0 {
 		t.Fatal("streaming workload must consume read bandwidth")
 	}
-	if m.ReadBandwidth() > cl.cfg.DRAM.PeakBandwidth() {
+	dc := cl.cfg.DRAM
+	if peak := (1e9 / dc.Timing.TCKNs) * 2 * 8 * float64(dc.Channels); m.ReadBandwidth() > peak {
 		t.Fatalf("read bandwidth %.2f GB/s exceeds peak", m.ReadBandwidth()/1e9)
 	}
 	wantBW := float64(m.DRAM.BytesRead) / (m.DurationNs * 1e-9)
@@ -315,7 +316,7 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 func TestBankSelectionMaskEquivalence(t *testing.T) {
 	for _, banks := range []int{1, 2, 4, 8} {
 		cfg := DefaultConfig()
-		cfg.LLCBanks = banks
+		cfg.LLC.Banks = banks
 		cfg.LLC.CapacityBytes = 4 << 20
 		cl, err := NewCluster(cfg, workload.WebSearch(), 1e9)
 		if err != nil {

@@ -63,68 +63,51 @@ func DefaultLLCConfig() Config {
 	}
 }
 
-// Model is an instantiated SRAM array model.
-type Model struct {
-	cfg Config
-}
-
-// New validates cfg and returns the model.
-func New(cfg Config) (*Model, error) {
+// Validate returns an error unless c describes a buildable array.
+func (c Config) Validate() error {
 	switch {
-	case cfg.CapacityBytes <= 0:
-		return nil, fmt.Errorf("sram: capacity must be positive, got %d", cfg.CapacityBytes)
-	case cfg.LineBytes <= 0 || cfg.CapacityBytes%cfg.LineBytes != 0:
-		return nil, fmt.Errorf("sram: line size %d must divide capacity %d", cfg.LineBytes, cfg.CapacityBytes)
-	case cfg.Associativity <= 0:
-		return nil, fmt.Errorf("sram: associativity must be positive, got %d", cfg.Associativity)
-	case cfg.Banks <= 0:
-		return nil, fmt.Errorf("sram: banks must be positive, got %d", cfg.Banks)
+	case c.CapacityBytes <= 0:
+		return fmt.Errorf("sram: capacity must be positive, got %d", c.CapacityBytes)
+	case c.LineBytes <= 0 || c.CapacityBytes%c.LineBytes != 0:
+		return fmt.Errorf("sram: line size %d must divide capacity %d", c.LineBytes, c.CapacityBytes)
+	case c.Associativity <= 0:
+		return fmt.Errorf("sram: associativity must be positive, got %d", c.Associativity)
+	case c.Banks <= 0:
+		return fmt.Errorf("sram: banks must be positive, got %d", c.Banks)
 	}
-	return &Model{cfg: cfg}, nil
+	return nil
 }
-
-// MustNew is New for known-good configurations; it panics on error.
-func MustNew(cfg Config) *Model {
-	m, err := New(cfg)
-	if err != nil {
-		panic("sram: MustNew: " + err.Error())
-	}
-	return m
-}
-
-// Config returns the model's configuration.
-func (m *Model) Config() Config { return m.cfg }
 
 // bits returns the number of data bits, including a ~7% tag/ECC overhead.
-func (m *Model) bits() float64 {
-	return float64(m.cfg.CapacityBytes) * 8 * 1.07
+func (c Config) bits() float64 {
+	return float64(c.CapacityBytes) * 8 * 1.07
 }
 
 // LeakagePower returns the static power of the array in watts.
-func (m *Model) LeakagePower() float64 {
-	cell := m.bits() * m.cfg.CellLeakW
-	return cell * (1 + m.cfg.PeripheryLeakFrac)
+func (c Config) LeakagePower() float64 {
+	cell := c.bits() * c.CellLeakW
+	return cell * (1 + c.PeripheryLeakFrac)
 }
 
 // ReadEnergy returns the energy of one read access (tag probe of all ways +
 // one line read) in joules.
-func (m *Model) ReadEnergy() float64 {
-	lineBits := float64(m.cfg.LineBytes) * 8
-	return float64(m.cfg.Associativity)*m.cfg.TagEnergyPerWayJ + lineBits*m.cfg.BitReadEnergyJ
+func (c Config) ReadEnergy() float64 {
+	lineBits := float64(c.LineBytes) * 8
+	return float64(c.Associativity)*c.TagEnergyPerWayJ + lineBits*c.BitReadEnergyJ
 }
 
 // WriteEnergy returns the energy of one write access in joules.
-func (m *Model) WriteEnergy() float64 {
-	lineBits := float64(m.cfg.LineBytes) * 8
-	return float64(m.cfg.Associativity)*m.cfg.TagEnergyPerWayJ + lineBits*m.cfg.BitWriteEnergyJ
+func (c Config) WriteEnergy() float64 {
+	lineBits := float64(c.LineBytes) * 8
+	return float64(c.Associativity)*c.TagEnergyPerWayJ + lineBits*c.BitWriteEnergyJ
 }
 
 // AccessLatency returns the array access latency. The decoder contributes a
 // logarithmic term and the global wires a sqrt(capacity) term — the
 // standard uniform-access approximation (CACTI 6.0-style). A 4MB array
 // lands near 5ns, matching an ~10-cycle LLC at a 2GHz uncore clock.
-func (m *Model) AccessLatency() time.Duration {
-	perBank := float64(m.cfg.CapacityBytes) / float64(m.cfg.Banks)
+func (c Config) AccessLatency() time.Duration {
+	perBank := float64(c.CapacityBytes) / float64(c.Banks)
 	decode := 0.15 * math.Log2(perBank) // ns
 	wire := 0.045 * math.Sqrt(perBank/1024)
 	return time.Duration((decode + wire) * float64(time.Nanosecond))
@@ -132,6 +115,6 @@ func (m *Model) AccessLatency() time.Duration {
 
 // Power returns total array power in watts given read and write access
 // rates in accesses per second.
-func (m *Model) Power(readsPerSec, writesPerSec float64) float64 {
-	return m.LeakagePower() + readsPerSec*m.ReadEnergy() + writesPerSec*m.WriteEnergy()
+func (c Config) Power(readsPerSec, writesPerSec float64) float64 {
+	return c.LeakagePower() + readsPerSec*c.ReadEnergy() + writesPerSec*c.WriteEnergy()
 }

@@ -16,7 +16,7 @@ func slice1MB() Config {
 func TestOneMBSliceAround500mW(t *testing.T) {
 	// Paper Sec. II-C2: "A 1MB slice of the LLC dissipates power in the
 	// order of 500mW, mostly due to leakage."
-	m := MustNew(slice1MB())
+	m := slice1MB()
 	// Typical load: 50M reads/s + 20M writes/s.
 	p := m.Power(50e6, 20e6)
 	if p < 0.35 || p > 0.65 {
@@ -25,7 +25,7 @@ func TestOneMBSliceAround500mW(t *testing.T) {
 }
 
 func TestLeakageDominates(t *testing.T) {
-	m := MustNew(slice1MB())
+	m := slice1MB()
 	leak := m.LeakagePower()
 	total := m.Power(50e6, 20e6)
 	if leak/total < 0.75 {
@@ -34,10 +34,10 @@ func TestLeakageDominates(t *testing.T) {
 }
 
 func TestLeakageScalesWithCapacity(t *testing.T) {
-	small := MustNew(slice1MB())
+	small := slice1MB()
 	cfg := slice1MB()
 	cfg.CapacityBytes = 4 << 20
-	large := MustNew(cfg)
+	large := cfg
 	ratio := large.LeakagePower() / small.LeakagePower()
 	if ratio < 3.99 || ratio > 4.01 {
 		t.Fatalf("4x capacity should give 4x leakage, got %.3fx", ratio)
@@ -46,7 +46,7 @@ func TestLeakageScalesWithCapacity(t *testing.T) {
 
 func TestClusterLLCPower(t *testing.T) {
 	// The paper's 4MB cluster LLC should land near 4x500mW = 2W.
-	m := MustNew(DefaultLLCConfig())
+	m := DefaultLLCConfig()
 	p := m.Power(100e6, 40e6)
 	if p < 1.5 || p > 2.6 {
 		t.Fatalf("4MB LLC power = %.3fW, want ~2W", p)
@@ -54,7 +54,7 @@ func TestClusterLLCPower(t *testing.T) {
 }
 
 func TestWriteCostsMoreThanRead(t *testing.T) {
-	m := MustNew(DefaultLLCConfig())
+	m := DefaultLLCConfig()
 	if m.WriteEnergy() <= m.ReadEnergy() {
 		t.Fatal("write energy should exceed read energy")
 	}
@@ -65,16 +65,16 @@ func TestAccessEnergyGrowsWithAssociativity(t *testing.T) {
 	lo.Associativity = 4
 	hi := slice1MB()
 	hi.Associativity = 16
-	if MustNew(hi).ReadEnergy() <= MustNew(lo).ReadEnergy() {
+	if hi.ReadEnergy() <= lo.ReadEnergy() {
 		t.Fatal("more ways probed should cost more energy")
 	}
 }
 
 func TestLatencyGrowsWithCapacity(t *testing.T) {
-	small := MustNew(slice1MB())
+	small := slice1MB()
 	cfg := slice1MB()
 	cfg.CapacityBytes = 16 << 20
-	large := MustNew(cfg)
+	large := cfg
 	if large.AccessLatency() <= small.AccessLatency() {
 		t.Fatal("larger array should be slower")
 	}
@@ -85,13 +85,13 @@ func TestBankingReducesLatency(t *testing.T) {
 	mono.CapacityBytes = 4 << 20
 	banked := mono
 	banked.Banks = 4
-	if MustNew(banked).AccessLatency() >= MustNew(mono).AccessLatency() {
+	if banked.AccessLatency() >= mono.AccessLatency() {
 		t.Fatal("banking should reduce per-access latency")
 	}
 }
 
 func TestDefaultLLCLatencyPlausible(t *testing.T) {
-	m := MustNew(DefaultLLCConfig())
+	m := DefaultLLCConfig()
 	lat := m.AccessLatency()
 	if lat < 2*time.Nanosecond || lat > 15*time.Nanosecond {
 		t.Fatalf("4MB LLC latency = %v, want single-digit ns", lat)
@@ -107,23 +107,14 @@ func TestConfigValidation(t *testing.T) {
 		{CapacityBytes: 1000, Associativity: 8, LineBytes: 64, Banks: 1}, // line doesn't divide
 	}
 	for i, cfg := range bad {
-		if _, err := New(cfg); err == nil {
+		if cfg.Validate() == nil {
 			t.Errorf("config %d should be rejected", i)
 		}
 	}
 }
 
-func TestMustNewPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustNew on invalid config should panic")
-		}
-	}()
-	MustNew(Config{})
-}
-
 func TestQuickPowerMonotoneInRate(t *testing.T) {
-	m := MustNew(DefaultLLCConfig())
+	m := DefaultLLCConfig()
 	err := quick.Check(func(a, b uint32) bool {
 		r1, r2 := float64(a), float64(b)
 		if r1 > r2 {
@@ -141,12 +132,11 @@ func TestQuickEnergiesPositive(t *testing.T) {
 		cfg := DefaultLLCConfig()
 		cfg.CapacityBytes = (1 + int(capMB%16)) << 20
 		cfg.Associativity = 1 + int(ways%32)
-		m, err := New(cfg)
-		if err != nil {
+		if cfg.Validate() != nil {
 			return false
 		}
-		return m.ReadEnergy() > 0 && m.WriteEnergy() > 0 && m.LeakagePower() > 0 &&
-			m.AccessLatency() > 0
+		return cfg.ReadEnergy() > 0 && cfg.WriteEnergy() > 0 && cfg.LeakagePower() > 0 &&
+			cfg.AccessLatency() > 0
 	}, &quick.Config{MaxCount: 200})
 	if err != nil {
 		t.Fatal(err)

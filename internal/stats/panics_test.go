@@ -63,16 +63,3 @@ func TestPercentileGuardPanics(t *testing.T) {
 		t.Errorf("Percentile(p=1) = %v, want 3", got)
 	}
 }
-
-func TestGeoMeanGuardPanics(t *testing.T) {
-	mustPanicWith(t, "stats: GeoMean of non-positive value", func() {
-		GeoMean([]float64{1, 0, 2})
-	})
-	mustPanicWith(t, "stats: GeoMean of non-positive value", func() {
-		GeoMean([]float64{-1})
-	})
-	// Empty input is defined as 0, not a panic.
-	if got := GeoMean(nil); got != 0 {
-		t.Errorf("GeoMean(nil) = %v, want 0", got)
-	}
-}

@@ -153,15 +153,12 @@ func TestPercentileSingle(t *testing.T) {
 	}
 }
 
-func TestMeanAndGeoMean(t *testing.T) {
+func TestMean(t *testing.T) {
 	if got := Mean([]float64{2, 4, 6}); got != 4 {
 		t.Fatalf("Mean = %v", got)
 	}
 	if got := Mean(nil); got != 0 {
 		t.Fatalf("Mean(nil) = %v", got)
-	}
-	if got := GeoMean([]float64{1, 100}); math.Abs(got-10) > 1e-9 {
-		t.Fatalf("GeoMean = %v, want 10", got)
 	}
 }
 

@@ -202,13 +202,6 @@ func (t *Technology) OperatingPointFor(hz, vbb float64) (OperatingPoint, error) 
 	}, nil
 }
 
-// BoostFrequency returns the frequency attainable at the same supply vdd by
-// applying maximum forward body bias (paper Sec. II-A item 2: FBB as a fast
-// boost knob for computation spikes).
-func (t *Technology) BoostFrequency(vdd float64) float64 {
-	return t.MaxFrequency(vdd, t.BodyBiasMax)
-}
-
 // fitAlphaPower solves for (K, Vth) of f = K*(V-Vth)^alpha/V from two
 // measured anchor points (v1, f1) and (v2, f2) with v1 < v2.
 func fitAlphaPower(v1, f1, v2, f2, alpha float64) (k, vth float64) {

@@ -42,7 +42,7 @@ func TestFBBBoostsLowVoltageFrequency(t *testing.T) {
 	if fbb1 < 400e6 {
 		t.Fatalf("1V FBB at 0.5V = %.0f MHz, want >400 MHz", fbb1/1e6)
 	}
-	full := te.BoostFrequency(0.5)
+	full := te.MaxFrequency(0.5, te.BodyBiasMax)
 	if full <= fbb1 {
 		t.Fatalf("max FBB (%.0f MHz) should beat 1V FBB (%.0f MHz)", full/1e6, fbb1/1e6)
 	}

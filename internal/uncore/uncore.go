@@ -15,87 +15,58 @@ import (
 	"math"
 )
 
-// Crossbar models the cluster's cache-coherent crossbar interconnect: a
-// fixed traversal latency plus per-output-port serialization, on the fixed
-// uncore clock domain.
-type Crossbar struct {
-	// Ports is the number of output ports (LLC banks).
-	Ports int //ntclint:allow snapshotcheck config: fixed by NewCrossbar
-	// TraversalNs is the unloaded one-way traversal latency.
-	TraversalNs float64 //ntclint:allow snapshotcheck config: fixed by NewCrossbar
-	// OccupancyNs is the time one transfer occupies an output port (the
-	// serialization latency of a 64B line over the port width).
-	OccupancyNs float64 //ntclint:allow snapshotcheck config: fixed by NewCrossbar
-	// StaticW is the standing power of the switch fabric and links (the
-	// paper cites 25mW per cluster crossbar).
-	StaticW float64 //ntclint:allow snapshotcheck config: fixed by NewCrossbar
-	// FlitEnergyJ is the dynamic energy per transferred line.
-	FlitEnergyJ float64 //ntclint:allow snapshotcheck config: fixed by NewCrossbar
+// The paper's cluster crossbar, on the fixed uncore clock domain.
+const (
+	// CrossbarTraversalNs is the unloaded one-way traversal latency.
+	CrossbarTraversalNs = 2.0
+	// crossbarOccupancyNs is the time one transfer occupies an output
+	// port (the serialization latency of a 64B line over the port width).
+	crossbarOccupancyNs = 2.0
+	// crossbarStaticW is the standing power of the switch fabric and
+	// links (the paper cites 25mW per cluster crossbar).
+	crossbarStaticW = 0.025
+	// crossbarFlitEnergyJ is the dynamic energy per transferred line.
+	crossbarFlitEnergyJ = 15e-12
+)
 
-	nextFree  []float64
+// Crossbar models the cluster's cache-coherent crossbar interconnect: a
+// fixed traversal latency plus per-output-port serialization.
+type Crossbar struct {
+	nextFree  []float64 // per output port (LLC bank)
 	transfers uint64
-	waitNs    float64
 }
 
-// NewCrossbar returns the paper's cluster crossbar: 4 LLC-bank ports, 2ns
-// traversal, 2ns occupancy per 64B transfer, 25mW static power.
+// NewCrossbar returns a crossbar with the given number of output ports.
 func NewCrossbar(ports int) (*Crossbar, error) {
 	if ports <= 0 {
 		return nil, fmt.Errorf("uncore: crossbar needs at least one port, got %d", ports)
 	}
-	return &Crossbar{
-		Ports:       ports,
-		TraversalNs: 2.0,
-		OccupancyNs: 2.0,
-		StaticW:     0.025,
-		FlitEnergyJ: 15e-12,
-		nextFree:    make([]float64, ports),
-	}, nil
+	return &Crossbar{nextFree: make([]float64, ports)}, nil
 }
 
 // Request arbitrates a transfer toward output port at absolute time nowNs
 // and returns the time the transfer is delivered. Contention on the port
-// delays delivery; the port is then busy for OccupancyNs.
+// delays delivery; the port is then busy for one occupancy time.
 func (x *Crossbar) Request(port int, nowNs float64) float64 {
-	if port < 0 || port >= x.Ports {
-		panic(fmt.Sprintf("uncore: crossbar port %d out of range [0,%d)", port, x.Ports))
+	if port < 0 || port >= len(x.nextFree) {
+		panic(fmt.Sprintf("uncore: crossbar port %d out of range [0,%d)", port, len(x.nextFree)))
 	}
 	grant := math.Max(nowNs, x.nextFree[port])
-	x.nextFree[port] = grant + x.OccupancyNs
+	x.nextFree[port] = grant + crossbarOccupancyNs
 	x.transfers++
-	x.waitNs += grant - nowNs
-	return grant + x.TraversalNs
+	return grant + CrossbarTraversalNs
 }
 
 // ResetStats clears statistics while preserving arbitration state.
-func (x *Crossbar) ResetStats() {
-	x.transfers = 0
-	x.waitNs = 0
-}
+func (x *Crossbar) ResetStats() { x.transfers = 0 }
 
-// Reset clears arbitration state and statistics.
-func (x *Crossbar) Reset() {
-	for i := range x.nextFree {
-		x.nextFree[i] = 0
-	}
-	x.transfers = 0
-	x.waitNs = 0
-}
-
-// Transfers returns the number of arbitrated transfers since Reset.
+// Transfers returns the number of arbitrated transfers since ResetStats.
 func (x *Crossbar) Transfers() uint64 { return x.transfers }
 
-// AvgWaitNs returns the mean arbitration wait since Reset.
-func (x *Crossbar) AvgWaitNs() float64 {
-	if x.transfers == 0 {
-		return 0
-	}
-	return x.waitNs / float64(x.transfers)
-}
-
-// Power returns crossbar power in watts at the given transfer rate.
-func (x *Crossbar) Power(transfersPerSec float64) float64 {
-	return x.StaticW + transfersPerSec*x.FlitEnergyJ
+// CrossbarPower returns the power in watts of one crossbar at the given
+// transfer rate.
+func CrossbarPower(transfersPerSec float64) float64 {
+	return crossbarStaticW + transfersPerSec*crossbarFlitEnergyJ
 }
 
 // Component is one I/O peripheral block with its standing power.
@@ -136,7 +107,6 @@ func (p *Peripherals) Power() float64 {
 type CrossbarState struct {
 	NextFree  []float64
 	Transfers uint64
-	WaitNs    float64
 }
 
 // State captures the crossbar's dynamic state.
@@ -144,7 +114,6 @@ func (x *Crossbar) State() CrossbarState {
 	return CrossbarState{
 		NextFree:  append([]float64(nil), x.nextFree...),
 		Transfers: x.transfers,
-		WaitNs:    x.waitNs,
 	}
 }
 
@@ -155,6 +124,5 @@ func (x *Crossbar) Restore(st CrossbarState) error {
 	}
 	copy(x.nextFree, st.NextFree)
 	x.transfers = st.Transfers
-	x.waitNs = st.WaitNs
 	return nil
 }

@@ -12,8 +12,8 @@ func TestCrossbarUncontendedLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := x.Request(0, 100)
-	if got != 100+x.TraversalNs {
-		t.Fatalf("uncontended delivery = %v, want %v", got, 100+x.TraversalNs)
+	if got != 100+CrossbarTraversalNs {
+		t.Fatalf("uncontended delivery = %v, want %v", got, 100+CrossbarTraversalNs)
 	}
 }
 
@@ -23,8 +23,8 @@ func TestCrossbarContentionSerializes(t *testing.T) {
 	d1 := x.Request(0, 0)
 	d2 := x.Request(0, 0)
 	d3 := x.Request(0, 0)
-	if d2 != d1+x.OccupancyNs || d3 != d2+x.OccupancyNs {
-		t.Fatalf("deliveries %v %v %v should be spaced by occupancy %v", d1, d2, d3, x.OccupancyNs)
+	if d2 != d1+crossbarOccupancyNs || d3 != d2+crossbarOccupancyNs {
+		t.Fatalf("deliveries %v %v %v should be spaced by occupancy %v", d1, d2, d3, crossbarOccupancyNs)
 	}
 }
 
@@ -41,41 +41,34 @@ func TestCrossbarPortFreesAfterOccupancy(t *testing.T) {
 	x, _ := NewCrossbar(2)
 	x.Request(0, 0)
 	// A request after the occupancy window sees no wait.
-	d := x.Request(0, x.OccupancyNs+1)
-	if d != x.OccupancyNs+1+x.TraversalNs {
+	d := x.Request(0, crossbarOccupancyNs+1)
+	if d != crossbarOccupancyNs+1+CrossbarTraversalNs {
 		t.Fatalf("late request delayed: %v", d)
-	}
-	if x.AvgWaitNs() != 0 {
-		t.Fatalf("no request waited, avg wait = %v", x.AvgWaitNs())
 	}
 }
 
 func TestCrossbarStats(t *testing.T) {
 	x, _ := NewCrossbar(2)
 	x.Request(0, 0)
-	x.Request(0, 0) // waits OccupancyNs
+	x.Request(0, 0) // waits crossbarOccupancyNs
 	if x.Transfers() != 2 {
 		t.Fatalf("transfers = %d", x.Transfers())
 	}
-	if math.Abs(x.AvgWaitNs()-x.OccupancyNs/2) > 1e-12 {
-		t.Fatalf("avg wait = %v, want %v", x.AvgWaitNs(), x.OccupancyNs/2)
+	x.ResetStats()
+	if x.Transfers() != 0 {
+		t.Fatal("ResetStats should clear stats")
 	}
-	x.Reset()
-	if x.Transfers() != 0 || x.AvgWaitNs() != 0 {
-		t.Fatal("Reset should clear stats")
-	}
-	if d := x.Request(0, 0); d != x.TraversalNs {
-		t.Fatalf("Reset should clear port state, got %v", d)
+	if d := x.Request(0, 0); d != 2*crossbarOccupancyNs+CrossbarTraversalNs {
+		t.Fatalf("ResetStats should keep port state, got %v", d)
 	}
 }
 
 func TestCrossbarPower25mW(t *testing.T) {
 	// Paper Sec. II-C2: "consuming 25mW for a crossbar".
-	x, _ := NewCrossbar(4)
-	if p := x.Power(0); math.Abs(p-0.025) > 1e-12 {
+	if p := CrossbarPower(0); math.Abs(p-0.025) > 1e-12 {
 		t.Fatalf("idle crossbar power = %v, want 25mW", p)
 	}
-	if x.Power(1e9) <= x.Power(0) {
+	if CrossbarPower(1e9) <= CrossbarPower(0) {
 		t.Fatal("active crossbar should burn more than idle")
 	}
 }
@@ -110,7 +103,7 @@ func TestQuickCrossbarDeliveryNeverBeforeRequest(t *testing.T) {
 	err := quick.Check(func(port uint8, dt uint16) bool {
 		now += float64(dt) / 100
 		d := x.Request(int(port)%4, now)
-		return d >= now+x.TraversalNs
+		return d >= now+CrossbarTraversalNs
 	}, &quick.Config{MaxCount: 500})
 	if err != nil {
 		t.Fatal(err)
@@ -118,14 +111,14 @@ func TestQuickCrossbarDeliveryNeverBeforeRequest(t *testing.T) {
 }
 
 func TestQuickCrossbarPortNeverDoubleBooked(t *testing.T) {
-	// Deliveries on one port must be spaced by at least OccupancyNs.
+	// Deliveries on one port must be spaced by at least crossbarOccupancyNs.
 	x, _ := NewCrossbar(1)
 	last := math.Inf(-1)
 	now := 0.0
 	err := quick.Check(func(dt uint8) bool {
 		now += float64(dt) / 50
 		d := x.Request(0, now)
-		ok := d-last >= x.OccupancyNs-1e-9 || last == math.Inf(-1)
+		ok := d-last >= crossbarOccupancyNs-1e-9 || last == math.Inf(-1)
 		last = d
 		return ok
 	}, &quick.Config{MaxCount: 500})

@@ -238,16 +238,3 @@ func VMProfiles() []*Profile {
 func All() []*Profile {
 	return append(ScaleOutProfiles(), VMProfiles()...)
 }
-
-// ByName returns the profile with the given name (including the extended
-// set and the "bubble" antagonist), or nil.
-func ByName(name string) *Profile {
-	candidates := append(All(), Extended()...)
-	candidates = append(candidates, Bubble())
-	for _, p := range candidates {
-		if p.Name == name {
-			return p
-		}
-	}
-	return nil
-}

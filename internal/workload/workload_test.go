@@ -65,15 +65,6 @@ func TestVMFootprints(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	if ByName("web-search") == nil {
-		t.Fatal("web-search should resolve")
-	}
-	if ByName("nope") != nil {
-		t.Fatal("unknown name should return nil")
-	}
-}
-
 func TestGeneratorDeterminism(t *testing.T) {
 	p := WebSearch()
 	a := NewGenerator(NewPlan(p, 0, rng.New(7)))
@@ -363,9 +354,6 @@ func TestExtendedProfilesWellFormed(t *testing.T) {
 		sum := p.LoadFrac + p.StoreFrac + p.BranchFrac + p.FPFrac
 		if sum <= 0 || sum >= 1 {
 			t.Errorf("%s: mix sums to %v", p.Name, sum)
-		}
-		if ByName(p.Name) == nil {
-			t.Errorf("%s: not resolvable by name", p.Name)
 		}
 		// Extended workloads must not leak into the paper's set.
 		for _, q := range All() {
