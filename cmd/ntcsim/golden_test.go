@@ -58,7 +58,8 @@ func TestGolden(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("golden regeneration is minutes of simulation; skipped in -short and -race runs")
 	}
-	cases := []string{"fig1", "table1", "fig2", "fig3", "fig4", "opt", "governor", "serve", "memory"}
+	cases := []string{"fig1", "table1", "fig2", "fig3", "fig4", "opt", "governor", "serve", "memory",
+		"ablation", "variation", "darksilicon", "interference", "scaling", "workloads", "prefetch", "ports", "hetero"}
 	for _, name := range cases {
 		tc := name
 		t.Run(tc, func(t *testing.T) {
