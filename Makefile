@@ -17,7 +17,9 @@
 #   make fault         fault-injection + robustness suite only (short
 #                      mode): sealed-checkpoint integrity, quarantine,
 #                      torn-write/ENOSPC recovery, single-flight warmup,
-#                      cancellation semantics
+#                      cancellation semantics. fault, serve-smoke and
+#                      report-smoke select tests by -run pattern and fail
+#                      when an alternative of it matches no test
 #   make serve-smoke   request-serving DES suite in short mode: event
 #                      loop, balancers, sketch, the diurnal-day policy
 #                      claims, the serve/governor report shape and
@@ -79,14 +81,27 @@ cover:
 	$(GO) test -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -n 30
 
+# run_matching runs `go test -short -run $(1) $(2)`, but first fails if
+# any |-separated alternative of $(1) lists no test in the packages $(2):
+# go test reports ok when -run matches nothing, so a renamed test would
+# otherwise empty a step silently.
+define run_matching
+	@for alt in $$(echo '$(1)' | tr '|' ' '); do \
+		out=$$($(GO) test -list "$$alt" $(2)) || { echo "$$out"; exit 1; }; \
+		echo "$$out" | grep -q -v -e '^ok' -e '^?' || \
+			{ echo "-run alternative '$$alt' matches no test in $(2)"; exit 1; }; \
+	done
+	$(GO) test -short -run '$(1)' $(2)
+endef
+
 fault:
 	$(GO) test -short ./internal/faultfs
-	$(GO) test -short -run 'Sealed' ./internal/sim
-	$(GO) test -short -run 'Fingerprint|CacheKeyed|CorruptCheckpoint|StaleFingerprint|SaveFailure|SilentWrite|Quarantine|SingleFlight|StaleWarmupLock|CheckpointDir|Duplicate|Cancellation|StopsBetweenPoints|WarmupHonors' ./internal/core
+	$(call run_matching,Sealed,./internal/sim)
+	$(call run_matching,Fingerprint|CacheKeyed|CorruptCheckpoint|StaleFingerprint|SaveFailure|SilentWrite|Quarantine|SingleFlight|StaleWarmupLock|CheckpointDir|Duplicate|Cancellation|StopsBetweenPoints|WarmupHonors,./internal/core)
 
 serve-smoke:
 	$(GO) test -short ./internal/serve ./internal/qos
-	$(GO) test -short -run 'TestServeReport|TestDiurnalDayPolicyClaims|TestGovernorReacts|TestRaceToIdle' ./internal/experiments ./internal/serve
+	$(call run_matching,TestServeReport|TestDiurnalDayPolicyClaims|TestGovernorReacts|TestRaceToIdle,./internal/experiments ./internal/serve)
 
 # Coverage floor for the serving + telemetry path: the statement
 # coverage of internal/serve, internal/qos and internal/obs/timeseries
@@ -100,7 +115,7 @@ serve-cover:
 
 report-smoke:
 	$(GO) test -short ./internal/obs/timeseries
-	$(GO) test -short -run 'TestTelemetry|TestReportGolden|TestEnergyGauges|TestCorePowerParts|TestSharedPowerParts' ./cmd/ntcsim ./internal/experiments ./internal/serve ./internal/governor
+	$(call run_matching,TestTelemetry|TestReportGolden|TestEnergyGauges|TestCorePowerParts|TestSharedPowerParts,./cmd/ntcsim ./internal/experiments ./internal/serve ./internal/governor)
 
 daemon-smoke:
 	bash scripts/daemon_smoke.sh

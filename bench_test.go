@@ -140,7 +140,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 // same <2% budget the metrics layer honors; `make bench-obs` runs both
 // gates.
 func BenchmarkObsOverheadSampler(b *testing.B) {
-	gov := benchServeGov(b, 8)
+	gov := benchServeGov(b, 2, 4)
 	// A long horizon keeps each timed run ~100ms so millisecond-scale
 	// scheduler noise stays well under the 2% resolution the gate needs.
 	tr := governor.LoadTrace{Step: time.Second, Lambda: make([]float64, 240)}
@@ -149,14 +149,12 @@ func BenchmarkObsOverheadSampler(b *testing.B) {
 	}
 	runOnce := func(tel *timeseries.Series) time.Duration {
 		s, err := serve.New(serve.Config{
-			Gov:             gov,
-			Policy:          serve.Tracking{},
-			Balancer:        serve.NewJSQ(),
-			Clusters:        2,
-			CoresPerCluster: 4,
-			Trace:           tr,
-			Warmup:          2 * time.Second,
-			Telemetry:       tel,
+			Gov:       gov,
+			Policy:    serve.Tracking{},
+			Balancer:  serve.NewJSQ(),
+			Trace:     tr,
+			Warmup:    2 * time.Second,
+			Telemetry: tel,
 		}, rng.New(42))
 		if err != nil {
 			b.Fatal(err)
@@ -196,10 +194,12 @@ func BenchmarkObsOverheadSampler(b *testing.B) {
 
 // benchServeGov builds the governor configuration the serving-DES
 // benchmarks share: a five-point performance curve and a tail model over
-// the given number of cores.
-func benchServeGov(b *testing.B, cores int) *governor.Config {
+// a fleet of clusters x perCluster cores.
+func benchServeGov(b *testing.B, clusters, perCluster int) *governor.Config {
 	b.Helper()
 	spec := platform.Default()
+	spec.Clusters = clusters
+	spec.Cluster.CoresPerCluster = perCluster
 	curve, err := governor.NewPerfCurve([]governor.PerfPoint{
 		{FreqHz: 0.2e9, UIPS: 4e9}, {FreqHz: 0.5e9, UIPS: 9e9},
 		{FreqHz: 1.0e9, UIPS: 16e9}, {FreqHz: 1.5e9, UIPS: 21e9},
@@ -211,9 +211,9 @@ func benchServeGov(b *testing.B, cores int) *governor.Config {
 	return &governor.Config{
 		Platform:       spec,
 		Curve:          curve,
-		Tail:           qos.NewTailModel(cores, 50*time.Millisecond, 25e9),
+		Tail:           qos.NewTailModel(clusters*perCluster, 50*time.Millisecond, 25e9),
 		QoSLimit:       200 * time.Millisecond,
-		UncoreW:        23,
+		Uncore:         governor.UncoreBreakdown{IOW: 23},
 		MemBackgroundW: 15,
 		MemDynPerReq:   1e-3,
 		Margin:         0.85,
@@ -227,7 +227,7 @@ func benchServeGov(b *testing.B, cores int) *governor.Config {
 // close). `events/s` is the headline number; the alloc gates for this
 // path live in internal/serve/alloc_test.go.
 func BenchmarkServeSteadyState(b *testing.B) {
-	gov := benchServeGov(b, 16)
+	gov := benchServeGov(b, 4, 4)
 	tr := governor.LoadTrace{Step: time.Second, Lambda: make([]float64, 60)}
 	for i := range tr.Lambda {
 		tr.Lambda[i] = 600
@@ -239,12 +239,10 @@ func BenchmarkServeSteadyState(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s, err := serve.New(serve.Config{
-					Gov:             gov,
-					Policy:          serve.Tracking{},
-					Balancer:        bal(),
-					Clusters:        4,
-					CoresPerCluster: 4,
-					Trace:           tr,
+					Gov:      gov,
+					Policy:   serve.Tracking{},
+					Balancer: bal(),
+					Trace:    tr,
 				}, rng.New(42))
 				if err != nil {
 					b.Fatal(err)

@@ -10,7 +10,7 @@
 //	ntcsim ablation FD-SOI knobs, LPDDR4 what-if, cluster-size check (Sec. V-C)
 //	ntcsim governor DVFS+FBB policies on the request-serving DES (Sec. V-C)
 //	ntcsim serve    load balancers on the request-serving DES
-//	ntcsim memory   DRAM traffic patterns, DDR4/LPDDR4, FCFS/FR-FCFS
+//	ntcsim memory   DRAM traffic patterns on DDR4/LPDDR4
 //	ntcsim all      everything above
 //
 // Every experiment is dispatched through the internal/experiments
@@ -65,7 +65,6 @@ func run(args []string) error {
 	metricsPath := fs.String("metrics", "", "write a metrics snapshot (deterministic-ordered JSON) to this file")
 	tracePath := fs.String("trace", "", "write a Chrome trace-viewer JSON (chrome://tracing, Perfetto) to this file")
 	telemetryPath := fs.String("telemetry", "", "write the per-epoch energy-attribution ledger (CSV) to this file")
-	telemetryEps := fs.Float64("telemetry-eps", 0, "energy-conservation audit tolerance, relative; 0 = default (1e-6)")
 	progress := fs.Bool("progress", false, "live per-point progress with ETA on stderr")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
 	if err := fs.Parse(args); err != nil {
@@ -200,7 +199,7 @@ func run(args []string) error {
 		// The conservation audit fails the run on attribution bugs; an
 		// interrupted run skips it (mid-epoch ledgers are legitimately
 		// short of their reported totals).
-		if err := sampler.Audit(*telemetryEps); err != nil {
+		if err := sampler.Audit(0); err != nil {
 			cmdErr = err
 		}
 	}

@@ -13,17 +13,24 @@ package cache
 
 import "fmt"
 
+// The memory hierarchy has one line size: every cache, the LLC's SRAM
+// arrays, each DRAM transfer and the workload generator's address layout
+// work in 64-byte lines.
+const (
+	LineBits  = 6 // log2(LineBytes)
+	LineBytes = 1 << LineBits
+)
+
 // Config describes one cache.
 type Config struct {
 	Name      string
 	SizeBytes int
 	Assoc     int
-	LineBytes int
 }
 
 // L1Config returns the paper's 32KB 2-way L1 (I or D) configuration.
 func L1Config(name string) Config {
-	return Config{Name: name, SizeBytes: 32 << 10, Assoc: 2, LineBytes: 64}
+	return Config{Name: name, SizeBytes: 32 << 10, Assoc: 2}
 }
 
 // Stats counts cache events since the last ResetStats.
@@ -60,6 +67,10 @@ const (
 	tagShift = 2
 )
 
+// The packed way loses no line-address bit only while LineBits >=
+// tagShift; this declaration stops compiling otherwise.
+const _ uint = LineBits - tagShift
+
 // Cache is a set-associative, write-back, write-allocate, true-LRU,
 // tag-only cache. It is not safe for concurrent use.
 type Cache struct {
@@ -67,11 +78,10 @@ type Cache struct {
 	// ways holds every set's packed ways in one set-major slice: set s
 	// occupies ways[s*assoc : (s+1)*assoc], ordered most- to
 	// least-recently used.
-	ways     []uint64
-	assoc    int
-	setMask  uint64 //ntclint:allow snapshotcheck derived: set count from cfg, recomputed by New
-	lineBits uint   //ntclint:allow snapshotcheck derived: line size from cfg, recomputed by New
-	stats    Stats  //ntclint:allow snapshotcheck captured by the Stats:SetStats pair beside Snapshot
+	ways    []uint64
+	assoc   int
+	setMask uint64 //ntclint:allow snapshotcheck derived: set count from cfg, recomputed by New
+	stats   Stats  //ntclint:allow snapshotcheck captured by the Stats:SetStats pair beside Snapshot
 }
 
 // Victim describes a line evicted by a fill.
@@ -90,27 +100,17 @@ type Result struct {
 // New validates cfg and builds the cache.
 func New(cfg Config) (*Cache, error) {
 	switch {
-	case cfg.SizeBytes <= 0 || cfg.Assoc <= 0 || cfg.LineBytes <= 0:
-		return nil, fmt.Errorf("cache %q: size, assoc, line must be positive", cfg.Name)
-	case cfg.SizeBytes%(cfg.Assoc*cfg.LineBytes) != 0:
+	case cfg.SizeBytes <= 0 || cfg.Assoc <= 0:
+		return nil, fmt.Errorf("cache %q: size and assoc must be positive", cfg.Name)
+	case cfg.SizeBytes%(cfg.Assoc*LineBytes) != 0:
 		return nil, fmt.Errorf("cache %q: size %d not divisible by assoc*line %d",
-			cfg.Name, cfg.SizeBytes, cfg.Assoc*cfg.LineBytes)
-	case cfg.LineBytes&(cfg.LineBytes-1) != 0:
-		return nil, fmt.Errorf("cache %q: line size %d must be a power of two", cfg.Name, cfg.LineBytes)
-	case cfg.LineBytes < 1<<tagShift:
-		// The packed way keeps the line address above tagShift flag bits,
-		// which loses no address bit only for lines of at least 4 bytes.
-		return nil, fmt.Errorf("cache %q: line size %d is below the %d-byte minimum", cfg.Name, cfg.LineBytes, 1<<tagShift)
+			cfg.Name, cfg.SizeBytes, cfg.Assoc*LineBytes)
 	}
-	nsets := cfg.SizeBytes / (cfg.Assoc * cfg.LineBytes)
+	nsets := cfg.SizeBytes / (cfg.Assoc * LineBytes)
 	if nsets&(nsets-1) != 0 {
 		return nil, fmt.Errorf("cache %q: set count %d must be a power of two", cfg.Name, nsets)
 	}
-	c := &Cache{cfg: cfg, ways: make([]uint64, nsets*cfg.Assoc), assoc: cfg.Assoc, setMask: uint64(nsets - 1)}
-	for l := cfg.LineBytes; l > 1; l >>= 1 {
-		c.lineBits++
-	}
-	return c, nil
+	return &Cache{cfg: cfg, ways: make([]uint64, nsets*cfg.Assoc), assoc: cfg.Assoc, setMask: uint64(nsets - 1)}, nil
 }
 
 // MustNew is New for known-good configurations.
@@ -135,7 +135,7 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 // lookup returns the set holding addr and the packed valid, clean way
 // its line would occupy; a way w holds the line iff w&^dirtyBit == key.
 func (c *Cache) lookup(addr uint64) (ways []uint64, key uint64) {
-	line := addr >> c.lineBits // full line address as tag (simple, unambiguous)
+	line := addr >> LineBits // full line address as tag (simple, unambiguous)
 	s := int(line&c.setMask) * c.assoc
 	return c.ways[s : s+c.assoc : s+c.assoc], line<<tagShift | validBit
 }
@@ -145,7 +145,7 @@ func (c *Cache) victim(w uint64) Victim {
 	if w&validBit == 0 {
 		return Victim{}
 	}
-	return Victim{Valid: true, Dirty: w&dirtyBit != 0, Addr: w >> tagShift << c.lineBits}
+	return Victim{Valid: true, Dirty: w&dirtyBit != 0, Addr: w >> tagShift << LineBits}
 }
 
 // Access performs a read (write=false) or write (write=true) of the line

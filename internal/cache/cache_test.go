@@ -8,7 +8,7 @@ import (
 
 func tiny() Config {
 	// 4 sets x 2 ways x 64B lines = 512B: easy to reason about.
-	return Config{Name: "tiny", SizeBytes: 512, Assoc: 2, LineBytes: 64}
+	return Config{Name: "tiny", SizeBytes: 512, Assoc: 2}
 }
 
 func TestMissThenHit(t *testing.T) {
@@ -119,10 +119,10 @@ func TestCapacityWorkingSet(t *testing.T) {
 	// that doubles it thrashes (with LRU and a cyclic pattern, ~0%).
 	cfg := L1Config("l1d")
 	c := MustNew(cfg)
-	lines := cfg.SizeBytes / cfg.LineBytes
+	lines := cfg.SizeBytes / LineBytes
 	warm := func(n int) {
 		for i := 0; i < n; i++ {
-			c.Access(uint64(i*cfg.LineBytes), false)
+			c.Access(uint64(i*LineBytes), false)
 		}
 	}
 	warm(lines)
@@ -160,13 +160,10 @@ func TestStatsConsistency(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
-		{SizeBytes: 0, Assoc: 2, LineBytes: 64},
-		{SizeBytes: 512, Assoc: 0, LineBytes: 64},
-		{SizeBytes: 512, Assoc: 2, LineBytes: 0},
-		{SizeBytes: 500, Assoc: 2, LineBytes: 64}, // not divisible
-		{SizeBytes: 512, Assoc: 2, LineBytes: 96}, // non-power-of-two line
-		{SizeBytes: 384, Assoc: 2, LineBytes: 64}, // 3 sets
-		{SizeBytes: 512, Assoc: 2, LineBytes: 2},  // line below the packed-tag minimum
+		{SizeBytes: 0, Assoc: 2},
+		{SizeBytes: 512, Assoc: 0},
+		{SizeBytes: 500, Assoc: 2}, // not divisible
+		{SizeBytes: 384, Assoc: 2}, // 3 sets
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
@@ -191,7 +188,6 @@ type refModel struct {
 	assoc int
 	nsets uint64
 	sets  map[uint64][]refLine
-	shift uint
 }
 
 type refLine struct {
@@ -200,19 +196,15 @@ type refLine struct {
 }
 
 func newRef(cfg Config) *refModel {
-	nsets := cfg.SizeBytes / (cfg.Assoc * cfg.LineBytes)
-	shift := uint(0)
-	for l := cfg.LineBytes; l > 1; l >>= 1 {
-		shift++
-	}
-	return &refModel{assoc: cfg.Assoc, nsets: uint64(nsets), sets: map[uint64][]refLine{}, shift: shift}
+	nsets := cfg.SizeBytes / (cfg.Assoc * LineBytes)
+	return &refModel{assoc: cfg.Assoc, nsets: uint64(nsets), sets: map[uint64][]refLine{}}
 }
 
 // access reads or writes addr: a hit moves the line to MRU (dirtying it
 // on a write), a miss inserts it as MRU and evicts the LRU line of a
 // full set.
 func (r *refModel) access(addr uint64, write bool) (hit bool, victim Victim) {
-	line := addr >> r.shift
+	line := addr / LineBytes
 	set := line % r.nsets
 	s := r.sets[set]
 	for i, l := range s {
@@ -226,7 +218,7 @@ func (r *refModel) access(addr uint64, write bool) (hit bool, victim Victim) {
 	s = append([]refLine{{line, write}}, s...)
 	if len(s) > r.assoc {
 		v := s[r.assoc]
-		victim = Victim{Valid: true, Dirty: v.dirty, Addr: v.line << r.shift}
+		victim = Victim{Valid: true, Dirty: v.dirty, Addr: v.line * LineBytes}
 		s = s[:r.assoc]
 	}
 	r.sets[set] = s
@@ -235,7 +227,7 @@ func (r *refModel) access(addr uint64, write bool) (hit bool, victim Victim) {
 
 // fill installs addr clean as MRU, or just touches it when present.
 func (r *refModel) fill(addr uint64) Victim {
-	line := addr >> r.shift
+	line := addr / LineBytes
 	for _, l := range r.sets[line%r.nsets] {
 		if l.line == line {
 			r.access(addr, false)
@@ -306,7 +298,7 @@ func BenchmarkAccessHit(b *testing.B) {
 }
 
 func BenchmarkAccessRandom(b *testing.B) {
-	c := MustNew(Config{Name: "llc-bank", SizeBytes: 1 << 20, Assoc: 16, LineBytes: 64})
+	c := MustNew(Config{Name: "llc-bank", SizeBytes: 1 << 20, Assoc: 16})
 	addr := uint64(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

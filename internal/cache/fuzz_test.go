@@ -16,7 +16,7 @@ func FuzzAccessMatchesReference(f *testing.F) {
 	f.Add([]byte{255, 0, 255, 0}, []byte{1, 0, 1, 0})
 	f.Add([]byte{0, 64, 128, 0, 192, 64}, []byte{1, 1, 2, 3, 0, 1})
 	f.Fuzz(func(t *testing.T, addrs []byte, ops []byte) {
-		cfg := Config{Name: "fuzz", SizeBytes: 512, Assoc: 2, LineBytes: 64}
+		cfg := Config{Name: "fuzz", SizeBytes: 512, Assoc: 2}
 		c := MustNew(cfg)
 		ref := newRef(cfg)
 		op := func(i int) byte {

@@ -53,19 +53,13 @@ type BoostReport struct {
 	TransitionTime time.Duration
 }
 
-// boostBiasV is the forward bias applied in boost mode — the 1.3V swing
-// the paper cites for the STM A9 test chip ("the back-bias voltage of a
-// 5mm^2 Cortex A9 processor can switch between 0V and 1.3V in less than
-// 1us"). Full-range FBB is reserved for the per-point energy optimization.
-const boostBiasV = 1.3
-
 // BoostAnalysis evaluates the boost knob at a fixed supply voltage.
 func (e *Explorer) BoostAnalysis(vdd float64) (BoostReport, error) {
 	spec := e.Platform
 	if !spec.Tech.Functional(vdd) {
 		return BoostReport{}, fmt.Errorf("core: %.2fV is outside the functional range", vdd)
 	}
-	bias := spec.Tech.ClampBias(boostBiasV)
+	bias := spec.Tech.BoostBias()
 	base := spec.Tech.MaxFrequency(vdd, 0)
 	boost := spec.Tech.MaxFrequency(vdd, bias)
 	if base <= 0 {

@@ -41,7 +41,6 @@ type Config struct {
 	BranchPenalty int // misprediction redirect penalty, cycles
 	MSHREntries   int // outstanding L1D miss lines
 	PredictorSize int // bimodal counter table entries
-	LineBytes     int
 	// FrontendSlack is the number of cycles of decoupled fetch-queue
 	// buffering: an instruction-cache miss only stalls dispatch for the
 	// portion of its fill latency the fetch queue cannot hide.
@@ -89,7 +88,6 @@ func DefaultConfig() Config {
 		BranchPenalty: 14,
 		MSHREntries:   10,
 		PredictorSize: 4096,
-		LineBytes:     64,
 		FrontendSlack: 24,
 	}
 }
@@ -202,8 +200,6 @@ type Core struct {
 	mshrOcc  []uint64 //ntclint:allow snapshotcheck obs-only: cumulative since EnableObs
 	mshrFull uint64   //ntclint:allow snapshotcheck obs-only: cumulative since EnableObs
 
-	//ntclint:allow snapshotcheck derived: line size from cfg, recomputed by New
-	lineBits     uint
 	cycleAtReset int64 // commit cycle at the last ResetStats
 	stats        Stats
 	instr        workload.Instr //ntclint:allow snapshotcheck scratch: overwritten at the start of every Step
@@ -224,7 +220,7 @@ func New(cfg Config, id int, gen *workload.Generator, mem MemSystem, freqHz floa
 	if cfg.WindowSize&(cfg.WindowSize-1) != 0 {
 		return nil, fmt.Errorf("cpu: window size %d must be a power of two", cfg.WindowSize)
 	}
-	c := &Core{
+	return &Core{
 		cfg:          cfg,
 		id:           id,
 		gen:          gen,
@@ -238,11 +234,7 @@ func New(cfg Config, id int, gen *workload.Generator, mem MemSystem, freqHz floa
 		commitRing:   make([]int64, cfg.WindowSize),
 		lastILine:    math.MaxUint64,
 		misses:       make([]outstanding, 0, cfg.MSHREntries),
-	}
-	for l := cfg.LineBytes; l > 1; l >>= 1 {
-		c.lineBits++
-	}
-	return c, nil
+	}, nil
 }
 
 // ID returns the core's global identifier.
@@ -365,7 +357,7 @@ func (c *Core) Step() int64 {
 
 	// Frontend: instruction-cache access at line granularity, with a
 	// next-line prefetcher (A57-class) that hides sequential-run misses.
-	iline := in.PC >> c.lineBits
+	iline := in.PC >> cache.LineBits
 	if iline != c.lastILine {
 		c.lastILine = iline
 		if !c.l1i.Access(in.PC, false).Hit {
@@ -377,7 +369,7 @@ func (c *Core) Step() int64 {
 			c.frontendReady = maxI64(c.frontendReady,
 				c.toCycles(fill)-int64(c.cfg.FrontendSlack))
 		}
-		c.l1i.Fill(in.PC + uint64(c.cfg.LineBytes))
+		c.l1i.Fill(in.PC + cache.LineBytes)
 	}
 
 	// Dispatch: in order, machine width per cycle, gated by the frontend
@@ -470,7 +462,7 @@ func (c *Core) Step() int64 {
 // load resolves a load issued at cycle issue and returns its completion.
 func (c *Core) load(in *workload.Instr, issue int64) int64 {
 	res := c.l1d.Access(in.Addr, false)
-	line := in.Addr >> c.lineBits
+	line := in.Addr >> cache.LineBits
 	c.releaseMisses(issue)
 	// A load to a line whose fill is still in flight (the tag array fills
 	// instantly in this tag-only model) merges onto the pending miss.
@@ -508,7 +500,7 @@ func (c *Core) prefetch(in *workload.Instr, issue int64) {
 	if !c.cfg.StridePrefetch {
 		return
 	}
-	pa, ok := c.pf.observe(in.Addr, c.lineBits)
+	pa, ok := c.pf.observe(in.Addr)
 	if !ok || c.l1d.Probe(pa) {
 		return
 	}
@@ -560,13 +552,13 @@ func (c *Core) FastForward(n uint64, warm WarmMem) {
 	in := &c.ffInstr
 	for i := uint64(0); i < n; i++ {
 		c.gen.NextWarm(in)
-		iline := in.PC >> c.lineBits
+		iline := in.PC >> cache.LineBits
 		if iline != c.lastILine {
 			c.lastILine = iline
 			if !c.l1i.Access(in.PC, false).Hit && warm != nil {
 				warm.Warm(c.id, in.PC, false)
 			}
-			c.l1i.Fill(in.PC + uint64(c.cfg.LineBytes))
+			c.l1i.Fill(in.PC + cache.LineBytes)
 		}
 		switch in.Kind {
 		case workload.Load:

@@ -1,5 +1,7 @@
 package cpu
 
+import "ntcsim/internal/cache"
+
 // streamPrefetcher is a sequential stream detector in the spirit of
 // hardware stream buffers: it remembers recently accessed data lines and,
 // when a load touches line L with line L-1 in the recent window (an
@@ -12,8 +14,8 @@ type streamPrefetcher struct {
 
 // observe records a load to the line containing addr and returns the next
 // line's address when an ascending stream is detected.
-func (p *streamPrefetcher) observe(addr uint64, lineBits uint) (uint64, bool) {
-	line := addr >> lineBits
+func (p *streamPrefetcher) observe(addr uint64) (uint64, bool) {
+	line := addr >> cache.LineBits
 	hit := false
 	for _, r := range p.recent {
 		if r == line {
@@ -27,7 +29,7 @@ func (p *streamPrefetcher) observe(addr uint64, lineBits uint) (uint64, bool) {
 	p.recent[p.idx] = line
 	p.idx = (p.idx + 1) % len(p.recent)
 	if hit {
-		return (line + 1) << lineBits, true
+		return (line + 1) << cache.LineBits, true
 	}
 	return 0, false
 }

@@ -4,20 +4,22 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"ntcsim/internal/cache"
 )
 
 // Address-stride helpers for the group-interleaved mapping
 // [offset][channel][bankgroup][column][bank-in-group][rank][row].
 func strideSameRow(cfg Config) uint64 { // next column, same bank+row
-	return uint64(cfg.LineBytes * cfg.Channels * cfg.BankGroups)
+	return uint64(cache.LineBytes * cfg.Channels * cfg.BankGroups)
 }
 
 func strideNextGroup(cfg Config) uint64 { // next bank group, same channel
-	return uint64(cfg.LineBytes * cfg.Channels)
+	return uint64(cache.LineBytes * cfg.Channels)
 }
 
 func strideNextBankInGroup(cfg Config) uint64 { // same group, next bank
-	return strideSameRow(cfg) * uint64(cfg.RowBytes/cfg.LineBytes)
+	return strideSameRow(cfg) * uint64(cfg.RowBytes/cache.LineBytes)
 }
 
 func strideNewRow(cfg Config) uint64 { // same bank, different row
@@ -178,7 +180,7 @@ func TestChannelInterleaving(t *testing.T) {
 	// reads complete at the same time (no shared resources).
 	var done [4]float64
 	for i := 0; i < 4; i++ {
-		done[i] = s.Submit(uint64(i*cfg.LineBytes), false, 0)
+		done[i] = s.Submit(uint64(i*cache.LineBytes), false, 0)
 	}
 	for i := 1; i < 4; i++ {
 		if done[i] != done[0] {
@@ -233,9 +235,9 @@ func TestSustainedBandwidthBelowPeak(t *testing.T) {
 	const n = 4096
 	var last float64
 	for i := 0; i < n; i++ {
-		last = s.Submit(uint64(i*cfg.LineBytes), false, 0)
+		last = s.Submit(uint64(i*cache.LineBytes), false, 0)
 	}
-	bytes := float64(n * cfg.LineBytes)
+	bytes := float64(n * cache.LineBytes)
 	bw := bytes / (last * 1e-9)
 	peak := peakBandwidth(cfg)
 	if bw > peak {
@@ -391,7 +393,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Channels = 3 },
 		func(c *Config) { c.RanksPerChan = 0 },
 		func(c *Config) { c.BanksPerRank = 5 },
-		func(c *Config) { c.LineBytes = 0 },
+		func(c *Config) { c.RowBytes = 0 },
 		func(c *Config) { c.RowBytes = 100 },
 		func(c *Config) { c.Timing.TCKNs = 0 },
 		func(c *Config) { c.BankGroups = 0 },
@@ -457,7 +459,7 @@ func TestQuickBusNeverExceedsPeak(t *testing.T) {
 			last = done
 		}
 		count++
-		bw := float64(count*cfg.LineBytes) / (last * 1e-9)
+		bw := float64(count*cache.LineBytes) / (last * 1e-9)
 		return bw <= peakBandwidth(cfg)*(1+1e-9)
 	}, &quick.Config{MaxCount: 1000})
 	if err != nil {

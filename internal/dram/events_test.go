@@ -3,11 +3,13 @@ package dram
 import (
 	"math"
 	"testing"
+
+	"ntcsim/internal/cache"
 )
 
 func TestEventEnergiesConsistentWithTableI(t *testing.T) {
 	e := DDR4Power().Energies(DDR4(), 8)
-	ev := e.Events(64, 0.95)
+	ev := e.Events(0.95)
 	if ev.ReadColNJ <= 0 || ev.WriteColNJ <= 0 || ev.ActNJ <= 0 {
 		t.Fatalf("non-positive event energies: %+v", ev)
 	}
@@ -28,7 +30,7 @@ func TestEventPowerMatchesScalingForStreaming(t *testing.T) {
 	var last float64
 	const n = 20000
 	for i := 0; i < n; i++ {
-		last = s.Submit(uint64(i*cfg.LineBytes), false, 0)
+		last = s.Submit(uint64(i*cache.LineBytes), false, 0)
 	}
 	st := s.Stats()
 	if st.RowHitRate() < 0.9 {
@@ -36,7 +38,7 @@ func TestEventPowerMatchesScalingForStreaming(t *testing.T) {
 	}
 	e := cfg.Power.Energies(cfg.Timing, cfg.ChipsPerRank)
 	scaling := s.Power(last)
-	event := e.Events(cfg.LineBytes, 0.95).EventPower(st, s.Ranks(), last)
+	event := e.Events(0.95).EventPower(st, s.Ranks(), last)
 	if math.Abs(event-scaling)/scaling > 0.05 {
 		t.Fatalf("streaming: event %.2fW vs scaling %.2fW, want within 5%%", event, scaling)
 	}
@@ -66,7 +68,7 @@ func TestEventPowerExceedsScalingForRandomTraffic(t *testing.T) {
 	}
 	e := cfg.Power.Energies(cfg.Timing, cfg.ChipsPerRank)
 	scaling := s.Power(last)
-	event := e.Events(cfg.LineBytes, 0.95).EventPower(st, s.Ranks(), last)
+	event := e.Events(0.95).EventPower(st, s.Ranks(), last)
 	if event <= scaling {
 		t.Fatalf("random traffic: event %.2fW should exceed scaling %.2fW", event, scaling)
 	}
@@ -74,7 +76,7 @@ func TestEventPowerExceedsScalingForRandomTraffic(t *testing.T) {
 
 func TestActiveEnergyAccumulates(t *testing.T) {
 	e := DDR4Power().Energies(DDR4(), 8)
-	ev := e.Events(64, 0.95)
+	ev := e.Events(0.95)
 	st := Stats{Reads: 100, Writes: 50, Activations: 30}
 	got := ev.ActiveEnergyJ(st)
 	want := 1e-9 * (100*ev.ReadColNJ + 50*ev.WriteColNJ + 30*ev.ActNJ)

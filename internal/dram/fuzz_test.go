@@ -1,6 +1,10 @@
 package dram
 
-import "testing"
+import (
+	"testing"
+
+	"ntcsim/internal/cache"
+)
 
 // FuzzSubmit drives the bank state machine with arbitrary address/write
 // sequences and checks its global invariants: completions never precede
@@ -47,7 +51,7 @@ func FuzzDecodeRoundTrip(f *testing.F) {
 		s := mustNew(cfg)
 		a %= 64 << 30
 		b %= 64 << 30
-		la, lb := a/64, b/64
+		la, lb := a/cache.LineBytes, b/cache.LineBytes
 		if la == lb {
 			return
 		}
@@ -55,8 +59,8 @@ func FuzzDecodeRoundTrip(f *testing.F) {
 		// Two different lines must differ in channel, bank, row, or their
 		// column position — encoded here as the full decode plus the
 		// column residue.
-		colA := (a / 64) % uint64(cfg.Channels*cfg.BankGroups*(cfg.RowBytes/cfg.LineBytes))
-		colB := (b / 64) % uint64(cfg.Channels*cfg.BankGroups*(cfg.RowBytes/cfg.LineBytes))
+		colA := (a / cache.LineBytes) % uint64(cfg.Channels*cfg.BankGroups*(cfg.RowBytes/cache.LineBytes))
+		colB := (b / cache.LineBytes) % uint64(cfg.Channels*cfg.BankGroups*(cfg.RowBytes/cache.LineBytes))
 		if da == db && colA == colB {
 			t.Fatalf("lines %x and %x alias to the same location", a, b)
 		}

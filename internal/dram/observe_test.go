@@ -1,6 +1,10 @@
 package dram
 
-import "testing"
+import (
+	"testing"
+
+	"ntcsim/internal/cache"
+)
 
 // obsTestConfig is a small system so per-bank assertions stay readable.
 func obsTestConfig() Config {
@@ -20,7 +24,7 @@ func drive(s *System) []float64 {
 	for i := 0; i < 400; i++ {
 		// Mix of sequential lines (channel/group interleave), same-row
 		// hits and row conflicts.
-		addr := uint64(i) * uint64(cfg.LineBytes)
+		addr := uint64(i) * uint64(cache.LineBytes)
 		if i%7 == 0 {
 			addr += strideNewRow(cfg) * uint64(i%3)
 		}

@@ -1,5 +1,7 @@
 package dram
 
+import "ntcsim/internal/cache"
+
 // PowerParams holds the Micron-style current parameters of one DRAM chip
 // from which the Table I energies are derived. Currents are averages over
 // the respective operation windows, in amps; the background current already
@@ -102,22 +104,20 @@ type EventEnergy struct {
 	ActNJ      float64 // one row activation + precharge, whole rank
 	ReadColNJ  float64 // one 64B read burst (column access + I/O)
 	WriteColNJ float64 // one 64B write burst
-	LineBytes  int
 	Rank       RankEnergy
 }
 
 // Events derives event energies consistent with Table I under the given
 // reference row-hit rate (the hit rate of the streaming patterns the
 // per-byte figures represent; ~0.95 for open-page streaming).
-func (e RankEnergy) Events(lineBytes int, refRowHit float64) EventEnergy {
+func (e RankEnergy) Events(refRowHit float64) EventEnergy {
 	// Table I per line: E_line = E_col + (1-h_ref)*E_act.
 	const actNJ = 20.0 // DDR4 8-chip rank activation+precharge energy
 	missFrac := 1 - refRowHit
 	return EventEnergy{
 		ActNJ:      actNJ,
-		ReadColNJ:  e.ReadPerByteNJ*float64(lineBytes) - missFrac*actNJ,
-		WriteColNJ: e.WritePerByteNJ*float64(lineBytes) - missFrac*actNJ,
-		LineBytes:  lineBytes,
+		ReadColNJ:  e.ReadPerByteNJ*cache.LineBytes - missFrac*actNJ,
+		WriteColNJ: e.WritePerByteNJ*cache.LineBytes - missFrac*actNJ,
 		Rank:       e,
 	}
 }

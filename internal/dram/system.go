@@ -3,6 +3,8 @@ package dram
 import (
 	"fmt"
 	"math"
+
+	"ntcsim/internal/cache"
 )
 
 // Config describes the memory system organization.
@@ -12,8 +14,7 @@ type Config struct {
 	ChipsPerRank int
 	BanksPerRank int
 	BankGroups   int // bank groups per rank (DDR4: 4; LPDDR4: 1)
-	RowBytes     int // row-buffer size per rank
-	LineBytes    int // transfer granularity (one cache line per request)
+	RowBytes     int // row-buffer size per rank; one request moves one cache.LineBytes line
 	ChipGbit     int // capacity per chip, for the capacity report
 	Timing       Timing
 	Power        PowerParams
@@ -32,7 +33,6 @@ func DefaultConfig() Config {
 		BanksPerRank: 16,
 		BankGroups:   4,
 		RowBytes:     8192,
-		LineBytes:    64,
 		ChipGbit:     4,
 		Timing:       DDR4(),
 		Power:        DDR4Power(),
@@ -133,12 +133,12 @@ func New(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("dram: banks per rank must be a positive power of two, got %d", cfg.BanksPerRank)
 	case cfg.BankGroups <= 0 || cfg.BankGroups > cfg.BanksPerRank || cfg.BanksPerRank%cfg.BankGroups != 0:
 		return nil, fmt.Errorf("dram: bank groups %d must divide banks %d", cfg.BankGroups, cfg.BanksPerRank)
-	case cfg.LineBytes <= 0 || cfg.RowBytes%cfg.LineBytes != 0:
-		return nil, fmt.Errorf("dram: line size %d must divide row size %d", cfg.LineBytes, cfg.RowBytes)
+	case cfg.RowBytes <= 0 || cfg.RowBytes%cache.LineBytes != 0:
+		return nil, fmt.Errorf("dram: line size %d must divide row size %d", cache.LineBytes, cfg.RowBytes)
 	case cfg.Timing.TCKNs <= 0:
 		return nil, fmt.Errorf("dram: clock period must be positive")
 	}
-	s := &System{cfg: cfg, colsPerRow: uint64(cfg.RowBytes / cfg.LineBytes)}
+	s := &System{cfg: cfg, colsPerRow: uint64(cfg.RowBytes / cache.LineBytes)}
 	s.chans = make([]*channel, cfg.Channels)
 	for i := range s.chans {
 		s.chans[i] = &channel{
@@ -190,7 +190,7 @@ type location struct {
 // groups first (pipelining bursts at tCCD_S), then fill open rows — the
 // group-interleaved variant of the scheme DRAMSim2 calls "scheme 7".
 func (s *System) decode(addr uint64) location {
-	la := addr / uint64(s.cfg.LineBytes)
+	la := addr >> cache.LineBits
 	ch := int(la % uint64(s.cfg.Channels))
 	la /= uint64(s.cfg.Channels)
 	grp := int(la % uint64(s.cfg.BankGroups))
@@ -361,10 +361,10 @@ func (s *System) Submit(addr uint64, write bool, nowNs float64) float64 {
 	// Statistics.
 	if write {
 		s.stats.Writes++
-		s.stats.BytesWritten += uint64(s.cfg.LineBytes)
+		s.stats.BytesWritten += cache.LineBytes
 	} else {
 		s.stats.Reads++
-		s.stats.BytesRead += uint64(s.cfg.LineBytes)
+		s.stats.BytesRead += cache.LineBytes
 	}
 	return dataEnd
 }

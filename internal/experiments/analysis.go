@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 
+	"ntcsim/internal/governor"
+	"ntcsim/internal/platform"
 	"ntcsim/internal/rng"
 	"ntcsim/internal/tech"
 	"ntcsim/internal/thermal"
@@ -17,7 +19,7 @@ func runVariation(ctx context.Context, p Params, env Env) error {
 	out := env.out()
 	fmt.Fprintln(out, "== Sec. II-A(4): near-threshold variation and body-bias compensation ==")
 	t := tech.FDSOI28()
-	offsets := tech.DefaultVariation().SampleOffsets(36, rng.New(p.Seed))
+	offsets := tech.DefaultVariation().SampleOffsets(platform.Default().TotalCores(), rng.New(p.Seed))
 	w := env.tbl()
 	fmt.Fprintln(w, "Vdd\tnominal_MHz\tuncompensated_MHz\tloss\tcompensated_MHz\tresidual_loss\tmax_bias_V")
 	for _, vdd := range []float64{0.5, 0.6, 0.7, 0.9, 1.1, 1.3} {
@@ -30,6 +32,14 @@ func runVariation(ctx context.Context, p Params, env Env) error {
 	return w.Flush()
 }
 
+// standingUncore is the chip's uncore power at the standing traffic the
+// TDP and diurnal-day analyses charge: 100M LLC reads, 40M LLC writes
+// and 150M crossbar transfers per second in every cluster.
+func standingUncore(s *platform.Spec) governor.UncoreBreakdown {
+	llcW, xbarW, ioW := s.UncorePowerParts(100e6, 40e6, 150e6)
+	return governor.UncoreBreakdown{LLCW: llcW, XbarW: xbarW, IOW: ioW}
+}
+
 // runDarkSilicon reproduces the Sec. V-B1 TDP argument: at NT operating
 // points the 100W budget feeds every core; at peak frequency it cannot.
 func runDarkSilicon(ctx context.Context, p Params, env Env) error {
@@ -37,7 +47,7 @@ func runDarkSilicon(ctx context.Context, p Params, env Env) error {
 	fmt.Fprintln(out, "== Sec. V-B1: TDP and dark silicon across the DVFS range ==")
 	e := p.NewExplorer(env)
 	m := thermal.Default()
-	uncoreW := e.Platform.UncorePowerW(100e6, 40e6, 150e6)
+	uncoreW := standingUncore(e.Platform).TotalW()
 	freqs := []float64{0.2e9, 0.5e9, 1.0e9, 1.5e9, 2.0e9, 2.5e9, 3.0e9, 3.2e9}
 	pts, err := thermal.DarkSilicon(m, e.Platform.Core, uncoreW, e.Platform.TotalCores(), freqs)
 	if err != nil {

@@ -36,7 +36,7 @@ const DefaultSeed uint64 = 0x5eed
 // Version is the experiment-API generation, folded into every cache key so
 // results computed by an older incompatible API are never served for a new
 // one. Bump it when a change makes previously cached report bytes wrong.
-const Version = "ntcsim-experiments/v3"
+const Version = "ntcsim-experiments/v4"
 
 // Env is what an experiment runs against besides its Params: the report
 // writer and the explorer seams (core.Seams), which every explorer the

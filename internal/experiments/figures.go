@@ -6,6 +6,7 @@ import (
 
 	"ntcsim/internal/core"
 	"ntcsim/internal/parallel"
+	"ntcsim/internal/platform"
 	"ntcsim/internal/qos"
 	"ntcsim/internal/workload"
 )
@@ -13,8 +14,9 @@ import (
 // runFig1 prints the technology voltage/power curves (Fig. 1).
 func runFig1(ctx context.Context, p Params, env Env) error {
 	out := env.out()
-	fmt.Fprintln(out, "== Figure 1: A57 voltage and chip power vs frequency (36 cores) ==")
-	curves := core.Fig1Curves(36, core.Fig1Frequencies())
+	cores := platform.Default().TotalCores()
+	fmt.Fprintf(out, "== Figure 1: A57 voltage and chip power vs frequency (%d cores) ==\n", cores)
+	curves := core.Fig1Curves(cores, core.Fig1Frequencies())
 	w := env.tbl()
 	fmt.Fprint(w, "freq_MHz")
 	for _, c := range curves {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	"ntcsim/internal/cache"
 	"ntcsim/internal/dram"
 )
 
@@ -42,7 +43,7 @@ func TestStreamTraceIsSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i < len(reqs); i++ {
-		if reqs[i].Addr != reqs[i-1].Addr+uint64(cfg.LineBytes) {
+		if reqs[i].Addr != reqs[i-1].Addr+cache.LineBytes {
 			t.Fatal("stream pattern must advance one line per request")
 		}
 	}
@@ -54,17 +55,16 @@ func TestPingPongAlternatesRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Replay through a backend: arrival-order scheduling must see a ~zero
+	// Replay through a backend in arrival order: it must see a ~zero
 	// row-hit rate (the pattern exists to defeat the open page).
-	ctrl, err := dram.NewFRFCFS(cfg, 0)
+	sys, err := dram.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range reqs {
-		ctrl.Enqueue(r.Addr, false, r.ArriveNs)
+		sys.Submit(r.Addr, false, r.ArriveNs)
 	}
-	ctrl.Drain()
-	if hr := ctrl.System().Stats().RowHitRate(); hr > 0.1 {
+	if hr := sys.Stats().RowHitRate(); hr > 0.1 {
 		t.Fatalf("ping-pong row-hit rate = %.2f, want ~0", hr)
 	}
 }

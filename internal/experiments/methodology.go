@@ -6,6 +6,7 @@ import (
 
 	"ntcsim/internal/core"
 	"ntcsim/internal/cpu"
+	"ntcsim/internal/qos"
 	"ntcsim/internal/sim"
 	"ntcsim/internal/workload"
 )
@@ -24,7 +25,7 @@ func runScaling(ctx context.Context, p Params, env Env) error {
 		if err := ctx.Err(); err != nil {
 			return context.Cause(ctx)
 		}
-		ch, err := sim.NewChip(e.Platform.Cluster, workload.WebSearch(), n, 2e9)
+		ch, err := sim.NewChip(e.Platform.Cluster, workload.WebSearch(), n, qos.BaselineFreqHz)
 		if err != nil {
 			return err
 		}
@@ -63,7 +64,7 @@ func runWorkloads(ctx context.Context, p Params, env Env) error {
 		if err := ctx.Err(); err != nil {
 			return context.Cause(ctx)
 		}
-		cl, err := sim.NewCluster(e.Platform.Cluster, prof, 2e9)
+		cl, err := sim.NewCluster(e.Platform.Cluster, prof, qos.BaselineFreqHz)
 		if err != nil {
 			return err
 		}
@@ -100,7 +101,7 @@ func runPrefetch(ctx context.Context, p Params, env Env) error {
 		for i, pf := range []bool{false, true} {
 			e := p.NewExplorer(env)
 			e.Platform.Cluster.Core.StridePrefetch = pf
-			cl, err := sim.NewCluster(e.Platform.Cluster, prof, 2e9)
+			cl, err := sim.NewCluster(e.Platform.Cluster, prof, qos.BaselineFreqHz)
 			if err != nil {
 				return err
 			}
@@ -134,7 +135,7 @@ func runPorts(ctx context.Context, p Params, env Env) error {
 			if ports {
 				e.Platform.Cluster.Core.Ports = cpu.A57Ports()
 			}
-			cl, err := sim.NewCluster(e.Platform.Cluster, prof, 2e9)
+			cl, err := sim.NewCluster(e.Platform.Cluster, prof, qos.BaselineFreqHz)
 			if err != nil {
 				return err
 			}
@@ -160,9 +161,9 @@ func runHetero(ctx context.Context, p Params, env Env) error {
 		specs []sim.ClusterSpec
 	}{
 		{"all-fast (3x web-search @2GHz)", []sim.ClusterSpec{
-			{Profile: workload.WebSearch(), FreqHz: 2e9},
-			{Profile: workload.WebSearch(), FreqHz: 2e9},
-			{Profile: workload.WebSearch(), FreqHz: 2e9},
+			{Profile: workload.WebSearch(), FreqHz: qos.BaselineFreqHz},
+			{Profile: workload.WebSearch(), FreqHz: qos.BaselineFreqHz},
+			{Profile: workload.WebSearch(), FreqHz: qos.BaselineFreqHz},
 		}},
 		{"consolidated (web-search @1GHz + 2x VM @300MHz)", []sim.ClusterSpec{
 			{Profile: workload.WebSearch(), FreqHz: 1e9},
@@ -218,7 +219,7 @@ func runWarm(ctx context.Context, p Params, env Env) error {
 		// A one-point sweep triggers warmup + checkpoint save; a memo hit
 		// would skip both.
 		e.Memo = nil
-		if _, err := e.Sweep(ctx, prof, []float64{2e9}); err != nil {
+		if _, err := e.Sweep(ctx, prof, []float64{qos.BaselineFreqHz}); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "  %s: done\n", prof.Name)

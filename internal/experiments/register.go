@@ -40,7 +40,7 @@ func init() {
 		{Name: "prefetch", Title: "Extension ablation: L1D stream prefetcher on/off", Run: runPrefetch},
 		{Name: "ports", Title: "Extension ablation: unified issue vs A57-like ports", Run: runPorts},
 		{Name: "hetero", Title: "Sec. V-C: heterogeneous per-cluster operation", Run: runHetero},
-		{Name: "memory", Title: "Memory subsystem: traffic patterns, DDR4/LPDDR4, FCFS/FR-FCFS", Run: runMemory},
+		{Name: "memory", Title: "Memory subsystem: traffic patterns on DDR4/LPDDR4", Run: runMemory},
 		{Name: "warm", Title: "Pre-build warmed-cluster checkpoints", Run: runWarm},
 		{Name: "all", Title: "Every report experiment in the historical order", Run: runAll},
 	} {

@@ -13,13 +13,6 @@ import (
 	"ntcsim/internal/workload"
 )
 
-// serveShape is the fleet geometry a serve scenario runs on.
-type serveShape struct {
-	Clusters        int
-	CoresPerCluster int
-	Warmup          time.Duration
-}
-
 // serveScenario pairs a policy with a balancer constructor (balancers may
 // be stateful, so each Sim gets a fresh instance).
 type serveScenario struct {
@@ -80,25 +73,26 @@ func runGovernor(ctx context.Context, p Params, env Env) error {
 // quantiles, drops, energy.
 func runDiurnalDay(ctx context.Context, p Params, env Env, v serveView) error {
 	fmt.Fprintln(env.out(), v.title)
-	shape, cfg, trace, err := diurnalDay(ctx, p, env)
+	cfg, trace, err := diurnalDay(ctx, p, env)
 	if err != nil {
 		return err
 	}
-	return serveReport(ctx, env, v, shape, cfg, trace, p.Seed)
+	return serveReport(ctx, env, v, cfg, trace, p.Seed)
 }
 
 // diurnalDay builds the serving setup both views share from a swept
-// web-search performance curve: the governor configuration, the fleet
-// geometry of the explorer's platform, and the diurnal day — 96 epochs
+// web-search performance curve: the governor configuration (whose
+// platform is the explorer's, so the DES serves its fleet), and the
+// diurnal day — 96 epochs
 // whose peak is 70% of the QoS capacity at fmax, compressed to one-second
 // epochs so the DES serves it request by request in reasonable time
 // (rates and epoch count are untouched).
-func diurnalDay(ctx context.Context, p Params, env Env) (serveShape, *governor.Config, governor.LoadTrace, error) {
+func diurnalDay(ctx context.Context, p Params, env Env) (*governor.Config, governor.LoadTrace, error) {
 	e := p.NewExplorer(env)
 	app := workload.WebSearch()
 	sweep, err := e.Sweep(ctx, app, []float64{0.2e9, 0.3e9, 0.5e9, 0.7e9, 1.0e9, 1.5e9, 2.0e9})
 	if err != nil {
-		return serveShape{}, nil, governor.LoadTrace{}, err
+		return nil, governor.LoadTrace{}, err
 	}
 	var pts []governor.PerfPoint
 	for _, pt := range sweep.Points {
@@ -106,7 +100,7 @@ func diurnalDay(ctx context.Context, p Params, env Env) (serveShape, *governor.C
 	}
 	curve, err := governor.NewPerfCurve(pts)
 	if err != nil {
-		return serveShape{}, nil, governor.LoadTrace{}, err
+		return nil, governor.LoadTrace{}, err
 	}
 	maxUIPS := curve.UIPSAt(curve.MaxFreq())
 	cfg := &governor.Config{
@@ -114,22 +108,14 @@ func diurnalDay(ctx context.Context, p Params, env Env) (serveShape, *governor.C
 		Curve:          curve,
 		Tail:           qos.NewTailModel(e.Platform.TotalCores(), app.Baseline99p, maxUIPS),
 		QoSLimit:       app.QoSLimit,
-		UncoreW:        e.Platform.UncorePowerW(100e6, 40e6, 150e6),
+		Uncore:         standingUncore(e.Platform),
 		MemBackgroundW: e.Platform.MemoryPowerW(0, 0),
 		MemDynPerReq:   2e-3,
 		Margin:         0.85,
 	}
-	// Attribute the scalar UncoreW across ledger scopes (same rates).
-	llcW, xbarW, ioW := e.Platform.UncorePowerParts(100e6, 40e6, 150e6)
-	cfg.Uncore = governor.UncoreBreakdown{LLCW: llcW, XbarW: xbarW, IOW: ioW}
 	peak := cfg.Tail.MaxLoad(cfg.QoSLimit, maxUIPS) * 0.7
 	trace := governor.DiurnalTrace(96, peak, 0.15, 0.04, 1.3, rng.New(p.Seed)).WithStep(time.Second)
-	shape := serveShape{
-		Clusters:        e.Platform.Clusters,
-		CoresPerCluster: e.Platform.Cluster.CoresPerCluster,
-		Warmup:          5 * time.Second,
-	}
-	return shape, cfg, trace, nil
+	return cfg, trace, nil
 }
 
 // serveRuns memoizes serve-grid results by grid index across the views
@@ -144,7 +130,7 @@ type serveRuns map[int]serve.Result
 // grid index, keeping the output byte-identical for any worker count (see
 // TestServeReportAcrossJobs). A scenario already in env.served is printed
 // from there, not rerun, so each recording hook sees it once.
-func serveReport(ctx context.Context, env Env, v serveView, shape serveShape, cfg *governor.Config,
+func serveReport(ctx context.Context, env Env, v serveView, cfg *governor.Config,
 	trace governor.LoadTrace, seed uint64) error {
 	grid := serveScenarios(cfg)
 	done := env.served
@@ -164,15 +150,13 @@ func serveReport(ctx context.Context, env Env, v serveView, shape serveShape, cf
 			sc := grid[i]
 			bal := sc.balancer()
 			sim, err := serve.New(serve.Config{
-				Gov:             cfg,
-				Policy:          sc.policy,
-				Balancer:        bal,
-				Clusters:        shape.Clusters,
-				CoresPerCluster: shape.CoresPerCluster,
-				Trace:           trace,
-				Warmup:          shape.Warmup,
-				Metrics:         env.Obs,
-				Tracer:          env.Tracer,
+				Gov:      cfg,
+				Policy:   sc.policy,
+				Balancer: bal,
+				Trace:    trace,
+				Warmup:   5 * time.Second, // excludes the empty-fleet transient from the tail
+				Metrics:  env.Obs,
+				Tracer:   env.Tracer,
 				// Each scenario records into its own series; the sampler
 				// sorts by name on export, so concurrent scenario order
 				// never reaches the output.

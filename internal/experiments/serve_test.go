@@ -21,7 +21,7 @@ import (
 
 // serveTestSetup builds a synthetic serving comparison (no sweep, no
 // simulation warmup) so the report itself can be exercised quickly.
-func serveTestSetup(t *testing.T) (serveShape, *governor.Config, governor.LoadTrace) {
+func serveTestSetup(t *testing.T) (*governor.Config, governor.LoadTrace) {
 	t.Helper()
 	spec := platform.Default()
 	curve, err := governor.NewPerfCurve([]governor.PerfPoint{
@@ -36,18 +36,13 @@ func serveTestSetup(t *testing.T) (serveShape, *governor.Config, governor.LoadTr
 		Curve:          curve,
 		Tail:           qos.NewTailModel(spec.TotalCores(), 50*time.Millisecond, 25e9),
 		QoSLimit:       200 * time.Millisecond,
-		UncoreW:        23,
+		Uncore:         governor.UncoreBreakdown{IOW: 23},
 		MemBackgroundW: 15,
 		MemDynPerReq:   1e-3,
 		Margin:         0.85,
 	}
 	trace := governor.DiurnalTrace(24, 600, 0.2, 0.05, 1.4, rng.New(7)).WithStep(time.Second)
-	shape := serveShape{
-		Clusters:        spec.Clusters,
-		CoresPerCluster: spec.Cluster.CoresPerCluster,
-		Warmup:          2 * time.Second,
-	}
-	return shape, cfg, trace
+	return cfg, trace
 }
 
 // serveDiffHint locates the first differing line so a failure is
@@ -70,12 +65,12 @@ func serveDiffHint(want, got string) string {
 // serve driver: both views — two fan-outs of four concurrent simulations
 // across the pool — must print byte-identical reports at any jobs value.
 func TestServeReportAcrossJobs(t *testing.T) {
-	shape, cfg, trace := serveTestSetup(t)
+	cfg, trace := serveTestSetup(t)
 	run := func(jobs int) string {
 		var buf bytes.Buffer
 		env := Env{Out: obs.NewSyncWriter(&buf), Seams: core.Seams{Jobs: jobs}}
 		for _, v := range []serveView{balancerView, policyView} {
-			if err := serveReport(context.Background(), env, v, shape, cfg, trace, 0x5eed); err != nil {
+			if err := serveReport(context.Background(), env, v, cfg, trace, 0x5eed); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -96,10 +91,10 @@ func TestServeReportAcrossJobs(t *testing.T) {
 // the max-frequency energy on the same balancer; and the max-frequency /
 // join-shortest-queue row both views share is byte-identical in each.
 func TestServeReportShape(t *testing.T) {
-	shape, cfg, trace := serveTestSetup(t)
+	cfg, trace := serveTestSetup(t)
 	rows := func(v serveView) []string {
 		var buf bytes.Buffer
-		if err := serveReport(context.Background(), Env{Out: obs.NewSyncWriter(&buf)}, v, shape, cfg, trace, 1); err != nil {
+		if err := serveReport(context.Background(), Env{Out: obs.NewSyncWriter(&buf)}, v, cfg, trace, 1); err != nil {
 			t.Fatal(err)
 		}
 		return strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")[1:] // drop the header
@@ -156,14 +151,14 @@ func TestServeReportShape(t *testing.T) {
 // view records into its own sampler, so the scenario both views share is
 // recorded once per sampler.
 func TestTelemetryDeterministicAcrossJobs(t *testing.T) {
-	shape, cfg, trace := serveTestSetup(t)
+	cfg, trace := serveTestSetup(t)
 	run := func(v serveView, jobs int) (csv string, counters string) {
 		sampler := timeseries.NewSampler()
 		var traceBuf bytes.Buffer
 		tracer := obs.NewTracer(&traceBuf)
 		var buf bytes.Buffer
 		env := Env{Out: obs.NewSyncWriter(&buf), Seams: core.Seams{Jobs: jobs, Tracer: tracer, Telemetry: sampler}}
-		if err := serveReport(context.Background(), env, v, shape, cfg, trace, 0x5eed); err != nil {
+		if err := serveReport(context.Background(), env, v, cfg, trace, 0x5eed); err != nil {
 			t.Fatal(err)
 		}
 		if err := sampler.Audit(0); err != nil {
@@ -257,7 +252,7 @@ func TestSharedScenarioRecordedOnce(t *testing.T) {
 			t.Fatalf("%s: %d samples, want %d epochs x %d clusters", ser.Name(), len(seen), epochs, spec.Clusters)
 		}
 	}
-	_, cfg, _ := serveTestSetup(t)
+	cfg, _ := serveTestSetup(t)
 	if serveSeries != len(serveScenarios(cfg)) {
 		t.Fatalf("%d serve series, want one per grid scenario", serveSeries)
 	}

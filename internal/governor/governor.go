@@ -200,9 +200,8 @@ func SpikeTrace(steps int, step time.Duration, baseLambda, spikeMag float64, spi
 	return tr
 }
 
-// UncoreBreakdown splits the standing uncore power into its attribution
-// scopes for telemetry. A zero value means "unattributed": SharedPowerParts
-// then books the scalar UncoreW under IO as a catch-all.
+// UncoreBreakdown is the standing uncore power, split into the scopes
+// the energy ledger attributes it to.
 type UncoreBreakdown struct {
 	LLCW  float64
 	XbarW float64
@@ -218,17 +217,13 @@ type Config struct {
 	Curve    PerfCurve
 	Tail     qos.TailModel
 	QoSLimit time.Duration
-	// UncoreW and MemBackgroundW are the standing non-core powers.
-	UncoreW        float64
+	// Uncore and MemBackgroundW are the standing non-core powers.
+	Uncore         UncoreBreakdown
 	MemBackgroundW float64
 	// MemDynPerReq is the memory dynamic energy per request (J).
 	MemDynPerReq float64
 	// Margin derates capacity during planning (e.g. 0.85 plans for 85%).
 	Margin float64
-	// Uncore optionally attributes UncoreW to LLC/crossbar/IO scopes for
-	// telemetry. Power accounting always uses the scalar UncoreW; the
-	// breakdown only labels where those watts go in the energy ledger.
-	Uncore UncoreBreakdown
 }
 
 // Decision is a policy's choice for one step.
@@ -251,14 +246,12 @@ func (cfg *Config) MinFeasibleFreq(lambda float64) float64 {
 	return cfg.Curve.MaxFreq()
 }
 
-// Body-bias boost accounting constants (paper Sec. II-A item 1: FBB gives
-// a sub-microsecond local boost while a supply-rail DVFS transition would
-// take far longer). A boosted step charges the extra FBB leakage for a
-// fixed fraction of the step as a planning figure.
-const (
-	boostVbb  = 1.3 // forward body bias applied during the boost, V
-	boostDuty = 0.1 // fraction of the step spent boosted
-)
+// boostDuty is the fraction of a boosted step spent at the technology's
+// boost bias (paper Sec. II-A item 1: FBB gives a sub-microsecond local
+// boost while a supply-rail DVFS transition would take far longer). A
+// boosted step charges the extra FBB leakage for that fraction as a
+// planning figure.
+const boostDuty = 0.1
 
 // CorePower returns the power of a block of n cores governed by decision d
 // with the given busy fraction in [0, 1]: busy cores run at the operating
@@ -276,7 +269,7 @@ func (cfg *Config) CorePower(d Decision, n int, busy float64) (float64, error) {
 	idle := cfg.Platform.Core.IdlePower(op, d.Sleep)
 	w := nf * (busy*active + (1-busy)*idle)
 	if d.Boost {
-		boostLeak := nf * cfg.Platform.Core.LeakagePower(op.Vdd, boostVbb)
+		boostLeak := nf * cfg.Platform.Core.LeakagePower(op.Vdd, cfg.Platform.Tech.BoostBias())
 		w += boostDuty * (boostLeak - nf*idle)
 	}
 	return w, nil
@@ -286,7 +279,7 @@ func (cfg *Config) CorePower(d Decision, n int, busy float64) (float64, error) {
 // proportional memory dynamic power: the non-core terms every policy pays
 // regardless of the operating point.
 func (cfg *Config) SharedPower(lambda float64) float64 {
-	return cfg.UncoreW + cfg.MemBackgroundW + lambda*cfg.MemDynPerReq
+	return cfg.Uncore.TotalW() + cfg.MemBackgroundW + lambda*cfg.MemDynPerReq
 }
 
 // CoreParts is CorePower's answer decomposed for the energy ledger:
@@ -318,7 +311,7 @@ func (cfg *Config) CorePowerParts(d Decision, n int, busy float64) (CoreParts, e
 		Vdd:   op.Vdd,
 	}
 	if d.Boost {
-		boostLeak := nf * cfg.Platform.Core.LeakagePower(op.Vdd, boostVbb)
+		boostLeak := nf * cfg.Platform.Core.LeakagePower(op.Vdd, cfg.Platform.Tech.BoostBias())
 		p.LeakW += boostDuty * (boostLeak - nf*idle)
 	}
 	return p, nil
@@ -332,20 +325,15 @@ type SharedParts struct {
 	DRAMW float64
 }
 
-// SharedPowerParts attributes SharedPower(lambda) to ledger scopes:
-// the uncore breakdown (or, when none was configured, the whole scalar
-// UncoreW under IO as the documented catch-all), and memory background
-// plus per-request dynamic energy under DRAM. The parts sum re-associates
-// SharedPower's and stays within float ulps of it.
+// SharedPowerParts attributes SharedPower(lambda) to ledger scopes: the
+// uncore breakdown, and memory background plus per-request dynamic energy
+// under DRAM. The parts sum re-associates SharedPower's and stays within
+// float ulps of it.
 func (cfg *Config) SharedPowerParts(lambda float64) SharedParts {
-	u := cfg.Uncore
-	if u.TotalW() == 0 {
-		u = UncoreBreakdown{IOW: cfg.UncoreW}
-	}
 	return SharedParts{
-		LLCW:  u.LLCW,
-		XbarW: u.XbarW,
-		IOW:   u.IOW,
+		LLCW:  cfg.Uncore.LLCW,
+		XbarW: cfg.Uncore.XbarW,
+		IOW:   cfg.Uncore.IOW,
 		DRAMW: cfg.MemBackgroundW + lambda*cfg.MemDynPerReq,
 	}
 }

@@ -26,7 +26,7 @@ func testConfig(t *testing.T) *Config {
 		Curve:          curve,
 		Tail:           qos.NewTailModel(36, 50*time.Millisecond, 25e9),
 		QoSLimit:       200 * time.Millisecond,
-		UncoreW:        23,
+		Uncore:         UncoreBreakdown{LLCW: 10, XbarW: 5, IOW: 8},
 		MemBackgroundW: 15,
 		MemDynPerReq:   1e-3,
 		Margin:         0.85,

@@ -38,29 +38,17 @@ func TestCorePowerPartsMatchesCorePower(t *testing.T) {
 	}
 }
 
-// TestSharedPowerPartsMatchesSharedPower checks both the attributed and
-// the fallback path (no breakdown configured → all uncore watts under IO).
+// TestSharedPowerPartsMatchesSharedPower checks that the ledger scopes
+// carry the configured uncore breakdown and sum to SharedPower.
 func TestSharedPowerPartsMatchesSharedPower(t *testing.T) {
 	cfg := testConfig(t)
 	for _, lambda := range []float64{0, 500, 2200} {
-		want := cfg.SharedPower(lambda)
 		p := cfg.SharedPowerParts(lambda)
-		got := p.LLCW + p.XbarW + p.IOW + p.DRAMW
-		if math.Abs(got-want) > 1e-9 {
-			t.Fatalf("fallback: parts sum %g, SharedPower %g", got, want)
+		if p.LLCW != cfg.Uncore.LLCW || p.XbarW != cfg.Uncore.XbarW || p.IOW != cfg.Uncore.IOW {
+			t.Fatalf("breakdown not honored: %+v, uncore %+v", p, cfg.Uncore)
 		}
-		if p.IOW != cfg.UncoreW || p.LLCW != 0 || p.XbarW != 0 {
-			t.Fatalf("fallback should put the whole UncoreW under IO: %+v", p)
+		if got, want := p.LLCW+p.XbarW+p.IOW+p.DRAMW, cfg.SharedPower(lambda); math.Abs(got-want) > 1e-9 {
+			t.Fatalf("lambda=%g: parts sum %g, SharedPower %g", lambda, got, want)
 		}
-	}
-	// With a breakdown, the scopes split but the sum must not move.
-	cfg.Uncore = UncoreBreakdown{LLCW: 10, XbarW: 5, IOW: 8}
-	cfg.UncoreW = cfg.Uncore.TotalW()
-	p := cfg.SharedPowerParts(1000)
-	if p.LLCW != 10 || p.XbarW != 5 || p.IOW != 8 {
-		t.Fatalf("breakdown not honored: %+v", p)
-	}
-	if got, want := p.LLCW+p.XbarW+p.IOW+p.DRAMW, cfg.SharedPower(1000); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("breakdown: parts sum %g, SharedPower %g", got, want)
 	}
 }

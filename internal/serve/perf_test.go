@@ -126,14 +126,12 @@ func TestNeedsLoadsProbe(t *testing.T) {
 // follows stays strictly inside the epoch: every event is an arrival or
 // a departure, the exact path the 0 allocs/op budget covers.
 func warmSteadyState(t *testing.T, bal Balancer) *Sim {
-	spec := testGov(t, 8)
+	spec := testGov(t, 2, 4)
 	cfg := Config{
-		Gov:             spec,
-		Policy:          Static{FreqHz: 2.0e9},
-		Balancer:        bal,
-		Clusters:        2,
-		CoresPerCluster: 4,
-		Trace:           constTrace(300, 2, time.Hour),
+		Gov:      spec,
+		Policy:   Static{FreqHz: 2.0e9},
+		Balancer: bal,
+		Trace:    constTrace(300, 2, time.Hour),
 	}
 	s, err := New(cfg, rng.New(2026))
 	if err != nil {

@@ -29,7 +29,7 @@ func TestSteadyStateMatchesAnalyticModel(t *testing.T) {
 	const tolerance = 0.15
 	for _, cores := range []int{4, 16, 36} {
 		for _, rho := range []float64{0.3, 0.5, 0.7, 0.85} {
-			gov := testGov(t, cores)
+			gov := testGov(t, 1, cores)
 			fmax := gov.Curve.MaxFreq()
 			uips := gov.Curve.UIPSAt(fmax)
 			meanSvc := gov.Tail.MeanService(uips).Seconds()
@@ -41,13 +41,11 @@ func TestSteadyStateMatchesAnalyticModel(t *testing.T) {
 			steps := int(horizon/time.Second) + 1
 
 			sim, err := New(Config{
-				Gov:             gov,
-				Policy:          Static{FreqHz: fmax},
-				Balancer:        NewJSQ(),
-				Clusters:        1,
-				CoresPerCluster: cores,
-				Trace:           constTrace(lambda, steps, time.Second),
-				Warmup:          warmup,
+				Gov:      gov,
+				Policy:   Static{FreqHz: fmax},
+				Balancer: NewJSQ(),
+				Trace:    constTrace(lambda, steps, time.Second),
+				Warmup:   warmup,
 			}, rng.New(0xde5+uint64(cores)*100+uint64(rho*100)))
 			if err != nil {
 				t.Fatal(err)
@@ -81,7 +79,7 @@ func TestDESTailMonotoneInLoad(t *testing.T) {
 		t.Skip("statistical steady-state run; skipped in -short")
 	}
 	ctx := context.Background()
-	gov := testGov(t, 8)
+	gov := testGov(t, 2, 4)
 	fmax := gov.Curve.MaxFreq()
 	uips := gov.Curve.UIPSAt(fmax)
 	meanSvc := gov.Tail.MeanService(uips).Seconds()
@@ -89,13 +87,11 @@ func TestDESTailMonotoneInLoad(t *testing.T) {
 	for _, rho := range []float64{0.3, 0.6, 0.9} {
 		lambda := 8 * rho / meanSvc
 		sim, err := New(Config{
-			Gov:             gov,
-			Policy:          Static{FreqHz: fmax},
-			Balancer:        NewJSQ(),
-			Clusters:        2,
-			CoresPerCluster: 4,
-			Trace:           constTrace(lambda, 60, time.Second),
-			Warmup:          5 * time.Second,
+			Gov:      gov,
+			Policy:   Static{FreqHz: fmax},
+			Balancer: NewJSQ(),
+			Trace:    constTrace(lambda, 60, time.Second),
+			Warmup:   5 * time.Second,
 		}, rng.New(31))
 		if err != nil {
 			t.Fatal(err)

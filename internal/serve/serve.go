@@ -44,17 +44,16 @@ import (
 // Config describes one serving scenario.
 type Config struct {
 	// Gov supplies the platform, performance curve, tail model and QoS
-	// limit. Gov.Tail.Cores must equal Clusters*CoresPerCluster so the
-	// fleet's capacity matches the analytic model it is validated against.
+	// limit. The fleet is Gov.Platform's Clusters clusters of
+	// Gov.Platform.Cluster.CoresPerCluster cores each, and Gov.Tail.Cores
+	// must equal Gov.Platform.TotalCores() so the fleet's capacity matches
+	// the analytic model it is validated against.
 	Gov *governor.Config
 	// Policy decides the operating point at each epoch boundary.
 	Policy Policy
 	// Balancer routes each arrival to a cluster. Instances may be
 	// stateful and must not be shared between Sims.
 	Balancer Balancer
-	// Clusters and CoresPerCluster shape the fleet.
-	Clusters        int
-	CoresPerCluster int
 	// Trace is the offered-load schedule; one step is one governor epoch.
 	Trace governor.LoadTrace
 	// Warmup excludes requests that ARRIVE before it from the latency
@@ -224,6 +223,7 @@ type Sim struct {
 	stepDur time.Duration
 
 	clusters []*cluster
+	perCl    int // cores per cluster
 	deps     depHeap
 	gen      *ArrivalGen
 	work     *rng.Stream
@@ -276,12 +276,16 @@ func New(cfg Config, seed *rng.Stream) (*Sim, error) {
 	if seed == nil {
 		return nil, fmt.Errorf("serve: nil seed stream")
 	}
-	if cfg.Clusters <= 0 || cfg.CoresPerCluster <= 0 {
-		return nil, fmt.Errorf("serve: fleet shape %dx%d must be positive", cfg.Clusters, cfg.CoresPerCluster)
+	fleet := cfg.Gov.Platform
+	if fleet == nil {
+		return nil, fmt.Errorf("serve: nil platform")
 	}
-	if got := cfg.Clusters * cfg.CoresPerCluster; cfg.Gov.Tail.Cores != got {
+	if fleet.Clusters <= 0 || fleet.Cluster.CoresPerCluster <= 0 {
+		return nil, fmt.Errorf("serve: fleet shape %dx%d must be positive", fleet.Clusters, fleet.Cluster.CoresPerCluster)
+	}
+	if got := fleet.TotalCores(); cfg.Gov.Tail.Cores != got {
 		return nil, fmt.Errorf("serve: tail model has %d cores, fleet has %d (%dx%d): capacities would diverge",
-			cfg.Gov.Tail.Cores, got, cfg.Clusters, cfg.CoresPerCluster)
+			cfg.Gov.Tail.Cores, got, fleet.Clusters, fleet.Cluster.CoresPerCluster)
 	}
 	if cfg.Gov.Margin <= 0 || cfg.Gov.Margin > 1 {
 		return nil, fmt.Errorf("serve: margin must be in (0,1]")
@@ -319,7 +323,8 @@ func New(cfg Config, seed *rng.Stream) (*Sim, error) {
 		work:    seed.Derive("serve-work"),
 		lbRand:  seed.Derive("serve-balance"),
 		sketch:  NewSketch(),
-		loads:   make([]ClusterLoad, cfg.Clusters),
+		perCl:   fleet.Cluster.CoresPerCluster,
+		loads:   make([]ClusterLoad, fleet.Clusters),
 		tel:     cfg.Telemetry,
 		attrib:  cfg.Telemetry != nil || cfg.Metrics != nil,
 	}
@@ -334,8 +339,8 @@ func New(cfg Config, seed *rng.Stream) (*Sim, error) {
 		}
 		s.lambda[i] = lam
 	}
-	s.clusters = make([]*cluster, cfg.Clusters)
-	s.lanes = make([]int, cfg.Clusters)
+	s.clusters = make([]*cluster, fleet.Clusters)
+	s.lanes = make([]int, fleet.Clusters)
 	for i := range s.clusters {
 		s.clusters[i] = &cluster{}
 		s.lanes[i] = cfg.Tracer.AcquireLane()
@@ -430,7 +435,7 @@ func (s *Sim) processArrival() {
 	req := request{arrive: s.now, work: s.work.Exponential(1)}
 	c := s.clusters[idx]
 	switch {
-	case c.busy < s.cfg.CoresPerCluster:
+	case c.busy < s.perCl:
 		s.startService(idx, req)
 	case s.cfg.QueueCap > 0 && c.qlen() >= s.cfg.QueueCap:
 		s.dropped++
@@ -473,7 +478,7 @@ func (s *Sim) processDeparture() {
 // per-cluster trace spans, and resets the epoch accumulators.
 func (s *Sim) finishEpoch() error {
 	stepSec := s.stepDur.Seconds()
-	kc := s.cfg.CoresPerCluster
+	kc := s.perCl
 	denom := float64(kc) * float64(s.stepDur)
 	start := s.stepDur * time.Duration(s.epoch)
 	rate := float64(s.servedEpoch) / stepSec

@@ -12,12 +12,14 @@ import (
 	"ntcsim/internal/rng"
 )
 
-// testGov builds a governor config for a fleet with the given total core
-// count, mirroring the governor package's own test fixture: web-search-like
+// testGov builds a governor config for a fleet of clusters x perCluster
+// cores, mirroring the governor package's own test fixture: web-search-like
 // baseline (50ms p99 at 25 GUIPS), 200ms QoS limit.
-func testGov(t *testing.T, cores int) *governor.Config {
+func testGov(t *testing.T, clusters, perCluster int) *governor.Config {
 	t.Helper()
 	spec := platform.Default()
+	spec.Clusters = clusters
+	spec.Cluster.CoresPerCluster = perCluster
 	curve, err := governor.NewPerfCurve([]governor.PerfPoint{
 		{FreqHz: 0.2e9, UIPS: 4e9}, {FreqHz: 0.5e9, UIPS: 9e9}, {FreqHz: 1.0e9, UIPS: 16e9},
 		{FreqHz: 1.5e9, UIPS: 21e9}, {FreqHz: 2.0e9, UIPS: 25e9},
@@ -28,9 +30,9 @@ func testGov(t *testing.T, cores int) *governor.Config {
 	return &governor.Config{
 		Platform:       spec,
 		Curve:          curve,
-		Tail:           qos.NewTailModel(cores, 50*time.Millisecond, 25e9),
+		Tail:           qos.NewTailModel(clusters*perCluster, 50*time.Millisecond, 25e9),
 		QoSLimit:       200 * time.Millisecond,
-		UncoreW:        23,
+		Uncore:         governor.UncoreBreakdown{IOW: 23},
 		MemBackgroundW: 15,
 		MemDynPerReq:   1e-3,
 		Margin:         0.85,
@@ -49,13 +51,11 @@ func constTrace(lambda float64, steps int, step time.Duration) governor.LoadTrac
 func testConfig(t *testing.T) Config {
 	t.Helper()
 	return Config{
-		Gov:             testGov(t, 8),
-		Policy:          Tracking{},
-		Balancer:        NewJSQ(),
-		Clusters:        2,
-		CoresPerCluster: 4,
-		Trace:           constTrace(300, 10, time.Second),
-		Warmup:          2 * time.Second,
+		Gov:      testGov(t, 2, 4),
+		Policy:   Tracking{},
+		Balancer: NewJSQ(),
+		Trace:    constTrace(300, 10, time.Second),
+		Warmup:   2 * time.Second,
 	}
 }
 
@@ -68,11 +68,12 @@ func TestNewValidation(t *testing.T) {
 		{"nil gov", func(c *Config) { c.Gov = nil }},
 		{"nil policy", func(c *Config) { c.Policy = nil }},
 		{"nil balancer", func(c *Config) { c.Balancer = nil }},
-		{"zero clusters", func(c *Config) { c.Clusters = 0 }},
-		{"negative cores", func(c *Config) { c.CoresPerCluster = -1 }},
-		{"core mismatch", func(c *Config) { c.CoresPerCluster = 3 }},
+		{"nil platform", func(c *Config) { c.Gov = testGov(t, 2, 4); c.Gov.Platform = nil }},
+		{"zero clusters", func(c *Config) { c.Gov = testGov(t, 2, 4); c.Gov.Platform.Clusters = 0 }},
+		{"negative cores", func(c *Config) { c.Gov = testGov(t, 2, 4); c.Gov.Platform.Cluster.CoresPerCluster = -1 }},
+		{"core mismatch", func(c *Config) { c.Gov = testGov(t, 2, 4); c.Gov.Platform.Cluster.CoresPerCluster = 3 }},
 		{"empty trace", func(c *Config) { c.Trace = governor.LoadTrace{} }},
-		{"bad margin", func(c *Config) { c.Gov = testGov(t, 8); c.Gov.Margin = 0 }},
+		{"bad margin", func(c *Config) { c.Gov = testGov(t, 2, 4); c.Gov.Margin = 0 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -157,8 +158,8 @@ func TestQueueCapDrops(t *testing.T) {
 	if res.Served+res.Dropped != res.Arrivals {
 		t.Fatalf("conservation with drops: %d != %d + %d", res.Arrivals, res.Served, res.Dropped)
 	}
-	if res.MaxQueue > cfg.QueueCap*cfg.Clusters {
-		t.Fatalf("backlog %d exceeded cap %d x %d clusters", res.MaxQueue, cfg.QueueCap, cfg.Clusters)
+	if clusters := cfg.Gov.Platform.Clusters; res.MaxQueue > cfg.QueueCap*clusters {
+		t.Fatalf("backlog %d exceeded cap %d x %d clusters", res.MaxQueue, cfg.QueueCap, clusters)
 	}
 }
 
@@ -241,7 +242,7 @@ func TestCancellation(t *testing.T) {
 // always-on max frequency; nobody drops a request; and max frequency
 // keeps its p99 within the QoS limit.
 func TestDiurnalDayPolicyClaims(t *testing.T) {
-	gov := testGov(t, 8)
+	gov := testGov(t, 2, 4)
 	fmax := gov.Curve.MaxFreq()
 	peak := 0.7 * gov.Tail.MaxLoad(gov.QoSLimit, gov.Curve.UIPSAt(fmax))
 	trace := governor.DiurnalTrace(24, peak, 0.15, 0.04, 1.3, rng.New(11)).WithStep(time.Second)

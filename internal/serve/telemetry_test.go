@@ -20,20 +20,18 @@ func TestTelemetryConservation(t *testing.T) {
 	shapes := []struct{ clusters, cores int }{{1, 4}, {2, 4}, {9, 4}}
 	for _, sh := range shapes {
 		for _, rho := range []float64{0.3, 0.5, 0.7, 0.85} {
-			gov := testGov(t, sh.clusters*sh.cores)
+			gov := testGov(t, sh.clusters, sh.cores)
 			// Load the fleet to roughly rho of its QoS-limited capacity.
 			maxUIPS := gov.Curve.UIPSAt(gov.Curve.MaxFreq())
 			lambda := rho * gov.Tail.MaxLoad(gov.QoSLimit, maxUIPS)
 			sampler := timeseries.NewSampler()
 			cfg := Config{
-				Gov:             gov,
-				Policy:          Tracking{},
-				Balancer:        NewJSQ(),
-				Clusters:        sh.clusters,
-				CoresPerCluster: sh.cores,
-				Trace:           constTrace(lambda, 20, time.Second),
-				Warmup:          2 * time.Second,
-				Telemetry:       sampler.Series("des"),
+				Gov:       gov,
+				Policy:    Tracking{},
+				Balancer:  NewJSQ(),
+				Trace:     constTrace(lambda, 20, time.Second),
+				Warmup:    2 * time.Second,
+				Telemetry: sampler.Series("des"),
 			}
 			sim, err := New(cfg, rng.New(uint64(sh.clusters)*1000+uint64(rho*100)))
 			if err != nil {

@@ -247,7 +247,8 @@ func (s *Server) worker() {
 
 // run executes one job through the experiments API, capturing the
 // report, metrics and telemetry artifacts and feeding sweep progress
-// into the job's event stream.
+// into the job's event stream. Only a job that finishes and passes the
+// telemetry conservation audit is cached.
 func (s *Server) run(j *job) {
 	defer s.active.Done()
 	jctx, cancel := context.WithCancelCause(s.ctx)
@@ -282,6 +283,14 @@ func (s *Server) run(j *job) {
 			j.finish(StateFailed, err.Error(), nil)
 			s.reg.Counter("service/jobs_failed").Add(1)
 		}
+		return
+	}
+	// The energy-conservation audit ntcsim -telemetry applies: a job
+	// whose ledger drifts from its reported totals fails and is not
+	// cached.
+	if err := sampler.Audit(0); err != nil {
+		j.finish(StateFailed, err.Error(), nil)
+		s.reg.Counter("service/jobs_failed").Add(1)
 		return
 	}
 

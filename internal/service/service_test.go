@@ -17,12 +17,14 @@ import (
 
 	"ntcsim/internal/experiments"
 	"ntcsim/internal/obs"
+	"ntcsim/internal/obs/timeseries"
 )
 
 // The test experiments: one that counts its executions (cache-hit
-// proof), and one that reports progress then blocks until canceled
-// (cancellation and SSE liveness proof).
-var blockRuns, countRuns atomic.Int64
+// proof), one that reports progress then blocks until canceled
+// (cancellation and SSE liveness proof), and one whose telemetry ledger
+// disagrees with its reported total (conservation-audit proof).
+var blockRuns, countRuns, leakRuns atomic.Int64
 
 func init() {
 	experiments.Register(experiments.Spec{
@@ -43,6 +45,19 @@ func init() {
 			env.Progress.Done("unit-0", time.Millisecond)
 			<-ctx.Done()
 			return context.Cause(ctx)
+		},
+	})
+	experiments.Register(experiments.Spec{
+		Name:  "svc-test-leak",
+		Title: "test: records a ledger that misses half its reported energy",
+		Run: func(ctx context.Context, p experiments.Params, env experiments.Env) error {
+			leakRuns.Add(1)
+			ser := env.Telemetry.Series("svc-test/leak")
+			ser.Record(timeseries.Sample{Cluster: -1, Dur: time.Second,
+				Energy: timeseries.Ledger{CoreDynNJ: timeseries.NJ(1)}})
+			ser.ReportTotal(2)
+			fmt.Fprintln(env.Out, "svc-test-leak")
+			return nil
 		},
 	})
 }
@@ -196,6 +211,34 @@ func TestJobLifecycle(t *testing.T) {
 	waitState(t, ts, st3.ID, StateDone)
 	if n := countRuns.Load(); n != 3 {
 		t.Fatalf("experiment ran %d times, want 3", n)
+	}
+}
+
+// TestUnconservedTelemetryFails: a job that finishes but whose energy
+// ledger fails the conservation audit settles as failed, with the audit's
+// error, and is not cached — resubmitting it runs it again.
+func TestUnconservedTelemetryFails(t *testing.T) {
+	leakRuns.Store(0)
+	_, ts := newTestServer(t, Config{Workers: 1})
+	const body = `{"experiment": "svc-test-leak", "params": {"seed": 3}}`
+	for run := int64(1); run <= 2; run++ {
+		st, resp := submit(t, ts, body)
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("submit %d: status %d", run, resp.StatusCode)
+		}
+		if st.Cached {
+			t.Fatalf("submit %d: a job that failed its audit was served from the cache", run)
+		}
+		failed := waitState(t, ts, st.ID, StateFailed)
+		if !strings.Contains(failed.Error, "energy not conserved") {
+			t.Fatalf("submit %d: error %q does not name the audit", run, failed.Error)
+		}
+		if n := leakRuns.Load(); n != run {
+			t.Fatalf("experiment ran %d times after %d submissions", n, run)
+		}
+		if _, code := getBody(t, ts.URL+"/v1/jobs/"+st.ID+"/result"); code == http.StatusOK {
+			t.Fatalf("submit %d: failed job served a result", run)
+		}
 	}
 }
 

@@ -63,8 +63,6 @@ type Cluster struct {
 	// Derived access-path constants, recomputed by NewMixedCluster.
 	//ntclint:allow snapshotcheck derived: recomputed from cfg and freqHz
 	llcLatNs float64
-	//ntclint:allow snapshotcheck derived: recomputed from cfg line size
-	lineBits uint
 	// Bank selection as mask/shift (LLC.Banks is a validated power of
 	// two), so the per-access bankOf/unbank path has no integer divides.
 	//ntclint:allow snapshotcheck derived: recomputed from cfg bank count
@@ -151,9 +149,6 @@ func newCluster(cfg Config, plans []workload.Plan, freqHz float64, mem *SharedMe
 		mem:      mem,
 		llcLatNs: float64(cfg.LLC.AccessLatency()) / float64(time.Nanosecond),
 	}
-	for l := cfg.Core.LineBytes; l > 1; l >>= 1 {
-		cl.lineBits++
-	}
 	cl.bankMask = uint64(banks - 1)
 	for n := banks; n > 1; n >>= 1 {
 		cl.bankShift++
@@ -162,7 +157,6 @@ func newCluster(cfg Config, plans []workload.Plan, freqHz float64, mem *SharedMe
 	bankCfg := cache.Config{
 		SizeBytes: cfg.LLC.CapacityBytes / banks,
 		Assoc:     cfg.LLC.Associativity,
-		LineBytes: cfg.LLC.LineBytes,
 	}
 	for i := 0; i < banks; i++ {
 		bankCfg.Name = fmt.Sprintf("llc-bank%d", i)
@@ -225,15 +219,15 @@ func (cl *Cluster) Reseed(seed *rng.Stream) {
 // index space is used). Bank count is a power of two, so selection is a
 // mask and the divide a shift — exact integer equivalents.
 func (cl *Cluster) bankOf(addr uint64) (bank int, bankAddr uint64) {
-	line := addr >> cl.lineBits
-	return int(line & cl.bankMask), (line >> cl.bankShift) << cl.lineBits
+	line := addr >> cache.LineBits
+	return int(line & cl.bankMask), (line >> cl.bankShift) << cache.LineBits
 }
 
 // unbank reconstructs the original address from a bank-local one (used for
 // LLC victim writebacks).
 func (cl *Cluster) unbank(bank int, bankAddr uint64) uint64 {
-	line := bankAddr >> cl.lineBits
-	return (line<<cl.bankShift | uint64(bank)) << cl.lineBits
+	line := bankAddr >> cache.LineBits
+	return (line<<cl.bankShift | uint64(bank)) << cache.LineBits
 }
 
 // Access implements cpu.MemSystem: a demand request (write=false) or a

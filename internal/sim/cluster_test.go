@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"ntcsim/internal/cache"
 	"ntcsim/internal/workload"
 )
 
@@ -327,14 +328,14 @@ func TestBankSelectionMaskEquivalence(t *testing.T) {
 			addr = addr*2862933555777941757 + 3037000493
 			a := addr & ((1 << 40) - 1)
 			gotBank, gotLocal := cl.bankOf(a)
-			line := a >> cl.lineBits
+			line := a >> cache.LineBits
 			n := uint64(banks)
-			wantBank, wantLocal := int(line%n), (line/n)<<cl.lineBits
+			wantBank, wantLocal := int(line%n), (line/n)<<cache.LineBits
 			if gotBank != wantBank || gotLocal != wantLocal {
 				t.Fatalf("banks=%d addr=%#x: bankOf = (%d, %#x), want (%d, %#x)",
 					banks, a, gotBank, gotLocal, wantBank, wantLocal)
 			}
-			lineAddr := (a >> cl.lineBits) << cl.lineBits
+			lineAddr := (a >> cache.LineBits) << cache.LineBits
 			if rt := cl.unbank(gotBank, gotLocal); rt != lineAddr {
 				t.Fatalf("banks=%d addr=%#x: unbank round-trip = %#x, want %#x", banks, a, rt, lineAddr)
 			}

@@ -23,13 +23,14 @@ import (
 	"fmt"
 	"math"
 	"time"
+
+	"ntcsim/internal/cache"
 )
 
 // Config describes one SRAM array (an LLC slice or bank group).
 type Config struct {
 	CapacityBytes int // data capacity
 	Associativity int // ways
-	LineBytes     int // cache line size
 	Banks         int // independently accessible banks
 
 	// CellLeakW is the average leakage per bit cell in watts, after leakage
@@ -53,7 +54,6 @@ func DefaultLLCConfig() Config {
 	return Config{
 		CapacityBytes:     4 << 20,
 		Associativity:     16,
-		LineBytes:         64,
 		Banks:             4,
 		CellLeakW:         48e-9, // 48 nW/bit -> ~403mW/MB cell leakage
 		PeripheryLeakFrac: 0.10,
@@ -68,8 +68,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.CapacityBytes <= 0:
 		return fmt.Errorf("sram: capacity must be positive, got %d", c.CapacityBytes)
-	case c.LineBytes <= 0 || c.CapacityBytes%c.LineBytes != 0:
-		return fmt.Errorf("sram: line size %d must divide capacity %d", c.LineBytes, c.CapacityBytes)
+	case c.CapacityBytes%cache.LineBytes != 0:
+		return fmt.Errorf("sram: line size %d must divide capacity %d", cache.LineBytes, c.CapacityBytes)
 	case c.Associativity <= 0:
 		return fmt.Errorf("sram: associativity must be positive, got %d", c.Associativity)
 	case c.Banks <= 0:
@@ -92,14 +92,12 @@ func (c Config) LeakagePower() float64 {
 // ReadEnergy returns the energy of one read access (tag probe of all ways +
 // one line read) in joules.
 func (c Config) ReadEnergy() float64 {
-	lineBits := float64(c.LineBytes) * 8
-	return float64(c.Associativity)*c.TagEnergyPerWayJ + lineBits*c.BitReadEnergyJ
+	return float64(c.Associativity)*c.TagEnergyPerWayJ + cache.LineBytes*8*c.BitReadEnergyJ
 }
 
 // WriteEnergy returns the energy of one write access in joules.
 func (c Config) WriteEnergy() float64 {
-	lineBits := float64(c.LineBytes) * 8
-	return float64(c.Associativity)*c.TagEnergyPerWayJ + lineBits*c.BitWriteEnergyJ
+	return float64(c.Associativity)*c.TagEnergyPerWayJ + cache.LineBytes*8*c.BitWriteEnergyJ
 }
 
 // AccessLatency returns the array access latency. The decoder contributes a

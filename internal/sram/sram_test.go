@@ -100,11 +100,10 @@ func TestDefaultLLCLatencyPlausible(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
-		{CapacityBytes: 0, Associativity: 8, LineBytes: 64, Banks: 1},
-		{CapacityBytes: 1 << 20, Associativity: 0, LineBytes: 64, Banks: 1},
-		{CapacityBytes: 1 << 20, Associativity: 8, LineBytes: 0, Banks: 1},
-		{CapacityBytes: 1 << 20, Associativity: 8, LineBytes: 64, Banks: 0},
-		{CapacityBytes: 1000, Associativity: 8, LineBytes: 64, Banks: 1}, // line doesn't divide
+		{CapacityBytes: 0, Associativity: 8, Banks: 1},
+		{CapacityBytes: 1 << 20, Associativity: 0, Banks: 1},
+		{CapacityBytes: 1 << 20, Associativity: 8, Banks: 0},
+		{CapacityBytes: 1000, Associativity: 8, Banks: 1}, // line doesn't divide
 	}
 	for i, cfg := range bad {
 		if cfg.Validate() == nil {

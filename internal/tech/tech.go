@@ -87,6 +87,13 @@ func (t *Technology) ClampBias(vbb float64) float64 {
 	return math.Min(math.Max(vbb, t.BodyBiasMin), t.BodyBiasMax)
 }
 
+// BoostBias returns the forward body bias of boost mode: the 1.3V swing
+// the paper cites for the STM A9 test chip ("the back-bias voltage of a
+// 5mm^2 Cortex A9 processor can switch between 0V and 1.3V in less than
+// 1us"), clamped to the technology's range. Full-range FBB is reserved
+// for the per-point energy optimization.
+func (t *Technology) BoostBias() float64 { return t.ClampBias(1.3) }
+
 // MaxFrequency returns the maximum operating frequency in Hz at supply vdd
 // and body bias vbb. It returns 0 if the device is non-functional at that
 // point (vdd at or below threshold, or below the SRAM minimum).

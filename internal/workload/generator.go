@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 
+	"ntcsim/internal/cache"
 	"ntcsim/internal/rng"
 )
 
@@ -134,10 +135,10 @@ var (
 	osStackT  = rng.Threshold(0.60) // OS data: per-CPU kernel stack
 	osHotT    = rng.Threshold(0.88) // OS data: + hot kernel structures
 	backwardT = rng.Threshold(0.6)  // near jump goes backward
-	lineByte  = rng.NewUniform(64)
+	lineByte  = rng.NewUniform(cache.LineBytes)
 	osStack   = rng.NewUniform(8 << 10)
-	osHotLine = rng.NewUniform(32 << 10 / 64)
-	osLine    = rng.NewUniform(osDataBytes / 64)
+	osHotLine = rng.NewUniform(32 << 10 / cache.LineBytes)
+	osLine    = rng.NewUniform(osDataBytes / cache.LineBytes)
 	nearJump  = rng.NewUniform(512)
 )
 
@@ -174,14 +175,13 @@ func NewPlan(p *Profile, coreID int, seed *rng.Stream) Plan {
 	pl.hotT = rng.Threshold(p.StackFrac + p.HotFrac)
 	pl.streamT = rng.Threshold(p.StackFrac + p.HotFrac + p.StreamFrac)
 	pl.farT = rng.Threshold(p.CodeJumpP)
-	const line = 64
-	pl.stackLine = rng.NewUniform(max(p.StackBytes/line, 1))
-	pl.hotLines = max(p.HotBytes/line, 1)
+	pl.stackLine = rng.NewUniform(max(p.StackBytes/cache.LineBytes, 1))
+	pl.hotLines = max(p.HotBytes/cache.LineBytes, 1)
 	cold := p.DataBytes - p.HotBytes - p.StackBytes
 	if p.DataBytes < p.HotBytes+p.StackBytes {
-		cold = line
+		cold = cache.LineBytes
 	}
-	pl.coldLines = max(cold/line, 1)
+	pl.coldLines = max(cold/cache.LineBytes, 1)
 	// The cold Zipf table is capped; ranks index coarse 256-line chunks so
 	// multi-GB footprints stay tractable while preserving skew.
 	pl.coldChunks = min(max(int(pl.coldLines/256), 1), 1<<16)
@@ -191,9 +191,9 @@ func NewPlan(p *Profile, coreID int, seed *rng.Stream) Plan {
 	// chunks.
 	pl.hotChunks = min(max(int(pl.hotLines/4), 1), 1<<15)
 	pl.hotChunk = rng.NewUniform(max(pl.hotLines/uint64(pl.hotChunks), 1))
-	pl.codeChunks = max(min(int(p.CodeBytes/line), 1<<14), 1)
-	pl.codeChunkBytes = max(p.CodeBytes/uint64(pl.codeChunks), 64)
-	pl.osChunkBytes = max(osCodeBytes/uint64(pl.codeChunks), 64)
+	pl.codeChunks = max(min(int(p.CodeBytes/cache.LineBytes), 1<<14), 1)
+	pl.codeChunkBytes = max(p.CodeBytes/uint64(pl.codeChunks), cache.LineBytes)
+	pl.osChunkBytes = max(osCodeBytes/uint64(pl.codeChunks), cache.LineBytes)
 	return pl
 }
 
@@ -304,7 +304,6 @@ func (g *Generator) maybeToggleOS() {
 // Per-core layout: [0, StackBytes) stack, [StackBytes, +HotBytes) hot,
 // then the cold region.
 func (g *Generator) dataAddr() uint64 {
-	const line = 64
 	pl := &g.plan
 	if g.inOS {
 		// OS accesses in three tiers: per-CPU kernel stack (L1-resident),
@@ -315,9 +314,9 @@ func (g *Generator) dataAddr() uint64 {
 		case m < osStackT:
 			return pl.base + osDataBase + g.mem.Uniform(&osStack)
 		case m < osHotT:
-			return pl.base + osDataBase + g.mem.Uniform(&osHotLine)*line
+			return pl.base + osDataBase + g.mem.Uniform(&osHotLine)*cache.LineBytes
 		default:
-			return pl.base + osDataBase + g.mem.Uniform(&osLine)*line
+			return pl.base + osDataBase + g.mem.Uniform(&osLine)*cache.LineBytes
 		}
 	}
 	m := g.mem.Uint64() >> 11
@@ -327,7 +326,7 @@ func (g *Generator) dataAddr() uint64 {
 	switch {
 	case m < pl.stackT:
 		// Primary working set: uniform within an L1-sized region.
-		return pl.base + g.mem.Uniform(&pl.stackLine)*line + g.mem.Uniform(&lineByte)
+		return pl.base + g.mem.Uniform(&pl.stackLine)*cache.LineBytes + g.mem.Uniform(&lineByte)
 	case m < pl.hotT:
 		// Hot region: Zipf over chunks, uniform within a chunk.
 		chunk := uint64(g.hotZipf.Next())
@@ -335,15 +334,15 @@ func (g *Generator) dataAddr() uint64 {
 		if ln >= pl.hotLines {
 			ln = pl.hotLines - 1
 		}
-		return pl.base + hotBase + ln*line + g.mem.Uniform(&lineByte)
+		return pl.base + hotBase + ln*cache.LineBytes + g.mem.Uniform(&lineByte)
 	case m < pl.streamT:
 		// Streaming cursor through the cold region, advancing at word
 		// granularity (a scan touches every word of a line before moving
 		// on, so only one access per line misses).
 		g.streamPos++
-		wordsPerLine := uint64(line / 8)
+		wordsPerLine := uint64(cache.LineBytes / 8)
 		ln := (g.streamPos / wordsPerLine) % pl.coldLines
-		return pl.base + coldBase + ln*line + (g.streamPos%wordsPerLine)*8
+		return pl.base + coldBase + ln*cache.LineBytes + (g.streamPos%wordsPerLine)*8
 	default:
 		// Cold region: Zipf over coarse chunks, uniform within a chunk.
 		chunk := uint64(g.coldZipf.Next())
@@ -351,7 +350,7 @@ func (g *Generator) dataAddr() uint64 {
 		if ln >= pl.coldLines {
 			ln = pl.coldLines - 1
 		}
-		return pl.base + coldBase + ln*line
+		return pl.base + coldBase + ln*cache.LineBytes
 	}
 }
 
