@@ -14,12 +14,13 @@
 #                      the invariant provably holds — annotating the
 #                      line with //ntclint:allow <analyzer> <reason>.
 #   make cover         test with coverage profile + per-function summary
-#   make fault         fault-injection + robustness suite only (short
-#                      mode): sealed-checkpoint integrity, quarantine,
-#                      torn-write/ENOSPC recovery, single-flight warmup,
-#                      cancellation semantics. fault, serve-smoke and
-#                      report-smoke select tests by -run pattern and fail
-#                      when an alternative of it matches no test
+#   make fault         cancellation suite only (short mode): a sweep
+#                      cancelled before it starts returns its cause
+#                      without warming, a memo hit honours a cancelled
+#                      ctx, and a running sweep stops between points.
+#                      fault, serve-smoke and report-smoke select tests
+#                      by -run pattern and fail when an alternative of
+#                      it matches no test
 #   make serve-smoke   request-serving DES suite in short mode: event
 #                      loop, balancers, sketch, the diurnal-day policy
 #                      claims, the serve/governor report shape and
@@ -48,9 +49,8 @@
 #   make bench-sweep   parallel-vs-serial sweep engine benchmarks only
 #   make bench-obs     observability overhead benchmarks (metrics
 #                      disabled-path + telemetry sampler), both gated <2%
-#   make golden-update regenerate cmd/ntcsim golden files and the
-#                      sealed-checkpoint hash after an intentional model
-#                      or format change (review the diff!).
+#   make golden-update regenerate cmd/ntcsim golden files after an
+#                      intentional model change (review the diff!).
 #                      Lint never rewrites sources, so golden outputs
 #                      are unaffected by it.
 
@@ -95,9 +95,7 @@ define run_matching
 endef
 
 fault:
-	$(GO) test -short ./internal/faultfs
-	$(call run_matching,Sealed,./internal/sim)
-	$(call run_matching,Fingerprint|CacheKeyed|CorruptCheckpoint|StaleFingerprint|SaveFailure|SilentWrite|Quarantine|SingleFlight|StaleWarmupLock|CheckpointDir|Duplicate|Cancellation|StopsBetweenPoints|WarmupHonors,./internal/core)
+	$(call run_matching,StopsBetweenPoints|HonoursCancelledCtx|CancelledBeforeWarmup,./internal/core)
 
 serve-smoke:
 	$(GO) test -short ./internal/serve ./internal/qos
@@ -142,5 +140,4 @@ golden-update:
 	$(GO) test ./cmd/ntcsim -run TestGolden -update
 	$(GO) test ./cmd/ntcsim -run TestMetricsGolden -update
 	$(GO) test ./cmd/ntcsim -run TestReportGolden -update
-	$(GO) test ./internal/sim -run TestSealedBytesGolden -update
-	@git --no-pager diff --stat cmd/ntcsim/testdata/golden internal/sim/testdata || true
+	@git --no-pager diff --stat cmd/ntcsim/testdata/golden || true

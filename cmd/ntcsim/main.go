@@ -59,7 +59,6 @@ func run(args []string) error {
 	seed := fs.Uint64("seed", experiments.DefaultSeed, "simulation seed")
 	warm := fs.Uint64("warm", 0, "override the per-core functional warmup instruction count (0 = fidelity default)")
 	settle := fs.Int64("settle", 0, "override the post-DVFS settle window in cycles (0 = fidelity default)")
-	ckptDir := fs.String("ckptdir", "", "directory for warmed-cluster checkpoints (reused across runs)")
 	outPath := fs.String("out", "", "also write all output to this file")
 	jobs := fs.Int("jobs", 0, "max concurrent sweep evaluations; 0 = all CPUs (output is identical for any value)")
 	metricsPath := fs.String("metrics", "", "write a metrics snapshot (deterministic-ordered JSON) to this file")
@@ -124,20 +123,14 @@ func run(args []string) error {
 		SettleCycles: *settle,
 	}
 	env := experiments.Env{Out: out, Seams: core.Seams{
-		Jobs:          *jobs,
-		CheckpointDir: *ckptDir,
-		Obs:           registry,
-		Tracer:        tracer,
-		Progress:      prog,
-		Telemetry:     sampler,
+		Jobs:      *jobs,
+		Obs:       registry,
+		Tracer:    tracer,
+		Progress:  prog,
+		Telemetry: sampler,
 		// One memo per process: experiments that sweep the same inputs
 		// (fig2, fig3 and opt; serve and governor) compute them once.
 		Memo: core.NewSweepMemo(),
-		// Recovered checkpoint faults (quarantined corruption, failed
-		// saves) are surfaced on stderr; they affect speed, not results.
-		Warnf: func(format string, a ...any) {
-			fmt.Fprintf(os.Stderr, "ntcsim: "+format+"\n", a...)
-		},
 	}}
 
 	cmd := fs.Arg(0)

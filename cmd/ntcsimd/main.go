@@ -39,7 +39,6 @@ func run() error {
 	listen := fs.String("listen", ":8080", "address to serve HTTP on")
 	workers := fs.Int("workers", 2, "jobs run concurrently")
 	jobs := fs.Int("jobs", 0, "per-job sweep worker budget (0 = GOMAXPROCS)")
-	ckptDir := fs.String("ckptdir", "", "warmed-cluster checkpoint directory shared by all jobs")
 	queue := fs.Int("queue", 64, "submitted jobs that may wait for a worker")
 	grace := fs.Duration("grace", 5*time.Second, "how long a drain waits for running jobs before canceling")
 	fs.Parse(os.Args[1:])
@@ -54,11 +53,10 @@ func run() error {
 	defer stop()
 
 	svc := service.New(service.Config{
-		Workers:       *workers,
-		Jobs:          *jobs,
-		CheckpointDir: *ckptDir,
-		QueueDepth:    *queue,
-		Grace:         *grace,
+		Workers:    *workers,
+		Jobs:       *jobs,
+		QueueDepth: *queue,
+		Grace:      *grace,
 	})
 	// Bind before serving so "-listen 127.0.0.1:0" reports the kernel-
 	// assigned port — the daemon-smoke script depends on this line.

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math"
-	"os"
 	"testing"
 
 	"ntcsim/internal/qos"
@@ -330,44 +329,6 @@ func TestDefaultFrequenciesCoverPaperRange(t *testing.T) {
 	for i := 1; i < len(fs); i++ {
 		if fs[i] <= fs[i-1] {
 			t.Fatal("frequencies must be ascending")
-		}
-	}
-}
-
-func TestCheckpointDirAcceleratesSweeps(t *testing.T) {
-	dir := t.TempDir()
-	e := testExplorer(t)
-	e.CheckpointDir = dir
-	freqs := []float64{0.5e9, 2.0e9}
-
-	first, err := e.Sweep(context.Background(), workload.MediaStreaming(), freqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A checkpoint file must now exist.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Fatalf("expected one checkpoint, found %d", len(entries))
-	}
-
-	// The second sweep restores the same warmed state, so the baseline and
-	// points must match exactly (same sampled windows).
-	e2 := testExplorer(t)
-	e2.CheckpointDir = dir
-	second, err := e2.Sweep(context.Background(), workload.MediaStreaming(), freqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.BaselineUIPS != second.BaselineUIPS {
-		t.Fatalf("checkpointed baseline differs: %v vs %v",
-			first.BaselineUIPS, second.BaselineUIPS)
-	}
-	for i := range first.Points {
-		if first.Points[i].UIPSChip != second.Points[i].UIPSChip {
-			t.Fatalf("point %d differs across checkpoint restore", i)
 		}
 	}
 }

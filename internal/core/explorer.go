@@ -23,7 +23,6 @@ import (
 	"sort"
 	"time"
 
-	"ntcsim/internal/faultfs"
 	"ntcsim/internal/obs"
 	"ntcsim/internal/obs/timeseries"
 	"ntcsim/internal/parallel"
@@ -40,40 +39,17 @@ import (
 // evaluates worst-case, fully loaded servers.
 const LoadActivity = 1.0
 
-// Seams are the Explorer's result-neutral inputs: execution budget,
-// checkpoint persistence, fault notices and observability hooks. None of
-// them changes a sweep's numbers (results are bit-identical for every
-// Jobs, with or without a checkpoint cache, with or without hooks), which
-// is why experiments.Key excludes exactly this struct. Every field is
-// optional and nil-gated.
+// Seams are the Explorer's result-neutral inputs: execution budget, the
+// sweep memo and observability hooks. None of them changes a sweep's
+// numbers (results are bit-identical for every Jobs, with or without a
+// memo, with or without hooks), which is why experiments.Key excludes
+// exactly this struct. Every field is optional and nil-gated.
 type Seams struct {
 	// Jobs bounds how many sweep points (and, in SweepMany, workloads)
 	// evaluate concurrently; <= 0 means GOMAXPROCS. Every point runs from
 	// the same warmed checkpoint under its own RNG substream split by point
 	// index, so results are bit-identical for every Jobs setting.
 	Jobs int
-	// CheckpointDir, when set, caches warmed-cluster checkpoints per
-	// workload (the SMARTS warmed-checkpoint methodology): the first sweep
-	// of a workload pays the warmup and saves
-	// `<dir>/<workload>-<fingerprint>.ckpt`, where the fingerprint hashes
-	// every input the warmed state depends on (profile parameters, sim
-	// config, warmup length — see checkpointFingerprint); later sweeps
-	// restore it and start measuring immediately. Files are written in the
-	// sealed format (CRC64 + fingerprint header): stale files re-warm
-	// silently, corrupt files are quarantined to *.corrupt and re-warmed,
-	// and concurrent sweeps sharing the directory warm each configuration
-	// once (lock file; see warm.go).
-	CheckpointDir string
-	// FS overrides the filesystem used for checkpoint persistence; nil
-	// selects the real OS filesystem. Tests inject faults through it
-	// (internal/faultfs) to prove the failure paths recover or error,
-	// never return wrong numbers.
-	FS faultfs.FS
-	// Warnf, when set, receives recovered-fault notices: quarantined
-	// corrupt checkpoints, failed checkpoint saves, stale warmup locks.
-	// These faults change performance, never results, so they are
-	// warnings rather than errors; nil discards them.
-	Warnf func(format string, args ...any)
 
 	// Obs, when set, enables the observability layer: per-layer counters
 	// are harvested into the registry at each point's completion, and the
@@ -120,15 +96,6 @@ type Explorer struct {
 	// the same workload names in one run (e.g. the ablation's LPDDR4 and
 	// 8-core variants).
 	TelemetryPrefix string
-
-	// warmLockPoll and warmLockAttempts bound the single-flight warmup
-	// wait: a sweep that finds another process warming the same
-	// checkpoint polls every warmLockPoll up to warmLockAttempts times,
-	// then warms anyway (a stale lock must not hang a campaign). Zero
-	// values select the defaults (100ms, 600 polls); only tests shorten
-	// them.
-	warmLockPoll     time.Duration
-	warmLockAttempts int
 }
 
 // NewExplorer returns an explorer for the paper's default platform with
@@ -187,9 +154,10 @@ type Sweep struct {
 }
 
 // Sweep runs the workload across the given core frequencies (Hz) and
-// returns the evaluated points in ascending frequency order. A cancelled
-// ctx stops the sweep between points (a point mid-simulation runs to
-// completion).
+// returns the evaluated points in ascending frequency order. A sweep
+// whose ctx is already cancelled returns its cause before warming; a ctx
+// cancelled later stops the sweep between points (a point mid-simulation
+// runs to completion).
 //
 // Execution model: the cluster is warmed once at the 2GHz baseline and the
 // baseline throughput is sampled; the resulting warmed state is captured as
@@ -211,6 +179,11 @@ func (e *Explorer) Sweep(ctx context.Context, p *workload.Profile, freqsHz []flo
 			return nil, fmt.Errorf("core: non-positive frequency %v", f)
 		}
 	}
+	// A memo hit fails on a cancelled ctx exactly as a computation does,
+	// and neither pays for warming first.
+	if ctx.Err() != nil {
+		return nil, context.Cause(ctx)
+	}
 	cfg := e.SamplingFor(p)
 	var (
 		hash      uint64
@@ -218,10 +191,6 @@ func (e *Explorer) Sweep(ctx context.Context, p *workload.Profile, freqsHz []flo
 		cacheable bool
 	)
 	if e.Memo != nil {
-		// A hit must fail on a cancelled ctx exactly as a computation does.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		keyCfg := cfg
 		keyCfg.Phase = nil // observational only
 		if hash, key, cacheable = e.sweepKey(p, keyCfg, freqs); cacheable {
@@ -321,7 +290,7 @@ func (e *Explorer) sweep(ctx context.Context, p *workload.Profile, freqs []float
 	defer e.Tracer.ReleaseLane(swLane)
 
 	warmStart := time.Now() //ntclint:allow wallclock trace span timestamps only; never reaches results
-	cl, err := e.warmedCluster(ctx, p)
+	cl, err := e.warmedCluster(p)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -362,6 +331,20 @@ func (e *Explorer) sweep(ctx context.Context, p *workload.Profile, freqs []float
 	}
 	sw.Points = points
 	return sw, samples, nil
+}
+
+// warmedCluster builds a cluster for p at the 2GHz baseline frequency and
+// warms it: WarmInstr functional instructions per core, then SettleCycles
+// of detailed simulation (the paper launches every measurement from a
+// warmed checkpoint, Sec. IV).
+func (e *Explorer) warmedCluster(p *workload.Profile) (*sim.Cluster, error) {
+	cl, err := sim.NewCluster(e.Platform.Cluster, p, qos.BaselineFreqHz)
+	if err != nil {
+		return nil, err
+	}
+	cl.FastForward(e.WarmInstr)
+	cl.Run(e.SettleCycles)
+	return cl, nil
 }
 
 // pointLabel names one sweep point in trace spans and progress lines.
@@ -426,21 +409,7 @@ func (e *Explorer) runPoint(p *workload.Profile, sw *Sweep, cfg sampling.Config,
 // setting. A cancelled ctx stops every workload's sweep between points
 // (points mid-simulation run to completion, so results that were produced
 // are valid).
-//
-// When CheckpointDir is set, profiles must have distinct names: the
-// checkpoint cache is keyed per profile, and two entries sharing a name
-// would race on the same single-flight lock for no benefit. The invariant
-// is enforced, not assumed.
 func (e *Explorer) SweepMany(ctx context.Context, profiles []*workload.Profile, freqsHz []float64) ([]*Sweep, error) {
-	if e.CheckpointDir != "" {
-		seen := make(map[string]bool, len(profiles))
-		for _, p := range profiles {
-			if seen[p.Name] {
-				return nil, fmt.Errorf("core: SweepMany: duplicate profile %q with CheckpointDir set", p.Name)
-			}
-			seen[p.Name] = true
-		}
-	}
 	sweeps := make([]*Sweep, len(profiles))
 	err := parallel.ForEach(ctx, len(profiles), e.Jobs,
 		func(ctx context.Context, i int) error {

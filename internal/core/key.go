@@ -2,40 +2,10 @@ package core
 
 import (
 	"encoding/binary"
-	"errors"
 	"hash/fnv"
 	"math"
 	"reflect"
-
-	"ntcsim/internal/qos"
-	"ntcsim/internal/workload"
 )
-
-// checkpointFingerprint hashes everything a warmed checkpoint's contents
-// are a function of: the workload profile's full parameter set (not just
-// its name — two profiles sharing a Name, or an edited profile, must not
-// share cached state), the platform's cluster configuration including the
-// seed, its cluster count, the baseline frequency, and the warmup and
-// settle lengths. It is the hash of the same canonical encoding that
-// keys the sweep memo (see encodeKey).
-//
-// The fingerprint keys the checkpoint file name AND is sealed into the
-// file header, so a stale file is never restored even if it is copied to
-// a matching name.
-func (e *Explorer) checkpointFingerprint(p *workload.Profile) (uint64, error) {
-	hash, _, ok := encodeKey(
-		p,
-		e.Platform.Cluster,
-		e.Platform.Clusters,
-		float64(qos.BaselineFreqHz),
-		e.WarmInstr,
-		e.SettleCycles,
-	)
-	if !ok {
-		return 0, errors.New("core: fingerprinting checkpoint config: an input holds a func, map, interface or channel")
-	}
-	return hash, nil
-}
 
 // encodeKey returns the canonical encoding of vals (see keyEncoder) and
 // its FNV-1a hash. The encoding follows pointers and reads unexported

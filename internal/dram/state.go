@@ -1,9 +1,6 @@
 package dram
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // BankState is the exported state of one bank, for checkpointing.
 type BankState struct {
@@ -35,25 +32,6 @@ type SystemState struct {
 	LastNowNs float64
 }
 
-// inf-safe encoding: gob rejects NaN/Inf in some paths and -Inf sentinels
-// travel poorly through text encodings, so they are mapped to a large
-// negative sentinel.
-const negInfSentinel = -math.MaxFloat64 / 2
-
-func encInf(v float64) float64 {
-	if math.IsInf(v, -1) {
-		return negInfSentinel
-	}
-	return v
-}
-
-func decInf(v float64) float64 {
-	if v <= negInfSentinel {
-		return math.Inf(-1)
-	}
-	return v
-}
-
 // State captures the system's dynamic state.
 func (s *System) State() SystemState {
 	st := SystemState{Stats: s.stats, LastNowNs: s.lastNowNs}
@@ -62,25 +40,19 @@ func (s *System) State() SystemState {
 			BusFreeNs:    ch.busFreeNs,
 			LastWasWrite: ch.lastWasWrite,
 			WriteDataEnd: ch.writeDataEndNs,
-			LastCASNs:    encInf(ch.lastCASNs),
+			LastCASNs:    ch.lastCASNs,
 			LastCASGroup: ch.lastCASGroup,
 			ActIdx:       append([]int(nil), ch.actIdx...),
 			LastActGroup: append([]int(nil), ch.lastActGroup...),
-		}
-		for _, v := range ch.lastActNs {
-			cs.LastActNs = append(cs.LastActNs, encInf(v))
+			LastActNs:    append([]float64(nil), ch.lastActNs...),
 		}
 		for _, win := range ch.actWindow {
-			row := make([]float64, len(win))
-			for i, v := range win {
-				row[i] = encInf(v)
-			}
-			cs.ActWindow = append(cs.ActWindow, row)
+			cs.ActWindow = append(cs.ActWindow, append([]float64(nil), win...))
 		}
 		for _, b := range ch.banks {
 			cs.Banks = append(cs.Banks, BankState{
 				OpenRow:    b.openRow,
-				LastActNs:  encInf(b.lastActNs),
+				LastActNs:  b.lastActNs,
 				ActReadyNs: b.actReadyNs,
 				CasReadyNs: b.casReadyNs,
 				PreReadyNs: b.preReadyNs,
@@ -104,22 +76,18 @@ func (s *System) Restore(st SystemState) error {
 		ch.busFreeNs = cs.BusFreeNs
 		ch.lastWasWrite = cs.LastWasWrite
 		ch.writeDataEndNs = cs.WriteDataEnd
-		ch.lastCASNs = decInf(cs.LastCASNs)
+		ch.lastCASNs = cs.LastCASNs
 		ch.lastCASGroup = cs.LastCASGroup
 		copy(ch.actIdx, cs.ActIdx)
 		copy(ch.lastActGroup, cs.LastActGroup)
-		for j, v := range cs.LastActNs {
-			ch.lastActNs[j] = decInf(v)
-		}
+		copy(ch.lastActNs, cs.LastActNs)
 		for j, row := range cs.ActWindow {
-			for k, v := range row {
-				ch.actWindow[j][k] = decInf(v)
-			}
+			copy(ch.actWindow[j], row)
 		}
 		for j, b := range cs.Banks {
 			ch.banks[j] = bank{
 				openRow:    b.OpenRow,
-				lastActNs:  decInf(b.LastActNs),
+				lastActNs:  b.LastActNs,
 				actReadyNs: b.ActReadyNs,
 				casReadyNs: b.CasReadyNs,
 				preReadyNs: b.PreReadyNs,

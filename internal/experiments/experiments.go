@@ -8,9 +8,9 @@
 // Params is a validated, JSON-round-trippable parameter struct — the CLI
 // fills it from flags, the ntcsimd daemon decodes it strictly from request
 // bodies — and Env carries the output writer plus the result-neutral
-// explorer seams (core.Seams: worker budget, checkpoint cache, filesystem,
-// fault notices, observability hooks) so the same driver
-// runs identically as a one-shot command or as an asynchronous job. The
+// explorer seams (core.Seams: worker budget, sweep memo, observability
+// hooks) so the same driver runs identically as a one-shot command or as
+// an asynchronous job. The
 // report text an experiment writes to Env.Out is a pure function of
 // (name, Params): the golden files pin it, and the daemon's result cache
 // is keyed on exactly that pair (see Key).

@@ -123,7 +123,7 @@ func TestKey(t *testing.T) {
 func TestRegistry(t *testing.T) {
 	for _, name := range []string{"fig1", "table1", "fig2", "fig3", "fig4", "opt",
 		"ablation", "variation", "darksilicon", "governor", "serve", "interference",
-		"scaling", "workloads", "prefetch", "ports", "hetero", "memory", "warm", "all"} {
+		"scaling", "workloads", "prefetch", "ports", "hetero", "memory", "all"} {
 		if _, ok := Lookup(name); !ok {
 			t.Errorf("experiment %q not registered", name)
 		}
@@ -150,10 +150,6 @@ func TestRunErrors(t *testing.T) {
 	cancel()
 	if _, err := Run(cctx, "fig2", Params{}, Env{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled ctx: err = %v, want context.Canceled", err)
-	}
-	if _, err := Run(ctx, "warm", Params{}, Env{}); err == nil ||
-		!strings.Contains(err.Error(), "checkpoint directory") {
-		t.Fatalf("warm without ckptdir: err = %v", err)
 	}
 }
 

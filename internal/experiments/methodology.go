@@ -202,28 +202,3 @@ func runHetero(ctx context.Context, p Params, env Env) error {
 	}
 	return w.Flush()
 }
-
-// runWarm pre-builds warmed-cluster checkpoints for every workload so that
-// subsequent runs with the same checkpoint directory skip the warmup.
-func runWarm(ctx context.Context, p Params, env Env) error {
-	if env.CheckpointDir == "" {
-		return fmt.Errorf("experiments: warm requires a checkpoint directory (-ckptdir)")
-	}
-	out := env.out()
-	fmt.Fprintln(out, "== building warmed checkpoints ==")
-	for _, prof := range append(workload.All(), workload.Extended()...) {
-		if err := ctx.Err(); err != nil {
-			return context.Cause(ctx)
-		}
-		e := p.NewExplorer(env)
-		// A one-point sweep triggers warmup + checkpoint save; a memo hit
-		// would skip both.
-		e.Memo = nil
-		if _, err := e.Sweep(ctx, prof, []float64{qos.BaselineFreqHz}); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "  %s: done\n", prof.Name)
-	}
-	fmt.Fprintf(out, "checkpoints in %s\n", env.CheckpointDir)
-	return nil
-}

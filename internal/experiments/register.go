@@ -7,8 +7,7 @@ import (
 )
 
 // allOrder is the historical "all" sequence — the order cmd/ntcsim has
-// always printed the full report in (warm is excluded: it writes
-// checkpoints rather than report text).
+// always printed the full report in.
 var allOrder = []string{
 	"fig1", "table1", "fig2", "fig3", "fig4", "opt", "ablation",
 	"variation", "darksilicon", "governor", "serve", "interference",
@@ -41,7 +40,6 @@ func init() {
 		{Name: "ports", Title: "Extension ablation: unified issue vs A57-like ports", Run: runPorts},
 		{Name: "hetero", Title: "Sec. V-C: heterogeneous per-cluster operation", Run: runHetero},
 		{Name: "memory", Title: "Memory subsystem: traffic patterns on DDR4/LPDDR4", Run: runMemory},
-		{Name: "warm", Title: "Pre-build warmed-cluster checkpoints", Run: runWarm},
 		{Name: "all", Title: "Every report experiment in the historical order", Run: runAll},
 	} {
 		Register(s)

@@ -33,11 +33,11 @@
 // Producers that know their run's total energy call Series.ReportTotal;
 // Sampler.Audit then fails the run if any series' ledger sum diverges
 // from its reported total beyond a relative epsilon — catching
-// attribution bugs (a component dropped, double-charged, or mis-scaled)
-// the way sealed checkpoints catch corruption. DefaultEpsilon (1e-6
-// relative) absorbs both the ≤0.5 nJ/component/sample quantization and
-// float-association ulps between the total and per-part computations,
-// while any real attribution bug is orders of magnitude larger.
+// attribution bugs (a component dropped, double-charged, or mis-scaled).
+// DefaultEpsilon (1e-6 relative) absorbs both the ≤0.5 nJ/component/sample
+// quantization and float-association ulps between the total and per-part
+// computations, while any real attribution bug is orders of magnitude
+// larger.
 package timeseries
 
 import (

@@ -20,6 +20,8 @@ const maxBodyBytes = 1 << 20
 //	GET    /v1/jobs/{id}        job status                    -> 200 Status
 //	GET    /v1/jobs/{id}/events progress stream               -> 200 SSE
 //	GET    /v1/jobs/{id}/result artifact (?artifact=report)   -> 200 bytes
+//	                            (a job that failed its energy audit
+//	                            serves ?artifact=telemetry only)
 //	DELETE /v1/jobs/{id}        cancel                        -> 202 Status
 //	GET    /v1/experiments      registered experiments        -> 200 list
 //	GET    /healthz             liveness/readiness            -> 200 | 503
@@ -137,13 +139,16 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		name = "report"
 	}
 	data, state, ok := j.artifact(name)
-	if state != StateDone {
+	switch {
+	case ok:
+		// A done job holds every artifact; a job that failed its energy
+		// audit holds only the telemetry that shows why.
+	case state != StateDone:
 		// Not-yet-done and never-will-be-done both refuse: a result
 		// only exists for a job that settled as done.
 		writeErr(w, http.StatusConflict, "job %s has no result: state %s", j.id, state)
 		return
-	}
-	if !ok {
+	default:
 		writeErr(w, http.StatusNotFound, "no artifact %q (have report, metrics, telemetry)", name)
 		return
 	}

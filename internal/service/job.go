@@ -120,8 +120,9 @@ func (j *job) start(cancel func(error)) bool {
 	return true
 }
 
-// finish settles the job in a terminal state with its artifacts (nil
-// unless st is StateDone).
+// finish settles the job in a terminal state with its artifacts: every
+// one for StateDone, the telemetry alone for a job that failed its
+// energy audit, nil otherwise.
 func (j *job) finish(st State, errMsg string, artifacts map[string][]byte) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -41,9 +41,6 @@ type Config struct {
 	// <= 0 lets each sweep use GOMAXPROCS. Total simulation parallelism
 	// is therefore Workers x Jobs.
 	Jobs int
-	// CheckpointDir enables the warmed-cluster checkpoint cache for
-	// every job.
-	CheckpointDir string
 	// QueueDepth bounds how many submitted jobs may wait for a worker;
 	// submissions beyond it fail with ErrQueueFull rather than queueing
 	// without bound.
@@ -248,7 +245,8 @@ func (s *Server) worker() {
 // run executes one job through the experiments API, capturing the
 // report, metrics and telemetry artifacts and feeding sweep progress
 // into the job's event stream. Only a job that finishes and passes the
-// telemetry conservation audit is cached.
+// telemetry conservation audit is cached; one that fails the audit keeps
+// its telemetry as its only artifact.
 func (s *Server) run(j *job) {
 	defer s.active.Done()
 	jctx, cancel := context.WithCancelCause(s.ctx)
@@ -267,12 +265,11 @@ func (s *Server) run(j *job) {
 		// writer, exactly as in cmd/ntcsim.
 		Out: obs.NewSyncWriter(&buf),
 		Seams: core.Seams{
-			Jobs:          s.cfg.Jobs,
-			CheckpointDir: s.cfg.CheckpointDir,
-			Obs:           reg,
-			Telemetry:     sampler,
-			Progress:      obs.NewProgressFunc(j.progress),
-			Memo:          s.memo,
+			Jobs:      s.cfg.Jobs,
+			Obs:       reg,
+			Telemetry: sampler,
+			Progress:  obs.NewProgressFunc(j.progress),
+			Memo:      s.memo,
 		},
 	})
 	if err != nil {
@@ -285,11 +282,19 @@ func (s *Server) run(j *job) {
 		}
 		return
 	}
+	var tbuf bytes.Buffer
+	terr := sampler.WriteCSV(&tbuf)
 	// The energy-conservation audit ntcsim -telemetry applies: a job
 	// whose ledger drifts from its reported totals fails and is not
-	// cached.
+	// cached. Its telemetry, which shows the component that drifted,
+	// stays available, as ntcsim -telemetry writes the CSV before the
+	// audit.
 	if err := sampler.Audit(0); err != nil {
-		j.finish(StateFailed, err.Error(), nil)
+		var evidence map[string][]byte
+		if terr == nil {
+			evidence = map[string][]byte{"telemetry": tbuf.Bytes()}
+		}
+		j.finish(StateFailed, err.Error(), evidence)
 		s.reg.Counter("service/jobs_failed").Add(1)
 		return
 	}
@@ -301,8 +306,7 @@ func (s *Server) run(j *job) {
 	if merr := reg.WriteJSON(&mbuf); merr == nil {
 		arts["metrics"] = mbuf.Bytes()
 	}
-	var tbuf bytes.Buffer
-	if terr := sampler.WriteCSV(&tbuf); terr == nil {
+	if terr == nil {
 		arts["telemetry"] = tbuf.Bytes()
 	}
 	s.mu.Lock()

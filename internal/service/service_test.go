@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -216,7 +217,9 @@ func TestJobLifecycle(t *testing.T) {
 
 // TestUnconservedTelemetryFails: a job that finishes but whose energy
 // ledger fails the conservation audit settles as failed, with the audit's
-// error, and is not cached — resubmitting it runs it again.
+// error, and is not cached — resubmitting it runs it again. Its telemetry
+// CSV is its only artifact: served on request, while the report, the
+// metrics and the default artifact are refused.
 func TestUnconservedTelemetryFails(t *testing.T) {
 	leakRuns.Store(0)
 	_, ts := newTestServer(t, Config{Workers: 1})
@@ -236,8 +239,30 @@ func TestUnconservedTelemetryFails(t *testing.T) {
 		if n := leakRuns.Load(); n != run {
 			t.Fatalf("experiment ran %d times after %d submissions", n, run)
 		}
-		if _, code := getBody(t, ts.URL+"/v1/jobs/"+st.ID+"/result"); code == http.StatusOK {
-			t.Fatalf("submit %d: failed job served a result", run)
+		if !slices.Equal(failed.Artifacts, []string{"telemetry"}) {
+			t.Fatalf("submit %d: artifacts %v, want only the telemetry", run, failed.Artifacts)
+		}
+		result := ts.URL + "/v1/jobs/" + st.ID + "/result"
+		for _, q := range []string{"", "?artifact=report", "?artifact=metrics"} {
+			if _, code := getBody(t, result+q); code != http.StatusConflict {
+				t.Fatalf("submit %d: result%s of a failed job: status %d, want 409", run, q, code)
+			}
+		}
+		resp, err := http.Get(result + "?artifact=telemetry")
+		if err != nil {
+			t.Fatal(err)
+		}
+		csv, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "text/csv" {
+			t.Fatalf("submit %d: telemetry of a failed job: status %d, Content-Type %q",
+				run, resp.StatusCode, resp.Header.Get("Content-Type"))
+		}
+		if !strings.Contains(string(csv), "svc-test/leak") {
+			t.Fatalf("submit %d: telemetry lacks the leaking series:\n%s", run, csv)
 		}
 	}
 }
