@@ -8,7 +8,12 @@
 #                      (wallclock, globalrand, maprange, panicmsg,
 #                      obsgate, units, floatorder, snapshotcheck,
 #                      ctxloop) in one whole-module run; see
-#                      internal/lint.
+#                      internal/lint. snapshotcheck audits every
+#                      Clone/clone method: one that copies its receiver
+#                      whole (n := *c) must still name each pointer,
+#                      slice, map, chan, func and interface field, so
+#                      a checkpoint never silently shares state with
+#                      the clusters restored from it.
 #                      There is no lint-fix: violations are fixed by
 #                      moving the code behind the obs layer or — when
 #                      the invariant provably holds — annotating the
@@ -42,6 +47,10 @@
 #                      target (geometric guide vs inverse CDF, Zipf guide
 #                      vs whole-table binary search, integer threshold vs
 #                      Bool, precomputed uniform vs Uint64n) for 10 s
+#   make fuzz          every fuzz-rng target, then the component fuzz
+#                      targets (cache reference LRU and Clone, DRAM
+#                      submit and address decode, workload generator
+#                      invariants) for 10 s each
 #   make bench         every root benchmark: sweep fan-out, observability
 #                      overhead gates, serve DES and cluster-access kernels
 #                      (the paper's numbers are pinned by the goldens;
@@ -56,7 +65,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet lint test cover fault serve-smoke serve-cover report-smoke daemon-smoke race fuzz-rng bench bench-sweep bench-obs golden-update
+.PHONY: all build fmt-check vet lint test cover fault serve-smoke serve-cover report-smoke daemon-smoke race fuzz-rng fuzz bench bench-sweep bench-obs golden-update
 
 all: build
 
@@ -126,6 +135,12 @@ fuzz-rng:
 	$(GO) test -run xxx -fuzz '^FuzzZipfMatchesBinarySearch$$' -fuzztime 10s ./internal/rng
 	$(GO) test -run xxx -fuzz '^FuzzThresholdMatchesBool$$' -fuzztime 10s ./internal/rng
 	$(GO) test -run xxx -fuzz '^FuzzUniformMatchesUint64n$$' -fuzztime 10s ./internal/rng
+
+fuzz: fuzz-rng
+	$(GO) test -run xxx -fuzz '^FuzzAccessMatchesReference$$' -fuzztime 10s ./internal/cache
+	$(GO) test -run xxx -fuzz '^FuzzSubmit$$' -fuzztime 10s ./internal/dram
+	$(GO) test -run xxx -fuzz '^FuzzDecodeRoundTrip$$' -fuzztime 10s ./internal/dram
+	$(GO) test -run xxx -fuzz '^FuzzGeneratorInvariants$$' -fuzztime 10s ./internal/workload
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem .

@@ -11,7 +11,10 @@
 // to bound its memory-level parallelism.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // The memory hierarchy has one line size: every cache, the LLC's SRAM
 // arrays, each DRAM transfer and the workload generator's address layout
@@ -74,14 +77,14 @@ const _ uint = LineBits - tagShift
 // Cache is a set-associative, write-back, write-allocate, true-LRU,
 // tag-only cache. It is not safe for concurrent use.
 type Cache struct {
-	cfg Config //ntclint:allow snapshotcheck config: fixed by New
+	cfg Config
 	// ways holds every set's packed ways in one set-major slice: set s
 	// occupies ways[s*assoc : (s+1)*assoc], ordered most- to
 	// least-recently used.
 	ways    []uint64
 	assoc   int
-	setMask uint64 //ntclint:allow snapshotcheck derived: set count from cfg, recomputed by New
-	stats   Stats  //ntclint:allow snapshotcheck captured by the Stats:SetStats pair beside Snapshot
+	setMask uint64
+	stats   Stats
 }
 
 // Victim describes a line evicted by a fill.
@@ -213,60 +216,10 @@ func touch(ways []uint64, i int, w uint64) {
 	ways[0] = w
 }
 
-// LineState is the externally visible state of one cache way, used by
-// checkpointing.
-type LineState struct {
-	Tag   uint64
-	Valid bool
-	Dirty bool
+// Clone returns an independent copy of the cache: contents, LRU order
+// and statistics.
+func (c *Cache) Clone() *Cache {
+	n := *c
+	n.ways = slices.Clone(c.ways)
+	return &n
 }
-
-// Snapshot captures the full tag-array state (sets in MRU-to-LRU order).
-func (c *Cache) Snapshot() [][]LineState {
-	out := make([][]LineState, len(c.ways)/c.assoc)
-	for i := range out {
-		row := make([]LineState, c.assoc)
-		for j, w := range c.ways[i*c.assoc : (i+1)*c.assoc] {
-			if w&validBit != 0 {
-				row[j] = LineState{Tag: w >> tagShift, Valid: true, Dirty: w&dirtyBit != 0}
-			}
-		}
-		out[i] = row
-	}
-	return out
-}
-
-// RestoreSnapshot loads a snapshot captured from an identically configured
-// cache. Statistics are left untouched. An invalid way restores empty
-// whatever its other fields say (the cache never produces another kind).
-func (c *Cache) RestoreSnapshot(snap [][]LineState) error {
-	if len(snap)*c.assoc != len(c.ways) {
-		return fmt.Errorf("cache %q: snapshot has %d sets, want %d", c.cfg.Name, len(snap), len(c.ways)/c.assoc)
-	}
-	for i, row := range snap {
-		if len(row) != c.assoc {
-			return fmt.Errorf("cache %q: set %d has %d ways, want %d", c.cfg.Name, i, len(row), c.assoc)
-		}
-		for _, ls := range row {
-			if ls.Valid && ls.Tag>>(64-tagShift) != 0 {
-				return fmt.Errorf("cache %q: set %d holds tag %#x wider than %d bits", c.cfg.Name, i, ls.Tag, 64-tagShift)
-			}
-		}
-	}
-	for i, row := range snap {
-		for j, ls := range row {
-			var w uint64
-			if ls.Valid {
-				w = ls.Tag<<tagShift | validBit
-				if ls.Dirty {
-					w |= dirtyBit
-				}
-			}
-			c.ways[i*c.assoc+j] = w
-		}
-	}
-	return nil
-}
-
-// SetStats overwrites the statistics counters (checkpoint restore).
-func (c *Cache) SetStats(s Stats) { c.stats = s }

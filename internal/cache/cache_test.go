@@ -1,7 +1,7 @@
 package cache
 
 import (
-	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -238,13 +238,17 @@ func (r *refModel) fill(addr uint64) Victim {
 	return v
 }
 
-// snapshot renders the model in Cache.Snapshot's format.
-func (r *refModel) snapshot() [][]LineState {
-	out := make([][]LineState, r.nsets)
-	for set := range out {
-		out[set] = make([]LineState, r.assoc)
-		for j, l := range r.sets[uint64(set)] {
-			out[set][j] = LineState{Tag: l.line, Valid: true, Dirty: l.dirty}
+// ways renders the model in Cache.ways's packed, set-major, MRU-first
+// layout.
+func (r *refModel) ways() []uint64 {
+	out := make([]uint64, r.nsets*uint64(r.assoc))
+	for set := uint64(0); set < r.nsets; set++ {
+		for j, l := range r.sets[set] {
+			w := l.line<<tagShift | validBit
+			if l.dirty {
+				w |= dirtyBit
+			}
+			out[set*uint64(r.assoc)+uint64(j)] = w
 		}
 	}
 	return out
@@ -252,7 +256,7 @@ func (r *refModel) snapshot() [][]LineState {
 
 // TestQuickMatchesReferenceLRU: hits, victims and dirty bits of random
 // read/write strings match the reference model, and so does the final
-// snapshot.
+// tag array.
 func TestQuickMatchesReferenceLRU(t *testing.T) {
 	cfg := tiny()
 	c := MustNew(cfg)
@@ -266,7 +270,7 @@ func TestQuickMatchesReferenceLRU(t *testing.T) {
 				return false
 			}
 		}
-		return reflect.DeepEqual(c.Snapshot(), ref.snapshot())
+		return slices.Equal(c.ways, ref.ways())
 	}, &quick.Config{MaxCount: 200})
 	if err != nil {
 		t.Fatal(err)

@@ -2,14 +2,15 @@ package cache
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
 // FuzzAccessMatchesReference cross-checks the cache against the map-based
 // reference LRU model on arbitrary operation strings: hits, victims and
-// dirty bits of reads, writes and prefetch fills, then the snapshot,
-// which must match the reference and restore into a cache that behaves
-// identically from there on. ops[i]%3 selects the operation of access i:
+// dirty bits of reads, writes and prefetch fills, then the tag array,
+// which must match the reference and clone into a cache that behaves
+// identically from there on without sharing it. ops[i]%3 selects the operation of access i:
 // 0 read, 1 write, 2 fill.
 func FuzzAccessMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0, 1}, []byte{0})
@@ -46,23 +47,22 @@ func FuzzAccessMatchesReference(f *testing.F) {
 		if st.Hits+st.Misses != st.Accesses || st.Writebacks > st.Misses {
 			t.Fatalf("stats inconsistent: %+v", st)
 		}
-		snap := c.Snapshot()
-		if want := ref.snapshot(); !reflect.DeepEqual(snap, want) {
-			t.Fatalf("snapshot %v, reference %v", snap, want)
+		if want := ref.ways(); !slices.Equal(c.ways, want) {
+			t.Fatalf("ways %x, reference %x", c.ways, want)
 		}
-		restored := MustNew(cfg)
-		if err := restored.RestoreSnapshot(snap); err != nil {
-			t.Fatal(err)
-		}
+		clone := c.Clone()
 		for i, a := range addrs {
 			addr := uint64(a) << 4
 			w := op(i) == 1
-			if got, want := restored.Access(addr, w), c.Access(addr, w); got != want {
-				t.Fatalf("replay %d after restore (addr %x): %+v, original %+v", i, addr, got, want)
+			if got, want := clone.Access(addr, w), c.Access(addr, w); got != want {
+				t.Fatalf("replay %d on the clone (addr %x): %+v, original %+v", i, addr, got, want)
 			}
 		}
-		if !reflect.DeepEqual(restored.Snapshot(), c.Snapshot()) {
-			t.Fatal("restored cache diverged from the original")
+		if !reflect.DeepEqual(clone, c) {
+			t.Fatal("clone diverged from the original")
+		}
+		if len(c.ways) > 0 && &clone.ways[0] == &c.ways[0] {
+			t.Fatal("clone shares the original's tag array")
 		}
 	})
 }

@@ -363,10 +363,7 @@ func (e *Explorer) runPoint(p *workload.Profile, sw *Sweep, cfg sampling.Config,
 	defer e.Tracer.ReleaseLane(lane)
 	ptStart := time.Now() //ntclint:allow wallclock trace/progress timestamps only; never reaches results
 
-	pcl, err := sim.RestoreCluster(ck)
-	if err != nil {
-		return err
-	}
+	pcl := sim.RestoreCluster(ck)
 	pcl.Reseed(root.Split(uint64(i)))
 	if reg != nil {
 		pcl.EnableObs()

@@ -1,5 +1,7 @@
 package cpu
 
+import "slices"
+
 // bimodal is a classic bimodal branch predictor: a table of 2-bit
 // saturating counters indexed by the static branch site.
 type bimodal struct {
@@ -16,6 +18,13 @@ func newBimodal(entries int) *bimodal {
 		b.counters[i] = 1 // weakly not-taken
 	}
 	return b
+}
+
+// clone returns an independent copy of the predictor.
+func (b *bimodal) clone() *bimodal {
+	n := *b
+	n.counters = slices.Clone(b.counters)
+	return &n
 }
 
 // predict returns the predicted direction for branch site id.

@@ -18,8 +18,10 @@ package cpu
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"ntcsim/internal/cache"
+	"ntcsim/internal/rng"
 	"ntcsim/internal/workload"
 )
 
@@ -162,19 +164,16 @@ const issueRingSize = 1 << 13
 
 // Core is one simulated core. Not safe for concurrent use.
 type Core struct {
-	//ntclint:allow snapshotcheck config: fixed by New
-	cfg Config
-	//ntclint:allow snapshotcheck config: fixed by New
-	id  int
-	gen *workload.Generator
-	//ntclint:allow snapshotcheck config: the owning cluster, wired in by New
+	cfg    Config
+	id     int
+	gen    *workload.Generator
 	mem    MemSystem
 	l1i    *cache.Cache
 	l1d    *cache.Cache
 	bpred  *bimodal
 	freqHz float64
 
-	cycleNs float64 //ntclint:allow snapshotcheck derived: Restore recomputes it from FreqHz
+	cycleNs float64
 
 	// Pipeline state.
 	seq           uint64 // dynamic instruction index
@@ -196,17 +195,17 @@ type Core struct {
 	pf     streamPrefetcher
 
 	// Observability (see observe.go): nil/zero until EnableObs, cumulative
-	// afterwards, never checkpointed or reset with Stats.
-	mshrOcc  []uint64 //ntclint:allow snapshotcheck obs-only: cumulative since EnableObs
-	mshrFull uint64   //ntclint:allow snapshotcheck obs-only: cumulative since EnableObs
+	// afterwards, never cloned or reset with Stats.
+	mshrOcc  []uint64
+	mshrFull uint64
 
 	cycleAtReset int64 // commit cycle at the last ResetStats
 	stats        Stats
-	instr        workload.Instr //ntclint:allow snapshotcheck scratch: overwritten at the start of every Step
+	instr        workload.Instr
 	// ffInstr is FastForward's decode scratch, kept separate from instr
 	// so functional warming never clobbers the detailed pipeline's
 	// in-flight instruction.
-	ffInstr workload.Instr //ntclint:allow snapshotcheck scratch: overwritten by every FastForward decode
+	ffInstr workload.Instr
 }
 
 // New builds a core with its private L1s.
@@ -235,6 +234,28 @@ func New(cfg Config, id int, gen *workload.Generator, mem MemSystem, freqHz floa
 		lastILine:    math.MaxUint64,
 		misses:       make([]outstanding, 0, cfg.MSHREntries),
 	}, nil
+}
+
+// Clone returns an independent copy of the core — pipeline, L1s,
+// predictor and workload generator — issuing its misses to mem, with
+// observability off.
+func (c *Core) Clone(mem MemSystem) *Core {
+	n := *c
+	n.mem = mem
+	n.gen = c.gen.Clone()
+	n.l1i, n.l1d = c.l1i.Clone(), c.l1d.Clone()
+	n.bpred = c.bpred.clone()
+	n.completeRing = slices.Clone(c.completeRing)
+	n.commitRing = slices.Clone(c.commitRing)
+	n.misses = append(make([]outstanding, 0, cap(c.misses)), c.misses...)
+	n.mshrOcc, n.mshrFull = nil, 0
+	return &n
+}
+
+// ReseedWorkload re-derives the workload generator's random streams from
+// seed (see workload.Generator.Reseed).
+func (c *Core) ReseedWorkload(seed *rng.Stream) {
+	c.gen.Reseed(seed)
 }
 
 // ID returns the core's global identifier.

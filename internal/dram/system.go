@@ -3,6 +3,7 @@ package dram
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"ntcsim/internal/cache"
 )
@@ -108,18 +109,16 @@ type channel struct {
 // concurrent use; the cluster simulator drives it from a single goroutine
 // with non-decreasing timestamps.
 type System struct {
-	//ntclint:allow snapshotcheck config: fixed by New
 	cfg   Config
 	chans []*channel
 	stats Stats
 
-	//ntclint:allow snapshotcheck derived: row geometry from cfg, recomputed by New
 	colsPerRow uint64
 	lastNowNs  float64
 
 	// Observability (see observe.go): nil until EnableObs, cumulative
-	// afterwards, never checkpointed or reset with Stats.
-	bankObs [][]BankCommandCounts //ntclint:allow snapshotcheck obs-only: cumulative since EnableObs
+	// afterwards, never cloned or reset with Stats.
+	bankObs [][]BankCommandCounts
 }
 
 // New validates cfg and builds the system.
@@ -163,6 +162,32 @@ func New(cfg Config) (*System, error) {
 		}
 	}
 	return s, nil
+}
+
+// Clone returns an independent copy of the system's bank, bus and
+// statistics state, with observability off.
+func (s *System) Clone() *System {
+	n := *s
+	n.chans = make([]*channel, len(s.chans))
+	for i, ch := range s.chans {
+		n.chans[i] = ch.clone()
+	}
+	n.bankObs = nil
+	return &n
+}
+
+// clone returns an independent copy of the channel.
+func (ch *channel) clone() *channel {
+	n := *ch
+	n.banks = slices.Clone(ch.banks)
+	n.lastActNs = slices.Clone(ch.lastActNs)
+	n.actWindow = make([][]float64, len(ch.actWindow))
+	for r, w := range ch.actWindow {
+		n.actWindow[r] = slices.Clone(w)
+	}
+	n.actIdx = slices.Clone(ch.actIdx)
+	n.lastActGroup = slices.Clone(ch.lastActGroup)
+	return &n
 }
 
 // Config returns the system configuration.

@@ -66,8 +66,8 @@ func TestSnapshotcheck(t *testing.T) {
 
 // TestSnapshotcheckDefaults runs the analyzer with its production flags
 // over fixtures at the import paths of the cluster checkpoint and each
-// component it captures, so dropping one of them from the default package
-// list, or a pair name they use from the default pairs, fails here.
+// component it clones, so dropping one of them from the default package
+// list fails here.
 func TestSnapshotcheckDefaults(t *testing.T) {
 	linttest.Run(t, "testdata", lint.SnapshotcheckAnalyzer, "ntcsim/internal/sim",
 		"ntcsim/internal/cpu", "ntcsim/internal/cache", "ntcsim/internal/dram",

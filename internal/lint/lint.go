@@ -34,9 +34,10 @@
 //   - floatorder: float accumulation reachable from parallel.ForEach
 //     callbacks or harvest/merge reducers is order-dependent and breaks
 //     byte-identical-at-any-jobs; counters use int64 fixed point.
-//   - snapshotcheck: every Snapshot/Restore-style pair must mirror all
-//     stateful fields in both directions, so state added later cannot
-//     silently escape checkpointing.
+//   - snapshotcheck: a Clone/clone method that copies its receiver whole
+//     must still name every reference-typed field (one that does not
+//     must name every field), so a slice or pointer added later cannot
+//     end up silently shared between a checkpoint and its restores.
 //   - ctxloop: unbounded loops in context-accepting functions under the
 //     sweep/worker packages must observe ctx.Done()/ctx.Err().
 //

@@ -3,17 +3,16 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"golang.org/x/tools/go/analysis"
 )
 
-// snapshotPkgDefault lists the packages whose Snapshot/Restore pairs are
-// audited: the cluster simulator's checkpoint and every component it
-// captures (cores, caches, DRAM, crossbar, workload generators), the
-// telemetry layer's exports, and the serving DES, which has no pair today
-// but is audited so that any pair added there is checked from its first
-// commit.
+// snapshotPkgDefault lists the packages whose Clone methods are audited:
+// the cluster simulator, whose checkpoint is a never-run clone of a
+// cluster, every component that clone copies (cores, caches, DRAM,
+// crossbar, workload generators), and the serving DES and telemetry
+// layer, which have no Clone today but are audited so that any Clone
+// added there is checked from its first commit.
 const snapshotPkgDefault = "ntcsim/internal/sim," +
 	"ntcsim/internal/cpu," +
 	"ntcsim/internal/cache," +
@@ -23,44 +22,35 @@ const snapshotPkgDefault = "ntcsim/internal/sim," +
 	"ntcsim/internal/serve," +
 	"ntcsim/internal/obs/timeseries"
 
-// snapshotPairsDefault names the getter:setter method conventions that
-// form a checkpoint pair in this repo. A getter with no matching setter
-// anywhere in its package (e.g. a read-only expvar export) is not a
-// checkpoint and is skipped.
-const snapshotPairsDefault = "Snapshot:Restore," +
-	"Snapshot:RestoreSnapshot," +
-	"State:Restore," +
-	"Checkpoint:RestoreCluster"
-
-// SnapshotcheckAnalyzer verifies that every Snapshot/Restore-style pair
-// mirrors all stateful fields in both directions:
+// SnapshotcheckAnalyzer verifies that every Clone (or clone) method
+// decides, field by field, what its copy owns:
 //
-//  1. every field of the live struct is referenced by the getter (state
-//     the snapshot does not capture silently escapes checkpointing);
-//  2. every field of the snapshot image is written by the getter; and
-//  3. every field of the image is read back by the setter.
+//  1. a body that copies the receiver as a whole (n := *c) carries every
+//     value field, but each field of reference type — pointer, slice,
+//     map, chan, func or interface — must still be named in the body,
+//     where the author copies it or shares it on purpose; a forgotten
+//     one would be shared silently between the original and its copy;
+//  2. a body that does not copy the receiver as a whole must name every
+//     field.
 //
-// Fields that are configuration or derived (rebuilt by the constructor,
-// never mutated mid-run) carry //ntclint:allow snapshotcheck <reason> on
-// their declaration; sync primitives and blank fields are skipped
-// automatically. The point is forward protection: a field later added to
-// sim.Cluster fails the lint gate until it is either mirrored into the
-// snapshot or explicitly declared stateless.
+// A field may opt out with //ntclint:allow snapshotcheck <reason> on its
+// declaration; sync primitives and blank fields are skipped
+// automatically. The point is forward protection: a reference field
+// later added to cpu.Core fails the lint gate until Core.Clone says
+// whether the copy gets its own.
 var SnapshotcheckAnalyzer = &analysis.Analyzer{
 	Name: "snapshotcheck",
-	Doc: "verify Snapshot/Restore pairs mirror every stateful field both ways\n\n" +
-		"For each getter:setter checkpoint pair, all live-struct fields must be\n" +
-		"referenced by the getter, and all snapshot-image fields must be written by\n" +
-		"the getter and read by the setter. Annotate config/derived fields with\n" +
-		"//ntclint:allow snapshotcheck <reason> on their declaration.",
+	Doc: "verify Clone methods copy or knowingly share every field\n\n" +
+		"A Clone/clone method that copies its receiver whole (n := *c) must still\n" +
+		"name each pointer, slice, map, chan, func or interface field; one that\n" +
+		"does not must name every field. Annotate a field that needs neither with\n" +
+		"//ntclint:allow snapshotcheck <reason> on its declaration.",
 	Run: runSnapshotcheck,
 }
 
 func init() {
 	SnapshotcheckAnalyzer.Flags.String("packages", snapshotPkgDefault,
-		"comma-separated package path prefixes whose checkpoint pairs are audited")
-	SnapshotcheckAnalyzer.Flags.String("pairs", snapshotPairsDefault,
-		"comma-separated getter:setter name pairs that form a checkpoint")
+		"comma-separated package path prefixes whose Clone methods are audited")
 }
 
 // namedStruct unwraps pointers and reports the named struct type behind
@@ -81,7 +71,7 @@ func namedStruct(t types.Type) (*types.Named, *types.Struct) {
 }
 
 // isSyncField reports whether the field's type comes from package sync
-// (Mutex, RWMutex, Once, …) — lock state is never checkpointed.
+// (Mutex, RWMutex, Once, …) — lock state is never cloned.
 func isSyncField(t types.Type) bool {
 	named, ok := t.(*types.Named)
 	if !ok {
@@ -100,15 +90,11 @@ type fieldRefs struct {
 	wholesale map[*types.Named]bool
 }
 
-func (fr *fieldRefs) has(named *types.Named, f *types.Var) bool {
-	return fr.fields[f] || fr.wholesale[named]
-}
-
 // collectFieldRefs walks a function body recording every struct field it
 // references: selector accesses, keyed composite-literal fields,
 // positional composite literals (which by Go's rules cover every field),
-// and bare uses of the tracked receiver/parameter variables (a wholesale
-// copy like *snap touches every field).
+// and bare uses of the tracked receiver variable (a wholesale copy like
+// n := *c touches every field).
 func collectFieldRefs(pass *analysis.Pass, body *ast.BlockStmt, tracked map[*types.Var]*types.Named) *fieldRefs {
 	fr := &fieldRefs{fields: map[*types.Var]bool{}, wholesale: map[*types.Named]bool{}}
 	// Idents appearing as the base of a selector are not bare uses.
@@ -192,16 +178,14 @@ func collectFieldRefs(pass *analysis.Pass, body *ast.BlockStmt, tracked map[*typ
 	return fr
 }
 
-// checkpointPair is one resolved getter/setter pair on a live type.
-type checkpointPair struct {
-	liveNamed   *types.Named
-	liveStruct  *types.Struct
-	getterName  string
-	getter      *ast.FuncDecl
-	imageNamed  *types.Named // nil when the image is not a named struct
-	imageStruct *types.Struct
-	setterName  string
-	setter      *ast.FuncDecl
+// isReference reports whether a value of type t refers to memory a
+// plain copy would share.
+func isReference(t types.Type) bool {
+	switch t.Underlying().(type) {
+	case *types.Pointer, *types.Slice, *types.Map, *types.Chan, *types.Signature, *types.Interface:
+		return true
+	}
+	return false
 }
 
 func runSnapshotcheck(pass *analysis.Pass) (interface{}, error) {
@@ -209,178 +193,47 @@ func runSnapshotcheck(pass *analysis.Pass) (interface{}, error) {
 	if !pathMatches(pkgPath(pass), pkgs) {
 		return nil, nil
 	}
-	pairsSpec := pass.Analyzer.Flags.Lookup("pairs").Value.String()
-	type pairNames struct{ getter, setter string }
-	var pairs []pairNames
-	for _, p := range strings.Split(pairsSpec, ",") {
-		g, s, ok := strings.Cut(strings.TrimSpace(p), ":")
-		if ok && g != "" && s != "" {
-			pairs = append(pairs, pairNames{g, s})
-		}
-	}
-
-	// Index every declared function, in source order for determinism.
-	var funcs []*ast.FuncDecl
+	ai := newAllowIndex(pass, pass.Analyzer.Name)
 	eachNonTestFile(pass, func(f *ast.File) {
 		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-				funcs = append(funcs, fd)
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil || fd.Recv == nil || len(fd.Recv.List) != 1 ||
+				(fd.Name.Name != "Clone" && fd.Name.Name != "clone") {
+				continue
+			}
+			recv := fd.Recv.List[0]
+			named, st := namedStruct(pass.TypesInfo.TypeOf(recv.Type))
+			if st == nil {
+				continue
+			}
+			tracked := map[*types.Var]*types.Named{}
+			if len(recv.Names) == 1 {
+				if obj, ok := pass.TypesInfo.Defs[recv.Names[0]].(*types.Var); ok {
+					tracked[obj] = named
+				}
+			}
+			refs := collectFieldRefs(pass, fd.Body, tracked)
+			whole := refs.wholesale[named]
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				if f.Name() == "_" || isSyncField(f.Type()) || ai.allowed(f.Pos()) || refs.fields[f] {
+					continue
+				}
+				switch {
+				case !whole:
+					pass.Reportf(f.Pos(),
+						"field %s.%s is not copied by %s: name every field, or "+
+							"annotate //ntclint:allow snapshotcheck <reason>",
+						named.Obj().Name(), f.Name(), fd.Name.Name)
+				case isReference(f.Type()):
+					pass.Reportf(f.Pos(),
+						"reference field %s.%s is shared by the whole-value copy in %s: "+
+							"copy it or share it by name, or annotate "+
+							"//ntclint:allow snapshotcheck <reason>",
+						named.Obj().Name(), f.Name(), fd.Name.Name)
+				}
 			}
 		}
 	})
-	// recvNamed resolves a method's receiver to its named type.
-	recvNamed := func(fd *ast.FuncDecl) *types.Named {
-		if fd.Recv == nil || len(fd.Recv.List) != 1 {
-			return nil
-		}
-		t := pass.TypesInfo.TypeOf(fd.Recv.List[0].Type)
-		if t == nil {
-			return nil
-		}
-		named, _ := namedStruct(t)
-		return named
-	}
-	// paramOfType reports whether fd takes a parameter of the image type.
-	paramOfType := func(fd *ast.FuncDecl, image *types.Named) bool {
-		if image == nil || fd.Type.Params == nil {
-			return false
-		}
-		for _, f := range fd.Type.Params.List {
-			t := pass.TypesInfo.TypeOf(f.Type)
-			if t == nil {
-				continue
-			}
-			if n, _ := namedStruct(t); n == image {
-				return true
-			}
-		}
-		return false
-	}
-
-	var resolved []checkpointPair
-	for _, fd := range funcs {
-		live := recvNamed(fd)
-		if live == nil {
-			continue
-		}
-		if fd.Type.Params != nil && len(fd.Type.Params.List) > 0 {
-			continue
-		}
-		if fd.Type.Results == nil || len(fd.Type.Results.List) != 1 {
-			continue
-		}
-		for _, pn := range pairs {
-			if fd.Name.Name != pn.getter {
-				continue
-			}
-			cp := checkpointPair{
-				liveNamed:  live,
-				getterName: pn.getter,
-				getter:     fd,
-				setterName: pn.setter,
-			}
-			cp.liveStruct, _ = live.Underlying().(*types.Struct)
-			rt := pass.TypesInfo.TypeOf(fd.Type.Results.List[0].Type)
-			if rt != nil {
-				cp.imageNamed, cp.imageStruct = namedStruct(rt)
-			}
-			// A plain (non-struct) image — e.g. the cache's
-			// [][]LineState — still gets live-coverage checking.
-			for _, cand := range funcs {
-				if cand.Name.Name != pn.setter || cand == fd {
-					continue
-				}
-				crecv := recvNamed(cand)
-				switch {
-				case crecv == live && (cp.imageNamed == nil || paramOfType(cand, cp.imageNamed)):
-					cp.setter = cand // method on the live type taking the image
-				case crecv != nil && cp.imageNamed != nil && crecv == cp.imageNamed:
-					cp.setter = cand // method on the image type itself
-				case crecv == nil && paramOfType(cand, cp.imageNamed):
-					cp.setter = cand // package-level restore function (RestoreCluster)
-				}
-				if cp.setter != nil {
-					break
-				}
-			}
-			if cp.setter != nil {
-				resolved = append(resolved, cp)
-			}
-		}
-	}
-
-	ai := newAllowIndex(pass, pass.Analyzer.Name)
-	skipField := func(f *types.Var) bool {
-		return f.Name() == "_" || isSyncField(f.Type()) || ai.allowed(f.Pos())
-	}
-	for _, cp := range resolved {
-		liveDesc := cp.liveNamed.Obj().Name()
-		// Track the getter receiver and the setter's receiver/params so
-		// wholesale uses are recognized.
-		getterTracked := map[*types.Var]*types.Named{}
-		if cp.getter.Recv != nil && len(cp.getter.Recv.List) == 1 && len(cp.getter.Recv.List[0].Names) == 1 {
-			if obj, ok := pass.TypesInfo.Defs[cp.getter.Recv.List[0].Names[0]].(*types.Var); ok {
-				getterTracked[obj] = cp.liveNamed
-			}
-		}
-		gRefs := collectFieldRefs(pass, cp.getter.Body, getterTracked)
-
-		if cp.liveStruct != nil {
-			for i := 0; i < cp.liveStruct.NumFields(); i++ {
-				f := cp.liveStruct.Field(i)
-				if skipField(f) || gRefs.has(cp.liveNamed, f) {
-					continue
-				}
-				pass.Reportf(f.Pos(),
-					"field %s.%s is not captured by %s: stateful fields must be "+
-						"mirrored into the snapshot image, or annotated "+
-						"//ntclint:allow snapshotcheck <reason> if configuration/derived",
-					liveDesc, f.Name(), cp.getterName)
-			}
-		}
-		if cp.imageStruct != nil && cp.imageNamed != cp.liveNamed {
-			imageDesc := cp.imageNamed.Obj().Name()
-			setterTracked := map[*types.Var]*types.Named{}
-			for _, fl := range cp.setter.Type.Params.List {
-				t := pass.TypesInfo.TypeOf(fl.Type)
-				if t == nil {
-					continue
-				}
-				if n, _ := namedStruct(t); n == cp.imageNamed {
-					for _, name := range fl.Names {
-						if obj, ok := pass.TypesInfo.Defs[name].(*types.Var); ok {
-							setterTracked[obj] = cp.imageNamed
-						}
-					}
-				}
-			}
-			if cp.setter.Recv != nil && len(cp.setter.Recv.List) == 1 && len(cp.setter.Recv.List[0].Names) == 1 {
-				if obj, ok := pass.TypesInfo.Defs[cp.setter.Recv.List[0].Names[0]].(*types.Var); ok {
-					if n := recvNamed(cp.setter); n == cp.imageNamed {
-						setterTracked[obj] = cp.imageNamed
-					}
-				}
-			}
-			sRefs := collectFieldRefs(pass, cp.setter.Body, setterTracked)
-			for i := 0; i < cp.imageStruct.NumFields(); i++ {
-				f := cp.imageStruct.Field(i)
-				if skipField(f) {
-					continue
-				}
-				if !gRefs.has(cp.imageNamed, f) {
-					pass.Reportf(f.Pos(),
-						"snapshot field %s.%s is never written by %s.%s: the image "+
-							"must cover exactly the state the getter captures",
-						imageDesc, f.Name(), liveDesc, cp.getterName)
-				}
-				if !sRefs.has(cp.imageNamed, f) {
-					pass.Reportf(f.Pos(),
-						"snapshot field %s.%s is never read back by %s: restoring "+
-							"must consume every field the snapshot carries",
-						imageDesc, f.Name(), cp.setterName)
-				}
-			}
-		}
-	}
 	return nil, nil
 }

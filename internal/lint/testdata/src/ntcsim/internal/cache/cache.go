@@ -1,16 +1,14 @@
 // Package cache stands at a component import path the snapshotcheck
-// analyzer audits by default, with the Snapshot:RestoreSnapshot pair.
+// analyzer audits by default.
 package cache
 
-// Cache snapshots its ways but not its access count.
+// Cache's Clone copies it whole but forgets its tag array.
 type Cache struct {
-	ways     []uint64
-	accesses uint64 // want `field Cache.accesses is not captured by Snapshot`
+	ways     []uint64 // want `reference field Cache.ways is shared by the whole-value copy in Clone`
+	accesses uint64
 }
 
-func (c *Cache) Snapshot() []uint64 { return append([]uint64(nil), c.ways...) }
-
-func (c *Cache) RestoreSnapshot(ways []uint64) error {
-	copy(c.ways, ways)
-	return nil
+func (c *Cache) Clone() *Cache {
+	n := *c
+	return &n
 }

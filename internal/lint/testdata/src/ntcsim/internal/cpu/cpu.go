@@ -1,23 +1,18 @@
 // Package cpu stands at a component import path the snapshotcheck
 // analyzer audits by default: run with its production flags, it must
-// report the field this State/Restore pair misses.
+// report the field this Clone shares.
 package cpu
 
-// Core checkpoints its cycle count but not its instruction count.
+// Core copies its ring but shares its predictor table.
 type Core struct {
-	width  int //ntclint:allow snapshotcheck config: fixed at construction
-	cycles uint64
-	instrs uint64 // want `field Core.instrs is not captured by State`
+	width   int
+	cycles  uint64
+	ring    []int64
+	predict []uint8 // want `reference field Core.predict is shared by the whole-value copy in Clone`
 }
 
-// CoreState is the core's checkpoint image.
-type CoreState struct {
-	Cycles uint64
-}
-
-func (c *Core) State() CoreState { return CoreState{Cycles: c.cycles} }
-
-func (c *Core) Restore(st CoreState) error {
-	c.cycles = st.Cycles
-	return nil
+func (c *Core) Clone() *Core {
+	n := *c
+	n.ring = append([]int64(nil), c.ring...)
+	return &n
 }

@@ -2,20 +2,14 @@
 // analyzer audits by default.
 package dram
 
-// System checkpoints its clock but not its open row.
-type System struct {
-	nowNs   float64
-	openRow int // want `field System.openRow is not captured by State`
+// channel's clone copies its banks but shares its activation window.
+type channel struct {
+	banks     []int64
+	actWindow []float64 // want `reference field channel.actWindow is shared by the whole-value copy in clone`
 }
 
-// SystemState is the system's checkpoint image.
-type SystemState struct {
-	NowNs float64
-}
-
-func (s *System) State() SystemState { return SystemState{NowNs: s.nowNs} }
-
-func (s *System) Restore(st SystemState) error {
-	s.nowNs = st.NowNs
-	return nil
+func (ch *channel) clone() *channel {
+	n := *ch
+	n.banks = append([]int64(nil), ch.banks...)
+	return &n
 }

@@ -2,20 +2,13 @@
 // analyzer audits by default.
 package uncore
 
-// Crossbar checkpoints its transfer count but not its wait time.
+// Crossbar's Clone shares its port clocks.
 type Crossbar struct {
 	transfers uint64
-	waitNs    float64 // want `field Crossbar.waitNs is not captured by State`
+	nextFree  []float64 // want `reference field Crossbar.nextFree is shared by the whole-value copy in Clone`
 }
 
-// CrossbarState is the crossbar's checkpoint image.
-type CrossbarState struct {
-	Transfers uint64
-}
-
-func (x *Crossbar) State() CrossbarState { return CrossbarState{Transfers: x.transfers} }
-
-func (x *Crossbar) Restore(st CrossbarState) error {
-	x.transfers = st.Transfers
-	return nil
+func (x *Crossbar) Clone() *Crossbar {
+	n := *x
+	return &n
 }

@@ -2,17 +2,13 @@
 // analyzer audits by default.
 package workload
 
-// Generator checkpoints its PC but not its produced count.
+// Generator's Clone shares the pointer to its stream.
 type Generator struct {
-	pc       uint64
-	produced uint64 // want `field Generator.produced is not captured by State`
+	pc     uint64
+	stream *uint64 // want `reference field Generator.stream is shared by the whole-value copy in Clone`
 }
 
-// GeneratorState is the generator's checkpoint image.
-type GeneratorState struct {
-	PC uint64
+func (g *Generator) Clone() *Generator {
+	n := *g
+	return &n
 }
-
-func (g *Generator) State() GeneratorState { return GeneratorState{PC: g.pc} }
-
-func (g *Generator) Restore(st GeneratorState) { g.pc = st.PC }

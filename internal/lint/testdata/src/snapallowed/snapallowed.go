@@ -1,34 +1,29 @@
-// Package snapallowed exercises the snapshotcheck escape hatch: config
-// and derived fields opt out at their declaration, with a reason.
+// Package snapallowed exercises the snapshotcheck escape hatch: a field
+// that a Clone knowingly shares opts out at its declaration, with a
+// reason.
 package snapallowed
 
-// Server mixes checkpointed state with annotated configuration.
+// Server shares its annotated, read-only routes with every clone.
 type Server struct {
-	limit int //ntclint:allow snapshotcheck config: fixed at construction
-	//ntclint:allow snapshotcheck derived: recomputed from limit on restore
-	budget int
-	used   int
-	bare   int //ntclint:allow snapshotcheck // want `needs a reason` `field Server.bare is not captured by Snapshot`
+	routes map[string]int //ntclint:allow snapshotcheck shared: read-only after construction
+	//ntclint:allow snapshotcheck shared: immutable after construction
+	names []string
+	queue []int
+	log   []string //ntclint:allow snapshotcheck // want `needs a reason` `reference field Server.log is shared by the whole-value copy in Clone`
 }
 
-type ServerState struct {
-	Used int
+func (s *Server) Clone() *Server {
+	n := *s
+	n.queue = append([]int(nil), s.queue...)
+	return &n
 }
-
-func (s *Server) Snapshot() ServerState  { return ServerState{Used: s.used} }
-func (s *Server) Restore(st ServerState) { s.used = st.Used }
 
 // Leak's annotation trails its own field, so it must not also exempt the
 // field below it.
 type Leak struct {
 	limit int //ntclint:allow snapshotcheck config: fixed at construction
-	hits  int // want "field Leak.hits is not captured by Snapshot"
+	hits  int // want "field Leak.hits is not copied by Clone"
 	seen  int
 }
 
-type LeakState struct {
-	Seen int
-}
-
-func (l *Leak) Snapshot() LeakState  { return LeakState{Seen: l.seen} }
-func (l *Leak) Restore(st LeakState) { l.seen = st.Seen }
+func (l *Leak) Clone() *Leak { return &Leak{seen: l.seen} }

@@ -1,60 +1,43 @@
 // Package snapbad exercises the snapshotcheck analyzer's positive
-// cases, including the headline scenario: a field newly added to a live
-// struct that the existing Snapshot/Restore pair does not mirror.
+// cases, including the headline scenario: a slice field newly added to a
+// struct whose Clone copies the receiver whole, so the original and its
+// copy would silently share the slice's backing array.
 package snapbad
 
-// Engine is a checkpointable type whose pair predates the newCounter
-// field — exactly the forward-protection case the analyzer exists for.
+// Engine's Clone predates the pending field.
 type Engine struct {
-	tick       uint64
-	queue      []int
-	newCounter uint64 // want `field Engine.newCounter is not captured by Snapshot`
+	tick    uint64
+	queue   []int
+	pending []int // want `reference field Engine.pending is shared by the whole-value copy in Clone`
 }
 
-// Image mirrors Engine, but staleField is written by nobody and
-// readBackOnly is never restored.
-type Image struct {
-	Tick       uint64
-	Queue      []int
-	StaleField uint64 // want `snapshot field Image.StaleField is never written by Engine.Snapshot` `snapshot field Image.StaleField is never read back by Restore`
+func (e *Engine) Clone() *Engine {
+	n := *e
+	n.queue = append([]int(nil), e.queue...)
+	return &n
 }
 
-func (e *Engine) Snapshot() *Image {
-	return &Image{
-		Tick:  e.tick,
-		Queue: append([]int(nil), e.queue...),
-	}
-}
-
-func (e *Engine) Restore(im *Image) {
-	e.tick = im.Tick
-	e.queue = append(e.queue[:0], im.Queue...)
-}
-
-// Gen pairs the State:Restore convention; its rate field is config that
-// SHOULD be annotated but is not.
-type Gen struct {
-	rate float64 // want `field Gen.rate is not captured by State`
+// gen copies field by field and forgets its rate, a plain value: without
+// a whole-value copy every field must be named.
+type gen struct {
+	rate float64 // want `field gen.rate is not copied by clone`
 	pos  int
 }
 
-type GenState struct {
-	Pos int
-}
+func (g *gen) clone() *gen { return &gen{pos: g.pos} }
 
-func (g *Gen) State() GenState    { return GenState{Pos: g.pos} }
-func (g *Gen) Restore(s GenState) { g.pos = s.Pos }
-
-// Table pairs Snapshot:RestoreSnapshot with a plain slice image, the
-// cache.Cache shape; its hits counter escapes the snapshot.
+// Table shares its map, its pointer and its callback through the
+// whole-value copy.
 type Table struct {
-	lines []uint64
-	hits  uint64 // want `field Table.hits is not captured by Snapshot`
+	lines  []uint64
+	index  map[uint64]int // want `reference field Table.index is shared`
+	parent *Table         // want `reference field Table.parent is shared`
+	onMiss func()         // want `reference field Table.onMiss is shared`
+	hits   uint64
 }
 
-func (t *Table) Snapshot() []uint64 { return append([]uint64(nil), t.lines...) }
-
-func (t *Table) RestoreSnapshot(lines []uint64) error {
-	copy(t.lines, lines)
-	return nil
+func (t *Table) Clone() *Table {
+	n := *t
+	n.lines = append([]uint64(nil), t.lines...)
+	return &n
 }

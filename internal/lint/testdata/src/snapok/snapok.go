@@ -1,80 +1,75 @@
 // Package snapok exercises the snapshotcheck analyzer's negative cases:
-// complete pairs, automatic skips, and getter-only exports.
+// complete clones, automatic skips, and methods that are not clones.
 package snapok
 
 import "sync"
 
-// Machine's pair is complete in both directions; the mutex is skipped
-// automatically (lock state is never checkpointed).
+// Machine's Clone copies the receiver whole and names its one reference
+// field; the mutex is skipped automatically.
 type Machine struct {
 	mu    sync.Mutex
 	tick  uint64
+	limit int
 	items []int
 }
 
-type MachineState struct {
-	Tick  uint64
-	Items []int
-}
-
-func (m *Machine) Snapshot() *MachineState {
+func (m *Machine) Clone() *Machine {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return &MachineState{
-		Tick:  m.tick,
-		Items: append([]int(nil), m.items...),
-	}
+	n := &Machine{tick: m.tick, limit: m.limit}
+	n.items = append([]int(nil), m.items...)
+	return n
 }
 
-func (m *Machine) Restore(st *MachineState) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.tick = st.Tick
-	m.items = append(m.items[:0], st.Items...)
+// Core's Clone copies the receiver whole, gives the copy its own ring
+// and caches, shares its read-only table by name, and rewires its owner.
+type Core struct {
+	width int
+	cycle uint64
+	ring  []int64
+	l1    *Cache
+	table *[]uint64
+	owner any
+	obs   []uint64
 }
 
-// Export has a Snapshot getter but no Restore anywhere: it is a
-// read-only view, not a checkpoint, so no pair forms and no coverage is
-// demanded.
+func (c *Core) Clone(owner any) *Core {
+	n := *c
+	n.ring = append([]int64(nil), c.ring...)
+	n.l1 = c.l1.clone()
+	n.table = c.table // shared: read-only after construction
+	n.owner = owner
+	n.obs = nil
+	return &n
+}
+
+// Cache's lower-case clone copies it whole and its tag array by name.
+type Cache struct {
+	ways  []uint64
+	assoc int
+}
+
+func (c *Cache) clone() *Cache {
+	n := *c
+	n.ways = append([]uint64(nil), c.ways...)
+	return &n
+}
+
+// Gen holds only values, so a whole-value copy is the whole clone.
+type Gen struct {
+	pc, produced uint64
+	inOS         bool
+}
+
+func (g *Gen) Clone() *Gen {
+	n := *g
+	return &n
+}
+
+// Export has a Snapshot but no Clone: it is not audited.
 type Export struct {
-	hidden int
+	hidden []int
 	Value  int
 }
 
-type ExportView struct {
-	Value int
-}
-
-func (e *Export) Snapshot() ExportView { return ExportView{Value: e.Value} }
-
-// Pool's pair round-trips through a package-level restore function, the
-// sim.RestoreCluster shape.
-type Pool struct {
-	level int
-}
-
-type PoolImage struct {
-	Level int
-}
-
-func (p *Pool) Checkpoint() *PoolImage { return &PoolImage{Level: p.level} }
-
-func RestoreCluster(im *PoolImage) *Pool { return &Pool{level: im.Level} }
-
-// Counter's image is a plain uint64 — only live-field coverage applies.
-type Counter struct {
-	next int
-}
-
-func (c *Counter) State() uint64    { return uint64(c.next) }
-func (c *Counter) Restore(v uint64) { c.next = int(v) }
-
-// Wholesale copies and struct conversions cover every field at once.
-type Blob struct {
-	a, b int
-}
-
-func (bl *Blob) State() blobState    { return blobState(*bl) }
-func (bl *Blob) Restore(s blobState) { *bl = Blob(s) }
-
-type blobState Blob
+func (e *Export) Snapshot() int { return e.Value }

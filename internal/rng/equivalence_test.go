@@ -85,7 +85,7 @@ func checkGeometric(t *testing.T, p float64, draws int) {
 			t.Fatalf("p=%v draw %d: sampler %d, reference %d", p, i, got, want)
 		}
 	}
-	if a.State() != b.State() {
+	if a.state != b.state {
 		t.Fatalf("p=%v: sampler and reference consumed different stream lengths", p)
 	}
 }

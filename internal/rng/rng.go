@@ -181,9 +181,3 @@ func (s *Stream) gamma(shape float64) float64 {
 		}
 	}
 }
-
-// State returns the stream's internal state for checkpointing.
-func (s *Stream) State() uint64 { return s.state }
-
-// SetState restores a state captured with State.
-func (s *Stream) SetState(v uint64) { s.state = v }

@@ -180,7 +180,7 @@ func TestGeometricPOne(t *testing.T) {
 			t.Fatalf("Geometric(1) = %d, want 1", k)
 		}
 	}
-	if s.State() != 29 {
+	if s.state != 29 {
 		t.Fatal("Geometric(1) consumed the stream")
 	}
 }

@@ -94,9 +94,3 @@ func (t *zipfTable) rank(m uint64) int {
 	}
 	return lo
 }
-
-// StreamState returns the sampler's stream state for checkpointing.
-func (z *Zipf) StreamState() uint64 { return z.s.state }
-
-// SetStreamState restores a state captured with StreamState.
-func (z *Zipf) SetStreamState(v uint64) { z.s.state = v }

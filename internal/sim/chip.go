@@ -10,24 +10,31 @@ import (
 	"ntcsim/internal/workload"
 )
 
-// SharedMemory wraps one DRAM system behind a monotone clock so that
+// sharedMemory wraps one DRAM system behind a monotone clock so that
 // multiple clusters (whose core clocks drift independently) can share it.
-type SharedMemory struct {
+type sharedMemory struct {
 	sys     *dram.System
 	clampNs float64
 }
 
-// NewSharedMemory builds the shared memory system.
-func NewSharedMemory(cfg dram.Config) (*SharedMemory, error) {
+// newSharedMemory builds the shared memory system.
+func newSharedMemory(cfg dram.Config) (*sharedMemory, error) {
 	sys, err := dram.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &SharedMemory{sys: sys}, nil
+	return &sharedMemory{sys: sys}, nil
+}
+
+// clone returns an independent copy of the memory system and its clock.
+func (m *sharedMemory) clone() *sharedMemory {
+	n := *m
+	n.sys = m.sys.Clone()
+	return &n
 }
 
 // Submit forwards to the DRAM simulator with time clamped forward.
-func (m *SharedMemory) Submit(addr uint64, write bool, nowNs float64) float64 {
+func (m *sharedMemory) Submit(addr uint64, write bool, nowNs float64) float64 {
 	if nowNs > m.clampNs {
 		m.clampNs = nowNs
 	}
@@ -35,13 +42,10 @@ func (m *SharedMemory) Submit(addr uint64, write bool, nowNs float64) float64 {
 }
 
 // Stats exposes the underlying statistics.
-func (m *SharedMemory) Stats() dram.Stats { return m.sys.Stats() }
+func (m *sharedMemory) Stats() dram.Stats { return m.sys.Stats() }
 
 // ResetStats clears statistics, preserving bank state.
-func (m *SharedMemory) ResetStats() { m.sys.ResetStats() }
-
-// Config returns the memory configuration.
-func (m *SharedMemory) Config() dram.Config { return m.sys.Config() }
+func (m *sharedMemory) ResetStats() { m.sys.ResetStats() }
 
 // Chip simulates several clusters sharing one memory system — the
 // configuration the single-cluster methodology approximates by scaling.
@@ -50,7 +54,7 @@ func (m *SharedMemory) Config() dram.Config { return m.sys.Config() }
 // DRAM channels quantifies the contention the scaling ignores.
 type Chip struct {
 	clusters []*Cluster
-	mem      *SharedMemory
+	mem      *sharedMemory
 	jobs     int
 }
 
@@ -80,7 +84,7 @@ func NewHeteroChip(cfg Config, clusters []ClusterSpec) (*Chip, error) {
 	if len(clusters) == 0 {
 		return nil, fmt.Errorf("sim: chip needs at least one cluster")
 	}
-	mem, err := NewSharedMemory(cfg.DRAM)
+	mem, err := newSharedMemory(cfg.DRAM)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
@@ -107,12 +111,6 @@ func NewHeteroChip(cfg Config, clusters []ClusterSpec) (*Chip, error) {
 	}
 	return ch, nil
 }
-
-// Cluster returns the i-th cluster (for per-cluster DVFS or inspection).
-func (c *Chip) Cluster(i int) *Cluster { return c.clusters[i] }
-
-// Clusters returns the cluster count.
-func (c *Chip) Clusters() int { return len(c.clusters) }
 
 // SetJobs bounds the worker count for the chip's parallel phases
 // (currently functional warmup). n <= 0 selects GOMAXPROCS. The result of

@@ -11,8 +11,8 @@ func TestChipConstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ch.Clusters() != 3 {
-		t.Fatalf("clusters = %d", ch.Clusters())
+	if len(ch.clusters) != 3 {
+		t.Fatalf("clusters = %d", len(ch.clusters))
 	}
 	if _, err := NewChip(DefaultConfig(), workload.WebSearch(), 0, 1e9); err == nil {
 		t.Fatal("zero clusters should be rejected")
@@ -169,8 +169,8 @@ func TestHeteroChipPerClusterRetargeting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch.Cluster(1).SetFrequency(0.5e9)
-	if ch.Cluster(0).freqHz != 2e9 || ch.Cluster(1).freqHz != 0.5e9 {
+	ch.clusters[1].SetFrequency(0.5e9)
+	if ch.clusters[0].freqHz != 2e9 || ch.clusters[1].freqHz != 0.5e9 {
 		t.Fatal("per-cluster DVFS should not leak across clusters")
 	}
 }

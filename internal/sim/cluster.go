@@ -58,23 +58,18 @@ type Cluster struct {
 	cores  []*cpu.Core
 	banks  []*cache.Cache
 	xbar   *uncore.Crossbar
-	mem    *SharedMemory
+	mem    *sharedMemory
 
-	// Derived access-path constants, recomputed by NewMixedCluster.
-	//ntclint:allow snapshotcheck derived: recomputed from cfg and freqHz
+	// Derived access-path constants, set by newCluster.
 	llcLatNs float64
 	// Bank selection as mask/shift (LLC.Banks is a validated power of
 	// two), so the per-access bankOf/unbank path has no integer divides.
-	//ntclint:allow snapshotcheck derived: recomputed from cfg bank count
-	bankMask uint64
-	//ntclint:allow snapshotcheck derived: recomputed from cfg bank count
+	bankMask  uint64
 	bankShift uint
 
 	// Reusable scratch for Run/FastForward so repeated measurement and
 	// warming windows allocate nothing after the first call.
-	//ntclint:allow snapshotcheck scratch: overwritten at the start of every Run
-	runTargets []int64
-	//ntclint:allow snapshotcheck scratch: overwritten at the start of every FastForward
+	runTargets  []int64
 	ffRemaining []uint64
 
 	llcReads  uint64 // demand reads received by the LLC
@@ -100,7 +95,7 @@ func NewMixedCluster(cfg Config, profiles []*workload.Profile, freqHz float64) (
 	if err != nil {
 		return nil, err
 	}
-	mem, err := NewSharedMemory(cfg.DRAM)
+	mem, err := newSharedMemory(cfg.DRAM)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
@@ -123,7 +118,7 @@ func newPlans(cfg Config, profiles []*workload.Profile, coreIDBase int) ([]workl
 
 // newCluster builds a cluster whose core i runs plans[i] against an
 // externally owned memory system.
-func newCluster(cfg Config, plans []workload.Plan, freqHz float64, mem *SharedMemory) (*Cluster, error) {
+func newCluster(cfg Config, plans []workload.Plan, freqHz float64, mem *sharedMemory) (*Cluster, error) {
 	if cfg.CoresPerCluster <= 0 {
 		return nil, fmt.Errorf("sim: cores per cluster must be positive")
 	}
@@ -176,8 +171,25 @@ func newCluster(cfg Config, plans []workload.Plan, freqHz float64, mem *SharedMe
 	return cl, nil
 }
 
-// Profile returns the workload the cluster runs.
-func (cl *Cluster) Profile() *workload.Profile { return cl.plans[0].Profile() }
+// clone returns an independent copy of the cluster and its memory
+// system. The copy shares the read-only plans and starts with empty
+// Run/FastForward scratch and observability off.
+func (cl *Cluster) clone() *Cluster {
+	n := *cl
+	n.plans = cl.plans // shared: a plan is never written after NewPlan
+	n.mem = cl.mem.clone()
+	n.xbar = cl.xbar.Clone()
+	n.banks = make([]*cache.Cache, len(cl.banks))
+	for i, b := range cl.banks {
+		n.banks[i] = b.Clone()
+	}
+	n.cores = make([]*cpu.Core, len(cl.cores))
+	for i, c := range cl.cores {
+		n.cores[i] = c.Clone(&n)
+	}
+	n.runTargets, n.ffRemaining = nil, nil
+	return &n
+}
 
 // Profiles returns the per-core workload assignment.
 func (cl *Cluster) Profiles() []*workload.Profile {

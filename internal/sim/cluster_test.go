@@ -22,7 +22,7 @@ func TestClusterConstruction(t *testing.T) {
 	if cl.Cores() != 4 {
 		t.Fatalf("cores = %d, want 4", cl.Cores())
 	}
-	if cl.Profile().Name != "web-search" {
+	if cl.plans[0].Profile().Name != "web-search" {
 		t.Fatal("profile mismatch")
 	}
 	if cl.freqHz != 1e9 {

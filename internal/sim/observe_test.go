@@ -115,10 +115,7 @@ func TestRestoredClusterObsDisabled(t *testing.T) {
 	}
 	cl.EnableObs()
 	cl.Run(10_000)
-	restored, err := RestoreCluster(cl.Checkpoint())
-	if err != nil {
-		t.Fatal(err)
-	}
+	restored := RestoreCluster(cl.Checkpoint())
 	if restored.mem.sys.PerBankCounts() != nil {
 		t.Fatal("restored cluster must have observability disabled")
 	}

@@ -110,38 +110,24 @@ func TestRestoreClusterSharedCheckpointConcurrently(t *testing.T) {
 	ck := cl.Checkpoint()
 
 	const n = 4
-	type result struct {
-		m   Measurement
-		err error
-	}
-	results := make([]result, n)
+	results := make([]Measurement, n)
 	done := make(chan int, n)
 	for i := 0; i < n; i++ {
 		go func(i int) {
 			defer func() { done <- i }()
-			rcl, err := RestoreCluster(ck)
-			if err != nil {
-				results[i].err = err
-				return
-			}
+			rcl := RestoreCluster(ck)
 			rcl.SetFrequency(1e9)
 			rcl.Run(2_000)
-			results[i].m = rcl.Measure(10_000)
+			results[i] = rcl.Measure(10_000)
 		}(i)
 	}
 	for i := 0; i < n; i++ {
 		<-done
 	}
 	for i := 1; i < n; i++ {
-		if results[i].err != nil {
-			t.Fatal(results[i].err)
-		}
-		if results[i].m.UserInstructions != results[0].m.UserInstructions ||
-			results[i].m.LLC != results[0].m.LLC {
+		if results[i].UserInstructions != results[0].UserInstructions ||
+			results[i].LLC != results[0].LLC {
 			t.Fatalf("restore %d diverged from restore 0", i)
 		}
-	}
-	if results[0].err != nil {
-		t.Fatal(results[0].err)
 	}
 }

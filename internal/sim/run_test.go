@@ -34,7 +34,7 @@ func runPerInstruction(cl *Cluster, cycles int64) {
 // TestBatchedRunMatchesPerInstruction: the batched Run loop must step
 // cores in exactly the order of the per-instruction argmin loop, so a
 // mixed-profile cluster (cores drifting apart at different IPCs) yields
-// identical measurements and checkpoints under both.
+// identical measurements and cluster state under both.
 func TestBatchedRunMatchesPerInstruction(t *testing.T) {
 	profiles := []*workload.Profile{
 		workload.WebSearch(), workload.DataServing(), workload.MediaStreaming(), workload.VMHighMem(),
@@ -62,8 +62,8 @@ func TestBatchedRunMatchesPerInstruction(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("window %d: batched measurement %+v, per-instruction %+v", i, got, want)
 		}
-		if !reflect.DeepEqual(batched.Checkpoint(), reference.Checkpoint()) {
-			t.Fatalf("window %d: checkpoints differ after the window", i)
+		if !sameState(batched, reference) {
+			t.Fatalf("window %d: cluster state differs after the window", i)
 		}
 	}
 }

@@ -13,6 +13,7 @@ package uncore
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // The paper's cluster crossbar, on the fixed uncore clock domain.
@@ -55,6 +56,14 @@ func (x *Crossbar) Request(port int, nowNs float64) float64 {
 	x.nextFree[port] = grant + crossbarOccupancyNs
 	x.transfers++
 	return grant + CrossbarTraversalNs
+}
+
+// Clone returns an independent copy of the crossbar: port arbitration
+// state and transfer count.
+func (x *Crossbar) Clone() *Crossbar {
+	n := *x
+	n.nextFree = slices.Clone(x.nextFree)
+	return &n
 }
 
 // ResetStats clears statistics while preserving arbitration state.
@@ -101,28 +110,4 @@ func (p *Peripherals) Power() float64 {
 		sum += c.StaticW
 	}
 	return sum
-}
-
-// CrossbarState is the crossbar's dynamic state, for checkpointing.
-type CrossbarState struct {
-	NextFree  []float64
-	Transfers uint64
-}
-
-// State captures the crossbar's dynamic state.
-func (x *Crossbar) State() CrossbarState {
-	return CrossbarState{
-		NextFree:  append([]float64(nil), x.nextFree...),
-		Transfers: x.transfers,
-	}
-}
-
-// Restore loads a state captured from an identically sized crossbar.
-func (x *Crossbar) Restore(st CrossbarState) error {
-	if len(st.NextFree) != len(x.nextFree) {
-		return fmt.Errorf("uncore: state has %d ports, want %d", len(st.NextFree), len(x.nextFree))
-	}
-	copy(x.nextFree, st.NextFree)
-	x.transfers = st.Transfers
-	return nil
 }

@@ -78,8 +78,8 @@ const (
 
 // Plan is the immutable part of a generator, everything NewPlan derives
 // from (profile, core, seed). Its branch biases cost up to StaticBranches
-// Beta deviates, so generators restored from one in-memory checkpoint
-// share one plan, copied by value around the same bias table.
+// Beta deviates, so generators cloned from one checkpoint share one plan,
+// copied by value around the same bias table.
 type Plan struct {
 	p    *Profile
 	core int
@@ -109,8 +109,8 @@ type Plan struct {
 }
 
 // Generator produces the deterministic instruction stream of one core
-// running one workload: a cursor over a Plan, which GeneratorState
-// captures. Generators built from equal plans produce identical traces.
+// running one workload: a cursor over a Plan, which Clone copies.
+// Generators built from equal plans produce identical traces.
 //
 // Every probability test compares the 53 bits a Float64 draw would use
 // with a precomputed rng.Threshold instead of converting to float, and
@@ -118,7 +118,6 @@ type Plan struct {
 // precomputed (a mask for powers of two). Both consume and return exactly
 // what Float64/Bool and Uint64n do.
 type Generator struct {
-	//ntclint:allow snapshotcheck config: immutable, rebuilt from (profile, core, seed) by NewPlan
 	plan Plan // by value: the per-instruction path reads it without a pointer hop
 
 	mix, dep, brs, mem, code, os              rng.Stream
@@ -211,17 +210,7 @@ func (pl *Plan) Core() int { return pl.core }
 
 // NewGenerator starts a generator at the beginning of pl's trace.
 func NewGenerator(pl Plan) *Generator {
-	p := pl.p
-	var s rng.Stream // placeholder: Reseed sets every stream below
-	g := &Generator{
-		plan:       pl,
-		branchPick: *rng.NewZipf(&s, p.StaticBranches, p.BranchZipf),
-		coldZipf:   *rng.NewZipf(&s, pl.coldChunks, p.ColdZipf),
-		hotZipf:    *rng.NewZipf(&s, pl.hotChunks, p.HotZipf),
-		codeTarget: *rng.NewZipf(&s, pl.codeChunks, p.CodeZipfTheta),
-		pc:         pl.base + codeBase,
-		osPC:       pl.base + osCodeBase,
-	}
+	g := &Generator{plan: pl, pc: pl.base + codeBase, osPC: pl.base + osCodeBase}
 	g.Reseed(&pl.seed)
 	return g
 }
@@ -245,7 +234,7 @@ func (g *Generator) Next(in *Instr) {
 // every field Next fills except DepDist, which stays 0, and without
 // drawing from the dependency stream (the only draw Next adds). After n
 // NextWarm calls, SkipDeps(n) leaves the generator exactly where n Next
-// calls would have; call it before the next Next or State.
+// calls would have; call it before the next Next or Clone.
 func (g *Generator) NextWarm(in *Instr) {
 	g.produced++
 	g.maybeToggleOS()
@@ -403,35 +392,6 @@ func (g *Generator) nextPC(in *Instr) uint64 {
 	return pc
 }
 
-// GeneratorState is the cursor of a Generator: everything that changes as
-// it draws, sufficient to resume an identical trace on a generator built
-// from the same Plan. The plan itself (branch biases, thresholds, shared
-// Zipf and geometric tables) is not stored.
-type GeneratorState struct {
-	Mix, Dep, Brs, Mem, Code, OS              uint64
-	BranchPick, ColdZipf, HotZipf, CodeTarget uint64
-	PC, OSPC                                  uint64
-	InOS                                      bool
-	OSLeft                                    int
-	StreamPos                                 uint64
-	Produced                                  uint64
-}
-
-// State captures the generator's dynamic state.
-func (g *Generator) State() GeneratorState {
-	return GeneratorState{
-		Mix: g.mix.State(), Dep: g.dep.State(), Brs: g.brs.State(),
-		Mem: g.mem.State(), Code: g.code.State(), OS: g.os.State(),
-		BranchPick: g.branchPick.StreamState(),
-		ColdZipf:   g.coldZipf.StreamState(),
-		HotZipf:    g.hotZipf.StreamState(),
-		CodeTarget: g.codeTarget.StreamState(),
-		PC:         g.pc, OSPC: g.osPC,
-		InOS: g.inOS, OSLeft: g.osLeft,
-		StreamPos: g.streamPos, Produced: g.produced,
-	}
-}
-
 // Reseed re-derives every random stream of the cursor from seed with the
 // labeling scheme NewGenerator uses for the plan's (profile, core), while
 // preserving all positional state (PC, stream cursor, OS mode, produced
@@ -440,33 +400,24 @@ func (g *Generator) State() GeneratorState {
 // decorrelated randomness yet remain bit-reproducible regardless of
 // evaluation order or worker count.
 func (g *Generator) Reseed(seed *rng.Stream) {
-	root := g.plan.root(seed)
-	g.mix.SetState(root.Derive("mix").State())
-	g.dep.SetState(root.Derive("dep").State())
-	g.brs.SetState(root.Derive("branch").State())
-	g.mem.SetState(root.Derive("mem").State())
-	g.code.SetState(root.Derive("code").State())
-	g.os.SetState(root.Derive("os").State())
-	g.branchPick.SetStreamState(root.Derive("branch-pick").State())
-	g.coldZipf.SetStreamState(root.Derive("cold").State())
-	g.hotZipf.SetStreamState(root.Derive("hot").State())
-	g.codeTarget.SetStreamState(root.Derive("code-target").State())
+	pl := &g.plan
+	p := pl.p
+	root := pl.root(seed)
+	g.mix = *root.Derive("mix")
+	g.dep = *root.Derive("dep")
+	g.brs = *root.Derive("branch")
+	g.mem = *root.Derive("mem")
+	g.code = *root.Derive("code")
+	g.os = *root.Derive("os")
+	g.branchPick = *rng.NewZipf(root.Derive("branch-pick"), p.StaticBranches, p.BranchZipf)
+	g.coldZipf = *rng.NewZipf(root.Derive("cold"), pl.coldChunks, p.ColdZipf)
+	g.hotZipf = *rng.NewZipf(root.Derive("hot"), pl.hotChunks, p.HotZipf)
+	g.codeTarget = *rng.NewZipf(root.Derive("code-target"), pl.codeChunks, p.CodeZipfTheta)
 }
 
-// Restore resumes from a state captured with State on a generator built
-// from the same plan.
-func (g *Generator) Restore(st GeneratorState) {
-	g.mix.SetState(st.Mix)
-	g.dep.SetState(st.Dep)
-	g.brs.SetState(st.Brs)
-	g.mem.SetState(st.Mem)
-	g.code.SetState(st.Code)
-	g.os.SetState(st.OS)
-	g.branchPick.SetStreamState(st.BranchPick)
-	g.coldZipf.SetStreamState(st.ColdZipf)
-	g.hotZipf.SetStreamState(st.HotZipf)
-	g.codeTarget.SetStreamState(st.CodeTarget)
-	g.pc, g.osPC = st.PC, st.OSPC
-	g.inOS, g.osLeft = st.InOS, st.OSLeft
-	g.streamPos, g.produced = st.StreamPos, st.Produced
+// Clone returns an independent copy of the generator's cursor. The copy
+// shares the plan, which is read-only.
+func (g *Generator) Clone() *Generator {
+	n := *g
+	return &n
 }
