@@ -34,7 +34,11 @@
 #                      internal/qos and internal/obs/timeseries
 #   make report-smoke  telemetry pipeline in short mode: conservation
 #                      audit, across-jobs CSV/counter determinism, the
-#                      ntcsim report golden
+#                      ntcsim report golden; then request-traffic
+#                      conservation (L1 misses = LLC reads, L1
+#                      writebacks = LLC writes, LLC writebacks = DRAM
+#                      writes) over detailed windows of every workload
+#                      and over every window of a quick sweep
 #   make daemon-smoke  end-to-end ntcsimd check: boot the daemon, run the
 #                      golden fig2 job over HTTP with SSE progress,
 #                      require the report byte-identical to the CLI
@@ -123,6 +127,7 @@ serve-cover:
 report-smoke:
 	$(GO) test -short ./internal/obs/timeseries
 	$(call run_matching,TestTelemetry|TestReportGolden|TestEnergyGauges|TestCorePowerParts|TestSharedPowerParts,./cmd/ntcsim ./internal/experiments ./internal/serve ./internal/governor)
+	$(call run_matching,TestTrafficConserved|TestSweepWindowsConserveTraffic,./internal/sim ./internal/core)
 
 daemon-smoke:
 	bash scripts/daemon_smoke.sh

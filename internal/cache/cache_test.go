@@ -174,10 +174,10 @@ func TestConfigValidation(t *testing.T) {
 
 func TestPaperConfigs(t *testing.T) {
 	l1 := MustNew(L1Config("l1i"))
-	if got := l1.Config().SizeBytes; got != 32<<10 {
+	if got := l1.cfg.SizeBytes; got != 32<<10 {
 		t.Fatalf("L1 size = %d", got)
 	}
-	if got := l1.Config().Assoc; got != 2 {
+	if got := l1.cfg.Assoc; got != 2 {
 		t.Fatalf("L1 assoc = %d", got)
 	}
 }

@@ -45,9 +45,11 @@ const LoadActivity = 1.0
 // memo, with or without hooks), which is why experiments.Key excludes
 // exactly this struct. Every field is optional and nil-gated.
 type Seams struct {
-	// Jobs bounds how many sweep points (and, in SweepMany, workloads)
-	// evaluate concurrently; <= 0 means GOMAXPROCS. Every point runs from
-	// the same warmed checkpoint under its own RNG substream split by point
+	// Jobs is the width of each worker pool; <= 0 means GOMAXPROCS. A
+	// sweep evaluates up to Jobs points at once, and SweepMany runs up to
+	// Jobs sweeps at once, each with its own Jobs-wide point pool, so up
+	// to Jobs² points can run concurrently. Every point runs from the
+	// same warmed checkpoint under its own RNG substream split by point
 	// index, so results are bit-identical for every Jobs setting.
 	Jobs int
 
@@ -186,17 +188,15 @@ func (e *Explorer) Sweep(ctx context.Context, p *workload.Profile, freqsHz []flo
 	}
 	cfg := e.SamplingFor(p)
 	var (
-		hash      uint64
-		key       []byte
-		cacheable bool
+		hash uint64
+		key  []byte
 	)
 	if e.Memo != nil {
 		keyCfg := cfg
 		keyCfg.Phase = nil // observational only
-		if hash, key, cacheable = e.sweepKey(p, keyCfg, freqs); cacheable {
-			if en := e.Memo.lookup(hash, key, e.Obs != nil); en != nil {
-				return e.replay(p, freqs, en)
-			}
+		hash, key = e.sweepKey(p, keyCfg, freqs)
+		if en := e.Memo.lookup(hash, key, e.Obs != nil); en != nil {
+			return e.replay(p, freqs, en)
 		}
 	}
 	// The sweep harvests into a private registry so that a memo entry can
@@ -221,7 +221,7 @@ func (e *Explorer) Sweep(ctx context.Context, p *workload.Profile, freqsHz []flo
 	if err != nil {
 		return nil, err
 	}
-	if cacheable {
+	if e.Memo != nil {
 		e.Memo.store(&memoEntry{hash: hash, key: key, baselineUIPS: sw.BaselineUIPS,
 			points: slices.Clone(sw.Points), metrics: metrics, samples: samples})
 	}
@@ -290,7 +290,7 @@ func (e *Explorer) sweep(ctx context.Context, p *workload.Profile, freqs []float
 	defer e.Tracer.ReleaseLane(swLane)
 
 	warmStart := time.Now() //ntclint:allow wallclock trace span timestamps only; never reaches results
-	cl, err := e.warmedCluster(p)
+	cl, err := e.warmedCluster(e.soloProfiles(p), qos.BaselineFreqHz)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -333,18 +333,28 @@ func (e *Explorer) sweep(ctx context.Context, p *workload.Profile, freqs []float
 	return sw, samples, nil
 }
 
-// warmedCluster builds a cluster for p at the 2GHz baseline frequency and
-// warms it: WarmInstr functional instructions per core, then SettleCycles
-// of detailed simulation (the paper launches every measurement from a
-// warmed checkpoint, Sec. IV).
-func (e *Explorer) warmedCluster(p *workload.Profile) (*sim.Cluster, error) {
-	cl, err := sim.NewCluster(e.Platform.Cluster, p, qos.BaselineFreqHz)
+// warmedCluster builds a cluster running profiles[i] on core i at freqHz
+// and warms it: WarmInstr functional instructions per core, then
+// SettleCycles of detailed simulation (the paper launches every
+// measurement from a warmed checkpoint, Sec. IV). Sweeps and the
+// interference analysis launch from it alike.
+func (e *Explorer) warmedCluster(profiles []*workload.Profile, freqHz float64) (*sim.Cluster, error) {
+	cl, err := sim.NewMixedCluster(e.Platform.Cluster, profiles, freqHz)
 	if err != nil {
 		return nil, err
 	}
 	cl.FastForward(e.WarmInstr)
 	cl.Run(e.SettleCycles)
 	return cl, nil
+}
+
+// soloProfiles assigns p to every core of a cluster.
+func (e *Explorer) soloProfiles(p *workload.Profile) []*workload.Profile {
+	profiles := make([]*workload.Profile, e.Platform.Cluster.CoresPerCluster)
+	for i := range profiles {
+		profiles[i] = p
+	}
+	return profiles
 }
 
 // pointLabel names one sweep point in trace spans and progress lines.
@@ -363,13 +373,7 @@ func (e *Explorer) runPoint(p *workload.Profile, sw *Sweep, cfg sampling.Config,
 	defer e.Tracer.ReleaseLane(lane)
 	ptStart := time.Now() //ntclint:allow wallclock trace/progress timestamps only; never reaches results
 
-	pcl := sim.RestoreCluster(ck)
-	pcl.Reseed(root.Split(uint64(i)))
-	if reg != nil {
-		pcl.EnableObs()
-	}
-	pcl.SetFrequency(freqs[i])
-	pcl.Run(e.SettleCycles)
+	pcl := e.launchPoint(ck, root, i, freqs[i], reg != nil)
 	pcfg := cfg
 	if e.Tracer != nil {
 		pcfg.Phase = func(phase string, sample int, start time.Time, d time.Duration) {
@@ -398,6 +402,20 @@ func (e *Explorer) runPoint(p *workload.Profile, sw *Sweep, cfg sampling.Config,
 		map[string]any{"freq_hz": freqs[i], "samples": len(res.Samples)})
 	e.Progress.Done(label, d)
 	return nil
+}
+
+// launchPoint restores point i's private cluster from ck, reseeds it
+// with the substream split by point index, optionally enables
+// observability, retargets it to freqHz and settles it.
+func (e *Explorer) launchPoint(ck *sim.Checkpoint, root *rng.Stream, i int, freqHz float64, withObs bool) *sim.Cluster {
+	pcl := sim.RestoreCluster(ck)
+	pcl.Reseed(root.Split(uint64(i)))
+	if withObs {
+		pcl.EnableObs()
+	}
+	pcl.SetFrequency(freqHz)
+	pcl.Run(e.SettleCycles)
+	return pcl
 }
 
 // SweepMany sweeps each profile over the same frequency grid, fanning the

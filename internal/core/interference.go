@@ -5,7 +5,6 @@ import (
 
 	"ntcsim/internal/qos"
 	"ntcsim/internal/sampling"
-	"ntcsim/internal/sim"
 	"ntcsim/internal/workload"
 )
 
@@ -48,17 +47,16 @@ func (e *Explorer) Interference(victim, aggressor *workload.Profile, freqHz floa
 
 	// Solo runs: measure the 2GHz baseline first, then retarget the same
 	// warmed cluster to the analysis frequency.
-	solo, err := sim.NewCluster(e.Platform.Cluster, victim, qos.BaselineFreqHz)
+	soloProfiles := e.soloProfiles(victim)
+	solo, err := e.warmedCluster(soloProfiles, qos.BaselineFreqHz)
 	if err != nil {
 		return InterferenceReport{}, err
 	}
-	solo.FastForward(e.WarmInstr)
-	solo.Run(e.SettleCycles)
 	baseRes, err := sampling.Run(solo, cfg)
 	if err != nil {
 		return InterferenceReport{}, err
 	}
-	baseUIPC := victimUIPC(baseRes, victim, solo.Profiles())
+	baseUIPC := victimUIPC(baseRes, victim, soloProfiles)
 
 	solo.SetFrequency(freqHz)
 	solo.Run(e.SettleCycles)
@@ -66,24 +64,17 @@ func (e *Explorer) Interference(victim, aggressor *workload.Profile, freqHz floa
 	if err != nil {
 		return InterferenceReport{}, err
 	}
-	soloUIPC := victimUIPC(soloRes, victim, solo.Profiles())
+	soloUIPC := victimUIPC(soloRes, victim, soloProfiles)
 
-	// Mixed run: cores 0-1 victim, cores 2-3 aggressor.
-	n := e.Platform.Cluster.CoresPerCluster
-	profiles := make([]*workload.Profile, n)
-	for i := range profiles {
-		if i < n/2 {
-			profiles[i] = victim
-		} else {
-			profiles[i] = aggressor
-		}
+	// Mixed run: the first half of the cores victim, the rest aggressor.
+	profiles := e.soloProfiles(victim)
+	for i := len(profiles) / 2; i < len(profiles); i++ {
+		profiles[i] = aggressor
 	}
-	mixed, err := sim.NewMixedCluster(e.Platform.Cluster, profiles, freqHz)
+	mixed, err := e.warmedCluster(profiles, freqHz)
 	if err != nil {
 		return InterferenceReport{}, err
 	}
-	mixed.FastForward(e.WarmInstr)
-	mixed.Run(e.SettleCycles)
 	mixedRes, err := sampling.Run(mixed, cfg)
 	if err != nil {
 		return InterferenceReport{}, err

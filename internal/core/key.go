@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"reflect"
@@ -10,19 +11,18 @@ import (
 // encodeKey returns the canonical encoding of vals (see keyEncoder) and
 // its FNV-1a hash. The encoding follows pointers and reads unexported
 // fields, so equal bytes mean equal inputs, and the bytes are a private
-// copy no later in-place edit can reach. ok is false when a value holds
-// something the encoder does not compare by value: a non-nil func, a
-// map, an interface or a channel.
-func encodeKey(vals ...any) (hash uint64, key []byte, ok bool) {
+// copy no later in-place edit can reach. It panics on anything it does
+// not compare by value (a non-nil func, a map, an interface or a
+// channel): the sweep inputs hold none, so a panic means a newly added
+// input field the key must learn to encode.
+func encodeKey(vals ...any) (hash uint64, key []byte) {
 	var enc keyEncoder
 	for _, v := range vals {
-		if !enc.value(reflect.ValueOf(v)) {
-			return 0, nil, false
-		}
+		enc.value(reflect.ValueOf(v))
 	}
 	h := fnv.New64a()
 	h.Write(enc.buf)
-	return h.Sum64(), enc.buf, true
+	return h.Sum64(), enc.buf
 }
 
 // keyEncoder writes a canonical byte encoding of a Go value built from
@@ -52,7 +52,7 @@ func (k *keyEncoder) present(v reflect.Value) bool {
 	return true
 }
 
-func (k *keyEncoder) value(v reflect.Value) bool {
+func (k *keyEncoder) value(v reflect.Value) {
 	switch v.Kind() {
 	case reflect.Bool:
 		b := uint64(0)
@@ -70,36 +70,29 @@ func (k *keyEncoder) value(v reflect.Value) bool {
 		k.str(v.String())
 	case reflect.Array:
 		for i := 0; i < v.Len(); i++ {
-			if !k.value(v.Index(i)) {
-				return false
-			}
+			k.value(v.Index(i))
 		}
 	case reflect.Slice:
-		if !k.present(v) {
-			return true
-		}
-		k.u64(uint64(v.Len()))
-		for i := 0; i < v.Len(); i++ {
-			if !k.value(v.Index(i)) {
-				return false
+		if k.present(v) {
+			k.u64(uint64(v.Len()))
+			for i := 0; i < v.Len(); i++ {
+				k.value(v.Index(i))
 			}
 		}
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
-			if !k.value(v.Field(i)) {
-				return false
-			}
+			k.value(v.Field(i))
 		}
 	case reflect.Pointer:
-		if !k.present(v) {
-			return true
+		if k.present(v) {
+			k.value(v.Elem())
 		}
-		return k.value(v.Elem())
 	case reflect.Func:
 		// Only an absent func is comparable by value.
-		return !k.present(v)
+		if k.present(v) {
+			panic(fmt.Sprintf("core: sweep key cannot encode a non-nil %s", v.Type()))
+		}
 	default: // Complex, Map, Interface, Chan, UnsafePointer, Invalid
-		return false
+		panic(fmt.Sprintf("core: sweep key cannot encode a %s value", v.Kind()))
 	}
-	return true
 }

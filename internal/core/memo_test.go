@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -80,16 +81,14 @@ func TestMemoHitMatchesFreshSweep(t *testing.T) {
 
 // TestMemoKeyCoversEveryInput: changing any single result-affecting
 // input, including ones reached only through a pointer or held in an
-// unexported field, is a miss.
+// unexported field, is a miss; every explorer variant the experiments
+// sweep with encodes; and an input the key cannot compare panics.
 func TestMemoKeyCoversEveryInput(t *testing.T) {
 	memo := NewSweepMemo()
 	base := memoExplorer(t, memo)
 	p := workload.WebSearch()
 	cfg := base.SamplingFor(p)
-	hash, key, ok := base.sweepKey(p, cfg, memoFreqs)
-	if !ok {
-		t.Fatal("default inputs must be cacheable")
-	}
+	hash, key := base.sweepKey(p, cfg, memoFreqs)
 	memo.store(&memoEntry{hash: hash, key: key})
 
 	mutations := []struct {
@@ -143,10 +142,7 @@ func TestMemoKeyCoversEveryInput(t *testing.T) {
 			e := memoExplorer(t, memo)
 			mp, mcfg, freqs := workload.WebSearch(), e.SamplingFor(p), append([]float64(nil), memoFreqs...)
 			m.mutate(e, mp, &mcfg, &freqs)
-			h, k, ok := e.sweepKey(mp, mcfg, freqs)
-			if !ok {
-				t.Fatal("mutated inputs must stay cacheable")
-			}
+			h, k := e.sweepKey(mp, mcfg, freqs)
 			if memo.lookup(h, k, false) != nil {
 				t.Fatalf("changing %s still hits the memo", m.name)
 			}
@@ -156,10 +152,10 @@ func TestMemoKeyCoversEveryInput(t *testing.T) {
 	// A pointer field nested in a config: changing the pointee is a miss.
 	withPorts := memoExplorer(t, memo)
 	withPorts.Platform.Cluster.Core.Ports = cpu.A57Ports()
-	h1, k1, _ := withPorts.sweepKey(p, cfg, memoFreqs)
+	h1, k1 := withPorts.sweepKey(p, cfg, memoFreqs)
 	memo.store(&memoEntry{hash: h1, key: k1})
 	withPorts.Platform.Cluster.Core.Ports.Int++
-	if h, k, _ := withPorts.sweepKey(p, cfg, memoFreqs); memo.lookup(h, k, false) != nil {
+	if h, k := withPorts.sweepKey(p, cfg, memoFreqs); memo.lookup(h, k, false) != nil {
 		t.Fatal("editing Platform.Cluster.Core.Ports in place still hits the memo")
 	}
 
@@ -167,10 +163,10 @@ func TestMemoKeyCoversEveryInput(t *testing.T) {
 	// entry: the key is a private copy.
 	shared := memoExplorer(t, memo)
 	shared.Platform.Tech.Vth0 += 0.002
-	h2, k2, _ := shared.sweepKey(p, cfg, memoFreqs)
+	h2, k2 := shared.sweepKey(p, cfg, memoFreqs)
 	memo.store(&memoEntry{hash: h2, key: k2})
 	shared.Platform.Tech.Vth0 += 0.002
-	if h, k, _ := shared.sweepKey(p, cfg, memoFreqs); memo.lookup(h, k, false) != nil {
+	if h, k := shared.sweepKey(p, cfg, memoFreqs); memo.lookup(h, k, false) != nil {
 		t.Fatal("editing Platform.Tech in place after the store still hits the memo")
 	}
 
@@ -182,11 +178,51 @@ func TestMemoKeyCoversEveryInput(t *testing.T) {
 		t.Fatal("the unmodified inputs must still hit")
 	}
 
-	// A func the sampler would call cannot be compared: uncacheable.
-	cfg.Phase = func(string, int, time.Time, time.Duration) {}
-	if _, _, ok := base.sweepKey(p, cfg, memoFreqs); ok {
-		t.Fatal("a non-nil func input must make the sweep uncacheable")
+	// Every explorer variant the experiments sweep with, over every
+	// workload: the quick and paper fidelities (data-serving has its own
+	// paper windows), the LPDDR4 what-if of each, and the ablation's
+	// 8-core clusters (as experiments' eightCoreExplorer builds them).
+	// The encoder panics only on a func, map, interface or channel, so
+	// with these encoding cleanly only an input field added later can
+	// reach that panic. Distinct variants key distinct entries.
+	paper := NewExplorer()
+	paper.PaperFidelity()
+	eight := NewExplorer()
+	eight.Platform.Clusters = 4
+	eight.Platform.Cluster.CoresPerCluster = 8
+	eight.Platform.Cluster.LLC.Banks = 8
+	eight.Platform.Cluster.LLC.CapacityBytes = 8 << 20
+	variants := []struct {
+		name string
+		e    *Explorer
+	}{
+		{"quick", NewExplorer()},
+		{"paper", paper},
+		{"quick lpddr4", NewExplorer().LPDDR4Explorer()},
+		{"paper lpddr4", paper.LPDDR4Explorer()},
+		{"8-core", eight},
 	}
+	for _, vp := range workload.All() {
+		seen := map[string]string{}
+		for _, v := range variants {
+			_, k := v.e.sweepKey(vp, v.e.SamplingFor(vp), memoFreqs)
+			if other, dup := seen[string(k)]; dup {
+				t.Fatalf("%s: variants %s and %s share a memo key", vp.Name, other, v.name)
+			}
+			seen[string(k)] = v.name
+		}
+	}
+
+	// A func the sampler would call cannot be compared: Sweep clears
+	// Phase before keying, and the key panics on one it was handed.
+	cfg.Phase = func(string, int, time.Time, time.Duration) {}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.HasPrefix(msg, "core: ") {
+			t.Fatalf("keying a non-nil Phase: recovered %q, want a core: panic", msg)
+		}
+	}()
+	base.sweepKey(p, cfg, memoFreqs)
 }
 
 // TestMemoHitHonoursCancelledCtx: on a cancelled ctx a sweep that would

@@ -43,9 +43,3 @@ func (b *bimodal) update(id int32, taken bool) {
 		*c--
 	}
 }
-
-func (b *bimodal) reset() {
-	for i := range b.counters {
-		b.counters[i] = 1
-	}
-}

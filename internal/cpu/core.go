@@ -258,9 +258,6 @@ func (c *Core) ReseedWorkload(seed *rng.Stream) {
 	c.gen.Reseed(seed)
 }
 
-// ID returns the core's global identifier.
-func (c *Core) ID() int { return c.id }
-
 // SetFrequency retargets the core clock (DVFS). Microarchitectural state
 // is preserved; only the cycle-to-wall-clock mapping changes, exactly like
 // a frequency transition on real hardware. Callers should run a settle

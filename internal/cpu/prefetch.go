@@ -33,7 +33,3 @@ func (p *streamPrefetcher) observe(addr uint64) (uint64, bool) {
 	}
 	return 0, false
 }
-
-func (p *streamPrefetcher) reset() {
-	*p = streamPrefetcher{}
-}

@@ -103,7 +103,7 @@ func TestPowerScalesWithBandwidth(t *testing.T) {
 func TestIdleReadLatency(t *testing.T) {
 	// An isolated read to a precharged bank costs tRCD + tCL + burst.
 	s := mustNew(DefaultConfig())
-	tm := s.Config().Timing
+	tm := s.cfg.Timing
 	done := s.Submit(0, false, 1000)
 	want := 1000 + float64(tm.RCD+tm.CL)*tm.TCKNs + tm.BurstNs()
 	if math.Abs(done-want) > 1e-9 {
@@ -344,17 +344,6 @@ func TestTRRDSpacesActivations(t *testing.T) {
 	wantS := float64(tm.RRDS) * tm.TCKNs
 	if math.Abs((e1-e0)-wantS) > 1e-9 {
 		t.Fatalf("cross-group ACT spacing = %.3fns, want tRRD_S %.3f", e1-e0, wantS)
-	}
-}
-
-func TestClosedPagePolicy(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.OpenPage = false
-	s := mustNew(cfg)
-	s.Submit(0, false, 0)
-	s.Submit(strideSameRow(cfg), false, 5000)
-	if s.Stats().RowHits != 0 {
-		t.Fatal("closed-page policy should never produce row hits")
 	}
 }
 

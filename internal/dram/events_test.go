@@ -22,6 +22,13 @@ func TestEventEnergiesConsistentWithTableI(t *testing.T) {
 	}
 }
 
+// scalingPower is the paper's Table I rule applied to st's bandwidth over
+// a window of durationNs.
+func scalingPower(cfg Config, st Stats, durationNs float64) float64 {
+	secs := durationNs * 1e-9
+	return cfg.Energies().Power(cfg.Ranks(), float64(st.BytesRead)/secs, float64(st.BytesWritten)/secs)
+}
+
 func TestEventPowerMatchesScalingForStreaming(t *testing.T) {
 	// Streaming traffic (high row-hit) is the regime the Table I scaling
 	// rule represents: event accounting must agree within a few percent.
@@ -36,9 +43,8 @@ func TestEventPowerMatchesScalingForStreaming(t *testing.T) {
 	if st.RowHitRate() < 0.9 {
 		t.Fatalf("streaming row-hit rate = %.2f, expected high", st.RowHitRate())
 	}
-	e := cfg.Power.Energies(cfg.Timing, cfg.ChipsPerRank)
-	scaling := s.Power(last)
-	event := e.Events(0.95).EventPower(st, s.Ranks(), last)
+	scaling := scalingPower(cfg, st, last)
+	event := cfg.Energies().Events(0.95).EventPower(st, cfg.Ranks(), last)
 	if math.Abs(event-scaling)/scaling > 0.05 {
 		t.Fatalf("streaming: event %.2fW vs scaling %.2fW, want within 5%%", event, scaling)
 	}
@@ -66,9 +72,8 @@ func TestEventPowerExceedsScalingForRandomTraffic(t *testing.T) {
 	if st.RowHitRate() > 0.3 {
 		t.Fatalf("random row-hit rate = %.2f, expected low", st.RowHitRate())
 	}
-	e := cfg.Power.Energies(cfg.Timing, cfg.ChipsPerRank)
-	scaling := s.Power(last)
-	event := e.Events(0.95).EventPower(st, s.Ranks(), last)
+	scaling := scalingPower(cfg, st, last)
+	event := cfg.Energies().Events(0.95).EventPower(st, cfg.Ranks(), last)
 	if event <= scaling {
 		t.Fatalf("random traffic: event %.2fW should exceed scaling %.2fW", event, scaling)
 	}

@@ -7,10 +7,9 @@ package dram
 // a nil check on bankObs, keeping the disabled path identical to the seed.
 
 // BankCommandCounts tallies the DRAM commands a single bank received.
-// PRE counts both explicit precharges (row conflicts) and the implied
-// auto-precharge of closed-page policy; refresh-induced row closures are
-// not counted as PRE (they are all-bank maintenance, not per-access
-// commands).
+// PRE counts the precharges of row conflicts; refresh-induced row
+// closures are not counted as PRE (they are all-bank maintenance, not
+// per-access commands).
 type BankCommandCounts struct {
 	ACT, PRE, RD, WR uint64
 }

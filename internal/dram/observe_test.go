@@ -18,7 +18,7 @@ func obsTestConfig() Config {
 
 // drive replays a fixed access pattern and returns completion times.
 func drive(s *System) []float64 {
-	cfg := s.Config()
+	cfg := s.cfg
 	var done []float64
 	now := 0.0
 	for i := 0; i < 400; i++ {
@@ -86,25 +86,5 @@ func TestPerBankCountsConsistent(t *testing.T) {
 	}
 	if banksSeen < 2 {
 		t.Fatalf("interleaved pattern touched only %d banks", banksSeen)
-	}
-}
-
-// TestClosedPageCountsAutoPrecharge: under closed-page policy every
-// access implies a precharge.
-func TestClosedPageCountsAutoPrecharge(t *testing.T) {
-	cfg := obsTestConfig()
-	cfg.OpenPage = false
-	s := mustNew(cfg)
-	s.EnableObs()
-	drive(s)
-	var pre uint64
-	for _, banks := range s.PerBankCounts() {
-		for i := range banks {
-			pre += banks[i].PRE
-		}
-	}
-	st := s.Stats()
-	if total := st.Reads + st.Writes; pre != total {
-		t.Fatalf("closed-page PRE %d, want one per access (%d)", pre, total)
 	}
 }

@@ -19,9 +19,6 @@ type Config struct {
 	ChipGbit     int // capacity per chip, for the capacity report
 	Timing       Timing
 	Power        PowerParams
-	// OpenPage keeps rows open after access (row-buffer locality);
-	// otherwise rows are closed with an auto-precharge.
-	OpenPage bool
 }
 
 // DefaultConfig returns the paper's memory system: 4 channels x 4 ranks x
@@ -37,9 +34,16 @@ func DefaultConfig() Config {
 		ChipGbit:     4,
 		Timing:       DDR4(),
 		Power:        DDR4Power(),
-		OpenPage:     true,
 	}
 }
+
+// Ranks returns the total rank count.
+func (c Config) Ranks() int { return c.Channels * c.RanksPerChan }
+
+// Energies returns the Table I per-rank energies of c's power parameters
+// at its timing and chip count. With Ranks it gives the paper's scaling
+// rule: Energies().Power(Ranks(), readBW, writeBW).
+func (c Config) Energies() RankEnergy { return c.Power.Energies(c.Timing, c.ChipsPerRank) }
 
 // TotalBytes returns the memory capacity.
 func (c Config) TotalBytes() uint64 {
@@ -190,9 +194,6 @@ func (ch *channel) clone() *channel {
 	return &n
 }
 
-// Config returns the system configuration.
-func (s *System) Config() Config { return s.cfg }
-
 // Stats returns the statistics accumulated since the last ResetStats.
 func (s *System) Stats() Stats { return s.stats }
 
@@ -258,7 +259,8 @@ func (s *System) refreshAlign(rank int, t float64) (float64, float64) {
 
 // Submit issues one line-sized request at absolute time nowNs and returns
 // the completion time (last data beat on the bus). Timestamps must be
-// non-decreasing across calls.
+// non-decreasing across calls. The policy is open-page: a row stays open
+// after its access until a conflict or a refresh closes it.
 func (s *System) Submit(addr uint64, write bool, nowNs float64) float64 {
 	if nowNs < s.lastNowNs {
 		panic(fmt.Sprintf("dram: time went backwards: %.3f after %.3f", nowNs, s.lastNowNs))
@@ -364,16 +366,12 @@ func (s *System) Submit(addr uint64, write bool, nowNs float64) float64 {
 	b.preReadyNs = math.Max(b.preReadyNs, b.lastActNs+float64(tm.RAS)*tck)
 	b.actReadyNs = b.preReadyNs + float64(tm.RP)*tck
 
-	if !s.cfg.OpenPage {
-		b.openRow = -1
-	}
-
 	if s.bankObs != nil {
 		bc := &s.bankObs[loc.chanIdx][loc.bankIdx]
 		if didAct {
 			bc.ACT++
 		}
-		if didPre || !s.cfg.OpenPage {
+		if didPre {
 			bc.PRE++
 		}
 		if write {
@@ -422,19 +420,4 @@ func (s *System) recordAct(ch *channel, rank, group int, t float64) {
 	ch.actWindow[rank][ch.actIdx[rank]] = t
 	ch.actIdx[rank] = (ch.actIdx[rank] + 1) % 4
 	s.stats.Activations++
-}
-
-// Ranks returns the total rank count of the system.
-func (s *System) Ranks() int { return s.cfg.Channels * s.cfg.RanksPerChan }
-
-// Power returns memory power in watts from the accumulated statistics over
-// a measurement window of durationNs, using the paper's Table I scaling.
-func (s *System) Power(durationNs float64) float64 {
-	if durationNs <= 0 {
-		return 0
-	}
-	e := s.cfg.Power.Energies(s.cfg.Timing, s.cfg.ChipsPerRank)
-	readBW := float64(s.stats.BytesRead) / (durationNs * 1e-9)
-	writeBW := float64(s.stats.BytesWritten) / (durationNs * 1e-9)
-	return e.Power(s.Ranks(), readBW, writeBW)
 }

@@ -48,8 +48,7 @@ func runMemory(ctx context.Context, p Params, env Env) error {
 			}
 			backend := sys.Stats()
 			st := dram.Summarize(trace, backend)
-			e := cfg.Power.Energies(cfg.Timing, cfg.ChipsPerRank)
-			ranks := cfg.Channels * cfg.RanksPerChan
+			e, ranks := cfg.Energies(), cfg.Ranks()
 			secs := st.LastDoneNs * 1e-9
 			bw := float64(backend.BytesRead+backend.BytesWritten) / secs
 			scaling := e.Power(ranks, float64(backend.BytesRead)/secs, float64(backend.BytesWritten)/secs)

@@ -104,11 +104,6 @@ func (t LoadTrace) WithStep(step time.Duration) LoadTrace {
 	return LoadTrace{Step: step, Lambda: t.Lambda}
 }
 
-// Duration returns the trace's total simulated horizon.
-func (t LoadTrace) Duration() time.Duration {
-	return t.Step * time.Duration(len(t.Lambda))
-}
-
 // sanitizeRate clamps a caller-supplied rate-like parameter to a finite,
 // non-negative value. DiurnalTrace is fuzzed: arbitrary inputs must never
 // produce a panic or a negative/NaN/Inf load level.
@@ -174,28 +169,6 @@ func DiurnalTrace(steps int, peakLambda, troughFrac, spikeProb, spikeMag float64
 			lam = cap
 		}
 		tr.Lambda = append(tr.Lambda, lam)
-	}
-	return tr
-}
-
-// SpikeTrace generates a flat trace at baseLambda with one contiguous
-// spike of spikeMag x base covering steps [spikeAt, spikeAt+spikeLen) —
-// the minimal load shape for studying how a policy absorbs a computation
-// burst. Inputs are sanitized like DiurnalTrace's.
-func SpikeTrace(steps int, step time.Duration, baseLambda, spikeMag float64, spikeAt, spikeLen int) LoadTrace {
-	if steps <= 0 || step <= 0 {
-		return LoadTrace{}
-	}
-	baseLambda = sanitizeRate(baseLambda)
-	if math.IsNaN(spikeMag) || spikeMag < 1 {
-		spikeMag = 1
-	}
-	tr := LoadTrace{Step: step, Lambda: make([]float64, steps)}
-	for i := range tr.Lambda {
-		tr.Lambda[i] = baseLambda
-		if i >= spikeAt && i < spikeAt+spikeLen {
-			tr.Lambda[i] = sanitizeRate(baseLambda * spikeMag)
-		}
 	}
 	return tr
 }

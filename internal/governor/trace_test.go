@@ -32,47 +32,15 @@ func TestStepUp(t *testing.T) {
 
 func TestWithStepAndDuration(t *testing.T) {
 	tr := LoadTrace{Step: time.Hour, Lambda: []float64{1, 2, 3}}
-	if got := tr.Duration(); got != 3*time.Hour {
-		t.Fatalf("Duration = %v, want 3h", got)
-	}
 	fast := tr.WithStep(2 * time.Second)
 	if fast.Step != 2*time.Second || len(fast.Lambda) != 3 {
 		t.Fatalf("WithStep mangled the trace: %+v", fast)
 	}
-	if got := fast.Duration(); got != 6*time.Second {
-		t.Fatalf("compressed Duration = %v, want 6s", got)
+	if got := fast.Step * time.Duration(len(fast.Lambda)); got != 6*time.Second {
+		t.Fatalf("compressed duration = %v, want 6s", got)
 	}
 	if tr.Step != time.Hour {
 		t.Fatal("WithStep mutated the receiver")
-	}
-}
-
-func TestSpikeTraceShape(t *testing.T) {
-	tr := SpikeTrace(10, time.Second, 100, 5, 4, 3)
-	if len(tr.Lambda) != 10 || tr.Step != time.Second {
-		t.Fatalf("bad shape: %+v", tr)
-	}
-	for i, lam := range tr.Lambda {
-		want := 100.0
-		if i >= 4 && i < 7 {
-			want = 500
-		}
-		if lam != want {
-			t.Errorf("step %d = %v, want %v", i, lam, want)
-		}
-	}
-	if got := SpikeTrace(0, time.Second, 100, 5, 0, 1); len(got.Lambda) != 0 {
-		t.Fatal("steps=0 should yield an empty trace")
-	}
-	if got := SpikeTrace(5, 0, 100, 5, 0, 1); len(got.Lambda) != 0 {
-		t.Fatal("step<=0 should yield an empty trace")
-	}
-	// Sub-1 magnitudes mean "no spike", never a dip.
-	flat := SpikeTrace(5, time.Second, 100, 0.2, 1, 2)
-	for i, lam := range flat.Lambda {
-		if lam != 100 {
-			t.Fatalf("spikeMag<1 dipped step %d to %v", i, lam)
-		}
 	}
 }
 

@@ -120,18 +120,6 @@ func (h *Histogram) ObserveN(v float64, n uint64) {
 	h.counts[i].Add(n)
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	var total uint64
-	for i := range h.counts {
-		total += h.counts[i].Load()
-	}
-	return total
-}
-
 // Timing accumulates wall-clock durations. Timing-class: values depend on
 // the host and scheduling and are segregated in the snapshot.
 type Timing struct {
@@ -146,14 +134,6 @@ func (t *Timing) Observe(d time.Duration) {
 	}
 	t.count.Add(1)
 	t.ns.Add(int64(d))
-}
-
-// Total returns the accumulated duration.
-func (t *Timing) Total() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Duration(t.ns.Load())
 }
 
 // Sink is the write side of a metrics registry. Instrumented layers

@@ -27,14 +27,8 @@ func TestNilSafety(t *testing.T) {
 	var h *Histogram
 	h.Observe(3)
 	h.ObserveN(3, 10)
-	if h.Count() != 0 {
-		t.Fatal("nil histogram must count 0")
-	}
 	var tm *Timing
 	tm.Observe(time.Second)
-	if tm.Total() != 0 {
-		t.Fatal("nil timing must total 0")
-	}
 	var tr *Tracer
 	tr.Complete("c", "n", tr.AcquireLane(), time.Now(), time.Millisecond, nil)
 	tr.ReleaseLane(1)
@@ -96,9 +90,6 @@ func TestHistogramBuckets(t *testing.T) {
 		if got := h.counts[i].Load(); got != w {
 			t.Fatalf("bucket %d = %d, want %d", i, got, w)
 		}
-	}
-	if h.Count() != 8 {
-		t.Fatalf("count = %d, want 8", h.Count())
 	}
 	h.ObserveN(0, 5)
 	if got := h.counts[0].Load(); got != 7 {
@@ -201,9 +192,6 @@ func TestTimingAccumulates(t *testing.T) {
 	tm := r.Timing("t")
 	tm.Observe(time.Second)
 	tm.Observe(2 * time.Second)
-	if tm.Total() != 3*time.Second {
-		t.Fatalf("total = %v, want 3s", tm.Total())
-	}
 	snap := r.Snapshot()
 	ts := snap.Timings["t"]
 	if ts.Count != 2 || ts.TotalNs != int64(3*time.Second) {

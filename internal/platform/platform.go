@@ -43,11 +43,11 @@ type Spec struct {
 	Peripherals *uncore.Peripherals
 
 	AreaBudgetMM2 float64
-	PowerBudgetW  float64
 }
 
 // Default returns the paper's platform: 9 clusters x 4 A57 cores on 28nm
-// FD-SOI, 300mm^2 area budget, 100W power budget, 64GB DDR4.
+// FD-SOI, 300mm^2 area budget, 64GB DDR4. The 100W chip power budget is
+// thermal.Model.TDPW.
 func Default() *Spec {
 	t := tech.FDSOI28()
 	return &Spec{
@@ -57,7 +57,6 @@ func Default() *Spec {
 		Cluster:       sim.DefaultConfig(),
 		Peripherals:   uncore.SunT2Peripherals(),
 		AreaBudgetMM2: 300,
-		PowerBudgetW:  100,
 	}
 }
 
@@ -127,9 +126,7 @@ func (s *Spec) UncorePowerParts(llcReadsPerSec, llcWritesPerSec, xbarPerSec floa
 // chip-level read/write bandwidth, using the paper's Table I scaling.
 func (s *Spec) MemoryPowerW(readBW, writeBW float64) float64 {
 	m := s.Cluster.DRAM
-	e := m.Power.Energies(m.Timing, m.ChipsPerRank)
-	ranks := m.Channels * m.RanksPerChan
-	return e.Power(ranks, readBW, writeBW)
+	return m.Energies().Power(m.Ranks(), readBW, writeBW)
 }
 
 // ServerPower decomposes total server power at the paper's three scopes.

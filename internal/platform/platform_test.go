@@ -3,6 +3,8 @@ package platform
 import (
 	"math"
 	"testing"
+
+	"ntcsim/internal/thermal"
 )
 
 func TestPaperOrganization(t *testing.T) {
@@ -14,7 +16,7 @@ func TestPaperOrganization(t *testing.T) {
 	if s.Clusters != 9 || s.Cluster.CoresPerCluster != 4 {
 		t.Fatalf("organization %dx%d, want 9x4", s.Clusters, s.Cluster.CoresPerCluster)
 	}
-	if s.AreaBudgetMM2 != 300 || s.PowerBudgetW != 100 {
+	if s.AreaBudgetMM2 != 300 || thermal.Default().TDPW != 100 {
 		t.Fatal("budgets must match the paper (300mm^2, 100W)")
 	}
 }
@@ -94,8 +96,8 @@ func TestCoresFitPowerBudgetAtQoSFrequencies(t *testing.T) {
 		t.Fatal(err)
 	}
 	chip := s.CorePowerW(op, 1.0) + s.UncorePowerW(100e6, 40e6, 150e6)
-	if chip > s.PowerBudgetW {
-		t.Fatalf("chip power at 2GHz = %.1fW exceeds %v W budget", chip, s.PowerBudgetW)
+	if budget := thermal.Default().TDPW; chip > budget {
+		t.Fatalf("chip power at 2GHz = %.1fW exceeds %v W budget", chip, budget)
 	}
 }
 

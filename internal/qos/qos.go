@@ -79,37 +79,30 @@ func MeetsDegradation(uipsBaseline, uips, limit float64) bool {
 }
 
 // Requirement unifies the two QoS regimes so the design-space explorer can
-// treat all workloads uniformly.
+// treat all workloads uniformly: the profile's tail-latency limit for
+// scale-out workloads, the relaxed 4x degradation for virtualized ones.
+// Reports that also need the strict 2x bound compute it from Degradation.
 type Requirement struct {
 	Profile *workload.Profile
-	// DegradationLimit applies to virtualized workloads (2.0 or 4.0);
-	// ignored for scale-out workloads, which use the profile's QoSLimit.
-	DegradationLimit float64
 }
 
-// NewRequirement returns the default requirement for a profile: the tail
-// latency limit for scale-out workloads, the relaxed 4x degradation for
-// virtualized ones.
+// NewRequirement returns the requirement for a profile.
 func NewRequirement(p *workload.Profile) Requirement {
-	r := Requirement{Profile: p}
-	if p.Class == workload.Virtualized {
-		r.DegradationLimit = DegradationRelaxed
-	}
-	return r
+	return Requirement{Profile: p}
 }
 
 // Satisfied reports whether the requirement holds at throughput uips given
 // the 2GHz-baseline throughput.
 func (r Requirement) Satisfied(uipsBaseline, uips float64) bool {
 	if r.Profile.Class == workload.Virtualized {
-		return MeetsDegradation(uipsBaseline, uips, r.DegradationLimit)
+		return MeetsDegradation(uipsBaseline, uips, DegradationRelaxed)
 	}
 	return Meets(r.Profile, uipsBaseline, uips)
 }
 
 // Metric returns the scalar the requirement constrains — normalized
 // latency for scale-out workloads (limit 1.0), degradation for virtualized
-// ones (limit DegradationLimit).
+// ones (limit DegradationRelaxed).
 func (r Requirement) Metric(uipsBaseline, uips float64) float64 {
 	if r.Profile.Class == workload.Virtualized {
 		return Degradation(uipsBaseline, uips)

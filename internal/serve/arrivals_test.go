@@ -9,6 +9,11 @@ import (
 	"ntcsim/internal/rng"
 )
 
+// horizon is the trace's simulated length: Step times the step count.
+func horizon(tr governor.LoadTrace) time.Duration {
+	return tr.Step * time.Duration(len(tr.Lambda))
+}
+
 func TestArrivalsStrictlyIncreasingInsideHorizon(t *testing.T) {
 	tr := constTrace(500, 20, time.Second)
 	g := NewArrivalGen(tr, rng.New(11))
@@ -22,8 +27,8 @@ func TestArrivalsStrictlyIncreasingInsideHorizon(t *testing.T) {
 		if at <= prev {
 			t.Fatalf("arrival %d at %v not after %v", n, at, prev)
 		}
-		if at >= tr.Duration() {
-			t.Fatalf("arrival at %v outside horizon %v", at, tr.Duration())
+		if at >= horizon(tr) {
+			t.Fatalf("arrival at %v outside horizon %v", at, horizon(tr))
 		}
 		prev = at
 		n++
@@ -106,7 +111,7 @@ func TestArrivalGenSanitizesMixedTrace(t *testing.T) {
 		if !ok {
 			break
 		}
-		if at <= prev || at < 0 || at >= tr.Duration() {
+		if at <= prev || at < 0 || at >= horizon(tr) {
 			t.Fatalf("sanitized trace produced bad arrival %v (prev %v)", at, prev)
 		}
 		prev = at

@@ -47,8 +47,8 @@ func FuzzArrivalGen(f *testing.F) {
 			if at <= prev {
 				t.Fatalf("arrival %d at %v not after %v", i, at, prev)
 			}
-			if at < 0 || at >= tr.Duration() {
-				t.Fatalf("arrival %d at %v outside horizon %v", i, at, tr.Duration())
+			if at < 0 || at >= horizon(tr) {
+				t.Fatalf("arrival %d at %v outside horizon %v", i, at, horizon(tr))
 			}
 			prev = at
 		}

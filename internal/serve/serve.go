@@ -215,24 +215,22 @@ type Result struct {
 // with Run.
 type Sim struct {
 	// Configuration: fixed at New and never mutated mid-run.
-	cfg     Config
-	gcfg    *governor.Config
-	pol     Policy
-	bal     Balancer
-	lambda  []float64
-	stepDur time.Duration
+	cfg  Config
+	gcfg *governor.Config
+	pol  Policy
+	bal  Balancer
 
 	clusters []*cluster
 	perCl    int // cores per cluster
 	deps     depHeap
-	gen      *ArrivalGen
+	gen      *ArrivalGen // its step and sanitized rates are the epochs'
 	work     *rng.Stream
 	lbRand   *rng.Stream
 
 	now      time.Duration
 	nextArr  time.Duration
 	haveArr  bool
-	epoch    int // index of the epoch in progress; len(lambda) once done
+	epoch    int // index of the epoch in progress; len(gen.lambda) once done
 	decision governor.Decision
 	meanSvc  float64 // seconds of service per unit of work at the current frequency
 	lastRate float64 // served throughput of the previous epoch, req/s
@@ -314,31 +312,20 @@ func New(cfg Config, seed *rng.Stream) (*Sim, error) {
 	}
 
 	s := &Sim{
-		cfg:     cfg,
-		gcfg:    cfg.Gov,
-		pol:     cfg.Policy,
-		bal:     cfg.Balancer,
-		stepDur: cfg.Trace.Step,
-		gen:     NewArrivalGen(cfg.Trace, seed.Derive("serve-arrivals")),
-		work:    seed.Derive("serve-work"),
-		lbRand:  seed.Derive("serve-balance"),
-		sketch:  NewSketch(),
-		perCl:   fleet.Cluster.CoresPerCluster,
-		loads:   make([]ClusterLoad, fleet.Clusters),
-		tel:     cfg.Telemetry,
-		attrib:  cfg.Telemetry != nil || cfg.Metrics != nil,
+		cfg:    cfg,
+		gcfg:   cfg.Gov,
+		pol:    cfg.Policy,
+		bal:    cfg.Balancer,
+		gen:    NewArrivalGen(cfg.Trace, seed.Derive("serve-arrivals")),
+		work:   seed.Derive("serve-work"),
+		lbRand: seed.Derive("serve-balance"),
+		sketch: NewSketch(),
+		perCl:  fleet.Cluster.CoresPerCluster,
+		loads:  make([]ClusterLoad, fleet.Clusters),
+		tel:    cfg.Telemetry,
+		attrib: cfg.Telemetry != nil || cfg.Metrics != nil,
 	}
 	s.needLoads = needsLoads(cfg.Balancer)
-	s.lambda = make([]float64, len(cfg.Trace.Lambda))
-	for i, lam := range cfg.Trace.Lambda {
-		if math.IsNaN(lam) || lam < 0 {
-			lam = 0
-		}
-		if lam > maxArrivalRate {
-			lam = maxArrivalRate
-		}
-		s.lambda[i] = lam
-	}
 	s.clusters = make([]*cluster, fleet.Clusters)
 	s.lanes = make([]int, fleet.Clusters)
 	for i := range s.clusters {
@@ -371,7 +358,7 @@ func (s *Sim) Close() {
 func (s *Sim) decide() {
 	o := Observation{
 		Epoch:        s.epoch,
-		Offered:      s.lambda[s.epoch],
+		Offered:      s.gen.lambda[s.epoch],
 		MeasuredRate: s.lastRate,
 		Queued:       s.queued,
 		Tail99:       s.sketch.Quantile(0.99),
@@ -477,10 +464,10 @@ func (s *Sim) processDeparture() {
 // energy from the measured busy fractions and served rate, emits the
 // per-cluster trace spans, and resets the epoch accumulators.
 func (s *Sim) finishEpoch() error {
-	stepSec := s.stepDur.Seconds()
+	stepSec := s.gen.step.Seconds()
 	kc := s.perCl
-	denom := float64(kc) * float64(s.stepDur)
-	start := s.stepDur * time.Duration(s.epoch)
+	denom := float64(kc) * float64(s.gen.step)
+	start := s.gen.step * time.Duration(s.epoch)
 	rate := float64(s.servedEpoch) / stepSec
 	// Energy attribution is nil-gated behind attrib; the energy charge
 	// itself (s.energyJ) runs the identical float sequence either way.
@@ -526,7 +513,7 @@ func (s *Sim) finishEpoch() error {
 				Epoch:    s.epoch,
 				Cluster:  i,
 				Start:    start,
-				Dur:      s.stepDur,
+				Dur:      s.gen.step,
 				Energy:   led,
 				FreqHz:   s.decision.FreqHz,
 				VoltageV: vdd,
@@ -536,7 +523,7 @@ func (s *Sim) finishEpoch() error {
 			})
 		}
 		if s.cfg.Tracer != nil {
-			s.cfg.Tracer.CompleteAt("serve", fmt.Sprintf("cluster %d", i), s.lanes[i], start, s.stepDur,
+			s.cfg.Tracer.CompleteAt("serve", fmt.Sprintf("cluster %d", i), s.lanes[i], start, s.gen.step,
 				map[string]any{
 					"busy":     busyFrac,
 					"freq_ghz": s.decision.FreqHz / 1e9,
@@ -560,8 +547,8 @@ func (s *Sim) advance() (bool, error) {
 	if len(s.deps) > 0 {
 		depT = s.deps[0].t
 	}
-	if s.epoch < len(s.lambda) {
-		epochT = s.stepDur * time.Duration(s.epoch+1)
+	if s.epoch < len(s.gen.lambda) {
+		epochT = s.gen.step * time.Duration(s.epoch+1)
 	}
 	if s.haveArr {
 		arrT = s.nextArr
@@ -578,7 +565,7 @@ func (s *Sim) advance() (bool, error) {
 			return false, err
 		}
 		s.epoch++
-		if s.epoch < len(s.lambda) {
+		if s.epoch < len(s.gen.lambda) {
 			s.decide()
 		}
 	default:
@@ -611,7 +598,7 @@ func (s *Sim) runUntil(ctx context.Context, epoch int) error {
 
 // Run drives the simulation to completion and returns its result.
 func (s *Sim) Run(ctx context.Context) (Result, error) {
-	if err := s.runUntil(ctx, len(s.lambda)+1); err != nil {
+	if err := s.runUntil(ctx, len(s.gen.lambda)+1); err != nil {
 		return Result{}, err
 	}
 	s.tel.ReportTotal(s.energyJ)
@@ -682,7 +669,7 @@ func (s *Sim) partsFor(d governor.Decision, kc int) (partsCoeffs, error) {
 // Result reads the current summary; call after Run (or mid-run for
 // progress).
 func (s *Sim) Result() Result {
-	horizon := s.stepDur.Seconds() * float64(len(s.lambda))
+	horizon := s.gen.step.Seconds() * float64(len(s.gen.lambda))
 	return Result{
 		Policy:     s.pol.Name(),
 		Balancer:   s.bal.Name(),

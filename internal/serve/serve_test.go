@@ -168,7 +168,9 @@ func TestQueueCapDrops(t *testing.T) {
 // closed-loop behavior the package exists to demonstrate.
 func TestGovernorReactsToLoad(t *testing.T) {
 	cfg := testConfig(t)
-	cfg.Trace = governor.SpikeTrace(12, time.Second, 100, 8, 6, 3)
+	// 100 req/s for 12 steps of 1 s, spiking 8x over steps 6-8.
+	cfg.Trace = governor.LoadTrace{Step: time.Second,
+		Lambda: []float64{100, 100, 100, 100, 100, 100, 800, 800, 800, 100, 100, 100}}
 	sim, err := New(cfg, rng.New(21))
 	if err != nil {
 		t.Fatal(err)

@@ -71,9 +71,6 @@ func (s *Sketch) Observe(d time.Duration) {
 	s.total++
 }
 
-// Count returns the number of observations.
-func (s *Sketch) Count() uint64 { return s.total }
-
 // Quantile returns the q-quantile estimate (q clamped to [0, 1]); 0 when
 // the sketch is empty. The estimate is the log-midpoint of the bucket
 // holding the rank-ceil(q*n) observation, so its relative error is

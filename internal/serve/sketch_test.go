@@ -14,7 +14,7 @@ func TestSketchEmpty(t *testing.T) {
 	if got := s.Quantile(0.99); got != 0 {
 		t.Fatalf("empty sketch quantile = %v, want 0", got)
 	}
-	if s.Count() != 0 {
+	if s.total != 0 {
 		t.Fatal("empty sketch has nonzero count")
 	}
 }
@@ -67,8 +67,8 @@ func TestSketchClampsPathologicalInputs(t *testing.T) {
 	s.Observe(-time.Second)     // negative: floor bucket, no panic
 	s.Observe(time.Microsecond) // exactly one unit
 	s.Observe(time.Hour)
-	if s.Count() != 4 {
-		t.Fatalf("count = %d, want 4", s.Count())
+	if s.total != 4 {
+		t.Fatalf("count = %d, want 4", s.total)
 	}
 	if got := s.Quantile(0.1); got != sketchUnit {
 		t.Fatalf("floor-bucket quantile = %v, want %v", got, sketchUnit)

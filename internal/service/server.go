@@ -37,9 +37,11 @@ var (
 type Config struct {
 	// Workers is the number of jobs run concurrently.
 	Workers int
-	// Jobs is the per-job sweep worker budget (experiments.Env.Jobs);
-	// <= 0 lets each sweep use GOMAXPROCS. Total simulation parallelism
-	// is therefore Workers x Jobs.
+	// Jobs is the per-job pool width (experiments.Env.Jobs); <= 0 means
+	// GOMAXPROCS. A job that runs several sweeps at once (SweepMany, the
+	// ablation) runs up to Jobs of them, each evaluating up to Jobs
+	// points, so one job runs up to Jobs² points concurrently and the
+	// engine up to Workers x Jobs².
 	Jobs int
 	// QueueDepth bounds how many submitted jobs may wait for a worker;
 	// submissions beyond it fail with ErrQueueFull rather than queueing

@@ -130,13 +130,6 @@ func (c *Chip) FastForward(nPerCore uint64) {
 		})
 }
 
-// SetFrequency retargets every core on the chip.
-func (c *Chip) SetFrequency(hz float64) {
-	for _, cl := range c.clusters {
-		cl.SetFrequency(hz)
-	}
-}
-
 // Run advances every core on the chip by the given wall-clock duration
 // (expressed as cycles of the FASTEST cluster's clock), always stepping the
 // core with the smallest local time so shared-memory contention is honored

@@ -82,28 +82,15 @@ func TestChipCoreIDsDisjoint(t *testing.T) {
 	}
 	seen := map[int]bool{}
 	for _, cl := range ch.clusters {
-		for _, c := range cl.cores {
-			if seen[c.ID()] {
-				t.Fatalf("duplicate core ID %d", c.ID())
+		for _, p := range cl.plans {
+			if seen[p.Core()] {
+				t.Fatalf("duplicate core ID %d", p.Core())
 			}
-			seen[c.ID()] = true
+			seen[p.Core()] = true
 		}
 	}
 	if len(seen) != 8 {
 		t.Fatalf("expected 8 distinct cores, got %d", len(seen))
-	}
-}
-
-func TestChipSetFrequency(t *testing.T) {
-	ch, err := NewChip(DefaultConfig(), workload.WebSearch(), 2, 2e9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch.SetFrequency(0.5e9)
-	for _, cl := range ch.clusters {
-		if cl.freqHz != 0.5e9 {
-			t.Fatal("frequency not applied to all clusters")
-		}
 	}
 }
 

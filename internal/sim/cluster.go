@@ -191,15 +191,6 @@ func (cl *Cluster) clone() *Cluster {
 	return &n
 }
 
-// Profiles returns the per-core workload assignment.
-func (cl *Cluster) Profiles() []*workload.Profile {
-	ps := make([]*workload.Profile, len(cl.plans))
-	for i := range cl.plans {
-		ps[i] = cl.plans[i].Profile()
-	}
-	return ps
-}
-
 // SetFrequency applies a DVFS transition to all cores. Caches, predictors
 // and DRAM state survive, so one warmed cluster can be swept across the
 // whole frequency range (the uncore runs on its own clock and is

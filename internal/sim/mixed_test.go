@@ -24,7 +24,7 @@ func TestMixedClusterPerCoreWorkloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cl.Profiles(); got[0] != ws || got[3] != ms {
+	if cl.plans[0].Profile() != ws || cl.plans[3].Profile() != ms {
 		t.Fatal("per-core assignment lost")
 	}
 	cl.FastForward(100000)

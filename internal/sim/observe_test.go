@@ -63,7 +63,7 @@ func TestHarvestObsPopulatesRegistry(t *testing.T) {
 	if h, ok := snap.Histograms["cpu.mshr_occupancy"]; !ok || h.Count == 0 {
 		t.Fatalf("mshr occupancy histogram missing or empty: %+v", h)
 	}
-	dcfg := cl.mem.sys.Config()
+	dcfg := DefaultConfig().DRAM
 	wantKeys := dcfg.Channels * dcfg.RanksPerChan * dcfg.BanksPerRank * 4
 	gotKeys := 0
 	var rd, wr uint64

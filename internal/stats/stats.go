@@ -30,9 +30,6 @@ func (a *Accumulator) Add(x float64) {
 	a.m2 += d * (x - a.mean)
 }
 
-// N returns the number of observations.
-func (a *Accumulator) N() int { return a.n }
-
 // Mean returns the sample mean (0 for an empty accumulator).
 func (a *Accumulator) Mean() float64 { return a.mean }
 
@@ -218,16 +215,4 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	frac := h - float64(i)
 	return sorted[i]*(1-frac) + sorted[i+1]*frac
-}
-
-// Mean returns the arithmetic mean of xs (0 for an empty slice).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }

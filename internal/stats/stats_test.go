@@ -11,8 +11,8 @@ func TestAccumulatorBasics(t *testing.T) {
 	for _, x := range []float64{1, 2, 3, 4, 5} {
 		a.Add(x)
 	}
-	if a.N() != 5 {
-		t.Fatalf("N = %d, want 5", a.N())
+	if a.n != 5 {
+		t.Fatalf("N = %d, want 5", a.n)
 	}
 	if math.Abs(a.Mean()-3) > 1e-12 {
 		t.Fatalf("Mean = %v, want 3", a.Mean())
@@ -153,15 +153,6 @@ func TestPercentileSingle(t *testing.T) {
 	}
 }
 
-func TestMean(t *testing.T) {
-	if got := Mean([]float64{2, 4, 6}); got != 4 {
-		t.Fatalf("Mean = %v", got)
-	}
-	if got := Mean(nil); got != 0 {
-		t.Fatalf("Mean(nil) = %v", got)
-	}
-}
-
 func TestQuickAccumulatorMeanMatchesDirect(t *testing.T) {
 	err := quick.Check(func(xs []float64) bool {
 		// Filter non-finite fuzz inputs.
@@ -200,7 +191,7 @@ func TestQuickVarianceNonNegative(t *testing.T) {
 			}
 			a.Add(x)
 		}
-		return a.Variance() >= 0 || a.N() < 2
+		return a.Variance() >= 0 || a.n < 2
 	}, &quick.Config{MaxCount: 300})
 	if err != nil {
 		t.Fatal(err)

@@ -41,8 +41,5 @@ func FuzzGeneratorInvariants(f *testing.F) {
 				t.Fatalf("dependency distance %d out of range", in.DepDist)
 			}
 		}
-		if g.Produced() != 300 {
-			t.Fatalf("produced %d, want 300", g.Produced())
-		}
 	})
 }

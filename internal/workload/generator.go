@@ -123,10 +123,10 @@ type Generator struct {
 	mix, dep, brs, mem, code, os              rng.Stream
 	branchPick, coldZipf, hotZipf, codeTarget rng.Zipf
 
-	pc, osPC            uint64
-	inOS                bool
-	osLeft              int
-	streamPos, produced uint64
+	pc, osPC  uint64
+	inOS      bool
+	osLeft    int
+	streamPos uint64
 }
 
 // Fixed per-instruction tests and draws, shared by every generator.
@@ -215,9 +215,6 @@ func NewGenerator(pl Plan) *Generator {
 	return g
 }
 
-// Produced returns how many instructions have been generated.
-func (g *Generator) Produced() uint64 { return g.produced }
-
 // Next fills in the next dynamic instruction.
 func (g *Generator) Next(in *Instr) {
 	g.NextWarm(in)
@@ -236,7 +233,6 @@ func (g *Generator) Next(in *Instr) {
 // NextWarm calls, SkipDeps(n) leaves the generator exactly where n Next
 // calls would have; call it before the next Next or Clone.
 func (g *Generator) NextWarm(in *Instr) {
-	g.produced++
 	g.maybeToggleOS()
 	*in = Instr{OS: g.inOS}
 
@@ -394,11 +390,11 @@ func (g *Generator) nextPC(in *Instr) uint64 {
 
 // Reseed re-derives every random stream of the cursor from seed with the
 // labeling scheme NewGenerator uses for the plan's (profile, core), while
-// preserving all positional state (PC, stream cursor, OS mode, produced
-// count) and the plan. A sweep engine hands each operating point its own
-// substream (rng.Stream.Split by point index) so the points draw
-// decorrelated randomness yet remain bit-reproducible regardless of
-// evaluation order or worker count.
+// preserving all positional state (PC, stream cursor, OS mode) and the
+// plan. A sweep engine hands each operating point its own substream
+// (rng.Stream.Split by point index) so the points draw decorrelated
+// randomness yet remain bit-reproducible regardless of evaluation order
+// or worker count.
 func (g *Generator) Reseed(seed *rng.Stream) {
 	pl := &g.plan
 	p := pl.p
