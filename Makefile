@@ -46,7 +46,10 @@
 #                      hit, require fig3 byte-identical to its golden
 #                      with 4 sweep-memo hits on /metrics, and require
 #                      SIGTERM to drain cleanly
-#   make race          race-detector pass over every package
+#   make race          race-detector pass over every package, then ten
+#                      race runs of TestSweepManyBoundedByJobs, whose
+#                      workloads share one flat worker pool (~6 s on a
+#                      2-CPU host)
 #   make fuzz-rng      run each internal/rng sampler-equivalence fuzz
 #                      target (geometric guide vs inverse CDF, Zipf guide
 #                      vs whole-table binary search, integer threshold vs
@@ -134,6 +137,7 @@ daemon-smoke:
 
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run 'TestSweepManyBoundedByJobs' ./internal/core
 
 fuzz-rng:
 	$(GO) test -run xxx -fuzz '^FuzzGeometricMatchesInverseCDF$$' -fuzztime 10s ./internal/rng

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"ntcsim/internal/qos"
-	"ntcsim/internal/rng"
 	"ntcsim/internal/sampling"
 	"ntcsim/internal/sim"
 	"ntcsim/internal/workload"
@@ -13,9 +11,9 @@ import (
 
 // TestSweepWindowsConserveTraffic checks the request-traffic identities
 // of internal/sim's TestTrafficConserved on every measurement window of
-// one quick sweep per workload class, launched the way Sweep launches
-// it: the warmed cluster's baseline windows, then each point's windows
-// after the restore, reseed, retarget and settle of launchPoint.
+// one quick sweep per workload class, launched the way SweepMany
+// launches it: the baseline windows of its prelude, then each point's
+// windows after the restore, reseed, retarget and settle of launchPoint.
 func TestSweepWindowsConserveTraffic(t *testing.T) {
 	e := NewExplorer()
 	freqs := []float64{0.2e9, 0.5e9, 1.0e9, 2.0e9}
@@ -29,19 +27,14 @@ func TestSweepWindowsConserveTraffic(t *testing.T) {
 					all.Add(m)
 				}
 			}
-			cl, err := e.warmedCluster(e.soloProfiles(p), qos.BaselineFreqHz)
-			if err != nil {
-				t.Fatal(err)
-			}
-			base, err := sampling.Run(cl, cfg)
+			j := &sweepJob{p: p, cfg: cfg}
+			base, err := e.prelude(j)
 			if err != nil {
 				t.Fatal(err)
 			}
 			check("baseline", base)
-			ck := cl.Checkpoint()
-			root := rng.New(e.Platform.Cluster.Seed).Derive("sweep/" + p.Name)
 			for i, f := range freqs {
-				res, err := sampling.Run(e.launchPoint(ck, root, i, f, false), cfg)
+				res, err := sampling.Run(e.launchPoint(j.ck, j.root, i, f, false), cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -45,12 +45,12 @@ const LoadActivity = 1.0
 // memo, with or without hooks), which is why experiments.Key excludes
 // exactly this struct. Every field is optional and nil-gated.
 type Seams struct {
-	// Jobs is the width of each worker pool; <= 0 means GOMAXPROCS. A
-	// sweep evaluates up to Jobs points at once, and SweepMany runs up to
-	// Jobs sweeps at once, each with its own Jobs-wide point pool, so up
-	// to Jobs² points can run concurrently. Every point runs from the
-	// same warmed checkpoint under its own RNG substream split by point
-	// index, so results are bit-identical for every Jobs setting.
+	// Jobs is the width of the worker pool; <= 0 means GOMAXPROCS. One
+	// Sweep or SweepMany call simulates at most Jobs clusters at once: it
+	// warms up to Jobs workloads at once, then evaluates up to Jobs
+	// (workload, point) pairs at once. Every point runs from its
+	// workload's warmed checkpoint under its own RNG substream split by
+	// point index, so results are bit-identical for every Jobs setting.
 	Jobs int
 
 	// Obs, when set, enables the observability layer: per-layer counters
@@ -156,21 +156,39 @@ type Sweep struct {
 }
 
 // Sweep runs the workload across the given core frequencies (Hz) and
-// returns the evaluated points in ascending frequency order. A sweep
-// whose ctx is already cancelled returns its cause before warming; a ctx
-// cancelled later stops the sweep between points (a point mid-simulation
-// runs to completion).
-//
-// Execution model: the cluster is warmed once at the 2GHz baseline and the
-// baseline throughput is sampled; the resulting warmed state is captured as
-// an in-memory checkpoint, the common launch state for every operating
-// point. Each point then restores its own private cluster from that
-// checkpoint, reseeds the workload generators with the substream split by
-// point index (rng.Stream.Split), applies the DVFS transition, runs the
-// settle window and samples. Because a point's result is a pure function of
-// (checkpoint, frequency, point index), points evaluate concurrently — up
-// to Jobs workers — with output bit-identical to the serial loop.
+// returns the evaluated points in ascending frequency order. It is
+// SweepMany of one profile; the execution model is described there.
 func (e *Explorer) Sweep(ctx context.Context, p *workload.Profile, freqsHz []float64) (*Sweep, error) {
+	sweeps, err := e.SweepMany(ctx, []*workload.Profile{p}, freqsHz)
+	if err != nil {
+		return nil, err
+	}
+	return sweeps[0], nil
+}
+
+// SweepMany sweeps each profile over the same frequency grid and returns
+// the sweeps in profile order. A call whose ctx is already cancelled
+// returns its cause before warming; a ctx cancelled later stops the call
+// between workloads or points (a simulation already running completes).
+//
+// Execution model, in four steps, each pool at most Jobs wide:
+//
+//  1. A workload the memo holds is answered from it (see replay).
+//  2. Each remaining workload runs its prelude: its cluster is warmed at
+//     the 2GHz baseline, the baseline throughput is sampled, and the
+//     warmed state is captured as an in-memory checkpoint, the common
+//     launch state of all its points (see prelude).
+//  3. Every (workload, point) pair restores its own private cluster from
+//     its workload's checkpoint, reseeds the workload generators with the
+//     substream split by point index (rng.Stream.Split), applies the DVFS
+//     transition, runs the settle window and samples (see runPoint).
+//  4. In profile order, each workload's metrics reach Obs, its result the
+//     memo and its samples the telemetry.
+//
+// A point's result is a pure function of (checkpoint, frequency, point
+// index), so results are bit-identical for every Jobs setting, and one
+// call simulates at most Jobs clusters at once.
+func (e *Explorer) SweepMany(ctx context.Context, profiles []*workload.Profile, freqsHz []float64) ([]*Sweep, error) {
 	if len(freqsHz) == 0 {
 		return nil, fmt.Errorf("core: empty frequency list")
 	}
@@ -186,34 +204,56 @@ func (e *Explorer) Sweep(ctx context.Context, p *workload.Profile, freqsHz []flo
 	if ctx.Err() != nil {
 		return nil, context.Cause(ctx)
 	}
-	cfg := e.SamplingFor(p)
-	var (
-		hash uint64
-		key  []byte
-	)
-	if e.Memo != nil {
-		keyCfg := cfg
-		keyCfg.Phase = nil // observational only
-		hash, key = e.sweepKey(p, keyCfg, freqs)
-		if en := e.Memo.lookup(hash, key, e.Obs != nil); en != nil {
-			return e.replay(p, freqs, en)
+	sweeps := make([]*Sweep, len(profiles))
+	var jobs []*sweepJob
+	for i, p := range profiles {
+		j := &sweepJob{slot: i, p: p, cfg: e.SamplingFor(p)}
+		if e.Memo != nil {
+			j.hash, j.key = e.sweepKey(p, j.cfg, freqs)
+			if en := e.Memo.lookup(j.hash, j.key, e.Obs != nil); en != nil {
+				sw, err := e.replay(p, freqs, en)
+				if err != nil {
+					return nil, jobErr(j, err)
+				}
+				sweeps[i] = sw
+				continue
+			}
 		}
+		// A computed sweep harvests into a private registry so that its
+		// memo entry can store exactly its counter-class metrics.
+		if e.Obs != nil {
+			j.reg = obs.NewRegistry()
+		}
+		j.points = make([]Point, len(freqs))
+		j.samples = make([]timeseries.Sample, len(freqs)) // buffered for ordered recording
+		jobs = append(jobs, j)
 	}
-	// The sweep harvests into a private registry so that a memo entry can
-	// store exactly this sweep's counter-class metrics. They reach Obs
-	// through the same Merge a hit uses, also when the sweep fails
-	// part-way (the completed points' counters are valid data).
-	var (
-		reg     *obs.Registry
-		metrics *obs.Snapshot
-	)
-	if e.Obs != nil {
-		reg = obs.NewRegistry()
+
+	err := parallel.ForEach(ctx, len(jobs), e.Jobs, func(_ context.Context, k int) error {
+		_, err := e.prelude(jobs[k])
+		return jobErr(jobs[k], err)
+	})
+	if err == nil {
+		e.Progress.Add(len(jobs) * len(freqs))
+		pctx := ctx
+		if e.Obs != nil {
+			pctx = parallel.WithObserver(ctx, obs.PoolObserver(e.Obs, "sweep"))
+		}
+		n := len(freqs)
+		err = parallel.ForEach(pctx, len(jobs)*n, e.Jobs, func(_ context.Context, k int) error {
+			return jobErr(jobs[k/n], e.runPoint(jobs[k/n], freqs, k%n))
+		})
 	}
-	sw, samples, err := e.sweep(ctx, p, freqs, cfg, reg)
-	if reg != nil {
-		snap := reg.Snapshot().Deterministic()
-		metrics = &snap
+
+	// The private registries reach Obs through the same Merge a hit uses,
+	// also when the call failed part-way: the completed points' counters
+	// are valid data.
+	for _, j := range jobs {
+		if j.reg == nil {
+			continue
+		}
+		snap := j.reg.Snapshot().Deterministic()
+		j.metrics = &snap
 		if merr := e.Obs.Merge(snap); merr != nil && err == nil {
 			err = merr
 		}
@@ -221,12 +261,81 @@ func (e *Explorer) Sweep(ctx context.Context, p *workload.Profile, freqsHz []flo
 	if err != nil {
 		return nil, err
 	}
-	if e.Memo != nil {
-		e.Memo.store(&memoEntry{hash: hash, key: key, baselineUIPS: sw.BaselineUIPS,
-			points: slices.Clone(sw.Points), metrics: metrics, samples: samples})
+	for _, j := range jobs {
+		j.sw.Points = j.points
+		if e.Memo != nil {
+			e.Memo.store(&memoEntry{hash: j.hash, key: j.key, baselineUIPS: j.sw.BaselineUIPS,
+				points: slices.Clone(j.points), metrics: j.metrics, samples: j.samples})
+		}
+		e.recordTelemetry(j.p, j.points, j.samples)
+		sweeps[j.slot] = j.sw
 	}
-	e.recordTelemetry(p, sw.Points, samples)
-	return sw, nil
+	return sweeps, nil
+}
+
+// sweepJob is one workload of a SweepMany call that the memo did not
+// answer: its inputs, the launch state its prelude leaves, and the
+// per-point results, each written only by its own point.
+type sweepJob struct {
+	slot int // index in SweepMany's profiles
+	p    *workload.Profile
+	cfg  sampling.Config
+	hash uint64 // memo key, when there is a memo
+	key  []byte
+
+	// Set by prelude.
+	sw   *Sweep
+	ck   *sim.Checkpoint
+	root *rng.Stream
+
+	points  []Point
+	samples []timeseries.Sample
+	reg     *obs.Registry // nil without Obs
+	metrics *obs.Snapshot // reg's counter-class snapshot after the fan-out
+}
+
+// jobErr names j's workload in a non-nil err.
+func jobErr(j *sweepJob, err error) error {
+	if err != nil {
+		return fmt.Errorf("%s: %w", j.p.Name, err)
+	}
+	return nil
+}
+
+// prelude runs the serial launch sequence of j's sweep on a trace lane of
+// its own: it warms a cluster of j's workload at the 2GHz baseline,
+// samples the baseline throughput, and keeps the warmed state after that
+// measurement as j's checkpoint, with the RNG root j's points split their
+// substreams from. It returns the baseline measurement.
+func (e *Explorer) prelude(j *sweepJob) (sampling.Result, error) {
+	lane := e.Tracer.AcquireLane()
+	defer e.Tracer.ReleaseLane(lane)
+
+	warmStart := time.Now() //ntclint:allow wallclock trace span timestamps only; never reaches results
+	cl, err := e.warmedCluster(e.soloProfiles(j.p), qos.BaselineFreqHz)
+	if err != nil {
+		return sampling.Result{}, err
+	}
+	//ntclint:allow wallclock trace span duration only; never reaches results
+	e.Tracer.Complete("sweep", "warm "+j.p.Name, lane, warmStart, time.Since(warmStart), nil)
+
+	baseStart := time.Now() //ntclint:allow wallclock trace span timestamps only; never reaches results
+	base, err := sampling.Run(cl, j.cfg)
+	if err != nil {
+		return sampling.Result{}, err
+	}
+	//ntclint:allow wallclock trace span duration only; never reaches results
+	e.Tracer.Complete("sweep", "baseline "+j.p.Name, lane, baseStart, time.Since(baseStart), nil)
+
+	j.sw = &Sweep{
+		Workload:     j.p,
+		Requirement:  qos.NewRequirement(j.p),
+		BaselineUIPS: base.MeanUIPS() * float64(e.Platform.Clusters),
+	}
+	// Restores only read the checkpoint, so one copy serves all workers.
+	j.ck = cl.Checkpoint()
+	j.root = rng.New(e.Platform.Cluster.Seed).Derive("sweep/" + j.p.Name)
+	return base, nil
 }
 
 // replay answers a sweep from a memo entry exactly as a recomputation
@@ -279,60 +388,6 @@ func (e *Explorer) recordTelemetry(p *workload.Profile, points []Point, samples 
 	tel.ReportTotal(totalJ)
 }
 
-// sweep computes a sweep (the execution model is described on Sweep),
-// harvesting per-point metrics into reg when it is non-nil, and returns
-// it with its per-point telemetry samples.
-func (e *Explorer) sweep(ctx context.Context, p *workload.Profile, freqs []float64, cfg sampling.Config,
-	reg *obs.Registry) (*Sweep, []timeseries.Sample, error) {
-	// The sweep's own trace lane carries the serial prelude (warmup,
-	// baseline); each point acquires a lane of its own below.
-	swLane := e.Tracer.AcquireLane()
-	defer e.Tracer.ReleaseLane(swLane)
-
-	warmStart := time.Now() //ntclint:allow wallclock trace span timestamps only; never reaches results
-	cl, err := e.warmedCluster(e.soloProfiles(p), qos.BaselineFreqHz)
-	if err != nil {
-		return nil, nil, err
-	}
-	//ntclint:allow wallclock trace span duration only; never reaches results
-	e.Tracer.Complete("sweep", "warm "+p.Name, swLane, warmStart, time.Since(warmStart), nil)
-
-	baseStart := time.Now() //ntclint:allow wallclock trace span timestamps only; never reaches results
-	baseRes, err := sampling.Run(cl, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	//ntclint:allow wallclock trace span duration only; never reaches results
-	e.Tracer.Complete("sweep", "baseline "+p.Name, swLane, baseStart, time.Since(baseStart), nil)
-	clusters := float64(e.Platform.Clusters)
-	sw := &Sweep{
-		Workload:     p,
-		Requirement:  qos.NewRequirement(p),
-		BaselineUIPS: baseRes.MeanUIPS() * clusters,
-	}
-
-	// The common launch state: warmed microarchitecture after the baseline
-	// measurement. Restores only read the checkpoint, so one copy serves
-	// all workers.
-	ck := cl.Checkpoint()
-	root := rng.New(e.Platform.Cluster.Seed).Derive("sweep/" + p.Name)
-
-	e.Progress.Add(len(freqs))
-	if e.Obs != nil {
-		ctx = parallel.WithObserver(ctx, obs.PoolObserver(e.Obs, "sweep"))
-	}
-	points := make([]Point, len(freqs))
-	samples := make([]timeseries.Sample, len(freqs)) // per-point telemetry, buffered for ordered recording
-	err = parallel.ForEach(ctx, len(freqs), e.Jobs, func(_ context.Context, i int) error {
-		return e.runPoint(p, sw, cfg, ck, root, freqs, points, samples, reg, i)
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	sw.Points = points
-	return sw, samples, nil
-}
-
 // warmedCluster builds a cluster running profiles[i] on core i at freqHz
 // and warms it: WarmInstr functional instructions per core, then
 // SettleCycles of detailed simulation (the paper launches every
@@ -362,46 +417,80 @@ func pointLabel(p *workload.Profile, freqHz float64) string {
 	return fmt.Sprintf("%s @ %.0fMHz", p.Name, freqHz/1e6)
 }
 
-// runPoint evaluates one sweep point. Writes are confined to points[i];
-// side effects (obs harvest, trace span, progress line) happen only after
-// the point has fully succeeded.
-func (e *Explorer) runPoint(p *workload.Profile, sw *Sweep, cfg sampling.Config,
-	ck *sim.Checkpoint, root *rng.Stream, freqs []float64, points []Point,
-	samples []timeseries.Sample, reg *obs.Registry, i int) error {
-	label := pointLabel(p, freqs[i])
+// runPoint evaluates point i of j's sweep. Writes are confined to slot i
+// of j's points and samples; side effects (obs harvest, trace span,
+// progress line) happen only after the point has fully succeeded.
+func (e *Explorer) runPoint(j *sweepJob, freqs []float64, i int) error {
+	label := pointLabel(j.p, freqs[i])
 	lane := e.Tracer.AcquireLane()
 	defer e.Tracer.ReleaseLane(lane)
 	ptStart := time.Now() //ntclint:allow wallclock trace/progress timestamps only; never reaches results
 
-	pcl := e.launchPoint(ck, root, i, freqs[i], reg != nil)
-	pcfg := cfg
+	pcl := e.launchPoint(j.ck, j.root, i, freqs[i], j.reg != nil)
+	var target sampling.Target = pcl
 	if e.Tracer != nil {
-		pcfg.Phase = func(phase string, sample int, start time.Time, d time.Duration) {
-			e.Tracer.Complete("sample", phase, lane, start, d,
-				map[string]any{"sample": sample, "point": label})
-		}
+		target = &tracedTarget{Target: pcl, tr: e.Tracer, lane: lane, point: label}
 	}
-	res, err := sampling.Run(pcl, pcfg)
+	res, err := sampling.Run(target, j.cfg)
 	if err != nil {
 		return err
 	}
-	pt, err := e.evaluate(p, sw, freqs[i], res)
+	pt, err := e.evaluate(j.sw, freqs[i], res)
 	if err != nil {
 		return err
 	}
-	points[i] = pt
-	samples[i] = e.telemetrySample(pt, res, i)
-	if reg != nil {
+	j.points[i] = pt
+	j.samples[i] = e.telemetrySample(pt, res, i)
+	if j.reg != nil {
 		// Harvest exactly once per point cluster: the layer counters
 		// are cumulative since EnableObs.
-		pcl.HarvestObs(reg)
-		harvestResult(reg, p, freqs[i], res, pt)
+		pcl.HarvestObs(j.reg)
+		harvestResult(j.reg, j.p, freqs[i], res, pt)
 	}
 	d := time.Since(ptStart) //ntclint:allow wallclock trace/progress duration only; never reaches results
 	e.Tracer.Complete("point", label, lane, ptStart, d,
 		map[string]any{"freq_hz": freqs[i], "samples": len(res.Samples)})
 	e.Progress.Done(label, d)
 	return nil
+}
+
+// tracedTarget records each phase the sampler drives on a point's cluster
+// as a "sample" span on the point's trace lane: FastForward, Run and
+// Measure are the phases "fastforward", "warmup" and "measure" of sample
+// n, the number of windows measured so far. It only times the calls it
+// forwards, so results are those of the bare cluster.
+type tracedTarget struct {
+	sampling.Target
+	tr    *obs.Tracer
+	lane  int
+	point string
+	n     int
+}
+
+func (t *tracedTarget) span(phase string, start time.Time) {
+	//ntclint:allow wallclock trace span duration only; never reaches results
+	t.tr.Complete("sample", phase, t.lane, start, time.Since(start),
+		map[string]any{"sample": t.n, "point": t.point})
+}
+
+func (t *tracedTarget) FastForward(nPerCore uint64) {
+	start := time.Now() //ntclint:allow wallclock trace span timestamps only; never reaches results
+	t.Target.FastForward(nPerCore)
+	t.span("fastforward", start)
+}
+
+func (t *tracedTarget) Run(cycles int64) {
+	start := time.Now() //ntclint:allow wallclock trace span timestamps only; never reaches results
+	t.Target.Run(cycles)
+	t.span("warmup", start)
+}
+
+func (t *tracedTarget) Measure(cycles int64) sim.Measurement {
+	start := time.Now() //ntclint:allow wallclock trace span timestamps only; never reaches results
+	m := t.Target.Measure(cycles)
+	t.span("measure", start)
+	t.n++
+	return m
 }
 
 // launchPoint restores point i's private cluster from ck, reseeds it
@@ -418,31 +507,8 @@ func (e *Explorer) launchPoint(ck *sim.Checkpoint, root *rng.Stream, i int, freq
 	return pcl
 }
 
-// SweepMany sweeps each profile over the same frequency grid, fanning the
-// workloads (and each workload's points) across the Jobs worker budget.
-// Results are returned in profile order and are bit-identical for any Jobs
-// setting. A cancelled ctx stops every workload's sweep between points
-// (points mid-simulation run to completion, so results that were produced
-// are valid).
-func (e *Explorer) SweepMany(ctx context.Context, profiles []*workload.Profile, freqsHz []float64) ([]*Sweep, error) {
-	sweeps := make([]*Sweep, len(profiles))
-	err := parallel.ForEach(ctx, len(profiles), e.Jobs,
-		func(ctx context.Context, i int) error {
-			sw, err := e.Sweep(ctx, profiles[i], freqsHz)
-			if err != nil {
-				return fmt.Errorf("%s: %w", profiles[i].Name, err)
-			}
-			sweeps[i] = sw
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return sweeps, nil
-}
-
 // evaluate attaches operating point, power and QoS to one sampled result.
-func (e *Explorer) evaluate(p *workload.Profile, sw *Sweep, f float64, res sampling.Result) (Point, error) {
+func (e *Explorer) evaluate(sw *Sweep, f float64, res sampling.Result) (Point, error) {
 	spec := e.Platform
 	op, err := spec.Tech.OperatingPointFor(f, 0)
 	if err != nil {

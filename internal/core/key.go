@@ -12,9 +12,9 @@ import (
 // its FNV-1a hash. The encoding follows pointers and reads unexported
 // fields, so equal bytes mean equal inputs, and the bytes are a private
 // copy no later in-place edit can reach. It panics on anything it does
-// not compare by value (a non-nil func, a map, an interface or a
-// channel): the sweep inputs hold none, so a panic means a newly added
-// input field the key must learn to encode.
+// not compare by value (a func, a map, an interface or a channel): the
+// sweep inputs hold none, so a panic means a newly added input field the
+// key must learn to encode.
 func encodeKey(vals ...any) (hash uint64, key []byte) {
 	var enc keyEncoder
 	for _, v := range vals {
@@ -87,12 +87,7 @@ func (k *keyEncoder) value(v reflect.Value) {
 		if k.present(v) {
 			k.value(v.Elem())
 		}
-	case reflect.Func:
-		// Only an absent func is comparable by value.
-		if k.present(v) {
-			panic(fmt.Sprintf("core: sweep key cannot encode a non-nil %s", v.Type()))
-		}
-	default: // Complex, Map, Interface, Chan, UnsafePointer, Invalid
+	default: // Complex, Func, Map, Interface, Chan, UnsafePointer, Invalid
 		panic(fmt.Sprintf("core: sweep key cannot encode a %s value", v.Kind()))
 	}
 }

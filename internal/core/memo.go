@@ -105,8 +105,7 @@ func (m *SweepMemo) store(en *memoEntry) {
 // frequency list. The encoding is canonical and follows pointers and
 // unexported fields, so it is itself the entry's private deep copy of
 // those inputs: equal bytes mean equal inputs, and a later in-place edit
-// of a caller's model cannot reach it. cfg.Phase must be nil: it is
-// observational only, and encodeKey panics on a non-nil func.
+// of a caller's model cannot reach it.
 func (e *Explorer) sweepKey(p *workload.Profile, cfg sampling.Config, freqs []float64) (hash uint64, key []byte) {
 	return encodeKey(p, e.Platform, cfg, e.WarmInstr, e.SettleCycles, freqs)
 }

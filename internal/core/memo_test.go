@@ -213,16 +213,14 @@ func TestMemoKeyCoversEveryInput(t *testing.T) {
 		}
 	}
 
-	// A func the sampler would call cannot be compared: Sweep clears
-	// Phase before keying, and the key panics on one it was handed.
-	cfg.Phase = func(string, int, time.Time, time.Duration) {}
+	// A func cannot be compared by value, so the key panics on one.
 	defer func() {
 		msg, _ := recover().(string)
 		if !strings.HasPrefix(msg, "core: ") {
-			t.Fatalf("keying a non-nil Phase: recovered %q, want a core: panic", msg)
+			t.Fatalf("keying a func: recovered %q, want a core: panic", msg)
 		}
 	}()
-	base.sweepKey(p, cfg, memoFreqs)
+	encodeKey(func() {})
 }
 
 // TestMemoHitHonoursCancelledCtx: on a cancelled ctx a sweep that would

@@ -1,9 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"reflect"
 	"testing"
 
+	"ntcsim/internal/obs"
+	"ntcsim/internal/obs/timeseries"
 	"ntcsim/internal/workload"
 )
 
@@ -148,5 +153,111 @@ func TestSweepErrorPropagatesFromWorkers(t *testing.T) {
 	_, err := e.Sweep(context.Background(), workload.WebSearch(), []float64{0.5e9, 50e9})
 	if err == nil {
 		t.Fatal("unreachable frequency must fail the sweep")
+	}
+}
+
+// TestSweepManyBoundedByJobs: one SweepMany call simulates at most Jobs
+// clusters at once. Every prelude, point and memo replay holds a trace
+// lane while it runs, so no event may sit on a lane above Jobs. Sized
+// for `make race`, which repeats it under the race detector.
+func TestSweepManyBoundedByJobs(t *testing.T) {
+	const jobs = 2
+	e := memoExplorer(t, nil)
+	e.Jobs = jobs
+	var buf bytes.Buffer
+	e.Tracer = obs.NewTracer(&buf)
+	profiles := []*workload.Profile{workload.WebSearch(), workload.MediaStreaming(), workload.VMLowMem()}
+	freqs := []float64{0.3e9, 0.5e9, 1.0e9, 2.0e9}
+	if _, err := e.SweepMany(context.Background(), profiles, freqs); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Tracer.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Cat  string `json:"cat"`
+			Tid  int    `json:"tid"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	points := 0
+	for _, ev := range trace.TraceEvents {
+		if ev.Tid > jobs {
+			t.Fatalf("%s span %q on lane %d: a call with Jobs=%d may use lanes 1..%d", ev.Cat, ev.Name, ev.Tid, jobs, jobs)
+		}
+		if ev.Cat == "point" {
+			points++
+		}
+	}
+	if want := len(profiles) * len(freqs); points != want {
+		t.Fatalf("trace holds %d point spans, want %d", points, want)
+	}
+}
+
+// TestSweepManyPartialMemo: a call whose memo holds one of its three
+// workloads answers that one from the memo, computes the other two, and
+// returns what a cold explorer returns, with all three telemetry series.
+func TestSweepManyPartialMemo(t *testing.T) {
+	profiles := []*workload.Profile{workload.WebSearch(), workload.MediaStreaming(), workload.VMLowMem()}
+	cold, err := memoExplorer(t, nil).SweepMany(context.Background(), profiles, memoFreqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo := NewSweepMemo()
+	memoSweep(t, memoExplorer(t, memo), profiles[1], memoFreqs)
+	requireStats(t, memo, 0, 1, 1)
+
+	e := memoExplorer(t, memo)
+	e.Jobs = 2
+	e.Telemetry = timeseries.NewSampler()
+	got, err := e.SweepMany(context.Background(), profiles, memoFreqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireStats(t, memo, 1, 1+2, 3) // the call adds 1 hit and 2 misses
+	for i, p := range profiles {
+		if got[i].Workload.Name != p.Name || got[i].BaselineUIPS != cold[i].BaselineUIPS ||
+			!reflect.DeepEqual(got[i].Points, cold[i].Points) {
+			t.Fatalf("sweep %d (%s) differs from the cold explorer's", i, p.Name)
+		}
+	}
+	series := e.Telemetry.All()
+	if len(series) != len(profiles) {
+		t.Fatalf("%d telemetry series recorded, want %d", len(series), len(profiles))
+	}
+	for _, s := range series {
+		if s.Len() != len(memoFreqs) {
+			t.Fatalf("series %s holds %d samples, want %d", s.Name(), s.Len(), len(memoFreqs))
+		}
+	}
+}
+
+// TestSweepFailureMergesCompletedPoints: when a call fails part-way, the
+// counters of the points that completed still reach Obs. Point 0 of a
+// sweep that fails at point 1 harvests exactly what a one-point sweep of
+// the same frequency harvests.
+func TestSweepFailureMergesCompletedPoints(t *testing.T) {
+	failing := memoExplorer(t, nil)
+	failing.Jobs = 1
+	failing.Obs = obs.NewRegistry()
+	if _, err := failing.Sweep(context.Background(), workload.WebSearch(), []float64{0.5e9, 50e9}); err == nil {
+		t.Fatal("unreachable frequency must fail the sweep")
+	}
+	whole := memoExplorer(t, nil)
+	whole.Obs = obs.NewRegistry()
+	memoSweep(t, whole, workload.WebSearch(), []float64{0.5e9})
+	var a, b bytes.Buffer
+	if err := failing.Obs.Snapshot().Deterministic().WriteJSON(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := whole.Obs.Snapshot().Deterministic().WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("the failed sweep merged\n%s\nwant the completed point's\n%s", a.Bytes(), b.Bytes())
 	}
 }

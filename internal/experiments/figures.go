@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"ntcsim/internal/core"
-	"ntcsim/internal/parallel"
 	"ntcsim/internal/platform"
 	"ntcsim/internal/qos"
 	"ntcsim/internal/workload"
@@ -180,26 +179,20 @@ func runAblation(ctx context.Context, p Params, env Env) error {
 		boost.Vdd, boost.BaseFreqHz/1e6, boost.BoostFreqHz/1e6, boost.Speedup,
 		boost.BasePowerW, boost.BoostPowerW, boost.TransitionTime)
 
-	// LPDDR4 what-if on the most memory-hungry scale-out app; the two
-	// memory configurations are independent full sweeps, so they run
-	// concurrently under the -jobs budget.
+	// LPDDR4 what-if on the most memory-hungry scale-out app, and the
+	// cluster-size sensitivity on web-search. The baseline platform's two
+	// sweeps share one call; each variant explorer sweeps its own.
 	freqs := []float64{0.2e9, 0.5e9, 1.0e9, 1.5e9, 2.0e9}
-	var ddr4Sweep, lpSweep *core.Sweep
+	base, err := e.SweepMany(ctx, []*workload.Profile{workload.MediaStreaming(), workload.WebSearch()}, freqs)
+	if err != nil {
+		return err
+	}
+	ddr4Sweep, s4 := base[0], base[1]
 	lpE := e.LPDDR4Explorer()
 	// Prefix the variant explorers' telemetry so their sweeps of the same
 	// workload names land in distinct series.
 	lpE.TelemetryPrefix = "lpddr4/"
-	err = parallel.Do(ctx, e.Jobs,
-		func(ctx context.Context) error {
-			var err error
-			ddr4Sweep, err = e.Sweep(ctx, workload.MediaStreaming(), freqs)
-			return err
-		},
-		func(ctx context.Context) error {
-			var err error
-			lpSweep, err = lpE.Sweep(ctx, workload.MediaStreaming(), freqs)
-			return err
-		})
+	lpSweep, err := lpE.Sweep(ctx, workload.MediaStreaming(), freqs)
 	if err != nil {
 		return err
 	}
@@ -216,27 +209,15 @@ func runAblation(ctx context.Context, p Params, env Env) error {
 
 	// Cluster-size sensitivity (paper Sec. II-B: trends are unaffected).
 	fmt.Fprintln(out, "-- cluster-size ablation: per-core UIPC trend, 4-core vs 8-core clusters --")
-	e4 := p.NewExplorer(env)
 	e8 := p.eightCoreExplorer(env)
-	var s4, s8 *core.Sweep
-	err = parallel.Do(ctx, e.Jobs,
-		func(ctx context.Context) error {
-			var err error
-			s4, err = e4.Sweep(ctx, workload.WebSearch(), freqs)
-			return err
-		},
-		func(ctx context.Context) error {
-			var err error
-			s8, err = e8.Sweep(ctx, workload.WebSearch(), freqs)
-			return err
-		})
+	s8, err := e8.Sweep(ctx, workload.WebSearch(), freqs)
 	if err != nil {
 		return err
 	}
 	w = env.tbl()
 	fmt.Fprintln(w, "freq_MHz\tUIPC/core_4c\tUIPC/core_8c")
 	for i := range freqs {
-		u4 := s4.Points[i].UIPSChip / freqs[i] / float64(e4.Platform.TotalCores())
+		u4 := s4.Points[i].UIPSChip / freqs[i] / float64(e.Platform.TotalCores())
 		u8 := s8.Points[i].UIPSChip / freqs[i] / float64(e8.Platform.TotalCores())
 		fmt.Fprintf(w, "%.0f\t%.3f\t%.3f\n", freqs[i]/1e6, u4, u8)
 	}

@@ -144,8 +144,9 @@ func serveReport(ctx context.Context, env Env, v serveView, cfg *governor.Config
 		}
 	}
 	root := rng.New(seed).Derive("serve-cmd")
-	fresh, err := parallel.Map(ctx, len(todo), env.Jobs,
-		func(ctx context.Context, k int) (serve.Result, error) {
+	fresh := make([]serve.Result, len(todo))
+	err := parallel.ForEach(ctx, len(todo), env.Jobs,
+		func(ctx context.Context, k int) error {
 			i := todo[k]
 			sc := grid[i]
 			bal := sc.balancer()
@@ -163,10 +164,11 @@ func serveReport(ctx context.Context, env Env, v serveView, cfg *governor.Config
 				Telemetry: env.Telemetry.Series("serve/" + sc.policy.Name() + "/" + bal.Name()),
 			}, root.Split(uint64(i)))
 			if err != nil {
-				return serve.Result{}, err
+				return err
 			}
 			defer sim.Close()
-			return sim.Run(ctx)
+			fresh[k], err = sim.Run(ctx)
+			return err
 		})
 	if err != nil {
 		return err

@@ -25,7 +25,7 @@ const floatorderRootsDefault = `(?i)^(harvest|merge)`
 // FloatorderAnalyzer flags order-dependent floating-point accumulation
 // (x += e, x -= e, x = x + e, x = x - e on float32/float64) in any
 // function reachable — through same-package calls — from a
-// parallel.ForEach/Do/Map callback or from a harvest/merge reduction
+// parallel.ForEach callback or from a harvest/merge reduction
 // function. Float addition is not associative: summing the same values
 // in a different worker interleaving yields different low bits, which
 // breaks the repo's byte-identical-at-any-jobs determinism contract.
@@ -35,7 +35,7 @@ const floatorderRootsDefault = `(?i)^(harvest|merge)`
 var FloatorderAnalyzer = &analysis.Analyzer{
 	Name: "floatorder",
 	Doc: "flag order-dependent float accumulation reachable from parallel fan-out\n\n" +
-		"Float += in parallel.ForEach/Do/Map callbacks (and functions they call, and\n" +
+		"Float += in parallel.ForEach callbacks (and functions they call, and\n" +
 		"harvest/merge reducers) makes results depend on worker scheduling. Accumulate\n" +
 		"in int64 fixed point, or annotate //ntclint:allow floatorder <reason> where\n" +
 		"the order is provably fixed.",

@@ -157,9 +157,9 @@ func (t *Tracer) CounterAt(cat, name string, at time.Duration, values map[string
 }
 
 // AcquireLane reserves the smallest free lane number for a unit of
-// concurrent work (one sweep point, one workload fan-out). Using lanes
-// instead of goroutine/worker ids keeps nested worker pools from
-// colliding on the same track. Returns 0 on a nil tracer.
+// concurrent work (one sweep point, one workload's prelude). Using lanes
+// instead of goroutine/worker ids keeps the pools of concurrent callers
+// from colliding on the same track. Returns 0 on a nil tracer.
 func (t *Tracer) AcquireLane() int {
 	if t == nil {
 		return 0

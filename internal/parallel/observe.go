@@ -7,9 +7,11 @@ import (
 
 // Observer receives post-completion notifications about pool jobs.
 // Implementations must be safe for concurrent calls: the pool invokes
-// Job from every worker goroutine. queueWait is the time between pool
-// start and the job being claimed — how long the job sat behind earlier
-// indices — and busy is the job's own execution time. Both are
+// Job from every worker goroutine. worker is the index in [0, workers)
+// of the goroutine that ran job i (0 on the serial path); it depends on
+// scheduling, so use it only for labeling. queueWait is the time between
+// pool start and the job being claimed — how long the job sat behind
+// earlier indices — and busy is the job's own execution time. Both are
 // wall-clock (timing-class, non-deterministic); the observer exists for
 // observability, never for control flow.
 type Observer interface {
@@ -17,13 +19,12 @@ type Observer interface {
 }
 
 type observerKey struct{}
-type workerKey struct{}
 
-// WithObserver returns a context that makes ForEach (and Do/Map, which
-// build on it) report every completed job to o. A nil o returns ctx
-// unchanged. Observation is carried on the context rather than passed as
-// a parameter so the instrumented path costs nothing when unused: the
-// pool checks once per run, not per job.
+// WithObserver returns a context that makes ForEach report every
+// completed job to o. A nil o returns ctx unchanged. Observation is
+// carried on the context rather than passed as a parameter so the
+// instrumented path costs nothing when unused: the pool checks once per
+// run, not per job.
 func WithObserver(ctx context.Context, o Observer) context.Context {
 	if o == nil {
 		return ctx
@@ -35,15 +36,4 @@ func WithObserver(ctx context.Context, o Observer) context.Context {
 func observerFrom(ctx context.Context) Observer {
 	o, _ := ctx.Value(observerKey{}).(Observer)
 	return o
-}
-
-// WorkerID reports which pool worker is running the current job: 0-based
-// within the pool, or -1 when the context does not come from an observed
-// ForEach job. Worker identity is scheduling-dependent — use it only for
-// labeling (trace lanes, per-worker timings), never to influence results.
-func WorkerID(ctx context.Context) int {
-	if id, ok := ctx.Value(workerKey{}).(int); ok {
-		return id
-	}
-	return -1
 }

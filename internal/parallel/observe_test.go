@@ -10,48 +10,47 @@ import (
 // recordingObserver collects Job notifications for assertions.
 type recordingObserver struct {
 	mu   sync.Mutex
-	jobs map[int]int // job index -> worker
+	jobs map[int][]int // job index -> the worker of each report
 }
 
 func newRecordingObserver() *recordingObserver {
-	return &recordingObserver{jobs: make(map[int]int)}
+	return &recordingObserver{jobs: make(map[int][]int)}
 }
 
 func (o *recordingObserver) Job(i, worker int, queueWait, busy time.Duration) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.jobs[i] = worker
+	o.jobs[i] = append(o.jobs[i], worker)
 }
 
-// TestObserverSeesEveryJob: with an observer installed, every completed
-// job must be reported exactly once with a worker id inside the pool.
-func TestObserverSeesEveryJob(t *testing.T) {
-	const n, workers = 32, 4
-	o := newRecordingObserver()
-	ctx := WithObserver(context.Background(), o)
-	workerSeen := make([]int, n)
-	err := ForEach(ctx, n, workers, func(ctx context.Context, i int) error {
-		workerSeen[i] = WorkerID(ctx)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+// requireEveryJobOnce asserts each of the n jobs was reported exactly
+// once, by a worker index in [0, workers).
+func (o *recordingObserver) requireEveryJobOnce(t *testing.T, n, workers int) {
+	t.Helper()
 	if len(o.jobs) != n {
 		t.Fatalf("observer saw %d jobs, want %d", len(o.jobs), n)
 	}
 	for i := 0; i < n; i++ {
-		w, ok := o.jobs[i]
-		if !ok {
-			t.Fatalf("job %d not observed", i)
+		ws := o.jobs[i]
+		if len(ws) != 1 {
+			t.Fatalf("job %d reported %d times, want once", i, len(ws))
 		}
-		if w < 0 || w >= workers {
+		if w := ws[0]; w < 0 || w >= workers {
 			t.Fatalf("job %d ran on worker %d, want [0,%d)", i, w, workers)
 		}
-		if w != workerSeen[i] {
-			t.Fatalf("job %d: observer reports worker %d but WorkerID saw %d", i, w, workerSeen[i])
-		}
 	}
+}
+
+// TestObserverSeesEveryJob: with an observer installed, every completed
+// job must be reported exactly once with a worker index inside the pool.
+func TestObserverSeesEveryJob(t *testing.T) {
+	const n, workers = 32, 4
+	o := newRecordingObserver()
+	ctx := WithObserver(context.Background(), o)
+	if err := ForEach(ctx, n, workers, func(context.Context, int) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	o.requireEveryJobOnce(t, n, workers)
 }
 
 // TestObserverSerialPath: the workers==1 fast path must also observe,
@@ -59,37 +58,10 @@ func TestObserverSeesEveryJob(t *testing.T) {
 func TestObserverSerialPath(t *testing.T) {
 	o := newRecordingObserver()
 	ctx := WithObserver(context.Background(), o)
-	err := ForEach(ctx, 5, 1, func(ctx context.Context, i int) error {
-		if id := WorkerID(ctx); id != 0 {
-			t.Errorf("serial job %d: WorkerID = %d, want 0", i, id)
-		}
-		return nil
-	})
-	if err != nil {
+	if err := ForEach(ctx, 5, 1, func(context.Context, int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if len(o.jobs) != 5 {
-		t.Fatalf("observer saw %d jobs, want 5", len(o.jobs))
-	}
-	for i, w := range o.jobs {
-		if w != 0 {
-			t.Fatalf("serial job %d attributed to worker %d", i, w)
-		}
-	}
-}
-
-// TestWorkerIDWithoutObserver: an unobserved pool must not pay for worker
-// identity — WorkerID reports -1.
-func TestWorkerIDWithoutObserver(t *testing.T) {
-	err := ForEach(context.Background(), 4, 2, func(ctx context.Context, i int) error {
-		if id := WorkerID(ctx); id != -1 {
-			t.Errorf("unobserved job %d: WorkerID = %d, want -1", i, id)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	o.requireEveryJobOnce(t, 5, 1)
 }
 
 // TestWithObserverNil: a nil observer installs nothing.

@@ -1,9 +1,10 @@
 // Package parallel is the bounded worker pool that fans independent
-// simulation jobs across CPUs: sweep points within a frequency sweep,
-// workloads within a figure, clusters within a chip warmup.
+// simulation jobs across CPUs: the workload preludes and the
+// (workload, point) pairs of a sweep call, the scenarios of a serving
+// report, the clusters of a chip warmup.
 //
-// Every helper makes the same promise the rest of the simulator depends
-// on: the RESULT of a run is a pure function of the inputs, never of the
+// ForEach makes the promise the rest of the simulator depends on: the
+// RESULT of a run is a pure function of the inputs, never of the
 // worker count or the scheduling order. The pool only decides WHEN a job
 // runs; each job writes to its own per-index slot and derives any
 // randomness it needs from its index (see rng.Stream.Split), so jobs=1,
@@ -20,24 +21,12 @@ import (
 	"time"
 )
 
-// DefaultWorkers returns the default pool width: GOMAXPROCS, i.e. as many
-// jobs in flight as the hardware runs threads.
-func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
-// Workers normalizes a user-provided worker count: values <= 0 select
-// DefaultWorkers.
-func Workers(n int) int {
-	if n <= 0 {
-		return DefaultWorkers()
-	}
-	return n
-}
-
 // ForEach runs fn(ctx, i) for every i in [0, n) on at most workers
-// goroutines (workers <= 0 means DefaultWorkers). Indices are claimed in
-// ascending order. The first failure cancels ctx — jobs not yet started
-// are skipped, jobs already running finish — and after the pool drains
-// the lowest-index error is returned. A nil ctx is treated as
+// goroutines (workers <= 0 means GOMAXPROCS, as many jobs in flight as
+// the hardware runs threads). Indices are claimed in ascending order.
+// The first failure cancels ctx — jobs not yet started are skipped, jobs
+// already running finish — and after the pool drains the lowest-index
+// error is returned. A nil ctx is treated as
 // context.Background(); if ctx is already cancelled, no job runs and the
 // cause is returned.
 //
@@ -51,36 +40,32 @@ func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
+	workers = min(workers, n)
 	// Observation is opt-in via WithObserver: resolved once per run, so
 	// the common unobserved path pays a single context lookup, and each
 	// job pays clock reads only when someone is listening.
 	obs := observerFrom(ctx)
-	run := fn
-	var poolStart time.Time
+	run := func(ctx context.Context, i, _ int) error { return fn(ctx, i) }
 	if obs != nil {
-		poolStart = time.Now() //ntclint:allow wallclock observer-gated queue-wait baseline; timing-class by charter
-		run = func(ctx context.Context, i int) error {
+		poolStart := time.Now() //ntclint:allow wallclock observer-gated queue-wait baseline; timing-class by charter
+		run = func(ctx context.Context, i, worker int) error {
 			jobStart := time.Now() //ntclint:allow wallclock observer-gated job timing; timing-class by charter
 			err := fn(ctx, i)
 			busy := time.Since(jobStart) //ntclint:allow wallclock observer-gated job timing; timing-class by charter
-			obs.Job(i, WorkerID(ctx), jobStart.Sub(poolStart), busy)
+			obs.Job(i, worker, jobStart.Sub(poolStart), busy)
 			return err
 		}
 	}
 	if workers == 1 {
 		// Serial fast path: same claim order, no goroutines.
-		if obs != nil {
-			ctx = context.WithValue(ctx, workerKey{}, 0)
-		}
 		for i := 0; i < n; i++ {
 			if ctx.Err() != nil {
 				return context.Cause(ctx)
 			}
-			if err := run(ctx, i); err != nil {
+			if err := run(ctx, i, 0); err != nil {
 				return err
 			}
 		}
@@ -97,16 +82,12 @@ func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			wctx := ctx
-			if obs != nil {
-				wctx = context.WithValue(ctx, workerKey{}, worker)
-			}
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n || ctx.Err() != nil {
 					return
 				}
-				if err := run(wctx, i); err != nil {
+				if err := run(ctx, i, worker); err != nil {
 					errs[i] = err
 					cancel()
 				}
@@ -127,32 +108,4 @@ func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i
 		return context.Cause(ctx)
 	}
 	return nil
-}
-
-// Do runs the given functions concurrently on at most workers goroutines
-// and returns the lowest-index error, with the same cancellation contract
-// as ForEach.
-func Do(ctx context.Context, workers int, fns ...func(ctx context.Context) error) error {
-	return ForEach(ctx, len(fns), workers, func(ctx context.Context, i int) error {
-		return fns[i](ctx)
-	})
-}
-
-// Map runs fn for every index and assembles the results in index order,
-// so the returned slice is identical for any worker count. On error the
-// partial results are discarded.
-func Map[T any](ctx context.Context, n, workers int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := ForEach(ctx, n, workers, func(ctx context.Context, i int) error {
-		v, err := fn(ctx, i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -182,49 +183,20 @@ func waitFull(ch chan struct{}, want int) <-chan struct{} {
 	return done
 }
 
-func TestDo(t *testing.T) {
-	var a, b atomic.Bool
-	err := Do(context.Background(), 2,
-		func(context.Context) error { a.Store(true); return nil },
-		func(context.Context) error { b.Store(true); return nil },
-	)
-	if err != nil || !a.Load() || !b.Load() {
-		t.Fatalf("Do: err=%v a=%v b=%v", err, a.Load(), b.Load())
-	}
-	wantErr := errors.New("second fails")
-	err = Do(context.Background(), 1,
-		func(context.Context) error { return nil },
-		func(context.Context) error { return wantErr },
-	)
-	if !errors.Is(err, wantErr) {
-		t.Fatalf("Do err = %v", err)
-	}
-}
-
-func TestMap(t *testing.T) {
-	got, err := Map(context.Background(), 5, 3, func(_ context.Context, i int) (string, error) {
-		return fmt.Sprintf("v%d", i), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if want := fmt.Sprintf("v%d", i); v != want {
-			t.Fatalf("slot %d = %q, want %q", i, v, want)
-		}
-	}
-	if _, err := Map(context.Background(), 3, 2, func(_ context.Context, i int) (int, error) {
-		return 0, fmt.Errorf("boom %d", i)
-	}); err == nil {
-		t.Fatal("Map must propagate errors")
-	}
-}
-
+// TestWorkers: a non-positive worker count selects GOMAXPROCS workers,
+// and a positive one bounds the pool.
 func TestWorkers(t *testing.T) {
-	if Workers(0) != DefaultWorkers() || Workers(-3) != DefaultWorkers() {
-		t.Fatal("non-positive counts must select the default")
-	}
-	if Workers(7) != 7 {
-		t.Fatal("positive counts pass through")
+	const n = 64
+	for _, c := range []struct{ workers, max int }{
+		{0, runtime.GOMAXPROCS(0)},
+		{-3, runtime.GOMAXPROCS(0)},
+		{7, 7},
+	} {
+		o := newRecordingObserver()
+		ctx := WithObserver(context.Background(), o)
+		if err := ForEach(ctx, n, c.workers, func(context.Context, int) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		o.requireEveryJobOnce(t, n, c.max)
 	}
 }

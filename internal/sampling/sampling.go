@@ -11,7 +11,6 @@ package sampling
 
 import (
 	"fmt"
-	"time"
 
 	"ntcsim/internal/sim"
 	"ntcsim/internal/stats"
@@ -47,14 +46,6 @@ type Config struct {
 	// TargetRelErr is the stopping threshold on the relative CI half-width
 	// of UIPC (0.02).
 	TargetRelErr float64
-
-	// Phase, when non-nil, is called after each completed phase of each
-	// sample with the phase name ("fastforward", "warmup", "measure"), the
-	// sample index, and the phase's wall-clock start and duration — the
-	// hook the event tracer uses to render sample structure. It is purely
-	// observational: it must not touch the target, and it never affects
-	// results. Excluded from Validate.
-	Phase func(phase string, sample int, start time.Time, d time.Duration)
 }
 
 // Validate reports configuration errors.
@@ -131,27 +122,15 @@ func Run(t Target, cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	// timed wraps a phase with the optional observation hook; with no hook
-	// installed the phases run exactly as before (no clock reads).
-	timed := func(phase string, sample int, f func()) {
-		if cfg.Phase == nil {
-			f()
-			return
-		}
-		start := time.Now()
-		f()
-		cfg.Phase(phase, sample, start, time.Since(start))
-	}
 	var res Result
 	for i := 0; i < cfg.MaxSamples; i++ {
 		if i > 0 && cfg.FastForwardInstr > 0 {
-			timed("fastforward", i, func() { t.FastForward(cfg.FastForwardInstr) })
+			t.FastForward(cfg.FastForwardInstr)
 		}
 		if cfg.WarmupCycles > 0 {
-			timed("warmup", i, func() { t.Run(cfg.WarmupCycles) })
+			t.Run(cfg.WarmupCycles)
 		}
-		var m sim.Measurement
-		timed("measure", i, func() { m = t.Measure(cfg.MeasureCycles) })
+		m := t.Measure(cfg.MeasureCycles)
 		res.Samples = append(res.Samples, m)
 		res.UIPC.Add(m.UIPC())
 		res.Total.Add(m)

@@ -38,10 +38,9 @@ type Config struct {
 	// Workers is the number of jobs run concurrently.
 	Workers int
 	// Jobs is the per-job pool width (experiments.Env.Jobs); <= 0 means
-	// GOMAXPROCS. A job that runs several sweeps at once (SweepMany, the
-	// ablation) runs up to Jobs of them, each evaluating up to Jobs
-	// points, so one job runs up to Jobs² points concurrently and the
-	// engine up to Workers x Jobs².
+	// GOMAXPROCS. Each explorer call of a job simulates at most Jobs
+	// clusters at once and a job makes its calls one after the other, so
+	// the engine runs at most Workers x Jobs simulations at once.
 	Jobs int
 	// QueueDepth bounds how many submitted jobs may wait for a worker;
 	// submissions beyond it fail with ErrQueueFull rather than queueing
