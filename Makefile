@@ -38,7 +38,10 @@
 #                      conservation (L1 misses = LLC reads, L1
 #                      writebacks = LLC writes, LLC writebacks = DRAM
 #                      writes) over detailed windows of every workload
-#                      and over every window of a quick sweep
+#                      and over every window of a quick sweep, and the
+#                      L1 half of it (L1 misses = warm reads, L1
+#                      writebacks = warm writes) over functional warming
+#                      of every workload
 #   make daemon-smoke  end-to-end ntcsimd check: boot the daemon, run the
 #                      golden fig2 job over HTTP with SSE progress,
 #                      require the report byte-identical to the CLI
@@ -130,7 +133,7 @@ serve-cover:
 report-smoke:
 	$(GO) test -short ./internal/obs/timeseries
 	$(call run_matching,TestTelemetry|TestReportGolden|TestEnergyGauges|TestCorePowerParts|TestSharedPowerParts,./cmd/ntcsim ./internal/experiments ./internal/serve ./internal/governor)
-	$(call run_matching,TestTrafficConserved|TestSweepWindowsConserveTraffic,./internal/sim ./internal/core)
+	$(call run_matching,TestTrafficConserved|TestSweepWindowsConserveTraffic|TestFastForwardConservesTraffic,./internal/sim ./internal/core ./internal/cpu)
 
 daemon-smoke:
 	bash scripts/daemon_smoke.sh

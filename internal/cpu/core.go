@@ -580,8 +580,12 @@ func (c *Core) FastForward(n uint64, warm WarmMem) {
 		}
 		switch in.Kind {
 		case workload.Load:
-			if !c.l1d.Access(in.Addr, false).Hit && warm != nil {
+			res := c.l1d.Access(in.Addr, false)
+			if !res.Hit && warm != nil {
 				warm.Warm(c.id, in.Addr, false)
+				if res.Victim.Valid && res.Victim.Dirty {
+					warm.Warm(c.id, res.Victim.Addr, true)
+				}
 			}
 		case workload.Store:
 			res := c.l1d.Access(in.Addr, true)

@@ -15,11 +15,14 @@ func ipc(s Stats) float64 {
 	return float64(s.Instructions) / float64(s.Cycles)
 }
 
-// fixedMem is a MemSystem with constant latency.
+// fixedMem is a MemSystem with constant latency that counts its
+// detailed requests and its functional-warming touches.
 type fixedMem struct {
-	latNs    float64
-	requests int
-	writes   int
+	latNs      float64
+	requests   int
+	writes     int
+	warmReads  uint64
+	warmWrites uint64
 }
 
 func (m *fixedMem) Access(coreID int, addr uint64, write bool, nowNs float64) float64 {
@@ -30,7 +33,13 @@ func (m *fixedMem) Access(coreID int, addr uint64, write bool, nowNs float64) fl
 	return nowNs + m.latNs
 }
 
-func (m *fixedMem) Warm(coreID int, addr uint64, write bool) {}
+func (m *fixedMem) Warm(coreID int, addr uint64, write bool) {
+	if write {
+		m.warmWrites++
+	} else {
+		m.warmReads++
+	}
+}
 
 // aluProfile is a synthetic profile of pure independent ALU work.
 func aluProfile() *workload.Profile {
@@ -247,6 +256,30 @@ func TestFastForwardAdvancesTraceNotTime(t *testing.T) {
 	}
 	if c.Stats().Instructions != 1000 {
 		t.Fatalf("instructions = %d", c.Stats().Instructions)
+	}
+}
+
+// TestFastForwardConservesTraffic: functional warming sends every L1 miss
+// below the L1s as a read and every dirty L1 victim as a write, the
+// traffic rules of detailed mode (TestTrafficConserved in internal/sim
+// checks them there).
+func TestFastForwardConservesTraffic(t *testing.T) {
+	for _, p := range append(workload.All(), workload.Extended()...) {
+		t.Run(p.Name, func(t *testing.T) {
+			mem := &fixedMem{latNs: 90}
+			c := newCore(t, p, mem, 1e9, 15)
+			c.FastForward(200_000, mem)
+			s := c.Stats()
+			if got := s.L1I.Misses + s.L1D.Misses; got != mem.warmReads {
+				t.Errorf("L1 misses %d, warm reads %d", got, mem.warmReads)
+			}
+			if got := s.L1I.Writebacks + s.L1D.Writebacks; got != mem.warmWrites {
+				t.Errorf("L1 writebacks %d, warm writes %d", got, mem.warmWrites)
+			}
+			if mem.warmWrites == 0 {
+				t.Error("no dirty L1 victim was written back: the check is vacuous")
+			}
+		})
 	}
 }
 
