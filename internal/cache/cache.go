@@ -87,10 +87,10 @@ type Cache struct {
 	stats   Stats
 }
 
-// Victim describes a line evicted by a fill.
+// Victim describes the line a fill evicted; it is the zero Victim when
+// the fill took an invalid way.
 type Victim struct {
-	Valid bool   // a valid line was evicted
-	Dirty bool   // it requires a writeback
+	Dirty bool   // the evicted line requires a writeback
 	Addr  uint64 // line-aligned address of the evicted line
 }
 
@@ -140,12 +140,9 @@ func (c *Cache) lookup(addr uint64) (ways []uint64, key uint64) {
 	return c.ways[s : s+c.assoc : s+c.assoc], line<<tagShift | validBit
 }
 
-// victim decodes an evicted packed way.
-func (c *Cache) victim(w uint64) Victim {
-	if w&validBit == 0 {
-		return Victim{}
-	}
-	return Victim{Valid: true, Dirty: w&dirtyBit != 0, Addr: w >> tagShift << LineBits}
+// victim decodes an evicted packed way (an invalid way is 0).
+func victim(w uint64) Victim {
+	return Victim{Dirty: w&dirtyBit != 0, Addr: w >> tagShift << LineBits}
 }
 
 // Access performs a read (write=false) or write (write=true) of the line
@@ -167,7 +164,7 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 	}
 	c.stats.Misses++
 	// Fill: evict the LRU way (last slot), insert as MRU.
-	res := Result{Victim: c.victim(ways[len(ways)-1])}
+	res := Result{Victim: victim(ways[len(ways)-1])}
 	if res.Victim.Dirty {
 		c.stats.Writebacks++
 	}
@@ -189,7 +186,7 @@ func (c *Cache) Fill(addr uint64) Victim {
 			return Victim{}
 		}
 	}
-	v := c.victim(ways[len(ways)-1])
+	v := victim(ways[len(ways)-1])
 	touch(ways, len(ways)-1, key)
 	return v
 }

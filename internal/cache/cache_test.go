@@ -43,7 +43,7 @@ func TestLRUEviction(t *testing.T) {
 	if r.Hit {
 		t.Fatal("conflict miss expected")
 	}
-	if !r.Victim.Valid || r.Victim.Addr != 0x400 {
+	if r.Victim != (Victim{Addr: 0x400}) {
 		t.Fatalf("victim = %+v, want 0x400 (the LRU line)", r.Victim)
 	}
 	if !c.Probe(0x000) {
@@ -59,7 +59,7 @@ func TestDirtyEvictionReportsWriteback(t *testing.T) {
 	c.Access(0x000, true) // dirty
 	c.Access(0x400, false)
 	r := c.Access(0x800, false) // evicts 0x000
-	if !r.Victim.Valid || !r.Victim.Dirty || r.Victim.Addr != 0x000 {
+	if r.Victim != (Victim{Dirty: true, Addr: 0x000}) {
 		t.Fatalf("victim = %+v, want dirty 0x000", r.Victim)
 	}
 	if c.Stats().Writebacks != 1 {
@@ -218,7 +218,7 @@ func (r *refModel) access(addr uint64, write bool) (hit bool, victim Victim) {
 	s = append([]refLine{{line, write}}, s...)
 	if len(s) > r.assoc {
 		v := s[r.assoc]
-		victim = Victim{Valid: true, Dirty: v.dirty, Addr: v.line * LineBytes}
+		victim = Victim{Dirty: v.dirty, Addr: v.line * LineBytes}
 		s = s[:r.assoc]
 	}
 	r.sets[set] = s

@@ -29,9 +29,12 @@ import (
 // DRAM, owned by the cluster simulator). Access issues a line-granularity
 // request at absolute time nowNs and returns its completion time in ns.
 // Writes are posted (the core never blocks on them), but implementations
-// still account their traffic and timing.
+// still account their traffic and timing. Warm is the same request during
+// functional warming: it updates the shared hierarchy's tag state only,
+// with no timing.
 type MemSystem interface {
 	Access(coreID int, lineAddr uint64, write bool, nowNs float64) float64
+	Warm(coreID int, lineAddr uint64, write bool)
 }
 
 // Config holds the core microarchitecture parameters.
@@ -201,11 +204,7 @@ type Core struct {
 
 	cycleAtReset int64 // commit cycle at the last ResetStats
 	stats        Stats
-	instr        workload.Instr
-	// ffInstr is FastForward's decode scratch, kept separate from instr
-	// so functional warming never clobbers the detailed pipeline's
-	// in-flight instruction.
-	ffInstr workload.Instr
+	instr        workload.Instr // decode scratch of Step and FastForward
 }
 
 // New builds a core with its private L1s.
@@ -373,21 +372,15 @@ func (c *Core) Step() int64 {
 	in := &c.instr
 	idx := c.seq & uint64(c.cfg.WindowSize-1)
 
-	// Frontend: instruction-cache access at line granularity, with a
-	// next-line prefetcher (A57-class) that hides sequential-run misses.
-	iline := in.PC >> cache.LineBits
-	if iline != c.lastILine {
-		c.lastILine = iline
-		if !c.l1i.Access(in.PC, false).Hit {
-			// The fetch queue hides FrontendSlack cycles of the fill; the
-			// remainder stalls dispatch.
-			nowNs := c.ns(maxI64(c.frontendReady, c.dispatchCycle))
-			fill := c.mem.Access(c.id, in.PC, false, nowNs)
-			c.stats.LLCRequests++
-			c.frontendReady = maxI64(c.frontendReady,
-				c.toCycles(fill)-int64(c.cfg.FrontendSlack))
-		}
-		c.l1i.Fill(in.PC + cache.LineBytes)
+	// Frontend: an I-line miss is filled from below the L1s.
+	if c.fetchMisses(in.PC) {
+		// The fetch queue hides FrontendSlack cycles of the fill; the
+		// remainder stalls dispatch.
+		nowNs := c.ns(maxI64(c.frontendReady, c.dispatchCycle))
+		fill := c.mem.Access(c.id, in.PC, false, nowNs)
+		c.stats.LLCRequests++
+		c.frontendReady = maxI64(c.frontendReady,
+			c.toCycles(fill)-int64(c.cfg.FrontendSlack))
 	}
 
 	// Dispatch: in order, machine width per cycle, gated by the frontend
@@ -468,13 +461,45 @@ func (c *Core) Step() int64 {
 	c.commitCycle = commit
 	c.commitCnt++
 	c.commitRing[idx] = commit
+	c.retire(in)
+	return commit
+}
 
+// fetchMisses looks up pc's line in the L1I when fetch moves to a new
+// line and reports whether it missed. A next-line prefetcher (A57-class)
+// then fills the following line, hiding sequential-run misses.
+func (c *Core) fetchMisses(pc uint64) bool {
+	iline := pc >> cache.LineBits
+	if iline == c.lastILine {
+		return false
+	}
+	c.lastILine = iline
+	miss := !c.l1i.Access(pc, false).Hit
+	c.l1i.Fill(pc + cache.LineBytes)
+	return miss
+}
+
+// writeBack sends v, the victim of an L1D fill, to the LLC if it is
+// dirty: a posted write at nowNs in detailed mode, a tag update when
+// warming.
+func (c *Core) writeBack(v cache.Victim, nowNs float64, warming bool) {
+	if !v.Dirty {
+		return
+	}
+	if warming {
+		c.mem.Warm(c.id, v.Addr, true)
+		return
+	}
+	c.mem.Access(c.id, v.Addr, true, nowNs)
+}
+
+// retire counts one finished instruction, in either mode.
+func (c *Core) retire(in *workload.Instr) {
 	c.stats.Instructions++
 	if !in.OS {
 		c.stats.UserInstructions++
 	}
 	c.seq++
-	return commit
 }
 
 // load resolves a load issued at cycle issue and returns its completion.
@@ -506,10 +531,7 @@ func (c *Core) load(in *workload.Instr, issue int64) int64 {
 	if c.mshrOcc != nil {
 		c.mshrOcc[len(c.misses)]++
 	}
-	if res.Victim.Valid && res.Victim.Dirty {
-		// The evicted dirty line is written back to the LLC (posted).
-		c.mem.Access(c.id, res.Victim.Addr, true, c.ns(issue))
-	}
+	c.writeBack(res.Victim, c.ns(issue), false)
 	return fill
 }
 
@@ -527,9 +549,7 @@ func (c *Core) prefetch(in *workload.Instr, issue int64) {
 	c.mem.Access(c.id, pa, false, c.ns(issue))
 	c.stats.LLCRequests++
 	c.stats.Prefetches++
-	if v := c.l1d.Fill(pa); v.Valid && v.Dirty {
-		c.mem.Access(c.id, v.Addr, true, c.ns(issue))
-	}
+	c.writeBack(c.l1d.Fill(pa), c.ns(issue), false)
 }
 
 // store handles the cache side of a store (write-allocate, write-back).
@@ -542,9 +562,7 @@ func (c *Core) store(in *workload.Instr, issue int64) {
 	// retry loop — the store buffer hides it — but generates traffic).
 	c.mem.Access(c.id, in.Addr, false, c.ns(issue))
 	c.stats.LLCRequests++
-	if res.Victim.Valid && res.Victim.Dirty {
-		c.mem.Access(c.id, res.Victim.Addr, true, c.ns(issue))
-	}
+	c.writeBack(res.Victim, c.ns(issue), false)
 }
 
 // Run advances the core by at least the given number of cycles (measured
@@ -559,58 +577,33 @@ func (c *Core) Run(cycles int64) uint64 {
 	return n
 }
 
-// FastForward advances the core functionally for n instructions: caches
-// and branch predictor are warmed, no timing is modeled, and no requests
-// are sent below the L1s unless they miss (misses are filled instantly but
-// still traverse the shared hierarchy's tag state via warmAccess). This is
-// the SMARTS "functional warming" mode. No instruction's dependency
-// distance is read, so the generator skips drawing them (NextWarm) and
-// advances its dependency stream past all n at the end.
-func (c *Core) FastForward(n uint64, warm WarmMem) {
-	in := &c.ffInstr
+// FastForward advances the core functionally for n instructions: the
+// SMARTS "functional warming" mode. It applies Step's cache rules without
+// timing: L1 misses and dirty L1D victims touch the shared hierarchy's
+// tags through MemSystem.Warm, and the branch predictor trains. No
+// instruction's dependency distance is read, so the generator skips
+// drawing them (NextWarm) and advances its dependency stream past all n
+// at the end.
+func (c *Core) FastForward(n uint64) {
+	in := &c.instr
 	for i := uint64(0); i < n; i++ {
 		c.gen.NextWarm(in)
-		iline := in.PC >> cache.LineBits
-		if iline != c.lastILine {
-			c.lastILine = iline
-			if !c.l1i.Access(in.PC, false).Hit && warm != nil {
-				warm.Warm(c.id, in.PC, false)
-			}
-			c.l1i.Fill(in.PC + cache.LineBytes)
+		if c.fetchMisses(in.PC) {
+			c.mem.Warm(c.id, in.PC, false)
 		}
 		switch in.Kind {
-		case workload.Load:
-			res := c.l1d.Access(in.Addr, false)
-			if !res.Hit && warm != nil {
-				warm.Warm(c.id, in.Addr, false)
-				if res.Victim.Valid && res.Victim.Dirty {
-					warm.Warm(c.id, res.Victim.Addr, true)
-				}
-			}
-		case workload.Store:
-			res := c.l1d.Access(in.Addr, true)
-			if !res.Hit && warm != nil {
-				warm.Warm(c.id, in.Addr, false)
-				if res.Victim.Valid && res.Victim.Dirty {
-					warm.Warm(c.id, res.Victim.Addr, true)
-				}
+		case workload.Load, workload.Store:
+			res := c.l1d.Access(in.Addr, in.Kind == workload.Store)
+			if !res.Hit {
+				c.mem.Warm(c.id, in.Addr, false)
+				c.writeBack(res.Victim, 0, true)
 			}
 		case workload.Branch:
 			c.bpred.update(in.BranchID, in.Taken)
 		}
-		c.stats.Instructions++
-		if !in.OS {
-			c.stats.UserInstructions++
-		}
-		c.seq++
+		c.retire(in)
 	}
 	c.gen.SkipDeps(n)
-}
-
-// WarmMem lets functional warming touch the shared hierarchy's tag state
-// without timing.
-type WarmMem interface {
-	Warm(coreID int, lineAddr uint64, write bool)
 }
 
 func maxI64(a, b int64) int64 {

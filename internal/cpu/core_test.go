@@ -237,7 +237,7 @@ func TestFastForwardWarmsCaches(t *testing.T) {
 	warmed := func() float64 {
 		g := workload.NewGenerator(workload.NewPlan(p, 0, rng.New(11)))
 		c, _ := New(DefaultConfig(), 0, g, &fixedMem{latNs: 90}, 1e9)
-		c.FastForward(200000, nil)
+		c.FastForward(200000)
 		c.ResetStats()
 		c.Run(30000)
 		return c.Stats().L1D.HitRate()
@@ -250,7 +250,7 @@ func TestFastForwardWarmsCaches(t *testing.T) {
 func TestFastForwardAdvancesTraceNotTime(t *testing.T) {
 	g := workload.NewGenerator(workload.NewPlan(workload.WebSearch(), 0, rng.New(12)))
 	c, _ := New(DefaultConfig(), 0, g, &fixedMem{latNs: 90}, 1e9)
-	c.FastForward(1000, nil)
+	c.FastForward(1000)
 	if c.Cycle() != 0 {
 		t.Fatalf("fast-forward must not advance the clock, cycle = %d", c.Cycle())
 	}
@@ -268,7 +268,7 @@ func TestFastForwardConservesTraffic(t *testing.T) {
 		t.Run(p.Name, func(t *testing.T) {
 			mem := &fixedMem{latNs: 90}
 			c := newCore(t, p, mem, 1e9, 15)
-			c.FastForward(200_000, mem)
+			c.FastForward(200_000)
 			s := c.Stats()
 			if got := s.L1I.Misses + s.L1D.Misses; got != mem.warmReads {
 				t.Errorf("L1 misses %d, warm reads %d", got, mem.warmReads)
@@ -364,7 +364,7 @@ func BenchmarkCoreFastForward(b *testing.B) {
 	g := workload.NewGenerator(workload.NewPlan(workload.DataServing(), 0, rng.New(1)))
 	c, _ := New(DefaultConfig(), 0, g, &fixedMem{latNs: 90}, 1e9)
 	b.ResetTimer()
-	c.FastForward(uint64(b.N), nil)
+	c.FastForward(uint64(b.N))
 }
 
 func TestStridePrefetcherHelpsStreaming(t *testing.T) {

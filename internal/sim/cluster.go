@@ -257,7 +257,7 @@ func (cl *Cluster) Access(coreID int, addr uint64, write bool, nowNs float64) fl
 		// Served by the LLC; one crossbar traversal back to the core.
 		return ready + uncore.CrossbarTraversalNs
 	}
-	if res.Victim.Valid && res.Victim.Dirty {
+	if res.Victim.Dirty {
 		// LLC dirty victim is written back to DRAM (posted).
 		cl.mem.Submit(cl.unbank(bank, res.Victim.Addr), true, ready)
 	}
@@ -271,8 +271,12 @@ func (cl *Cluster) Access(coreID int, addr uint64, write bool, nowNs float64) fl
 	return done + cl.llcLatNs + uncore.CrossbarTraversalNs
 }
 
-// Warm implements cpu.WarmMem: touch LLC tags (and nothing else) during
-// functional warming.
+// Warm implements cpu.MemSystem for functional warming, which keeps the
+// detailed cache rules without timing: an L1 miss (write=false) touches
+// the LLC tags and a dirty L1 victim (write=true) is written into them.
+// Nothing else moves. The crossbar and DRAM see no request, so a dirty
+// LLC victim is dropped by design: warming trains no DRAM state. The
+// core's stream prefetcher and MSHRs are detailed-only.
 func (cl *Cluster) Warm(coreID int, addr uint64, write bool) {
 	bank, bankAddr := cl.bankOf(addr)
 	cl.banks[bank].Access(bankAddr, write)
@@ -300,7 +304,7 @@ func (cl *Cluster) FastForward(nPerCore uint64) {
 			if n > remaining[i] {
 				n = remaining[i]
 			}
-			c.FastForward(n, cl)
+			c.FastForward(n)
 			remaining[i] -= n
 			active = true
 		}
