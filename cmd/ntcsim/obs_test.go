@@ -200,7 +200,7 @@ func TestMetricsGolden(t *testing.T) {
 }
 
 // TestSweepTraceValid: an instrumented sweep must emit a loadable trace
-// with warm/baseline/point/sample spans.
+// with warm/point/sample spans.
 func TestSweepTraceValid(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("full instrumented sweep; skipped in -short and -race runs")
@@ -227,7 +227,7 @@ func TestSweepTraceValid(t *testing.T) {
 	for _, ev := range trace.TraceEvents {
 		cats[ev.Cat]++
 	}
-	if cats["sweep"] < 2 || cats["point"] != 2 || cats["sample"] == 0 {
+	if cats["sweep"] < 1 || cats["point"] != 2 || cats["sample"] == 0 {
 		t.Fatalf("trace missing expected span categories: %v", cats)
 	}
 }

@@ -12,8 +12,8 @@ import (
 // TestSweepWindowsConserveTraffic checks the request-traffic identities
 // of internal/sim's TestTrafficConserved on every measurement window of
 // one quick sweep per workload class, launched the way SweepMany
-// launches it: the baseline windows of its prelude, then each point's
-// windows after the restore, reseed, retarget and settle of launchPoint.
+// launches it: each point's windows after the restore, retarget and
+// settle of launchPoint.
 func TestSweepWindowsConserveTraffic(t *testing.T) {
 	e := NewExplorer()
 	freqs := []float64{0.2e9, 0.5e9, 1.0e9, 2.0e9}
@@ -28,13 +28,11 @@ func TestSweepWindowsConserveTraffic(t *testing.T) {
 				}
 			}
 			j := &sweepJob{p: p, cfg: cfg}
-			base, err := e.prelude(j)
-			if err != nil {
+			if err := e.prelude(j); err != nil {
 				t.Fatal(err)
 			}
-			check("baseline", base)
-			for i, f := range freqs {
-				res, err := sampling.Run(e.launchPoint(j.ck, j.root, i, f, false), cfg)
+			for _, f := range freqs {
+				res, err := sampling.Run(e.launchPoint(j.ck, f, false), cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

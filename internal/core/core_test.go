@@ -57,8 +57,8 @@ func TestSweepBasicShape(t *testing.T) {
 			t.Fatalf("point %d sampled %d times", i, pt.Samples)
 		}
 	}
-	if s.BaselineUIPS <= 0 {
-		t.Fatal("baseline UIPS missing")
+	if s.BaselineUIPS() != s.Points[len(s.Points)-1].UIPSChip {
+		t.Fatal("the baseline is not the 2GHz point")
 	}
 }
 
@@ -166,7 +166,7 @@ func TestVMDegradationBounds(t *testing.T) {
 	s := sweep(t, workload.VMHighMem())
 	var f2x, f4x float64
 	for _, pt := range s.Points {
-		deg := qos.Degradation(s.BaselineUIPS, pt.UIPSChip)
+		deg := qos.Degradation(s.BaselineUIPS(), pt.UIPSChip)
 		if f4x == 0 && deg <= qos.DegradationRelaxed {
 			f4x = pt.FreqHz
 		}
@@ -206,8 +206,49 @@ func TestSweepValidation(t *testing.T) {
 	if _, err := e.Sweep(context.Background(), workload.WebSearch(), []float64{-1}); err == nil {
 		t.Fatal("negative frequency should error")
 	}
-	if _, err := e.Sweep(context.Background(), workload.WebSearch(), []float64{50e9}); err == nil {
+	if _, err := e.Sweep(context.Background(), workload.WebSearch(), []float64{2e9, 50e9}); err == nil {
 		t.Fatal("unreachable frequency should error")
+	}
+	if _, err := e.Sweep(context.Background(), workload.WebSearch(), []float64{0.5e9, 1e9}); err == nil {
+		t.Fatal("a grid without the 2GHz baseline should error")
+	}
+}
+
+// TestSweepPointIndependentOfGrid: a point's result depends only on the
+// sweep inputs and its frequency, not on which other frequencies the grid
+// holds or where it sits in it.
+func TestSweepPointIndependentOfGrid(t *testing.T) {
+	short := memoSweep(t, memoExplorer(t, nil), workload.WebSearch(), []float64{0.5e9, 2.0e9})
+	long := memoSweep(t, memoExplorer(t, nil), workload.WebSearch(), []float64{0.3e9, 0.5e9, 1.0e9, 2.0e9})
+	for i, j := range []int{1, 3} { // long's 0.5 and 2 GHz points
+		if short.Points[i] != long.Points[j] {
+			t.Fatalf("%.0f MHz differs between grids:\n  %+v\n  %+v",
+				short.Points[i].FreqHz/1e6, short.Points[i], long.Points[j])
+		}
+	}
+}
+
+// TestSweepBaselineIsTwoGHzPoint: the 2GHz point is the QoS baseline, so
+// its metric is the paper's baseline latency over the QoS limit for
+// scale-out workloads and no degradation for VMs.
+func TestSweepBaselineIsTwoGHzPoint(t *testing.T) {
+	profiles := workload.All()
+	sweeps, err := memoExplorer(t, nil).SweepMany(context.Background(), profiles, memoFreqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range profiles {
+		base := sweeps[i].Points[len(memoFreqs)-1]
+		want := 1.0
+		if p.Class != workload.Virtualized {
+			want = float64(p.Baseline99p) / float64(p.QoSLimit)
+		}
+		if base.FreqHz != qos.BaselineFreqHz || base.Metric != want || !base.QoSOK {
+			t.Fatalf("%s: 2GHz point %+v, want metric %v within QoS", p.Name, base, want)
+		}
+		if got := sweeps[i].BaselineUIPS(); got != base.UIPSChip {
+			t.Fatalf("%s: BaselineUIPS %v, want the 2GHz point's %v", p.Name, got, base.UIPSChip)
+		}
 	}
 }
 

@@ -28,7 +28,6 @@ import (
 	"ntcsim/internal/parallel"
 	"ntcsim/internal/platform"
 	"ntcsim/internal/qos"
-	"ntcsim/internal/rng"
 	"ntcsim/internal/sampling"
 	"ntcsim/internal/sim"
 	"ntcsim/internal/tech"
@@ -49,8 +48,9 @@ type Seams struct {
 	// Sweep or SweepMany call simulates at most Jobs clusters at once: it
 	// warms up to Jobs workloads at once, then evaluates up to Jobs
 	// (workload, point) pairs at once. Every point runs from its
-	// workload's warmed checkpoint under its own RNG substream split by
-	// point index, so results are bit-identical for every Jobs setting.
+	// workload's warmed checkpoint, and its result depends only on that
+	// checkpoint and its frequency, so results are bit-identical for
+	// every Jobs setting.
 	Jobs int
 
 	// Obs, when set, enables the observability layer: per-layer counters
@@ -59,8 +59,8 @@ type Seams struct {
 	// stay bit-identical for every Jobs setting; leaving Obs nil keeps the
 	// sweep on the uninstrumented fast path.
 	Obs *obs.Registry
-	// Tracer, when set, records Chrome-trace spans for warmup, baseline,
-	// each sweep point and its sampling phases.
+	// Tracer, when set, records Chrome-trace spans for warmup, each sweep
+	// point and its sampling phases.
 	Tracer *obs.Tracer
 	// Progress, when set, reports one line per completed sweep point.
 	Progress *obs.Progress
@@ -137,8 +137,9 @@ type Point struct {
 	EffSoC    float64
 	EffServer float64
 
-	// Metric is the QoS figure: normalized 99th-percentile latency for
-	// scale-out workloads (Fig. 2), execution-time degradation for VMs.
+	// Metric is the QoS figure against the sweep's 2GHz point (see
+	// qos.Metric): normalized 99th-percentile latency for scale-out
+	// workloads (Fig. 2), execution-time degradation for VMs.
 	Metric float64
 	QoSOK  bool
 
@@ -149,10 +150,26 @@ type Point struct {
 
 // Sweep is a full frequency sweep of one workload.
 type Sweep struct {
-	Workload     *workload.Profile
-	Requirement  qos.Requirement
-	BaselineUIPS float64 // chip UIPS at the 2GHz baseline
-	Points       []Point // ascending frequency
+	Workload *workload.Profile
+	Points   []Point // ascending frequency, the 2GHz baseline among them
+}
+
+// BaselineUIPS returns the chip UIPS of the sweep's 2GHz point, the
+// baseline every point's QoS metric is relative to.
+func (s *Sweep) BaselineUIPS() float64 {
+	i := slices.IndexFunc(s.Points, func(pt Point) bool { return pt.FreqHz == qos.BaselineFreqHz })
+	return s.Points[i].UIPSChip
+}
+
+// setQoS sets every point's QoS metric and verdict against the sweep's
+// 2GHz point.
+func (s *Sweep) setQoS() {
+	base := s.BaselineUIPS()
+	for i := range s.Points {
+		pt := &s.Points[i]
+		pt.Metric = qos.Metric(s.Workload, base, pt.UIPSChip)
+		pt.QoSOK = pt.Metric <= qos.Limit(s.Workload)
+	}
 }
 
 // Sweep runs the workload across the given core frequencies (Hz) and
@@ -167,27 +184,30 @@ func (e *Explorer) Sweep(ctx context.Context, p *workload.Profile, freqsHz []flo
 }
 
 // SweepMany sweeps each profile over the same frequency grid and returns
-// the sweeps in profile order. A call whose ctx is already cancelled
-// returns its cause before warming; a ctx cancelled later stops the call
-// between workloads or points (a simulation already running completes).
+// the sweeps in profile order. The grid must hold qos.BaselineFreqHz: that
+// point is the baseline of every QoS metric. A call whose ctx is already
+// cancelled returns its cause before warming; a ctx cancelled later stops
+// the call between workloads or points (a simulation already running
+// completes).
 //
 // Execution model, in four steps, each pool at most Jobs wide:
 //
 //  1. A workload the memo holds is answered from it (see replay).
 //  2. Each remaining workload runs its prelude: its cluster is warmed at
-//     the 2GHz baseline, the baseline throughput is sampled, and the
-//     warmed state is captured as an in-memory checkpoint, the common
-//     launch state of all its points (see prelude).
+//     the 2GHz baseline and captured as an in-memory checkpoint, the
+//     common launch state of all its points (see prelude).
 //  3. Every (workload, point) pair restores its own private cluster from
-//     its workload's checkpoint, reseeds the workload generators with the
-//     substream split by point index (rng.Stream.Split), applies the DVFS
-//     transition, runs the settle window and samples (see runPoint).
-//  4. In profile order, each workload's metrics reach Obs, its result the
+//     its workload's checkpoint, applies the DVFS transition, runs the
+//     settle window and samples (see runPoint).
+//  4. In profile order, each workload's points get their QoS metric
+//     against its 2GHz point, and its metrics reach Obs, its result the
 //     memo and its samples the telemetry.
 //
-// A point's result is a pure function of (checkpoint, frequency, point
-// index), so results are bit-identical for every Jobs setting, and one
-// call simulates at most Jobs clusters at once.
+// A point's result is a pure function of (checkpoint, frequency): every
+// point of a workload reads the same per-core instruction stream, and a
+// frequency measures the same in any grid. Results are bit-identical for
+// every Jobs setting, and one call simulates at most Jobs clusters at
+// once.
 func (e *Explorer) SweepMany(ctx context.Context, profiles []*workload.Profile, freqsHz []float64) ([]*Sweep, error) {
 	if len(freqsHz) == 0 {
 		return nil, fmt.Errorf("core: empty frequency list")
@@ -198,6 +218,9 @@ func (e *Explorer) SweepMany(ctx context.Context, profiles []*workload.Profile, 
 		if f <= 0 {
 			return nil, fmt.Errorf("core: non-positive frequency %v", f)
 		}
+	}
+	if !slices.Contains(freqs, qos.BaselineFreqHz) {
+		return nil, fmt.Errorf("core: the frequency grid lacks the %.0f MHz QoS baseline", qos.BaselineFreqHz/1e6)
 	}
 	// A memo hit fails on a cancelled ctx exactly as a computation does,
 	// and neither pays for warming first.
@@ -230,8 +253,7 @@ func (e *Explorer) SweepMany(ctx context.Context, profiles []*workload.Profile, 
 	}
 
 	err := parallel.ForEach(ctx, len(jobs), e.Jobs, func(_ context.Context, k int) error {
-		_, err := e.prelude(jobs[k])
-		return jobErr(jobs[k], err)
+		return jobErr(jobs[k], e.prelude(jobs[k]))
 	})
 	if err == nil {
 		e.Progress.Add(len(jobs) * len(freqs))
@@ -262,19 +284,20 @@ func (e *Explorer) SweepMany(ctx context.Context, profiles []*workload.Profile, 
 		return nil, err
 	}
 	for _, j := range jobs {
-		j.sw.Points = j.points
+		sw := &Sweep{Workload: j.p, Points: j.points}
+		sw.setQoS()
 		if e.Memo != nil {
-			e.Memo.store(&memoEntry{hash: j.hash, key: j.key, baselineUIPS: j.sw.BaselineUIPS,
+			e.Memo.store(&memoEntry{hash: j.hash, key: j.key,
 				points: slices.Clone(j.points), metrics: j.metrics, samples: j.samples})
 		}
 		e.recordTelemetry(j.p, j.points, j.samples)
-		sweeps[j.slot] = j.sw
+		sweeps[j.slot] = sw
 	}
 	return sweeps, nil
 }
 
 // sweepJob is one workload of a SweepMany call that the memo did not
-// answer: its inputs, the launch state its prelude leaves, and the
+// answer: its inputs, the checkpoint its prelude leaves, and the
 // per-point results, each written only by its own point.
 type sweepJob struct {
 	slot int // index in SweepMany's profiles
@@ -283,10 +306,7 @@ type sweepJob struct {
 	hash uint64 // memo key, when there is a memo
 	key  []byte
 
-	// Set by prelude.
-	sw   *Sweep
-	ck   *sim.Checkpoint
-	root *rng.Stream
+	ck *sim.Checkpoint // set by prelude
 
 	points  []Point
 	samples []timeseries.Sample
@@ -302,40 +322,22 @@ func jobErr(j *sweepJob, err error) error {
 	return nil
 }
 
-// prelude runs the serial launch sequence of j's sweep on a trace lane of
-// its own: it warms a cluster of j's workload at the 2GHz baseline,
-// samples the baseline throughput, and keeps the warmed state after that
-// measurement as j's checkpoint, with the RNG root j's points split their
-// substreams from. It returns the baseline measurement.
-func (e *Explorer) prelude(j *sweepJob) (sampling.Result, error) {
+// prelude warms a cluster of j's workload at the 2GHz baseline on a
+// trace lane of its own and keeps the warmed state as j's checkpoint.
+func (e *Explorer) prelude(j *sweepJob) error {
 	lane := e.Tracer.AcquireLane()
 	defer e.Tracer.ReleaseLane(lane)
 
 	warmStart := time.Now() //ntclint:allow wallclock trace span timestamps only; never reaches results
 	cl, err := e.warmedCluster(e.soloProfiles(j.p), qos.BaselineFreqHz)
 	if err != nil {
-		return sampling.Result{}, err
+		return err
 	}
 	//ntclint:allow wallclock trace span duration only; never reaches results
 	e.Tracer.Complete("sweep", "warm "+j.p.Name, lane, warmStart, time.Since(warmStart), nil)
-
-	baseStart := time.Now() //ntclint:allow wallclock trace span timestamps only; never reaches results
-	base, err := sampling.Run(cl, j.cfg)
-	if err != nil {
-		return sampling.Result{}, err
-	}
-	//ntclint:allow wallclock trace span duration only; never reaches results
-	e.Tracer.Complete("sweep", "baseline "+j.p.Name, lane, baseStart, time.Since(baseStart), nil)
-
-	j.sw = &Sweep{
-		Workload:     j.p,
-		Requirement:  qos.NewRequirement(j.p),
-		BaselineUIPS: base.MeanUIPS() * float64(e.Platform.Clusters),
-	}
 	// Restores only read the checkpoint, so one copy serves all workers.
 	j.ck = cl.Checkpoint()
-	j.root = rng.New(e.Platform.Cluster.Seed).Derive("sweep/" + j.p.Name)
-	return base, nil
+	return nil
 }
 
 // replay answers a sweep from a memo entry exactly as a recomputation
@@ -347,12 +349,7 @@ func (e *Explorer) replay(p *workload.Profile, freqs []float64, en *memoEntry) (
 	start := time.Now() //ntclint:allow wallclock trace/progress timestamps only; never reaches results
 	lane := e.Tracer.AcquireLane()
 	defer e.Tracer.ReleaseLane(lane)
-	sw := &Sweep{
-		Workload:     p,
-		Requirement:  qos.NewRequirement(p),
-		BaselineUIPS: en.baselineUIPS,
-		Points:       slices.Clone(en.points),
-	}
+	sw := &Sweep{Workload: p, Points: slices.Clone(en.points)}
 	if en.metrics != nil {
 		if err := e.Obs.Merge(*en.metrics); err != nil {
 			return nil, err
@@ -426,7 +423,7 @@ func (e *Explorer) runPoint(j *sweepJob, freqs []float64, i int) error {
 	defer e.Tracer.ReleaseLane(lane)
 	ptStart := time.Now() //ntclint:allow wallclock trace/progress timestamps only; never reaches results
 
-	pcl := e.launchPoint(j.ck, j.root, i, freqs[i], j.reg != nil)
+	pcl := e.launchPoint(j.ck, freqs[i], j.reg != nil)
 	var target sampling.Target = pcl
 	if e.Tracer != nil {
 		target = &tracedTarget{Target: pcl, tr: e.Tracer, lane: lane, point: label}
@@ -435,7 +432,7 @@ func (e *Explorer) runPoint(j *sweepJob, freqs []float64, i int) error {
 	if err != nil {
 		return err
 	}
-	pt, err := e.evaluate(j.sw, freqs[i], res)
+	pt, err := e.evaluate(freqs[i], res)
 	if err != nil {
 		return err
 	}
@@ -493,12 +490,10 @@ func (t *tracedTarget) Measure(cycles int64) sim.Measurement {
 	return m
 }
 
-// launchPoint restores point i's private cluster from ck, reseeds it
-// with the substream split by point index, optionally enables
-// observability, retargets it to freqHz and settles it.
-func (e *Explorer) launchPoint(ck *sim.Checkpoint, root *rng.Stream, i int, freqHz float64, withObs bool) *sim.Cluster {
+// launchPoint restores a point's private cluster from ck, optionally
+// enables observability, retargets it to freqHz and settles it.
+func (e *Explorer) launchPoint(ck *sim.Checkpoint, freqHz float64, withObs bool) *sim.Cluster {
 	pcl := sim.RestoreCluster(ck)
-	pcl.Reseed(root.Split(uint64(i)))
 	if withObs {
 		pcl.EnableObs()
 	}
@@ -507,8 +502,9 @@ func (e *Explorer) launchPoint(ck *sim.Checkpoint, root *rng.Stream, i int, freq
 	return pcl
 }
 
-// evaluate attaches operating point, power and QoS to one sampled result.
-func (e *Explorer) evaluate(sw *Sweep, f float64, res sampling.Result) (Point, error) {
+// evaluate attaches operating point and power to one sampled result; the
+// QoS metric waits for the sweep's 2GHz point (see Sweep.setQoS).
+func (e *Explorer) evaluate(f float64, res sampling.Result) (Point, error) {
 	spec := e.Platform
 	op, err := spec.Tech.OperatingPointFor(f, 0)
 	if err != nil {
@@ -544,8 +540,6 @@ func (e *Explorer) evaluate(sw *Sweep, f float64, res sampling.Result) (Point, e
 	if pw.TotalW() > 0 {
 		pt.EffServer = uipsChip / pw.TotalW()
 	}
-	pt.Metric = sw.Requirement.Metric(sw.BaselineUIPS, uipsChip)
-	pt.QoSOK = sw.Requirement.Satisfied(sw.BaselineUIPS, uipsChip)
 	return pt, nil
 }
 

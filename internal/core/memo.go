@@ -40,8 +40,7 @@ type memoEntry struct {
 	hash uint64
 	key  []byte
 
-	baselineUIPS float64
-	points       []Point
+	points []Point
 	// metrics is the counter-class snapshot of what the sweep harvested;
 	// nil when it ran without Obs.
 	metrics *obs.Snapshot

@@ -78,7 +78,7 @@ func harvestResult(sink obs.Sink, p *workload.Profile, freqHz float64, res sampl
 	sink.Counter("dram.refresh_stall_ns").Add(refreshNs)
 
 	// The point's evaluated result: energy breakdown by component and the
-	// efficiency/QoS figures, one uniquely-keyed gauge set per point.
+	// efficiency figures, one uniquely-keyed gauge set per point.
 	key := pointKey(p, freqHz)
 	sink.Gauge(key + "uips_chip").Set(pt.UIPSChip)
 	sink.Gauge(key + "cores_w").Set(pt.Power.CoresW)
@@ -87,6 +87,5 @@ func harvestResult(sink obs.Sink, p *workload.Profile, freqHz float64, res sampl
 	sink.Gauge(key + "eff_cores").Set(pt.EffCores)
 	sink.Gauge(key + "eff_soc").Set(pt.EffSoC)
 	sink.Gauge(key + "eff_server").Set(pt.EffServer)
-	sink.Gauge(key + "qos_metric").Set(pt.Metric)
 	sink.Gauge(key + "rel_err").Set(pt.RelErr)
 }

@@ -25,9 +25,6 @@ var warmFreqs = []float64{0.5e9, 2.0e9}
 // requireIdentical asserts two sweeps are bit-identical.
 func requireIdentical(t *testing.T, a, b *Sweep) {
 	t.Helper()
-	if a.BaselineUIPS != b.BaselineUIPS {
-		t.Fatalf("baselines differ: %v vs %v", a.BaselineUIPS, b.BaselineUIPS)
-	}
 	if len(a.Points) != len(b.Points) {
 		t.Fatalf("point counts differ: %d vs %d", len(a.Points), len(b.Points))
 	}

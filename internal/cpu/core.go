@@ -21,7 +21,6 @@ import (
 	"slices"
 
 	"ntcsim/internal/cache"
-	"ntcsim/internal/rng"
 	"ntcsim/internal/workload"
 )
 
@@ -249,12 +248,6 @@ func (c *Core) Clone(mem MemSystem) *Core {
 	n.misses = append(make([]outstanding, 0, cap(c.misses)), c.misses...)
 	n.mshrOcc, n.mshrFull = nil, 0
 	return &n
-}
-
-// ReseedWorkload re-derives the workload generator's random streams from
-// seed (see workload.Generator.Reseed).
-func (c *Core) ReseedWorkload(seed *rng.Stream) {
-	c.gen.Reseed(seed)
 }
 
 // SetFrequency retargets the core clock (DVFS). Microarchitectural state

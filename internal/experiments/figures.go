@@ -143,7 +143,7 @@ func runOpt(ctx context.Context, p Params, env Env) error {
 		if prof.Class == workload.Virtualized {
 			var f2, f4 float64
 			for _, pt := range sw.Points {
-				d := qos.Degradation(sw.BaselineUIPS, pt.UIPSChip)
+				d := pt.Metric // a VM's metric is its degradation
 				if f4 == 0 && d <= qos.DegradationRelaxed {
 					f4 = pt.FreqHz
 				}

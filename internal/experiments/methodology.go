@@ -25,7 +25,11 @@ func runScaling(ctx context.Context, p Params, env Env) error {
 		if err := ctx.Err(); err != nil {
 			return context.Cause(ctx)
 		}
-		ch, err := sim.NewChip(e.Platform.Cluster, workload.WebSearch(), n, qos.BaselineFreqHz)
+		specs := make([]sim.ClusterSpec, n)
+		for i := range specs {
+			specs[i] = sim.ClusterSpec{Profile: workload.WebSearch(), FreqHz: qos.BaselineFreqHz}
+		}
+		ch, err := sim.NewHeteroChip(e.Platform.Cluster, specs)
 		if err != nil {
 			return err
 		}
@@ -52,6 +56,20 @@ func runScaling(ctx context.Context, p Params, env Env) error {
 	return nil
 }
 
+// measureAtBaseline runs prof on one cluster of e's platform at the 2GHz
+// baseline: WarmInstr functional instructions per core, a 20K-cycle
+// detailed warm-up, then one measured 60K-cycle window. The workload
+// characterization and the extension ablations all measure this way.
+func measureAtBaseline(e *core.Explorer, prof *workload.Profile) (sim.Measurement, error) {
+	cl, err := sim.NewCluster(e.Platform.Cluster, prof, qos.BaselineFreqHz)
+	if err != nil {
+		return sim.Measurement{}, err
+	}
+	cl.FastForward(e.WarmInstr)
+	cl.Run(20000)
+	return cl.Measure(60000), nil
+}
+
 // runWorkloads prints the characterization table of the synthetic workload
 // clones — the evidence that they reproduce published scale-out behavior.
 func runWorkloads(ctx context.Context, p Params, env Env) error {
@@ -64,19 +82,16 @@ func runWorkloads(ctx context.Context, p Params, env Env) error {
 		if err := ctx.Err(); err != nil {
 			return context.Cause(ctx)
 		}
-		cl, err := sim.NewCluster(e.Platform.Cluster, prof, qos.BaselineFreqHz)
+		m, err := measureAtBaseline(e, prof)
 		if err != nil {
 			return err
 		}
-		cl.FastForward(e.WarmInstr)
-		cl.Run(20000)
-		m := cl.Measure(60000)
 		cs := m.PerCore[0]
 		mpki := float64(m.DRAM.Reads) / float64(m.Instructions) * 1000
 		osFrac := 1 - float64(m.UserInstructions)/float64(m.Instructions)
 		tot := float64(cs.FrontendStall+cs.ROBStall+cs.DepStall+cs.MemStall) + 1e-9
 		fmt.Fprintf(w, "%s\t%.3f\t%.3f\t%.3f\t%.3f\t%.3f\t%.1f\t%.2f\t%.2f\t%.0f/%.0f/%.0f/%.0f%%\n",
-			prof.Name, m.UIPC()/float64(cl.Cores()),
+			prof.Name, m.UIPC()/float64(e.Platform.Cluster.CoresPerCluster),
 			cs.L1D.HitRate(), cs.L1I.HitRate(), m.LLC.HitRate(),
 			cs.MispredictRate(), mpki, m.ReadBandwidth()/1e9, osFrac,
 			100*float64(cs.FrontendStall)/tot, 100*float64(cs.ROBStall)/tot,
@@ -101,13 +116,10 @@ func runPrefetch(ctx context.Context, p Params, env Env) error {
 		for i, pf := range []bool{false, true} {
 			e := p.NewExplorer(env)
 			e.Platform.Cluster.Core.StridePrefetch = pf
-			cl, err := sim.NewCluster(e.Platform.Cluster, prof, qos.BaselineFreqHz)
+			m, err := measureAtBaseline(e, prof)
 			if err != nil {
 				return err
 			}
-			cl.FastForward(e.WarmInstr)
-			cl.Run(20000)
-			m := cl.Measure(60000)
 			uipc[i] = m.UIPC()
 			dram[i] = m.DRAM.Reads
 		}
@@ -135,13 +147,11 @@ func runPorts(ctx context.Context, p Params, env Env) error {
 			if ports {
 				e.Platform.Cluster.Core.Ports = cpu.A57Ports()
 			}
-			cl, err := sim.NewCluster(e.Platform.Cluster, prof, qos.BaselineFreqHz)
+			m, err := measureAtBaseline(e, prof)
 			if err != nil {
 				return err
 			}
-			cl.FastForward(e.WarmInstr)
-			cl.Run(20000)
-			uipc[i] = cl.Measure(60000).UIPC()
+			uipc[i] = m.UIPC()
 		}
 		fmt.Fprintf(w, "%s\t%.3f\t%.3f\t%+.1f%%\n",
 			prof.Name, uipc[0], uipc[1], 100*(uipc[1]/uipc[0]-1))

@@ -26,7 +26,7 @@ var randImports = map[string]bool{
 // GlobalrandAnalyzer forbids importing math/rand, math/rand/v2 and
 // crypto/rand in simulation packages. All simulator randomness flows
 // through internal/rng: deterministic, seedable, and splittable into
-// per-index substreams (rng.Stream.Split) so parallel sweeps stay
+// per-index substreams (rng.Stream.Split) so parallel work stays
 // bit-identical to the serial loop.
 var GlobalrandAnalyzer = &analysis.Analyzer{
 	Name: "globalrand",

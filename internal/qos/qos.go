@@ -57,12 +57,6 @@ func Normalized(p *workload.Profile, uipsBaseline, uips float64) float64 {
 	return float64(lat) / float64(p.QoSLimit)
 }
 
-// Meets reports whether the scale-out workload meets its tail-latency QoS
-// at the given throughput.
-func Meets(p *workload.Profile, uipsBaseline, uips float64) bool {
-	return Normalized(p, uipsBaseline, uips) <= 1.0
-}
-
 // Degradation returns the execution-time degradation of a batch workload
 // relative to the baseline throughput (1.0 = no slowdown).
 func Degradation(uipsBaseline, uips float64) float64 {
@@ -72,40 +66,24 @@ func Degradation(uipsBaseline, uips float64) float64 {
 	return uipsBaseline / uips
 }
 
-// MeetsDegradation reports whether a virtualized workload stays within the
-// given degradation limit.
-func MeetsDegradation(uipsBaseline, uips, limit float64) bool {
-	return Degradation(uipsBaseline, uips) <= limit
-}
-
-// Requirement unifies the two QoS regimes so the design-space explorer can
-// treat all workloads uniformly: the profile's tail-latency limit for
-// scale-out workloads, the relaxed 4x degradation for virtualized ones.
-// Reports that also need the strict 2x bound compute it from Degradation.
-type Requirement struct {
-	Profile *workload.Profile
-}
-
-// NewRequirement returns the requirement for a profile.
-func NewRequirement(p *workload.Profile) Requirement {
-	return Requirement{Profile: p}
-}
-
-// Satisfied reports whether the requirement holds at throughput uips given
-// the 2GHz-baseline throughput.
-func (r Requirement) Satisfied(uipsBaseline, uips float64) bool {
-	if r.Profile.Class == workload.Virtualized {
-		return MeetsDegradation(uipsBaseline, uips, DegradationRelaxed)
-	}
-	return Meets(r.Profile, uipsBaseline, uips)
-}
-
-// Metric returns the scalar the requirement constrains — normalized
-// latency for scale-out workloads (limit 1.0), degradation for virtualized
-// ones (limit DegradationRelaxed).
-func (r Requirement) Metric(uipsBaseline, uips float64) float64 {
-	if r.Profile.Class == workload.Virtualized {
+// Metric returns the scalar the QoS requirement of p constrains at
+// throughput uips, given the 2GHz-baseline throughput: normalized tail
+// latency for scale-out workloads, execution-time degradation for
+// virtualized ones. The requirement holds when Metric <= Limit(p).
+func Metric(p *workload.Profile, uipsBaseline, uips float64) float64 {
+	if p.Class == workload.Virtualized {
 		return Degradation(uipsBaseline, uips)
 	}
-	return Normalized(r.Profile, uipsBaseline, uips)
+	return Normalized(p, uipsBaseline, uips)
+}
+
+// Limit returns the bound on Metric for p: 1 (the QoS limit itself) for
+// scale-out workloads, the relaxed 4x degradation for virtualized ones.
+// Reports that also need the strict 2x bound compare a VM's Metric with
+// DegradationStrict.
+func Limit(p *workload.Profile) float64 {
+	if p.Class == workload.Virtualized {
+		return DegradationRelaxed
+	}
+	return 1
 }

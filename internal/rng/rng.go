@@ -63,8 +63,8 @@ func (s *Stream) Derive(label string) *Stream {
 // Split returns substream i of s. The substream's seed is a pure function
 // of s's seed and the index — independent of how many substreams are taken,
 // in what order, or from which goroutine — which is what lets a parallel
-// sweep hand substream i to the worker evaluating point i and still produce
-// bit-identical results at any worker count. The index is passed through a
+// scenario grid hand substream i to the worker evaluating scenario i and
+// still produce bit-identical results at any worker count. The index is passed through a
 // SplitMix64-style finalizer before mixing so that adjacent indices yield
 // decorrelated streams. Split does not consume state from s.
 func (s *Stream) Split(i uint64) *Stream {

@@ -58,17 +58,6 @@ type Chip struct {
 	jobs     int
 }
 
-// NewChip builds n identical clusters running profile, all sharing one
-// DRAM system. Cores receive globally unique IDs so their address spaces
-// stay disjoint.
-func NewChip(cfg Config, profile *workload.Profile, n int, freqHz float64) (*Chip, error) {
-	assign := make([]ClusterSpec, n)
-	for i := range assign {
-		assign[i] = ClusterSpec{Profile: profile, FreqHz: freqHz}
-	}
-	return NewHeteroChip(cfg, assign)
-}
-
 // ClusterSpec assigns one cluster its workload and core frequency.
 type ClusterSpec struct {
 	Profile *workload.Profile
@@ -80,6 +69,8 @@ type ClusterSpec struct {
 // cluster organization (one V/f and OS image per cluster) permits, and the
 // substrate for the consolidation direction of Sec. V-C: latency-critical
 // clusters at their QoS point next to batch clusters at the NT optimum.
+// All clusters share one DRAM system; cores receive globally unique IDs so
+// their address spaces stay disjoint.
 func NewHeteroChip(cfg Config, clusters []ClusterSpec) (*Chip, error) {
 	if len(clusters) == 0 {
 		return nil, fmt.Errorf("sim: chip needs at least one cluster")

@@ -6,21 +6,30 @@ import (
 	"ntcsim/internal/workload"
 )
 
+// uniformSpecs assigns p at freqHz to each of n clusters.
+func uniformSpecs(p *workload.Profile, n int, freqHz float64) []ClusterSpec {
+	specs := make([]ClusterSpec, n)
+	for i := range specs {
+		specs[i] = ClusterSpec{Profile: p, FreqHz: freqHz}
+	}
+	return specs
+}
+
 func TestChipConstruction(t *testing.T) {
-	ch, err := NewChip(DefaultConfig(), workload.WebSearch(), 3, 1e9)
+	ch, err := NewHeteroChip(DefaultConfig(), uniformSpecs(workload.WebSearch(), 3, 1e9))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ch.clusters) != 3 {
 		t.Fatalf("clusters = %d", len(ch.clusters))
 	}
-	if _, err := NewChip(DefaultConfig(), workload.WebSearch(), 0, 1e9); err == nil {
+	if _, err := NewHeteroChip(DefaultConfig(), uniformSpecs(workload.WebSearch(), 0, 1e9)); err == nil {
 		t.Fatal("zero clusters should be rejected")
 	}
 }
 
 func TestChipMeasurement(t *testing.T) {
-	ch, err := NewChip(DefaultConfig(), workload.WebSearch(), 2, 1e9)
+	ch, err := NewHeteroChip(DefaultConfig(), uniformSpecs(workload.WebSearch(), 2, 1e9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +58,7 @@ func TestChipClustersContendForMemory(t *testing.T) {
 	// throughput must drop (or at least not rise) as more clusters share
 	// the four DRAM channels.
 	perCluster := func(n int) float64 {
-		ch, err := NewChip(DefaultConfig(), workload.MediaStreaming(), n, 2e9)
+		ch, err := NewHeteroChip(DefaultConfig(), uniformSpecs(workload.MediaStreaming(), n, 2e9))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +85,7 @@ func TestChipClustersContendForMemory(t *testing.T) {
 }
 
 func TestChipCoreIDsDisjoint(t *testing.T) {
-	ch, err := NewChip(DefaultConfig(), workload.WebSearch(), 2, 1e9)
+	ch, err := NewHeteroChip(DefaultConfig(), uniformSpecs(workload.WebSearch(), 2, 1e9))
 	if err != nil {
 		t.Fatal(err)
 	}

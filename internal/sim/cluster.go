@@ -206,17 +206,6 @@ func (cl *Cluster) SetFrequency(hz float64) {
 // Cores returns the core count.
 func (cl *Cluster) Cores() int { return len(cl.cores) }
 
-// Reseed re-derives every core's workload-generator streams from seed,
-// preserving all microarchitectural and positional state. A sweep engine
-// calls this after restoring a warmed checkpoint so that each operating
-// point evaluates under its own deterministic RNG substream (split by
-// point index) instead of replaying the checkpointed stream positions.
-func (cl *Cluster) Reseed(seed *rng.Stream) {
-	for _, c := range cl.cores {
-		c.ReseedWorkload(seed)
-	}
-}
-
 // bankOf selects the LLC bank for a line address and returns the
 // bank-local address (bank-selection bits stripped, so the bank's full set
 // index space is used). Bank count is a power of two, so selection is a

@@ -3,75 +3,12 @@ package sim
 import (
 	"testing"
 
-	"ntcsim/internal/rng"
 	"ntcsim/internal/workload"
 )
 
-// warmedPair builds two identically warmed clusters.
-func warmedPair(t *testing.T) (*Cluster, *Cluster) {
-	t.Helper()
-	mk := func() *Cluster {
-		cl, err := NewCluster(DefaultConfig(), workload.WebSearch(), 2e9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cl.FastForward(200_000)
-		cl.Run(5_000)
-		return cl
-	}
-	return mk(), mk()
-}
-
-func TestReseedDeterministic(t *testing.T) {
-	a, b := warmedPair(t)
-	seed := rng.New(0xfeed)
-	a.Reseed(seed.Split(3))
-	b.Reseed(seed.Split(3))
-	ma, mb := a.Measure(20_000), b.Measure(20_000)
-	if ma.UserInstructions != mb.UserInstructions || ma.Instructions != mb.Instructions {
-		t.Fatalf("same substream must replay identically: %+v vs %+v", ma.UIPC(), mb.UIPC())
-	}
-	if ma.LLC != mb.LLC {
-		t.Fatal("LLC stats diverged under identical substreams")
-	}
-}
-
-func TestReseedDecorrelatesSubstreams(t *testing.T) {
-	a, b := warmedPair(t)
-	seed := rng.New(0xfeed)
-	a.Reseed(seed.Split(0))
-	b.Reseed(seed.Split(1))
-	ma, mb := a.Measure(20_000), b.Measure(20_000)
-	// Different substreams must give different traces (while staying
-	// statistically close — not asserted here).
-	if ma.Instructions == mb.Instructions && ma.LLC == mb.LLC {
-		t.Fatal("distinct substreams produced identical execution")
-	}
-}
-
-func TestReseedPreservesMicroarchState(t *testing.T) {
-	// Reseed swaps RNG streams only: the warmed caches and predictors must
-	// survive, so post-reseed IPC stays near the warmed level (a cold
-	// cluster is measurably slower over a short window).
-	warm, _ := warmedPair(t)
-	warm.Reseed(rng.New(1).Split(0))
-	warmUIPC := warm.Measure(30_000).UIPC()
-
-	cold, err := NewCluster(DefaultConfig(), workload.WebSearch(), 2e9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold.Reseed(rng.New(1).Split(0))
-	coldUIPC := cold.Measure(30_000).UIPC()
-	if warmUIPC <= coldUIPC {
-		t.Fatalf("warmed cluster (%.3f UIPC) should beat cold start (%.3f) — did Reseed drop state?",
-			warmUIPC, coldUIPC)
-	}
-}
-
 func TestChipFastForwardIndependentOfJobs(t *testing.T) {
 	run := func(jobs int) []Measurement {
-		ch, err := NewChip(DefaultConfig(), workload.MediaStreaming(), 3, 2e9)
+		ch, err := NewHeteroChip(DefaultConfig(), uniformSpecs(workload.MediaStreaming(), 3, 2e9))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -208,10 +208,23 @@ func (pl *Plan) Profile() *Profile { return pl.p }
 // Core returns the global core ID the plan was built for.
 func (pl *Plan) Core() int { return pl.core }
 
-// NewGenerator starts a generator at the beginning of pl's trace.
+// NewGenerator starts a generator at the beginning of pl's trace, each of
+// its random streams derived from the plan's seed under the (profile,
+// core) root.
 func NewGenerator(pl Plan) *Generator {
 	g := &Generator{plan: pl, pc: pl.base + codeBase, osPC: pl.base + osCodeBase}
-	g.Reseed(&pl.seed)
+	p := pl.p
+	root := pl.root(&pl.seed)
+	g.mix = *root.Derive("mix")
+	g.dep = *root.Derive("dep")
+	g.brs = *root.Derive("branch")
+	g.mem = *root.Derive("mem")
+	g.code = *root.Derive("code")
+	g.os = *root.Derive("os")
+	g.branchPick = *rng.NewZipf(root.Derive("branch-pick"), p.StaticBranches, p.BranchZipf)
+	g.coldZipf = *rng.NewZipf(root.Derive("cold"), pl.coldChunks, p.ColdZipf)
+	g.hotZipf = *rng.NewZipf(root.Derive("hot"), pl.hotChunks, p.HotZipf)
+	g.codeTarget = *rng.NewZipf(root.Derive("code-target"), pl.codeChunks, p.CodeZipfTheta)
 	return g
 }
 
@@ -386,29 +399,6 @@ func (g *Generator) nextPC(in *Instr) uint64 {
 		*pcp = base + off
 	}
 	return pc
-}
-
-// Reseed re-derives every random stream of the cursor from seed with the
-// labeling scheme NewGenerator uses for the plan's (profile, core), while
-// preserving all positional state (PC, stream cursor, OS mode) and the
-// plan. A sweep engine hands each operating point its own substream
-// (rng.Stream.Split by point index) so the points draw decorrelated
-// randomness yet remain bit-reproducible regardless of evaluation order
-// or worker count.
-func (g *Generator) Reseed(seed *rng.Stream) {
-	pl := &g.plan
-	p := pl.p
-	root := pl.root(seed)
-	g.mix = *root.Derive("mix")
-	g.dep = *root.Derive("dep")
-	g.brs = *root.Derive("branch")
-	g.mem = *root.Derive("mem")
-	g.code = *root.Derive("code")
-	g.os = *root.Derive("os")
-	g.branchPick = *rng.NewZipf(root.Derive("branch-pick"), p.StaticBranches, p.BranchZipf)
-	g.coldZipf = *rng.NewZipf(root.Derive("cold"), pl.coldChunks, p.ColdZipf)
-	g.hotZipf = *rng.NewZipf(root.Derive("hot"), pl.hotChunks, p.HotZipf)
-	g.codeTarget = *rng.NewZipf(root.Derive("code-target"), pl.codeChunks, p.CodeZipfTheta)
 }
 
 // Clone returns an independent copy of the generator's cursor. The copy
