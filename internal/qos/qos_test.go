@@ -85,36 +85,56 @@ func TestPaperDegradationConstants(t *testing.T) {
 	}
 }
 
-// TestMetricAndLimit: Metric is normalized latency for scale-out
-// workloads and degradation for VMs, and Limit is 1 and the relaxed 4x
-// bound respectively.
-func TestMetricAndLimit(t *testing.T) {
-	ms, vm := workload.MediaStreaming(), workload.VMHighMem()
-	cases := []struct {
-		name          string
-		p             *workload.Profile
-		base, uips    float64
-		wantMetric    float64 // 0: only the verdict is checked
-		wantWithinQoS bool
-	}{
-		{"scale-out at the baseline", ms, 1e9, 1e9, float64(ms.Baseline99p) / float64(ms.QoSLimit), true},
-		{"scale-out 100x slower", ms, 1e9, 1e7, 0, false},
-		{"VM at the baseline", vm, 2e9, 2e9, 1, true},
-		{"VM 2x slower", vm, 2e9, 1e9, 2, true},
-		{"VM exactly 4x slower", vm, 4e9, 1e9, 4, true},
-		{"VM beyond 4x", vm, 4.1e9, 1e9, 0, false},
-	}
+// qosCase is one throughput point and the QoS verdict Metric and Limit
+// must give it.
+type qosCase struct {
+	name          string
+	base, uips    float64
+	wantMetric    float64 // 0: only the verdict is checked
+	wantWithinQoS bool
+}
+
+func checkQoSCases(t *testing.T, p *workload.Profile, cases []qosCase) {
+	t.Helper()
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			m := Metric(c.p, c.base, c.uips)
+			m := Metric(p, c.base, c.uips)
 			if c.wantMetric != 0 && math.Abs(m-c.wantMetric) > 1e-12 {
 				t.Fatalf("metric = %v, want %v", m, c.wantMetric)
 			}
-			if got := m <= Limit(c.p); got != c.wantWithinQoS {
-				t.Fatalf("metric %v within limit %v: %v, want %v", m, Limit(c.p), got, c.wantWithinQoS)
+			if got := m <= Limit(p); got != c.wantWithinQoS {
+				t.Fatalf("metric %v within limit %v: %v, want %v", m, Limit(p), got, c.wantWithinQoS)
 			}
 		})
 	}
+}
+
+// TestRequirementScaleOut: for scale-out workloads Metric is the
+// normalized 99th-percentile latency and Limit is 1.
+func TestRequirementScaleOut(t *testing.T) {
+	ms := workload.MediaStreaming()
+	if Limit(ms) != 1 {
+		t.Fatalf("scale-out limit = %v, want 1", Limit(ms))
+	}
+	checkQoSCases(t, ms, []qosCase{
+		{"at the baseline", 1e9, 1e9, float64(ms.Baseline99p) / float64(ms.QoSLimit), true},
+		{"100x slower", 1e9, 1e7, 0, false},
+	})
+}
+
+// TestRequirementVirtualized: for VMs Metric is the throughput
+// degradation and Limit is the relaxed 4x bound.
+func TestRequirementVirtualized(t *testing.T) {
+	vm := workload.VMHighMem()
+	if Limit(vm) != DegradationRelaxed {
+		t.Fatalf("VM limit = %v, want %v", Limit(vm), DegradationRelaxed)
+	}
+	checkQoSCases(t, vm, []qosCase{
+		{"at the baseline", 2e9, 2e9, 1, true},
+		{"2x slower", 2e9, 1e9, 2, true},
+		{"exactly 4x slower", 4e9, 1e9, 4, true},
+		{"beyond 4x", 4.1e9, 1e9, 0, false},
+	})
 }
 
 func TestQuickLatencyMonotoneInThroughput(t *testing.T) {
