@@ -132,7 +132,7 @@ serve-cover:
 
 report-smoke:
 	$(GO) test -short ./internal/obs/timeseries
-	$(call run_matching,TestTelemetry|TestReportGolden|TestEnergyGauges|TestCorePowerParts|TestSharedPowerParts,./cmd/ntcsim ./internal/experiments ./internal/serve ./internal/governor)
+	$(call run_matching,TestTelemetry|TestReportGolden|TestEnergyGauges|TestCorePowerAtBusyBounds|TestSharedPowerChargesStanding,./cmd/ntcsim ./internal/experiments ./internal/serve ./internal/governor)
 	$(call run_matching,TestTrafficConserved|TestSweepWindowsConserveTraffic|TestFastForwardConservesTraffic,./internal/sim ./internal/core ./internal/cpu)
 
 daemon-smoke:

@@ -134,8 +134,8 @@ func BenchmarkObsOverhead(b *testing.B) {
 
 // BenchmarkObsOverheadSampler quantifies the telemetry sampler's cost on
 // the serving DES: the same diurnal run with the Telemetry hook nil
-// (attribution entirely skipped — the seed path) against one recording
-// into a live Series. Attribution is per-epoch work amortized over
+// (the ledger accumulates, no sample is recorded) against one recording
+// into a live Series. Recording is per-epoch work amortized over
 // thousands of request events, so the enabled path must stay inside the
 // same <2% budget the metrics layer honors; `make bench-obs` runs both
 // gates.
@@ -209,14 +209,13 @@ func benchServeGov(b *testing.B, clusters, perCluster int) *governor.Config {
 		b.Fatal(err)
 	}
 	return &governor.Config{
-		Platform:       spec,
-		Curve:          curve,
-		Tail:           qos.NewTailModel(clusters*perCluster, 50*time.Millisecond, 25e9),
-		QoSLimit:       200 * time.Millisecond,
-		Uncore:         governor.UncoreBreakdown{IOW: 23},
-		MemBackgroundW: 15,
-		MemDynPerReq:   1e-3,
-		Margin:         0.85,
+		Platform:     spec,
+		Curve:        curve,
+		Tail:         qos.NewTailModel(clusters*perCluster, 50*time.Millisecond, 25e9),
+		QoSLimit:     200 * time.Millisecond,
+		Standing:     platform.ServerPower{IOW: 23, DRAMW: 15},
+		MemDynPerReq: 1e-3,
+		Margin:       0.85,
 	}
 }
 

@@ -50,7 +50,7 @@ func TestSweepBasicShape(t *testing.T) {
 		if pt.UIPSChip <= 0 {
 			t.Fatalf("point %d has no throughput", i)
 		}
-		if pt.Power.CoresW <= 0 || pt.Power.UncoreW <= 0 || pt.Power.MemoryW <= 0 {
+		if pt.Power.CoresW() <= 0 || pt.Power.UncoreW() <= 0 || pt.Power.DRAMW <= 0 {
 			t.Fatalf("point %d power breakdown: %+v", i, pt.Power)
 		}
 		if pt.Samples < 2 {

@@ -33,7 +33,7 @@ func ExampleExplorer_Sweep() {
 			fmt.Sprintf("%.1fGHz", pt.FreqHz/1e9),
 			pt.Op.Vdd,
 			pt.UIPSChip/1e9,
-			pt.Power.CoresW, pt.Power.SoCW(), pt.Power.TotalW(),
+			pt.Power.CoresW(), pt.Power.SoCW(), pt.Power.TotalW(),
 			pt.Metric,
 			pt.EffServer/1e9)
 	}

@@ -75,9 +75,9 @@ type Seams struct {
 	// sweep point under the series "<TelemetryPrefix>sweep/<workload>"
 	// (1-second pseudo-horizon per point: a sweep has no time axis, so
 	// each point's steady-state watts are booked as joules-per-second).
-	// Samples are buffered per point and recorded in ascending-frequency
-	// order after the parallel fan-out, keeping output byte-identical for
-	// every Jobs setting.
+	// A sample is built from its point alone and recorded in
+	// ascending-frequency order after the parallel fan-out, keeping
+	// output byte-identical for every Jobs setting.
 	Telemetry *timeseries.Sampler
 }
 
@@ -201,7 +201,7 @@ func (e *Explorer) Sweep(ctx context.Context, p *workload.Profile, freqsHz []flo
 //     settle window and samples (see runPoint).
 //  4. In profile order, each workload's points get their QoS metric
 //     against its 2GHz point, and its metrics reach Obs, its result the
-//     memo and its samples the telemetry.
+//     memo and its points' breakdowns the telemetry.
 //
 // A point's result is a pure function of (checkpoint, frequency): every
 // point of a workload reads the same per-core instruction stream, and a
@@ -248,7 +248,6 @@ func (e *Explorer) SweepMany(ctx context.Context, profiles []*workload.Profile, 
 			j.reg = obs.NewRegistry()
 		}
 		j.points = make([]Point, len(freqs))
-		j.samples = make([]timeseries.Sample, len(freqs)) // buffered for ordered recording
 		jobs = append(jobs, j)
 	}
 
@@ -288,9 +287,9 @@ func (e *Explorer) SweepMany(ctx context.Context, profiles []*workload.Profile, 
 		sw.setQoS()
 		if e.Memo != nil {
 			e.Memo.store(&memoEntry{hash: j.hash, key: j.key,
-				points: slices.Clone(j.points), metrics: j.metrics, samples: j.samples})
+				points: slices.Clone(j.points), metrics: j.metrics})
 		}
-		e.recordTelemetry(j.p, j.points, j.samples)
+		e.recordTelemetry(j.p, j.points)
 		sweeps[j.slot] = sw
 	}
 	return sweeps, nil
@@ -309,7 +308,6 @@ type sweepJob struct {
 	ck *sim.Checkpoint // set by prelude
 
 	points  []Point
-	samples []timeseries.Sample
 	reg     *obs.Registry // nil without Obs
 	metrics *obs.Snapshot // reg's counter-class snapshot after the fan-out
 }
@@ -342,7 +340,7 @@ func (e *Explorer) prelude(j *sweepJob) error {
 
 // replay answers a sweep from a memo entry exactly as a recomputation
 // would look to the caller: fresh points, the stored counter-class
-// metrics merged into Obs, the stored telemetry under the caller's
+// metrics merged into Obs, the points' telemetry under the caller's
 // series name, and the progress lines. Pool timings and per-point trace
 // spans have no stored counterpart; one "memo hit" span stands in.
 func (e *Explorer) replay(p *workload.Profile, freqs []float64, en *memoEntry) (*Sweep, error) {
@@ -355,7 +353,7 @@ func (e *Explorer) replay(p *workload.Profile, freqs []float64, en *memoEntry) (
 			return nil, err
 		}
 	}
-	e.recordTelemetry(p, sw.Points, en.samples)
+	e.recordTelemetry(p, sw.Points)
 	e.Progress.Add(len(freqs))
 	for _, f := range freqs {
 		e.Progress.Done(pointLabel(p, f), time.Since(start)) //ntclint:allow wallclock progress duration only; never reaches results
@@ -365,22 +363,32 @@ func (e *Explorer) replay(p *workload.Profile, freqs []float64, en *memoEntry) (
 	return sw, nil
 }
 
-// recordTelemetry records a sweep's per-point samples under its series
-// and reports the sweep's total for the conservation audit. It runs
-// after the fan-out barrier, in point order, so output is byte-identical
-// for every Jobs setting.
-func (e *Explorer) recordTelemetry(p *workload.Profile, points []Point, samples []timeseries.Sample) {
+// recordTelemetry records one sample per point of a sweep under its
+// series and reports the sweep's total for the conservation audit. A
+// sweep has no time axis, so point i books its steady-state watts as the
+// energy of second i. It runs after the fan-out barrier, in point order,
+// so output is byte-identical for every Jobs setting.
+func (e *Explorer) recordTelemetry(p *workload.Profile, points []Point) {
 	if e.Telemetry == nil {
 		return
 	}
 	tel := e.Telemetry.Series(e.TelemetryPrefix + "sweep/" + p.Name)
 	var totalJ float64
-	for i := range samples {
-		tel.Record(samples[i])
+	for i, pt := range points {
+		tel.Record(timeseries.Sample{
+			Epoch:    i,
+			Cluster:  -1, // chip scope: sweeps have no per-cluster view
+			Start:    time.Second * time.Duration(i),
+			Dur:      time.Second,
+			Energy:   pt.Power.Ledger(1),
+			FreqHz:   pt.FreqHz,
+			VoltageV: pt.Op.Vdd,
+			Util:     LoadActivity,
+		})
 		// Sequential by construction: this loop runs after the fan-out
 		// barrier, in fixed point order, so the sum is order-stable.
 		//ntclint:allow floatorder post-barrier sequential loop in fixed index order
-		totalJ += points[i].Power.TotalW() // × 1s pseudo-horizon
+		totalJ += pt.Power.TotalW() // × 1s pseudo-horizon
 	}
 	tel.ReportTotal(totalJ)
 }
@@ -415,7 +423,7 @@ func pointLabel(p *workload.Profile, freqHz float64) string {
 }
 
 // runPoint evaluates point i of j's sweep. Writes are confined to slot i
-// of j's points and samples; side effects (obs harvest, trace span,
+// of j's points; side effects (obs harvest, trace span,
 // progress line) happen only after the point has fully succeeded.
 func (e *Explorer) runPoint(j *sweepJob, freqs []float64, i int) error {
 	label := pointLabel(j.p, freqs[i])
@@ -437,7 +445,6 @@ func (e *Explorer) runPoint(j *sweepJob, freqs []float64, i int) error {
 		return err
 	}
 	j.points[i] = pt
-	j.samples[i] = e.telemetrySample(pt, res, i)
 	if j.reg != nil {
 		// Harvest exactly once per point cluster: the layer counters
 		// are cumulative since EnableObs.
@@ -516,11 +523,10 @@ func (e *Explorer) evaluate(f float64, res sampling.Result) (Point, error) {
 
 	// Per-cluster uncore activity rates come straight from the simulation;
 	// memory bandwidth is aggregated across clusters.
-	pw := platform.ServerPower{
-		CoresW:  spec.CorePowerW(op, LoadActivity),
-		UncoreW: spec.UncorePowerW(res.Total.LLCReadRate(), res.Total.LLCWriteRate(), res.Total.LLCAccessRate()),
-		MemoryW: spec.MemoryPowerW(res.Total.ReadBandwidth()*clusters, res.Total.WriteBandwidth()*clusters),
-	}
+	var pw platform.ServerPower
+	pw.CoreDynW, pw.CoreLeakW = spec.CorePower(op, LoadActivity)
+	pw.LLCW, pw.XbarW, pw.IOW = spec.UncorePower(res.Total.LLCReadRate(), res.Total.LLCWriteRate(), res.Total.LLCAccessRate())
+	pw.DRAMW = spec.MemoryPowerW(res.Total.ReadBandwidth()*clusters, res.Total.WriteBandwidth()*clusters)
 
 	pt := Point{
 		FreqHz:    f,
@@ -529,10 +535,10 @@ func (e *Explorer) evaluate(f float64, res sampling.Result) (Point, error) {
 		Power:     pw,
 		Samples:   len(res.Samples),
 		Converged: res.Converged,
-		RelErr:    res.RelErr(0.95),
+		RelErr:    res.RelErr(),
 	}
-	if pw.CoresW > 0 {
-		pt.EffCores = uipsChip / pw.CoresW
+	if pw.CoresW() > 0 {
+		pt.EffCores = uipsChip / pw.CoresW()
 	}
 	if pw.SoCW() > 0 {
 		pt.EffSoC = uipsChip / pw.SoCW()
@@ -541,36 +547,6 @@ func (e *Explorer) evaluate(f float64, res sampling.Result) (Point, error) {
 		pt.EffServer = uipsChip / pw.TotalW()
 	}
 	return pt, nil
-}
-
-// telemetrySample books one sweep point's steady-state watts as an energy
-// ledger over a 1-second pseudo-horizon (a sweep has no time axis). Core
-// dynamic power comes from the model; core leakage is the RESIDUAL
-// CoresW − dynamic, so the ledger sums to Power.TotalW() by construction.
-func (e *Explorer) telemetrySample(pt Point, res sampling.Result, i int) timeseries.Sample {
-	spec := e.Platform
-	dynOne, _ := spec.Core.PowerParts(pt.Op, LoadActivity)
-	coreDynW := float64(spec.TotalCores()) * dynOne
-	coreLeakW := pt.Power.CoresW - coreDynW
-	llcW, xbarW, ioW := spec.UncorePowerParts(
-		res.Total.LLCReadRate(), res.Total.LLCWriteRate(), res.Total.LLCAccessRate())
-	return timeseries.Sample{
-		Epoch:   i,
-		Cluster: -1, // chip scope: sweeps have no per-cluster view
-		Start:   time.Second * time.Duration(i),
-		Dur:     time.Second,
-		Energy: timeseries.Ledger{
-			CoreDynNJ:  timeseries.NJ(coreDynW),
-			CoreLeakNJ: timeseries.NJ(coreLeakW),
-			LLCNJ:      timeseries.NJ(llcW),
-			XbarNJ:     timeseries.NJ(xbarW),
-			IONJ:       timeseries.NJ(ioW),
-			DRAMNJ:     timeseries.NJ(pt.Power.MemoryW),
-		},
-		FreqHz:   pt.FreqHz,
-		VoltageV: pt.Op.Vdd,
-		Util:     LoadActivity,
-	}
 }
 
 // Optima summarizes a sweep the way the paper's Sec. V does.

@@ -5,15 +5,13 @@ import (
 	"sync"
 
 	"ntcsim/internal/obs"
-	"ntcsim/internal/obs/timeseries"
 	"ntcsim/internal/sampling"
 	"ntcsim/internal/workload"
 )
 
 // maxMemoEntries is the sweep memo's capacity. An entry holds one
-// sweep's points, its counter-class metrics snapshot and its telemetry
-// samples: a few tens of KB, so the bound keeps a long-running daemon's
-// memo under a few MB.
+// sweep's points and its counter-class metrics snapshot: a few tens of
+// KB, so the bound keeps a long-running daemon's memo under a few MB.
 const maxMemoEntries = 64
 
 // SweepMemo is an in-process cache of finished sweeps, shared by every
@@ -44,7 +42,6 @@ type memoEntry struct {
 	// metrics is the counter-class snapshot of what the sweep harvested;
 	// nil when it ran without Obs.
 	metrics *obs.Snapshot
-	samples []timeseries.Sample
 }
 
 // NewSweepMemo returns an empty memo holding at most maxMemoEntries

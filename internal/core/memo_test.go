@@ -30,7 +30,7 @@ func memoExplorer(t *testing.T, memo *SweepMemo) *Explorer {
 	e.SettleCycles = 1_000
 	e.SamplingFor = func(*workload.Profile) sampling.Config {
 		return sampling.Config{WarmupCycles: 1_000, MeasureCycles: 2_000, FastForwardInstr: 2_000,
-			MinSamples: 2, MaxSamples: 2, Confidence: 0.95, TargetRelErr: 0.05}
+			MinSamples: 2, MaxSamples: 2, TargetRelErr: 0.05}
 	}
 	e.Memo = memo
 	return e
@@ -357,6 +357,51 @@ func TestMemoHitReplaysMetricsGolden(t *testing.T) {
 	sort.Strings(missLabels)
 	if hit.total != miss.total || !reflect.DeepEqual(hitLabels, missLabels) {
 		t.Fatalf("progress replay %v (total %d), computed %v (total %d)", hit.labels, hit.total, miss.labels, miss.total)
+	}
+}
+
+// TestSweepTelemetryReadsPointBreakdown: sample i of a sweep's series is
+// the energy of point i's power breakdown over one second, scope by
+// scope; the series conserves energy; and a memo hit records the
+// computed sweep's telemetry byte for byte.
+func TestSweepTelemetryReadsPointBreakdown(t *testing.T) {
+	memo := NewSweepMemo()
+	record := func() []byte {
+		e := memoExplorer(t, memo)
+		e.Telemetry = timeseries.NewSampler()
+		sw := memoSweep(t, e, workload.WebSearch(), memoFreqs)
+		samples := e.Telemetry.Series("sweep/" + sw.Workload.Name).Samples()
+		if len(samples) != len(sw.Points) {
+			t.Fatalf("%d samples for %d points", len(samples), len(sw.Points))
+		}
+		for i, pt := range sw.Points {
+			p, sm := pt.Power, samples[i]
+			want := timeseries.Ledger{
+				CoreDynNJ:  timeseries.NJ(p.CoreDynW),
+				CoreLeakNJ: timeseries.NJ(p.CoreLeakW),
+				LLCNJ:      timeseries.NJ(p.LLCW),
+				XbarNJ:     timeseries.NJ(p.XbarW),
+				IONJ:       timeseries.NJ(p.IOW),
+				DRAMNJ:     timeseries.NJ(p.DRAMW),
+			}
+			if sm.Energy != want || sm.Epoch != i || sm.FreqHz != pt.FreqHz || sm.VoltageV != pt.Op.Vdd {
+				t.Fatalf("sample %d is %+v, want the energy %+v of point %+v", i, sm, want, pt)
+			}
+		}
+		if err := e.Telemetry.Audit(0); err != nil {
+			t.Fatal(err)
+		}
+		var csv bytes.Buffer
+		if err := e.Telemetry.WriteCSV(&csv); err != nil {
+			t.Fatal(err)
+		}
+		return csv.Bytes()
+	}
+	miss := record()
+	hit := record()
+	requireStats(t, memo, 1, 1, 1)
+	if !bytes.Equal(hit, miss) {
+		t.Fatalf("the hit's telemetry differs from the miss's:\n%s\nvs\n%s", hit, miss)
 	}
 }
 

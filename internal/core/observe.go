@@ -81,9 +81,9 @@ func harvestResult(sink obs.Sink, p *workload.Profile, freqHz float64, res sampl
 	// efficiency figures, one uniquely-keyed gauge set per point.
 	key := pointKey(p, freqHz)
 	sink.Gauge(key + "uips_chip").Set(pt.UIPSChip)
-	sink.Gauge(key + "cores_w").Set(pt.Power.CoresW)
-	sink.Gauge(key + "uncore_w").Set(pt.Power.UncoreW)
-	sink.Gauge(key + "memory_w").Set(pt.Power.MemoryW)
+	sink.Gauge(key + "cores_w").Set(pt.Power.CoresW())
+	sink.Gauge(key + "uncore_w").Set(pt.Power.UncoreW())
+	sink.Gauge(key + "memory_w").Set(pt.Power.DRAMW)
 	sink.Gauge(key + "eff_cores").Set(pt.EffCores)
 	sink.Gauge(key + "eff_soc").Set(pt.EffSoC)
 	sink.Gauge(key + "eff_server").Set(pt.EffServer)

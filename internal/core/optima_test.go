@@ -15,7 +15,7 @@ func mkPoint(freqHz, effCores, effSoC, effServer float64, qosOK bool) Point {
 		EffSoC:    effSoC,
 		EffServer: effServer,
 		QoSOK:     qosOK,
-		Power:     platform.ServerPower{CoresW: 1, UncoreW: 1, MemoryW: 1},
+		Power:     platform.ServerPower{CoreDynW: 1, LLCW: 1, DRAMW: 1},
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"ntcsim/internal/governor"
 	"ntcsim/internal/platform"
 	"ntcsim/internal/rng"
 	"ntcsim/internal/tech"
@@ -32,12 +31,15 @@ func runVariation(ctx context.Context, p Params, env Env) error {
 	return w.Flush()
 }
 
-// standingUncore is the chip's uncore power at the standing traffic the
-// TDP and diurnal-day analyses charge: 100M LLC reads, 40M LLC writes
-// and 150M crossbar transfers per second in every cluster.
-func standingUncore(s *platform.Spec) governor.UncoreBreakdown {
-	llcW, xbarW, ioW := s.UncorePowerParts(100e6, 40e6, 150e6)
-	return governor.UncoreBreakdown{LLCW: llcW, XbarW: xbarW, IOW: ioW}
+// standingPower is the chip's power apart from its cores at the standing
+// traffic the TDP and diurnal-day analyses charge: the uncore at 100M LLC
+// reads, 40M LLC writes and 150M crossbar transfers per second in every
+// cluster, and the memory background.
+func standingPower(s *platform.Spec) platform.ServerPower {
+	var p platform.ServerPower
+	p.LLCW, p.XbarW, p.IOW = s.UncorePower(100e6, 40e6, 150e6)
+	p.DRAMW = s.MemoryPowerW(0, 0)
+	return p
 }
 
 // runDarkSilicon reproduces the Sec. V-B1 TDP argument: at NT operating
@@ -47,7 +49,7 @@ func runDarkSilicon(ctx context.Context, p Params, env Env) error {
 	fmt.Fprintln(out, "== Sec. V-B1: TDP and dark silicon across the DVFS range ==")
 	e := p.NewExplorer(env)
 	m := thermal.Default()
-	uncoreW := standingUncore(e.Platform).TotalW()
+	uncoreW := standingPower(e.Platform).UncoreW()
 	freqs := []float64{0.2e9, 0.5e9, 1.0e9, 1.5e9, 2.0e9, 2.5e9, 3.0e9, 3.2e9}
 	pts, err := thermal.DarkSilicon(m, e.Platform.Core, uncoreW, e.Platform.TotalCores(), freqs)
 	if err != nil {

@@ -104,7 +104,8 @@ func TestEightCoreVariantPricesWhatItSimulates(t *testing.T) {
 	llc.CapacityBytes = 8 << 20
 	spec := e8.Platform
 	want := 4*(llc.LeakagePower()+uncore.CrossbarPower(0)) + spec.Peripherals.Power()
-	if got := spec.UncorePowerW(0, 0, 0); math.Abs(got-want) > 1e-9 {
+	llcW, xbarW, ioW := spec.UncorePower(0, 0, 0)
+	if got := llcW + xbarW + ioW; math.Abs(got-want) > 1e-9 {
 		t.Fatalf("idle uncore %.4fW, want %.4fW (8MB of LLC leakage per cluster)", got, want)
 	}
 	if _, err := sim.NewCluster(spec.Cluster, workload.WebSearch(), 1e9); err != nil {

@@ -104,14 +104,13 @@ func diurnalDay(ctx context.Context, p Params, env Env) (*governor.Config, gover
 	}
 	maxUIPS := curve.UIPSAt(curve.MaxFreq())
 	cfg := &governor.Config{
-		Platform:       e.Platform,
-		Curve:          curve,
-		Tail:           qos.NewTailModel(e.Platform.TotalCores(), app.Baseline99p, maxUIPS),
-		QoSLimit:       app.QoSLimit,
-		Uncore:         standingUncore(e.Platform),
-		MemBackgroundW: e.Platform.MemoryPowerW(0, 0),
-		MemDynPerReq:   2e-3,
-		Margin:         0.85,
+		Platform:     e.Platform,
+		Curve:        curve,
+		Tail:         qos.NewTailModel(e.Platform.TotalCores(), app.Baseline99p, maxUIPS),
+		QoSLimit:     app.QoSLimit,
+		Standing:     standingPower(e.Platform),
+		MemDynPerReq: 2e-3,
+		Margin:       0.85,
 	}
 	peak := cfg.Tail.MaxLoad(cfg.QoSLimit, maxUIPS) * 0.7
 	trace := governor.DiurnalTrace(96, peak, 0.15, 0.04, 1.3, rng.New(p.Seed)).WithStep(time.Second)

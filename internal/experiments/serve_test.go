@@ -32,14 +32,13 @@ func serveTestSetup(t *testing.T) (*governor.Config, governor.LoadTrace) {
 		t.Fatal(err)
 	}
 	cfg := &governor.Config{
-		Platform:       spec,
-		Curve:          curve,
-		Tail:           qos.NewTailModel(spec.TotalCores(), 50*time.Millisecond, 25e9),
-		QoSLimit:       200 * time.Millisecond,
-		Uncore:         governor.UncoreBreakdown{IOW: 23},
-		MemBackgroundW: 15,
-		MemDynPerReq:   1e-3,
-		Margin:         0.85,
+		Platform:     spec,
+		Curve:        curve,
+		Tail:         qos.NewTailModel(spec.TotalCores(), 50*time.Millisecond, 25e9),
+		QoSLimit:     200 * time.Millisecond,
+		Standing:     platform.ServerPower{IOW: 23, DRAMW: 15},
+		MemDynPerReq: 1e-3,
+		Margin:       0.85,
 	}
 	trace := governor.DiurnalTrace(24, 600, 0.2, 0.05, 1.4, rng.New(7)).WithStep(time.Second)
 	return cfg, trace

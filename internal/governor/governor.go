@@ -10,7 +10,7 @@
 // and the queueing tail-latency model, wired together in a Config. The
 // Config answers the planning question (MinFeasibleFreq: the cheapest
 // QoS-feasible frequency for a load) and the accounting questions
-// (CorePower and SharedPower, and their ledger decompositions) for an
+// (CorePower and SharedPower, each a breakdown by ledger scope) for an
 // operating Decision: a frequency, RBB sleep of idle capacity, and an FBB
 // boost. The load shapes a policy is judged on — a diurnal day with
 // spikes, a single burst — are LoadTraces. The policies themselves, and
@@ -28,6 +28,7 @@ import (
 	"ntcsim/internal/platform"
 	"ntcsim/internal/qos"
 	"ntcsim/internal/rng"
+	"ntcsim/internal/tech"
 )
 
 // PerfPoint is one measured operating point.
@@ -173,26 +174,15 @@ func DiurnalTrace(steps int, peakLambda, troughFrac, spikeProb, spikeMag float64
 	return tr
 }
 
-// UncoreBreakdown is the standing uncore power, split into the scopes
-// the energy ledger attributes it to.
-type UncoreBreakdown struct {
-	LLCW  float64
-	XbarW float64
-	IOW   float64
-}
-
-// TotalW returns the breakdown's sum.
-func (u UncoreBreakdown) TotalW() float64 { return u.LLCW + u.XbarW + u.IOW }
-
 // Config wires the governor's models together.
 type Config struct {
 	Platform *platform.Spec
 	Curve    PerfCurve
 	Tail     qos.TailModel
 	QoSLimit time.Duration
-	// Uncore and MemBackgroundW are the standing non-core powers.
-	Uncore         UncoreBreakdown
-	MemBackgroundW float64
+	// Standing is the power the chip draws whatever the operating point:
+	// the uncore and the memory background. Its core scopes are zero.
+	Standing platform.ServerPower
 	// MemDynPerReq is the memory dynamic energy per request (J).
 	MemDynPerReq float64
 	// Margin derates capacity during planning (e.g. 0.85 plans for 85%).
@@ -227,86 +217,37 @@ func (cfg *Config) MinFeasibleFreq(lambda float64) float64 {
 const boostDuty = 0.1
 
 // CorePower returns the power of a block of n cores governed by decision d
-// with the given busy fraction in [0, 1]: busy cores run at the operating
-// point's active power, idle capacity either leaks or RBB-sleeps, and a
-// boosted step additionally charges the FBB leakage premium for boostDuty
-// of the interval. The discrete-event serving simulator calls it per
-// cluster with a measured busy fraction.
-func (cfg *Config) CorePower(d Decision, n int, busy float64) (float64, error) {
+// with the given busy fraction in [0, 1], split into its dynamic and
+// leakage parts, and the operating point d resolves to. Only busy cores
+// switch, at the operating point's active power; everything else is
+// static: the busy cores' leakage, the idle capacity's leakage or RBB
+// sleep power, and for a boosted step the FBB leakage premium over
+// boostDuty of the interval. The discrete-event serving simulator prices
+// each cluster's epoch with it.
+func (cfg *Config) CorePower(d Decision, n int, busy float64) (platform.ServerPower, tech.OperatingPoint, error) {
 	op, err := cfg.Platform.Tech.OperatingPointFor(d.FreqHz, 0)
 	if err != nil {
-		return 0, err
+		return platform.ServerPower{}, tech.OperatingPoint{}, err
 	}
+	core := cfg.Platform.Core
 	nf := float64(n)
-	active := cfg.Platform.Core.Power(op, 1.0)
-	idle := cfg.Platform.Core.IdlePower(op, d.Sleep)
-	w := nf * (busy*active + (1-busy)*idle)
-	if d.Boost {
-		boostLeak := nf * cfg.Platform.Core.LeakagePower(op.Vdd, cfg.Platform.Tech.BoostBias())
-		w += boostDuty * (boostLeak - nf*idle)
+	idle := core.IdlePower(op, d.Sleep)
+	p := platform.ServerPower{
+		CoreDynW:  nf * busy * core.DynamicPower(op.Vdd, op.FreqHz, 1),
+		CoreLeakW: nf * (busy*core.LeakagePower(op.Vdd, op.Vbb) + (1-busy)*idle),
 	}
-	return w, nil
+	if d.Boost {
+		boostLeak := nf * core.LeakagePower(op.Vdd, cfg.Platform.Tech.BoostBias())
+		p.CoreLeakW += boostDuty * (boostLeak - nf*idle)
+	}
+	return p, op, nil
 }
 
-// SharedPower returns the per-chip standing power plus the request-rate-
+// SharedPower returns the chip's standing power plus the request-rate-
 // proportional memory dynamic power: the non-core terms every policy pays
 // regardless of the operating point.
-func (cfg *Config) SharedPower(lambda float64) float64 {
-	return cfg.Uncore.TotalW() + cfg.MemBackgroundW + lambda*cfg.MemDynPerReq
-}
-
-// CoreParts is CorePower's answer decomposed for the energy ledger:
-// switching watts, static watts (idle leakage, sleep and boost premiums
-// all count as leakage), and the supply voltage of the operating point.
-type CoreParts struct {
-	DynW  float64
-	LeakW float64
-	Vdd   float64
-}
-
-// CorePowerParts computes the same quantity as CorePower but split into
-// dynamic and leakage attribution scopes: DynW+LeakW re-associates
-// CorePower's sum and stays within float ulps of it. Only busy cores
-// switch, so the dynamic part scales with the busy fraction; everything
-// else — active-core leakage, idle leakage or sleep power, and the FBB
-// boost premium — is static and lands in LeakW.
-func (cfg *Config) CorePowerParts(d Decision, n int, busy float64) (CoreParts, error) {
-	op, err := cfg.Platform.Tech.OperatingPointFor(d.FreqHz, 0)
-	if err != nil {
-		return CoreParts{}, err
-	}
-	nf := float64(n)
-	dynOne, leakOne := cfg.Platform.Core.PowerParts(op, 1.0)
-	idle := cfg.Platform.Core.IdlePower(op, d.Sleep)
-	p := CoreParts{
-		DynW:  nf * busy * dynOne,
-		LeakW: nf * (busy*leakOne + (1-busy)*idle),
-		Vdd:   op.Vdd,
-	}
-	if d.Boost {
-		boostLeak := nf * cfg.Platform.Core.LeakagePower(op.Vdd, cfg.Platform.Tech.BoostBias())
-		p.LeakW += boostDuty * (boostLeak - nf*idle)
-	}
-	return p, nil
-}
-
-// SharedParts is SharedPower decomposed for the energy ledger.
-type SharedParts struct {
-	LLCW  float64
-	XbarW float64
-	IOW   float64
-	DRAMW float64
-}
-
-// SharedPowerParts attributes SharedPower(lambda) to ledger scopes: the
-// uncore breakdown, and memory background plus per-request dynamic energy
-// under DRAM. The parts sum re-associates SharedPower's and stays within
-// float ulps of it.
-func (cfg *Config) SharedPowerParts(lambda float64) SharedParts {
-	return SharedParts{
-		LLCW:  cfg.Uncore.LLCW,
-		XbarW: cfg.Uncore.XbarW,
-		IOW:   cfg.Uncore.IOW,
-		DRAMW: cfg.MemBackgroundW + lambda*cfg.MemDynPerReq,
-	}
+func (cfg *Config) SharedPower(lambda float64) platform.ServerPower {
+	p := cfg.Standing
+	p.DRAMW += lambda * cfg.MemDynPerReq
+	return p
 }

@@ -22,14 +22,13 @@ func testConfig(t *testing.T) *Config {
 		t.Fatal(err)
 	}
 	return &Config{
-		Platform:       spec,
-		Curve:          curve,
-		Tail:           qos.NewTailModel(36, 50*time.Millisecond, 25e9),
-		QoSLimit:       200 * time.Millisecond,
-		Uncore:         UncoreBreakdown{LLCW: 10, XbarW: 5, IOW: 8},
-		MemBackgroundW: 15,
-		MemDynPerReq:   1e-3,
-		Margin:         0.85,
+		Platform:     spec,
+		Curve:        curve,
+		Tail:         qos.NewTailModel(36, 50*time.Millisecond, 25e9),
+		QoSLimit:     200 * time.Millisecond,
+		Standing:     platform.ServerPower{LLCW: 10, XbarW: 5, IOW: 8, DRAMW: 15},
+		MemDynPerReq: 1e-3,
+		Margin:       0.85,
 	}
 }
 

@@ -5,50 +5,71 @@ import (
 	"testing"
 )
 
-// TestCorePowerPartsMatchesCorePower pins the decomposition contract:
-// DynW+LeakW is the same watts CorePower charges, only re-associated, so
-// the energy ledger conserves by construction.
-func TestCorePowerPartsMatchesCorePower(t *testing.T) {
+// TestCorePowerAtBusyBounds checks the one core-power function against
+// the core model's primitives at both ends of the busy range: n idle
+// cores draw n·IdlePower (leakage, or sleep power under RBB), n busy
+// cores draw n·Power(op, 1), and a boosted step adds the FBB leakage
+// premium over boostDuty of the interval.
+func TestCorePowerAtBusyBounds(t *testing.T) {
 	cfg := testConfig(t)
+	core := cfg.Platform.Core
+	n := cfg.Platform.TotalCores()
+	nf := float64(n)
 	for _, freq := range []float64{0.2e9, 0.5e9, 1.0e9, 2.0e9} {
-		for _, busy := range []float64{0, 0.3, 0.85, 1} {
-			for _, d := range []Decision{
-				{FreqHz: freq},
-				{FreqHz: freq, Sleep: true},
-				{FreqHz: freq, Boost: true},
+		for _, d := range []Decision{
+			{FreqHz: freq},
+			{FreqHz: freq, Sleep: true},
+			{FreqHz: freq, Boost: true},
+		} {
+			op, err := cfg.Platform.Tech.OperatingPointFor(freq, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			idle := nf * core.IdlePower(op, d.Sleep)
+			var premium float64
+			if d.Boost {
+				premium = boostDuty * (nf*core.LeakagePower(op.Vdd, cfg.Platform.Tech.BoostBias()) - idle)
+			}
+			for _, c := range []struct {
+				busy, wantW, wantDynW float64
+			}{
+				{0, idle + premium, 0},
+				{1, nf*core.Power(op, 1) + premium, nf * core.DynamicPower(op.Vdd, op.FreqHz, 1)},
 			} {
-				want, err := cfg.CorePower(d, cfg.Platform.TotalCores(), busy)
+				p, gotOp, err := cfg.CorePower(d, n, c.busy)
 				if err != nil {
 					t.Fatal(err)
 				}
-				parts, err := cfg.CorePowerParts(d, cfg.Platform.TotalCores(), busy)
-				if err != nil {
-					t.Fatal(err)
+				if gotOp != op {
+					t.Errorf("d=%+v: operating point %+v, want %+v", d, gotOp, op)
 				}
-				got := parts.DynW + parts.LeakW
-				if diff := math.Abs(got - want); diff > 1e-9*math.Max(1, want) {
-					t.Errorf("f=%g busy=%g d=%+v: parts sum %.15g, CorePower %.15g",
-						freq, busy, d, got, want)
+				if p.UncoreW() != 0 || p.DRAMW != 0 {
+					t.Errorf("d=%+v busy=%g: core power charges non-core scopes: %+v", d, c.busy, p)
 				}
-				if parts.Vdd <= 0 {
-					t.Errorf("f=%g: parts carry no Vdd", freq)
+				if got := p.CoresW(); math.Abs(got-c.wantW) > 1e-12*c.wantW {
+					t.Errorf("d=%+v busy=%g: %.15g W, want %.15g W", d, c.busy, got, c.wantW)
+				}
+				if math.Abs(p.CoreDynW-c.wantDynW) > 1e-12*c.wantW {
+					t.Errorf("d=%+v busy=%g: dynamic %.15g W, want %.15g W", d, c.busy, p.CoreDynW, c.wantDynW)
 				}
 			}
 		}
 	}
 }
 
-// TestSharedPowerPartsMatchesSharedPower checks that the ledger scopes
-// carry the configured uncore breakdown and sum to SharedPower.
-func TestSharedPowerPartsMatchesSharedPower(t *testing.T) {
+// TestSharedPowerChargesStanding checks that the shared power is the
+// configured standing breakdown, scope by scope, plus the request-rate-
+// proportional memory dynamic power under DRAM.
+func TestSharedPowerChargesStanding(t *testing.T) {
 	cfg := testConfig(t)
 	for _, lambda := range []float64{0, 500, 2200} {
-		p := cfg.SharedPowerParts(lambda)
-		if p.LLCW != cfg.Uncore.LLCW || p.XbarW != cfg.Uncore.XbarW || p.IOW != cfg.Uncore.IOW {
-			t.Fatalf("breakdown not honored: %+v, uncore %+v", p, cfg.Uncore)
+		want := cfg.Standing
+		want.DRAMW += lambda * cfg.MemDynPerReq
+		if got := cfg.SharedPower(lambda); got != want {
+			t.Fatalf("lambda=%g: shared power %+v, want %+v", lambda, got, want)
 		}
-		if got, want := p.LLCW+p.XbarW+p.IOW+p.DRAMW, cfg.SharedPower(lambda); math.Abs(got-want) > 1e-9 {
-			t.Fatalf("lambda=%g: parts sum %g, SharedPower %g", lambda, got, want)
-		}
+	}
+	if cfg.Standing.CoresW() != 0 || cfg.SharedPower(0).TotalW() != 10+5+8+15 {
+		t.Fatalf("standing breakdown not charged as configured: %+v", cfg.SharedPower(0))
 	}
 }

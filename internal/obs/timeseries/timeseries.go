@@ -34,10 +34,10 @@
 // Sampler.Audit then fails the run if any series' ledger sum diverges
 // from its reported total beyond a relative epsilon — catching
 // attribution bugs (a component dropped, double-charged, or mis-scaled).
-// DefaultEpsilon (1e-6 relative) absorbs both the ≤0.5 nJ/component/sample
-// quantization and float-association ulps between the total and per-part
-// computations, while any real attribution bug is orders of magnitude
-// larger.
+// Producers charge their total and book their ledger from the same
+// per-scope watts, so the two differ only by nanojoule quantization:
+// DefaultEpsilon (1e-6 relative) absorbs the ≤0.5 nJ/component/sample
+// rounding, while any real attribution bug is orders of magnitude larger.
 package timeseries
 
 import (
@@ -52,8 +52,8 @@ import (
 )
 
 // DefaultEpsilon is Audit's default relative tolerance. See the package
-// comment for why 1e-6: quantization and ulp drift sit far below it,
-// real attribution bugs far above.
+// comment for why 1e-6: nanojoule quantization sits far below it, real
+// attribution bugs far above.
 const DefaultEpsilon = 1e-6
 
 // NJ converts joules to fixed-point integer nanojoules (round to

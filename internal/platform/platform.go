@@ -14,6 +14,7 @@ package platform
 import (
 	"fmt"
 
+	"ntcsim/internal/obs/timeseries"
 	"ntcsim/internal/power"
 	"ntcsim/internal/sim"
 	"ntcsim/internal/tech"
@@ -96,26 +97,19 @@ func (s *Spec) CheckBudgets() error {
 	return nil
 }
 
-// CorePowerW returns chip-level core power: all cores at the operating
-// point with the given activity factor.
-func (s *Spec) CorePowerW(op tech.OperatingPoint, activity float64) float64 {
-	return float64(s.TotalCores()) * s.Core.Power(op, activity)
+// CorePower returns chip-level core power, all cores at the operating
+// point with the given activity factor, as its dynamic and leakage parts.
+func (s *Spec) CorePower(op tech.OperatingPoint, activity float64) (dynW, leakW float64) {
+	n := float64(s.TotalCores())
+	return n * s.Core.DynamicPower(op.Vdd, op.FreqHz, activity), n * s.Core.LeakagePower(op.Vdd, op.Vbb)
 }
 
-// UncorePowerW returns chip-level uncore power: per-cluster LLCs (leakage +
-// access energy at the given per-cluster rates) and crossbars, plus the
-// chip-edge peripherals. The uncore is on its own voltage/frequency domain
-// and does not scale with the cores' DVFS point (paper Sec. II-C2).
-func (s *Spec) UncorePowerW(llcReadsPerSec, llcWritesPerSec, xbarPerSec float64) float64 {
-	perCluster := s.Cluster.LLC.Power(llcReadsPerSec, llcWritesPerSec) + uncore.CrossbarPower(xbarPerSec)
-	return float64(s.Clusters)*perCluster + s.Peripherals.Power()
-}
-
-// UncorePowerParts decomposes UncorePowerW into its three attribution
-// scopes (chip-level LLC, crossbar, and peripheral/IO watts) for
-// energy telemetry. llcW+xbarW+ioW re-associates UncorePowerW's sum but
-// stays within float ulps of it — inside any conservation epsilon.
-func (s *Spec) UncorePowerParts(llcReadsPerSec, llcWritesPerSec, xbarPerSec float64) (llcW, xbarW, ioW float64) {
+// UncorePower returns chip-level uncore power as its LLC, crossbar and
+// I/O parts: per-cluster LLCs (leakage + access energy at the given
+// per-cluster rates) and crossbars, and the chip-edge peripherals. The
+// uncore is on its own voltage/frequency domain and does not scale with
+// the cores' DVFS point (paper Sec. II-C2).
+func (s *Spec) UncorePower(llcReadsPerSec, llcWritesPerSec, xbarPerSec float64) (llcW, xbarW, ioW float64) {
 	cl := float64(s.Clusters)
 	return cl * s.Cluster.LLC.Power(llcReadsPerSec, llcWritesPerSec),
 		cl * uncore.CrossbarPower(xbarPerSec),
@@ -129,15 +123,40 @@ func (s *Spec) MemoryPowerW(readBW, writeBW float64) float64 {
 	return m.Energies().Power(m.Ranks(), readBW, writeBW)
 }
 
-// ServerPower decomposes total server power at the paper's three scopes.
+// ServerPower is server power split into the six scopes of the energy
+// ledger (timeseries.Ledger). The paper's three scopes (cores, SoC =
+// cores + uncore, server = SoC + memory) are sums of these parts, so
+// every total, efficiency and ledger reads the same numbers.
 type ServerPower struct {
-	CoresW  float64
-	UncoreW float64
-	MemoryW float64
+	CoreDynW  float64 // core switching
+	CoreLeakW float64 // core static (incl. sleep and boost premiums)
+	LLCW      float64 // last-level caches
+	XbarW     float64 // crossbars
+	IOW       float64 // chip-edge peripherals
+	DRAMW     float64 // memory background + dynamic
 }
 
+// CoresW returns the cores' power.
+func (p ServerPower) CoresW() float64 { return p.CoreDynW + p.CoreLeakW }
+
+// UncoreW returns the uncore's power (LLC, crossbar, I/O).
+func (p ServerPower) UncoreW() float64 { return p.LLCW + p.XbarW + p.IOW }
+
 // SoCW returns cores + uncore (the processor die).
-func (p ServerPower) SoCW() float64 { return p.CoresW + p.UncoreW }
+func (p ServerPower) SoCW() float64 { return p.CoresW() + p.UncoreW() }
 
 // TotalW returns the full server power (SoC + memory).
-func (p ServerPower) TotalW() float64 { return p.SoCW() + p.MemoryW }
+func (p ServerPower) TotalW() float64 { return p.SoCW() + p.DRAMW }
+
+// Ledger returns the energy of p held for the given seconds, scope by
+// scope in integer nanojoules.
+func (p ServerPower) Ledger(seconds float64) timeseries.Ledger {
+	return timeseries.Ledger{
+		CoreDynNJ:  timeseries.NJ(p.CoreDynW * seconds),
+		CoreLeakNJ: timeseries.NJ(p.CoreLeakW * seconds),
+		LLCNJ:      timeseries.NJ(p.LLCW * seconds),
+		XbarNJ:     timeseries.NJ(p.XbarW * seconds),
+		IONJ:       timeseries.NJ(p.IOW * seconds),
+		DRAMNJ:     timeseries.NJ(p.DRAMW * seconds),
+	}
+}

@@ -37,14 +37,20 @@ func TestNineClustersFitTenDoNot(t *testing.T) {
 	}
 }
 
+// uncoreW sums the chip's uncore power parts.
+func uncoreW(s *Spec, llcReadsPerSec, llcWritesPerSec, xbarPerSec float64) float64 {
+	llcW, xbarW, ioW := s.UncorePower(llcReadsPerSec, llcWritesPerSec, xbarPerSec)
+	return llcW + xbarW + ioW
+}
+
 func TestUncorePowerComposition(t *testing.T) {
 	s := Default()
-	idle := s.UncorePowerW(0, 0, 0)
+	idle := uncoreW(s, 0, 0, 0)
 	// 9 x (4MB LLC ~2W + crossbar 25mW) + 5W peripherals ~ 23W.
 	if idle < 18 || idle > 30 {
 		t.Fatalf("idle uncore = %.1fW, want ~23W", idle)
 	}
-	busy := s.UncorePowerW(200e6, 80e6, 300e6)
+	busy := uncoreW(s, 200e6, 80e6, 300e6)
 	if busy <= idle {
 		t.Fatal("uncore power should grow with activity")
 	}
@@ -77,7 +83,8 @@ func TestCorePowerScalesWithCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := s.CorePowerW(op, 1.0)
+	dynW, leakW := s.CorePower(op, 1.0)
+	full := dynW + leakW
 	if full <= 0 {
 		t.Fatal("core power must be positive")
 	}
@@ -95,14 +102,18 @@ func TestCoresFitPowerBudgetAtQoSFrequencies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chip := s.CorePowerW(op, 1.0) + s.UncorePowerW(100e6, 40e6, 150e6)
+	dynW, leakW := s.CorePower(op, 1.0)
+	chip := dynW + leakW + uncoreW(s, 100e6, 40e6, 150e6)
 	if budget := thermal.Default().TDPW; chip > budget {
 		t.Fatalf("chip power at 2GHz = %.1fW exceeds %v W budget", chip, budget)
 	}
 }
 
 func TestServerPowerScopes(t *testing.T) {
-	p := ServerPower{CoresW: 10, UncoreW: 20, MemoryW: 5}
+	p := ServerPower{CoreDynW: 6, CoreLeakW: 4, LLCW: 12, XbarW: 3, IOW: 5, DRAMW: 5}
+	if p.CoresW() != 10 || p.UncoreW() != 20 {
+		t.Fatalf("cores = %v, uncore = %v", p.CoresW(), p.UncoreW())
+	}
 	if p.SoCW() != 30 {
 		t.Fatalf("SoC = %v", p.SoCW())
 	}

@@ -73,14 +73,6 @@ func (m *CoreModel) Power(op tech.OperatingPoint, activity float64) float64 {
 	return m.DynamicPower(op.Vdd, op.FreqHz, activity) + m.LeakagePower(op.Vdd, op.Vbb)
 }
 
-// PowerParts returns the dynamic and leakage components of Power
-// separately, for energy-attribution telemetry. The parts are the same
-// two terms Power adds, so dynW+leakW equals Power(op, activity) exactly
-// (one float addition, no re-association).
-func (m *CoreModel) PowerParts(op tech.OperatingPoint, activity float64) (dynW, leakW float64) {
-	return m.DynamicPower(op.Vdd, op.FreqHz, activity), m.LeakagePower(op.Vdd, op.Vbb)
-}
-
 // SleepPower returns the state-retentive sleep power (clocks gated, maximum
 // reverse body bias applied; paper Sec. II-A item 3).
 func (m *CoreModel) SleepPower(vdd float64) float64 {

@@ -41,12 +41,14 @@ type Config struct {
 	FastForwardInstr uint64
 	// MinSamples / MaxSamples bound the adaptive loop.
 	MinSamples, MaxSamples int
-	// Confidence is the confidence level (0.95).
-	Confidence float64
-	// TargetRelErr is the stopping threshold on the relative CI half-width
-	// of UIPC (0.02).
+	// TargetRelErr is the stopping threshold on the relative half-width
+	// of UIPC's confidence interval at level confidence (0.02).
 	TargetRelErr float64
 }
+
+// confidence is the level of every confidence interval the sampler
+// computes (paper Sec. IV: "95% confidence level").
+const confidence = 0.95
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
@@ -55,8 +57,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sampling: windows must be positive")
 	case c.MinSamples < 2 || c.MaxSamples < c.MinSamples:
 		return fmt.Errorf("sampling: need MaxSamples >= MinSamples >= 2")
-	case c.Confidence <= 0 || c.Confidence >= 1:
-		return fmt.Errorf("sampling: confidence out of (0,1)")
 	case c.TargetRelErr <= 0:
 		return fmt.Errorf("sampling: target relative error must be positive")
 	}
@@ -73,7 +73,6 @@ func PaperConfig(p *workload.Profile) Config {
 		FastForwardInstr: 300_000,
 		MinSamples:       4,
 		MaxSamples:       40,
-		Confidence:       0.95,
 		TargetRelErr:     0.02,
 	}
 	if p != nil && p.Name == "data-serving" {
@@ -94,7 +93,6 @@ func QuickConfig() Config {
 		FastForwardInstr: 60_000,
 		MinSamples:       3,
 		MaxSamples:       10,
-		Confidence:       0.95,
 		TargetRelErr:     0.05,
 	}
 }
@@ -110,8 +108,8 @@ type Result struct {
 	Total sim.Measurement
 }
 
-// RelErr returns the relative CI half-width at the configured confidence.
-func (r Result) RelErr(confidence float64) float64 { return r.UIPC.RelativeError(confidence) }
+// RelErr returns the relative half-width of UIPC's confidence interval.
+func (r Result) RelErr() float64 { return r.UIPC.RelativeError(confidence) }
 
 // MeanUIPS returns the mean user instructions per second, using the
 // frequency of the sampled windows.
@@ -134,7 +132,7 @@ func Run(t Target, cfg Config) (Result, error) {
 		res.Samples = append(res.Samples, m)
 		res.UIPC.Add(m.UIPC())
 		res.Total.Add(m)
-		if i+1 >= cfg.MinSamples && res.UIPC.RelativeError(cfg.Confidence) <= cfg.TargetRelErr {
+		if i+1 >= cfg.MinSamples && res.RelErr() <= cfg.TargetRelErr {
 			res.Converged = true
 			break
 		}

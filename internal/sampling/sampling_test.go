@@ -53,7 +53,7 @@ func TestConvergesOnLowNoise(t *testing.T) {
 	}
 	if !res.Converged {
 		t.Fatalf("low-noise target should converge, rel err %.4f after %d samples",
-			res.RelErr(cfg.Confidence), len(res.Samples))
+			res.RelErr(), len(res.Samples))
 	}
 	if res.UIPC.Mean() < 0.9 || res.UIPC.Mean() > 1.1 {
 		t.Fatalf("mean UIPC = %v, want ~1.0", res.UIPC.Mean())
@@ -113,7 +113,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.WarmupCycles = -1 },
 		func(c *Config) { c.MinSamples = 1 },
 		func(c *Config) { c.MaxSamples = 2; c.MinSamples = 3 },
-		func(c *Config) { c.Confidence = 1.0 },
 		func(c *Config) { c.TargetRelErr = 0 },
 	}
 	for i, mutate := range bad {
@@ -137,7 +136,7 @@ func TestPaperConfigDataServingWindows(t *testing.T) {
 	if ds.WarmupCycles != 2_000_000 || ds.MeasureCycles != 400_000 {
 		t.Fatalf("data-serving windows: %+v", ds)
 	}
-	if std.Confidence != 0.95 || std.TargetRelErr != 0.02 {
+	if confidence != 0.95 || std.TargetRelErr != 0.02 {
 		t.Fatal("paper requires 95% confidence, 2% error")
 	}
 }

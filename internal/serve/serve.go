@@ -14,8 +14,9 @@
 // and picks the next governor.Decision, so DVFS+FBB reacts to feedback,
 // not just to the offered-load plan. Per-request latencies stream into a
 // bounded-relative-error percentile Sketch; energy integrates the
-// governor's shared power accounting (CorePower with the measured busy
-// fraction, SharedPower with the measured served rate).
+// governor's power accounting (each cluster's core power at its measured
+// busy fraction, the shared power at the measured served rate), and the
+// same per-scope watts are booked into the energy ledger.
 //
 // Determinism contract: a Sim is single-threaded and all randomness comes
 // from substreams of the seed stream handed to New, so Result is a pure
@@ -38,6 +39,7 @@ import (
 	"ntcsim/internal/governor"
 	"ntcsim/internal/obs"
 	"ntcsim/internal/obs/timeseries"
+	"ntcsim/internal/platform"
 	"ntcsim/internal/rng"
 )
 
@@ -205,9 +207,8 @@ type Result struct {
 	EnergyJ   float64 // energy over the trace horizon
 	AvgPowerW float64 // EnergyJ / horizon
 
-	// Ledger attributes EnergyJ by component (integer nanojoules). Only
-	// populated when Telemetry or Metrics is configured; its component
-	// sum matches EnergyJ within the conservation epsilon.
+	// Ledger attributes EnergyJ by component (integer nanojoules); its
+	// component sum matches EnergyJ within the conservation epsilon.
 	Ledger timeseries.Ledger
 }
 
@@ -245,7 +246,6 @@ type Sim struct {
 	maxQueue                                      int
 
 	tel       *timeseries.Series
-	attrib    bool              // derived from tel/metrics presence at New
 	ledger    timeseries.Ledger // run-total energy attribution
 	partsMemo map[governor.Decision]partsCoeffs
 
@@ -303,7 +303,7 @@ func New(cfg Config, seed *rng.Stream) (*Sim, error) {
 	// Every curve frequency must resolve to an operating point and a
 	// positive service time now, so the event loop cannot fail later.
 	for _, pt := range cfg.Gov.Curve.Points {
-		if _, err := cfg.Gov.CorePower(governor.Decision{FreqHz: pt.FreqHz}, 1, 0); err != nil {
+		if _, _, err := cfg.Gov.CorePower(governor.Decision{FreqHz: pt.FreqHz}, 1, 0); err != nil {
 			return nil, fmt.Errorf("serve: curve point %.0f MHz: %w", pt.FreqHz/1e6, err)
 		}
 		if cfg.Gov.Tail.MeanService(pt.UIPS) <= 0 {
@@ -323,7 +323,6 @@ func New(cfg Config, seed *rng.Stream) (*Sim, error) {
 		perCl:  fleet.Cluster.CoresPerCluster,
 		loads:  make([]ClusterLoad, fleet.Clusters),
 		tel:    cfg.Telemetry,
-		attrib: cfg.Telemetry != nil || cfg.Metrics != nil,
 	}
 	s.needLoads = needsLoads(cfg.Balancer)
 	s.clusters = make([]*cluster, fleet.Clusters)
@@ -461,67 +460,50 @@ func (s *Sim) processDeparture() {
 }
 
 // finishEpoch closes the epoch ending at the current clock: charges its
-// energy from the measured busy fractions and served rate, emits the
-// per-cluster trace spans, and resets the epoch accumulators.
+// energy from the measured busy fractions and served rate, attributes it
+// to the ledger and the telemetry, emits the per-cluster trace spans, and
+// resets the epoch accumulators.
 func (s *Sim) finishEpoch() error {
 	stepSec := s.gen.step.Seconds()
 	kc := s.perCl
 	denom := float64(kc) * float64(s.gen.step)
 	start := s.gen.step * time.Duration(s.epoch)
 	rate := float64(s.servedEpoch) / stepSec
-	// Energy attribution is nil-gated behind attrib; the energy charge
-	// itself (s.energyJ) runs the identical float sequence either way.
-	var sharedLed timeseries.Ledger
-	var p99 time.Duration
-	var dynFull, leakIdle, leakSlope, vdd float64
-	if s.attrib {
-		// One cluster's share of the chip-wide standing power this epoch.
-		// The shared terms are charged once per chip but attributed per
-		// cluster, so each row carries 1/Clusters of them.
-		shared := s.gcfg.SharedPowerParts(rate)
-		cf := stepSec / float64(len(s.clusters))
-		sharedLed = timeseries.Ledger{
-			LLCNJ:  timeseries.NJ(shared.LLCW * cf),
-			XbarNJ: timeseries.NJ(shared.XbarW * cf),
-			IONJ:   timeseries.NJ(shared.IOW * cf),
-			DRAMNJ: timeseries.NJ(shared.DRAMW * cf),
-		}
-		p99 = s.sketch.Quantile(0.99)
-		co, err := s.partsFor(s.decision, kc)
-		if err != nil {
-			return fmt.Errorf("serve: epoch %d power parts: %w", s.epoch, err)
-		}
-		dynFull, leakIdle, leakSlope, vdd = co.dynFull, co.leakIdle, co.leakSlope, co.vdd
+	co, err := s.partsFor(s.decision, kc)
+	if err != nil {
+		return fmt.Errorf("serve: epoch %d power: %w", s.epoch, err)
 	}
+	// The shared power is charged once per chip but attributed per
+	// cluster, so each row carries 1/Clusters of it.
+	shared := s.gcfg.SharedPower(rate)
+	sharedLed := shared.Ledger(stepSec / float64(len(s.clusters)))
+	p99 := s.sketch.Quantile(0.99)
 	for i, c := range s.clusters {
 		c.settle(s.now)
 		busyFrac := float64(c.busyAcc) / denom
 		if busyFrac > 1 {
 			busyFrac = 1
 		}
-		w, err := s.gcfg.CorePower(s.decision, kc, busyFrac)
-		if err != nil {
-			return fmt.Errorf("serve: epoch %d power: %w", s.epoch, err)
+		w := platform.ServerPower{
+			CoreDynW:  busyFrac * co.dynFull,
+			CoreLeakW: co.leakIdle + busyFrac*co.leakSlope,
 		}
-		s.energyJ += w * stepSec
-		if s.attrib {
-			led := sharedLed
-			led.CoreDynNJ = timeseries.NJ(busyFrac * dynFull * stepSec)
-			led.CoreLeakNJ = timeseries.NJ((leakIdle + busyFrac*leakSlope) * stepSec)
-			s.ledger.Add(led)
-			s.tel.Record(timeseries.Sample{
-				Epoch:    s.epoch,
-				Cluster:  i,
-				Start:    start,
-				Dur:      s.gen.step,
-				Energy:   led,
-				FreqHz:   s.decision.FreqHz,
-				VoltageV: vdd,
-				Util:     busyFrac,
-				Queue:    c.qlen(),
-				P99:      p99,
-			})
-		}
+		s.energyJ += w.TotalW() * stepSec
+		led := w.Ledger(stepSec)
+		led.Add(sharedLed)
+		s.ledger.Add(led)
+		s.tel.Record(timeseries.Sample{
+			Epoch:    s.epoch,
+			Cluster:  i,
+			Start:    start,
+			Dur:      s.gen.step,
+			Energy:   led,
+			FreqHz:   s.decision.FreqHz,
+			VoltageV: co.vdd,
+			Util:     busyFrac,
+			Queue:    c.qlen(),
+			P99:      p99,
+		})
 		if s.cfg.Tracer != nil {
 			s.cfg.Tracer.CompleteAt("serve", fmt.Sprintf("cluster %d", i), s.lanes[i], start, s.gen.step,
 				map[string]any{
@@ -534,7 +516,7 @@ func (s *Sim) finishEpoch() error {
 		c.busyAcc = 0
 	}
 	s.lastRate = rate
-	s.energyJ += s.gcfg.SharedPower(rate) * stepSec
+	s.energyJ += shared.TotalW() * stepSec
 	s.servedEpoch = 0
 	return nil
 }
@@ -628,36 +610,36 @@ func (s *Sim) publishEnergyGauges() {
 	set("dram_j", s.ledger.DRAMNJ)
 }
 
-// partsCoeffs caches the attribution split for one decision: DynW scales
-// with the busy fraction, LeakW interpolates between all-idle and
+// partsCoeffs caches the core power of one decision: CoreDynW scales
+// with the busy fraction, CoreLeakW interpolates between all-idle and
 // all-busy (the boost premium is constant in busy), so per cluster the
-// ledger is pure arithmetic on these four floats.
+// charge is pure arithmetic on the first three floats; vdd labels the
+// telemetry.
 type partsCoeffs struct {
 	dynFull, leakIdle, leakSlope, vdd float64
 }
 
-// partsFor memoizes CorePowerParts' affine coefficients per decision.
+// partsFor memoizes CorePower's affine coefficients per decision.
 // Policies revisit a handful of operating points over a trace, so the
-// memo bounds the attribution cost to one operating-point solve pair per
-// distinct decision — the telemetry-on hot path stays inside the <2%
-// overhead budget (BenchmarkObsOverheadSampler).
+// memo bounds the cost to one operating-point solve pair per distinct
+// decision.
 func (s *Sim) partsFor(d governor.Decision, kc int) (partsCoeffs, error) {
 	if co, ok := s.partsMemo[d]; ok {
 		return co, nil
 	}
-	parts0, err := s.gcfg.CorePowerParts(d, kc, 0)
+	idle, _, err := s.gcfg.CorePower(d, kc, 0)
 	if err != nil {
 		return partsCoeffs{}, err
 	}
-	parts1, err := s.gcfg.CorePowerParts(d, kc, 1)
+	busy, op, err := s.gcfg.CorePower(d, kc, 1)
 	if err != nil {
 		return partsCoeffs{}, err
 	}
 	co := partsCoeffs{
-		dynFull:   parts1.DynW,
-		leakIdle:  parts0.LeakW,
-		leakSlope: parts1.LeakW - parts0.LeakW,
-		vdd:       parts1.Vdd,
+		dynFull:   busy.CoreDynW,
+		leakIdle:  idle.CoreLeakW,
+		leakSlope: busy.CoreLeakW - idle.CoreLeakW,
+		vdd:       op.Vdd,
 	}
 	if s.partsMemo == nil {
 		s.partsMemo = make(map[governor.Decision]partsCoeffs)

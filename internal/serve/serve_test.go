@@ -28,14 +28,13 @@ func testGov(t *testing.T, clusters, perCluster int) *governor.Config {
 		t.Fatal(err)
 	}
 	return &governor.Config{
-		Platform:       spec,
-		Curve:          curve,
-		Tail:           qos.NewTailModel(clusters*perCluster, 50*time.Millisecond, 25e9),
-		QoSLimit:       200 * time.Millisecond,
-		Uncore:         governor.UncoreBreakdown{IOW: 23},
-		MemBackgroundW: 15,
-		MemDynPerReq:   1e-3,
-		Margin:         0.85,
+		Platform:     spec,
+		Curve:        curve,
+		Tail:         qos.NewTailModel(clusters*perCluster, 50*time.Millisecond, 25e9),
+		QoSLimit:     200 * time.Millisecond,
+		Standing:     platform.ServerPower{IOW: 23, DRAMW: 15},
+		MemDynPerReq: 1e-3,
+		Margin:       0.85,
 	}
 }
 

@@ -60,7 +60,7 @@ func TestTelemetryConservation(t *testing.T) {
 
 // TestTelemetryDoesNotPerturbRun pins the nil gate from the DES side: a
 // run with the sampler attached must produce byte-for-byte the same
-// Result (ledger aside) as one without.
+// Result, ledger included, as one without.
 func TestTelemetryDoesNotPerturbRun(t *testing.T) {
 	run := func(tel *timeseries.Series) Result {
 		cfg := testConfig(t)
@@ -77,8 +77,6 @@ func TestTelemetryDoesNotPerturbRun(t *testing.T) {
 	}
 	off := run(nil)
 	on := run(timeseries.NewSampler().Series("x"))
-	// The ledger is attribution-only; everything else must match exactly.
-	on.Ledger = timeseries.Ledger{}
 	if !reflect.DeepEqual(off, on) {
 		t.Fatalf("telemetry perturbed the simulation:\noff %+v\non  %+v", off, on)
 	}
