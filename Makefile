@@ -58,16 +58,19 @@
 #                      vs whole-table binary search, integer threshold vs
 #                      Bool, precomputed uniform vs Uint64n) for 10 s
 #   make fuzz          every fuzz-rng target, then the component fuzz
-#                      targets (cache reference LRU and Clone, DRAM
-#                      submit and address decode, workload generator
-#                      invariants) for 10 s each
+#                      targets (cache reference LRU and Clone, the
+#                      core's issue-slot ring against its tagged
+#                      reference, DRAM submit and address decode,
+#                      workload generator invariants) for 10 s each
 #   make bench         every root benchmark: sweep fan-out, observability
 #                      overhead gates, serve DES and cluster-access kernels
 #                      (the paper's numbers are pinned by the goldens;
 #                      end-to-end performance is `bash cmd/ntcbench/run.sh`)
 #   make bench-sweep   parallel-vs-serial sweep engine benchmarks only
 #   make bench-obs     observability overhead benchmarks (metrics
-#                      disabled-path + telemetry sampler), both gated <2%
+#                      disabled-path + telemetry sampler), both gated <2%;
+#                      the sampler's gate takes a median of per-round
+#                      ratios, so it runs a fixed 40 rounds
 #   make golden-update regenerate cmd/ntcsim golden files after an
 #                      intentional model change (review the diff!).
 #                      Lint never rewrites sources, so golden outputs
@@ -150,6 +153,7 @@ fuzz-rng:
 
 fuzz: fuzz-rng
 	$(GO) test -run xxx -fuzz '^FuzzAccessMatchesReference$$' -fuzztime 10s ./internal/cache
+	$(GO) test -run xxx -fuzz '^FuzzIssueSlotMatchesRing$$' -fuzztime 10s ./internal/cpu
 	$(GO) test -run xxx -fuzz '^FuzzSubmit$$' -fuzztime 10s ./internal/dram
 	$(GO) test -run xxx -fuzz '^FuzzDecodeRoundTrip$$' -fuzztime 10s ./internal/dram
 	$(GO) test -run xxx -fuzz '^FuzzGeneratorInvariants$$' -fuzztime 10s ./internal/workload
@@ -161,7 +165,8 @@ bench-sweep:
 	$(GO) test -run xxx -bench 'BenchmarkSweep(Many)?Parallel' .
 
 bench-obs:
-	$(GO) test -run xxx -bench BenchmarkObsOverhead .
+	$(GO) test -run xxx -bench '^BenchmarkObsOverhead$$' .
+	$(GO) test -run xxx -bench '^BenchmarkObsOverheadSampler$$' -benchtime 40x .
 
 golden-update:
 	$(GO) test ./cmd/ntcsim -run TestGolden -update

@@ -3,7 +3,9 @@
 //
 //	make bench-sweep   BenchmarkSweepParallel, BenchmarkSweepManyParallel
 //	make bench-obs     BenchmarkObsOverhead, BenchmarkObsOverheadSampler
-//	                   (both fail above the 2% overhead budget)
+//	                   (both fail above the 2% overhead budget; the
+//	                   sampler at -benchtime 40x, so its median has
+//	                   40 rounds)
 //
 // BenchmarkServeSteadyState, BenchmarkClusterAccess and
 // BenchmarkGeneratorNext time the serve DES event loop, the cluster
@@ -138,7 +140,8 @@ func BenchmarkObsOverhead(b *testing.B) {
 // into a live Series. Recording is per-epoch work amortized over
 // thousands of request events, so the enabled path must stay inside the
 // same <2% budget the metrics layer honors; `make bench-obs` runs both
-// gates.
+// gates, this one at -benchtime 40x: at the default benchtime only about
+// ten rounds fit, too few for a median to settle under the budget.
 func BenchmarkObsOverheadSampler(b *testing.B) {
 	gov := benchServeGov(b, 2, 4)
 	// A long horizon keeps each timed run ~100ms so millisecond-scale

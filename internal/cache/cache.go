@@ -4,8 +4,9 @@
 // (accessed through the crossbar as 4 independent banks).
 //
 // The caches are timing/occupancy models in the style of trace-driven
-// simulators: they store tags and dirty bits but no data. Caches are
-// write-back, write-allocate, with true LRU replacement. This package has
+// simulators: they store tags and dirty bits but no data, packed 32 bits
+// to a way, so a 16-way LLC set is one 64-byte host cache line. Caches
+// are write-back, write-allocate, with true LRU replacement. This package has
 // no miss-status holding registers: the core model tracks its in-flight
 // L1D misses itself (cpu.Core's MSHR list, sized by Config.MSHREntries)
 // to bound its memory-level parallelism.
@@ -13,6 +14,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -60,19 +62,18 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Accesses)
 }
 
-// A way is one packed uint64: the line address (the tag) shifted left by
-// tagShift, with the dirty and valid flags in the low bits. An invalid
-// way is always 0, so a 16-way set is 128 contiguous bytes and a lookup
-// is one masked compare per way.
+// A way is one packed uint32: the tag (the line address above the set
+// index) shifted left by tagShift, with the dirty and valid flags in the
+// low bits. An invalid way is always 0, so a 16-way set is 64 contiguous
+// bytes and a lookup is one masked compare per way. A tag must fit the
+// remaining tagBits bits; lookup panics on an address beyond that range
+// instead of aliasing it onto another line.
 const (
 	validBit = 1 << 0
 	dirtyBit = 1 << 1
 	tagShift = 2
+	tagBits  = 32 - tagShift
 )
-
-// The packed way loses no line-address bit only while LineBits >=
-// tagShift; this declaration stops compiling otherwise.
-const _ uint = LineBits - tagShift
 
 // Cache is a set-associative, write-back, write-allocate, true-LRU,
 // tag-only cache. It is not safe for concurrent use.
@@ -81,8 +82,9 @@ type Cache struct {
 	// ways holds every set's packed ways in one set-major slice: set s
 	// occupies ways[s*assoc : (s+1)*assoc], ordered most- to
 	// least-recently used.
-	ways    []uint64
+	ways    []uint32
 	assoc   int
+	setBits uint // log2 of the set count
 	setMask uint64
 	stats   Stats
 }
@@ -113,7 +115,13 @@ func New(cfg Config) (*Cache, error) {
 	if nsets&(nsets-1) != 0 {
 		return nil, fmt.Errorf("cache %q: set count %d must be a power of two", cfg.Name, nsets)
 	}
-	return &Cache{cfg: cfg, ways: make([]uint64, nsets*cfg.Assoc), assoc: cfg.Assoc, setMask: uint64(nsets - 1)}, nil
+	return &Cache{
+		cfg:     cfg,
+		ways:    make([]uint32, nsets*cfg.Assoc),
+		assoc:   cfg.Assoc,
+		setBits: uint(bits.TrailingZeros(uint(nsets))),
+		setMask: uint64(nsets - 1),
+	}, nil
 }
 
 // MustNew is New for known-good configurations.
@@ -132,17 +140,28 @@ func (c *Cache) Stats() Stats { return c.stats }
 // warmup and measurement phases of sampled simulation).
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
-// lookup returns the set holding addr and the packed valid, clean way
-// its line would occupy; a way w holds the line iff w&^dirtyBit == key.
-func (c *Cache) lookup(addr uint64) (ways []uint64, key uint64) {
-	line := addr >> LineBits // full line address as tag (simple, unambiguous)
-	s := int(line&c.setMask) * c.assoc
-	return c.ways[s : s+c.assoc : s+c.assoc], line<<tagShift | validBit
+// lookup returns the set holding addr, its index, and the packed valid,
+// clean way its line would occupy; a way w holds the line iff
+// w&^dirtyBit == key.
+func (c *Cache) lookup(addr uint64) (ways []uint32, set, key uint32) {
+	line := addr >> LineBits
+	tag := line >> c.setBits
+	if tag >= 1<<tagBits {
+		panic("cache: address tag exceeds the 30 bits of a packed way")
+	}
+	set = uint32(line & c.setMask)
+	s := int(set) * c.assoc
+	return c.ways[s : s+c.assoc : s+c.assoc], set, uint32(tag)<<tagShift | validBit
 }
 
-// victim decodes an evicted packed way (an invalid way is 0).
-func victim(w uint64) Victim {
-	return Victim{Dirty: w&dirtyBit != 0, Addr: w >> tagShift << LineBits}
+// victim decodes the packed way w evicted from set: the zero Victim for
+// an invalid way, otherwise the line rebuilt from its tag and set index.
+func (c *Cache) victim(w, set uint32) Victim {
+	if w&validBit == 0 {
+		return Victim{}
+	}
+	line := uint64(w>>tagShift)<<c.setBits | uint64(set)
+	return Victim{Dirty: w&dirtyBit != 0, Addr: line << LineBits}
 }
 
 // Access performs a read (write=false) or write (write=true) of the line
@@ -151,7 +170,7 @@ func victim(w uint64) Victim {
 // writeback traffic.
 func (c *Cache) Access(addr uint64, write bool) Result {
 	c.stats.Accesses++
-	ways, key := c.lookup(addr)
+	ways, set, key := c.lookup(addr)
 	for i, w := range ways {
 		if w&^dirtyBit == key {
 			c.stats.Hits++
@@ -164,7 +183,7 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 	}
 	c.stats.Misses++
 	// Fill: evict the LRU way (last slot), insert as MRU.
-	res := Result{Victim: victim(ways[len(ways)-1])}
+	res := Result{Victim: c.victim(ways[len(ways)-1], set)}
 	if res.Victim.Dirty {
 		c.stats.Writebacks++
 	}
@@ -179,14 +198,14 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 // returning the victim if one was evicted. Used for prefetch fills, whose
 // hits/misses must not pollute demand-access statistics.
 func (c *Cache) Fill(addr uint64) Victim {
-	ways, key := c.lookup(addr)
+	ways, set, key := c.lookup(addr)
 	for i, w := range ways {
 		if w&^dirtyBit == key {
 			touch(ways, i, w)
 			return Victim{}
 		}
 	}
-	v := victim(ways[len(ways)-1])
+	v := c.victim(ways[len(ways)-1], set)
 	touch(ways, len(ways)-1, key)
 	return v
 }
@@ -194,7 +213,7 @@ func (c *Cache) Fill(addr uint64) Victim {
 // Probe reports whether the line containing addr is present, without
 // changing any state.
 func (c *Cache) Probe(addr uint64) bool {
-	ways, key := c.lookup(addr)
+	ways, _, key := c.lookup(addr)
 	for _, w := range ways {
 		if w&^dirtyBit == key {
 			return true
@@ -205,7 +224,7 @@ func (c *Cache) Probe(addr uint64) bool {
 
 // touch shifts ways[0:i] down one slot and stores w as the MRU way; with
 // i = len(ways)-1 that evicts the LRU way.
-func touch(ways []uint64, i int, w uint64) {
+func touch(ways []uint32, i int, w uint32) {
 	copy(ways[1:i+1], ways[:i])
 	ways[0] = w
 }

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -182,6 +183,27 @@ func TestPaperConfigs(t *testing.T) {
 	}
 }
 
+// TestTagRange: a line whose tag needs the 30th bit round-trips through
+// eviction; one whose tag needs a 31st bit panics instead of aliasing
+// onto the line with that bit cleared.
+func TestTagRange(t *testing.T) {
+	c := MustNew(tiny()) // 4 sets: tag = addr >> 8
+	const top = (1<<30 - 1) << 8
+	c.Access(top, true)
+	c.Access(top-1<<8, false)
+	if v := c.Access(top-2<<8, false).Victim; v != (Victim{Dirty: true, Addr: top}) {
+		t.Fatalf("victim = %+v, want dirty %#x", v, uint64(top))
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.HasPrefix(msg, "cache: ") {
+			t.Fatalf("recovered %q, want a cache: panic", msg)
+		}
+	}()
+	c.Access(top+1<<8, false)
+	t.Fatal("an address beyond the tag range did not panic")
+}
+
 // refModel is an obviously-correct write-back LRU cache for
 // cross-checking: per set, a slice of lines ordered MRU first.
 type refModel struct {
@@ -239,14 +261,15 @@ func (r *refModel) fill(addr uint64) Victim {
 }
 
 // ways renders the model in Cache.ways's packed, set-major, MRU-first
-// layout.
-func (r *refModel) ways() []uint64 {
-	out := make([]uint64, r.nsets*uint64(r.assoc))
+// layout: each way is the line's tag (the line address divided by the
+// set count) times 4, plus 2 when dirty, plus 1 for valid.
+func (r *refModel) ways() []uint32 {
+	out := make([]uint32, r.nsets*uint64(r.assoc))
 	for set := uint64(0); set < r.nsets; set++ {
 		for j, l := range r.sets[set] {
-			w := l.line<<tagShift | validBit
+			w := uint32(l.line/r.nsets)*4 + 1
 			if l.dirty {
-				w |= dirtyBit
+				w += 2
 			}
 			out[set*uint64(r.assoc)+uint64(j)] = w
 		}

@@ -27,7 +27,7 @@ func FuzzAccessMatchesReference(f *testing.F) {
 			return 0
 		}
 		for i, a := range addrs {
-			addr := uint64(a) << 4 // spread across sets and lines
+			addr := fuzzAddr(a)
 			switch op(i) {
 			case 0, 1:
 				w := op(i) == 1
@@ -52,7 +52,7 @@ func FuzzAccessMatchesReference(f *testing.F) {
 		}
 		clone := c.Clone()
 		for i, a := range addrs {
-			addr := uint64(a) << 4
+			addr := fuzzAddr(a)
 			w := op(i) == 1
 			if got, want := clone.Access(addr, w), c.Access(addr, w); got != want {
 				t.Fatalf("replay %d on the clone (addr %x): %+v, original %+v", i, addr, got, want)
@@ -65,4 +65,11 @@ func FuzzAccessMatchesReference(f *testing.F) {
 			t.Fatal("clone shares the original's tag array")
 		}
 	})
+}
+
+// fuzzAddr spreads a fuzz byte across the sets, lines and line offsets of
+// the 4-set fuzz cache, and copies its high nibble to the top four bits
+// of the 30-bit tag so victims must rebuild high tag bits too.
+func fuzzAddr(a byte) uint64 {
+	return uint64(a)<<4 | uint64(a>>4)<<34
 }

@@ -189,9 +189,12 @@ type Core struct {
 	lastILine     uint64
 
 	// Issue bandwidth accounting: per cycle, total slots used plus three
-	// per-class counters (Int, Mem, FP).
-	slotCycle [issueRingSize]int64
-	slotUsed  [issueRingSize][4]uint8
+	// per-class counters (Int, Mem, FP), in a ring indexed by cycle
+	// modulo issueRingSize. issueSlot only reaches cycles in
+	// (dispatchCycle, dispatchCycle+issueRingSize/2+WindowSize], fewer
+	// than issueRingSize, so each entry belongs to one cycle;
+	// advanceDispatch zeroes a cycle's entry as it leaves that window.
+	slotUsed [issueRingSize][4]uint8
 
 	misses []outstanding
 	pf     streamPrefetcher
@@ -216,6 +219,9 @@ func New(cfg Config, id int, gen *workload.Generator, mem MemSystem, freqHz floa
 	}
 	if cfg.WindowSize&(cfg.WindowSize-1) != 0 {
 		return nil, fmt.Errorf("cpu: window size %d must be a power of two", cfg.WindowSize)
+	}
+	if cfg.WindowSize >= issueRingSize/2 {
+		return nil, fmt.Errorf("cpu: window size %d must be below half the issue ring, %d", cfg.WindowSize, issueRingSize/2)
 	}
 	return &Core{
 		cfg:          cfg,
@@ -312,18 +318,36 @@ func (c *Core) issueSlot(ready int64, class int) int64 {
 	}
 	cy := ready
 	for {
-		idx := cy & (issueRingSize - 1)
-		if c.slotCycle[idx] != cy {
-			c.slotCycle[idx] = cy
-			c.slotUsed[idx] = [4]uint8{}
-		}
-		if int(c.slotUsed[idx][3]) < c.cfg.Width && int(c.slotUsed[idx][class]) < classCap {
-			c.slotUsed[idx][3]++
-			c.slotUsed[idx][class]++
+		used := &c.slotUsed[cy&(issueRingSize-1)]
+		if int(used[3]) < c.cfg.Width && int(used[class]) < classCap {
+			used[3]++
+			used[class]++
 			return cy
 		}
 		cy++
 	}
+}
+
+// advanceDispatch moves dispatchCycle forward to cycle and zeroes the
+// issue-slot counters of the cycles it passes, (dispatchCycle, cycle]:
+// every later issue is after cycle, so their entries are free for the
+// cycles issueRingSize later.
+func (c *Core) advanceDispatch(cycle int64) {
+	switch n := cycle - c.dispatchCycle; {
+	case n == 1:
+		c.slotUsed[cycle&(issueRingSize-1)] = [4]uint8{}
+	case n >= issueRingSize:
+		clear(c.slotUsed[:])
+	case n > 1:
+		lo, hi := (c.dispatchCycle+1)&(issueRingSize-1), cycle&(issueRingSize-1)
+		if lo <= hi {
+			clear(c.slotUsed[lo : hi+1])
+		} else {
+			clear(c.slotUsed[lo:])
+			clear(c.slotUsed[:hi+1])
+		}
+	}
+	c.dispatchCycle = cycle
 }
 
 // releaseMisses drops outstanding misses that completed at or before cycle.
@@ -396,7 +420,7 @@ func (c *Core) Step() int64 {
 	} else {
 		c.dispatchCnt = 0
 	}
-	c.dispatchCycle = dispatch
+	c.advanceDispatch(dispatch)
 	c.dispatchCnt++
 
 	// Ready: wait for the register producer.

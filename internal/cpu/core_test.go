@@ -322,6 +322,10 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(cfg, 0, g, &fixedMem{}, 1e9); err == nil {
 		t.Fatal("non-power-of-two window should be rejected")
 	}
+	cfg.WindowSize = issueRingSize / 2 // issue could reach a cycle its ring entry does not belong to
+	if _, err := New(cfg, 0, g, &fixedMem{}, 1e9); err == nil {
+		t.Fatal("a window of half the issue ring should be rejected")
+	}
 	if _, err := New(DefaultConfig(), 0, g, &fixedMem{}, 0); err == nil {
 		t.Fatal("zero frequency should be rejected")
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"ntcsim/internal/workload"
@@ -179,11 +180,11 @@ func TestRestoreKeepsEditedProfile(t *testing.T) {
 
 // warmedWebServing returns a web-serving cluster (16,384 static branches
 // per core) after a short functional warm-up, for the checkpoint
-// benchmarks.
-func warmedWebServing(b *testing.B) *Cluster {
+// benchmarks and footprint test.
+func warmedWebServing(tb testing.TB) *Cluster {
 	src, err := NewCluster(DefaultConfig(), workload.WebServing(), 1.5e9)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	src.FastForward(20000)
 	return src
@@ -214,4 +215,42 @@ func BenchmarkRestoreCluster(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		clSink = RestoreCluster(ck)
 	}
+}
+
+// TestCheckpointFootprint pins what a checkpoint and a restore of the
+// default cluster allocate: at most 512 KiB each (484,760 B when this
+// was written: four LLC banks of 16,384 4-byte ways, four cores' issue
+// rings of 8,192 4-byte entries, their L1s and predictors). A library
+// of one checkpoint per sample multiplies any new per-core or per-set
+// array, so growth must be a deliberate change to this bound.
+func TestCheckpointFootprint(t *testing.T) {
+	const limit = 512 << 10
+	src := warmedWebServing(t)
+	ck := src.Checkpoint()
+	for _, tc := range []struct {
+		name string
+		op   func()
+	}{
+		{"Checkpoint", func() { ckSink = src.Checkpoint() }},
+		{"RestoreCluster", func() { clSink = RestoreCluster(ck) }},
+	} {
+		if got := allocatedBytes(tc.op); got > limit {
+			t.Errorf("%s allocates %d B per call, above %d", tc.name, got, limit)
+		}
+	}
+}
+
+// allocatedBytes returns the heap bytes op allocates per call, averaged
+// over a few calls on one P (as testing.AllocsPerRun counts objects).
+func allocatedBytes(op func()) uint64 {
+	const runs = 8
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	op() // first-call allocations are not per-call cost
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		op()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / runs
 }
