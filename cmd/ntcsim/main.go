@@ -58,7 +58,7 @@ func run(args []string) error {
 	fidelity := fs.String("fidelity", "quick", "sampling fidelity: quick or paper")
 	seed := fs.Uint64("seed", experiments.DefaultSeed, "simulation seed")
 	warm := fs.Uint64("warm", 0, "override the per-core functional warmup instruction count (0 = fidelity default)")
-	settle := fs.Int64("settle", 0, "override the post-DVFS settle window in cycles (0 = fidelity default)")
+	settle := fs.Int64("settle", 0, "override the settle window after the warm-up in cycles (0 = fidelity default)")
 	outPath := fs.String("out", "", "also write all output to this file")
 	jobs := fs.Int("jobs", 0, "max concurrent sweep evaluations; 0 = all CPUs (output is identical for any value)")
 	metricsPath := fs.String("metrics", "", "write a metrics snapshot (deterministic-ordered JSON) to this file")

@@ -200,7 +200,7 @@ func TestMetricsGolden(t *testing.T) {
 }
 
 // TestSweepTraceValid: an instrumented sweep must emit a loadable trace
-// with warm/point/sample spans.
+// with warm/point/sample spans, one point span per (point, sample) task.
 func TestSweepTraceValid(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("full instrumented sweep; skipped in -short and -race runs")
@@ -209,7 +209,8 @@ func TestSweepTraceValid(t *testing.T) {
 	e.Jobs = 4
 	var buf bytes.Buffer
 	e.Tracer = obs.NewTracer(&buf)
-	if _, err := e.Sweep(context.Background(), workload.WebSearch(), []float64{0.5e9, 2.0e9}); err != nil {
+	sw, err := e.Sweep(context.Background(), workload.WebSearch(), []float64{0.5e9, 2.0e9})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Tracer.Close(); err != nil {
@@ -227,7 +228,7 @@ func TestSweepTraceValid(t *testing.T) {
 	for _, ev := range trace.TraceEvents {
 		cats[ev.Cat]++
 	}
-	if cats["sweep"] < 1 || cats["point"] != 2 || cats["sample"] == 0 {
+	if cats["sweep"] < 1 || cats["point"] != sw.Points[0].Samples+sw.Points[1].Samples || cats["sample"] == 0 {
 		t.Fatalf("trace missing expected span categories: %v", cats)
 	}
 }

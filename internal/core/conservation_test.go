@@ -1,42 +1,38 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
-	"ntcsim/internal/sampling"
+	"ntcsim/internal/qos"
 	"ntcsim/internal/sim"
 	"ntcsim/internal/workload"
 )
 
 // TestSweepWindowsConserveTraffic checks the request-traffic identities
 // of internal/sim's TestTrafficConserved on every measurement window of
-// one quick sweep per workload class, launched the way SweepMany
-// launches it: each point's windows after the restore, retarget and
-// settle of launchPoint.
+// one quick sweep per workload class, measured the way SweepMany
+// measures it: each point's windows on clones of the walked live point.
 func TestSweepWindowsConserveTraffic(t *testing.T) {
 	e := NewExplorer()
 	freqs := []float64{0.2e9, 0.5e9, 1.0e9, 2.0e9}
 	for _, p := range []*workload.Profile{workload.WebSearch(), workload.VMHighMem()} {
 		t.Run(p.Name, func(t *testing.T) {
-			cfg := e.SamplingFor(p)
-			var all sim.Measurement
-			check := func(label string, res sampling.Result) {
-				for w, m := range res.Samples {
-					requireConserved(t, fmt.Sprintf("%s window %d", label, w), m)
-					all.Add(m)
-				}
-			}
-			j := &sweepJob{p: p, cfg: cfg}
-			if err := e.prelude(j); err != nil {
+			w := newWalk(p.Name, e.SamplingFor(p), freqs)
+			var err error
+			if w.live, err = e.warmedCluster(e.soloProfiles(p), qos.BaselineFreqHz); err != nil {
 				t.Fatal(err)
 			}
-			for _, f := range freqs {
-				res, err := sampling.Run(e.launchPoint(j.ck, f, false), cfg)
-				if err != nil {
-					t.Fatal(err)
+			if err := e.runWalks(context.Background(), []*walk{&w}); err != nil {
+				t.Fatal(err)
+			}
+			var all sim.Measurement
+			for i, f := range freqs {
+				for k, m := range w.res[i].Samples {
+					requireConserved(t, fmt.Sprintf("%.0f MHz window %d", f/1e6, k), m)
+					all.Add(m)
 				}
-				check(fmt.Sprintf("%.0f MHz", f/1e6), res)
 			}
 			if all.LLCWrites == 0 || all.DRAM.Writes == 0 {
 				t.Fatalf("no write traffic reached the LLC (%d) or DRAM (%d); the write identities are vacuous",

@@ -45,11 +45,11 @@ func ExampleExplorer_Sweep() {
 	// workload: web-search (scale-out, QoS 200ms)
 	//
 	// freq     Vdd     UIPS       power cores/SoC/server lat/QoS  eff server
-	// 0.3GHz   0.557V   11.57 G     2.0 /  25.0 /  43.6 W    0.671   0.265 GUIPS/W
-	// 1.0GHz   0.731V   23.05 G    10.7 /  34.5 /  56.5 W    0.337   0.408 GUIPS/W
-	// 2.0GHz   0.994V   28.22 G    39.7 /  63.7 /  87.1 W    0.275   0.324 GUIPS/W
+	// 0.3GHz   0.557V   11.54 G     2.0 /  25.0 /  43.4 W    0.649   0.266 GUIPS/W
+	// 1.0GHz   0.731V   22.96 G    10.7 /  34.5 /  56.6 W    0.326   0.406 GUIPS/W
+	// 2.0GHz   0.994V   27.22 G    39.7 /  63.7 /  87.1 W    0.275   0.313 GUIPS/W
 	//
-	// most server-efficient point meeting QoS: 1.0 GHz (0.408 GUIPS/W)
+	// most server-efficient point meeting QoS: 1.0 GHz (0.406 GUIPS/W)
 }
 
 // The FD-SOI body-bias knobs (paper Sec. II-A): forward body bias as a

@@ -46,11 +46,11 @@ const LoadActivity = 1.0
 type Seams struct {
 	// Jobs is the width of the worker pool; <= 0 means GOMAXPROCS. One
 	// Sweep or SweepMany call simulates at most Jobs clusters at once: it
-	// warms up to Jobs workloads at once, then evaluates up to Jobs
-	// (workload, point) pairs at once. Every point runs from its
-	// workload's warmed checkpoint, and its result depends only on that
-	// checkpoint and its frequency, so results are bit-identical for
-	// every Jobs setting.
+	// warms up to Jobs workloads at once, then, round by round, advances
+	// up to Jobs live points at once and measures up to Jobs (workload,
+	// point) samples at once. Sample k of a point depends only on its
+	// workload's live point after k advances and its frequency, so
+	// results are bit-identical for every Jobs setting.
 	Jobs int
 
 	// Obs, when set, enables the observability layer: per-layer counters
@@ -59,10 +59,13 @@ type Seams struct {
 	// stay bit-identical for every Jobs setting; leaving Obs nil keeps the
 	// sweep on the uninstrumented fast path.
 	Obs *obs.Registry
-	// Tracer, when set, records Chrome-trace spans for warmup, each sweep
-	// point and its sampling phases.
+	// Tracer, when set, records Chrome-trace spans for each workload's
+	// warm-up ("sweep"), each advance of its live point
+	// ("sample"/"fastforward"), and each sample task of a point ("point")
+	// with its "sample"/"warmup" and "sample"/"measure" phases.
 	Tracer *obs.Tracer
-	// Progress, when set, reports one line per completed sweep point.
+	// Progress, when set, reports one line per sweep point, when it takes
+	// its last sample.
 	Progress *obs.Progress
 	// Memo, when set, answers a sweep whose inputs match an earlier one
 	// from that sweep's stored result instead of recomputing it (see
@@ -92,7 +95,8 @@ type Explorer struct {
 	// WarmInstr is the per-core functional warmup before the first sample
 	// (cache/predictor state; the paper launches from warmed checkpoints).
 	WarmInstr uint64
-	// SettleCycles are run after each DVFS transition before sampling.
+	// SettleCycles of detailed simulation settle a freshly warmed
+	// cluster before its first sample.
 	SettleCycles int64
 	// TelemetryPrefix disambiguates series when several explorers sweep
 	// the same workload names in one run (e.g. the ablation's LPDDR4 and
@@ -187,27 +191,30 @@ func (e *Explorer) Sweep(ctx context.Context, p *workload.Profile, freqsHz []flo
 // the sweeps in profile order. The grid must hold qos.BaselineFreqHz: that
 // point is the baseline of every QoS metric. A call whose ctx is already
 // cancelled returns its cause before warming; a ctx cancelled later stops
-// the call between workloads or points (a simulation already running
-// completes).
+// the call at the next sample task (a simulation already running
+// completes). A frequency the technology cannot reach fails the call
+// after the other points are measured.
 //
 // Execution model, in four steps, each pool at most Jobs wide:
 //
 //  1. A workload the memo holds is answered from it (see replay).
-//  2. Each remaining workload runs its prelude: its cluster is warmed at
-//     the 2GHz baseline and captured as an in-memory checkpoint, the
-//     common launch state of all its points (see prelude).
-//  3. Every (workload, point) pair restores its own private cluster from
-//     its workload's checkpoint, applies the DVFS transition, runs the
-//     settle window and samples (see runPoint).
+//  2. Each remaining workload runs its prelude: a cluster is warmed at
+//     the 2GHz baseline and becomes the workload's live point (see
+//     prelude).
+//  3. The points are measured sample-major, in rounds (see runWalks):
+//     in round k, each workload with a point still sampling advances
+//     its live point by FastForwardInstr per core, and then every such
+//     (workload, point) pair measures sample k on a clone of it. Each
+//     point stops on its own rule (sampling.Result.Add).
 //  4. In profile order, each workload's points get their QoS metric
 //     against its 2GHz point, and its metrics reach Obs, its result the
 //     memo and its points' breakdowns the telemetry.
 //
-// A point's result is a pure function of (checkpoint, frequency): every
-// point of a workload reads the same per-core instruction stream, and a
-// frequency measures the same in any grid. Results are bit-identical for
-// every Jobs setting, and one call simulates at most Jobs clusters at
-// once.
+// So the functional warming between samples is walked once per workload,
+// and every frequency measures the same sample units. A point's result
+// is a pure function of (live point, frequency): a frequency measures the
+// same in any grid. Results are bit-identical for every Jobs setting, and
+// one call simulates at most Jobs clusters at once.
 func (e *Explorer) SweepMany(ctx context.Context, profiles []*workload.Profile, freqsHz []float64) ([]*Sweep, error) {
 	if len(freqsHz) == 0 {
 		return nil, fmt.Errorf("core: empty frequency list")
@@ -227,12 +234,29 @@ func (e *Explorer) SweepMany(ctx context.Context, profiles []*workload.Profile, 
 	if ctx.Err() != nil {
 		return nil, context.Cause(ctx)
 	}
+	// Operating points depend on the frequency alone. A point without one
+	// is never walked; its error waits for the other points.
+	ops := make([]tech.OperatingPoint, len(freqs))
+	unreachable := make([]bool, len(freqs))
+	var opErr error
+	for i, f := range freqs {
+		op, err := e.Platform.Tech.OperatingPointFor(f, 0)
+		if err != nil && opErr == nil {
+			opErr = fmt.Errorf("core: %.0f MHz: %w", f/1e6, err)
+		}
+		ops[i], unreachable[i] = op, err != nil
+	}
 	sweeps := make([]*Sweep, len(profiles))
 	var jobs []*sweepJob
+	var walks []*walk
 	for i, p := range profiles {
-		j := &sweepJob{slot: i, p: p, cfg: e.SamplingFor(p)}
+		j := &sweepJob{slot: i, p: p}
+		cfg := e.SamplingFor(p)
+		if err := cfg.Validate(); err != nil {
+			return nil, jobErr(j, err)
+		}
 		if e.Memo != nil {
-			j.hash, j.key = e.sweepKey(p, j.cfg, freqs)
+			j.hash, j.key = e.sweepKey(p, cfg, freqs)
 			if en := e.Memo.lookup(j.hash, j.key, e.Obs != nil); en != nil {
 				sw, err := e.replay(p, freqs, en)
 				if err != nil {
@@ -242,13 +266,23 @@ func (e *Explorer) SweepMany(ctx context.Context, profiles []*workload.Profile, 
 				continue
 			}
 		}
+		j.walk = newWalk(p.Name, cfg, freqs)
 		// A computed sweep harvests into a private registry so that its
 		// memo entry can store exactly its counter-class metrics.
 		if e.Obs != nil {
 			j.reg = obs.NewRegistry()
 		}
 		j.points = make([]Point, len(freqs))
+		j.onStop = func(k int) {
+			j.points[k] = e.evaluate(freqs[k], ops[k], j.res[k])
+			if j.reg != nil {
+				harvestPoint(j.reg, j.p, j.points[k])
+			}
+			e.Progress.Done(pointLabel(j.name, freqs[k]), j.busy[k])
+		}
+		copy(j.stopped, unreachable)
 		jobs = append(jobs, j)
+		walks = append(walks, &j.walk)
 	}
 
 	err := parallel.ForEach(ctx, len(jobs), e.Jobs, func(_ context.Context, k int) error {
@@ -256,18 +290,14 @@ func (e *Explorer) SweepMany(ctx context.Context, profiles []*workload.Profile, 
 	})
 	if err == nil {
 		e.Progress.Add(len(jobs) * len(freqs))
-		pctx := ctx
-		if e.Obs != nil {
-			pctx = parallel.WithObserver(ctx, obs.PoolObserver(e.Obs, "sweep"))
-		}
-		n := len(freqs)
-		err = parallel.ForEach(pctx, len(jobs)*n, e.Jobs, func(_ context.Context, k int) error {
-			return jobErr(jobs[k/n], e.runPoint(jobs[k/n], freqs, k%n))
-		})
+		err = e.runWalks(ctx, walks)
+	}
+	if err == nil {
+		err = opErr
 	}
 
 	// The private registries reach Obs through the same Merge a hit uses,
-	// also when the call failed part-way: the completed points' counters
+	// also when the call failed part-way: the measured windows' counters
 	// are valid data.
 	for _, j := range jobs {
 		if j.reg == nil {
@@ -296,20 +326,18 @@ func (e *Explorer) SweepMany(ctx context.Context, profiles []*workload.Profile, 
 }
 
 // sweepJob is one workload of a SweepMany call that the memo did not
-// answer: its inputs, the checkpoint its prelude leaves, and the
-// per-point results, each written only by its own point.
+// answer: its inputs, its walk, and the per-point results, each written
+// only by its own point.
 type sweepJob struct {
 	slot int // index in SweepMany's profiles
 	p    *workload.Profile
-	cfg  sampling.Config
 	hash uint64 // memo key, when there is a memo
 	key  []byte
 
-	ck *sim.Checkpoint // set by prelude
+	walk // the live point is set by prelude
 
 	points  []Point
-	reg     *obs.Registry // nil without Obs
-	metrics *obs.Snapshot // reg's counter-class snapshot after the fan-out
+	metrics *obs.Snapshot // reg's counter-class snapshot after the walk
 }
 
 // jobErr names j's workload in a non-nil err.
@@ -321,7 +349,7 @@ func jobErr(j *sweepJob, err error) error {
 }
 
 // prelude warms a cluster of j's workload at the 2GHz baseline on a
-// trace lane of its own and keeps the warmed state as j's checkpoint.
+// trace lane of its own; the warmed cluster is j's live point.
 func (e *Explorer) prelude(j *sweepJob) error {
 	lane := e.Tracer.AcquireLane()
 	defer e.Tracer.ReleaseLane(lane)
@@ -333,8 +361,7 @@ func (e *Explorer) prelude(j *sweepJob) error {
 	}
 	//ntclint:allow wallclock trace span duration only; never reaches results
 	e.Tracer.Complete("sweep", "warm "+j.p.Name, lane, warmStart, time.Since(warmStart), nil)
-	// Restores only read the checkpoint, so one copy serves all workers.
-	j.ck = cl.Checkpoint()
+	j.live = cl
 	return nil
 }
 
@@ -356,7 +383,7 @@ func (e *Explorer) replay(p *workload.Profile, freqs []float64, en *memoEntry) (
 	e.recordTelemetry(p, sw.Points)
 	e.Progress.Add(len(freqs))
 	for _, f := range freqs {
-		e.Progress.Done(pointLabel(p, f), time.Since(start)) //ntclint:allow wallclock progress duration only; never reaches results
+		e.Progress.Done(pointLabel(p.Name, f), time.Since(start)) //ntclint:allow wallclock progress duration only; never reaches results
 	}
 	//ntclint:allow wallclock trace span duration only; never reaches results
 	e.Tracer.Complete("sweep", "memo hit "+p.Name, lane, start, time.Since(start), nil)
@@ -418,106 +445,14 @@ func (e *Explorer) soloProfiles(p *workload.Profile) []*workload.Profile {
 }
 
 // pointLabel names one sweep point in trace spans and progress lines.
-func pointLabel(p *workload.Profile, freqHz float64) string {
-	return fmt.Sprintf("%s @ %.0fMHz", p.Name, freqHz/1e6)
-}
-
-// runPoint evaluates point i of j's sweep. Writes are confined to slot i
-// of j's points; side effects (obs harvest, trace span,
-// progress line) happen only after the point has fully succeeded.
-func (e *Explorer) runPoint(j *sweepJob, freqs []float64, i int) error {
-	label := pointLabel(j.p, freqs[i])
-	lane := e.Tracer.AcquireLane()
-	defer e.Tracer.ReleaseLane(lane)
-	ptStart := time.Now() //ntclint:allow wallclock trace/progress timestamps only; never reaches results
-
-	pcl := e.launchPoint(j.ck, freqs[i], j.reg != nil)
-	var target sampling.Target = pcl
-	if e.Tracer != nil {
-		target = &tracedTarget{Target: pcl, tr: e.Tracer, lane: lane, point: label}
-	}
-	res, err := sampling.Run(target, j.cfg)
-	if err != nil {
-		return err
-	}
-	pt, err := e.evaluate(freqs[i], res)
-	if err != nil {
-		return err
-	}
-	j.points[i] = pt
-	if j.reg != nil {
-		// Harvest exactly once per point cluster: the layer counters
-		// are cumulative since EnableObs.
-		pcl.HarvestObs(j.reg)
-		harvestResult(j.reg, j.p, freqs[i], res, pt)
-	}
-	d := time.Since(ptStart) //ntclint:allow wallclock trace/progress duration only; never reaches results
-	e.Tracer.Complete("point", label, lane, ptStart, d,
-		map[string]any{"freq_hz": freqs[i], "samples": len(res.Samples)})
-	e.Progress.Done(label, d)
-	return nil
-}
-
-// tracedTarget records each phase the sampler drives on a point's cluster
-// as a "sample" span on the point's trace lane: FastForward, Run and
-// Measure are the phases "fastforward", "warmup" and "measure" of sample
-// n, the number of windows measured so far. It only times the calls it
-// forwards, so results are those of the bare cluster.
-type tracedTarget struct {
-	sampling.Target
-	tr    *obs.Tracer
-	lane  int
-	point string
-	n     int
-}
-
-func (t *tracedTarget) span(phase string, start time.Time) {
-	//ntclint:allow wallclock trace span duration only; never reaches results
-	t.tr.Complete("sample", phase, t.lane, start, time.Since(start),
-		map[string]any{"sample": t.n, "point": t.point})
-}
-
-func (t *tracedTarget) FastForward(nPerCore uint64) {
-	start := time.Now() //ntclint:allow wallclock trace span timestamps only; never reaches results
-	t.Target.FastForward(nPerCore)
-	t.span("fastforward", start)
-}
-
-func (t *tracedTarget) Run(cycles int64) {
-	start := time.Now() //ntclint:allow wallclock trace span timestamps only; never reaches results
-	t.Target.Run(cycles)
-	t.span("warmup", start)
-}
-
-func (t *tracedTarget) Measure(cycles int64) sim.Measurement {
-	start := time.Now() //ntclint:allow wallclock trace span timestamps only; never reaches results
-	m := t.Target.Measure(cycles)
-	t.span("measure", start)
-	t.n++
-	return m
-}
-
-// launchPoint restores a point's private cluster from ck, optionally
-// enables observability, retargets it to freqHz and settles it.
-func (e *Explorer) launchPoint(ck *sim.Checkpoint, freqHz float64, withObs bool) *sim.Cluster {
-	pcl := sim.RestoreCluster(ck)
-	if withObs {
-		pcl.EnableObs()
-	}
-	pcl.SetFrequency(freqHz)
-	pcl.Run(e.SettleCycles)
-	return pcl
+func pointLabel(name string, freqHz float64) string {
+	return fmt.Sprintf("%s @ %.0fMHz", name, freqHz/1e6)
 }
 
 // evaluate attaches operating point and power to one sampled result; the
 // QoS metric waits for the sweep's 2GHz point (see Sweep.setQoS).
-func (e *Explorer) evaluate(f float64, res sampling.Result) (Point, error) {
+func (e *Explorer) evaluate(f float64, op tech.OperatingPoint, res sampling.Result) Point {
 	spec := e.Platform
-	op, err := spec.Tech.OperatingPointFor(f, 0)
-	if err != nil {
-		return Point{}, fmt.Errorf("core: %.0f MHz: %w", f/1e6, err)
-	}
-
 	clusters := float64(spec.Clusters)
 	uipsChip := res.MeanUIPS() * clusters
 
@@ -546,7 +481,7 @@ func (e *Explorer) evaluate(f float64, res sampling.Result) (Point, error) {
 	if pw.TotalW() > 0 {
 		pt.EffServer = uipsChip / pw.TotalW()
 	}
-	return pt, nil
+	return pt
 }
 
 // Optima summarizes a sweep the way the paper's Sec. V does.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"ntcsim/internal/qos"
@@ -39,47 +40,43 @@ type InterferenceReport struct {
 
 // Interference co-schedules aggressor on half of the victim's cluster and
 // measures the victim's slowdown and QoS impact at the given frequency.
+// Both clusters are walks, sampled like a sweep's points: the solo cluster,
+// warmed at 2GHz, measures the 2GHz baseline and freqHz from the same
+// sample units, and the mixed cluster, warmed at freqHz, measures freqHz.
 func (e *Explorer) Interference(victim, aggressor *workload.Profile, freqHz float64) (InterferenceReport, error) {
 	if victim.Class != workload.ScaleOut {
 		return InterferenceReport{}, fmt.Errorf("core: interference analysis targets scale-out victims, got %s", victim.Name)
 	}
 	cfg := e.SamplingFor(victim)
+	if err := cfg.Validate(); err != nil {
+		return InterferenceReport{}, err
+	}
 
-	// Solo runs: measure the 2GHz baseline first, then retarget the same
-	// warmed cluster to the analysis frequency.
 	soloProfiles := e.soloProfiles(victim)
-	solo, err := e.warmedCluster(soloProfiles, qos.BaselineFreqHz)
-	if err != nil {
+	soloFreqs := []float64{qos.BaselineFreqHz}
+	if freqHz != qos.BaselineFreqHz {
+		soloFreqs = append(soloFreqs, freqHz)
+	}
+	solo := newWalk(victim.Name, cfg, soloFreqs)
+	// Mixed: the first half of the cores victim, the rest aggressor.
+	mixedProfiles := e.soloProfiles(victim)
+	for i := len(mixedProfiles) / 2; i < len(mixedProfiles); i++ {
+		mixedProfiles[i] = aggressor
+	}
+	mixed := newWalk(victim.Name+"+"+aggressor.Name, cfg, []float64{freqHz})
+	var err error
+	if solo.live, err = e.warmedCluster(soloProfiles, qos.BaselineFreqHz); err != nil {
 		return InterferenceReport{}, err
 	}
-	baseRes, err := sampling.Run(solo, cfg)
-	if err != nil {
+	if mixed.live, err = e.warmedCluster(mixedProfiles, freqHz); err != nil {
 		return InterferenceReport{}, err
 	}
-	baseUIPC := victimUIPC(baseRes, victim, soloProfiles)
-
-	solo.SetFrequency(freqHz)
-	solo.Run(e.SettleCycles)
-	soloRes, err := sampling.Run(solo, cfg)
-	if err != nil {
+	if err := e.runWalks(context.Background(), []*walk{&solo, &mixed}); err != nil {
 		return InterferenceReport{}, err
 	}
-	soloUIPC := victimUIPC(soloRes, victim, soloProfiles)
-
-	// Mixed run: the first half of the cores victim, the rest aggressor.
-	profiles := e.soloProfiles(victim)
-	for i := len(profiles) / 2; i < len(profiles); i++ {
-		profiles[i] = aggressor
-	}
-	mixed, err := e.warmedCluster(profiles, freqHz)
-	if err != nil {
-		return InterferenceReport{}, err
-	}
-	mixedRes, err := sampling.Run(mixed, cfg)
-	if err != nil {
-		return InterferenceReport{}, err
-	}
-	mixedUIPC := victimUIPC(mixedRes, victim, profiles)
+	baseUIPC := victimUIPC(solo.res[0], victim, soloProfiles)
+	soloUIPC := victimUIPC(solo.res[len(soloFreqs)-1], victim, soloProfiles)
+	mixedUIPC := victimUIPC(mixed.res[0], victim, mixedProfiles)
 
 	rep := InterferenceReport{
 		Victim:    victim.Name,

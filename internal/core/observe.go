@@ -6,7 +6,7 @@ import (
 
 	"ntcsim/internal/cpu"
 	"ntcsim/internal/obs"
-	"ntcsim/internal/sampling"
+	"ntcsim/internal/sim"
 	"ntcsim/internal/workload"
 )
 
@@ -22,29 +22,19 @@ func pointKey(p *workload.Profile, freqHz float64) string {
 	return fmt.Sprintf("point.%s.%04.0fMHz.", p.Name, freqHz/1e6)
 }
 
-// harvestResult folds one sweep point's sampled measurements into the
-// registry: cumulative counters from the windows' sum res.Total
-// (commutative uint64 adds — deterministic across worker counts), the
-// per-window UIPC histogram, and the point's uniquely-keyed result gauges.
-func harvestResult(sink obs.Sink, p *workload.Profile, freqHz float64, res sampling.Result, pt Point) {
-	t := res.Total
+// harvestWindow folds one measurement window into the registry:
+// cumulative counters (commutative uint64 adds — deterministic across
+// worker counts and task order) and the per-window UIPC histogram.
+func harvestWindow(sink obs.Sink, m sim.Measurement) {
 	var cs cpu.Stats
-	for _, s := range t.PerCore {
+	for _, s := range m.PerCore {
 		cs.Add(s)
 	}
-	uipc := sink.Histogram("sim.uipc_window", uipcBounds)
-	var refreshNs uint64
-	for _, m := range res.Samples {
-		uipc.Observe(m.UIPC())
-		// Rounded to integral nanoseconds per window BEFORE summing: each
-		// window's value is deterministic, and uint64 adds commute, so the
-		// total stays deterministic where a float sum would not.
-		refreshNs += uint64(math.Round(m.DRAM.RefreshStallsNs))
-	}
-	sink.Counter("sim.windows").Add(uint64(len(res.Samples)))
-	sink.Counter("sim.cycles").Add(uint64(t.Cycles))
-	sink.Counter("sim.instructions").Add(t.Instructions)
-	sink.Counter("sim.user_instructions").Add(t.UserInstructions)
+	sink.Histogram("sim.uipc_window", uipcBounds).Observe(m.UIPC())
+	sink.Counter("sim.windows").Add(1)
+	sink.Counter("sim.cycles").Add(uint64(m.Cycles))
+	sink.Counter("sim.instructions").Add(m.Instructions)
+	sink.Counter("sim.user_instructions").Add(m.UserInstructions)
 	sink.Counter("cpu.branches").Add(cs.Branches)
 	sink.Counter("cpu.mispredicts").Add(cs.Mispredicts)
 	sink.Counter("cpu.prefetches").Add(cs.Prefetches)
@@ -62,24 +52,30 @@ func harvestResult(sink obs.Sink, p *workload.Profile, freqHz float64, res sampl
 	sink.Counter("cache.l1d.hits").Add(cs.L1D.Hits)
 	sink.Counter("cache.l1d.misses").Add(cs.L1D.Misses)
 	sink.Counter("cache.l1d.writebacks").Add(cs.L1D.Writebacks)
-	sink.Counter("cache.llc.accesses").Add(t.LLC.Accesses)
-	sink.Counter("cache.llc.hits").Add(t.LLC.Hits)
-	sink.Counter("cache.llc.misses").Add(t.LLC.Misses)
-	sink.Counter("cache.llc.writebacks").Add(t.LLC.Writebacks)
-	sink.Counter("uncore.xbar_transfers").Add(t.XbarTransfers)
-	sink.Counter("dram.reads").Add(t.DRAM.Reads)
-	sink.Counter("dram.writes").Add(t.DRAM.Writes)
-	sink.Counter("dram.row_hits").Add(t.DRAM.RowHits)
-	sink.Counter("dram.row_conflicts").Add(t.DRAM.RowConflicts)
-	sink.Counter("dram.row_closed").Add(t.DRAM.RowClosed)
-	sink.Counter("dram.activations").Add(t.DRAM.Activations)
-	sink.Counter("dram.bytes_read").Add(t.DRAM.BytesRead)
-	sink.Counter("dram.bytes_written").Add(t.DRAM.BytesWritten)
-	sink.Counter("dram.refresh_stall_ns").Add(refreshNs)
+	sink.Counter("cache.llc.accesses").Add(m.LLC.Accesses)
+	sink.Counter("cache.llc.hits").Add(m.LLC.Hits)
+	sink.Counter("cache.llc.misses").Add(m.LLC.Misses)
+	sink.Counter("cache.llc.writebacks").Add(m.LLC.Writebacks)
+	sink.Counter("uncore.xbar_transfers").Add(m.XbarTransfers)
+	sink.Counter("dram.reads").Add(m.DRAM.Reads)
+	sink.Counter("dram.writes").Add(m.DRAM.Writes)
+	sink.Counter("dram.row_hits").Add(m.DRAM.RowHits)
+	sink.Counter("dram.row_conflicts").Add(m.DRAM.RowConflicts)
+	sink.Counter("dram.row_closed").Add(m.DRAM.RowClosed)
+	sink.Counter("dram.activations").Add(m.DRAM.Activations)
+	sink.Counter("dram.bytes_read").Add(m.DRAM.BytesRead)
+	sink.Counter("dram.bytes_written").Add(m.DRAM.BytesWritten)
+	// Rounded to integral nanoseconds per window: each window's value is
+	// deterministic, and uint64 adds commute, so the total stays
+	// deterministic where a float sum would not.
+	sink.Counter("dram.refresh_stall_ns").Add(uint64(math.Round(m.DRAM.RefreshStallsNs)))
+}
 
-	// The point's evaluated result: energy breakdown by component and the
-	// efficiency figures, one uniquely-keyed gauge set per point.
-	key := pointKey(p, freqHz)
+// harvestPoint records a finished point's evaluated result: energy
+// breakdown by component and the efficiency figures, one uniquely-keyed
+// gauge set per point.
+func harvestPoint(sink obs.Sink, p *workload.Profile, pt Point) {
+	key := pointKey(p, pt.FreqHz)
 	sink.Gauge(key + "uips_chip").Set(pt.UIPSChip)
 	sink.Gauge(key + "cores_w").Set(pt.Power.CoresW())
 	sink.Gauge(key + "uncore_w").Set(pt.Power.UncoreW())

@@ -69,7 +69,7 @@ func TestSweepBitIdenticalAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestSweepReproducibleAcrossExplorerInstances: two independently built
-// explorers (fresh warmup, fresh checkpoint, different worker counts)
+// explorers (fresh warmup, fresh live point, different worker counts)
 // must agree exactly on the same grid.
 func TestSweepReproducibleAcrossExplorerInstances(t *testing.T) {
 	skipExhaustive(t)
@@ -123,7 +123,7 @@ func TestSweepManyMatchesIndividualSweeps(t *testing.T) {
 
 // TestParallelSweepRaceSmoke drives the parallel engine with more workers
 // than points and again with workloads fanned out, as a short-mode target
-// for `go test -race`: any shared-state race in restore, sampling or
+// for `go test -race`: any shared-state race in cloning, sampling or
 // evaluation trips the detector here.
 func TestParallelSweepRaceSmoke(t *testing.T) {
 	e := determinismExplorer(t, 8)
@@ -150,9 +150,11 @@ func TestSweepErrorPropagatesFromWorkers(t *testing.T) {
 }
 
 // TestSweepManyBoundedByJobs: one SweepMany call simulates at most Jobs
-// clusters at once. Every prelude, point and memo replay holds a trace
-// lane while it runs, so no event may sit on a lane above Jobs. Sized
-// for `make race`, which repeats it under the race detector.
+// clusters at once. Every prelude, walk advance, sample task and memo
+// replay holds a trace lane while it runs, so no event may sit on a lane
+// above Jobs. Sized for `make race`, which repeats it under the race
+// detector, where its sample tasks clone each idle live point
+// concurrently.
 func TestSweepManyBoundedByJobs(t *testing.T) {
 	const jobs = 2
 	e := memoExplorer(t, nil)
@@ -161,7 +163,8 @@ func TestSweepManyBoundedByJobs(t *testing.T) {
 	e.Tracer = obs.NewTracer(&buf)
 	profiles := []*workload.Profile{workload.WebSearch(), workload.MediaStreaming(), workload.VMLowMem()}
 	freqs := []float64{0.3e9, 0.5e9, 1.0e9, 2.0e9}
-	if _, err := e.SweepMany(context.Background(), profiles, freqs); err != nil {
+	sweeps, err := e.SweepMany(context.Background(), profiles, freqs)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Tracer.Close(); err != nil {
@@ -186,7 +189,14 @@ func TestSweepManyBoundedByJobs(t *testing.T) {
 			points++
 		}
 	}
-	if want := len(profiles) * len(freqs); points != want {
+	// One point span per (point, sample) task.
+	want := 0
+	for _, sw := range sweeps {
+		for _, pt := range sw.Points {
+			want += pt.Samples
+		}
+	}
+	if points != want {
 		t.Fatalf("trace holds %d point spans, want %d", points, want)
 	}
 }

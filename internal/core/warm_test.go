@@ -80,9 +80,9 @@ func TestSweepCancelledBeforeWarmup(t *testing.T) {
 
 // TestRenamedProfileSweeps sweeps a renamed and an edited copy of
 // web-search, neither of which the registry holds under its name. The
-// in-memory checkpoint every point restores from carries the profile
-// itself, so both sweep reproducibly, and the edited copy measures its
-// own parameters rather than the registered web-search's.
+// live point every sample clones carries the profile itself, so both
+// sweep reproducibly, and the edited copy measures its own parameters
+// rather than the registered web-search's.
 func TestRenamedProfileSweeps(t *testing.T) {
 	renamed, edited := workload.WebSearch(), workload.WebSearch()
 	renamed.Name, edited.LoadFrac = "my-search", 0.10

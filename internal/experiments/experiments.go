@@ -36,7 +36,7 @@ const DefaultSeed uint64 = 0x5eed
 // Version is the experiment-API generation, folded into every cache key so
 // results computed by an older incompatible API are never served for a new
 // one. Bump it when a change makes previously cached report bytes wrong.
-const Version = "ntcsim-experiments/v6"
+const Version = "ntcsim-experiments/v7"
 
 // Env is what an experiment runs against besides its Params: the report
 // writer and the explorer seams (core.Seams), which every explorer the
@@ -84,7 +84,8 @@ type Params struct {
 	// WarmInstr, when non-zero, overrides the per-core functional warmup
 	// instruction count of the selected fidelity.
 	WarmInstr uint64 `json:"warm_instr,omitempty"`
-	// SettleCycles, when non-zero, overrides the post-DVFS settle window.
+	// SettleCycles, when non-zero, overrides the settle window after the
+	// warm-up.
 	SettleCycles int64 `json:"settle_cycles,omitempty"`
 }
 

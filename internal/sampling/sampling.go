@@ -1,5 +1,5 @@
-// Package sampling implements the SMARTS statistical sampling methodology
-// the paper uses to make full-system simulation tractable (Sec. IV,
+// Package sampling holds the SMARTS statistical sampling methodology the
+// paper uses to make full-system simulation tractable (Sec. IV,
 // following Wunderlich et al.): systematic samples are drawn over a long
 // instruction stream; between samples the simulator fast-forwards in a
 // cheap functional-warming mode (caches and branch predictors stay warm),
@@ -7,6 +7,11 @@
 // detailed measurement window. Sampling stops when the performance metric
 // reaches the target confidence ("Performance is measured at a 95%
 // confidence level and an average error below 2%").
+//
+// The package is data and arithmetic: a Config, and a Result that
+// accumulates measurement windows and holds the stop rule. The walk that
+// produces the windows lives in internal/core, where every operating
+// point of a workload measures sample k from the same live point.
 package sampling
 
 import (
@@ -17,16 +22,6 @@ import (
 	"ntcsim/internal/workload"
 )
 
-// Target is the simulator driven by the sampler (implemented by
-// sim.Cluster).
-type Target interface {
-	FastForward(nPerCore uint64)
-	Run(cycles int64)
-	Measure(cycles int64) sim.Measurement
-}
-
-var _ Target = (*sim.Cluster)(nil)
-
 // Config controls one sampled simulation.
 type Config struct {
 	// WarmupCycles of detailed simulation precede each measurement so
@@ -36,8 +31,11 @@ type Config struct {
 	// MeasureCycles is the detailed measurement window (paper: 50K cycles,
 	// 400K for Data Serving).
 	MeasureCycles int64
-	// FastForwardInstr is the functional-warming gap between samples (per
-	// core), giving systematic coverage of the 10-second trace interval.
+	// FastForwardInstr is the functional-warming gap between consecutive
+	// sample units (per core), giving systematic coverage of the 10-second
+	// trace interval. Every operating point of a workload measures unit k
+	// from the same live point, so the gap must be positive: without it
+	// each unit would be the first one again.
 	FastForwardInstr uint64
 	// MinSamples / MaxSamples bound the adaptive loop.
 	MinSamples, MaxSamples int
@@ -55,6 +53,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.WarmupCycles < 0 || c.MeasureCycles <= 0:
 		return fmt.Errorf("sampling: windows must be positive")
+	case c.FastForwardInstr == 0:
+		return fmt.Errorf("sampling: the fast-forward gap between samples must be positive")
 	case c.MinSamples < 2 || c.MaxSamples < c.MinSamples:
 		return fmt.Errorf("sampling: need MaxSamples >= MinSamples >= 2")
 	case c.TargetRelErr <= 0:
@@ -97,7 +97,8 @@ func QuickConfig() Config {
 	}
 }
 
-// Result is the outcome of a sampled simulation.
+// Result is the outcome of a sampled simulation: the measurement windows
+// of one operating point, in sample order.
 type Result struct {
 	Samples   []sim.Measurement
 	UIPC      stats.Accumulator
@@ -108,34 +109,22 @@ type Result struct {
 	Total sim.Measurement
 }
 
+// Add records the next measurement window and applies the stop rule:
+// it reports whether sampling ends here, because the interval met
+// cfg.TargetRelErr with at least MinSamples windows (Converged is then
+// set) or because MaxSamples windows are in.
+func (r *Result) Add(m sim.Measurement, cfg Config) (stop bool) {
+	r.Samples = append(r.Samples, m)
+	r.UIPC.Add(m.UIPC())
+	r.Total.Add(m)
+	n := len(r.Samples)
+	r.Converged = n >= cfg.MinSamples && r.RelErr() <= cfg.TargetRelErr
+	return r.Converged || n >= cfg.MaxSamples
+}
+
 // RelErr returns the relative half-width of UIPC's confidence interval.
 func (r Result) RelErr() float64 { return r.UIPC.RelativeError(confidence) }
 
 // MeanUIPS returns the mean user instructions per second, using the
 // frequency of the sampled windows.
 func (r Result) MeanUIPS() float64 { return r.UIPC.Mean() * r.Total.FreqHz }
-
-// Run executes the sampled simulation on t.
-func Run(t Target, cfg Config) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	var res Result
-	for i := 0; i < cfg.MaxSamples; i++ {
-		if i > 0 && cfg.FastForwardInstr > 0 {
-			t.FastForward(cfg.FastForwardInstr)
-		}
-		if cfg.WarmupCycles > 0 {
-			t.Run(cfg.WarmupCycles)
-		}
-		m := t.Measure(cfg.MeasureCycles)
-		res.Samples = append(res.Samples, m)
-		res.UIPC.Add(m.UIPC())
-		res.Total.Add(m)
-		if i+1 >= cfg.MinSamples && res.RelErr() <= cfg.TargetRelErr {
-			res.Converged = true
-			break
-		}
-	}
-	return res, nil
-}

@@ -12,23 +12,8 @@ import (
 	"ntcsim/internal/workload"
 )
 
-// fakeTarget produces measurement windows with controlled UIPC noise.
-type fakeTarget struct {
-	s        *rng.Stream
-	meanUIPC float64
-	noise    float64
-	ff, warm int
-	measures int
-}
-
-func (f *fakeTarget) FastForward(n uint64) { f.ff++ }
-func (f *fakeTarget) Run(cycles int64)     { f.warm++ }
-func (f *fakeTarget) Measure(cycles int64) sim.Measurement {
-	f.measures++
-	uipc := f.meanUIPC + f.noise*f.s.NormFloat64()
-	if uipc < 0.01 {
-		uipc = 0.01
-	}
+// window is a synthetic measurement window of the given UIPC.
+func window(uipc float64, cycles int64) sim.Measurement {
 	user := uint64(uipc * float64(cycles))
 	return sim.Measurement{
 		Cycles:           cycles,
@@ -44,15 +29,23 @@ func (f *fakeTarget) Measure(cycles int64) sim.Measurement {
 	}
 }
 
-func TestConvergesOnLowNoise(t *testing.T) {
-	ft := &fakeTarget{s: rng.New(1), meanUIPC: 1.0, noise: 0.005}
-	cfg := QuickConfig()
-	res, err := Run(ft, cfg)
-	if err != nil {
-		t.Fatal(err)
+// sample adds synthetic windows of mean meanUIPC and standard deviation
+// noise to a Result until its stop rule ends sampling.
+func sample(seed uint64, meanUIPC, noise float64, cfg Config) Result {
+	s := rng.New(seed)
+	var res Result
+	for {
+		uipc := max(meanUIPC+noise*s.NormFloat64(), 0.01)
+		if res.Add(window(uipc, cfg.MeasureCycles), cfg) {
+			return res
+		}
 	}
+}
+
+func TestConvergesOnLowNoise(t *testing.T) {
+	res := sample(1, 1.0, 0.005, QuickConfig())
 	if !res.Converged {
-		t.Fatalf("low-noise target should converge, rel err %.4f after %d samples",
+		t.Fatalf("low-noise windows should converge, rel err %.4f after %d samples",
 			res.RelErr(), len(res.Samples))
 	}
 	if res.UIPC.Mean() < 0.9 || res.UIPC.Mean() > 1.1 {
@@ -61,16 +54,12 @@ func TestConvergesOnLowNoise(t *testing.T) {
 }
 
 func TestStopsAtMaxSamplesOnHighNoise(t *testing.T) {
-	ft := &fakeTarget{s: rng.New(2), meanUIPC: 1.0, noise: 0.8}
 	cfg := QuickConfig()
 	cfg.MaxSamples = 5
 	cfg.TargetRelErr = 0.001
-	res, err := Run(ft, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := sample(2, 1.0, 0.8, cfg)
 	if res.Converged {
-		t.Fatal("noisy target should not converge at 0.1% in 5 samples")
+		t.Fatal("noisy windows should not converge at 0.1% in 5 samples")
 	}
 	if len(res.Samples) != 5 {
 		t.Fatalf("samples = %d, want MaxSamples", len(res.Samples))
@@ -78,39 +67,23 @@ func TestStopsAtMaxSamplesOnHighNoise(t *testing.T) {
 }
 
 func TestMinSamplesHonored(t *testing.T) {
-	ft := &fakeTarget{s: rng.New(3), meanUIPC: 1.0, noise: 0}
 	cfg := QuickConfig()
 	cfg.MinSamples = 4
-	res, err := Run(ft, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Samples) < 4 {
-		t.Fatalf("samples = %d, want >= MinSamples 4", len(res.Samples))
-	}
-}
-
-func TestFastForwardBetweenSamplesOnly(t *testing.T) {
-	ft := &fakeTarget{s: rng.New(4), meanUIPC: 1.0, noise: 0.5}
-	cfg := QuickConfig()
-	cfg.MaxSamples = 6
-	cfg.TargetRelErr = 1e-9
-	if _, err := Run(ft, cfg); err != nil {
-		t.Fatal(err)
-	}
-	// The first sample starts without a fast-forward (checkpoint start).
-	if ft.ff != ft.measures-1 {
-		t.Fatalf("fast-forwards = %d for %d measures", ft.ff, ft.measures)
-	}
-	if ft.warm != ft.measures {
-		t.Fatalf("each sample needs one warmup, got %d/%d", ft.warm, ft.measures)
+	res := sample(3, 1.0, 0, cfg)
+	if len(res.Samples) != 4 || !res.Converged {
+		t.Fatalf("noise-free windows stopped after %d samples (converged %v), want exactly MinSamples 4",
+			len(res.Samples), res.Converged)
 	}
 }
 
 func TestConfigValidation(t *testing.T) {
+	if err := QuickConfig().Validate(); err != nil {
+		t.Fatalf("quick config rejected: %v", err)
+	}
 	bad := []func(*Config){
 		func(c *Config) { c.MeasureCycles = 0 },
 		func(c *Config) { c.WarmupCycles = -1 },
+		func(c *Config) { c.FastForwardInstr = 0 },
 		func(c *Config) { c.MinSamples = 1 },
 		func(c *Config) { c.MaxSamples = 2; c.MinSamples = 3 },
 		func(c *Config) { c.TargetRelErr = 0 },
@@ -118,7 +91,7 @@ func TestConfigValidation(t *testing.T) {
 	for i, mutate := range bad {
 		cfg := QuickConfig()
 		mutate(&cfg)
-		if _, err := Run(&fakeTarget{s: rng.New(1), meanUIPC: 1}, cfg); err == nil {
+		if err := cfg.Validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
 	}
@@ -139,15 +112,16 @@ func TestPaperConfigDataServingWindows(t *testing.T) {
 	if confidence != 0.95 || std.TargetRelErr != 0.02 {
 		t.Fatal("paper requires 95% confidence, 2% error")
 	}
+	for _, cfg := range []Config{std, ds} {
+		if err := cfg.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 func TestAggregates(t *testing.T) {
-	ft := &fakeTarget{s: rng.New(5), meanUIPC: 0.8, noise: 0.001}
 	cfg := QuickConfig()
-	res, err := Run(ft, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := sample(5, 0.8, 0.001, cfg)
 	want := sim.Measurement{FreqHz: res.Samples[0].FreqHz, PerCore: make([]cpu.Stats, 1)}
 	for _, m := range res.Samples {
 		want.Cycles += m.Cycles
@@ -175,7 +149,9 @@ func TestAggregates(t *testing.T) {
 }
 
 func TestEndToEndWithCluster(t *testing.T) {
-	// Integration: sample a real cluster and verify convergence behavior.
+	// Integration: sample a real cluster the SMARTS way (fast-forward
+	// between samples, a detailed warmup before each window) until the
+	// stop rule ends it.
 	if testing.Short() {
 		t.Skip("integration test")
 	}
@@ -184,15 +160,22 @@ func TestEndToEndWithCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl.FastForward(400_000)
-	res, err := Run(cl, QuickConfig())
-	if err != nil {
-		t.Fatal(err)
+	cfg := QuickConfig()
+	var res Result
+	for k := 0; ; k++ {
+		if k > 0 {
+			cl.FastForward(cfg.FastForwardInstr)
+		}
+		cl.Run(cfg.WarmupCycles)
+		if res.Add(cl.Measure(cfg.MeasureCycles), cfg) {
+			break
+		}
 	}
 	if res.UIPC.Mean() <= 0 {
 		t.Fatal("sampled UIPC should be positive")
 	}
-	if len(res.Samples) < 3 {
-		t.Fatalf("expected at least MinSamples samples, got %d", len(res.Samples))
+	if n := len(res.Samples); n < cfg.MinSamples || n > cfg.MaxSamples {
+		t.Fatalf("stopped after %d samples, want %d..%d", n, cfg.MinSamples, cfg.MaxSamples)
 	}
 	if res.Total.ReadBandwidth() <= 0 {
 		t.Fatal("sampled bandwidth should be positive")

@@ -171,10 +171,16 @@ func newCluster(cfg Config, plans []workload.Plan, freqHz float64, mem *sharedMe
 	return cl, nil
 }
 
-// clone returns an independent copy of the cluster and its memory
-// system. The copy shares the read-only plans and starts with empty
-// Run/FastForward scratch and observability off.
-func (cl *Cluster) clone() *Cluster {
+// Clone returns an independent deep copy of the cluster and its memory
+// system: a copy runs exactly as the original would from here. It shares
+// the read-only plans and starts with empty Run/FastForward scratch and
+// observability off (instrumentation is not simulator state).
+//
+// Clone only reads cl, so many goroutines may clone one cluster at once
+// while nothing runs it. That is how a sweep launches every measurement
+// from a warmed live point (the paper launches "from checkpoints with
+// warmed caches and branch predictors", Sec. IV).
+func (cl *Cluster) Clone() *Cluster {
 	n := *cl
 	n.plans = cl.plans // shared: a plan is never written after NewPlan
 	n.mem = cl.mem.clone()

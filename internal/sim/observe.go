@@ -8,9 +8,9 @@ import (
 
 // EnableObs turns on the extra hot-path instrumentation in every layer
 // below the cluster: per-core MSHR occupancy tracking and per-bank DRAM
-// command counting. Restored checkpoints come up with observability off
-// (the instrumentation is not part of simulator state), so callers enable
-// it per restored cluster. Enabling does not change simulation results —
+// command counting. Clones come up with observability off (the
+// instrumentation is not part of simulator state), so callers enable it
+// per clone. Enabling does not change simulation results —
 // only what gets counted on the side.
 func (cl *Cluster) EnableObs() {
 	for _, c := range cl.cores {

@@ -106,8 +106,8 @@ func TestHarvestDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestRestoredClusterObsDisabled: restoring a checkpoint must come up
-// with observability off — instrumentation is not simulator state.
+// TestRestoredClusterObsDisabled: a clone must come up with
+// observability off — instrumentation is not simulator state.
 func TestRestoredClusterObsDisabled(t *testing.T) {
 	cl, err := NewCluster(DefaultConfig(), workload.WebSearch(), 1e9)
 	if err != nil {
@@ -115,13 +115,13 @@ func TestRestoredClusterObsDisabled(t *testing.T) {
 	}
 	cl.EnableObs()
 	cl.Run(10_000)
-	restored := RestoreCluster(cl.Checkpoint())
-	if restored.mem.sys.PerBankCounts() != nil {
-		t.Fatal("restored cluster must have observability disabled")
+	clone := cl.Clone()
+	if clone.mem.sys.PerBankCounts() != nil {
+		t.Fatal("a clone must have observability disabled")
 	}
-	for _, c := range restored.cores {
+	for _, c := range clone.cores {
 		if c.MSHROccupancy() != nil {
-			t.Fatal("restored core must have observability disabled")
+			t.Fatal("a cloned core must have observability disabled")
 		}
 	}
 }

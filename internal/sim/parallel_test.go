@@ -35,16 +35,16 @@ func TestChipFastForwardIndependentOfJobs(t *testing.T) {
 }
 
 func TestRestoreClusterSharedCheckpointConcurrently(t *testing.T) {
-	// One checkpoint restored from many goroutines must produce clusters
-	// that evolve identically — the restore path may only read the
-	// checkpoint (this is the invariant the parallel sweep engine relies
+	// One live point cloned from many goroutines must produce clusters
+	// that evolve identically — Clone may only read its source, also one
+	// that has run (this is the invariant the sweep's sample tasks rely
 	// on; run under -race to enforce the read-only contract).
 	cl, err := NewCluster(DefaultConfig(), workload.DataServing(), 2e9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cl.FastForward(150_000)
-	ck := cl.Checkpoint()
+	cl.Run(2_000)
 
 	const n = 4
 	results := make([]Measurement, n)
@@ -52,7 +52,7 @@ func TestRestoreClusterSharedCheckpointConcurrently(t *testing.T) {
 	for i := 0; i < n; i++ {
 		go func(i int) {
 			defer func() { done <- i }()
-			rcl := RestoreCluster(ck)
+			rcl := cl.Clone()
 			rcl.SetFrequency(1e9)
 			rcl.Run(2_000)
 			results[i] = rcl.Measure(10_000)
@@ -64,7 +64,7 @@ func TestRestoreClusterSharedCheckpointConcurrently(t *testing.T) {
 	for i := 1; i < n; i++ {
 		if results[i].UserInstructions != results[0].UserInstructions ||
 			results[i].LLC != results[0].LLC {
-			t.Fatalf("restore %d diverged from restore 0", i)
+			t.Fatalf("clone %d diverged from clone 0", i)
 		}
 	}
 }
