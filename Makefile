@@ -117,7 +117,7 @@ define run_matching
 endef
 
 fault:
-	$(call run_matching,StopsBetweenPoints|HonoursCancelledCtx|CancelledBeforeWarmup,./internal/core)
+	$(call run_matching,StopsBetweenPoints|HonoursCancelledCtx|CancelledBeforeWarmup|CancelMergesStoppedPoints,./internal/core)
 
 serve-smoke:
 	$(GO) test -short ./internal/serve ./internal/qos

@@ -20,8 +20,7 @@ func TestSweepWindowsConserveTraffic(t *testing.T) {
 	for _, p := range []*workload.Profile{workload.WebSearch(), workload.VMHighMem()} {
 		t.Run(p.Name, func(t *testing.T) {
 			w := newWalk(p.Name, e.SamplingFor(p), freqs)
-			var err error
-			if w.live, err = e.warmedCluster(e.soloProfiles(p), qos.BaselineFreqHz); err != nil {
+			if err := e.prelude(&w, e.soloProfiles(p), qos.BaselineFreqHz); err != nil {
 				t.Fatal(err)
 			}
 			if err := e.runWalks(context.Background(), []*walk{&w}); err != nil {

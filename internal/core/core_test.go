@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"ntcsim/internal/qos"
@@ -211,6 +212,16 @@ func TestSweepValidation(t *testing.T) {
 	}
 	if _, err := e.Sweep(context.Background(), workload.WebSearch(), []float64{0.5e9, 1e9}); err == nil {
 		t.Fatal("a grid without the 2GHz baseline should error")
+	}
+	// The grid is checked before warming: this explorer's cluster cannot
+	// be built, so a sweep that reached the warm-up would fail on that.
+	e.Platform.Cluster.CoresPerCluster = 0
+	if _, err := e.Sweep(context.Background(), workload.WebSearch(), []float64{2e9, 50e9}); err == nil ||
+		!strings.Contains(err.Error(), "50000 MHz") {
+		t.Fatalf("unreachable frequency: err = %v, want it named before warming", err)
+	}
+	if _, err := e.Sweep(context.Background(), workload.WebSearch(), []float64{2e9}); err == nil {
+		t.Fatal("the cluster builds, so the unreachable grid proves nothing about warming")
 	}
 }
 

@@ -54,18 +54,20 @@ type Seams struct {
 	Jobs int
 
 	// Obs, when set, enables the observability layer: per-layer counters
-	// are harvested into the registry at each point's completion, and the
-	// worker pool reports queue-wait/busy timings. Counter-class metrics
-	// stay bit-identical for every Jobs setting; leaving Obs nil keeps the
-	// sweep on the uninstrumented fast path.
+	// are harvested into the registry after each measurement window, each
+	// point's gauges after the walk, and the worker pool reports
+	// queue-wait/busy timings. Counter-class metrics stay bit-identical
+	// for every Jobs setting; leaving Obs nil keeps the sweep on the
+	// uninstrumented fast path.
 	Obs *obs.Registry
 	// Tracer, when set, records Chrome-trace spans for each workload's
 	// warm-up ("sweep"), each advance of its live point
 	// ("sample"/"fastforward"), and each sample task of a point ("point")
 	// with its "sample"/"warmup" and "sample"/"measure" phases.
 	Tracer *obs.Tracer
-	// Progress, when set, reports one line per sweep point, when it takes
-	// its last sample.
+	// Progress, when set, reports one line per walked point, when it
+	// takes its last sample: each sweep point, and each solo and mixed
+	// point of an Interference call.
 	Progress *obs.Progress
 	// Memo, when set, answers a sweep whose inputs match an earlier one
 	// from that sweep's stored result instead of recomputing it (see
@@ -147,9 +149,14 @@ type Point struct {
 	Metric float64
 	QoSOK  bool
 
-	Samples   int
+	// Samples is the number of measurement windows taken.
+	Samples int
+	// Converged reports that the point met its TargetRelErr, after at
+	// least MinSamples windows, instead of stopping at MaxSamples.
 	Converged bool
-	RelErr    float64
+	// RelErr is the relative 95% confidence half-width of the point's
+	// mean UIPC.
+	RelErr float64
 }
 
 // Sweep is a full frequency sweep of one workload.
@@ -189,26 +196,28 @@ func (e *Explorer) Sweep(ctx context.Context, p *workload.Profile, freqsHz []flo
 
 // SweepMany sweeps each profile over the same frequency grid and returns
 // the sweeps in profile order. The grid must hold qos.BaselineFreqHz: that
-// point is the baseline of every QoS metric. A call whose ctx is already
-// cancelled returns its cause before warming; a ctx cancelled later stops
-// the call at the next sample task (a simulation already running
-// completes). A frequency the technology cannot reach fails the call
-// after the other points are measured.
+// point is the baseline of every QoS metric. A call whose grid holds a
+// frequency the technology cannot reach, or whose ctx is already
+// cancelled, fails before warming; a ctx cancelled later stops the call
+// at the next sample task (a simulation already running completes).
 //
-// Execution model, in four steps, each pool at most Jobs wide:
+// Execution model, in three phases, each pool at most Jobs wide:
 //
-//  1. A workload the memo holds is answered from it (see replay).
-//  2. Each remaining workload runs its prelude: a cluster is warmed at
+//  1. Validate: the grid is checked whole, and each frequency resolved
+//     to its operating point.
+//  2. Walk: a workload the memo holds is answered from it (see replay).
+//     Each remaining workload runs its prelude: a cluster is warmed at
 //     the 2GHz baseline and becomes the workload's live point (see
-//     prelude).
-//  3. The points are measured sample-major, in rounds (see runWalks):
-//     in round k, each workload with a point still sampling advances
-//     its live point by FastForwardInstr per core, and then every such
-//     (workload, point) pair measures sample k on a clone of it. Each
-//     point stops on its own rule (sampling.Result.Add).
-//  4. In profile order, each workload's points get their QoS metric
-//     against its 2GHz point, and its metrics reach Obs, its result the
-//     memo and its points' breakdowns the telemetry.
+//     prelude). The points are then measured sample-major, in rounds
+//     (see runWalks): in round k, each workload with a point still
+//     sampling advances its live point by FastForwardInstr per core, and
+//     then every such (workload, point) pair measures sample k on a
+//     clone of it. Each point stops on its own rule
+//     (sampling.Result.Add).
+//  3. Evaluate: every point that stopped gets its power and efficiency
+//     from its windows. Then, in profile order, each workload's points
+//     get their QoS metric against its 2GHz point, and its metrics reach
+//     Obs, its result the memo and its points' breakdowns the telemetry.
 //
 // So the functional warming between samples is walked once per workload,
 // and every frequency measures the same sample units. A point's result
@@ -221,10 +230,16 @@ func (e *Explorer) SweepMany(ctx context.Context, profiles []*workload.Profile, 
 	}
 	freqs := append([]float64(nil), freqsHz...)
 	sort.Float64s(freqs)
-	for _, f := range freqs {
+	ops := make([]tech.OperatingPoint, len(freqs))
+	for i, f := range freqs {
 		if f <= 0 {
 			return nil, fmt.Errorf("core: non-positive frequency %v", f)
 		}
+		op, err := e.Platform.Tech.OperatingPointFor(f, 0)
+		if err != nil {
+			return nil, fmt.Errorf("core: %.0f MHz: %w", f/1e6, err)
+		}
+		ops[i] = op
 	}
 	if !slices.Contains(freqs, qos.BaselineFreqHz) {
 		return nil, fmt.Errorf("core: the frequency grid lacks the %.0f MHz QoS baseline", qos.BaselineFreqHz/1e6)
@@ -233,18 +248,6 @@ func (e *Explorer) SweepMany(ctx context.Context, profiles []*workload.Profile, 
 	// and neither pays for warming first.
 	if ctx.Err() != nil {
 		return nil, context.Cause(ctx)
-	}
-	// Operating points depend on the frequency alone. A point without one
-	// is never walked; its error waits for the other points.
-	ops := make([]tech.OperatingPoint, len(freqs))
-	unreachable := make([]bool, len(freqs))
-	var opErr error
-	for i, f := range freqs {
-		op, err := e.Platform.Tech.OperatingPointFor(f, 0)
-		if err != nil && opErr == nil {
-			opErr = fmt.Errorf("core: %.0f MHz: %w", f/1e6, err)
-		}
-		ops[i], unreachable[i] = op, err != nil
 	}
 	sweeps := make([]*Sweep, len(profiles))
 	var jobs []*sweepJob
@@ -272,34 +275,32 @@ func (e *Explorer) SweepMany(ctx context.Context, profiles []*workload.Profile, 
 		if e.Obs != nil {
 			j.reg = obs.NewRegistry()
 		}
-		j.points = make([]Point, len(freqs))
-		j.onStop = func(k int) {
-			j.points[k] = e.evaluate(freqs[k], ops[k], j.res[k])
-			if j.reg != nil {
-				harvestPoint(j.reg, j.p, j.points[k])
-			}
-			e.Progress.Done(pointLabel(j.name, freqs[k]), j.busy[k])
-		}
-		copy(j.stopped, unreachable)
 		jobs = append(jobs, j)
 		walks = append(walks, &j.walk)
 	}
 
 	err := parallel.ForEach(ctx, len(jobs), e.Jobs, func(_ context.Context, k int) error {
-		return jobErr(jobs[k], e.prelude(jobs[k]))
+		j := jobs[k]
+		return jobErr(j, e.prelude(&j.walk, e.soloProfiles(j.p), qos.BaselineFreqHz))
 	})
 	if err == nil {
-		e.Progress.Add(len(jobs) * len(freqs))
 		err = e.runWalks(ctx, walks)
 	}
-	if err == nil {
-		err = opErr
-	}
 
-	// The private registries reach Obs through the same Merge a hit uses,
-	// also when the call failed part-way: the measured windows' counters
-	// are valid data.
+	// Every stopped point is evaluated, and the private registries reach
+	// Obs through the same Merge a hit uses, also when the call was
+	// cancelled part-way: the measured windows' counters are valid data.
 	for _, j := range jobs {
+		j.points = make([]Point, len(freqs))
+		for k, stopped := range j.stopped {
+			if !stopped {
+				continue
+			}
+			j.points[k] = e.evaluate(freqs[k], ops[k], j.res[k])
+			if j.reg != nil {
+				harvestPoint(j.reg, j.p, j.points[k])
+			}
+		}
 		if j.reg == nil {
 			continue
 		}
@@ -326,8 +327,7 @@ func (e *Explorer) SweepMany(ctx context.Context, profiles []*workload.Profile, 
 }
 
 // sweepJob is one workload of a SweepMany call that the memo did not
-// answer: its inputs, its walk, and the per-point results, each written
-// only by its own point.
+// answer: its inputs, its walk, and the points evaluated after the walk.
 type sweepJob struct {
 	slot int // index in SweepMany's profiles
 	p    *workload.Profile
@@ -337,7 +337,7 @@ type sweepJob struct {
 	walk // the live point is set by prelude
 
 	points  []Point
-	metrics *obs.Snapshot // reg's counter-class snapshot after the walk
+	metrics *obs.Snapshot // reg's counter-class snapshot after evaluation
 }
 
 // jobErr names j's workload in a non-nil err.
@@ -348,20 +348,25 @@ func jobErr(j *sweepJob, err error) error {
 	return nil
 }
 
-// prelude warms a cluster of j's workload at the 2GHz baseline on a
-// trace lane of its own; the warmed cluster is j's live point.
-func (e *Explorer) prelude(j *sweepJob) error {
+// prelude builds a cluster running profiles[i] on core i at freqHz and
+// warms it on a trace lane of its own: WarmInstr functional instructions
+// per core, then SettleCycles of detailed simulation (the paper launches
+// every measurement from a warmed checkpoint, Sec. IV). The warmed
+// cluster is w's live point.
+func (e *Explorer) prelude(w *walk, profiles []*workload.Profile, freqHz float64) error {
 	lane := e.Tracer.AcquireLane()
 	defer e.Tracer.ReleaseLane(lane)
 
 	warmStart := time.Now() //ntclint:allow wallclock trace span timestamps only; never reaches results
-	cl, err := e.warmedCluster(e.soloProfiles(j.p), qos.BaselineFreqHz)
+	cl, err := sim.NewMixedCluster(e.Platform.Cluster, profiles, freqHz)
 	if err != nil {
 		return err
 	}
+	cl.FastForward(e.WarmInstr)
+	cl.Run(e.SettleCycles)
 	//ntclint:allow wallclock trace span duration only; never reaches results
-	e.Tracer.Complete("sweep", "warm "+j.p.Name, lane, warmStart, time.Since(warmStart), nil)
-	j.live = cl
+	e.Tracer.Complete("sweep", "warm "+w.name, lane, warmStart, time.Since(warmStart), nil)
+	w.live = cl
 	return nil
 }
 
@@ -418,21 +423,6 @@ func (e *Explorer) recordTelemetry(p *workload.Profile, points []Point) {
 		totalJ += pt.Power.TotalW() // × 1s pseudo-horizon
 	}
 	tel.ReportTotal(totalJ)
-}
-
-// warmedCluster builds a cluster running profiles[i] on core i at freqHz
-// and warms it: WarmInstr functional instructions per core, then
-// SettleCycles of detailed simulation (the paper launches every
-// measurement from a warmed checkpoint, Sec. IV). Sweeps and the
-// interference analysis launch from it alike.
-func (e *Explorer) warmedCluster(profiles []*workload.Profile, freqHz float64) (*sim.Cluster, error) {
-	cl, err := sim.NewMixedCluster(e.Platform.Cluster, profiles, freqHz)
-	if err != nil {
-		return nil, err
-	}
-	cl.FastForward(e.WarmInstr)
-	cl.Run(e.SettleCycles)
-	return cl, nil
 }
 
 // soloProfiles assigns p to every core of a cluster.

@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
+	"ntcsim/internal/parallel"
 	"ntcsim/internal/qos"
 	"ntcsim/internal/sampling"
 	"ntcsim/internal/workload"
@@ -39,61 +41,75 @@ type InterferenceReport struct {
 }
 
 // Interference co-schedules aggressor on half of the victim's cluster and
-// measures the victim's slowdown and QoS impact at the given frequency.
-// Both clusters are walks, sampled like a sweep's points: the solo cluster,
-// warmed at 2GHz, measures the 2GHz baseline and freqHz from the same
-// sample units, and the mixed cluster, warmed at freqHz, measures freqHz.
-func (e *Explorer) Interference(victim, aggressor *workload.Profile, freqHz float64) (InterferenceReport, error) {
+// measures the victim's slowdown and QoS impact at each of freqs, one
+// report per frequency in freqs' order. Every cluster is a walk, sampled
+// like a sweep's points, and one runWalks measures them all: the solo
+// cluster, warmed at 2GHz, measures the 2GHz baseline and every frequency
+// from the same sample units, and one mixed cluster per frequency, warmed
+// at it, measures it. Each report equals that of a one-frequency call.
+func (e *Explorer) Interference(ctx context.Context, victim, aggressor *workload.Profile, freqs []float64) ([]InterferenceReport, error) {
 	if victim.Class != workload.ScaleOut {
-		return InterferenceReport{}, fmt.Errorf("core: interference analysis targets scale-out victims, got %s", victim.Name)
+		return nil, fmt.Errorf("core: interference analysis targets scale-out victims, got %s", victim.Name)
+	}
+	if len(freqs) == 0 {
+		return nil, fmt.Errorf("core: empty frequency list")
 	}
 	cfg := e.SamplingFor(victim)
 	if err := cfg.Validate(); err != nil {
-		return InterferenceReport{}, err
+		return nil, err
 	}
 
 	soloProfiles := e.soloProfiles(victim)
-	soloFreqs := []float64{qos.BaselineFreqHz}
-	if freqHz != qos.BaselineFreqHz {
-		soloFreqs = append(soloFreqs, freqHz)
-	}
+	soloFreqs := append([]float64{qos.BaselineFreqHz}, freqs...)
+	slices.Sort(soloFreqs)
+	soloFreqs = slices.Compact(soloFreqs)
 	solo := newWalk(victim.Name, cfg, soloFreqs)
 	// Mixed: the first half of the cores victim, the rest aggressor.
 	mixedProfiles := e.soloProfiles(victim)
 	for i := len(mixedProfiles) / 2; i < len(mixedProfiles); i++ {
 		mixedProfiles[i] = aggressor
 	}
-	mixed := newWalk(victim.Name+"+"+aggressor.Name, cfg, []float64{freqHz})
-	var err error
-	if solo.live, err = e.warmedCluster(soloProfiles, qos.BaselineFreqHz); err != nil {
-		return InterferenceReport{}, err
+	walks := []*walk{&solo}
+	for _, f := range freqs {
+		mixed := newWalk(victim.Name+"+"+aggressor.Name, cfg, []float64{f})
+		walks = append(walks, &mixed)
 	}
-	if mixed.live, err = e.warmedCluster(mixedProfiles, freqHz); err != nil {
-		return InterferenceReport{}, err
+	err := parallel.ForEach(ctx, len(walks), e.Jobs, func(_ context.Context, k int) error {
+		if k == 0 {
+			return e.prelude(&solo, soloProfiles, qos.BaselineFreqHz)
+		}
+		return e.prelude(walks[k], mixedProfiles, walks[k].freqs[0])
+	})
+	if err == nil {
+		err = e.runWalks(ctx, walks)
 	}
-	if err := e.runWalks(context.Background(), []*walk{&solo, &mixed}); err != nil {
-		return InterferenceReport{}, err
+	if err != nil {
+		return nil, err
 	}
-	baseUIPC := victimUIPC(solo.res[0], victim, soloProfiles)
-	soloUIPC := victimUIPC(solo.res[len(soloFreqs)-1], victim, soloProfiles)
-	mixedUIPC := victimUIPC(mixed.res[0], victim, mixedProfiles)
 
-	rep := InterferenceReport{
-		Victim:    victim.Name,
-		Aggressor: aggressor.Name,
-		FreqHz:    freqHz,
-		SoloUIPC:  soloUIPC,
-		MixedUIPC: mixedUIPC,
-	}
-	if mixedUIPC > 0 {
-		rep.Slowdown = soloUIPC / mixedUIPC
+	soloUIPC := func(f float64) float64 {
+		return victimUIPC(solo.res[slices.Index(soloFreqs, f)], victim, soloProfiles)
 	}
 	// QoS: the paper's latency scaling against the 2GHz solo baseline.
-	baseUIPS := baseUIPC * qos.BaselineFreqHz
-	rep.NormalizedSolo = qos.Normalized(victim, baseUIPS, soloUIPC*freqHz)
-	rep.NormalizedMixed = qos.Normalized(victim, baseUIPS, mixedUIPC*freqHz)
-	rep.QoSViolated = rep.NormalizedSolo <= 1 && rep.NormalizedMixed > 1
-	return rep, nil
+	baseUIPS := soloUIPC(qos.BaselineFreqHz) * qos.BaselineFreqHz
+	reps := make([]InterferenceReport, len(freqs))
+	for i, f := range freqs {
+		rep := InterferenceReport{
+			Victim:    victim.Name,
+			Aggressor: aggressor.Name,
+			FreqHz:    f,
+			SoloUIPC:  soloUIPC(f),
+			MixedUIPC: victimUIPC(walks[i+1].res[0], victim, mixedProfiles),
+		}
+		if rep.MixedUIPC > 0 {
+			rep.Slowdown = rep.SoloUIPC / rep.MixedUIPC
+		}
+		rep.NormalizedSolo = qos.Normalized(victim, baseUIPS, rep.SoloUIPC*f)
+		rep.NormalizedMixed = qos.Normalized(victim, baseUIPS, rep.MixedUIPC*f)
+		rep.QoSViolated = rep.NormalizedSolo <= 1 && rep.NormalizedMixed > 1
+		reps[i] = rep
+	}
+	return reps, nil
 }
 
 // victimUIPC averages per-core UIPC over the cores running the victim.

@@ -25,63 +25,63 @@ func pointKey(p *workload.Profile, freqHz float64) string {
 // harvestWindow folds one measurement window into the registry:
 // cumulative counters (commutative uint64 adds — deterministic across
 // worker counts and task order) and the per-window UIPC histogram.
-func harvestWindow(sink obs.Sink, m sim.Measurement) {
+func harvestWindow(reg *obs.Registry, m sim.Measurement) {
 	var cs cpu.Stats
 	for _, s := range m.PerCore {
 		cs.Add(s)
 	}
-	sink.Histogram("sim.uipc_window", uipcBounds).Observe(m.UIPC())
-	sink.Counter("sim.windows").Add(1)
-	sink.Counter("sim.cycles").Add(uint64(m.Cycles))
-	sink.Counter("sim.instructions").Add(m.Instructions)
-	sink.Counter("sim.user_instructions").Add(m.UserInstructions)
-	sink.Counter("cpu.branches").Add(cs.Branches)
-	sink.Counter("cpu.mispredicts").Add(cs.Mispredicts)
-	sink.Counter("cpu.prefetches").Add(cs.Prefetches)
-	sink.Counter("cpu.stall.frontend").Add(cs.FrontendStall)
-	sink.Counter("cpu.stall.rob").Add(cs.ROBStall)
-	sink.Counter("cpu.stall.dep").Add(cs.DepStall)
-	sink.Counter("cpu.stall.issue").Add(cs.IssueStall)
-	sink.Counter("cpu.stall.mem").Add(cs.MemStall)
-	sink.Counter("cpu.llc_requests").Add(cs.LLCRequests)
-	sink.Counter("cache.l1i.accesses").Add(cs.L1I.Accesses)
-	sink.Counter("cache.l1i.hits").Add(cs.L1I.Hits)
-	sink.Counter("cache.l1i.misses").Add(cs.L1I.Misses)
-	sink.Counter("cache.l1i.writebacks").Add(cs.L1I.Writebacks)
-	sink.Counter("cache.l1d.accesses").Add(cs.L1D.Accesses)
-	sink.Counter("cache.l1d.hits").Add(cs.L1D.Hits)
-	sink.Counter("cache.l1d.misses").Add(cs.L1D.Misses)
-	sink.Counter("cache.l1d.writebacks").Add(cs.L1D.Writebacks)
-	sink.Counter("cache.llc.accesses").Add(m.LLC.Accesses)
-	sink.Counter("cache.llc.hits").Add(m.LLC.Hits)
-	sink.Counter("cache.llc.misses").Add(m.LLC.Misses)
-	sink.Counter("cache.llc.writebacks").Add(m.LLC.Writebacks)
-	sink.Counter("uncore.xbar_transfers").Add(m.XbarTransfers)
-	sink.Counter("dram.reads").Add(m.DRAM.Reads)
-	sink.Counter("dram.writes").Add(m.DRAM.Writes)
-	sink.Counter("dram.row_hits").Add(m.DRAM.RowHits)
-	sink.Counter("dram.row_conflicts").Add(m.DRAM.RowConflicts)
-	sink.Counter("dram.row_closed").Add(m.DRAM.RowClosed)
-	sink.Counter("dram.activations").Add(m.DRAM.Activations)
-	sink.Counter("dram.bytes_read").Add(m.DRAM.BytesRead)
-	sink.Counter("dram.bytes_written").Add(m.DRAM.BytesWritten)
+	reg.Histogram("sim.uipc_window", uipcBounds).Observe(m.UIPC())
+	reg.Counter("sim.windows").Add(1)
+	reg.Counter("sim.cycles").Add(uint64(m.Cycles))
+	reg.Counter("sim.instructions").Add(m.Instructions)
+	reg.Counter("sim.user_instructions").Add(m.UserInstructions)
+	reg.Counter("cpu.branches").Add(cs.Branches)
+	reg.Counter("cpu.mispredicts").Add(cs.Mispredicts)
+	reg.Counter("cpu.prefetches").Add(cs.Prefetches)
+	reg.Counter("cpu.stall.frontend").Add(cs.FrontendStall)
+	reg.Counter("cpu.stall.rob").Add(cs.ROBStall)
+	reg.Counter("cpu.stall.dep").Add(cs.DepStall)
+	reg.Counter("cpu.stall.issue").Add(cs.IssueStall)
+	reg.Counter("cpu.stall.mem").Add(cs.MemStall)
+	reg.Counter("cpu.llc_requests").Add(cs.LLCRequests)
+	reg.Counter("cache.l1i.accesses").Add(cs.L1I.Accesses)
+	reg.Counter("cache.l1i.hits").Add(cs.L1I.Hits)
+	reg.Counter("cache.l1i.misses").Add(cs.L1I.Misses)
+	reg.Counter("cache.l1i.writebacks").Add(cs.L1I.Writebacks)
+	reg.Counter("cache.l1d.accesses").Add(cs.L1D.Accesses)
+	reg.Counter("cache.l1d.hits").Add(cs.L1D.Hits)
+	reg.Counter("cache.l1d.misses").Add(cs.L1D.Misses)
+	reg.Counter("cache.l1d.writebacks").Add(cs.L1D.Writebacks)
+	reg.Counter("cache.llc.accesses").Add(m.LLC.Accesses)
+	reg.Counter("cache.llc.hits").Add(m.LLC.Hits)
+	reg.Counter("cache.llc.misses").Add(m.LLC.Misses)
+	reg.Counter("cache.llc.writebacks").Add(m.LLC.Writebacks)
+	reg.Counter("uncore.xbar_transfers").Add(m.XbarTransfers)
+	reg.Counter("dram.reads").Add(m.DRAM.Reads)
+	reg.Counter("dram.writes").Add(m.DRAM.Writes)
+	reg.Counter("dram.row_hits").Add(m.DRAM.RowHits)
+	reg.Counter("dram.row_conflicts").Add(m.DRAM.RowConflicts)
+	reg.Counter("dram.row_closed").Add(m.DRAM.RowClosed)
+	reg.Counter("dram.activations").Add(m.DRAM.Activations)
+	reg.Counter("dram.bytes_read").Add(m.DRAM.BytesRead)
+	reg.Counter("dram.bytes_written").Add(m.DRAM.BytesWritten)
 	// Rounded to integral nanoseconds per window: each window's value is
 	// deterministic, and uint64 adds commute, so the total stays
 	// deterministic where a float sum would not.
-	sink.Counter("dram.refresh_stall_ns").Add(uint64(math.Round(m.DRAM.RefreshStallsNs)))
+	reg.Counter("dram.refresh_stall_ns").Add(uint64(math.Round(m.DRAM.RefreshStallsNs)))
 }
 
 // harvestPoint records a finished point's evaluated result: energy
 // breakdown by component and the efficiency figures, one uniquely-keyed
 // gauge set per point.
-func harvestPoint(sink obs.Sink, p *workload.Profile, pt Point) {
+func harvestPoint(reg *obs.Registry, p *workload.Profile, pt Point) {
 	key := pointKey(p, pt.FreqHz)
-	sink.Gauge(key + "uips_chip").Set(pt.UIPSChip)
-	sink.Gauge(key + "cores_w").Set(pt.Power.CoresW())
-	sink.Gauge(key + "uncore_w").Set(pt.Power.UncoreW())
-	sink.Gauge(key + "memory_w").Set(pt.Power.DRAMW)
-	sink.Gauge(key + "eff_cores").Set(pt.EffCores)
-	sink.Gauge(key + "eff_soc").Set(pt.EffSoC)
-	sink.Gauge(key + "eff_server").Set(pt.EffServer)
-	sink.Gauge(key + "rel_err").Set(pt.RelErr)
+	reg.Gauge(key + "uips_chip").Set(pt.UIPSChip)
+	reg.Gauge(key + "cores_w").Set(pt.Power.CoresW())
+	reg.Gauge(key + "uncore_w").Set(pt.Power.UncoreW())
+	reg.Gauge(key + "memory_w").Set(pt.Power.DRAMW)
+	reg.Gauge(key + "eff_cores").Set(pt.EffCores)
+	reg.Gauge(key + "eff_soc").Set(pt.EffSoC)
+	reg.Gauge(key + "eff_server").Set(pt.EffServer)
+	reg.Gauge(key + "rel_err").Set(pt.RelErr)
 }

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"ntcsim/internal/obs"
 	"ntcsim/internal/obs/timeseries"
@@ -238,28 +242,62 @@ func TestSweepManyPartialMemo(t *testing.T) {
 	}
 }
 
-// TestSweepFailureMergesCompletedPoints: when a call fails part-way, the
-// counters of the points that completed still reach Obs. Points 0 and 1
-// of a sweep that fails at point 2 harvest exactly what a two-point sweep
-// of the same frequencies harvests.
-func TestSweepFailureMergesCompletedPoints(t *testing.T) {
-	failing := memoExplorer(t, nil)
-	failing.Jobs = 1
-	failing.Obs = obs.NewRegistry()
-	if _, err := failing.Sweep(context.Background(), workload.WebSearch(), []float64{0.5e9, 2.0e9, 50e9}); err == nil {
-		t.Fatal("unreachable frequency must fail the sweep")
+// TestSweepCancelMergesStoppedPoints: a call cancelled part-way still
+// merges what it measured into Obs. A serial sweep cancelled when its
+// first point stops has merged one window per traced sample task, and
+// the point gauges of that point alone.
+func TestSweepCancelMergesStoppedPoints(t *testing.T) {
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cause := errors.New("SIGINT")
+	e := memoExplorer(t, nil)
+	e.Jobs = 1
+	e.Obs = obs.NewRegistry()
+	var buf bytes.Buffer
+	e.Tracer = obs.NewTracer(&buf)
+	var stopped []string
+	e.Progress = obs.NewProgressFunc(func(_, _ int, label string, _ time.Duration) {
+		stopped = append(stopped, label)
+		cancel(cause)
+	})
+	p := workload.WebSearch()
+	if _, err := e.Sweep(ctx, p, memoFreqs); !errors.Is(err, cause) {
+		t.Fatalf("err = %v, want the cancellation cause", err)
 	}
-	whole := memoExplorer(t, nil)
-	whole.Obs = obs.NewRegistry()
-	memoSweep(t, whole, workload.WebSearch(), []float64{0.5e9, 2.0e9})
-	var a, b bytes.Buffer
-	if err := failing.Obs.Snapshot().Deterministic().WriteJSON(&a); err != nil {
+	if err := e.Tracer.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := whole.Obs.Snapshot().Deterministic().WriteJSON(&b); err != nil {
-		t.Fatal(err)
+	if want := []string{pointLabel(p.Name, memoFreqs[0])}; !slices.Equal(stopped, want) {
+		t.Fatalf("points stopped before the cancellation took effect: %q, want %q", stopped, want)
 	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("the failed sweep merged\n%s\nwant the completed point's\n%s", a.Bytes(), b.Bytes())
+	var trace struct {
+		TraceEvents []struct {
+			Cat string `json:"cat"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	points := 0
+	for _, ev := range trace.TraceEvents {
+		if ev.Cat == "point" {
+			points++
+		}
+	}
+	snap := e.Obs.Snapshot()
+	if got := snap.Counters["sim.windows"]; got != uint64(points) {
+		t.Fatalf("merged %d windows, want one per traced sample task: %d", got, points)
+	}
+	key := pointKey(p, memoFreqs[0])
+	gauges := 0
+	for name := range snap.Gauges {
+		if strings.HasPrefix(name, "point.") {
+			if !strings.HasPrefix(name, key) {
+				t.Fatalf("gauge %s of a point that never stopped", name)
+			}
+			gauges++
+		}
+	}
+	if gauges == 0 {
+		t.Fatalf("no %s* gauges for the stopped point", key)
 	}
 }

@@ -28,8 +28,6 @@ type walk struct {
 	busy    []time.Duration // run time of its sample tasks so far
 
 	reg *obs.Registry // nil without Obs
-	// onStop, when set, runs in the task that stops point i, once.
-	onStop func(i int)
 }
 
 func newWalk(name string, cfg sampling.Config, freqs []float64) walk {
@@ -49,18 +47,21 @@ type sampleTask struct {
 	i int
 }
 
-// runWalks measures every point of every walk, sample-major. Round k
-// first advances, on one Jobs-wide pool, each live point that still has a
-// point sampling (from round 1 on), and then measures sample k of every
-// such point on a second pool. The pools' barriers keep each live point
-// idle while its clones are taken, and a point's sample k depends only on
-// its live point, k and its frequency, so results are bit-identical for
-// every Jobs setting and any grid. A cancelled ctx stops the walk at the
-// next task.
+// runWalks announces every point of every walk to Progress and measures
+// them, sample-major. Round k first advances, on one Jobs-wide pool, each
+// live point that still has a point sampling (from round 1 on), and then
+// measures sample k of every such point on a second pool. The pools'
+// barriers keep each live point idle while its clones are taken, and a
+// point's sample k depends only on its live point, k and its frequency,
+// so results are bit-identical for every Jobs setting and any grid. A
+// cancelled ctx stops the walk at the next task.
 func (e *Explorer) runWalks(ctx context.Context, walks []*walk) error {
 	pctx := ctx
 	if e.Obs != nil {
 		pctx = parallel.WithObserver(ctx, obs.PoolObserver(e.Obs, "sweep"))
+	}
+	for _, w := range walks {
+		e.Progress.Add(len(w.freqs))
 	}
 	var live []*walk
 	var tasks []sampleTask
@@ -150,7 +151,7 @@ func (e *Explorer) sample(w *walk, i, k int) {
 	w.busy[i] += d
 	e.Tracer.Complete("point", label, lane, start, d,
 		map[string]any{"freq_hz": w.freqs[i], "sample": k})
-	if w.stopped[i] && w.onStop != nil {
-		w.onStop(i)
+	if w.stopped[i] {
+		e.Progress.Done(label, w.busy[i])
 	}
 }

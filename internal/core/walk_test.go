@@ -27,10 +27,11 @@ func TestFastForwardBetweenSamplesOnly(t *testing.T) {
 	}
 
 	cfg := e.SamplingFor(p)
-	live, err := e.warmedCluster(e.soloProfiles(p), qos.BaselineFreqHz)
-	if err != nil {
+	var w walk
+	if err := e.prelude(&w, e.soloProfiles(p), qos.BaselineFreqHz); err != nil {
 		t.Fatal(err)
 	}
+	live := w.live
 	res := make([]sampling.Result, len(freqs))
 	stopped := make([]bool, len(freqs))
 	for k := 0; k < cfg.MaxSamples; k++ {
@@ -118,10 +119,7 @@ func TestSweepWalksOncePerWorkload(t *testing.T) {
 // latency is exactly its 2GHz baseline over its QoS limit.
 func TestInterferenceBaselineIsSoloAtTwoGHz(t *testing.T) {
 	v := workload.WebSearch()
-	rep, err := warmExplorer(t).Interference(v, workload.Bubble(), qos.BaselineFreqHz)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := interference(t, warmExplorer(t), qos.BaselineFreqHz)[0]
 	if want := float64(v.Baseline99p) / float64(v.QoSLimit); rep.NormalizedSolo != want {
 		t.Fatalf("NormalizedSolo = %v at 2GHz, want Baseline99p/QoSLimit = %v", rep.NormalizedSolo, want)
 	}

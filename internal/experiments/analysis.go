@@ -73,17 +73,14 @@ func runInterference(ctx context.Context, p Params, env Env) error {
 	fmt.Fprintln(out, "== Sec. III-B1: co-scheduling interference (victim: web-search, aggressor: bubble) ==")
 	w := env.tbl()
 	fmt.Fprintln(w, "freq_MHz\tsolo_UIPC\tmixed_UIPC\tslowdown\tlat/QoS_solo\tlat/QoS_mixed\tviolated")
-	for _, f := range []float64{0.26e9, 0.5e9, 1.0e9, 2.0e9} {
-		if err := ctx.Err(); err != nil {
-			return context.Cause(ctx)
-		}
-		e := p.NewExplorer(env)
-		rep, err := e.Interference(workload.WebSearch(), workload.Bubble(), f)
-		if err != nil {
-			return err
-		}
+	reps, err := p.NewExplorer(env).Interference(ctx, workload.WebSearch(), workload.Bubble(),
+		[]float64{0.26e9, 0.5e9, 1.0e9, 2.0e9})
+	if err != nil {
+		return err
+	}
+	for _, rep := range reps {
 		fmt.Fprintf(w, "%.0f\t%.3f\t%.3f\t%.2fx\t%.3f\t%.3f\t%v\n",
-			f/1e6, rep.SoloUIPC, rep.MixedUIPC, rep.Slowdown,
+			rep.FreqHz/1e6, rep.SoloUIPC, rep.MixedUIPC, rep.Slowdown,
 			rep.NormalizedSolo, rep.NormalizedMixed, rep.QoSViolated)
 	}
 	if err := w.Flush(); err != nil {

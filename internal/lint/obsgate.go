@@ -25,7 +25,7 @@ const obsgateExemptDefault = "Snapshot,HistogramSnapshot,TimingSnapshot," +
 // through the nil-receiver-safe method pattern:
 // obs.Counter/Gauge/Histogram/Timing/Registry and the telemetry
 // Sampler/Series values are obtained from constructors (NewRegistry,
-// NewHistogram, NewSampler, Sink/Series methods) and touched only
+// NewHistogram, NewSampler, Registry/Series methods) and touched only
 // through methods, every one of which is a no-op on nil. That
 // pattern is what lets instrumented layers hold a nil metric pointer
 // when observability is off and keep the disabled hot path
@@ -35,7 +35,7 @@ const obsgateExemptDefault = "Snapshot,HistogramSnapshot,TimingSnapshot," +
 var ObsgateAnalyzer = &analysis.Analyzer{
 	Name: "obsgate",
 	Doc: "require nil-receiver-safe method access to obs types outside internal/obs\n\n" +
-		"Outside the obs package, metric values come from constructors/Sink methods\n" +
+		"Outside the obs package, metric values come from constructors/Registry methods\n" +
 		"and are touched only through their nil-safe methods. Composite literals of\n" +
 		"obs struct types and direct field access bypass the nil gate that keeps the\n" +
 		"observability-off hot path identical to the seed.",
@@ -90,7 +90,7 @@ func runObsgate(pass *analysis.Pass) (interface{}, error) {
 				}
 				pass.Reportf(n.Pos(),
 					"composite literal of obs.%s outside internal/obs: construct via "+
-						"the obs constructors/Sink methods so the nil-receiver-safe "+
+						"the obs constructors/Registry methods so the nil-receiver-safe "+
 						"instrumentation pattern holds",
 					name)
 			case *ast.SelectorExpr:

@@ -136,24 +136,11 @@ func (t *Timing) Observe(d time.Duration) {
 	t.ns.Add(int64(d))
 }
 
-// Sink is the write side of a metrics registry. Instrumented layers
-// resolve their metrics once (at attach/harvest time) and hold the
-// returned pointers; the hot path then touches only those pointers behind
-// nil checks. *Registry is the canonical implementation.
-type Sink interface {
-	// Counter returns the named counter, creating it at zero on first use.
-	Counter(name string) *Counter
-	// Gauge returns the named gauge, creating it on first use.
-	Gauge(name string) *Gauge
-	// Histogram returns the named histogram, creating it with the given
-	// bucket upper bounds on first use (later calls ignore bounds).
-	Histogram(name string, bounds []float64) *Histogram
-	// Timing returns the named wall-clock timing accumulator.
-	Timing(name string) *Timing
-}
-
-// Registry is a concurrency-safe metrics registry. The zero value is not
-// usable; construct with NewRegistry.
+// Registry is a concurrency-safe metrics registry. Instrumented layers
+// resolve their metrics from it once (at attach/harvest time) and hold
+// the returned pointers; the hot path then touches only those pointers
+// behind nil checks. The zero value is not usable; construct with
+// NewRegistry.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
@@ -161,8 +148,6 @@ type Registry struct {
 	hists    map[string]*Histogram
 	timings  map[string]*Timing
 }
-
-var _ Sink = (*Registry)(nil)
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
@@ -174,7 +159,7 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Counter implements Sink.
+// Counter returns the named counter, creating it at zero on first use.
 func (r *Registry) Counter(name string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -186,7 +171,7 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge implements Sink.
+// Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -198,7 +183,8 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram implements Sink.
+// Histogram returns the named histogram, creating it with the given
+// bucket upper bounds on first use (later calls ignore bounds).
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -210,7 +196,7 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	return h
 }
 
-// Timing implements Sink.
+// Timing returns the named wall-clock timing accumulator.
 func (r *Registry) Timing(name string) *Timing {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -20,13 +20,13 @@ func (cl *Cluster) EnableObs() {
 }
 
 // HarvestObs flushes the cluster's cumulative instrumentation (everything
-// EnableObs turned on) into sink. Call it exactly once per cluster, after
+// EnableObs turned on) into reg. Call it exactly once per cluster, after
 // the last simulation step: the underlying counters are cumulative since
 // EnableObs, so a second harvest would double-count. All harvested values
 // are unsigned counters merged with atomic adds — deterministic across
-// worker counts. A nil-registry caller should skip the call; sink must be
+// worker counts. A nil-registry caller should skip the call; reg must be
 // non-nil here.
-func (cl *Cluster) HarvestObs(sink obs.Sink) {
+func (cl *Cluster) HarvestObs(reg *obs.Registry) {
 	var mshrFull uint64
 	var occ []uint64
 	for _, c := range cl.cores {
@@ -42,7 +42,7 @@ func (cl *Cluster) HarvestObs(sink obs.Sink) {
 			occ[i] += n
 		}
 	}
-	sink.Counter("cpu.mshr_full_events").Add(mshrFull)
+	reg.Counter("cpu.mshr_full_events").Add(mshrFull)
 	if occ != nil {
 		// One bucket per possible outstanding-miss count [1, MSHREntries]
 		// (an allocation always leaves at least one miss in flight).
@@ -50,7 +50,7 @@ func (cl *Cluster) HarvestObs(sink obs.Sink) {
 		for i := range bounds {
 			bounds[i] = float64(i + 1)
 		}
-		h := sink.Histogram("cpu.mshr_occupancy", bounds)
+		h := reg.Histogram("cpu.mshr_occupancy", bounds)
 		for i, n := range occ {
 			h.ObserveN(float64(i), n)
 		}
@@ -63,10 +63,10 @@ func (cl *Cluster) HarvestObs(sink obs.Sink) {
 			// Add(0) included: every enabled run reports the full per-bank
 			// key set, so snapshots are structurally identical regardless
 			// of which banks happened to see traffic.
-			sink.Counter(prefix + "act").Add(bc.ACT)
-			sink.Counter(prefix + "pre").Add(bc.PRE)
-			sink.Counter(prefix + "rd").Add(bc.RD)
-			sink.Counter(prefix + "wr").Add(bc.WR)
+			reg.Counter(prefix + "act").Add(bc.ACT)
+			reg.Counter(prefix + "pre").Add(bc.PRE)
+			reg.Counter(prefix + "rd").Add(bc.RD)
+			reg.Counter(prefix + "wr").Add(bc.WR)
 		}
 	}
 }
