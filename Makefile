@@ -9,11 +9,12 @@
 #                      obsgate, units, floatorder, snapshotcheck,
 #                      ctxloop) in one whole-module run; see
 #                      internal/lint. snapshotcheck audits every
-#                      Clone/clone method: one that copies its receiver
-#                      whole (n := *c) must still name each pointer,
-#                      slice, map, chan, func and interface field, so
-#                      a checkpoint never silently shares state with
-#                      the clusters restored from it.
+#                      Clone/clone and CloneInto/cloneInto method: one
+#                      that copies its receiver whole (n := *c,
+#                      *dst = *c) must still name each pointer, slice,
+#                      map, chan, func and interface field, so a live
+#                      point never silently shares state with the
+#                      clusters copied from it.
 #                      There is no lint-fix: violations are fixed by
 #                      moving the code behind the obs layer or — when
 #                      the invariant provably holds — annotating the
@@ -51,8 +52,9 @@
 #                      SIGTERM to drain cleanly
 #   make race          race-detector pass over every package, then ten
 #                      race runs of TestSweepManyBoundedByJobs, whose
-#                      workloads share one flat worker pool (~6 s on a
-#                      2-CPU host)
+#                      workloads share one flat worker pool, and of
+#                      TestTapeLengthChangesNoResult, whose sample tasks
+#                      share each recorded tape read-only
 #   make fuzz-rng      run each internal/rng sampler-equivalence fuzz
 #                      target (geometric guide vs inverse CDF, Zipf guide
 #                      vs whole-table binary search, integer threshold vs
@@ -61,7 +63,8 @@
 #                      targets (cache reference LRU and Clone, the
 #                      core's issue-slot ring against its tagged
 #                      reference, DRAM submit and address decode,
-#                      workload generator invariants) for 10 s each
+#                      workload generator invariants, a recorded tape's
+#                      replay against its generator) for 10 s each
 #   make bench         every root benchmark: sweep fan-out, observability
 #                      overhead gates, serve DES and cluster-access kernels
 #                      (the paper's numbers are pinned by the goldens;
@@ -143,7 +146,7 @@ daemon-smoke:
 
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'TestSweepManyBoundedByJobs' ./internal/core
+	$(GO) test -race -count=10 -run 'TestSweepManyBoundedByJobs|TestTapeLengthChangesNoResult' ./internal/core
 
 fuzz-rng:
 	$(GO) test -run xxx -fuzz '^FuzzGeometricMatchesInverseCDF$$' -fuzztime 10s ./internal/rng
@@ -157,6 +160,7 @@ fuzz: fuzz-rng
 	$(GO) test -run xxx -fuzz '^FuzzSubmit$$' -fuzztime 10s ./internal/dram
 	$(GO) test -run xxx -fuzz '^FuzzDecodeRoundTrip$$' -fuzztime 10s ./internal/dram
 	$(GO) test -run xxx -fuzz '^FuzzGeneratorInvariants$$' -fuzztime 10s ./internal/workload
+	$(GO) test -run xxx -fuzz '^FuzzTapeMatchesGenerator$$' -fuzztime 10s ./internal/workload
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem .

@@ -15,7 +15,6 @@ package cache
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 )
 
 // The memory hierarchy has one line size: every cache, the LLC's SRAM
@@ -229,10 +228,18 @@ func touch(ways []uint32, i int, w uint32) {
 	ways[0] = w
 }
 
-// Clone returns an independent copy of the cache: contents, LRU order
-// and statistics.
-func (c *Cache) Clone() *Cache {
-	n := *c
-	n.ways = slices.Clone(c.ways)
-	return &n
+// CloneInto makes dst an independent copy of the cache — contents, LRU
+// order and statistics — reusing dst's tag array, and returns it; a nil
+// dst is allocated.
+func (c *Cache) CloneInto(dst *Cache) *Cache {
+	if dst == nil {
+		dst = new(Cache)
+	}
+	ways := dst.ways
+	*dst = *c
+	dst.ways = append(ways[:0], c.ways...)
+	return dst
 }
+
+// Clone returns an independent copy of the cache: CloneInto(nil).
+func (c *Cache) Clone() *Cache { return c.CloneInto(nil) }

@@ -104,6 +104,11 @@ type Explorer struct {
 	// the same workload names in one run (e.g. the ablation's LPDDR4 and
 	// 8-core variants).
 	TelemetryPrefix string
+
+	// tapeLength sizes a core's tape, in instructions, from the ascending
+	// instruction counts of its last sample tasks; nil is medianTape.
+	// Tests force other lengths, which must not change any result.
+	tapeLength func(used []uint64) int
 }
 
 // NewExplorer returns an explorer for the paper's default platform with

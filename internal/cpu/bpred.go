@@ -1,7 +1,5 @@
 package cpu
 
-import "slices"
-
 // bimodal is a classic bimodal branch predictor: a table of 2-bit
 // saturating counters indexed by the static branch site.
 type bimodal struct {
@@ -20,11 +18,16 @@ func newBimodal(entries int) *bimodal {
 	return b
 }
 
-// clone returns an independent copy of the predictor.
-func (b *bimodal) clone() *bimodal {
-	n := *b
-	n.counters = slices.Clone(b.counters)
-	return &n
+// cloneInto makes dst an independent copy of the predictor, reusing its
+// counter table, and returns it; a nil dst is allocated.
+func (b *bimodal) cloneInto(dst *bimodal) *bimodal {
+	if dst == nil {
+		dst = new(bimodal)
+	}
+	counters := dst.counters
+	*dst = *b
+	dst.counters = append(counters[:0], b.counters...)
+	return dst
 }
 
 // predict returns the predicted direction for branch site id.

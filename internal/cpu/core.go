@@ -207,6 +207,12 @@ type Core struct {
 	cycleAtReset int64 // commit cycle at the last ResetStats
 	stats        Stats
 	instr        workload.Instr // decode scratch of Step and FastForward
+
+	// Replay (see Replay): the tape Step decodes instead of generating,
+	// nil when it generates, and the position in it. The tape is shared
+	// read-only with every core replaying it.
+	tape   *workload.Tape
+	cursor workload.TapeCursor
 }
 
 // New builds a core with its private L1s.
@@ -240,21 +246,66 @@ func New(cfg Config, id int, gen *workload.Generator, mem MemSystem, freqHz floa
 	}, nil
 }
 
-// Clone returns an independent copy of the core — pipeline, L1s,
-// predictor and workload generator — issuing its misses to mem, with
-// observability off.
-func (c *Core) Clone(mem MemSystem) *Core {
-	n := *c
-	n.mem = mem
-	n.gen = c.gen.Clone()
-	n.l1i, n.l1d = c.l1i.Clone(), c.l1d.Clone()
-	n.bpred = c.bpred.clone()
-	n.completeRing = slices.Clone(c.completeRing)
-	n.commitRing = slices.Clone(c.commitRing)
-	n.misses = append(make([]outstanding, 0, cap(c.misses)), c.misses...)
-	n.mshrOcc, n.mshrFull = nil, 0
-	return &n
+// CloneInto makes dst an independent copy of the core — pipeline, L1s,
+// predictor, workload generator and replay position — issuing its misses
+// to mem, with observability off. It reuses dst's storage and returns
+// dst; a nil dst is allocated.
+func (c *Core) CloneInto(dst *Core, mem MemSystem) *Core {
+	if dst == nil {
+		dst = new(Core)
+	}
+	gen, l1i, l1d, bpred := dst.gen, dst.l1i, dst.l1d, dst.bpred
+	completeRing, commitRing, misses := dst.completeRing, dst.commitRing, dst.misses
+	*dst = *c
+	dst.mem = mem
+	dst.gen = c.gen.CloneInto(gen)
+	dst.l1i, dst.l1d = c.l1i.CloneInto(l1i), c.l1d.CloneInto(l1d)
+	dst.bpred = c.bpred.cloneInto(bpred)
+	dst.completeRing = append(completeRing[:0], c.completeRing...)
+	dst.commitRing = append(commitRing[:0], c.commitRing...)
+	dst.misses = append(slices.Grow(misses[:0], cap(c.misses)), c.misses...)
+	// The copy replays on from the same position of the same tape.
+	dst.tape, dst.cursor = c.tape, c.cursor
+	dst.mshrOcc, dst.mshrFull = nil, 0
+	return dst
 }
+
+// Clone returns an independent copy of the core issuing its misses to
+// mem: CloneInto(nil, mem).
+func (c *Core) Clone(mem MemSystem) *Core { return c.CloneInto(nil, mem) }
+
+// Record refills t with the next instructions of the core's generator,
+// at most n and maxBytes of them (workload.Tape.Record); the core does
+// not move. It panics on a replaying core, whose generator does not
+// stand at its position.
+func (c *Core) Record(t *workload.Tape, n, maxBytes int) {
+	c.mustGenerate("Record")
+	t.Record(c.gen, n, maxBytes)
+}
+
+// Replay attaches t, which must have been recorded from the core at its
+// current position: Step then decodes t's instructions instead of
+// generating them, and once past t's end takes over t's end state and
+// generates on. The results are those of generating throughout. The
+// core never writes t, so many cores may replay one tape at once, and a
+// clone of a replaying core replays on from the same position. It
+// panics on a core that is replaying already.
+func (c *Core) Replay(t *workload.Tape) {
+	c.mustGenerate("Replay")
+	c.tape, c.cursor = t, t.Start(c.gen)
+}
+
+// mustGenerate panics when op needs the generator to stand at the core's
+// position but an unfinished replay has moved the core past it.
+func (c *Core) mustGenerate(op string) {
+	if c.tape != nil {
+		panic("cpu: " + op + " on a core replaying a tape")
+	}
+}
+
+// Retired returns the number of instructions the core has executed since
+// New, in either mode.
+func (c *Core) Retired() uint64 { return c.seq }
 
 // SetFrequency retargets the core clock (DVFS). Microarchitectural state
 // is preserved; only the cycle-to-wall-clock mapping changes, exactly like
@@ -385,7 +436,9 @@ func (c *Core) minMissCompletion() int64 {
 // Step advances the core by one dynamic instruction and returns the cycle
 // at which it committed.
 func (c *Core) Step() int64 {
-	c.gen.Next(&c.instr)
+	if c.tape == nil || !c.tape.Next(&c.cursor, &c.instr) {
+		c.generate()
+	}
 	in := &c.instr
 	idx := c.seq & uint64(c.cfg.WindowSize-1)
 
@@ -480,6 +533,16 @@ func (c *Core) Step() int64 {
 	c.commitRing[idx] = commit
 	c.retire(in)
 	return commit
+}
+
+// generate fills the decode scratch from the generator, first taking
+// over the end state of a tape the core has replayed to its end.
+func (c *Core) generate() {
+	if c.tape != nil {
+		c.tape.Resume(c.gen)
+		c.tape, c.cursor = nil, workload.TapeCursor{}
+	}
+	c.gen.Next(&c.instr)
 }
 
 // fetchMisses looks up pc's line in the L1I when fetch moves to a new
@@ -600,8 +663,10 @@ func (c *Core) Run(cycles int64) uint64 {
 // tags through MemSystem.Warm, and the branch predictor trains. No
 // instruction's dependency distance is read, so the generator skips
 // drawing them (NextWarm) and advances its dependency stream past all n
-// at the end.
+// at the end. It panics on a core with an unfinished replay (see
+// Replay): the generator does not stand at the replay's position.
 func (c *Core) FastForward(n uint64) {
+	c.mustGenerate("FastForward")
 	in := &c.instr
 	for i := uint64(0); i < n; i++ {
 		c.gen.NextWarm(in)

@@ -168,30 +168,43 @@ func New(cfg Config) (*System, error) {
 	return s, nil
 }
 
-// Clone returns an independent copy of the system's bank, bus and
-// statistics state, with observability off.
-func (s *System) Clone() *System {
-	n := *s
-	n.chans = make([]*channel, len(s.chans))
-	for i, ch := range s.chans {
-		n.chans[i] = ch.clone()
+// CloneInto makes dst an independent copy of the system's bank, bus and
+// statistics state, with observability off, reusing dst's storage, and
+// returns it; a nil dst is allocated.
+func (s *System) CloneInto(dst *System) *System {
+	if dst == nil {
+		dst = new(System)
 	}
-	n.bankObs = nil
-	return &n
+	chans := dst.chans
+	*dst = *s
+	dst.chans = slices.Grow(chans[:0], len(s.chans))[:len(s.chans)]
+	for i, ch := range s.chans {
+		dst.chans[i] = ch.cloneInto(dst.chans[i])
+	}
+	dst.bankObs = nil
+	return dst
 }
 
-// clone returns an independent copy of the channel.
-func (ch *channel) clone() *channel {
-	n := *ch
-	n.banks = slices.Clone(ch.banks)
-	n.lastActNs = slices.Clone(ch.lastActNs)
-	n.actWindow = make([][]float64, len(ch.actWindow))
-	for r, w := range ch.actWindow {
-		n.actWindow[r] = slices.Clone(w)
+// Clone returns an independent copy of the system: CloneInto(nil).
+func (s *System) Clone() *System { return s.CloneInto(nil) }
+
+// cloneInto makes dst an independent copy of the channel, reusing its
+// storage, and returns it; a nil dst is allocated.
+func (ch *channel) cloneInto(dst *channel) *channel {
+	if dst == nil {
+		dst = new(channel)
 	}
-	n.actIdx = slices.Clone(ch.actIdx)
-	n.lastActGroup = slices.Clone(ch.lastActGroup)
-	return &n
+	banks, lastActNs, actWindow, actIdx, lastActGroup := dst.banks, dst.lastActNs, dst.actWindow, dst.actIdx, dst.lastActGroup
+	*dst = *ch
+	dst.banks = append(banks[:0], ch.banks...)
+	dst.lastActNs = append(lastActNs[:0], ch.lastActNs...)
+	dst.actWindow = slices.Grow(actWindow[:0], len(ch.actWindow))[:len(ch.actWindow)]
+	for r, w := range ch.actWindow {
+		dst.actWindow[r] = append(dst.actWindow[r][:0], w...)
+	}
+	dst.actIdx = append(actIdx[:0], ch.actIdx...)
+	dst.lastActGroup = append(lastActGroup[:0], ch.lastActGroup...)
+	return dst
 }
 
 // Stats returns the statistics accumulated since the last ResetStats.

@@ -7,7 +7,7 @@ import (
 	"golang.org/x/tools/go/analysis"
 )
 
-// snapshotPkgDefault lists the packages whose Clone methods are audited:
+// snapshotPkgDefault lists the packages whose copy methods are audited:
 // the cluster simulator, whose checkpoint is a never-run clone of a
 // cluster, every component that clone copies (cores, caches, DRAM,
 // crossbar, workload generators), and the serving DES and telemetry
@@ -22,16 +22,23 @@ const snapshotPkgDefault = "ntcsim/internal/sim," +
 	"ntcsim/internal/serve," +
 	"ntcsim/internal/obs/timeseries"
 
-// SnapshotcheckAnalyzer verifies that every Clone (or clone) method
-// decides, field by field, what its copy owns:
+// SnapshotcheckAnalyzer verifies that every copy method — Clone, clone,
+// and the copy-into routines CloneInto and cloneInto, which make a
+// destination the receiver's copy while reusing its storage — decides,
+// field by field, what its copy owns:
 //
-//  1. a body that copies the receiver as a whole (n := *c) carries every
-//     value field, but each field of reference type — pointer, slice,
-//     map, chan, func or interface — must still be named in the body,
-//     where the author copies it or shares it on purpose; a forgotten
-//     one would be shared silently between the original and its copy;
+//  1. a body that copies the receiver as a whole (n := *c, or *dst = *c)
+//     carries every value field, but each field of reference type —
+//     pointer, slice, map, chan, func or interface — must still be named
+//     in the body, where the author copies it or shares it on purpose; a
+//     forgotten one would be shared silently between the original and
+//     its copy;
 //  2. a body that does not copy the receiver as a whole must name every
 //     field.
+//
+// A Clone whose body only returns a call of its own type's copy-into
+// routine (return c.CloneInto(nil)) is that routine with a fresh
+// destination: the routine is audited in its place.
 //
 // A field may opt out with //ntclint:allow snapshotcheck <reason> on its
 // declaration; sync primitives and blank fields are skipped
@@ -40,17 +47,50 @@ const snapshotPkgDefault = "ntcsim/internal/sim," +
 // whether the copy gets its own.
 var SnapshotcheckAnalyzer = &analysis.Analyzer{
 	Name: "snapshotcheck",
-	Doc: "verify Clone methods copy or knowingly share every field\n\n" +
-		"A Clone/clone method that copies its receiver whole (n := *c) must still\n" +
-		"name each pointer, slice, map, chan, func or interface field; one that\n" +
-		"does not must name every field. Annotate a field that needs neither with\n" +
-		"//ntclint:allow snapshotcheck <reason> on its declaration.",
+	Doc: "verify Clone and CloneInto methods copy or knowingly share every field\n\n" +
+		"A Clone/clone/CloneInto/cloneInto method that copies its receiver whole\n" +
+		"(n := *c, *dst = *c) must still name each pointer, slice, map, chan, func\n" +
+		"or interface field; one that does not must name every field. A Clone that\n" +
+		"only returns its type's CloneInto call is audited through that routine.\n" +
+		"Annotate a field that needs neither with //ntclint:allow snapshotcheck\n" +
+		"<reason> on its declaration.",
 	Run: runSnapshotcheck,
 }
 
 func init() {
 	SnapshotcheckAnalyzer.Flags.String("packages", snapshotPkgDefault,
-		"comma-separated package path prefixes whose Clone methods are audited")
+		"comma-separated package path prefixes whose Clone and CloneInto methods are audited")
+}
+
+// copyMethods names the audited methods: the clones and the copy-into
+// routines they may delegate to.
+var copyMethods = map[string]bool{"Clone": true, "clone": true, "CloneInto": true, "cloneInto": true}
+
+// delegates reports whether body is a single return of a call to a
+// copy-into method of named, the receiver's own type: such a Clone is
+// the routine it calls, audited on its own.
+func delegates(pass *analysis.Pass, body *ast.BlockStmt, named *types.Named) bool {
+	if len(body.List) != 1 {
+		return false
+	}
+	ret, ok := body.List[0].(*ast.ReturnStmt)
+	if !ok || len(ret.Results) != 1 {
+		return false
+	}
+	call, ok := ret.Results[0].(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	s := pass.TypesInfo.Selections[sel]
+	if s == nil || s.Kind() != types.MethodVal || (sel.Sel.Name != "CloneInto" && sel.Sel.Name != "cloneInto") {
+		return false
+	}
+	recv, _ := namedStruct(s.Recv())
+	return recv == named
 }
 
 // namedStruct unwraps pointers and reports the named struct type behind
@@ -197,13 +237,12 @@ func runSnapshotcheck(pass *analysis.Pass) (interface{}, error) {
 	eachNonTestFile(pass, func(f *ast.File) {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || fd.Recv == nil || len(fd.Recv.List) != 1 ||
-				(fd.Name.Name != "Clone" && fd.Name.Name != "clone") {
+			if !ok || fd.Body == nil || fd.Recv == nil || len(fd.Recv.List) != 1 || !copyMethods[fd.Name.Name] {
 				continue
 			}
 			recv := fd.Recv.List[0]
 			named, st := namedStruct(pass.TypesInfo.TypeOf(recv.Type))
-			if st == nil {
+			if st == nil || delegates(pass, fd.Body, named) {
 				continue
 			}
 			tracked := map[*types.Var]*types.Named{}

@@ -41,3 +41,42 @@ func (t *Table) Clone() *Table {
 	n.lines = append([]uint64(nil), t.lines...)
 	return &n
 }
+
+// Ring's copy-into routine reuses its destination's buffer but forgets
+// the log added after it, which the whole-value copy then shares. Its
+// Clone only delegates, so the routine carries the diagnostic.
+type Ring struct {
+	head int
+	buf  []int
+	log  []string // want `reference field Ring.log is shared by the whole-value copy in CloneInto`
+}
+
+func (r *Ring) CloneInto(dst *Ring) *Ring {
+	if dst == nil {
+		dst = new(Ring)
+	}
+	buf := dst.buf
+	*dst = *r
+	dst.buf = append(buf[:0], r.buf...)
+	return dst
+}
+
+func (r *Ring) Clone() *Ring { return r.CloneInto(nil) }
+
+// Bank's Clone does more than delegate, so it is audited as written: it
+// names no field and copies no receiver whole.
+type Bank struct {
+	rows []int // want `field Bank.rows is not copied by Clone`
+}
+
+func (b *Bank) cloneInto(dst *Bank) *Bank {
+	rows := dst.rows
+	*dst = *b
+	dst.rows = append(rows[:0], b.rows...)
+	return dst
+}
+
+func (b *Bank) Clone() *Bank {
+	n := b.cloneInto(new(Bank))
+	return n
+}

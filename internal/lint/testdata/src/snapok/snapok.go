@@ -73,3 +73,29 @@ type Export struct {
 }
 
 func (e *Export) Snapshot() int { return e.Value }
+
+// Pool's copy-into routine copies the receiver whole into a destination
+// whose buffers it reuses, and names each reference field; its Clone is
+// the routine with a fresh destination.
+type Pool struct {
+	n     int
+	free  []int
+	l1    *Cache
+	table *[]uint64
+	obs   []uint64
+}
+
+func (p *Pool) CloneInto(dst *Pool) *Pool {
+	if dst == nil {
+		dst = new(Pool)
+	}
+	free := dst.free
+	*dst = *p
+	dst.free = append(free[:0], p.free...)
+	dst.l1 = p.l1.clone()
+	dst.table = p.table // shared: read-only after construction
+	dst.obs = nil
+	return dst
+}
+
+func (p *Pool) Clone() *Pool { return p.CloneInto(nil) }

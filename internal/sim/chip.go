@@ -26,11 +26,16 @@ func newSharedMemory(cfg dram.Config) (*sharedMemory, error) {
 	return &sharedMemory{sys: sys}, nil
 }
 
-// clone returns an independent copy of the memory system and its clock.
-func (m *sharedMemory) clone() *sharedMemory {
-	n := *m
-	n.sys = m.sys.Clone()
-	return &n
+// cloneInto makes dst an independent copy of the memory system and its
+// clock, reusing dst's storage, and returns it; a nil dst is allocated.
+func (m *sharedMemory) cloneInto(dst *sharedMemory) *sharedMemory {
+	if dst == nil {
+		dst = new(sharedMemory)
+	}
+	sys := dst.sys
+	*dst = *m
+	dst.sys = m.sys.CloneInto(sys)
+	return dst
 }
 
 // Submit forwards to the DRAM simulator with time clamped forward.

@@ -191,13 +191,130 @@ func warmedWebServing(tb testing.TB) *Cluster {
 // clSink keeps the benchmarked clones live.
 var clSink *Cluster
 
-// BenchmarkClone measures one sample task's copy of a warmed live point.
+// BenchmarkClone measures one sample task's copy of a warmed live point:
+// into a fresh cluster (Clone), and into a reused one (CloneInto), as a
+// sweep's sample tasks take it.
 func BenchmarkClone(b *testing.B) {
 	src := warmedWebServing(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		clSink = src.Clone()
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			clSink = src.Clone()
+		}
+	})
+	b.Run("into", func(b *testing.B) {
+		buf := src.Clone()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			clSink = src.CloneInto(buf)
+		}
+	})
+}
+
+// TestCloneIntoReusedBuffer: a buffer that last ran another workload, on
+// a cluster of another shape, at another frequency and with observability
+// on, holds after CloneInto what a fresh Clone holds, with observability
+// off although its source has it on, and runs a warm-up and a
+// measurement window bit-identically to it.
+func TestCloneIntoReusedBuffer(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CoresPerCluster = 8
+	cfg.LLC.Banks = 8
+	buf, err := NewCluster(cfg, workload.VMHighMem(), 0.3e9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf.EnableObs()
+	buf.FastForward(20_000)
+	buf.Run(5_000)
+	buf.Measure(5_000)
+
+	src, err := NewMixedCluster(DefaultConfig(), []*workload.Profile{
+		workload.WebSearch(), workload.DataServing(), workload.MediaStreaming(), workload.WebServing(),
+	}, 2e9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.EnableObs() // a copy has observability off even when its source has it on
+	src.FastForward(50_000)
+	src.Run(5_000)
+	fresh := src.Clone()
+	if into := src.CloneInto(buf); into != buf {
+		t.Fatal("CloneInto returned another cluster than its destination")
+	}
+	for i, c := range buf.cores {
+		if c.MSHROccupancy() != nil {
+			t.Fatalf("core %d of the copy kept the buffer's observability", i)
+		}
+	}
+	if buf.mem.sys.PerBankCounts() != nil {
+		t.Fatal("the copy's DRAM kept the buffer's observability")
+	}
+	if !sameState(buf, fresh) {
+		t.Fatal("the copy's state differs from a fresh clone's")
+	}
+	for _, cl := range []*Cluster{fresh, buf} {
+		cl.SetFrequency(0.5e9)
+		cl.Run(3_000)
+	}
+	if a, b := fresh.Measure(20_000), buf.Measure(20_000); !reflect.DeepEqual(a, b) {
+		t.Fatalf("the copy diverged from a fresh clone:\n%+v\n%+v", b, a)
+	}
+	if !sameState(buf, fresh) {
+		t.Fatal("the copy ended in another state than a fresh clone")
+	}
+}
+
+// TestCloneIntoSteadyStateAllocs gates a sample task's set-up: copying a
+// live point into a cluster that held one before, and attaching the
+// live point's tapes, allocates nothing.
+func TestCloneIntoSteadyStateAllocs(t *testing.T) {
+	src := warmedWebServing(t)
+	tapes := make([]workload.Tape, src.Cores())
+	for i := range tapes {
+		src.RecordTape(i, &tapes[i], 1_000, 8<<10)
+	}
+	buf := src.Clone()
+	buf.ReplayTapes(tapes)
+	buf.Run(2_000) // the buffer has run, as a pooled one has
+	allocs := testing.AllocsPerRun(10, func() {
+		src.CloneInto(buf).ReplayTapes(tapes)
+	})
+	if allocs != 0 {
+		t.Fatalf("CloneInto and ReplayTapes allocate %.1f times per sample task, want 0", allocs)
+	}
+}
+
+// TestReplayTapesMatchesGenerating: a copy replaying tapes recorded from
+// its live point measures exactly what a copy generating its streams
+// does, whether the tapes end before, inside or after the window.
+func TestReplayTapesMatchesGenerating(t *testing.T) {
+	src, err := NewMixedCluster(DefaultConfig(), []*workload.Profile{
+		workload.WebSearch(), workload.DataServing(), workload.VMLowMem(), workload.WebServing(),
+	}, 1e9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.FastForward(40_000)
+	src.Run(5_000)
+	run := func(cl *Cluster) [2]Measurement {
+		cl.Run(2_000)
+		return [2]Measurement{cl.Measure(8_000), cl.Measure(8_000)}
+	}
+	want := run(src.Clone())
+	tapes := make([]workload.Tape, src.Cores())
+	buf := src.Clone()
+	for _, length := range []int{0, 1, 4_000, 200_000} {
+		n := []int{length, length / 2, length, 2 * length}
+		for i := range tapes {
+			src.RecordTape(i, &tapes[i], n[i], 2*length*workload.TapeMaxBytes)
+		}
+		cl := src.CloneInto(buf)
+		cl.ReplayTapes(tapes)
+		if got := run(cl); !reflect.DeepEqual(got, want) {
+			t.Fatalf("tapes of %v instructions: replay measured\n%+v\nwant\n%+v", n, got, want)
+		}
 	}
 }
 

@@ -18,6 +18,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"ntcsim/internal/cache"
@@ -171,31 +172,66 @@ func newCluster(cfg Config, plans []workload.Plan, freqHz float64, mem *sharedMe
 	return cl, nil
 }
 
-// Clone returns an independent deep copy of the cluster and its memory
-// system: a copy runs exactly as the original would from here. It shares
-// the read-only plans and starts with empty Run/FastForward scratch and
-// observability off (instrumentation is not simulator state).
+// CloneInto makes dst an independent deep copy of the cluster and its
+// memory system, reusing dst's storage, and returns it: the copy runs
+// exactly as the original would from here, whatever dst ran before. It
+// shares the read-only plans (and any tapes its cores replay) and has
+// observability off (instrumentation is not simulator state), and keeps
+// dst's own Run/FastForward scratch. A nil dst is allocated; dst must not
+// be cl.
 //
-// Clone only reads cl, so many goroutines may clone one cluster at once
-// while nothing runs it. That is how a sweep launches every measurement
-// from a warmed live point (the paper launches "from checkpoints with
-// warmed caches and branch predictors", Sec. IV).
-func (cl *Cluster) Clone() *Cluster {
-	n := *cl
-	n.plans = cl.plans // shared: a plan is never written after NewPlan
-	n.mem = cl.mem.clone()
-	n.xbar = cl.xbar.Clone()
-	n.banks = make([]*cache.Cache, len(cl.banks))
+// CloneInto only reads cl, so many goroutines may copy one cluster at
+// once while nothing runs it. That is how a sweep launches every
+// measurement from a warmed live point (the paper launches "from
+// checkpoints with warmed caches and branch predictors", Sec. IV), into
+// one reused cluster per worker.
+func (cl *Cluster) CloneInto(dst *Cluster) *Cluster {
+	if dst == nil {
+		dst = new(Cluster)
+	}
+	mem, xbar, banks, cores := dst.mem, dst.xbar, dst.banks, dst.cores
+	runTargets, ffRemaining := dst.runTargets, dst.ffRemaining
+	*dst = *cl
+	dst.plans = cl.plans // shared: a plan is never written after NewPlan
+	dst.mem = cl.mem.cloneInto(mem)
+	dst.xbar = cl.xbar.CloneInto(xbar)
+	dst.banks = slices.Grow(banks[:0], len(cl.banks))[:len(cl.banks)]
 	for i, b := range cl.banks {
-		n.banks[i] = b.Clone()
+		dst.banks[i] = b.CloneInto(dst.banks[i])
 	}
-	n.cores = make([]*cpu.Core, len(cl.cores))
+	dst.cores = slices.Grow(cores[:0], len(cl.cores))[:len(cl.cores)]
 	for i, c := range cl.cores {
-		n.cores[i] = c.Clone(&n)
+		dst.cores[i] = c.CloneInto(dst.cores[i], dst)
 	}
-	n.runTargets, n.ffRemaining = nil, nil
-	return &n
+	// Scratch, not state: Run and FastForward size it and overwrite it.
+	dst.runTargets, dst.ffRemaining = runTargets, ffRemaining
+	return dst
 }
+
+// Clone returns an independent deep copy of the cluster with empty
+// scratch: CloneInto(nil).
+func (cl *Cluster) Clone() *Cluster { return cl.CloneInto(nil) }
+
+// RecordTape refills t with the next instructions of core i's generator,
+// at most n and maxBytes of them (workload.Tape.Record). The cluster does
+// not move.
+func (cl *Cluster) RecordTape(i int, t *workload.Tape, n, maxBytes int) {
+	cl.cores[i].Record(t, n, maxBytes)
+}
+
+// ReplayTapes attaches tapes[i] to core i (cpu.Core.Replay). The tapes
+// must have been recorded from a cluster standing where this one stands,
+// such as the one it was copied from; results are those of running
+// without them.
+func (cl *Cluster) ReplayTapes(tapes []workload.Tape) {
+	for i, c := range cl.cores {
+		c.Replay(&tapes[i])
+	}
+}
+
+// Retired returns the number of instructions core i has executed since
+// the cluster was built.
+func (cl *Cluster) Retired(i int) uint64 { return cl.cores[i].Retired() }
 
 // SetFrequency applies a DVFS transition to all cores. Caches, predictors
 // and DRAM state survive, so one warmed cluster can be swept across the
@@ -282,7 +318,7 @@ func (cl *Cluster) Warm(coreID int, addr uint64, write bool) {
 func (cl *Cluster) FastForward(nPerCore uint64) {
 	// Interleave in chunks so the shared LLC sees a realistic mix.
 	const chunk = 8192
-	if cl.ffRemaining == nil {
+	if len(cl.ffRemaining) != len(cl.cores) {
 		cl.ffRemaining = make([]uint64, len(cl.cores))
 	}
 	remaining := cl.ffRemaining
@@ -316,7 +352,7 @@ func (cl *Cluster) FastForward(nPerCore uint64) {
 // stays the choice until it reaches its target or passes the runner-up;
 // it steps in one batch up to that point, without rescanning the others.
 func (cl *Cluster) Run(cycles int64) {
-	if cl.runTargets == nil {
+	if len(cl.runTargets) != len(cl.cores) {
 		cl.runTargets = make([]int64, len(cl.cores))
 	}
 	targets := cl.runTargets

@@ -13,7 +13,6 @@ package uncore
 import (
 	"fmt"
 	"math"
-	"slices"
 )
 
 // The paper's cluster crossbar, on the fixed uncore clock domain.
@@ -58,13 +57,21 @@ func (x *Crossbar) Request(port int, nowNs float64) float64 {
 	return grant + CrossbarTraversalNs
 }
 
-// Clone returns an independent copy of the crossbar: port arbitration
-// state and transfer count.
-func (x *Crossbar) Clone() *Crossbar {
-	n := *x
-	n.nextFree = slices.Clone(x.nextFree)
-	return &n
+// CloneInto makes dst an independent copy of the crossbar — port
+// arbitration state and transfer count — reusing dst's storage, and
+// returns it; a nil dst is allocated.
+func (x *Crossbar) CloneInto(dst *Crossbar) *Crossbar {
+	if dst == nil {
+		dst = new(Crossbar)
+	}
+	nextFree := dst.nextFree
+	*dst = *x
+	dst.nextFree = append(nextFree[:0], x.nextFree...)
+	return dst
 }
+
+// Clone returns an independent copy of the crossbar: CloneInto(nil).
+func (x *Crossbar) Clone() *Crossbar { return x.CloneInto(nil) }
 
 // ResetStats clears statistics while preserving arbitration state.
 func (x *Crossbar) ResetStats() { x.transfers = 0 }

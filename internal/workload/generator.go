@@ -119,7 +119,13 @@ type Plan struct {
 // what Float64/Bool and Uint64n do.
 type Generator struct {
 	plan Plan // by value: the per-instruction path reads it without a pointer hop
+	cursor
+}
 
+// cursor is the part of a generator that moves: its random streams and
+// its position in the code and data layout. Two generators of one plan
+// at equal cursors produce the same trace.
+type cursor struct {
 	mix, dep, brs, mem, code, os              rng.Stream
 	branchPick, coldZipf, hotZipf, codeTarget rng.Zipf
 
@@ -212,7 +218,7 @@ func (pl *Plan) Core() int { return pl.core }
 // its random streams derived from the plan's seed under the (profile,
 // core) root.
 func NewGenerator(pl Plan) *Generator {
-	g := &Generator{plan: pl, pc: pl.base + codeBase, osPC: pl.base + osCodeBase}
+	g := &Generator{plan: pl, cursor: cursor{pc: pl.base + codeBase, osPC: pl.base + osCodeBase}}
 	p := pl.p
 	root := pl.root(&pl.seed)
 	g.mix = *root.Derive("mix")
@@ -401,9 +407,16 @@ func (g *Generator) nextPC(in *Instr) uint64 {
 	return pc
 }
 
-// Clone returns an independent copy of the generator's cursor. The copy
-// shares the plan, which is read-only.
-func (g *Generator) Clone() *Generator {
-	n := *g
-	return &n
+// CloneInto makes dst an independent copy of the generator's cursor and
+// returns it; a nil dst is allocated. The copy shares the plan, which is
+// read-only.
+func (g *Generator) CloneInto(dst *Generator) *Generator {
+	if dst == nil {
+		dst = new(Generator)
+	}
+	*dst = *g
+	return dst
 }
+
+// Clone returns an independent copy of the generator: CloneInto(nil).
+func (g *Generator) Clone() *Generator { return g.CloneInto(nil) }
