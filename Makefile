@@ -35,10 +35,11 @@
 #                      internal/qos and internal/obs/timeseries
 #   make report-smoke  telemetry pipeline in short mode: conservation
 #                      audit, across-jobs CSV/counter determinism, the
-#                      ntcsim report golden; then request-traffic
-#                      conservation (L1 misses = LLC reads, L1
-#                      writebacks = LLC writes, LLC writebacks = DRAM
-#                      writes) over detailed windows of every workload
+#                      ntcsim report golden, metrics.golden's per-bank
+#                      DRAM counters summing to its DRAM totals; then
+#                      request-traffic conservation (L1 misses = LLC
+#                      reads, L1 writebacks = LLC writes, LLC writebacks
+#                      = DRAM writes) over detailed windows of every workload
 #                      and over every window of a quick sweep, and the
 #                      L1 half of it (L1 misses = warm reads, L1
 #                      writebacks = warm writes) over functional warming
@@ -70,10 +71,11 @@
 #                      (the paper's numbers are pinned by the goldens;
 #                      end-to-end performance is `bash cmd/ntcbench/run.sh`)
 #   make bench-sweep   parallel-vs-serial sweep engine benchmarks only
-#   make bench-obs     observability overhead benchmarks (metrics
-#                      disabled-path + telemetry sampler), both gated <2%;
-#                      the sampler's gate takes a median of per-round
-#                      ratios, so it runs a fixed 40 rounds
+#   make bench-obs     observability overhead benchmarks, both gated <2%
+#                      on a median of per-round ratios: a sample task
+#                      with the registry harvest against one without,
+#                      and the telemetry sampler, which runs a fixed 40
+#                      rounds
 #   make golden-update regenerate cmd/ntcsim golden files after an
 #                      intentional model change (review the diff!).
 #                      Lint never rewrites sources, so golden outputs
@@ -138,7 +140,7 @@ serve-cover:
 
 report-smoke:
 	$(GO) test -short ./internal/obs/timeseries
-	$(call run_matching,TestTelemetry|TestReportGolden|TestEnergyGauges|TestCorePowerAtBusyBounds|TestSharedPowerChargesStanding,./cmd/ntcsim ./internal/experiments ./internal/serve ./internal/governor)
+	$(call run_matching,TestTelemetry|TestReportGolden|TestMetricsGoldenBankSums|TestEnergyGauges|TestCorePowerAtBusyBounds|TestSharedPowerChargesStanding,./cmd/ntcsim ./internal/experiments ./internal/serve ./internal/governor)
 	$(call run_matching,TestTrafficConserved|TestSweepWindowsConserveTraffic|TestFastForwardConservesTraffic,./internal/sim ./internal/core ./internal/cpu)
 
 daemon-smoke:

@@ -23,6 +23,7 @@ import (
 
 	"ntcsim/internal/core"
 	"ntcsim/internal/governor"
+	"ntcsim/internal/obs"
 	"ntcsim/internal/obs/timeseries"
 	"ntcsim/internal/platform"
 	"ntcsim/internal/qos"
@@ -84,53 +85,56 @@ func BenchmarkSweepManyParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkObsOverhead quantifies the observability layer's
-// disabled-path cost: the instrumented-but-disabled hot loop (the nil
-// checks the obs layer added to cpu.load and dram.Submit) against the
-// same loop with instrumentation enabled. The disabled path IS the seed
-// hot path — goldens prove byte-for-byte output equality — so
-// `disabled-ns/kcycle` is the number to compare against pre-obs baselines,
-// and `enabled-overhead-pct` documents what turning everything on costs.
-// The acceptance bound is <2% for the disabled path; the alternating
-// rounds share one cluster pair so allocator and cache effects cancel.
+// BenchmarkObsOverhead quantifies what a metrics registry adds to a
+// sweep's sample task. The simulator counts every window statistic
+// whether or not a registry is attached, so the one fork left is the
+// harvest: each round times a quick-fidelity sample task (copy of a warm
+// live point into a reused cluster, 20k-cycle warm-up, 30k-cycle window)
+// without and then with Cluster.HarvestObs, the MSHR occupancy and
+// per-bank DRAM counters that make up most of a harvest's registry
+// adds. Back-to-back pairs cancel drift within a round, and the gate
+// takes the median of the per-round ratios: it fails above the 2%
+// budget.
 func BenchmarkObsOverhead(b *testing.B) {
-	const runCycles = 20_000
-	mk := func(enable bool) *sim.Cluster {
-		cl, err := sim.NewCluster(sim.DefaultConfig(), workload.WebSearch(), 2e9)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if enable {
-			cl.EnableObs()
-		}
-		cl.FastForward(400_000)
-		cl.Run(10_000)
-		return cl
+	live, err := sim.NewCluster(sim.DefaultConfig(), workload.WebSearch(), 2e9)
+	if err != nil {
+		b.Fatal(err)
 	}
-	disabled := mk(false)
-	enabled := mk(true)
-	var disabledNs, enabledNs time.Duration
+	live.FastForward(400_000)
+	live.Run(10_000)
+	buf := live.Clone()
+	reg := obs.NewRegistry()
+	task := func(harvest bool) time.Duration {
+		t0 := time.Now()
+		cl := live.CloneInto(buf)
+		cl.Run(20_000)
+		if m := cl.Measure(30_000); m.Instructions == 0 {
+			b.Fatal("the sample task committed nothing")
+		}
+		if harvest {
+			cl.HarvestObs(reg)
+		}
+		return time.Since(t0)
+	}
+	task(true) // the registry's keys exist from here on, as in a sweep
+	ratios := make([]float64, 0, b.N)
+	var plainNs, harvestNs time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		disabled.Run(runCycles)
-		t1 := time.Now()
-		enabled.Run(runCycles)
-		t2 := time.Now()
-		disabledNs += t1.Sub(t0)
-		enabledNs += t2.Sub(t1)
+		p := task(false)
+		h := task(true)
+		plainNs += p
+		harvestNs += h
+		ratios = append(ratios, float64(h)/float64(p))
 	}
 	b.StopTimer()
-	kcycles := float64(runCycles) / 1e3 * float64(b.N)
-	b.ReportMetric(float64(disabledNs)/kcycles, "disabled-ns/kcycle")
-	b.ReportMetric(float64(enabledNs)/kcycles, "enabled-ns/kcycle")
-	overhead := 100 * (float64(enabledNs)/float64(disabledNs) - 1)
-	b.ReportMetric(overhead, "enabled-overhead-pct")
-	// The <2% acceptance bound applies to the fully-enabled hot loop (the
-	// disabled path is the seed path by construction). Only meaningful
-	// once enough rounds ran to average out scheduler noise.
+	sort.Float64s(ratios)
+	b.ReportMetric(float64(plainNs)/float64(b.N), "plain-ns/task")
+	b.ReportMetric(float64(harvestNs)/float64(b.N), "harvest-ns/task")
+	overhead := 100 * (ratios[len(ratios)/2] - 1)
+	b.ReportMetric(overhead, "harvest-overhead-pct")
 	if b.N >= 10 && overhead > 2.0 {
-		b.Errorf("enabled observability overhead %.2f%% exceeds the 2%% budget", overhead)
+		b.Errorf("harvest overhead %.2f%% exceeds the 2%% budget", overhead)
 	}
 }
 

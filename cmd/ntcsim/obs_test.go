@@ -199,6 +199,35 @@ func TestMetricsGolden(t *testing.T) {
 	}
 }
 
+// TestMetricsGoldenBankSums: the per-bank DRAM counters of the pinned
+// metrics snapshot cover the measured windows, like every other counter,
+// so each command summed over every bank equals its aggregate. It checks
+// the golden file, which TestMetricsGolden holds equal to a live sweep's
+// snapshot, and so runs in -short mode too.
+func TestMetricsGoldenBankSums(t *testing.T) {
+	blob, err := os.ReadFile(filepath.Join("testdata", "golden", "metrics.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap obs.Snapshot
+	if err := json.Unmarshal(blob, &snap); err != nil {
+		t.Fatal(err)
+	}
+	sums := map[string]uint64{}
+	for name, v := range snap.Counters {
+		if strings.HasPrefix(name, "dram.ch") {
+			sums[name[strings.LastIndexByte(name, '.')+1:]] += v
+		}
+	}
+	for cmd, total := range map[string]string{
+		"rd": "dram.reads", "wr": "dram.writes", "act": "dram.activations", "pre": "dram.row_conflicts",
+	} {
+		if sums[cmd] != snap.Counters[total] || sums[cmd] == 0 {
+			t.Errorf("per-bank %s counters sum to %d, %s is %d", cmd, sums[cmd], total, snap.Counters[total])
+		}
+	}
+}
+
 // TestSweepTraceValid: an instrumented sweep must emit a loadable trace
 // with warm/point/sample spans, one point span per (point, sample) task.
 func TestSweepTraceValid(t *testing.T) {

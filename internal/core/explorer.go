@@ -53,12 +53,12 @@ type Seams struct {
 	// results are bit-identical for every Jobs setting.
 	Jobs int
 
-	// Obs, when set, enables the observability layer: per-layer counters
-	// are harvested into the registry after each measurement window, each
-	// point's gauges after the walk, and the worker pool reports
-	// queue-wait/busy timings. Counter-class metrics stay bit-identical
-	// for every Jobs setting; leaving Obs nil keeps the sweep on the
-	// uninstrumented fast path.
+	// Obs, when set, receives the observability layer's metrics: each
+	// measurement window's counters, which the simulator keeps whether or
+	// not Obs is set, after the window, each point's gauges after the
+	// walk, and the worker pool's queue-wait/busy timings. Counter-class
+	// metrics stay bit-identical for every Jobs setting; leaving Obs nil
+	// skips only the harvests.
 	Obs *obs.Registry
 	// Tracer, when set, records Chrome-trace spans for each workload's
 	// warm-up ("sweep"), each advance of its live point
@@ -156,9 +156,6 @@ type Point struct {
 
 	// Samples is the number of measurement windows taken.
 	Samples int
-	// Converged reports that the point met its TargetRelErr, after at
-	// least MinSamples windows, instead of stopping at MaxSamples.
-	Converged bool
 	// RelErr is the relative 95% confidence half-width of the point's
 	// mean UIPC.
 	RelErr float64
@@ -459,13 +456,12 @@ func (e *Explorer) evaluate(f float64, op tech.OperatingPoint, res sampling.Resu
 	pw.DRAMW = spec.MemoryPowerW(res.Total.ReadBandwidth()*clusters, res.Total.WriteBandwidth()*clusters)
 
 	pt := Point{
-		FreqHz:    f,
-		Op:        op,
-		UIPSChip:  uipsChip,
-		Power:     pw,
-		Samples:   len(res.Samples),
-		Converged: res.Converged,
-		RelErr:    res.RelErr(),
+		FreqHz:   f,
+		Op:       op,
+		UIPSChip: uipsChip,
+		Power:    pw,
+		Samples:  len(res.Samples),
+		RelErr:   res.RelErr(),
 	}
 	if pw.CoresW() > 0 {
 		pt.EffCores = uipsChip / pw.CoresW()

@@ -44,6 +44,7 @@ func harvestWindow(reg *obs.Registry, m sim.Measurement) {
 	reg.Counter("cpu.stall.issue").Add(cs.IssueStall)
 	reg.Counter("cpu.stall.mem").Add(cs.MemStall)
 	reg.Counter("cpu.llc_requests").Add(cs.LLCRequests)
+	reg.Counter("cpu.mshr_full_events").Add(cs.MSHRFull)
 	reg.Counter("cache.l1i.accesses").Add(cs.L1I.Accesses)
 	reg.Counter("cache.l1i.hits").Add(cs.L1I.Hits)
 	reg.Counter("cache.l1i.misses").Add(cs.L1I.Misses)

@@ -213,7 +213,8 @@ func medianTape(used []uint64) int { return int(used[(len(used)-1)/2]) }
 
 // sample measures sample k of point i: a copy of the live point, replaying
 // its tapes and retargeted to the point's frequency, runs WarmupCycles and
-// one measurement window. Writes are confined to slot i of w.
+// one measurement window, whose counters it harvests into w.reg when that
+// is set. Writes are confined to slot i of w.
 func (e *Explorer) sample(pool *clusterPool, w *walk, i, k int) {
 	label := pointLabel(w.name, w.freqs[i])
 	lane := e.Tracer.AcquireLane()
@@ -230,9 +231,6 @@ func (e *Explorer) sample(pool *clusterPool, w *walk, i, k int) {
 	if w.tapes != nil {
 		cl.ReplayTapes(w.tapes)
 	}
-	if w.reg != nil {
-		cl.EnableObs()
-	}
 	cl.SetFrequency(w.freqs[i])
 	wStart := time.Now() //ntclint:allow wallclock trace span timestamps only; never reaches results
 	cl.Run(w.cfg.WarmupCycles)
@@ -241,8 +239,6 @@ func (e *Explorer) sample(pool *clusterPool, w *walk, i, k int) {
 	m := cl.Measure(w.cfg.MeasureCycles)
 	span("measure", mStart)
 	if w.reg != nil {
-		// Harvest exactly once per copy: the layer counters are
-		// cumulative since EnableObs.
 		cl.HarvestObs(w.reg)
 		harvestWindow(w.reg, m)
 	}

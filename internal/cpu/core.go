@@ -119,6 +119,7 @@ type Stats struct {
 	L1I           cache.Stats
 	L1D           cache.Stats
 	LLCRequests   uint64 // demand requests sent below the L1s (incl. I-side)
+	MSHRFull      uint64 // load misses that found every MSHR busy and waited for a fill
 }
 
 // Add sums o into s, field by field.
@@ -137,6 +138,7 @@ func (s *Stats) Add(o Stats) {
 	s.L1I.Add(o.L1I)
 	s.L1D.Add(o.L1D)
 	s.LLCRequests += o.LLCRequests
+	s.MSHRFull += o.MSHRFull
 }
 
 // UIPC returns user instructions per cycle — the paper's performance
@@ -199,13 +201,9 @@ type Core struct {
 	misses []outstanding
 	pf     streamPrefetcher
 
-	// Observability (see observe.go): nil/zero until EnableObs, cumulative
-	// afterwards, never cloned or reset with Stats.
-	mshrOcc  []uint64
-	mshrFull uint64
-
 	cycleAtReset int64 // commit cycle at the last ResetStats
 	stats        Stats
+	mshrOcc      []uint64       // the window's MSHR allocations by occupancy (MSHROccupancy)
 	instr        workload.Instr // decode scratch of Step and FastForward
 
 	// Replay (see Replay): the tape Step decodes instead of generating,
@@ -243,19 +241,20 @@ func New(cfg Config, id int, gen *workload.Generator, mem MemSystem, freqHz floa
 		commitRing:   make([]int64, cfg.WindowSize),
 		lastILine:    math.MaxUint64,
 		misses:       make([]outstanding, 0, cfg.MSHREntries),
+		mshrOcc:      make([]uint64, cfg.MSHREntries+1),
 	}, nil
 }
 
 // CloneInto makes dst an independent copy of the core — pipeline, L1s,
-// predictor, workload generator and replay position — issuing its misses
-// to mem, with observability off. It reuses dst's storage and returns
-// dst; a nil dst is allocated.
+// predictor, workload generator, replay position and window counters —
+// issuing its misses to mem. It reuses dst's storage and returns dst; a
+// nil dst is allocated.
 func (c *Core) CloneInto(dst *Core, mem MemSystem) *Core {
 	if dst == nil {
 		dst = new(Core)
 	}
 	gen, l1i, l1d, bpred := dst.gen, dst.l1i, dst.l1d, dst.bpred
-	completeRing, commitRing, misses := dst.completeRing, dst.commitRing, dst.misses
+	completeRing, commitRing, misses, mshrOcc := dst.completeRing, dst.commitRing, dst.misses, dst.mshrOcc
 	*dst = *c
 	dst.mem = mem
 	dst.gen = c.gen.CloneInto(gen)
@@ -264,9 +263,9 @@ func (c *Core) CloneInto(dst *Core, mem MemSystem) *Core {
 	dst.completeRing = append(completeRing[:0], c.completeRing...)
 	dst.commitRing = append(commitRing[:0], c.commitRing...)
 	dst.misses = append(slices.Grow(misses[:0], cap(c.misses)), c.misses...)
+	dst.mshrOcc = append(mshrOcc[:0], c.mshrOcc...)
 	// The copy replays on from the same position of the same tape.
 	dst.tape, dst.cursor = c.tape, c.cursor
-	dst.mshrOcc, dst.mshrFull = nil, 0
 	return dst
 }
 
@@ -335,11 +334,18 @@ func (c *Core) Stats() Stats {
 	return s
 }
 
+// MSHROccupancy returns the window's load misses counted by the number of
+// misses outstanding after their allocation (index 0 to MSHREntries; an
+// allocation always leaves at least one in flight, so index 0 stays 0).
+// The slice is live until the next ResetStats; callers must not modify it.
+func (c *Core) MSHROccupancy() []uint64 { return c.mshrOcc }
+
 // ResetStats clears measurement counters but preserves all
 // microarchitectural state (caches, predictor, pipeline timing) — used at
 // the boundary between SMARTS warmup and measurement.
 func (c *Core) ResetStats() {
 	c.stats = Stats{}
+	clear(c.mshrOcc)
 	c.cycleAtReset = c.commitCycle
 	c.l1i.ResetStats()
 	c.l1d.ResetStats()
@@ -597,9 +603,7 @@ func (c *Core) load(in *workload.Instr, issue int64) int64 {
 	}
 	// All MSHRs busy: the load waits for the earliest fill, then retries.
 	if len(c.misses) >= c.cfg.MSHREntries {
-		if c.mshrOcc != nil {
-			c.mshrFull++
-		}
+		c.stats.MSHRFull++
 		issue = maxI64(issue, c.minMissCompletion())
 		c.releaseMisses(issue)
 	}
@@ -608,9 +612,7 @@ func (c *Core) load(in *workload.Instr, issue int64) int64 {
 	fill := maxI64(c.toCycles(fillNs), issue+int64(c.cfg.L1HitCycles))
 	c.stats.MemStall += uint64(fill - issue - int64(c.cfg.L1HitCycles))
 	c.misses = append(c.misses, outstanding{line: line, complete: fill})
-	if c.mshrOcc != nil {
-		c.mshrOcc[len(c.misses)]++
-	}
+	c.mshrOcc[len(c.misses)]++
 	c.writeBack(res.Victim, c.ns(issue), false)
 	return fill
 }

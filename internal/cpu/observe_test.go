@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"slices"
 	"testing"
 
 	"ntcsim/internal/workload"
@@ -17,39 +18,13 @@ func memProfile() *workload.Profile {
 	return p
 }
 
-// TestMSHRObservationDoesNotPerturbTiming: enabling observability must
-// leave the simulated timing and architectural statistics bit-identical —
-// the core of the disabled/enabled equivalence contract.
-func TestMSHRObservationDoesNotPerturbTiming(t *testing.T) {
-	run := func(enable bool) (Stats, int64) {
-		c := newCore(t, memProfile(), &fixedMem{latNs: 120}, 2e9, 42)
-		if enable {
-			c.EnableObs()
-		}
-		c.Run(50_000)
-		return c.Stats(), c.Cycle()
-	}
-	sOff, cycOff := run(false)
-	sOn, cycOn := run(true)
-	if sOff != sOn {
-		t.Fatalf("stats differ with observability on:\noff %+v\non  %+v", sOff, sOn)
-	}
-	if cycOff != cycOn {
-		t.Fatalf("cycle count differs: off %d, on %d", cycOff, cycOn)
-	}
-}
-
 // TestMSHROccupancyTracked: a miss-heavy run must record occupancy
 // samples, bounded by the MSHR size, and totals must be internally
 // consistent.
 func TestMSHROccupancyTracked(t *testing.T) {
 	c := newCore(t, memProfile(), &fixedMem{latNs: 400}, 2e9, 7)
-	c.EnableObs()
 	c.Run(50_000)
 	occ := c.MSHROccupancy()
-	if occ == nil {
-		t.Fatal("occupancy must be allocated after EnableObs")
-	}
 	if len(occ) != c.cfg.MSHREntries+1 {
 		t.Fatalf("occupancy has %d slots, want MSHREntries+1 = %d", len(occ), c.cfg.MSHREntries+1)
 	}
@@ -65,35 +40,16 @@ func TestMSHROccupancyTracked(t *testing.T) {
 	}
 }
 
-// TestMSHRDisabledByDefault: without EnableObs the core must carry no
-// observability state at all.
-func TestMSHRDisabledByDefault(t *testing.T) {
-	c := newCore(t, memProfile(), &fixedMem{latNs: 120}, 2e9, 9)
-	c.Run(20_000)
-	if c.MSHROccupancy() != nil || c.MSHRFullStalls() != 0 {
-		t.Fatal("observability state must stay zero until EnableObs")
-	}
-}
-
-// TestMSHRSurvivesResetStats: obs counters are cumulative-since-enable,
-// deliberately outside the warmup/measure stats boundary.
-func TestMSHRSurvivesResetStats(t *testing.T) {
+// TestMSHRCountersResetWithStats: the MSHR counters are window
+// statistics like every other; ResetStats clears them with the rest.
+func TestMSHRCountersResetWithStats(t *testing.T) {
 	c := newCore(t, memProfile(), &fixedMem{latNs: 400}, 2e9, 11)
-	c.EnableObs()
 	c.Run(30_000)
-	var before uint64
-	for _, n := range c.MSHROccupancy() {
-		before += n
-	}
-	if before == 0 {
-		t.Fatal("no occupancy samples before reset")
+	if c.Stats().MSHRFull == 0 || slices.Max(c.MSHROccupancy()) == 0 {
+		t.Fatalf("miss-heavy run filled no MSHR file (%d) or sampled no occupancy; test is vacuous", c.Stats().MSHRFull)
 	}
 	c.ResetStats()
-	var after uint64
-	for _, n := range c.MSHROccupancy() {
-		after += n
-	}
-	if after < before {
-		t.Fatalf("ResetStats cleared obs counters: %d -> %d", before, after)
+	if c.Stats().MSHRFull != 0 || slices.Max(c.MSHROccupancy()) != 0 {
+		t.Fatalf("ResetStats kept MSHR counters: full %d, occupancy %v", c.Stats().MSHRFull, c.MSHROccupancy())
 	}
 }

@@ -38,51 +38,61 @@ func drive(s *System) []float64 {
 	return done
 }
 
-// TestPerBankObservationDoesNotPerturbTiming: enabling per-bank counting
-// must leave every completion time and the aggregate stats bit-identical.
-func TestPerBankObservationDoesNotPerturbTiming(t *testing.T) {
-	off := mustNew(obsTestConfig())
-	on := mustNew(obsTestConfig())
-	on.EnableObs()
-	dOff, dOn := drive(off), drive(on)
-	for i := range dOff {
-		if dOff[i] != dOn[i] {
-			t.Fatalf("completion %d differs with observability on: %v vs %v", i, dOff[i], dOn[i])
-		}
+// TestPerBankCountsResetWithStats: the per-bank counts are window
+// statistics; ResetStats clears them with the aggregate counters, and
+// the next window's counts sum to that window's statistics alone.
+func TestPerBankCountsResetWithStats(t *testing.T) {
+	s := mustNew(obsTestConfig())
+	drive(s)
+	s.ResetStats()
+	if sum := bankSum(s); sum != (BankCommandCounts{}) {
+		t.Fatalf("ResetStats kept per-bank counts %+v", sum)
 	}
-	if off.Stats() != on.Stats() {
-		t.Fatalf("stats differ:\noff %+v\non  %+v", off.Stats(), on.Stats())
+	// A second pass over the same rows, now open: a window of its own.
+	now := s.lastNowNs
+	for i := 0; i < 50; i++ {
+		now = s.Submit(uint64(i)*uint64(cache.LineBytes), i%3 == 0, now)
 	}
-	if off.PerBankCounts() != nil {
-		t.Fatal("disabled system must carry no per-bank state")
+	st, sum := s.Stats(), bankSum(s)
+	if sum.RD != st.Reads || sum.WR != st.Writes || sum.ACT != st.Activations || sum.PRE != st.RowConflicts {
+		t.Fatalf("window's per-bank sums %+v, window's stats %+v", sum, st)
 	}
 }
 
-// TestPerBankCountsConsistent: summed per-bank RD/WR/ACT must equal the
-// aggregate statistics the simulator already reports.
+// bankSum sums s's per-bank counts over every bank.
+func bankSum(s *System) BankCommandCounts {
+	var sum BankCommandCounts
+	for ch := range s.cfg.Channels {
+		for b := range s.cfg.RanksPerChan * s.cfg.BanksPerRank {
+			bc := s.BankCounts(ch, b)
+			sum.ACT += bc.ACT
+			sum.PRE += bc.PRE
+			sum.RD += bc.RD
+			sum.WR += bc.WR
+		}
+	}
+	return sum
+}
+
+// TestPerBankCountsConsistent: summed per-bank RD/WR/ACT/PRE must equal
+// the aggregate statistics the simulator already reports.
 func TestPerBankCountsConsistent(t *testing.T) {
 	s := mustNew(obsTestConfig())
-	s.EnableObs()
 	drive(s)
-	var rd, wr, act uint64
 	banksSeen := 0
-	for _, banks := range s.PerBankCounts() {
-		for i := range banks {
-			bc := banks[i]
-			rd += bc.RD
-			wr += bc.WR
-			act += bc.ACT
-			if bc.RD+bc.WR > 0 {
+	for ch := range s.cfg.Channels {
+		for b := range s.cfg.RanksPerChan * s.cfg.BanksPerRank {
+			if bc := s.BankCounts(ch, b); bc.RD+bc.WR > 0 {
 				banksSeen++
 			}
 		}
 	}
-	st := s.Stats()
-	if rd != st.Reads || wr != st.Writes {
-		t.Fatalf("per-bank rd/wr %d/%d, aggregate %d/%d", rd, wr, st.Reads, st.Writes)
+	sum, st := bankSum(s), s.Stats()
+	if sum.RD != st.Reads || sum.WR != st.Writes {
+		t.Fatalf("per-bank rd/wr %d/%d, aggregate %d/%d", sum.RD, sum.WR, st.Reads, st.Writes)
 	}
-	if act != st.Activations {
-		t.Fatalf("per-bank ACT %d, aggregate activations %d", act, st.Activations)
+	if sum.ACT != st.Activations || sum.PRE != st.RowConflicts {
+		t.Fatalf("per-bank ACT/PRE %d/%d, aggregate activations/conflicts %d/%d", sum.ACT, sum.PRE, st.Activations, st.RowConflicts)
 	}
 	if banksSeen < 2 {
 		t.Fatalf("interleaved pattern touched only %d banks", banksSeen)

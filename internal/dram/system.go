@@ -89,6 +89,16 @@ type bank struct {
 	actReadyNs float64 // earliest next ACT
 	casReadyNs float64 // earliest next CAS to the open row
 	preReadyNs float64 // earliest next PRE
+
+	cmds BankCommandCounts // commands of the window, cleared by ResetStats
+}
+
+// BankCommandCounts tallies the DRAM commands a single bank received.
+// PRE counts the precharges of row conflicts; refresh-induced row
+// closures are not counted as PRE (they are all-bank maintenance, not
+// per-access commands).
+type BankCommandCounts struct {
+	ACT, PRE, RD, WR uint64
 }
 
 type channel struct {
@@ -119,10 +129,6 @@ type System struct {
 
 	colsPerRow uint64
 	lastNowNs  float64
-
-	// Observability (see observe.go): nil until EnableObs, cumulative
-	// afterwards, never cloned or reset with Stats.
-	bankObs [][]BankCommandCounts
 }
 
 // New validates cfg and builds the system.
@@ -169,8 +175,8 @@ func New(cfg Config) (*System, error) {
 }
 
 // CloneInto makes dst an independent copy of the system's bank, bus and
-// statistics state, with observability off, reusing dst's storage, and
-// returns it; a nil dst is allocated.
+// statistics state, reusing dst's storage, and returns it; a nil dst is
+// allocated.
 func (s *System) CloneInto(dst *System) *System {
 	if dst == nil {
 		dst = new(System)
@@ -181,7 +187,6 @@ func (s *System) CloneInto(dst *System) *System {
 	for i, ch := range s.chans {
 		dst.chans[i] = ch.cloneInto(dst.chans[i])
 	}
-	dst.bankObs = nil
 	return dst
 }
 
@@ -210,9 +215,21 @@ func (ch *channel) cloneInto(dst *channel) *channel {
 // Stats returns the statistics accumulated since the last ResetStats.
 func (s *System) Stats() Stats { return s.stats }
 
-// ResetStats clears statistics while preserving bank/bus state — used at
-// the warmup/measurement boundary of sampled simulation.
-func (s *System) ResetStats() { s.stats = Stats{} }
+// ResetStats clears statistics and the per-bank command counts while
+// preserving bank/bus state — used at the warmup/measurement boundary of
+// sampled simulation.
+func (s *System) ResetStats() {
+	s.stats = Stats{}
+	for _, ch := range s.chans {
+		for i := range ch.banks {
+			ch.banks[i].cmds = BankCommandCounts{}
+		}
+	}
+}
+
+// BankCounts returns the commands bank b of channel ch received since the
+// last ResetStats; b is rank*BanksPerRank + the bank's index in its rank.
+func (s *System) BankCounts(ch, b int) BankCommandCounts { return s.chans[ch].banks[b].cmds }
 
 // location is a decoded physical address.
 type location struct {
@@ -302,14 +319,14 @@ func (s *System) Submit(addr uint64, write bool, nowNs float64) float64 {
 
 	// Resolve the CAS issue time according to the row-buffer state.
 	var casIssue float64
-	var didAct, didPre bool
 	switch {
 	case b.openRow == loc.row:
 		s.stats.RowHits++
 		casIssue = math.Max(t, b.casReadyNs)
 	case b.openRow >= 0:
 		s.stats.RowConflicts++
-		didPre, didAct = true, true
+		b.cmds.PRE++
+		b.cmds.ACT++
 		pre := math.Max(t, b.preReadyNs)
 		act := s.actConstraints(ch, loc.rank, loc.group, pre+float64(tm.RP)*tck)
 		s.recordAct(ch, loc.rank, loc.group, act)
@@ -317,7 +334,7 @@ func (s *System) Submit(addr uint64, write bool, nowNs float64) float64 {
 		casIssue = act + float64(tm.RCD)*tck
 	default:
 		s.stats.RowClosed++
-		didAct = true
+		b.cmds.ACT++
 		act := s.actConstraints(ch, loc.rank, loc.group, math.Max(t, b.actReadyNs))
 		s.recordAct(ch, loc.rank, loc.group, act)
 		b.lastActNs = act
@@ -379,26 +396,13 @@ func (s *System) Submit(addr uint64, write bool, nowNs float64) float64 {
 	b.preReadyNs = math.Max(b.preReadyNs, b.lastActNs+float64(tm.RAS)*tck)
 	b.actReadyNs = b.preReadyNs + float64(tm.RP)*tck
 
-	if s.bankObs != nil {
-		bc := &s.bankObs[loc.chanIdx][loc.bankIdx]
-		if didAct {
-			bc.ACT++
-		}
-		if didPre {
-			bc.PRE++
-		}
-		if write {
-			bc.WR++
-		} else {
-			bc.RD++
-		}
-	}
-
 	// Statistics.
 	if write {
+		b.cmds.WR++
 		s.stats.Writes++
 		s.stats.BytesWritten += cache.LineBytes
 	} else {
+		b.cmds.RD++
 		s.stats.Reads++
 		s.stats.BytesRead += cache.LineBytes
 	}

@@ -25,12 +25,13 @@
 //
 // # Disabled-path cost
 //
-// Instrumented layers keep a nil *Counter / nil counter slice when
-// observability is off and gate every hot-path touch behind that nil
-// check (Counter.Add and friends are also nil-receiver safe), so the
-// disabled path is the seed hot path plus a predictable branch — the
-// golden outputs stay byte-for-byte identical and the overhead is bounded
-// by BenchmarkObsOverhead (<2%).
+// The simulation layers keep no observability state of their own: every
+// counter they keep is a window statistic, counted whether or not a
+// registry is attached, and a registry only harvests those counters at
+// window boundaries. The metric types, the tracer and the progress meter
+// are nil-receiver safe, so an unset hook costs a predictable branch
+// outside the hot loops. BenchmarkObsOverhead bounds what a harvest adds
+// to a sample task (<2%).
 package obs
 
 import (

@@ -5,12 +5,13 @@ import (
 	"runtime"
 	"testing"
 
+	"ntcsim/internal/obs"
 	"ntcsim/internal/workload"
 )
 
 // sameState reports whether two clusters hold the same simulator state.
-// It compares their clones, which leave out the Run/FastForward scratch
-// and the observability counters: neither is state.
+// It compares their clones, which leave out the Run/FastForward scratch:
+// it is not state.
 func sameState(a, b *Cluster) bool { return reflect.DeepEqual(a.Clone(), b.Clone()) }
 
 func TestCheckpointIdenticalContinuation(t *testing.T) {
@@ -75,8 +76,8 @@ func TestCheckpointCoversLLCTraffic(t *testing.T) {
 }
 
 // TestCloneIsolated: a live point and every clone of it are independent
-// deep copies. Running one clone, with observability on, leaves a second
-// clone and the live point untouched.
+// deep copies. Running one clone leaves a second clone and the live point
+// untouched.
 func TestCloneIsolated(t *testing.T) {
 	profiles := []*workload.Profile{
 		workload.WebSearch(), workload.DataServing(), workload.MediaStreaming(), workload.VMHighMem(),
@@ -86,7 +87,6 @@ func TestCloneIsolated(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cl.EnableObs()
 		cl.FastForward(30_000)
 		cl.Run(5_000)
 		return cl
@@ -96,7 +96,6 @@ func TestCloneIsolated(t *testing.T) {
 	ref := src.Clone()
 	a, b := src.Clone(), src.Clone()
 
-	a.EnableObs()
 	a.SetFrequency(0.5e9)
 	a.FastForward(20_000)
 	a.Run(3_000)
@@ -213,10 +212,9 @@ func BenchmarkClone(b *testing.B) {
 }
 
 // TestCloneIntoReusedBuffer: a buffer that last ran another workload, on
-// a cluster of another shape, at another frequency and with observability
-// on, holds after CloneInto what a fresh Clone holds, with observability
-// off although its source has it on, and runs a warm-up and a
-// measurement window bit-identically to it.
+// a cluster of another shape and at another frequency, holds after
+// CloneInto what a fresh Clone holds, window counters included, and runs
+// a warm-up and a measurement window bit-identically to it.
 func TestCloneIntoReusedBuffer(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CoresPerCluster = 8
@@ -225,7 +223,6 @@ func TestCloneIntoReusedBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf.EnableObs()
 	buf.FastForward(20_000)
 	buf.Run(5_000)
 	buf.Measure(5_000)
@@ -236,20 +233,11 @@ func TestCloneIntoReusedBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src.EnableObs() // a copy has observability off even when its source has it on
 	src.FastForward(50_000)
 	src.Run(5_000)
 	fresh := src.Clone()
 	if into := src.CloneInto(buf); into != buf {
 		t.Fatal("CloneInto returned another cluster than its destination")
-	}
-	for i, c := range buf.cores {
-		if c.MSHROccupancy() != nil {
-			t.Fatalf("core %d of the copy kept the buffer's observability", i)
-		}
-	}
-	if buf.mem.sys.PerBankCounts() != nil {
-		t.Fatal("the copy's DRAM kept the buffer's observability")
 	}
 	if !sameState(buf, fresh) {
 		t.Fatal("the copy's state differs from a fresh clone's")
@@ -268,7 +256,10 @@ func TestCloneIntoReusedBuffer(t *testing.T) {
 
 // TestCloneIntoSteadyStateAllocs gates a sample task's set-up: copying a
 // live point into a cluster that held one before, and attaching the
-// live point's tapes, allocates nothing.
+// live point's tapes, allocates nothing. Nor does the rest of a sample
+// task that harvests into a registry: its warm-up and window run and
+// HarvestObs. (Measure's Measurement allocates the per-core slice a
+// sweep keeps, so the window here is run and reset by hand.)
 func TestCloneIntoSteadyStateAllocs(t *testing.T) {
 	src := warmedWebServing(t)
 	tapes := make([]workload.Tape, src.Cores())
@@ -283,6 +274,19 @@ func TestCloneIntoSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("CloneInto and ReplayTapes allocate %.1f times per sample task, want 0", allocs)
+	}
+
+	reg := obs.NewRegistry()
+	allocs = testing.AllocsPerRun(10, func() {
+		cl := src.CloneInto(buf)
+		cl.ReplayTapes(tapes)
+		cl.Run(500)
+		cl.ResetStats()
+		cl.Run(1_000)
+		cl.HarvestObs(reg)
+	})
+	if allocs != 0 {
+		t.Fatalf("a sample task that harvests allocates %.1f times, want 0", allocs)
 	}
 }
 

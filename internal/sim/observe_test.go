@@ -2,64 +2,35 @@ package sim
 
 import (
 	"bytes"
+	"reflect"
+	"strings"
 	"testing"
 
+	"ntcsim/internal/cpu"
 	"ntcsim/internal/obs"
 	"ntcsim/internal/workload"
 )
 
-// obsCluster runs a short simulation with observability enabled and
-// harvests it into a fresh registry.
+// obsCluster runs a short simulation and harvests it into a fresh
+// registry.
 func obsCluster(t *testing.T, cycles int64) (*Cluster, *obs.Registry) {
 	t.Helper()
 	cl, err := NewCluster(DefaultConfig(), workload.WebSearch(), 1e9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl.EnableObs()
 	cl.Run(cycles)
 	r := obs.NewRegistry()
 	cl.HarvestObs(r)
 	return cl, r
 }
 
-// TestEnableObsDoesNotPerturbSimulation: a cluster with observability on
-// must produce the identical Measurement as one without.
-func TestEnableObsDoesNotPerturbSimulation(t *testing.T) {
-	run := func(enable bool) Measurement {
-		cl, err := NewCluster(DefaultConfig(), workload.WebSearch(), 1e9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if enable {
-			cl.EnableObs()
-		}
-		cl.Run(20_000)
-		return cl.Measure(30_000)
-	}
-	off, on := run(false), run(true)
-	if len(off.PerCore) != len(on.PerCore) {
-		t.Fatal("core counts differ")
-	}
-	for i := range off.PerCore {
-		if off.PerCore[i] != on.PerCore[i] {
-			t.Fatalf("core %d stats differ with observability on", i)
-		}
-	}
-	if off.LLC != on.LLC || off.DRAM != on.DRAM || off.Cycles != on.Cycles {
-		t.Fatal("cluster measurement differs with observability on")
-	}
-}
-
-// TestHarvestObsPopulatesRegistry: harvest must report the MSHR counters
-// and the complete per-bank DRAM key set, with per-bank sums matching the
-// aggregate DRAM statistics.
+// TestHarvestObsPopulatesRegistry: harvest must report the MSHR
+// occupancy and the complete per-bank DRAM key set, with per-bank sums
+// matching the aggregate DRAM statistics.
 func TestHarvestObsPopulatesRegistry(t *testing.T) {
 	cl, r := obsCluster(t, 50_000)
 	snap := r.Snapshot()
-	if _, ok := snap.Counters["cpu.mshr_full_events"]; !ok {
-		t.Fatal("missing cpu.mshr_full_events")
-	}
 	if h, ok := snap.Histograms["cpu.mshr_occupancy"]; !ok || h.Count == 0 {
 		t.Fatalf("mshr occupancy histogram missing or empty: %+v", h)
 	}
@@ -82,8 +53,7 @@ func TestHarvestObsPopulatesRegistry(t *testing.T) {
 		t.Fatalf("harvest produced %d dram keys, want full set %d", gotKeys, wantKeys)
 	}
 	dstats := cl.mem.sys.Stats()
-	// Stats were not reset since enable, so cumulative per-bank counts
-	// must equal the aggregate counters exactly.
+	// Both cover everything since the cluster was built.
 	if rd != dstats.Reads || wr != dstats.Writes {
 		t.Fatalf("per-bank rd/wr %d/%d, aggregate %d/%d", rd, wr, dstats.Reads, dstats.Writes)
 	}
@@ -106,22 +76,52 @@ func TestHarvestDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestRestoredClusterObsDisabled: a clone must come up with
-// observability off — instrumentation is not simulator state.
-func TestRestoredClusterObsDisabled(t *testing.T) {
+// TestHarvestObsCoversOneWindow: HarvestObs reports the window since the
+// last ResetStats, like every counter, on a copy as on its source. After
+// a warm-up and a Measure, the per-bank counts sum to that window's
+// dram.Stats and the occupancy histogram counts that window's MSHR
+// allocations; a copy taken mid-window harvests what its source does.
+func TestHarvestObsCoversOneWindow(t *testing.T) {
 	cl, err := NewCluster(DefaultConfig(), workload.WebSearch(), 1e9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl.EnableObs()
-	cl.Run(10_000)
-	clone := cl.Clone()
-	if clone.mem.sys.PerBankCounts() != nil {
-		t.Fatal("a clone must have observability disabled")
+	cl.Run(20_000) // a warm-up whose traffic the window must not count
+	m := cl.Measure(30_000)
+	if m.DRAM.Reads == 0 {
+		t.Fatal("the window reached no DRAM; test is vacuous")
 	}
-	for _, c := range clone.cores {
-		if c.MSHROccupancy() != nil {
-			t.Fatal("a cloned core must have observability disabled")
+	r := obs.NewRegistry()
+	cl.HarvestObs(r)
+	snap := r.Snapshot()
+	var sum [4]uint64
+	for name, v := range snap.Counters {
+		for i, cmd := range []string{".act", ".pre", ".rd", ".wr"} {
+			if strings.HasPrefix(name, "dram.ch") && strings.HasSuffix(name, cmd) {
+				sum[i] += v
+			}
 		}
+	}
+	if want := [4]uint64{m.DRAM.Activations, m.DRAM.RowConflicts, m.DRAM.Reads, m.DRAM.Writes}; sum != want {
+		t.Fatalf("per-bank act/pre/rd/wr sums %v, the window's dram.Stats %v", sum, want)
+	}
+	occ := snap.Histograms["cpu.mshr_occupancy"].Count
+	var cs cpu.Stats
+	for _, s := range m.PerCore {
+		cs.Add(s)
+	}
+	// Every load miss that allocates an MSHR is one occupancy sample and
+	// one LLC request; prefetches and I-side misses are requests only.
+	if occ == 0 || occ > cs.LLCRequests-cs.Prefetches {
+		t.Fatalf("occupancy counted %d allocations, the window's demand requests %d", occ, cs.LLCRequests-cs.Prefetches)
+	}
+
+	cl.Run(5_000)
+	cp := cl.Clone()
+	a, b := obs.NewRegistry(), obs.NewRegistry()
+	cl.HarvestObs(a)
+	cp.HarvestObs(b)
+	if !reflect.DeepEqual(a.Snapshot(), b.Snapshot()) {
+		t.Fatal("a copy harvests other window counters than its source")
 	}
 }
